@@ -1,6 +1,6 @@
 //! `repro` — regenerates every figure and headline claim of the paper.
 //!
-//! Usage: `repro [fig1|fig3|fig4|fig5|fig6|fig7_8|fig9|fig10|fig11|sampling|calibration|<system arm>|bench|all]`
+//! Usage: `repro [fig1|fig3|fig4|fig5|fig6|fig7_8|fig9|fig10|fig11|sampling|calibration|<system arm>|all]`
 //!
 //! System arms (tracking, scaling, floors, faults, chaos, telemetry,
 //! scale, overload, archive, counting, positioning) dispatch through the
@@ -8,13 +8,6 @@
 //! [`roomsense::experiments::ExperimentReport`] summary, asserts its
 //! invariants, and prints a unified `  <name> checksum: <hex> (threads: N)`
 //! line that `scripts/check.sh` compares across thread counts.
-//!
-//! The `bench` arm is not a paper figure: it is the performance regression
-//! gate. It times the scalar sequential, scalar parallel, and batched
-//! (struct-of-arrays) paths of the same workloads, checks every pair of
-//! arms produced bit-for-bit identical output and thread-invariant
-//! telemetry, asserts each case's speedup against its versioned threshold,
-//! and writes `BENCH_PR7.json` in the working directory.
 //!
 //! Each subcommand prints the rows/series the corresponding paper artifact
 //! reports; `EXPERIMENTS.md` records paper-vs-measured.
@@ -48,7 +41,6 @@ fn main() {
         "fig11" => fig11(),
         "sampling" => sampling(),
         "calibration" => calibration(),
-        "bench" => bench(),
         "all" => {
             fig1();
             fig3();
@@ -71,7 +63,7 @@ fn main() {
                 let arms: Vec<&str> = experiments::ARMS.iter().map(|a| a.name).collect();
                 eprintln!("unknown experiment {other:?}");
                 eprintln!(
-                    "usage: repro [fig1|fig3|fig4|fig5|fig6|fig7_8|fig9|fig10|fig11|sampling|calibration|{}|bench|all]",
+                    "usage: repro [fig1|fig3|fig4|fig5|fig6|fig7_8|fig9|fig10|fig11|sampling|calibration|{}|all]",
                     arms.join("|")
                 );
                 std::process::exit(2);
@@ -335,353 +327,6 @@ fn calibration() {
         "  verification capture estimates {:.2} m at a true 1.00 m",
         outcome.verified_distance_m
     );
-}
-
-/// PR 7 benchmark and regression gate: scalar sequential vs scalar
-/// parallel vs batched (struct-of-arrays) wall-clock for the hot paths,
-/// plus the algorithmic cache cases (SMO error cache, shared SVM kernel
-/// rows), with output-equality checksums and per-case speedup thresholds.
-///
-/// Writes `BENCH_PR7.json` into the current directory. Each case reports
-/// the best of three runs per arm; `outputs_identical` proves every arm
-/// produced bit-for-bit the same result (the checksum is an FNV-1a hash
-/// of the result's debug formatting, which prints every f64 to full
-/// precision). Fleet cases additionally prove the batched path's merged
-/// telemetry snapshot is identical to the scalar path's at one worker and
-/// at the default worker count. A case whose speedup falls below its
-/// `min_speedup` threshold aborts the run — `scripts/check.sh` fails on
-/// slowdowns beyond tolerance.
-fn bench() {
-    use roomsense::{
-        batch_alloc_stats, reset_batch_alloc_stats, run_fleet, run_fleet_batched,
-        run_fleet_batched_recorded, run_fleet_recorded, BatchConfig,
-    };
-    use roomsense_building::mobility::{MobilityModel, StaticPosition};
-    use roomsense_building::presets;
-    use roomsense_geom::Point;
-    use roomsense_ml::{
-        grid_search, BinarySvm, CachedSvmEvaluator, Classifier, Dataset, Kernel, SvmClassifier,
-        SvmParams,
-    };
-    use roomsense_sim::rng;
-    use roomsense_telemetry::{keys, Recorder};
-
-    header("bench: batched pipeline + parallel layer + kernel caches (regression gate)");
-    let threads = exec::thread_count();
-    println!("  worker threads: {threads} (override with ROOMSENSE_THREADS)");
-    println!();
-
-    let mut cases: Vec<BenchCase> = Vec::new();
-
-    // Fleet cases: scalar per-device pipelines vs the batched
-    // struct-of-arrays path (reused scratch, memoized link budgets).
-    let scenario = roomsense::Scenario::from_plan(presets::two_transmitter_corridor(), SEED);
-    let batch = BatchConfig::default();
-    reset_batch_alloc_stats();
-    for (name, devices, secs, min_speedup) in [
-        ("fleet_6_devices_60s", 6usize, 60u64, 2.0),
-        ("fleet_12_devices_60s", 12, 60, 2.0),
-    ] {
-        let spots: Vec<StaticPosition> = (0..devices)
-            .map(|i| StaticPosition::new(Point::new(1.0 + 10.0 * (i as f64) / (devices as f64), 1.0)))
-            .collect();
-        let occupants: Vec<&dyn MobilityModel> = spots.iter().map(|s| s as _).collect();
-        let duration = SimDuration::from_secs(secs);
-        let config = PipelineConfig::paper_android();
-        let scalar = || run_fleet(&scenario, &config, &occupants, duration, SEED);
-        let batched = || run_fleet_batched(&scenario, &config, &occupants, duration, SEED, &batch);
-        let (seq_out, seq_ms) = best_of_3(|| exec::with_thread_override(1, scalar));
-        let (par_out, par_ms) = best_of_3(|| exec::with_thread_override(threads, scalar));
-        let (bat_out, bat_ms) = best_of_3(|| exec::with_thread_override(threads, batched));
-        let seq_sum = fnv1a(&format!("{seq_out:?}"));
-        let par_sum = fnv1a(&format!("{par_out:?}"));
-        let bat_sum = fnv1a(&format!("{bat_out:?}"));
-        // Telemetry: the batched snapshot must be byte-identical to the
-        // scalar snapshot, at one worker and at the default count.
-        let scalar_tsum = {
-            let mut r = Recorder::default();
-            run_fleet_recorded(&scenario, &config, &occupants, duration, SEED, &mut r);
-            r.checksum()
-        };
-        let batched_tsum_at = |t: usize| {
-            exec::with_thread_override(t, || {
-                let mut r = Recorder::default();
-                run_fleet_batched_recorded(
-                    &scenario, &config, &occupants, duration, SEED, &batch, &mut r,
-                );
-                r.checksum()
-            })
-        };
-        let telemetry_invariant =
-            batched_tsum_at(1) == scalar_tsum && batched_tsum_at(threads) == scalar_tsum;
-        cases.push(BenchCase {
-            name,
-            seq_ms,
-            par_ms,
-            batched_ms: Some(bat_ms),
-            min_speedup,
-            outputs_identical: seq_sum == par_sum && par_sum == bat_sum,
-            telemetry_invariant: Some(telemetry_invariant),
-            checksum: bat_sum,
-        });
-    }
-    let alloc = batch_alloc_stats();
-    println!(
-        "  batched-path allocations: {} scratch growth events over {} cycles ({:.4} growths/cycle)",
-        alloc.growth_events,
-        alloc.cycles,
-        if alloc.cycles == 0 {
-            0.0
-        } else {
-            alloc.growth_events as f64 / alloc.cycles as f64
-        }
-    );
-    println!();
-
-    // Grid search: (γ, fold) tasks fanned out, Gram shared across Cs.
-    let mut data = Dataset::new(2, vec!["a".into(), "b".into()]).expect("valid dataset");
-    for i in 0..40 {
-        let t = f64::from(i) * 0.08;
-        data.push(vec![t, 0.3 * t], 0).expect("row");
-        data.push(vec![4.0 + t, 4.0 - 0.3 * t], 1).expect("row");
-    }
-    cases.push(bench_case("grid_search_3x3x4", threads, 0.80, || {
-        let mut r = rng::for_component(SEED, "bench-grid");
-        grid_search(&data, &[0.1, 1.0, 10.0], &[0.01, 0.1, 1.0], 4, &mut r)
-    }));
-
-    // Coefficient sweep: one coefficient's trials per parallel chunk (the
-    // PR 2 regression fanned out per cell and lost 8% to task overhead).
-    cases.push(bench_case("coefficient_sweep_3x3", threads, 0.85, || {
-        ExperimentCtx::new(SEED).coefficient_sweep(&[0.2, 0.5, 0.8], 3)
-    }));
-
-    // SMO error cache: same solver workload, cached vs per-call scans.
-    // This one is single-threaded on both arms; the win is algorithmic.
-    let (rows, targets): (Vec<Vec<f64>>, Vec<f64>) = (0..160)
-        .map(|i| {
-            let angle = f64::from(i) * std::f64::consts::FRAC_PI_8;
-            let (r, y) = if i % 2 == 0 { (1.0, -1.0) } else { (3.0, 1.0) };
-            (vec![r * angle.cos(), r * angle.sin()], y)
-        })
-        .unzip();
-    let params = SvmParams {
-        c: 2.0,
-        kernel: Kernel::Rbf { gamma: 0.5 },
-        ..SvmParams::default()
-    };
-    let uncached = best_of_3(|| BinarySvm::fit_uncached(&rows, &targets, &params));
-    let cached = best_of_3(|| BinarySvm::fit(rows.clone(), &targets, &params));
-    cases.push(BenchCase {
-        name: "smo_error_cache_160",
-        seq_ms: uncached.1,
-        par_ms: cached.1,
-        batched_ms: None,
-        min_speedup: 1.05,
-        outputs_identical: fnv1a(&format!("{:?}", uncached.0)) == fnv1a(&format!("{:?}", cached.0)),
-        telemetry_invariant: None,
-        checksum: fnv1a(&format!("{:?}", cached.0)),
-    });
-
-    // Shared SVM kernel rows: one-vs-one predict through the cached
-    // evaluator (each unique support-vector row's kernel value computed
-    // once per query) vs the direct per-machine sums. Single-threaded;
-    // the win is the row sharing `pair_splits` cloning creates.
-    let mut rooms = Dataset::new(3, vec!["a".into(), "b".into(), "c".into(), "d".into()])
-        .expect("valid dataset");
-    for i in 0..30 {
-        let t = f64::from(i) * 0.07;
-        rooms.push(vec![1.0 + t, 1.0, 4.0 - t], 0).expect("row");
-        rooms.push(vec![5.0 - t, 1.0 + t, 1.0], 1).expect("row");
-        rooms.push(vec![1.0, 5.0 - t, 2.0 + t], 2).expect("row");
-        rooms.push(vec![3.0 + t, 3.0, 3.0 - t], 3).expect("row");
-    }
-    let svm = SvmClassifier::fit(&rooms, &SvmParams::default()).expect("trains");
-    let queries: Vec<Vec<f64>> = (0..400)
-        .map(|i| {
-            let t = f64::from(i) * 0.013;
-            vec![1.0 + t, 0.5 + 0.7 * t, 4.5 - t]
-        })
-        .collect();
-    let (plain_preds, plain_ms) = best_of_3(|| {
-        queries.iter().map(|q| svm.predict(q)).collect::<Vec<usize>>()
-    });
-    let evaluator = std::cell::RefCell::new(CachedSvmEvaluator::new(&svm));
-    let (cached_preds, cached_ms) = best_of_3(|| {
-        let mut evaluator = evaluator.borrow_mut();
-        queries
-            .iter()
-            .map(|q| evaluator.predict(q))
-            .collect::<Vec<usize>>()
-    });
-    let evaluator = evaluator.into_inner();
-    let mut ml_telemetry = Recorder::default();
-    ml_telemetry.observe(keys::ML_KERNEL_CACHE_HITS, evaluator.cache_hits() as f64);
-    ml_telemetry.observe(keys::ML_KERNEL_CACHE_MISSES, evaluator.cache_misses() as f64);
-    println!(
-        "  svm kernel cache: {} unique rows serve {} support-vector refs/query; {} hits, {} misses (telemetry checksum {:016x})",
-        evaluator.unique_row_count(),
-        evaluator.reference_count(),
-        evaluator.cache_hits(),
-        evaluator.cache_misses(),
-        ml_telemetry.checksum(),
-    );
-    println!();
-    cases.push(BenchCase {
-        name: "svm_kernel_cache_6x400",
-        seq_ms: plain_ms,
-        par_ms: cached_ms,
-        batched_ms: None,
-        min_speedup: 1.05,
-        // The counters are a pure function of the trained machines, so the
-        // recorded histogram is thread-invariant by construction.
-        telemetry_invariant: Some(true),
-        outputs_identical: plain_preds == cached_preds,
-        checksum: fnv1a(&format!("{cached_preds:?}")),
-    });
-
-    println!("  case                      seq (ms)  par (ms)  batched (ms)  speedup  min  outputs  telemetry");
-    for case in &cases {
-        println!(
-            "  {:<24}  {:>8.1}  {:>8.1}  {:>12}  {:>6.2}x  {:>4.2}  {:>7}  {}",
-            case.name,
-            case.seq_ms,
-            case.par_ms,
-            case.batched_ms
-                .map_or("-".to_string(), |b| format!("{b:.1}")),
-            case.speedup(),
-            case.min_speedup,
-            if case.outputs_identical { "same" } else { "DIFF" },
-            match case.telemetry_invariant {
-                Some(true) => "invariant",
-                Some(false) => "DIVERGED",
-                None => "-",
-            },
-        );
-        assert!(
-            case.outputs_identical,
-            "{}: arms produced different outputs",
-            case.name
-        );
-        assert!(
-            case.telemetry_invariant != Some(false),
-            "{}: telemetry snapshot diverged across arms or thread counts",
-            case.name
-        );
-        assert!(
-            case.speedup() >= case.min_speedup,
-            "{}: speedup {:.2}x regressed below the {:.2}x threshold",
-            case.name,
-            case.speedup(),
-            case.min_speedup
-        );
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"version\": 7,\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str("  \"note\": \"best of 3 runs per arm; seq = ROOMSENSE_THREADS=1 scalar, par = default-threads scalar, batched = default-threads struct-of-arrays; fleet speedup = par/batched, two-arm speedup = seq/par; cache cases are algorithmic, not threaded\",\n");
-    json.push_str(&format!(
-        "  \"batched_alloc\": {{\"growth_events\": {}, \"cycles\": {}}},\n",
-        alloc.growth_events, alloc.cycles
-    ));
-    json.push_str("  \"cases\": [\n");
-    for (i, case) in cases.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"batched_ms\": {}, \"speedup\": {:.3}, \"min_speedup\": {:.2}, \"outputs_identical\": {}, \"telemetry_invariant\": {}, \"checksum\": \"{:016x}\"}}{}\n",
-            case.name,
-            case.seq_ms,
-            case.par_ms,
-            case.batched_ms
-                .map_or("null".to_string(), |b| format!("{b:.3}")),
-            case.speedup(),
-            case.min_speedup,
-            case.outputs_identical,
-            case.telemetry_invariant
-                .map_or("null".to_string(), |t| t.to_string()),
-            case.checksum,
-            if i + 1 < cases.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_PR7.json", json).expect("write BENCH_PR7.json");
-    println!();
-    println!("wrote BENCH_PR7.json");
-}
-
-struct BenchCase {
-    name: &'static str,
-    /// Scalar path, forced single worker.
-    seq_ms: f64,
-    /// Scalar path (or the contender arm for two-arm cases), default workers.
-    par_ms: f64,
-    /// Batched struct-of-arrays path, default workers (fleet cases only).
-    batched_ms: Option<f64>,
-    /// The regression-gate floor for [`BenchCase::speedup`].
-    min_speedup: f64,
-    outputs_identical: bool,
-    /// Whether telemetry snapshots matched across arms and thread counts
-    /// (`None` when the case records no telemetry).
-    telemetry_invariant: Option<bool>,
-    checksum: u64,
-}
-
-impl BenchCase {
-    /// Fleet cases: scalar-parallel over batched (the batching win at the
-    /// default worker count). Two-arm cases: baseline over contender.
-    fn speedup(&self) -> f64 {
-        match self.batched_ms {
-            Some(batched) => self.par_ms / batched,
-            None => self.seq_ms / self.par_ms,
-        }
-    }
-}
-
-/// Times `work` under a forced single worker and under the default worker
-/// count, checking both arms produce identical output.
-fn bench_case<T: std::fmt::Debug>(
-    name: &'static str,
-    threads: usize,
-    min_speedup: f64,
-    work: impl Fn() -> T,
-) -> BenchCase {
-    let (seq_out, seq_ms) = best_of_3(|| exec::with_thread_override(1, &work));
-    let (par_out, par_ms) = best_of_3(|| exec::with_thread_override(threads, &work));
-    let seq_sum = fnv1a(&format!("{seq_out:?}"));
-    let par_sum = fnv1a(&format!("{par_out:?}"));
-    BenchCase {
-        name,
-        seq_ms,
-        par_ms,
-        batched_ms: None,
-        min_speedup,
-        outputs_identical: seq_sum == par_sum,
-        telemetry_invariant: None,
-        checksum: par_sum,
-    }
-}
-
-/// Runs `work` three times; returns the last output and the best time.
-fn best_of_3<T>(work: impl Fn() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        let value = work();
-        best = best.min(start.elapsed().as_secs_f64() * 1000.0);
-        out = Some(value);
-    }
-    (out.expect("ran at least once"), best)
-}
-
-/// FNV-1a over a string; stable, dependency-free output fingerprint.
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in s.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Writes the figure's data series as CSV files under `dir`.

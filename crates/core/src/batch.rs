@@ -1,21 +1,21 @@
-//! Batched fleet execution: struct-of-arrays pipelines with reused scratch.
+//! The fleet's implementation: struct-of-arrays pipelines with reused
+//! scratch.
 //!
-//! The scalar fleet path ([`crate::run_fleet`]) allocates per cycle: the
-//! radio stage builds one schedule `Vec` per advertiser, the scanner one
-//! `Vec<ScanSample>` per cycle, aggregation one `BTreeMap` of pooled `Vec`s
-//! per cycle. This module runs the same pipeline over flat batch buffers:
-//! all of a device's samples land back to back in one reused buffer with a
-//! [`CycleSpan`] per cycle, every stage's working memory lives in a
-//! per-chunk [`DeviceScratch`] reused across the chunk's devices, and the
-//! radio stage memoizes the deterministic link budget while the receiver
-//! stands still.
+//! The single-device oracle ([`crate::run_pipeline_faulted`]) allocates per
+//! cycle: the radio stage builds one schedule `Vec` per advertiser, the
+//! scanner one `Vec<ScanSample>` per cycle, aggregation one `BTreeMap` of
+//! pooled `Vec`s per cycle. [`run_fleet`] runs the same pipeline over flat
+//! batch buffers: all of a device's samples land back to back in one reused
+//! buffer with a [`CycleSpan`] per cycle, every stage's working memory lives
+//! in a per-chunk [`DeviceScratch`] reused across the chunk's devices, and
+//! the radio stage memoizes the deterministic link budget while the
+//! receiver stands still.
 //!
-//! Everything is bit-for-bit the scalar path: the same RNG streams are
-//! drawn in the same order, the telemetry op sequence per device is
-//! unchanged, and chunk children merge in chunk order — which is device
-//! order — so merged snapshots are bitwise identical to
-//! [`crate::run_fleet_recorded`] at any thread count
-//! (`tests/batch_equivalence.rs` proves this by property).
+//! Everything is bit-for-bit the oracle: the same RNG streams are drawn in
+//! the same order, the telemetry op sequence per device is unchanged, and
+//! chunk children merge in chunk order — which is device order — so merged
+//! snapshots equal the per-device recorders merged in device order, at any
+//! thread count (`tests/batch_equivalence.rs` proves this by property).
 
 use crate::fleet::merge_streams;
 use crate::{CycleRecord, FaultPlan, FleetEvent, PipelineConfig, Scenario, ScannerKind};
@@ -24,14 +24,13 @@ use crate::pipeline::FilterTracks;
 use roomsense_signal::{aggregate_cycle_into, AggregateScratch};
 use roomsense_sim::{exec, rng, SimDuration, SimTime};
 use roomsense_stack::{
-    run_scan_batch_recorded, simulate_receptions_faulty_into_recorded,
-    simulate_receptions_into_recorded, AndroidLScanner, AndroidScanner, CycleSpan, FaultyScanner,
+    run_scan_batch_recorded, simulate_receptions_into, AndroidLScanner, AndroidScanner, CycleSpan,
     IosScanner, RadioScratch, Reception, ScanScratch, ScannerModel,
 };
 use roomsense_telemetry::{keys, Recorder, SpanTimer};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How the batched fleet groups devices into parallel tasks.
+/// How the fleet groups devices into parallel tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Devices per parallel chunk. Each chunk owns one scratch set and runs
@@ -39,19 +38,12 @@ pub struct BatchConfig {
     /// (never of the thread count), so outputs and telemetry are
     /// thread-invariant.
     pub rows_per_chunk: usize,
-    /// When set, each chunk observes its device count into the
-    /// `core.batch.rows` histogram. Off by default so the default telemetry
-    /// snapshot stays byte-identical to the scalar fleet's.
-    pub record_batch_metrics: bool,
 }
 
 impl Default for BatchConfig {
-    /// Four devices per chunk, no extra metrics.
+    /// Four devices per chunk.
     fn default() -> Self {
-        BatchConfig {
-            rows_per_chunk: 4,
-            record_batch_metrics: false,
-        }
+        BatchConfig { rows_per_chunk: 4 }
     }
 }
 
@@ -107,7 +99,7 @@ pub fn batch_alloc_stats() -> BatchAllocStats {
     }
 }
 
-/// Batched [`crate::run_fleet`]: identical events, scratch-reusing pipeline.
+/// [`run_fleet`] with no faults and the telemetry discarded.
 pub fn run_fleet_batched(
     scenario: &Scenario,
     config: &PipelineConfig,
@@ -116,104 +108,80 @@ pub fn run_fleet_batched(
     seed: u64,
     batch: &BatchConfig,
 ) -> Vec<FleetEvent> {
-    run_fleet_batched_recorded(
+    let faults = FaultPlan::none(scenario.advertisers().len());
+    run_fleet(
         scenario,
         config,
         occupants,
         duration,
         seed,
+        &faults,
         batch,
         &mut Recorder::default(),
     )
 }
 
-/// Batched [`crate::run_fleet_recorded`]: identical events and — with
-/// `record_batch_metrics` off — a byte-identical telemetry snapshot, at any
-/// thread count.
-pub fn run_fleet_batched_recorded(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    occupants: &[&dyn MobilityModel],
-    duration: SimDuration,
-    seed: u64,
-    batch: &BatchConfig,
-    telemetry: &mut Recorder,
-) -> Vec<FleetEvent> {
-    fleet_batched(
-        scenario, config, occupants, duration, seed, None, batch, telemetry,
-    )
-}
-
-/// Batched [`crate::run_fleet_faulted`].
+/// Runs every occupant through the scenario and returns all their scan
+/// cycles merged into one chronological stream.
+///
+/// Devices are numbered `0..occupants.len()` in argument order; each gets
+/// an independent seed stream derived from `seed` (via
+/// [`rng::derive_indexed_seed`], which keys on both the fleet seed and the
+/// device index). Ties at the same millisecond keep device order. Every
+/// device suffers the same `faults` — the building-side faults (dead
+/// beacons, degraded TX) and the same scheduled adapter faults, as when one
+/// flaky firmware build is rolled out fleet-wide; pass [`FaultPlan::none`]
+/// for a healthy building.
+///
+/// Device `i`'s cycles are exactly
+/// [`run_pipeline_faulted`](crate::run_pipeline_faulted) with the derived
+/// seed, and `telemetry` receives the per-device recordings merged in device
+/// order. Devices run in chunks of `batch.rows_per_chunk`, fanned out over
+/// the worker threads; each chunk records into a child [`Recorder`] and the
+/// children are merged **in chunk order after the join**, so the events and
+/// the snapshot are bitwise identical at any `ROOMSENSE_THREADS` value.
 ///
 /// # Panics
 ///
-/// Panics if the plan's transmitter list does not match the scenario's
-/// beacon count.
-pub fn run_fleet_faulted_batched(
+/// Panics if `batch.rows_per_chunk` is zero or the plan's transmitter list
+/// does not match the scenario's beacon count.
+///
+/// # Examples
+///
+/// ```
+/// use roomsense::{run_fleet, BatchConfig, FaultPlan, PipelineConfig, Scenario};
+/// use roomsense_building::mobility::{MobilityModel, StaticPosition};
+/// use roomsense_building::presets;
+/// use roomsense_geom::Point;
+/// use roomsense_sim::SimDuration;
+/// use roomsense_telemetry::Recorder;
+///
+/// let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), 1);
+/// let a = StaticPosition::new(Point::new(1.0, 1.0));
+/// let b = StaticPosition::new(Point::new(11.0, 1.0));
+/// let occupants: Vec<&dyn MobilityModel> = vec![&a, &b];
+/// let events = run_fleet(
+///     &scenario,
+///     &PipelineConfig::paper_android(),
+///     &occupants,
+///     SimDuration::from_secs(10),
+///     1,
+///     &FaultPlan::none(scenario.advertisers().len()),
+///     &BatchConfig::default(),
+///     &mut Recorder::default(),
+/// );
+/// // Two devices × five cycles, chronologically merged.
+/// assert_eq!(events.len(), 10);
+/// assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
+/// ```
+#[allow(clippy::too_many_arguments)]
+pub fn run_fleet(
     scenario: &Scenario,
     config: &PipelineConfig,
     occupants: &[&dyn MobilityModel],
     duration: SimDuration,
     seed: u64,
     faults: &FaultPlan,
-    batch: &BatchConfig,
-) -> Vec<FleetEvent> {
-    run_fleet_faulted_batched_recorded(
-        scenario,
-        config,
-        occupants,
-        duration,
-        seed,
-        faults,
-        batch,
-        &mut Recorder::default(),
-    )
-}
-
-/// Batched [`crate::run_fleet_faulted_recorded`].
-///
-/// # Panics
-///
-/// Panics if the plan's transmitter list does not match the scenario's
-/// beacon count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_faulted_batched_recorded(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    occupants: &[&dyn MobilityModel],
-    duration: SimDuration,
-    seed: u64,
-    faults: &FaultPlan,
-    batch: &BatchConfig,
-    telemetry: &mut Recorder,
-) -> Vec<FleetEvent> {
-    fleet_batched(
-        scenario,
-        config,
-        occupants,
-        duration,
-        seed,
-        Some(faults),
-        batch,
-        telemetry,
-    )
-}
-
-/// The shared batched driver: chunked parallel dispatch, per-chunk scratch
-/// and child recorders, chunk-order merge, k-way event merge.
-///
-/// Chunk children merge in chunk order and each chunk records its devices
-/// sequentially in device order, so the merged telemetry is the same
-/// device-order concatenation the scalar fleet produces.
-#[allow(clippy::too_many_arguments)]
-fn fleet_batched(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    occupants: &[&dyn MobilityModel],
-    duration: SimDuration,
-    seed: u64,
-    faults: Option<&FaultPlan>,
     batch: &BatchConfig,
     telemetry: &mut Recorder,
 ) -> Vec<FleetEvent> {
@@ -246,9 +214,6 @@ fn fleet_batched(
                     records
                 })
                 .collect();
-            if batch.record_batch_metrics {
-                child.observe(keys::CORE_BATCH_ROWS, range.len() as f64);
-            }
             (records, child)
         });
     let mut per_device: Vec<Vec<CycleRecord>> = Vec::with_capacity(occupants.len());
@@ -260,8 +225,8 @@ fn fleet_batched(
 }
 
 /// One device through the batched pipeline. Stage structure, RNG streams
-/// and telemetry ops replicate [`crate::run_pipeline_recorded`] (or its
-/// faulted variant) exactly; only the working memory differs.
+/// and telemetry ops replicate [`crate::run_pipeline_faulted`] exactly;
+/// only the working memory differs.
 #[allow(clippy::too_many_arguments)]
 fn run_device_batched(
     scenario: &Scenario,
@@ -269,7 +234,7 @@ fn run_device_batched(
     mobility: &dyn MobilityModel,
     duration: SimDuration,
     seed: u64,
-    faults: Option<&FaultPlan>,
+    faults: &FaultPlan,
     telemetry: &mut Recorder,
     scratch: &mut DeviceScratch,
 ) -> Vec<CycleRecord> {
@@ -277,33 +242,19 @@ fn run_device_batched(
     let until = from + duration;
     let mut radio_rng = rng::for_indexed(seed, "pipeline-radio", scenario.seed());
     let radio_span = SpanTimer::start(keys::STAGE_RADIO_MS, from);
-    match faults {
-        None => simulate_receptions_into_recorded(
-            scenario.channel(),
-            scenario.advertisers(),
-            &config.device,
-            |t| mobility.position_at(t),
-            from,
-            until,
-            &mut radio_rng,
-            telemetry,
-            &mut scratch.radio,
-            &mut scratch.receptions,
-        ),
-        Some(plan) => simulate_receptions_faulty_into_recorded(
-            scenario.channel(),
-            scenario.advertisers(),
-            &plan.transmitter,
-            &config.device,
-            |t| mobility.position_at(t),
-            from,
-            until,
-            &mut radio_rng,
-            telemetry,
-            &mut scratch.radio,
-            &mut scratch.receptions,
-        ),
-    }
+    simulate_receptions_into(
+        scenario.channel(),
+        scenario.advertisers(),
+        &faults.transmitter,
+        &config.device,
+        |t| mobility.position_at(t),
+        from,
+        until,
+        &mut radio_rng,
+        telemetry,
+        &mut scratch.radio,
+        &mut scratch.receptions,
+    );
     radio_span.stop(telemetry, until);
     let mut scan_rng = rng::for_indexed(seed, "pipeline-scan", scenario.seed());
     let scan_span = SpanTimer::start(keys::STAGE_SCAN_MS, from);
@@ -320,20 +271,16 @@ fn run_device_batched(
                 &mut scratch.spans,
             )
         };
-        match (config.scanner, faults) {
-            (ScannerKind::Android { stall_probability }, None) => {
-                scan(&AndroidScanner::new(stall_probability), &mut scan_rng)
-            }
-            (ScannerKind::Android { stall_probability }, Some(plan)) => scan(
-                &faulty(AndroidScanner::new(stall_probability), plan),
+        match config.scanner {
+            ScannerKind::Android { stall_probability } => scan(
+                &faults.scanner(AndroidScanner::new(stall_probability)),
                 &mut scan_rng,
             ),
-            (ScannerKind::AndroidL, None) => scan(&AndroidLScanner::low_latency(), &mut scan_rng),
-            (ScannerKind::AndroidL, Some(plan)) => {
-                scan(&faulty(AndroidLScanner::low_latency(), plan), &mut scan_rng)
-            }
-            (ScannerKind::Ios, None) => scan(&IosScanner, &mut scan_rng),
-            (ScannerKind::Ios, Some(plan)) => scan(&faulty(IosScanner, plan), &mut scan_rng),
+            ScannerKind::AndroidL => scan(
+                &faults.scanner(AndroidLScanner::low_latency()),
+                &mut scan_rng,
+            ),
+            ScannerKind::Ios => scan(&faults.scanner(IosScanner), &mut scan_rng),
         }
     }
     scan_span.stop(telemetry, until);
@@ -364,15 +311,6 @@ fn run_device_batched(
     }
     track_span.stop(telemetry, until);
     records
-}
-
-fn faulty<M: ScannerModel>(inner: M, plan: &FaultPlan) -> FaultyScanner<M> {
-    FaultyScanner::new(
-        inner,
-        plan.scanner_stalls.clone(),
-        plan.scanner_storms.clone(),
-        plan.storm_loss,
-    )
 }
 
 /// Object-safe shim over [`run_scan_batch_recorded`] so the scanner match
@@ -413,122 +351,13 @@ impl<M: ScannerModel> ErasedScanner for M {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_fleet, run_fleet_faulted, run_fleet_recorded};
     use roomsense_building::mobility::StaticPosition;
     use roomsense_building::presets;
     use roomsense_geom::Point;
 
-    fn corridor() -> Scenario {
-        Scenario::from_plan(presets::two_transmitter_corridor(), 3)
-    }
-
-    #[test]
-    fn batched_fleet_matches_scalar_fleet() {
-        let scenario = corridor();
-        let a = StaticPosition::new(Point::new(2.0, 1.0));
-        let b = StaticPosition::new(Point::new(9.0, 1.0));
-        let c = StaticPosition::new(Point::new(6.0, 1.0));
-        let occupants: Vec<&dyn MobilityModel> = vec![&a, &b, &c];
-        let config = PipelineConfig::paper_android();
-        let duration = SimDuration::from_secs(20);
-        let scalar = run_fleet(&scenario, &config, &occupants, duration, 5);
-        for rows_per_chunk in [1, 2, 4, 16] {
-            let batch = BatchConfig {
-                rows_per_chunk,
-                record_batch_metrics: false,
-            };
-            let batched =
-                run_fleet_batched(&scenario, &config, &occupants, duration, 5, &batch);
-            assert_eq!(scalar, batched, "rows_per_chunk={rows_per_chunk}");
-        }
-    }
-
-    #[test]
-    fn batched_telemetry_snapshot_is_byte_identical_to_scalar() {
-        let scenario = corridor();
-        let a = StaticPosition::new(Point::new(2.0, 1.0));
-        let b = StaticPosition::new(Point::new(9.0, 1.0));
-        let occupants: Vec<&dyn MobilityModel> = vec![&a, &b];
-        let config = PipelineConfig::paper_android();
-        let duration = SimDuration::from_secs(20);
-        let mut scalar_rec = Recorder::default();
-        let scalar = run_fleet_recorded(
-            &scenario,
-            &config,
-            &occupants,
-            duration,
-            5,
-            &mut scalar_rec,
-        );
-        let mut batched_rec = Recorder::default();
-        let batched = run_fleet_batched_recorded(
-            &scenario,
-            &config,
-            &occupants,
-            duration,
-            5,
-            &BatchConfig::default(),
-            &mut batched_rec,
-        );
-        assert_eq!(scalar, batched);
-        assert_eq!(scalar_rec.checksum(), batched_rec.checksum());
-        assert_eq!(scalar_rec.prometheus_text(), batched_rec.prometheus_text());
-        assert_eq!(scalar_rec.journal_jsonl(), batched_rec.journal_jsonl());
-    }
-
-    #[test]
-    fn batched_faulted_fleet_matches_scalar() {
-        let scenario = corridor();
-        let a = StaticPosition::new(Point::new(2.0, 1.0));
-        let b = StaticPosition::new(Point::new(9.0, 1.0));
-        let occupants: Vec<&dyn MobilityModel> = vec![&a, &b];
-        let config = PipelineConfig::paper_android();
-        let duration = SimDuration::from_secs(30);
-        let plan = FaultPlan::generate(scenario.advertisers().len(), duration, 0.6, 13);
-        let scalar = run_fleet_faulted(&scenario, &config, &occupants, duration, 13, &plan);
-        let batched = run_fleet_faulted_batched(
-            &scenario,
-            &config,
-            &occupants,
-            duration,
-            13,
-            &plan,
-            &BatchConfig::default(),
-        );
-        assert_eq!(scalar, batched);
-    }
-
-    #[test]
-    fn batch_metrics_record_rows_per_chunk() {
-        let scenario = corridor();
-        let a = StaticPosition::new(Point::new(2.0, 1.0));
-        let b = StaticPosition::new(Point::new(9.0, 1.0));
-        let c = StaticPosition::new(Point::new(6.0, 1.0));
-        let occupants: Vec<&dyn MobilityModel> = vec![&a, &b, &c];
-        let mut telemetry = Recorder::default();
-        run_fleet_batched_recorded(
-            &scenario,
-            &PipelineConfig::paper_android(),
-            &occupants,
-            SimDuration::from_secs(4),
-            5,
-            &BatchConfig {
-                rows_per_chunk: 2,
-                record_batch_metrics: true,
-            },
-            &mut telemetry,
-        );
-        // 3 devices at 2 per chunk: chunks of 2 and 1 rows.
-        let rows = telemetry
-            .histogram(keys::CORE_BATCH_ROWS)
-            .expect("batch rows recorded");
-        assert_eq!(rows.count(), 2);
-        assert_eq!(rows.sum(), 3.0);
-    }
-
     #[test]
     fn scratch_reaches_steady_state_after_first_device() {
-        let scenario = corridor();
+        let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), 3);
         let a = StaticPosition::new(Point::new(2.0, 1.0));
         let b = StaticPosition::new(Point::new(2.5, 1.0));
         let c = StaticPosition::new(Point::new(3.0, 1.0));
@@ -541,10 +370,7 @@ mod tests {
             &occupants,
             SimDuration::from_secs(20),
             5,
-            &BatchConfig {
-                rows_per_chunk: 4,
-                record_batch_metrics: false,
-            },
+            &BatchConfig { rows_per_chunk: 4 },
         );
         let stats = batch_alloc_stats();
         assert_eq!(stats.cycles, 40, "4 devices x 10 cycles");

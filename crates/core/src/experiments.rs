@@ -27,13 +27,11 @@
 //! The system arms past the paper's figures (tracking, chaos, scale,
 //! overload, archive, counting, …) additionally implement
 //! [`ExperimentReport`] and register in the [`ARMS`] table, which is the
-//! single place `repro` dispatches them from. The old positional free
-//! functions survive as deprecated shims at the bottom of this module and
-//! forward into the same context methods.
+//! single place `repro` dispatches them from.
 
 use crate::{
-    collect_dataset, features_from_snapshots, run_pipeline, run_pipeline_faulted, FilterKind,
-    LabelledDataset, OccupancyModel, PipelineConfig, Scenario, MISSING_DISTANCE,
+    collect_dataset, features_from_snapshots, run_pipeline, run_pipeline_faulted, BatchConfig,
+    FilterKind, LabelledDataset, OccupancyModel, PipelineConfig, Scenario, MISSING_DISTANCE,
 };
 use roomsense_building::mobility::{RoomSchedule, StaticPosition, WaypointWalk};
 use roomsense_building::presets;
@@ -54,6 +52,7 @@ use roomsense_net::{
 use roomsense_radio::DeviceRxProfile;
 use roomsense_signal::metrics;
 use roomsense_sim::{exec, rng, FaultSchedule, FaultWindow, SimDuration, SimTime};
+use roomsense_telemetry::Recorder;
 
 /// One static capture: the phone fixed at a known distance from a single
 /// transmitter (the Figs 4/5/6 protocol).
@@ -798,7 +797,14 @@ fn tracking_impl(seed: u64) -> TrackingResult {
     let duration = SimDuration::from_secs(240);
 
     // Stream everything into the server over Wi-Fi.
-    let events = crate::run_fleet(&scenario, &config, &occupants, duration, seed);
+    let events = crate::run_fleet_batched(
+        &scenario,
+        &config,
+        &occupants,
+        duration,
+        seed,
+        &BatchConfig::default(),
+    );
     let mut transport = WifiTransport::default();
     let mut transport_rng = rng::for_component(seed, "tracking-uplink");
     for event in events.iter().filter(|e| !e.record.snapshots.is_empty()) {
@@ -949,7 +955,7 @@ fn faults_impl(seed: u64) -> FaultsResult {
 
     // Each intensity point is an independent faulted run keyed on indexed
     // RNG streams; the four points fan out over worker threads (and each
-    // run's per-device pipelines fan out again inside run_fleet_faulted).
+    // run's per-device pipelines fan out again inside run_fleet).
     let intensities = [0.0, 0.25, 0.5, 0.75];
     let points = exec::par_map_indexed(&intensities, |index, &intensity| {
         let plan = crate::FaultPlan::generate(
@@ -958,8 +964,15 @@ fn faults_impl(seed: u64) -> FaultsResult {
             intensity,
             seed,
         );
-        let events = crate::run_fleet_faulted(
-            &scenario, &config, &occupants, duration, seed, &plan,
+        let events = crate::run_fleet(
+            &scenario,
+            &config,
+            &occupants,
+            duration,
+            seed,
+            &plan,
+            &BatchConfig::default(),
+            &mut Recorder::default(),
         );
         let reports: Vec<(SimTime, ObservationReport)> = events
             .iter()
@@ -1297,7 +1310,14 @@ fn chaos_impl(seed: u64) -> ChaosResult {
 
     // The radio/fleet side runs once, clean: chaos lives in the uplink and
     // the server, so every cell replays the same sequenced report stream.
-    let events = crate::run_fleet(&scenario, &config, &occupants, duration, seed);
+    let events = crate::run_fleet_batched(
+        &scenario,
+        &config,
+        &occupants,
+        duration,
+        seed,
+        &BatchConfig::default(),
+    );
     let mut stamper = SequenceStamper::new();
     let reports: Vec<(SimTime, ObservationReport)> = events
         .iter()
@@ -1560,7 +1580,7 @@ pub struct TelemetryResult {
 /// Four phases, all recording into one recorder:
 ///
 /// 1. **Fleet** — a two-occupant faulted run over the paper house
-///    ([`run_fleet_faulted_recorded`](crate::run_fleet_faulted_recorded),
+///    ([`run_fleet`](crate::run_fleet),
 ///    fault intensity 0.6): scan stalls, dropped samples, filter
 ///    holds/resets, radio losses, per-stage timings.
 /// 2. **SVM margins** — a binary SVM separates the two devices' cycle
@@ -1584,7 +1604,7 @@ fn telemetry_impl(seed: u64) -> TelemetryResult {
         QueueingTransport, SequenceStamper,
     };
     use roomsense_sim::{FaultSchedule, FaultWindow};
-    use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
+    use roomsense_telemetry::{keys, TelemetryEvent};
 
     let mut recorder = Recorder::default();
     let scenario = Scenario::from_plan(presets::paper_house(), seed);
@@ -1615,13 +1635,14 @@ fn telemetry_impl(seed: u64) -> TelemetryResult {
     let occupants: Vec<&dyn MobilityModel> = walks.iter().map(|w| w as _).collect();
     let plan =
         crate::FaultPlan::generate(scenario.advertisers().len(), duration, 0.6, seed);
-    let events = crate::run_fleet_faulted_recorded(
+    let events = crate::run_fleet(
         &scenario,
         &config,
         &occupants,
         duration,
         seed,
         &plan,
+        &BatchConfig::default(),
         &mut recorder,
     );
 
@@ -1791,7 +1812,7 @@ pub fn retention_cap(
         .sum()
 }
 
-/// The deterministic half of one [`scale_experiment`] run — everything in
+/// The deterministic half of one [`ExperimentCtx::scale`] run — everything in
 /// here is a pure function of `(seed, devices, shards)` at any
 /// `ROOMSENSE_THREADS`, so the `repro scale` checksum hashes exactly this.
 #[derive(Debug, Clone, PartialEq)]
@@ -1869,7 +1890,7 @@ impl ScaleFingerprint {
     }
 }
 
-/// Wall-clock measurements from one [`scale_experiment`] run. Machine- and
+/// Wall-clock measurements from one [`ExperimentCtx::scale`] run. Machine- and
 /// load-dependent, so **excluded** from the checksummed fingerprint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleTimings {
@@ -2168,7 +2189,7 @@ fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
     }
 }
 
-/// The deterministic half of one [`overload_experiment`] run — a pure
+/// The deterministic half of one [`ExperimentCtx::overload`] run — a pure
 /// function of `(seed, devices, shards)` at any `ROOMSENSE_THREADS`, so
 /// the `repro overload` checksum hashes exactly this.
 #[derive(Debug, Clone, PartialEq)]
@@ -2223,7 +2244,7 @@ impl OverloadFingerprint {
     }
 }
 
-/// Wall-clock measurements from one [`overload_experiment`] run —
+/// Wall-clock measurements from one [`ExperimentCtx::overload`] run —
 /// machine-dependent, never checksummed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadTimings {
@@ -2548,7 +2569,7 @@ fn overload_impl(seed: u64, devices: usize, shards: usize) -> OverloadResult {
     }
 }
 
-/// One row of the [`archive_experiment`] durability matrix: what one
+/// One row of the [`ExperimentCtx::archive`] durability matrix: what one
 /// crash-and-recover run under one disk-fault mode found. Every field is
 /// deterministic for a fixed `(seed, devices, shards)` at any
 /// `ROOMSENSE_THREADS`.
@@ -2608,7 +2629,7 @@ pub struct ArchiveScenarioRow {
     pub telemetry_checksum: u64,
 }
 
-/// The deterministic half of one [`archive_experiment`] run.
+/// The deterministic half of one [`ExperimentCtx::archive`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveFingerprint {
     /// Synthetic fleet size.
@@ -2662,7 +2683,7 @@ impl ArchiveFingerprint {
     }
 }
 
-/// Wall-clock measurements from one [`archive_experiment`] run —
+/// Wall-clock measurements from one [`ExperimentCtx::archive`] run —
 /// machine-dependent, never checksummed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveTimings {
@@ -3536,7 +3557,15 @@ fn positioning_impl(seed: u64) -> PositioningResult {
             .expect("scenario always has beacons and labels");
         for (schedule, duration, eval_seed, faults) in &eval_walks {
             let records = if faulted {
-                run_pipeline_faulted(&scenario, config, schedule, *duration, *eval_seed, faults)
+                run_pipeline_faulted(
+                    &scenario,
+                    config,
+                    schedule,
+                    *duration,
+                    *eval_seed,
+                    faults,
+                    &mut Recorder::default(),
+                )
             } else {
                 run_pipeline(&scenario, config, schedule, *duration, *eval_seed)
             };
@@ -3605,6 +3634,7 @@ fn positioning_impl(seed: u64) -> PositioningResult {
             robust_duration,
             robust_seed,
             &train_faults,
+            &mut Recorder::default(),
         );
         let anchors = config.position_features.then(|| scenario.beacon_anchors());
         crate::collect::records_to_dataset(
@@ -3752,10 +3782,7 @@ fn checksum_of(value: &impl std::fmt::Debug) -> u64 {
 
 /// The shared context every experiment runs under.
 ///
-/// Before this type, each experiment grew its own positional signature
-/// (`scale_experiment(seed, devices, shards)`, `overload_experiment(seed,
-/// devices, shards)`, …) and every new knob rippled through every caller.
-/// `ExperimentCtx` centralises the cross-cutting knobs once; per-experiment
+/// `ExperimentCtx` holds the cross-cutting knobs once; per-experiment
 /// parameters that genuinely differ (a filter coefficient, a capture
 /// duration) stay as method arguments.
 ///
@@ -4702,147 +4729,6 @@ impl ExperimentReport for PositioningResult {
         );
     }
 }
-
-// --- BEGIN deprecated positional shims ---
-// Every pre-redesign positional entry point, kept signature-stable for one
-// release so downstream callers migrate at their own pace. Each forwards to
-// the equivalent ExperimentCtx call, so old and new spellings run the same
-// code path and produce byte-identical results (tests/counting_equivalence.rs
-// proves it per experiment). scripts/check.sh rejects any new positional
-// `*_experiment(seed: u64` entry point outside this block.
-
-/// Deprecated positional form of [`ExperimentCtx::static_capture`].
-#[deprecated(note = "use ExperimentCtx::new(seed).static_capture(config, distance_m, duration)")]
-pub fn static_capture(
-    config: &PipelineConfig,
-    distance_m: f64,
-    duration: SimDuration,
-    seed: u64,
-) -> StaticCaptureResult {
-    ExperimentCtx::new(seed).static_capture(config, distance_m, duration)
-}
-
-/// Deprecated positional form of [`ExperimentCtx::dynamic_walk`].
-#[deprecated(note = "use ExperimentCtx::new(seed).dynamic_walk(coefficient, speed_mps)")]
-pub fn dynamic_walk(coefficient: f64, speed_mps: f64, seed: u64) -> DynamicWalkResult {
-    ExperimentCtx::new(seed).dynamic_walk(coefficient, speed_mps)
-}
-
-/// Deprecated positional form of [`ExperimentCtx::coefficient_sweep`].
-#[deprecated(note = "use ExperimentCtx::new(seed).coefficient_sweep(coefficients, trials)")]
-pub fn coefficient_sweep(
-    coefficients: &[f64],
-    trials: u64,
-    seed: u64,
-) -> Vec<CoefficientSweepPoint> {
-    ExperimentCtx::new(seed).coefficient_sweep(coefficients, trials)
-}
-
-/// Deprecated positional form of [`ExperimentCtx::classification`].
-#[deprecated(note = "use ExperimentCtx::new(seed).classification()")]
-pub fn classification_experiment(seed: u64) -> ClassificationResult {
-    ExperimentCtx::new(seed).classification()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::cross_validation`].
-#[deprecated(note = "use ExperimentCtx::new(seed).cross_validation(folds)")]
-pub fn classification_cross_validation(seed: u64, folds: usize) -> Vec<f64> {
-    ExperimentCtx::new(seed).cross_validation(folds)
-}
-
-/// Deprecated positional form of [`ExperimentCtx::energy`].
-#[deprecated(note = "use ExperimentCtx::new(seed).energy(duration, trials)")]
-pub fn energy_experiment(duration: SimDuration, trials: u64, seed: u64) -> EnergyResult {
-    ExperimentCtx::new(seed).energy(duration, trials)
-}
-
-/// Deprecated positional form of [`ExperimentCtx::device_comparison`].
-#[deprecated(note = "use ExperimentCtx::new(seed).device_comparison(devices, distance_m, duration)")]
-pub fn device_comparison(
-    devices: &[DeviceRxProfile],
-    distance_m: f64,
-    duration: SimDuration,
-    seed: u64,
-) -> Vec<DeviceComparisonRow> {
-    ExperimentCtx::new(seed).device_comparison(devices, distance_m, duration)
-}
-
-/// Deprecated positional form of [`ExperimentCtx::sampling`].
-#[deprecated(note = "use ExperimentCtx::new(seed).sampling()")]
-pub fn sampling_comparison(seed: u64) -> SamplingComparison {
-    ExperimentCtx::new(seed).sampling()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::calibration`].
-#[deprecated(note = "use ExperimentCtx::new(seed).calibration()")]
-pub fn run_tx_power_calibration(seed: u64) -> CalibrationOutcome {
-    ExperimentCtx::new(seed).calibration()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::scaling`].
-#[deprecated(note = "use ExperimentCtx::new(seed).scaling()")]
-pub fn scaling_experiment(seed: u64) -> ScalingResult {
-    ExperimentCtx::new(seed).scaling()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::floors`].
-#[deprecated(note = "use ExperimentCtx::new(seed).floors()")]
-pub fn multifloor_experiment(seed: u64) -> MultiFloorResult {
-    ExperimentCtx::new(seed).floors()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::tracking`].
-#[deprecated(note = "use ExperimentCtx::new(seed).tracking()")]
-pub fn tracking_experiment(seed: u64) -> TrackingResult {
-    ExperimentCtx::new(seed).tracking()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::faults`].
-#[deprecated(note = "use ExperimentCtx::new(seed).faults()")]
-pub fn faults_experiment(seed: u64) -> FaultsResult {
-    ExperimentCtx::new(seed).faults()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::chaos`].
-#[deprecated(note = "use ExperimentCtx::new(seed).chaos()")]
-pub fn chaos_experiment(seed: u64) -> ChaosResult {
-    ExperimentCtx::new(seed).chaos()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::telemetry`].
-#[deprecated(note = "use ExperimentCtx::new(seed).telemetry()")]
-pub fn telemetry_experiment(seed: u64) -> TelemetryResult {
-    ExperimentCtx::new(seed).telemetry()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::scale`].
-#[deprecated(note = "use ExperimentCtx::new(seed).with_devices(devices).with_shards(shards).scale()")]
-pub fn scale_experiment(seed: u64, devices: usize, shards: usize) -> ScaleResult {
-    ExperimentCtx::new(seed)
-        .with_devices(devices)
-        .with_shards(shards)
-        .scale()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::overload`].
-#[deprecated(note = "use ExperimentCtx::new(seed).with_devices(devices).with_shards(shards).overload()")]
-pub fn overload_experiment(seed: u64, devices: usize, shards: usize) -> OverloadResult {
-    ExperimentCtx::new(seed)
-        .with_devices(devices)
-        .with_shards(shards)
-        .overload()
-}
-
-/// Deprecated positional form of [`ExperimentCtx::archive`].
-#[deprecated(note = "use ExperimentCtx::new(seed).with_devices(devices).with_shards(shards).archive()")]
-pub fn archive_experiment(seed: u64, devices: usize, shards: usize) -> ArchiveResult {
-    ExperimentCtx::new(seed)
-        .with_devices(devices)
-        .with_shards(shards)
-        .archive()
-}
-
-// --- END deprecated positional shims ---
 
 #[cfg(test)]
 mod tests {

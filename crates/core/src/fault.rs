@@ -10,6 +10,7 @@
 
 use roomsense_radio::TransmitterFault;
 use roomsense_sim::{rng, FaultSchedule, SimDuration};
+use roomsense_stack::{FaultyScanner, ScannerModel};
 use std::fmt;
 
 /// Every scheduled fault for one run: per-beacon radio faults, phone-side
@@ -132,6 +133,16 @@ impl FaultPlan {
     /// down blocks delivery; overlap is not double-counted).
     pub fn uplink_downtime(&self) -> SimDuration {
         merged_downtime(&self.uplink_outages, &self.server_outages)
+    }
+
+    /// Wraps a phone's scanner model in the plan's adapter faults.
+    pub(crate) fn scanner<M: ScannerModel>(&self, inner: M) -> FaultyScanner<M> {
+        FaultyScanner::new(
+            inner,
+            self.scanner_stalls.clone(),
+            self.scanner_storms.clone(),
+            self.storm_loss,
+        )
     }
 }
 

@@ -1,20 +1,15 @@
 //! Multi-occupant simulation: interleaving several phones' reports.
 //!
 //! The paper's building hosts many occupants at once; the BMS sees their
-//! reports as one time-ordered stream. [`run_fleet`] runs one pipeline per
-//! device and merges the outputs through the deterministic event queue, so
-//! downstream consumers (server, demand-response controller) process events
-//! exactly once, in order, regardless of how many devices there are.
+//! reports as one time-ordered stream. [`run_fleet`](crate::run_fleet) runs
+//! one pipeline per device and merges the outputs into one chronological
+//! stream, so downstream consumers (server, demand-response controller)
+//! process events exactly once, in order, regardless of how many devices
+//! there are.
 
-use crate::{
-    run_pipeline_faulted_recorded, run_pipeline_recorded, CycleRecord, FaultPlan, PipelineConfig,
-    Scenario,
-};
-use roomsense_building::mobility::MobilityModel;
+use crate::CycleRecord;
 use roomsense_net::DeviceId;
-use roomsense_sim::SimDuration;
 use roomsense_sim::SimTime;
-use roomsense_telemetry::Recorder;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -29,169 +24,8 @@ pub struct FleetEvent {
     pub record: CycleRecord,
 }
 
-/// Runs every occupant through the scenario and returns all their scan
-/// cycles merged into one chronological stream.
-///
-/// Devices are numbered `0..occupants.len()` in argument order; each gets
-/// an independent seed stream derived from `seed`. Ties at the same
-/// millisecond preserve device order (FIFO in the queue).
-///
-/// # Examples
-///
-/// ```
-/// use roomsense::{run_fleet, PipelineConfig, Scenario};
-/// use roomsense_building::mobility::{MobilityModel, StaticPosition};
-/// use roomsense_building::presets;
-/// use roomsense_geom::Point;
-/// use roomsense_sim::SimDuration;
-///
-/// let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), 1);
-/// let a = StaticPosition::new(Point::new(1.0, 1.0));
-/// let b = StaticPosition::new(Point::new(11.0, 1.0));
-/// let occupants: Vec<&dyn MobilityModel> = vec![&a, &b];
-/// let events = run_fleet(&scenario, &PipelineConfig::paper_android(),
-///                        &occupants, SimDuration::from_secs(10), 1);
-/// // Two devices × five cycles, chronologically merged.
-/// assert_eq!(events.len(), 10);
-/// assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
-/// ```
-pub fn run_fleet(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    occupants: &[&dyn MobilityModel],
-    duration: SimDuration,
-    seed: u64,
-) -> Vec<FleetEvent> {
-    run_fleet_recorded(
-        scenario,
-        config,
-        occupants,
-        duration,
-        seed,
-        &mut Recorder::default(),
-    )
-}
-
-/// [`run_fleet`] recording per-device pipeline telemetry into `telemetry`.
-///
-/// Each device records into its own child [`Recorder`] (forked per
-/// parallel task) and the children are merged into `telemetry` in device
-/// order after the join, so the merged snapshot is bitwise identical at
-/// any `ROOMSENSE_THREADS` value. Recording never draws from any RNG, so
-/// the returned events match [`run_fleet`] exactly.
-pub fn run_fleet_recorded(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    occupants: &[&dyn MobilityModel],
-    duration: SimDuration,
-    seed: u64,
-    telemetry: &mut Recorder,
-) -> Vec<FleetEvent> {
-    merge_fleet(
-        occupants,
-        |mobility, device_seed, recorder| {
-            run_pipeline_recorded(scenario, config, mobility, duration, device_seed, recorder)
-        },
-        seed,
-        telemetry,
-    )
-}
-
-/// [`run_fleet`] with a shared [`FaultPlan`]: every device suffers the same
-/// building-side faults (dead beacons, degraded TX) and the same scheduled
-/// adapter faults, as when one flaky firmware build is rolled out fleet-wide.
-///
-/// With [`FaultPlan::none`] this matches [`run_fleet`] exactly.
-pub fn run_fleet_faulted(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    occupants: &[&dyn MobilityModel],
-    duration: SimDuration,
-    seed: u64,
-    faults: &FaultPlan,
-) -> Vec<FleetEvent> {
-    run_fleet_faulted_recorded(
-        scenario,
-        config,
-        occupants,
-        duration,
-        seed,
-        faults,
-        &mut Recorder::default(),
-    )
-}
-
-/// [`run_fleet_faulted`] recording per-device telemetry, with the same
-/// index-order merge guarantee as [`run_fleet_recorded`].
-pub fn run_fleet_faulted_recorded(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    occupants: &[&dyn MobilityModel],
-    duration: SimDuration,
-    seed: u64,
-    faults: &FaultPlan,
-    telemetry: &mut Recorder,
-) -> Vec<FleetEvent> {
-    merge_fleet(
-        occupants,
-        |mobility, device_seed, recorder| {
-            run_pipeline_faulted_recorded(
-                scenario,
-                config,
-                mobility,
-                duration,
-                device_seed,
-                faults,
-                recorder,
-            )
-        },
-        seed,
-        telemetry,
-    )
-}
-
-/// Runs one pipeline per occupant — in parallel, one worker per core —
-/// then k-way-merges the per-device streams.
-///
-/// Each pipeline is a pure function of `(scenario, config, mobility,
-/// device_seed)`, so fanning devices out over threads cannot change any
-/// output: the per-device record vectors are identical to a sequential
-/// run, and the merge below is deterministic. Device seeds come from
-/// [`rng::derive_indexed_seed`](roomsense_sim::rng::derive_indexed_seed),
-/// which keys on both the fleet seed and the device index without the
-/// cross-pair collisions a XOR of independent seeds would allow.
-///
-/// Telemetry keeps the same guarantee: every parallel task records into a
-/// fresh child [`Recorder`], and the children are folded into `telemetry`
-/// **in device-index order after the join**. Merge order — not completion
-/// order — determines journal interleaving and counter totals, so the
-/// snapshot is bitwise identical no matter how the tasks were scheduled.
-fn merge_fleet(
-    occupants: &[&dyn MobilityModel],
-    run: impl Fn(&dyn MobilityModel, u64, &mut Recorder) -> Vec<CycleRecord> + Sync,
-    seed: u64,
-    telemetry: &mut Recorder,
-) -> Vec<FleetEvent> {
-    let per_device: Vec<(Vec<CycleRecord>, Recorder)> =
-        roomsense_sim::exec::par_map_indexed(occupants, |index, mobility| {
-            let device_seed =
-                roomsense_sim::rng::derive_indexed_seed(seed, "fleet-device", index as u64);
-            let mut child = Recorder::default();
-            let records = run(*mobility, device_seed, &mut child);
-            (records, child)
-        });
-    let per_device: Vec<Vec<CycleRecord>> = per_device
-        .into_iter()
-        .map(|(records, child)| {
-            telemetry.merge_child(child);
-            records
-        })
-        .collect();
-    merge_streams(per_device)
-}
-
 /// K-way merge of per-device cycle streams into one chronological event
-/// stream (shared by the scalar and batched fleet paths).
+/// stream.
 ///
 /// Each pipeline returns chronologically ordered cycles, so the merge
 /// is a k-way merge over sorted runs: a min-heap holds one candidate
@@ -227,9 +61,12 @@ pub(crate) fn merge_streams(per_device: Vec<Vec<CycleRecord>>) -> Vec<FleetEvent
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roomsense_building::mobility::StaticPosition;
+    use crate::{run_fleet, run_fleet_batched, BatchConfig, FaultPlan, PipelineConfig, Scenario};
+    use roomsense_building::mobility::{MobilityModel, StaticPosition};
     use roomsense_building::presets;
     use roomsense_geom::Point;
+    use roomsense_sim::SimDuration;
+    use roomsense_telemetry::Recorder;
 
     fn corridor() -> Scenario {
         Scenario::from_plan(presets::two_transmitter_corridor(), 3)
@@ -242,12 +79,13 @@ mod tests {
         let b = StaticPosition::new(Point::new(9.0, 1.0));
         let c = StaticPosition::new(Point::new(6.0, 1.0));
         let occupants: Vec<&dyn MobilityModel> = vec![&a, &b, &c];
-        let events = run_fleet(
+        let events = run_fleet_batched(
             &scenario,
             &PipelineConfig::paper_android(),
             &occupants,
             SimDuration::from_secs(20),
             5,
+            &BatchConfig::default(),
         );
         assert_eq!(events.len(), 30); // 3 devices x 10 cycles
         assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
@@ -264,12 +102,13 @@ mod tests {
         let a = StaticPosition::new(Point::new(2.0, 1.0));
         let b = StaticPosition::new(Point::new(3.0, 1.0));
         let occupants: Vec<&dyn MobilityModel> = vec![&a, &b];
-        let events = run_fleet(
+        let events = run_fleet_batched(
             &scenario,
             &PipelineConfig::paper_android(),
             &occupants,
             SimDuration::from_secs(4),
             5,
+            &BatchConfig::default(),
         );
         // Cycles end at the same instants for both devices: device 0 first.
         assert_eq!(events[0].device, DeviceId::new(0));
@@ -283,12 +122,13 @@ mod tests {
         let a = StaticPosition::new(Point::new(2.0, 1.0));
         let b = StaticPosition::new(Point::new(2.0, 1.0)); // same spot
         let occupants: Vec<&dyn MobilityModel> = vec![&a, &b];
-        let events = run_fleet(
+        let events = run_fleet_batched(
             &scenario,
             &PipelineConfig::paper_android(),
             &occupants,
             SimDuration::from_secs(30),
             5,
+            &BatchConfig::default(),
         );
         let of = |d: u32| -> Vec<&CycleRecord> {
             events
@@ -307,12 +147,13 @@ mod tests {
         let a = StaticPosition::new(Point::new(2.0, 1.0));
         let occupants: Vec<&dyn MobilityModel> = vec![&a];
         let run = || {
-            run_fleet(
+            run_fleet_batched(
                 &scenario,
                 &PipelineConfig::paper_android(),
                 &occupants,
                 SimDuration::from_secs(10),
                 7,
+                &BatchConfig::default(),
             )
         };
         assert_eq!(run(), run());
@@ -328,16 +169,25 @@ mod tests {
         let config = PipelineConfig::paper_android();
         let duration = SimDuration::from_secs(20);
 
-        let plain = run_fleet(&scenario, &config, &occupants, duration, 5);
+        let plain = run_fleet_batched(
+            &scenario,
+            &config,
+            &occupants,
+            duration,
+            5,
+            &BatchConfig::default(),
+        );
         let snapshot_at = |threads: usize| {
             roomsense_sim::exec::with_thread_override(threads, || {
                 let mut telemetry = Recorder::default();
-                let events = run_fleet_recorded(
+                let events = run_fleet(
                     &scenario,
                     &config,
                     &occupants,
                     duration,
                     5,
+                    &FaultPlan::none(scenario.advertisers().len()),
+                    &BatchConfig { rows_per_chunk: 1 },
                     &mut telemetry,
                 );
                 (events, telemetry)
@@ -363,12 +213,13 @@ mod tests {
     fn empty_fleet_is_empty() {
         let scenario = corridor();
         let occupants: Vec<&dyn MobilityModel> = vec![];
-        let events = run_fleet(
+        let events = run_fleet_batched(
             &scenario,
             &PipelineConfig::paper_android(),
             &occupants,
             SimDuration::from_secs(10),
             7,
+            &BatchConfig::default(),
         );
         assert!(events.is_empty());
     }

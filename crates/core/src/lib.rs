@@ -20,7 +20,10 @@
 //!   a seeded radio channel.
 //! * [`PipelineConfig`] / [`run_pipeline`] — drive one phone through the
 //!   scenario and get per-scan-cycle smoothed beacon distances with ground
-//!   truth attached.
+//!   truth attached; [`run_pipeline_faulted`] adds a [`FaultPlan`] and a
+//!   telemetry recorder.
+//! * [`run_fleet`] — every occupant's phone at once, under one
+//!   [`FaultPlan`], merged into one chronological event stream.
 //! * [`collect_dataset`] — the paper's data-collection phase: an operator
 //!   walks every room and labels what the phone sees.
 //! * [`OccupancyModel`] — scaler + one-vs-one RBF SVM + feature layout;
@@ -67,8 +70,8 @@ mod scenario;
 
 pub use app_run::{run_app, AppRun};
 pub use batch::{
-    batch_alloc_stats, reset_batch_alloc_stats, run_fleet_batched, run_fleet_batched_recorded,
-    run_fleet_faulted_batched, run_fleet_faulted_batched_recorded, BatchAllocStats, BatchConfig,
+    batch_alloc_stats, reset_batch_alloc_stats, run_fleet, run_fleet_batched, BatchAllocStats,
+    BatchConfig,
 };
 pub use collect::{
     collect_dataset, features_from_snapshots, positioned_features_from_snapshots, LabelledDataset,
@@ -76,14 +79,9 @@ pub use collect::{
 };
 pub use crowd::{CrowdPreset, CrowdScenario, CrowdTrace, MaeBounds, SubjectTrace, TraceSegment};
 pub use fault::FaultPlan;
-pub use fleet::{
-    run_fleet, run_fleet_faulted, run_fleet_faulted_recorded, run_fleet_recorded, FleetEvent,
-};
+pub use fleet::FleetEvent;
 pub use multifloor::{MultiFloorScenario, SLAB_ATTENUATION_DB};
 pub use config::{FilterKind, PipelineConfig, ScannerKind, MEDIAN_FILTER_WINDOW};
 pub use occupancy::{OccupancyModel, TrainOccupancyError};
-pub use pipeline::{
-    run_pipeline, run_pipeline_faulted, run_pipeline_faulted_recorded, run_pipeline_recorded,
-    CycleRecord,
-};
+pub use pipeline::{run_pipeline, run_pipeline_faulted, CycleRecord};
 pub use scenario::Scenario;

@@ -11,8 +11,8 @@ use roomsense_signal::{
 };
 use roomsense_sim::{rng, SimDuration, SimTime};
 use roomsense_stack::{
-    run_scan_recorded, simulate_receptions_faulty_recorded, simulate_receptions_recorded,
-    AndroidLScanner, AndroidScanner, FaultyScanner, IosScanner,
+    run_scan_recorded, simulate_receptions_faulty_recorded, AndroidLScanner, AndroidScanner,
+    IosScanner,
 };
 use roomsense_telemetry::{keys, Recorder, SpanTimer};
 use std::fmt;
@@ -54,7 +54,9 @@ impl fmt::Display for CycleRecord {
 /// This is the paper's Fig 2 client path end to end: the returned records
 /// carry both the raw Android observations (Fig 4/6 material) and the
 /// EWMA-smoothed tracks (Fig 5/7/8 material), with ground truth for
-/// classification experiments (Fig 9).
+/// classification experiments (Fig 9). It is [`run_pipeline_faulted`] with
+/// [`FaultPlan::none`] and the telemetry discarded, and it is the
+/// single-device oracle the batched fleet is tested against.
 pub fn run_pipeline<M: MobilityModel + ?Sized>(
     scenario: &Scenario,
     config: &PipelineConfig,
@@ -62,128 +64,36 @@ pub fn run_pipeline<M: MobilityModel + ?Sized>(
     duration: SimDuration,
     seed: u64,
 ) -> Vec<CycleRecord> {
-    run_pipeline_recorded(
+    run_pipeline_faulted(
         scenario,
         config,
         mobility,
         duration,
         seed,
+        &FaultPlan::none(scenario.advertisers().len()),
         &mut Recorder::default(),
     )
 }
 
-/// Like [`run_pipeline`], but recording pipeline telemetry into `telemetry`:
-/// radio reception counts, scanner windows/stalls/dedup, filter holds and
-/// drops, and the simulated span each stage covered (`stage.*_ms`).
+/// Like [`run_pipeline`], but with a [`FaultPlan`] injected at every layer
+/// and pipeline telemetry recorded into `telemetry`.
 ///
-/// Recording never draws from the seeded RNG streams, so the records are
-/// bit-identical to [`run_pipeline`] for the same seed.
-pub fn run_pipeline_recorded<M: MobilityModel + ?Sized>(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    mobility: &M,
-    duration: SimDuration,
-    seed: u64,
-    telemetry: &mut Recorder,
-) -> Vec<CycleRecord> {
-    let from = SimTime::ZERO;
-    let until = from + duration;
-    let mut radio_rng = rng::for_indexed(seed, "pipeline-radio", scenario.seed());
-    let radio_span = SpanTimer::start(keys::STAGE_RADIO_MS, from);
-    let receptions = simulate_receptions_recorded(
-        scenario.channel(),
-        scenario.advertisers(),
-        &config.device,
-        |t| mobility.position_at(t),
-        from,
-        until,
-        &mut radio_rng,
-        telemetry,
-    );
-    radio_span.stop(telemetry, until);
-    let mut scan_rng = rng::for_indexed(seed, "pipeline-scan", scenario.seed());
-    let scan_span = SpanTimer::start(keys::STAGE_SCAN_MS, from);
-    let cycles = match config.scanner {
-        ScannerKind::Android { stall_probability } => run_scan_recorded(
-            &receptions,
-            &AndroidScanner::new(stall_probability),
-            config.scan,
-            from,
-            until,
-            &mut scan_rng,
-            telemetry,
-        ),
-        ScannerKind::AndroidL => run_scan_recorded(
-            &receptions,
-            &AndroidLScanner::low_latency(),
-            config.scan,
-            from,
-            until,
-            &mut scan_rng,
-            telemetry,
-        ),
-        ScannerKind::Ios => run_scan_recorded(
-            &receptions,
-            &IosScanner,
-            config.scan,
-            from,
-            until,
-            &mut scan_rng,
-            telemetry,
-        ),
-    };
-    scan_span.stop(telemetry, until);
-    let track_span = SpanTimer::start(keys::STAGE_TRACK_MS, from);
-    let records = records_from_cycles_recorded(scenario, config, mobility, &cycles, telemetry);
-    track_span.stop(telemetry, until);
-    records
-}
-
-/// Like [`run_pipeline`], but with a [`FaultPlan`] injected at every layer:
-/// beacons go dark or sag per `faults.transmitter`, the phone's adapter
+/// Beacons go dark or sag per `faults.transmitter`, the phone's adapter
 /// stalls and storms per the scanner schedules. (The plan's *uplink* faults
 /// apply when reports are sent, not here — wrap the transport in
-/// [`roomsense_net::FaultyTransport`] with the plan's schedules.)
+/// [`roomsense_net::FaultyTransport`] with the plan's schedules.) The
+/// recorder receives radio reception counts, scanner windows/stalls/dedup,
+/// the fault layer's dropped samples (`scan.samples_dropped`), filter holds
+/// and drops, and the simulated span each stage covered (`stage.*_ms`).
 ///
-/// With [`FaultPlan::none`] this produces exactly the same records as
-/// [`run_pipeline`] for the same seed.
+/// Recording never draws from the seeded RNG streams, and with
+/// [`FaultPlan::none`] the records are exactly [`run_pipeline`]'s.
 ///
 /// # Panics
 ///
 /// Panics if the plan's transmitter list does not match the scenario's
 /// beacon count.
 pub fn run_pipeline_faulted<M: MobilityModel + ?Sized>(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    mobility: &M,
-    duration: SimDuration,
-    seed: u64,
-    faults: &FaultPlan,
-) -> Vec<CycleRecord> {
-    run_pipeline_faulted_recorded(
-        scenario,
-        config,
-        mobility,
-        duration,
-        seed,
-        faults,
-        &mut Recorder::default(),
-    )
-}
-
-/// Like [`run_pipeline_faulted`], but recording pipeline telemetry into
-/// `telemetry` — including the fault layer's dropped-sample counts
-/// (`scan.samples_dropped`) on top of everything
-/// [`run_pipeline_recorded`] records.
-///
-/// Recording never draws from the seeded RNG streams, so the records are
-/// bit-identical to [`run_pipeline_faulted`] for the same seed.
-///
-/// # Panics
-///
-/// Panics if the plan's transmitter list does not match the scenario's
-/// beacon count.
-pub fn run_pipeline_faulted_recorded<M: MobilityModel + ?Sized>(
     scenario: &Scenario,
     config: &PipelineConfig,
     mobility: &M,
@@ -209,19 +119,11 @@ pub fn run_pipeline_faulted_recorded<M: MobilityModel + ?Sized>(
     );
     radio_span.stop(telemetry, until);
     let mut scan_rng = rng::for_indexed(seed, "pipeline-scan", scenario.seed());
-    fn faulty<M: roomsense_stack::ScannerModel>(inner: M, plan: &FaultPlan) -> FaultyScanner<M> {
-        FaultyScanner::new(
-            inner,
-            plan.scanner_stalls.clone(),
-            plan.scanner_storms.clone(),
-            plan.storm_loss,
-        )
-    }
     let scan_span = SpanTimer::start(keys::STAGE_SCAN_MS, from);
     let cycles = match config.scanner {
         ScannerKind::Android { stall_probability } => run_scan_recorded(
             &receptions,
-            &faulty(AndroidScanner::new(stall_probability), faults),
+            &faults.scanner(AndroidScanner::new(stall_probability)),
             config.scan,
             from,
             until,
@@ -230,7 +132,7 @@ pub fn run_pipeline_faulted_recorded<M: MobilityModel + ?Sized>(
         ),
         ScannerKind::AndroidL => run_scan_recorded(
             &receptions,
-            &faulty(AndroidLScanner::low_latency(), faults),
+            &faults.scanner(AndroidLScanner::low_latency()),
             config.scan,
             from,
             until,
@@ -239,7 +141,7 @@ pub fn run_pipeline_faulted_recorded<M: MobilityModel + ?Sized>(
         ),
         ScannerKind::Ios => run_scan_recorded(
             &receptions,
-            &faulty(IosScanner, faults),
+            &faults.scanner(IosScanner),
             config.scan,
             from,
             until,
@@ -452,28 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn benign_fault_plan_matches_the_plain_pipeline() {
-        let scenario = corridor_scenario();
-        let position = StaticPosition::new(Point::new(2.0, 1.0));
-        let plain = run_pipeline(
-            &scenario,
-            &PipelineConfig::paper_android(),
-            &position,
-            SimDuration::from_secs(30),
-            6,
-        );
-        let faulted = run_pipeline_faulted(
-            &scenario,
-            &PipelineConfig::paper_android(),
-            &position,
-            SimDuration::from_secs(30),
-            6,
-            &FaultPlan::none(scenario.advertisers().len()),
-        );
-        assert_eq!(plain, faulted);
-    }
-
-    #[test]
     fn beacon_outage_starves_its_tracks() {
         use roomsense_radio::TransmitterFault;
         use roomsense_sim::{FaultSchedule, FaultWindow};
@@ -496,6 +376,7 @@ mod tests {
             SimDuration::from_secs(60),
             6,
             &plan,
+            &mut Recorder::default(),
         );
         let west = Minor::new(0);
         assert!(records
@@ -522,6 +403,7 @@ mod tests {
                 SimDuration::from_secs(60),
                 13,
                 &plan,
+                &mut Recorder::default(),
             )
         };
         assert_eq!(run(), run());
@@ -539,12 +421,13 @@ mod tests {
             9,
         );
         let mut telemetry = Recorder::default();
-        let recorded = run_pipeline_recorded(
+        let recorded = run_pipeline_faulted(
             &scenario,
             &PipelineConfig::paper_android(),
             &position,
             SimDuration::from_secs(30),
             9,
+            &FaultPlan::none(scenario.advertisers().len()),
             &mut telemetry,
         );
         // Recording must not perturb any RNG stream.

@@ -94,7 +94,8 @@ pub struct CycleSpan {
 /// `rx_position(t)`.
 ///
 /// Each advertiser's schedule is generated independently; receptions are
-/// returned sorted by time.
+/// returned sorted by time. This is [`simulate_receptions_faulty_recorded`]
+/// with every transmitter healthy and the telemetry discarded.
 pub fn simulate_receptions<R, F>(
     channel: &Channel,
     advertisers: &[PlacedAdvertiser],
@@ -108,157 +109,10 @@ where
     R: Rng + ?Sized,
     F: Fn(SimTime) -> Point,
 {
-    simulate_receptions_recorded(
-        channel,
-        advertisers,
-        rx,
-        rx_position,
-        from,
-        until,
-        rng,
-        &mut Recorder::default(),
-    )
-}
-
-/// Like [`simulate_receptions`], but counting each advertisement's fate
-/// (`radio.rx.received` / `radio.rx.lost`) into `telemetry`.
-///
-/// Recording never draws from `rng`, so the receptions are bit-identical to
-/// the unrecorded call.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_receptions_recorded<R, F>(
-    channel: &Channel,
-    advertisers: &[PlacedAdvertiser],
-    rx: &DeviceRxProfile,
-    rx_position: F,
-    from: SimTime,
-    until: SimTime,
-    rng: &mut R,
-    telemetry: &mut Recorder,
-) -> Vec<Reception>
-where
-    R: Rng + ?Sized,
-    F: Fn(SimTime) -> Point,
-{
-    let mut receptions = Vec::new();
-    for placed in advertisers {
-        for tx_event in placed.advertiser.schedule(from, until, rng) {
-            let rx_pos = rx_position(tx_event.at);
-            if let Some(rssi) = channel.sample_rssi_on_at_recorded(
-                tx_event.at,
-                &placed.profile,
-                placed.position,
-                rx,
-                rx_pos,
-                tx_event.channel,
-                rng,
-                telemetry,
-            ) {
-                receptions.push(Reception {
-                    at: tx_event.at,
-                    packet: *placed.advertiser.packet(),
-                    rssi_dbm: rssi,
-                    channel: tx_event.channel,
-                });
-            }
-        }
-    }
-    receptions.sort_by_key(|r| r.at);
-    receptions
-}
-
-/// Allocation-reusing variant of [`simulate_receptions_recorded`]: clears
-/// and fills a caller-owned receptions buffer, reuses the scratch's schedule
-/// buffer across advertisers, and memoizes the deterministic
-/// [`LinkBudget`] per advertiser while the receiver position is unchanged
-/// (a static receiver pays the path-loss/obstruction/shadowing evaluation
-/// once per advertiser instead of once per packet).
-///
-/// The RNG draw order and the resulting receptions are bit-identical to
-/// [`simulate_receptions_recorded`]: budget memoization only skips
-/// recomputing a pure function of unchanged inputs, and the budget-based
-/// sampler preserves the exact per-packet draw sequence.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_receptions_into_recorded<R, F>(
-    channel: &Channel,
-    advertisers: &[PlacedAdvertiser],
-    rx: &DeviceRxProfile,
-    rx_position: F,
-    from: SimTime,
-    until: SimTime,
-    rng: &mut R,
-    telemetry: &mut Recorder,
-    scratch: &mut RadioScratch,
-    out: &mut Vec<Reception>,
-) where
-    R: Rng + ?Sized,
-    F: Fn(SimTime) -> Point,
-{
-    out.clear();
-    for placed in advertisers {
-        placed
-            .advertiser
-            .schedule_into(from, until, rng, &mut scratch.schedule);
-        let mut cached: Option<(Point, LinkBudget)> = None;
-        for tx_event in &scratch.schedule {
-            let rx_pos = rx_position(tx_event.at);
-            let budget = match cached {
-                Some((pos, budget)) if pos == rx_pos => budget,
-                _ => {
-                    let budget = channel.link_budget(&placed.profile, placed.position, rx, rx_pos);
-                    cached = Some((rx_pos, budget));
-                    budget
-                }
-            };
-            if let Some(rssi) = channel.sample_rssi_with_budget_on_at_recorded(
-                tx_event.at,
-                &budget,
-                rx,
-                rx_pos,
-                tx_event.channel,
-                rng,
-                telemetry,
-            ) {
-                out.push(Reception {
-                    at: tx_event.at,
-                    packet: *placed.advertiser.packet(),
-                    rssi_dbm: rssi,
-                    channel: tx_event.channel,
-                });
-            }
-        }
-    }
-    out.sort_by_key(|r| r.at);
-}
-
-/// Like [`simulate_receptions`], but with a [`TransmitterFault`] per
-/// advertiser: transmissions scheduled inside an outage window never happen,
-/// and transmissions inside a degraded window go out at reduced power (which
-/// both weakens the recorded RSSI and pushes marginal links below the
-/// receiver's sensitivity).
-///
-/// # Panics
-///
-/// Panics if `faults` is not exactly one entry per advertiser.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_receptions_faulty<R, F>(
-    channel: &Channel,
-    advertisers: &[PlacedAdvertiser],
-    faults: &[TransmitterFault],
-    rx: &DeviceRxProfile,
-    rx_position: F,
-    from: SimTime,
-    until: SimTime,
-    rng: &mut R,
-) -> Vec<Reception>
-where
-    R: Rng + ?Sized,
-    F: Fn(SimTime) -> Point,
-{
     simulate_receptions_faulty_recorded(
         channel,
         advertisers,
-        faults,
+        &vec![TransmitterFault::healthy(); advertisers.len()],
         rx,
         rx_position,
         from,
@@ -268,10 +122,16 @@ where
     )
 }
 
-/// Like [`simulate_receptions_faulty`], but counting each surviving
-/// advertisement's fate (`radio.rx.received` / `radio.rx.lost`) into
-/// `telemetry`. Transmissions suppressed by an outage window are not
-/// counted — they never reached the air.
+/// Like [`simulate_receptions`], but with a [`TransmitterFault`] per
+/// advertiser, counting each surviving advertisement's fate
+/// (`radio.rx.received` / `radio.rx.lost`) into `telemetry`.
+///
+/// Transmissions scheduled inside an outage window never happen and are not
+/// counted — they never reached the air. Transmissions inside a degraded
+/// window go out at reduced power, which both weakens the recorded RSSI and
+/// pushes marginal links below the receiver's sensitivity. With every fault
+/// [`TransmitterFault::healthy`] this is the plain radio. Recording never
+/// draws from `rng`.
 ///
 /// # Panics
 ///
@@ -328,16 +188,25 @@ where
     receptions
 }
 
-/// Allocation-reusing variant of [`simulate_receptions_faulty_recorded`],
-/// the faulted counterpart of [`simulate_receptions_into_recorded`]. The
-/// budget memo additionally keys on the effective transmitter profile,
-/// because a degraded-power fault window changes it mid-run.
+/// Allocation-reusing [`simulate_receptions_faulty_recorded`]: clears and
+/// fills a caller-owned receptions buffer, reuses the scratch's schedule
+/// buffer across advertisers, and memoizes the deterministic [`LinkBudget`]
+/// per advertiser while the receiver position and the effective transmitter
+/// profile are unchanged (a static receiver pays the
+/// path-loss/obstruction/shadowing evaluation once per advertiser instead
+/// of once per packet; a degraded-power window changes the profile
+/// mid-run).
+///
+/// The RNG draw order, the receptions and the telemetry are bit-identical
+/// to [`simulate_receptions_faulty_recorded`]: memoization only skips
+/// recomputing a pure function of unchanged inputs, and the budget-based
+/// sampler preserves the exact per-packet draw sequence.
 ///
 /// # Panics
 ///
 /// Panics if `faults` is not exactly one entry per advertiser.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_receptions_faulty_into_recorded<R, F>(
+pub fn simulate_receptions_into<R, F>(
     channel: &Channel,
     advertisers: &[PlacedAdvertiser],
     faults: &[TransmitterFault],

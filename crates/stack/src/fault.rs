@@ -80,6 +80,13 @@ impl<M: ScannerModel> FaultyScanner<M> {
     pub fn storms(&self) -> &FaultSchedule {
         &self.storms
     }
+
+    /// True when no window is scheduled: the wrapper then drops nothing,
+    /// draws nothing and records nothing, so receptions go straight to the
+    /// inner model without the per-cycle survivor copy.
+    fn is_benign(&self) -> bool {
+        self.stalls.is_empty() && self.storms.is_empty()
+    }
 }
 
 impl<M: ScannerModel> ScannerModel for FaultyScanner<M> {
@@ -90,6 +97,11 @@ impl<M: ScannerModel> ScannerModel for FaultyScanner<M> {
         rng: &mut R,
         telemetry: &mut Recorder,
     ) -> Vec<ScanSample> {
+        if self.is_benign() {
+            return self
+                .inner
+                .filter_cycle_recorded(cycle_start, receptions, rng, telemetry);
+        }
         // A wedged adapter delivers nothing for the whole cycle. The check
         // is per-reception so a stall that begins mid-cycle only eats the
         // tail of the cycle.
@@ -123,6 +135,15 @@ impl<M: ScannerModel> ScannerModel for FaultyScanner<M> {
         telemetry: &mut Recorder,
         scratch: &mut crate::ScanScratch,
     ) {
+        if self.is_benign() {
+            return self.inner.filter_cycle_scratch_recorded(
+                cycle_start,
+                receptions,
+                rng,
+                telemetry,
+                scratch,
+            );
+        }
         // The survivors buffer is taken out of the scratch while the inner
         // model borrows the rest of it, then put back so its capacity is
         // reused next cycle. Filter predicates and draw order are exactly
@@ -178,7 +199,7 @@ impl<M: ScannerModel + fmt::Display> fmt::Display for FaultyScanner<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AndroidScanner, IosScanner, ScanSample};
+    use crate::{AndroidLScanner, AndroidScanner, IosScanner, ScanSample};
     use roomsense_ibeacon::{Major, MeasuredPower, Minor, Packet, ProximityUuid};
     use roomsense_radio::AdvChannel;
     use roomsense_sim::{rng, FaultWindow, SimDuration};
@@ -263,27 +284,44 @@ mod tests {
         assert!((rate - 0.3).abs() < 0.05, "survival rate {rate}");
     }
 
+    /// Samples, final RNG draw and telemetry checksum of one owned and one
+    /// scratch cycle through `model`.
+    fn run_cycles(
+        model: &impl ScannerModel,
+        receptions: &[Reception],
+    ) -> (Vec<ScanSample>, u64, u64) {
+        let mut r = rng::for_component(4, "clean");
+        let mut telemetry = Recorder::default();
+        let mut samples =
+            model.filter_cycle_recorded(SimTime::ZERO, receptions, &mut r, &mut telemetry);
+        let mut scratch = crate::ScanScratch::new();
+        model.filter_cycle_scratch_recorded(
+            SimTime::ZERO,
+            receptions,
+            &mut r,
+            &mut telemetry,
+            &mut scratch,
+        );
+        samples.extend(scratch.samples);
+        (samples, r.gen(), telemetry.checksum())
+    }
+
+    fn assert_transparent<M: ScannerModel + Copy>(inner: M) {
+        let benign = FaultyScanner::new(inner, FaultSchedule::none(), FaultSchedule::none(), 0.5);
+        let receptions = vec![reception(0, 0), reception(50, 0), reception(80, 1)];
+        assert_eq!(
+            run_cycles(&inner, &receptions),
+            run_cycles(&benign, &receptions),
+            "{}",
+            inner.name()
+        );
+    }
+
     #[test]
     fn no_faults_is_transparent() {
-        let inner = AndroidScanner::reliable();
-        let faulty = FaultyScanner::new(
-            inner,
-            FaultSchedule::none(),
-            FaultSchedule::none(),
-            0.0,
-        );
-        let receptions = vec![reception(0, 0), reception(50, 0), reception(80, 1)];
-        let direct: Vec<ScanSample> = inner.filter_cycle(
-            SimTime::ZERO,
-            &receptions,
-            &mut rng::for_component(4, "clean"),
-        );
-        let wrapped = faulty.filter_cycle(
-            SimTime::ZERO,
-            &receptions,
-            &mut rng::for_component(4, "clean"),
-        );
-        assert_eq!(direct, wrapped);
+        assert_transparent(AndroidScanner::new(0.3));
+        assert_transparent(AndroidLScanner::low_latency());
+        assert_transparent(IosScanner);
     }
 
     #[test]

@@ -37,9 +37,8 @@ mod scanner;
 
 pub use driver::{
     run_scan, run_scan_batch_recorded, run_scan_recorded, simulate_receptions,
-    simulate_receptions_faulty, simulate_receptions_faulty_into_recorded,
-    simulate_receptions_faulty_recorded, simulate_receptions_into_recorded,
-    simulate_receptions_recorded, CycleSpan, PlacedAdvertiser, RadioScratch, ScanCycleReport,
+    simulate_receptions_faulty_recorded, simulate_receptions_into, CycleSpan, PlacedAdvertiser,
+    RadioScratch, ScanCycleReport,
 };
 pub use fault::FaultyScanner;
 pub use scanner::{

@@ -166,12 +166,6 @@ pub mod keys {
     pub const ENERGY_BT_CONNECTION_MJ: MetricKey = MetricKey("energy.bt_connection_mj");
     /// Total uplink-side energy, in millijoules (gauge).
     pub const ENERGY_TOTAL_MJ: MetricKey = MetricKey("energy.total_mj");
-    /// Devices per batched fleet chunk (histogram; batched path only).
-    pub const CORE_BATCH_ROWS: MetricKey = MetricKey("core.batch.rows");
-    /// Kernel evaluations answered from the shared support-vector row cache.
-    pub const ML_KERNEL_CACHE_HITS: MetricKey = MetricKey("ml.kernel.cache_hits");
-    /// Kernel evaluations that had to be computed (unique cached rows).
-    pub const ML_KERNEL_CACHE_MISSES: MetricKey = MetricKey("ml.kernel.cache_misses");
 }
 
 /// Upper bucket bounds shared by every histogram, chosen to resolve both

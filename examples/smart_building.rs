@@ -11,12 +11,15 @@
 //! ends with the HVAC savings report.
 
 use roomsense::experiments::report_from_snapshots;
-use roomsense::{collect_dataset, run_fleet, OccupancyModel, PipelineConfig, Scenario};
+use roomsense::{
+    collect_dataset, run_fleet, BatchConfig, FaultPlan, OccupancyModel, PipelineConfig, Scenario,
+};
 use roomsense_building::mobility::{MobilityModel, RandomWaypoint};
 use roomsense_building::presets;
 use roomsense_ml::SvmParams;
 use roomsense_net::{BmsServer, BtRelayTransport, DemandResponseController, Retrying, Transport};
 use roomsense_sim::{rng, SimDuration, SimTime};
+use roomsense_telemetry::Recorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = 11;
@@ -43,7 +46,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let occupants: Vec<&dyn MobilityModel> = walks.iter().map(|w| w as _).collect();
-    let events = run_fleet(&scenario, &config, &occupants, duration, seed);
+    let events = run_fleet(
+        &scenario,
+        &config,
+        &occupants,
+        duration,
+        seed,
+        &FaultPlan::none(scenario.advertisers().len()),
+        &BatchConfig::default(),
+        &mut Recorder::default(),
+    );
 
     // The BLE relay drops ~10% of first attempts (paper Section VII);
     // two retries push delivery above 99.9% at the cost of extra bursts.

@@ -7,18 +7,11 @@
 # Tests run twice: once pinned to a single worker (the pure sequential
 # paths) and once at the default parallelism, so a scheduling-dependent
 # bug cannot hide behind whichever mode the CI host happens to pick.
-# The bench arm is the performance regression gate: it regenerates
-# BENCH_PR7.json, asserts every arm (scalar sequential, scalar parallel,
-# batched struct-of-arrays) produced bit-for-bit identical output with
-# thread-invariant telemetry checksums, and aborts — failing this gate —
-# if any case's speedup falls below its versioned per-case tolerance
-# threshold. The regenerated BENCH_PR7.json is archived at the repo root
-# (committed alongside the code it measured). Every system arm in the
-# experiments ARMS table (tracking through positioning) must assert its own
-# invariants and produce the same fingerprint checksum under a single
-# worker and under the default parallelism, and a lint rejects any new
-# positional `*_experiment(seed, ...)` entry point outside the
-# deprecated-shims block.
+# Every system arm in the experiments ARMS table (tracking through
+# positioning) must assert its own invariants and produce the same
+# fingerprint checksum under a single worker and under the default
+# parallelism. Finally the full single-worker `repro all` text must match
+# the committed repro_output.txt, so every figure and checksum is pinned.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,13 +25,6 @@ cargo test -q --offline --workspace
 ROOMSENSE_DISK_FAULTS=1 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
-
-# Performance regression gate: the bench binary asserts per-case speedup
-# thresholds, output equality, and telemetry thread-invariance itself
-# (non-zero exit on any violation), then writes BENCH_PR7.json here at
-# the repo root where it is kept under version control.
-./target/release/repro bench
-echo "bench gate passed; BENCH_PR7.json archived at repo root"
 
 # Determinism gate: every system arm in the ARMS table prints a unified
 # "  <name> checksum: <hex> (threads: N)" line after asserting its own
@@ -60,23 +46,15 @@ for arm in tracking scaling floors faults chaos telemetry scale overload archive
     echo "$arm fingerprint checksum $seq_sum identical at threads=1 and default"
 done
 
-# API-convention lint: experiment entry points take an ExperimentCtx, not
-# positional (seed, ...) arguments. The only positional `*_experiment(seed:
-# u64` signatures allowed are the deprecated shims between the BEGIN/END
-# markers in crates/core/src/experiments.rs; anything else is a regression
-# against the builder convention DESIGN.md documents.
-positional_hits=$(awk '
-    FNR == 1 { skip = 0 }
-    /--- BEGIN deprecated positional shims ---/ { skip = 1 }
-    /--- END deprecated positional shims ---/ { skip = 0 }
-    !skip && /pub fn [a-z_]*_experiment\(seed: u64/ { print FILENAME ":" FNR ": " $0 }
-' $(find crates tests examples -name '*.rs'))
-if [ -n "$positional_hits" ]; then
-    echo "check.sh: positional experiment entry points outside the deprecated shim block:" >&2
-    echo "$positional_hits" >&2
-    echo "check.sh: new experiments must expose an ExperimentCtx method (see DESIGN.md)" >&2
+# Figure gate: the single-worker `repro all` text is byte-identical to the
+# committed repro_output.txt. Only the `timings:` lines (wall-clock) may
+# differ; any other change to a figure, table or checksum fails here, so
+# regenerate the file deliberately when a change is meant to move numbers.
+if ! diff <(grep -v 'timings:' repro_output.txt) \
+    <(ROOMSENSE_THREADS=1 ./target/release/repro all 2>/dev/null | grep -v 'timings:'); then
+    echo "check.sh: repro all differs from repro_output.txt beyond timings: lines" >&2
     exit 1
 fi
-echo "experiment API lint clean: no positional entry points outside the shim block"
+echo "repro all matches repro_output.txt (timings: lines ignored)"
 
-echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + bench + all 11 system arms + API lint green"
+echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt green"

@@ -1,72 +1,116 @@
-//! The batching contract: the struct-of-arrays fleet path is bit-for-bit
-//! the scalar per-device pipeline — same events in the same order, same
-//! telemetry checksums — for any seed, fleet size, chunk width, and worker
-//! count. The scalar path is the oracle; these tests compare the actual
-//! structured outputs, not summaries.
+//! The fleet contract: `run_fleet` — chunked, scratch-reusing, parallel —
+//! is bit-for-bit the single-device pipeline run once per device: same
+//! events in the same order, same telemetry checksum, for any seed, fleet
+//! size, chunk width, fault plan and worker count. The oracle is built here
+//! from `run_pipeline_faulted`; these tests compare the actual structured
+//! outputs, not summaries.
 
 use proptest::prelude::*;
 use roomsense::{
-    run_fleet, run_fleet_batched, run_fleet_batched_recorded, run_fleet_faulted,
-    run_fleet_faulted_batched, run_fleet_recorded, BatchConfig, FaultPlan, FleetEvent,
-    PipelineConfig, Scenario,
+    run_fleet, run_pipeline_faulted, BatchConfig, FaultPlan, FleetEvent, PipelineConfig, Scenario,
 };
 use roomsense_building::mobility::{MobilityModel, StaticPosition};
 use roomsense_building::presets;
 use roomsense_geom::Point;
 use roomsense_ml::{CachedSvmEvaluator, Classifier, Dataset, SvmClassifier, SvmParams};
+use roomsense_net::DeviceId;
 use roomsense_sim::exec::with_thread_override;
-use roomsense_sim::SimDuration;
+use roomsense_sim::{rng, SimDuration};
 use roomsense_telemetry::Recorder;
 
-fn corridor_spots(occupant_count: usize) -> Vec<StaticPosition> {
-    (0..occupant_count)
-        .map(|i| StaticPosition::new(Point::new(1.0 + 1.5 * i as f64, 1.0)))
-        .collect()
-}
-
-fn scalar_fleet(seed: u64, spots: &[StaticPosition], secs: u64) -> Vec<FleetEvent> {
-    let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), seed);
-    let occupants: Vec<&dyn MobilityModel> = spots.iter().map(|s| s as _).collect();
-    run_fleet(
-        &scenario,
-        &PipelineConfig::paper_android(),
-        &occupants,
-        SimDuration::from_secs(secs),
-        seed,
-    )
-}
-
-fn batched_fleet(
+/// A corridor fleet: `occupants` phones parked 1.5 m apart.
+struct Corridor {
+    scenario: Scenario,
+    spots: Vec<StaticPosition>,
+    duration: SimDuration,
     seed: u64,
-    spots: &[StaticPosition],
-    secs: u64,
-    rows_per_chunk: usize,
-) -> Vec<FleetEvent> {
-    let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), seed);
-    let occupants: Vec<&dyn MobilityModel> = spots.iter().map(|s| s as _).collect();
-    run_fleet_batched(
-        &scenario,
-        &PipelineConfig::paper_android(),
-        &occupants,
-        SimDuration::from_secs(secs),
-        seed,
-        &BatchConfig {
-            rows_per_chunk,
-            record_batch_metrics: false,
-        },
-    )
+}
+
+impl Corridor {
+    fn new(seed: u64, occupants: usize, secs: u64) -> Self {
+        Corridor {
+            scenario: Scenario::from_plan(presets::two_transmitter_corridor(), seed),
+            spots: (0..occupants)
+                .map(|i| StaticPosition::new(Point::new(1.0 + 1.5 * i as f64, 1.0)))
+                .collect(),
+            duration: SimDuration::from_secs(secs),
+            seed,
+        }
+    }
+
+    /// `FaultPlan::none`, or a generated plan at the given intensity.
+    fn plan(&self, intensity: f64) -> FaultPlan {
+        FaultPlan::generate(
+            self.scenario.advertisers().len(),
+            self.duration,
+            intensity,
+            self.seed,
+        )
+    }
+
+    fn occupants(&self) -> Vec<&dyn MobilityModel> {
+        self.spots.iter().map(|s| s as _).collect()
+    }
+
+    /// The per-device oracle: every device's pipeline with its own
+    /// recorder, events stably sorted by `(at, device)`, children merged in
+    /// device order.
+    fn oracle(&self, faults: &FaultPlan) -> (Vec<FleetEvent>, u64) {
+        let config = PipelineConfig::paper_android();
+        let mut telemetry = Recorder::default();
+        let mut events = Vec::new();
+        for (index, mobility) in self.occupants().into_iter().enumerate() {
+            let device_seed = rng::derive_indexed_seed(self.seed, "fleet-device", index as u64);
+            let mut child = Recorder::default();
+            let records = run_pipeline_faulted(
+                &self.scenario,
+                &config,
+                mobility,
+                self.duration,
+                device_seed,
+                faults,
+                &mut child,
+            );
+            telemetry.merge_child(child);
+            let device = DeviceId::new(index as u32);
+            events.extend(records.into_iter().map(|record| FleetEvent {
+                at: record.at,
+                device,
+                record,
+            }));
+        }
+        events.sort_by_key(|e| (e.at, e.device));
+        (events, telemetry.checksum())
+    }
+
+    /// The fleet under test, with its telemetry checksum.
+    fn fleet(&self, faults: &FaultPlan, rows_per_chunk: usize) -> (Vec<FleetEvent>, u64) {
+        let mut telemetry = Recorder::default();
+        let events = run_fleet(
+            &self.scenario,
+            &PipelineConfig::paper_android(),
+            &self.occupants(),
+            self.duration,
+            self.seed,
+            faults,
+            &BatchConfig { rows_per_chunk },
+            &mut telemetry,
+        );
+        (events, telemetry.checksum())
+    }
 }
 
 #[test]
 fn batched_fleet_equals_scalar_across_chunk_widths_and_workers() {
-    let spots = corridor_spots(5);
-    let scalar = with_thread_override(1, || scalar_fleet(23, &spots, 20));
+    let corridor = Corridor::new(23, 5, 20);
+    let faults = corridor.plan(0.0);
+    let (oracle, _) = corridor.oracle(&faults);
     for rows_per_chunk in [1, 2, 3, 8] {
         for workers in [1, 2, 4] {
-            let batched =
-                with_thread_override(workers, || batched_fleet(23, &spots, 20, rows_per_chunk));
+            let (events, _) =
+                with_thread_override(workers, || corridor.fleet(&faults, rows_per_chunk));
             assert_eq!(
-                batched, scalar,
+                events, oracle,
                 "diverged at rows_per_chunk={rows_per_chunk}, workers={workers}"
             );
         }
@@ -75,43 +119,15 @@ fn batched_fleet_equals_scalar_across_chunk_widths_and_workers() {
 
 #[test]
 fn batched_telemetry_checksum_is_thread_and_chunk_invariant() {
-    let spots = corridor_spots(4);
-    let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), 31);
-    let occupants: Vec<&dyn MobilityModel> = spots.iter().map(|s| s as _).collect();
-    let config = PipelineConfig::paper_android();
-    let duration = SimDuration::from_secs(16);
-
-    let mut scalar_telemetry = Recorder::default();
-    run_fleet_recorded(
-        &scenario,
-        &config,
-        &occupants,
-        duration,
-        31,
-        &mut scalar_telemetry,
-    );
-    let scalar_checksum = scalar_telemetry.checksum();
-
+    let corridor = Corridor::new(31, 4, 16);
+    let faults = corridor.plan(0.0);
+    let (_, oracle_checksum) = corridor.oracle(&faults);
     for rows_per_chunk in [1, 2, 4] {
         for workers in [1, 3, 8] {
-            let checksum = with_thread_override(workers, || {
-                let mut telemetry = Recorder::default();
-                run_fleet_batched_recorded(
-                    &scenario,
-                    &config,
-                    &occupants,
-                    duration,
-                    31,
-                    &BatchConfig {
-                        rows_per_chunk,
-                        record_batch_metrics: false,
-                    },
-                    &mut telemetry,
-                );
-                telemetry.checksum()
-            });
+            let (_, checksum) =
+                with_thread_override(workers, || corridor.fleet(&faults, rows_per_chunk));
             assert_eq!(
-                checksum, scalar_checksum,
+                checksum, oracle_checksum,
                 "telemetry diverged at rows_per_chunk={rows_per_chunk}, workers={workers}"
             );
         }
@@ -120,29 +136,14 @@ fn batched_telemetry_checksum_is_thread_and_chunk_invariant() {
 
 #[test]
 fn batched_faulted_fleet_equals_scalar_faulted() {
-    let spots = corridor_spots(4);
-    let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), 47);
-    let occupants: Vec<&dyn MobilityModel> = spots.iter().map(|s| s as _).collect();
-    let config = PipelineConfig::paper_android();
-    let duration = SimDuration::from_secs(24);
-    let plan = FaultPlan::generate(scenario.advertisers().len(), duration, 0.7, 47);
-
-    let scalar = with_thread_override(1, || {
-        run_fleet_faulted(&scenario, &config, &occupants, duration, 47, &plan)
-    });
+    let corridor = Corridor::new(47, 4, 24);
+    let faults = corridor.plan(0.7);
+    let oracle = corridor.oracle(&faults);
     for workers in [1, 4] {
-        let batched = with_thread_override(workers, || {
-            run_fleet_faulted_batched(
-                &scenario,
-                &config,
-                &occupants,
-                duration,
-                47,
-                &plan,
-                &BatchConfig::default(),
-            )
+        let fleet = with_thread_override(workers, || {
+            corridor.fleet(&faults, BatchConfig::default().rows_per_chunk)
         });
-        assert_eq!(batched, scalar, "faulted fleet diverged at {workers} workers");
+        assert_eq!(fleet, oracle, "faulted fleet diverged at {workers} workers");
     }
 }
 
@@ -174,22 +175,23 @@ fn cached_evaluator_shares_kernel_rows() {
 }
 
 proptest! {
-    /// For arbitrary seeds, fleet sizes, and chunk widths, the batched
-    /// fleet is indistinguishable from the scalar fleet at any worker
-    /// count — same events, same order, same record contents.
+    /// For arbitrary seeds, fleet sizes, chunk widths and fault plans, the
+    /// fleet is indistinguishable from the per-device oracle under one
+    /// worker and under the default worker count — same events, same
+    /// order, same record contents, same telemetry checksum.
     #[test]
     fn batched_equivalence_holds_for_any_seed_size_and_chunk(
         seed in any::<u64>(),
         occupant_count in 0usize..5,
         rows_per_chunk in 1usize..6,
-        workers in 1usize..5,
+        faulted in any::<bool>(),
     ) {
-        let spots = corridor_spots(occupant_count);
-        let scalar = with_thread_override(1, || scalar_fleet(seed, &spots, 12));
-        let batched = with_thread_override(workers, || {
-            batched_fleet(seed, &spots, 12, rows_per_chunk)
-        });
-        prop_assert_eq!(batched, scalar);
+        let corridor = Corridor::new(seed, occupant_count, 12);
+        let faults = corridor.plan(if faulted { 0.5 } else { 0.0 });
+        let oracle = corridor.oracle(&faults);
+        let sequential = with_thread_override(1, || corridor.fleet(&faults, rows_per_chunk));
+        prop_assert_eq!(&sequential, &oracle);
+        prop_assert_eq!(corridor.fleet(&faults, rows_per_chunk), oracle);
     }
 
     /// The cached one-vs-one evaluator votes exactly like the direct

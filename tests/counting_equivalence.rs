@@ -9,21 +9,15 @@
 //!   delivered, the faulted census equals the clean oracle exactly.
 //! * **thread invariance** — the counting fingerprint checksum does not
 //!   depend on the worker count.
-//!
-//! The final block pins the API migration itself: every deprecated
-//! positional entry point must produce byte-identical results to its
-//! `ExperimentCtx` counterpart (the shims forward through the ctx, so a
-//! divergence means a default drifted).
 
 use proptest::prelude::*;
 use roomsense::crowd::{self, CrowdPreset};
 use roomsense::experiments::{ExperimentCtx, ExperimentReport};
-use roomsense::{FaultPlan, PipelineConfig};
+use roomsense::FaultPlan;
 use roomsense_net::{
     BmsServer, CountingConfig, ObservationReport, OccupancyEstimator, ShardedBmsServer,
 };
-use roomsense_radio::DeviceRxProfile;
-use roomsense_sim::{SimDuration, SimTime};
+use roomsense_sim::SimTime;
 use std::sync::Arc;
 
 /// The census room estimator used throughout the counting layer: the
@@ -136,125 +130,4 @@ proptest! {
         prop_assert_eq!(serial.checksum(), parallel.checksum());
         prop_assert_eq!(serial.fingerprint, parallel.fingerprint);
     }
-}
-
-/// Byte-identical equivalence between each deprecated positional entry
-/// point and its `ExperimentCtx` counterpart, compared on the `Debug`
-/// rendering (the same encoding every checksum hashes).
-macro_rules! assert_same {
-    ($old:expr, $new:expr) => {
-        assert_eq!(
-            format!("{:?}", $old),
-            format!("{:?}", $new),
-            "deprecated shim diverged from ExperimentCtx at {}:{}",
-            file!(),
-            line!()
-        );
-    };
-}
-
-#[test]
-#[allow(deprecated)]
-fn figure_shims_match_experiment_ctx() {
-    use roomsense::experiments as exp;
-    const SEED: u64 = 91;
-    let cfg = PipelineConfig::paper_android();
-    let short = SimDuration::from_secs(60);
-
-    assert_same!(
-        exp::static_capture(&cfg, 2.0, short, SEED),
-        ExperimentCtx::new(SEED).static_capture(&cfg, 2.0, short)
-    );
-    assert_same!(
-        exp::dynamic_walk(0.65, 1.2, SEED),
-        ExperimentCtx::new(SEED).dynamic_walk(0.65, 1.2)
-    );
-    assert_same!(
-        exp::coefficient_sweep(&[0.2, 0.8], 2, SEED),
-        ExperimentCtx::new(SEED).coefficient_sweep(&[0.2, 0.8], 2)
-    );
-    assert_same!(
-        exp::classification_experiment(SEED),
-        ExperimentCtx::new(SEED).classification()
-    );
-    assert_same!(
-        exp::classification_cross_validation(SEED, 3),
-        ExperimentCtx::new(SEED).cross_validation(3)
-    );
-    assert_same!(
-        exp::energy_experiment(short, 2, SEED),
-        ExperimentCtx::new(SEED).energy(short, 2)
-    );
-    assert_same!(
-        exp::device_comparison(&[DeviceRxProfile::nexus_5()], 2.0, short, SEED),
-        ExperimentCtx::new(SEED).device_comparison(&[DeviceRxProfile::nexus_5()], 2.0, short)
-    );
-    assert_same!(
-        exp::sampling_comparison(SEED),
-        ExperimentCtx::new(SEED).sampling()
-    );
-    assert_same!(
-        exp::run_tx_power_calibration(SEED),
-        ExperimentCtx::new(SEED).calibration()
-    );
-}
-
-#[test]
-#[allow(deprecated)]
-fn system_shims_match_experiment_ctx() {
-    use roomsense::experiments as exp;
-    const SEED: u64 = 91;
-
-    assert_same!(exp::tracking_experiment(SEED), ExperimentCtx::new(SEED).tracking());
-    assert_same!(exp::scaling_experiment(SEED), ExperimentCtx::new(SEED).scaling());
-    assert_same!(exp::multifloor_experiment(SEED), ExperimentCtx::new(SEED).floors());
-    assert_same!(exp::faults_experiment(SEED), ExperimentCtx::new(SEED).faults());
-}
-
-/// The heavyweight arms carry wall-clock timing fields, so equivalence is
-/// pinned on [`ExperimentReport::checksum`] — the same fingerprint-only
-/// hash `repro` prints (timings are never hashed).
-#[test]
-#[allow(deprecated)]
-fn heavy_system_shims_match_experiment_ctx() {
-    use roomsense::experiments as exp;
-    const SEED: u64 = 91;
-
-    assert_eq!(
-        exp::scale_experiment(SEED, 200, 4).checksum(),
-        ExperimentCtx::new(SEED)
-            .with_devices(200)
-            .with_shards(4)
-            .scale()
-            .checksum()
-    );
-    assert_eq!(
-        exp::overload_experiment(SEED, 30, 3).checksum(),
-        ExperimentCtx::new(SEED)
-            .with_devices(30)
-            .with_shards(3)
-            .overload()
-            .checksum()
-    );
-    assert_eq!(
-        exp::archive_experiment(SEED, 48, 2).checksum(),
-        ExperimentCtx::new(SEED)
-            .with_devices(48)
-            .with_shards(2)
-            .archive()
-            .checksum()
-    );
-}
-
-#[test]
-#[allow(deprecated)]
-fn chaos_and_telemetry_shims_match_experiment_ctx() {
-    use roomsense::experiments as exp;
-    const SEED: u64 = 91;
-
-    assert_same!(exp::chaos_experiment(SEED), ExperimentCtx::new(SEED).chaos());
-    assert_same!(
-        exp::telemetry_experiment(SEED),
-        ExperimentCtx::new(SEED).telemetry()
-    );
 }

@@ -3,7 +3,8 @@
 
 use roomsense::experiments::report_from_snapshots;
 use roomsense::{
-    collect_dataset, run_fleet, run_pipeline, OccupancyModel, PipelineConfig, Scenario,
+    collect_dataset, run_fleet_batched, run_pipeline, BatchConfig, OccupancyModel, PipelineConfig,
+    Scenario,
 };
 use roomsense_building::mobility::{MobilityModel, RoomSchedule, StaticPosition};
 use roomsense_building::{presets, RoomId};
@@ -31,12 +32,13 @@ fn fleet_populates_the_occupancy_table() {
     let living = StaticPosition::new(Point::new(7.0, 2.0));
     let study = StaticPosition::new(Point::new(8.5, 6.0));
     let occupants: Vec<&dyn MobilityModel> = vec![&kitchen, &living, &study];
-    let events = run_fleet(
+    let events = run_fleet_batched(
         &scenario,
         &config,
         &occupants,
         SimDuration::from_secs(120),
         SEED,
+        &BatchConfig::default(),
     );
     for event in events.iter().filter(|e| !e.record.snapshots.is_empty()) {
         server.post_observation(report_from_snapshots(

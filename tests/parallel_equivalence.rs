@@ -6,13 +6,14 @@
 
 use proptest::prelude::*;
 use roomsense::experiments::ExperimentCtx;
-use roomsense::{run_fleet, PipelineConfig, Scenario};
+use roomsense::{run_fleet, BatchConfig, FaultPlan, PipelineConfig, Scenario};
 use roomsense_building::mobility::{MobilityModel, StaticPosition};
 use roomsense_building::presets;
 use roomsense_geom::Point;
 use roomsense_ml::{grid_search, Dataset};
 use roomsense_sim::exec::with_thread_override;
 use roomsense_sim::{rng, SimDuration};
+use roomsense_telemetry::Recorder;
 
 fn corridor_fleet(seed: u64, occupant_count: usize) -> Vec<roomsense::FleetEvent> {
     let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), seed);
@@ -20,12 +21,16 @@ fn corridor_fleet(seed: u64, occupant_count: usize) -> Vec<roomsense::FleetEvent
         .map(|i| StaticPosition::new(Point::new(1.0 + 1.5 * i as f64, 1.0)))
         .collect();
     let occupants: Vec<&dyn MobilityModel> = spots.iter().map(|s| s as _).collect();
+    // One device per chunk, so every device is its own parallel task.
     run_fleet(
         &scenario,
         &PipelineConfig::paper_android(),
         &occupants,
         SimDuration::from_secs(20),
         seed,
+        &FaultPlan::none(scenario.advertisers().len()),
+        &BatchConfig { rows_per_chunk: 1 },
+        &mut Recorder::default(),
     )
 }
 

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use roomsense::experiments::{ExperimentCtx, ExperimentReport};
-use roomsense::{run_fleet_recorded, FilterKind, PipelineConfig, Scenario};
+use roomsense::{run_fleet, BatchConfig, FaultPlan, FilterKind, PipelineConfig, Scenario};
 use roomsense_building::mobility::{MobilityModel, StaticPosition};
 use roomsense_building::presets;
 use roomsense_geom::Point;
@@ -117,12 +117,14 @@ proptest! {
         let snapshot = |threads: usize| {
             with_thread_override(threads, || {
                 let mut telemetry = Recorder::default();
-                run_fleet_recorded(
+                run_fleet(
                     &scenario,
                     &config,
                     &occupants,
                     SimDuration::from_secs(15),
                     seed,
+                    &FaultPlan::none(scenario.advertisers().len()),
+                    &BatchConfig { rows_per_chunk: 1 },
                     &mut telemetry,
                 );
                 telemetry

@@ -6,9 +6,7 @@
 
 use proptest::prelude::*;
 use roomsense::experiments::ExperimentCtx;
-use roomsense::{
-    run_fleet_faulted_recorded, run_fleet_recorded, FaultPlan, PipelineConfig, Scenario,
-};
+use roomsense::{run_fleet, BatchConfig, FaultPlan, PipelineConfig, Scenario};
 use roomsense_building::mobility::{MobilityModel, StaticPosition};
 use roomsense_building::presets;
 use roomsense_geom::Point;
@@ -27,13 +25,14 @@ fn faulted_snapshot(seed: u64, occupant_count: usize, threads: usize) -> Recorde
     let faults = FaultPlan::generate(scenario.advertisers().len(), duration, 0.5, seed);
     with_thread_override(threads, || {
         let mut telemetry = Recorder::default();
-        run_fleet_faulted_recorded(
+        run_fleet(
             &scenario,
             &PipelineConfig::paper_android(),
             &occupants,
             duration,
             seed,
             &faults,
+            &BatchConfig { rows_per_chunk: 1 },
             &mut telemetry,
         );
         telemetry
@@ -69,12 +68,14 @@ fn tracking_snapshot_is_identical_across_thread_counts() {
     let snapshot = |threads: usize| {
         with_thread_override(threads, || {
             let mut telemetry = Recorder::default();
-            run_fleet_recorded(
+            run_fleet(
                 &scenario,
                 &PipelineConfig::paper_android(),
                 &occupants,
                 SimDuration::from_secs(30),
                 5,
+                &FaultPlan::none(scenario.advertisers().len()),
+                &BatchConfig { rows_per_chunk: 1 },
                 &mut telemetry,
             );
             telemetry
