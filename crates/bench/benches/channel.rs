@@ -52,12 +52,14 @@ fn bench_mean_rssi(c: &mut Criterion) {
     let rx = DeviceRxProfile::ideal();
     c.bench_function("channel/mean-rssi-office", |b| {
         b.iter(|| {
-            channel.mean_rssi_dbm(
-                &tx,
-                black_box(Point::new(2.5, 0.4)),
-                &rx,
-                black_box(Point::new(17.0, 8.0)),
-            )
+            channel
+                .link_budget(
+                    &tx,
+                    black_box(Point::new(2.5, 0.4)),
+                    &rx,
+                    black_box(Point::new(17.0, 8.0)),
+                )
+                .mean_dbm
         });
     });
 }

@@ -157,10 +157,8 @@ mod tests {
         assert_eq!(plan.room_at(Point::new(11.0, 1.0)), Some(RoomId::new(1)));
         // Line of sight along y = 1 passes through the doorway.
         let env = plan.environment(1, 0.0);
-        assert_eq!(
-            env.obstruction_loss_db(sites[0].position, Point::new(6.5, 1.0)),
-            0.0
-        );
+        let through = env.obstruction(sites[0].position, Point::new(6.5, 1.0));
+        assert_eq!((through.crossings, through.loss_db), (0, 0.0));
     }
 
     #[test]
@@ -203,7 +201,10 @@ mod tests {
         let env = plan.environment(1, 0.0);
         // From outside straight at the living room through the front door:
         // only the wood door attenuates.
-        let loss = env.obstruction_loss_db(Point::new(12.0, 2.0), Point::new(9.0, 2.0));
-        assert_eq!(loss, WallMaterial::WoodDoor.attenuation_db());
+        let through = env.obstruction(Point::new(12.0, 2.0), Point::new(9.0, 2.0));
+        assert_eq!(
+            (through.crossings, through.loss_db),
+            (1, WallMaterial::WoodDoor.attenuation_db())
+        );
     }
 }

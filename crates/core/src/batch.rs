@@ -8,8 +8,9 @@
 //! batch buffers: all of a device's samples land back to back in one reused
 //! buffer with a [`CycleSpan`] per cycle, every stage's working memory lives
 //! in a per-chunk [`DeviceScratch`] reused across the chunk's devices, and
-//! the radio stage memoizes the deterministic link budget while the
-//! receiver stands still.
+//! the radio stage memoizes the deterministic link budget per advertiser.
+//! The memo only helps receivers that stand still: a walking phone is at a
+//! new position for every packet, so it recomputes the budget each time.
 //!
 //! Everything is bit-for-bit the oracle: the same RNG streams are drawn in
 //! the same order, the telemetry op sequence per device is unchanged, and

@@ -60,7 +60,7 @@ pub use metrics::ConfusionMatrix;
 pub use model_selection::{grid_search, GridPoint, GridSearchResult};
 pub use proximity::ProximityClassifier;
 pub use scaler::StandardScaler;
-pub use svm::{BinarySvm, CachedSvmEvaluator, Gram, SvmClassifier, SvmParams, TrainSvmError};
+pub use svm::{BinarySvm, Gram, SvmClassifier, SvmParams, TrainSvmError};
 pub use trilateration::{position_features, trilaterate, TrilaterateError, POSITION_FEATURE_WIDTH};
 
 /// A trained multi-class classifier over dense feature vectors.

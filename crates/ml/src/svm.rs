@@ -7,6 +7,7 @@
 //! scikit-learn (the authors' toolkit) uses.
 
 use crate::{Classifier, Dataset, Kernel};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Training hyper-parameters.
@@ -428,161 +429,6 @@ impl BinarySvm {
     }
 }
 
-/// A shared-kernel-row decision path over a one-vs-one [`SvmClassifier`].
-///
-/// `pair_splits` clones each class's rows into every machine that involves
-/// the class, so after training the same support-vector row appears in up
-/// to `k − 1` of the pairwise machines (the beacon geometry behind the
-/// features is static, so the rows really are byte-identical clones). The
-/// evaluator dedups those rows by `f64` bit equality at construction and,
-/// per query, computes `kernel.compute(row, x)` once per *unique* row; each
-/// machine then accumulates `bias + Σ coeff · k` over its support vectors
-/// in the original order. Reusing a kernel value is reusing the identical
-/// `f64` the direct path would have recomputed, and the accumulation order
-/// is unchanged, so [`CachedSvmEvaluator::predict`] is bit-for-bit
-/// [`SvmClassifier::predict`].
-///
-/// Cache traffic is observable: a *miss* is a kernel evaluation actually
-/// performed (one per unique row per query), a *hit* is a support-vector
-/// reference served from the shared value. Counters accumulate across
-/// queries; callers feed them to telemetry (`ml.kernel.cache_hits` /
-/// `ml.kernel.cache_misses`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedSvmEvaluator {
-    kernel: Kernel,
-    class_count: usize,
-    /// Deduped support-vector rows across every machine.
-    unique_rows: Vec<Vec<f64>>,
-    machines: Vec<CachedMachine>,
-    /// Kernel values of the current query, one slot per unique row.
-    values: Vec<f64>,
-    hits: u64,
-    misses: u64,
-}
-
-/// One pairwise machine reindexed onto the shared unique-row table: `refs`
-/// holds the machine's `(coefficient, unique_row_index)` pairs in the
-/// original support-vector order.
-#[derive(Debug, Clone, PartialEq)]
-struct CachedMachine {
-    a: usize,
-    b: usize,
-    bias: f64,
-    refs: Vec<(f64, usize)>,
-}
-
-impl CachedSvmEvaluator {
-    /// Builds the shared-row index over a trained classifier.
-    pub fn new(classifier: &SvmClassifier) -> Self {
-        let mut kernel = Kernel::default();
-        let mut unique_rows: Vec<Vec<f64>> = Vec::new();
-        let mut machines = Vec::with_capacity(classifier.machines.len());
-        for (a, b, svm) in &classifier.machines {
-            kernel = svm.kernel;
-            let refs = svm
-                .support_vectors
-                .iter()
-                .zip(&svm.coefficients)
-                .map(|(sv, coeff)| {
-                    // Bit equality, not numeric: -0.0 and 0.0 must stay
-                    // distinct or Linear-kernel sums could diverge.
-                    let idx = unique_rows
-                        .iter()
-                        .position(|row| {
-                            row.len() == sv.len()
-                                && row
-                                    .iter()
-                                    .zip(sv)
-                                    .all(|(x, y)| x.to_bits() == y.to_bits())
-                        })
-                        .unwrap_or_else(|| {
-                            unique_rows.push(sv.clone());
-                            unique_rows.len() - 1
-                        });
-                    (*coeff, idx)
-                })
-                .collect();
-            machines.push(CachedMachine {
-                a: *a,
-                b: *b,
-                bias: svm.bias,
-                refs,
-            });
-        }
-        let values = vec![0.0f64; unique_rows.len()];
-        CachedSvmEvaluator {
-            kernel,
-            class_count: classifier.class_count,
-            unique_rows,
-            machines,
-            values,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Number of distinct support-vector rows across all machines.
-    pub fn unique_row_count(&self) -> usize {
-        self.unique_rows.len()
-    }
-
-    /// Total support-vector references across all machines (what the direct
-    /// path evaluates per query).
-    pub fn reference_count(&self) -> usize {
-        self.machines.iter().map(|m| m.refs.len()).sum()
-    }
-
-    /// Kernel evaluations served from the shared row values so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Kernel evaluations actually performed so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Resets the hit/miss counters (e.g. between telemetry windows).
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Predicts the class of `features`, bit-for-bit equal to
-    /// [`SvmClassifier::predict`] on the classifier this was built from.
-    pub fn predict(&mut self, features: &[f64]) -> usize {
-        for (row, slot) in self.unique_rows.iter().zip(&mut self.values) {
-            *slot = self.kernel.compute(row, features);
-        }
-        self.misses += self.unique_rows.len() as u64;
-        self.hits += self.reference_count() as u64 - self.unique_rows.len() as u64;
-        let mut votes = vec![0usize; self.class_count];
-        let mut margins = vec![0.0f64; self.class_count];
-        for machine in &self.machines {
-            let mut d = machine.bias;
-            for (coeff, idx) in &machine.refs {
-                d += coeff * self.values[*idx];
-            }
-            if d >= 0.0 {
-                votes[machine.a] += 1;
-            } else {
-                votes[machine.b] += 1;
-            }
-            margins[machine.a] += d;
-            margins[machine.b] -= d;
-        }
-        let best_votes = *votes.iter().max().expect("at least one machine");
-        (0..self.class_count)
-            .filter(|c| votes[*c] == best_votes)
-            .max_by(|x, y| {
-                margins[*x]
-                    .partial_cmp(&margins[*y])
-                    .expect("finite margins")
-            })
-            .expect("at least one class has max votes")
-    }
-}
-
 /// One one-vs-one subproblem of a dataset: the rows of classes `a` and
 /// `b` with ±1 targets. Independent of every hyper-parameter, so grid
 /// search builds these once per fold and reuses them across the grid.
@@ -630,12 +476,35 @@ pub(crate) fn pair_splits(data: &Dataset) -> Result<Vec<PairSplit>, TrainSvmErro
 ///
 /// Trains one [`BinarySvm`] per class pair and predicts by majority vote,
 /// breaking ties by summed decision margins.
+///
+/// `pair_splits` clones each class's rows into every machine that involves
+/// the class, so one support-vector row can appear in up to `k − 1` of the
+/// pairwise machines. Construction moves every machine's support vectors
+/// into one table deduped by `f64` bit pattern, and each machine keeps its
+/// `(coefficient, row index)` refs in the original support-vector order.
+/// A prediction evaluates the kernel once per unique row, then every
+/// machine accumulates `bias + Σ coeff · k` in that order. A shared kernel
+/// value is the identical `f64` a per-machine [`BinarySvm::decision`] would
+/// recompute, and the summation order is unchanged, so votes, margins and
+/// the tie-break are bit-for-bit those of the per-machine evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SvmClassifier {
     class_count: usize,
-    /// `(class_a, class_b, machine)` with `class_a < class_b`; positive
-    /// decisions vote for `class_a`.
-    machines: Vec<(usize, usize, BinarySvm)>,
+    kernel: Kernel,
+    /// Distinct support-vector rows across every machine.
+    rows: Vec<Vec<f64>>,
+    machines: Vec<PairMachine>,
+}
+
+/// One pairwise machine over the shared row table. Positive decisions vote
+/// for `a`; `a < b`.
+#[derive(Debug, Clone, PartialEq)]
+struct PairMachine {
+    a: usize,
+    b: usize,
+    bias: f64,
+    /// `(αᵢ · yᵢ, row index)` in the machine's support-vector order.
+    refs: Vec<(f64, usize)>,
 }
 
 impl SvmClassifier {
@@ -652,21 +521,48 @@ impl SvmClassifier {
             .into_iter()
             .map(|p| (p.a, p.b, BinarySvm::fit(p.rows, &p.targets, params)))
             .collect();
-        Ok(SvmClassifier {
-            class_count: data.class_count(),
-            machines,
-        })
+        Ok(SvmClassifier::from_machines(data.class_count(), machines))
     }
 
-    /// Assembles a classifier from already-trained pair machines (the
-    /// grid-search path, where Gram matrices are shared across fits).
+    /// Assembles a classifier from trained pair machines `(a, b, machine)`
+    /// sharing one kernel, moving their support vectors into the deduped
+    /// row table. Grid search uses this directly, since it shares Gram
+    /// matrices across fits.
     pub(crate) fn from_machines(
         class_count: usize,
         machines: Vec<(usize, usize, BinarySvm)>,
     ) -> Self {
+        let kernel = machines
+            .first()
+            .map_or_else(Kernel::default, |m| m.2.kernel);
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        // Bit patterns, not numeric equality: -0.0 and 0.0 must stay
+        // distinct or Linear-kernel sums could differ in sign.
+        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut pair_machines = Vec::with_capacity(machines.len());
+        for (a, b, svm) in machines {
+            debug_assert_eq!(svm.kernel, kernel, "pair machines share one kernel");
+            let mut refs = Vec::with_capacity(svm.coefficients.len());
+            for (row, coeff) in svm.support_vectors.into_iter().zip(svm.coefficients) {
+                let bits = row.iter().map(|x| x.to_bits()).collect();
+                let idx = *index.entry(bits).or_insert_with(|| {
+                    rows.push(row);
+                    rows.len() - 1
+                });
+                refs.push((coeff, idx));
+            }
+            pair_machines.push(PairMachine {
+                a,
+                b,
+                bias: svm.bias,
+                refs,
+            });
+        }
         SvmClassifier {
             class_count,
-            machines,
+            kernel,
+            rows,
+            machines: pair_machines,
         }
     }
 
@@ -678,17 +574,25 @@ impl SvmClassifier {
 
 impl Classifier for SvmClassifier {
     fn predict(&self, features: &[f64]) -> usize {
+        let values: Vec<f64> = self
+            .rows
+            .iter()
+            .map(|row| self.kernel.compute(row, features))
+            .collect();
         let mut votes = vec![0usize; self.class_count];
         let mut margins = vec![0.0f64; self.class_count];
-        for (a, b, svm) in &self.machines {
-            let d = svm.decision(features);
-            if d >= 0.0 {
-                votes[*a] += 1;
-            } else {
-                votes[*b] += 1;
+        for machine in &self.machines {
+            let mut d = machine.bias;
+            for (coeff, idx) in &machine.refs {
+                d += coeff * values[*idx];
             }
-            margins[*a] += d;
-            margins[*b] -= d;
+            if d >= 0.0 {
+                votes[machine.a] += 1;
+            } else {
+                votes[machine.b] += 1;
+            }
+            margins[machine.a] += d;
+            margins[machine.b] -= d;
         }
         let best_votes = *votes.iter().max().expect("at least one machine");
         (0..self.class_count)
@@ -892,13 +796,11 @@ mod tests {
         }
     }
 
-    /// The cached evaluator must be invisible: identical predictions on a
-    /// grid of query points, with real row sharing (3 classes ⇒ every class
-    /// row is cloned into 2 machines, so unique rows < total references).
+    /// 3 classes ⇒ every class row is cloned into 2 machines, so the
+    /// shared table holds fewer rows than the machines reference.
     #[test]
-    fn cached_evaluator_matches_predict_bitwise() {
-        let mut d =
-            Dataset::new(2, vec!["a".into(), "b".into(), "c".into()]).expect("valid");
+    fn one_vs_one_machines_share_support_vector_rows() {
+        let mut d = Dataset::new(2, vec!["a".into(), "b".into(), "c".into()]).expect("valid");
         for i in 0..15 {
             let t = f64::from(i) * 0.02;
             d.push(vec![0.0 + t, 0.0], 0).expect("row");
@@ -906,25 +808,11 @@ mod tests {
             d.push(vec![2.0 + t, 4.0], 2).expect("row");
         }
         let svm = SvmClassifier::fit(&d, &SvmParams::default()).expect("trains");
-        let mut cached = CachedSvmEvaluator::new(&svm);
+        let references: usize = svm.machines.iter().map(|m| m.refs.len()).sum();
         assert!(
-            cached.unique_row_count() < cached.reference_count(),
+            svm.rows.len() < references,
             "3-class one-vs-one must share support-vector rows"
         );
-        let mut queries = 0u64;
-        for xi in 0..10 {
-            for yi in 0..10 {
-                let x = [f64::from(xi) * 0.5 - 0.5, f64::from(yi) * 0.5 - 0.5];
-                assert_eq!(cached.predict(&x), svm.predict(&x));
-                queries += 1;
-            }
-        }
-        assert_eq!(cached.cache_misses(), queries * cached.unique_row_count() as u64);
-        assert_eq!(
-            cached.cache_hits() + cached.cache_misses(),
-            queries * cached.reference_count() as u64
-        );
-        assert!(cached.cache_hits() > 0, "sharing must produce hits");
     }
 
     #[test]

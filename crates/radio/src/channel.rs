@@ -7,7 +7,6 @@ use crate::{AdvChannel, DeviceRxProfile, Environment};
 use rand::Rng;
 use roomsense_geom::Point;
 use roomsense_sim::SimTime;
-use roomsense_telemetry::{keys, Recorder};
 use std::fmt;
 
 /// RF characteristics of a transmitter (the beacon side of the link).
@@ -118,23 +117,6 @@ impl Channel {
         &mut self.environment
     }
 
-    /// The mean (fading-free, noise-free) RSSI of a link, in dBm — the
-    /// deterministic part of the channel. Useful for calibration and for
-    /// analytical expectations in tests.
-    pub fn mean_rssi_dbm(
-        &self,
-        tx: &TransmitterProfile,
-        tx_pos: Point,
-        rx: &DeviceRxProfile,
-        rx_pos: Point,
-    ) -> f64 {
-        let distance = tx_pos.distance_to(rx_pos);
-        tx.pathloss_model().mean_rssi_dbm(distance)
-            - self.environment.obstruction_loss_db(tx_pos, rx_pos)
-            - self.environment.shadowing_loss_db(rx_pos)
-            + rx.gain_offset_db
-    }
-
     /// Samples the RSSI one advertisement produces at the receiver, or
     /// `None` when the packet is not received (below sensitivity, or the
     /// stack dropped it).
@@ -171,7 +153,12 @@ impl Channel {
     /// once and feed it to
     /// [`sample_rssi_with_budget_on_at`](Self::sample_rssi_with_budget_on_at)
     /// per packet, with bit-identical results to
-    /// [`sample_rssi_on_at`](Self::sample_rssi_on_at).
+    /// [`sample_rssi_on_at`](Self::sample_rssi_on_at). Its `mean_dbm` is the
+    /// channel's fading-free, noise-free RSSI, useful for calibration and
+    /// analytical expectations in tests.
+    ///
+    /// One scan over the walls yields both the crossed count and the
+    /// obstruction loss.
     pub fn link_budget(
         &self,
         tx: &TransmitterProfile,
@@ -179,17 +166,21 @@ impl Channel {
         rx: &DeviceRxProfile,
         rx_pos: Point,
     ) -> LinkBudget {
+        let obstruction = self.environment.obstruction(tx_pos, rx_pos);
         // Line-of-sight links fade gently (Rician); obstructed links lose
         // their dominant path and fade hard (Rayleigh).
-        let fading = if self.environment.walls_crossed(tx_pos, rx_pos) == 0 {
+        let fading = if obstruction.crossings == 0 {
             RicianFading::new(tx.los_rice_factor)
         } else {
             RicianFading::rayleigh()
         };
-        LinkBudget {
-            mean_dbm: self.mean_rssi_dbm(tx, tx_pos, rx, rx_pos),
-            fading,
-        }
+        let mean_dbm = tx
+            .pathloss_model()
+            .mean_rssi_dbm(tx_pos.distance_to(rx_pos))
+            - obstruction.loss_db
+            - self.environment.shadowing_loss_db(rx_pos)
+            + rx.gain_offset_db;
+        LinkBudget { mean_dbm, fading }
     }
 
     /// Samples the RSSI of one advertisement at simulation time `at`,
@@ -245,53 +236,6 @@ impl Channel {
             Some(rssi)
         }
     }
-
-    /// Like [`sample_rssi_on_at`](Self::sample_rssi_on_at), but counts the
-    /// outcome (`radio.rx.received` / `radio.rx.lost`) into `telemetry`.
-    ///
-    /// Recording never draws from `rng`, so the returned sample is
-    /// bit-identical to the unrecorded call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_rssi_on_at_recorded<R: Rng + ?Sized>(
-        &self,
-        at: SimTime,
-        tx: &TransmitterProfile,
-        tx_pos: Point,
-        rx: &DeviceRxProfile,
-        rx_pos: Point,
-        adv_channel: AdvChannel,
-        rng: &mut R,
-        telemetry: &mut Recorder,
-    ) -> Option<f64> {
-        let sample = self.sample_rssi_on_at(at, tx, tx_pos, rx, rx_pos, adv_channel, rng);
-        telemetry.incr(match sample {
-            Some(_) => keys::RADIO_RX_RECEIVED,
-            None => keys::RADIO_RX_LOST,
-        });
-        sample
-    }
-
-    /// Like [`sample_rssi_with_budget_on_at`](Self::sample_rssi_with_budget_on_at),
-    /// but counts the outcome into `telemetry`. Recording never draws from
-    /// `rng`, so the sample is bit-identical to the unrecorded call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_rssi_with_budget_on_at_recorded<R: Rng + ?Sized>(
-        &self,
-        at: SimTime,
-        budget: &LinkBudget,
-        rx: &DeviceRxProfile,
-        rx_pos: Point,
-        adv_channel: AdvChannel,
-        rng: &mut R,
-        telemetry: &mut Recorder,
-    ) -> Option<f64> {
-        let sample = self.sample_rssi_with_budget_on_at(at, budget, rx, rx_pos, adv_channel, rng);
-        telemetry.incr(match sample {
-            Some(_) => keys::RADIO_RX_RECEIVED,
-            None => keys::RADIO_RX_LOST,
-        });
-        sample
-    }
 }
 
 #[cfg(test)]
@@ -337,7 +281,9 @@ mod tests {
         let channel = Channel::new(Environment::free_space(), 1);
         let tx = TransmitterProfile::default();
         let rx = DeviceRxProfile::ideal();
-        let mean = channel.mean_rssi_dbm(&tx, Point::new(0.0, 0.0), &rx, Point::new(1.0, 0.0));
+        let mean = channel
+            .link_budget(&tx, Point::new(0.0, 0.0), &rx, Point::new(1.0, 0.0))
+            .mean_dbm;
         assert!((mean - -59.0).abs() < 1e-9);
     }
 
@@ -563,41 +509,70 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recorded_sampling_counts_without_changing_the_draw() {
-        use roomsense_telemetry::{keys, Recorder};
-        let channel = Channel::new(Environment::free_space(), 11);
-        let tx = TransmitterProfile::default();
-        let rx = DeviceRxProfile::new("lossy", 0.0, 0.0, 0.5, -120.0);
-        let mut plain_rng = rng::for_component(11, "recorded");
-        let mut recorded_rng = rng::for_component(11, "recorded");
-        let mut telemetry = Recorder::default();
-        for i in 0..500u64 {
-            let at = SimTime::from_millis(i * 20);
-            let plain = channel.sample_rssi_on_at(
-                at,
-                &tx,
-                Point::new(0.0, 0.0),
-                &rx,
-                Point::new(2.0, 0.0),
-                AdvChannel::Ch38,
-                &mut plain_rng,
-            );
-            let recorded = channel.sample_rssi_on_at_recorded(
-                at,
-                &tx,
-                Point::new(0.0, 0.0),
-                &rx,
-                Point::new(2.0, 0.0),
-                AdvChannel::Ch38,
-                &mut recorded_rng,
-                &mut telemetry,
-            );
-            assert_eq!(plain, recorded);
+    const MATERIALS: [crate::WallMaterial; 5] = [
+        crate::WallMaterial::Drywall,
+        crate::WallMaterial::WoodDoor,
+        crate::WallMaterial::Brick,
+        crate::WallMaterial::Concrete,
+        crate::WallMaterial::Glass,
+    ];
+
+    /// A half-metre lattice point: snapping walls and endpoints to a grid
+    /// makes endpoints on walls and collinear or touching paths common.
+    fn lattice((x, y): (u8, u8)) -> Point {
+        Point::new(f64::from(x) / 2.0, f64::from(y) / 2.0)
+    }
+
+    proptest::proptest! {
+        /// The one-scan budget equals the two-scan formula (crossed count
+        /// picks the fading regime; the attenuation sum feeds the mean) bit
+        /// for bit, including degenerate wall geometry.
+        #[test]
+        fn one_scan_link_budget_matches_two_scan_formula(
+            walls in proptest::collection::vec(
+                ((0u8..9, 0u8..9), (0u8..9, 0u8..9), 0usize..5),
+                0..10,
+            ),
+            tx_at in (0u8..9, 0u8..9),
+            rx_at in (0u8..9, 0u8..9),
+            nudge in proptest::option::of(0.0f64..1.0),
+            shadow_seed in proptest::option::of(0u64..1000),
+        ) {
+            let mut env = Environment::free_space();
+            for (a, b, material) in walls {
+                env.add_wall(crate::Wall::new(
+                    Segment::new(lattice(a), lattice(b)),
+                    MATERIALS[material],
+                ));
+            }
+            if let Some(seed) = shadow_seed {
+                env.set_shadowing(crate::shadowing::ShadowingField::new(seed, 3.0, 2.5));
+            }
+            let channel = Channel::new(env, 13);
+            let tx = TransmitterProfile::default();
+            let rx = DeviceRxProfile::nexus_5();
+            let tx_pos = lattice(tx_at);
+            let rx_pos = lattice(rx_at);
+            let rx_pos = Point::new(rx_pos.x + nudge.unwrap_or(0.0), rx_pos.y);
+
+            let env = channel.environment();
+            let path = Segment::new(tx_pos, rx_pos);
+            let crossing = || env.walls().iter().filter(|w| w.segment.intersects(&path));
+            let crossed = crossing().count();
+            let loss_db: f64 = crossing().map(|w| w.material.attenuation_db()).sum();
+            let fading = if crossed == 0 {
+                RicianFading::new(tx.los_rice_factor)
+            } else {
+                RicianFading::rayleigh()
+            };
+            let mean_dbm = tx.pathloss_model().mean_rssi_dbm(tx_pos.distance_to(rx_pos))
+                - loss_db
+                - env.shadowing_loss_db(rx_pos)
+                + rx.gain_offset_db;
+
+            let budget = channel.link_budget(&tx, tx_pos, &rx, rx_pos);
+            proptest::prop_assert_eq!(budget.mean_dbm.to_bits(), mean_dbm.to_bits());
+            proptest::prop_assert_eq!(budget.fading, fading);
         }
-        let received = telemetry.counter(keys::RADIO_RX_RECEIVED);
-        let lost = telemetry.counter(keys::RADIO_RX_LOST);
-        assert_eq!(received + lost, 500);
-        assert!(received > 0 && lost > 0);
     }
 }

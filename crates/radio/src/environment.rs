@@ -64,6 +64,15 @@ impl Wall {
     }
 }
 
+/// The walls between two points, from [`Environment::obstruction`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Obstruction {
+    /// Number of walls the straight path crosses.
+    pub crossings: usize,
+    /// Their total attenuation, in dB.
+    pub loss_db: f64,
+}
+
 /// The complete propagation environment: walls plus a shadowing field.
 ///
 /// # Examples
@@ -78,8 +87,8 @@ impl Wall {
 ///     WallMaterial::Brick,
 /// ));
 /// // A path through the wall picks up its 6 dB:
-/// let loss = env.obstruction_loss_db(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
-/// assert_eq!(loss, 6.0);
+/// let through = env.obstruction(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
+/// assert_eq!((through.crossings, through.loss_db), (1, 6.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Environment {
@@ -148,23 +157,20 @@ impl Environment {
         &self.shadowing
     }
 
-    /// Total wall attenuation along the straight path `tx → rx`, in dB.
-    pub fn obstruction_loss_db(&self, tx: Point, rx: Point) -> f64 {
+    /// The walls on the straight path `tx → rx`, found in one scan: how
+    /// many it crosses and their summed attenuation in dB (added in wall
+    /// order).
+    pub fn obstruction(&self, tx: Point, rx: Point) -> Obstruction {
         let path = Segment::new(tx, rx);
-        self.walls
+        let mut crossings = 0;
+        let loss_db = self
+            .walls
             .iter()
             .filter(|w| w.segment.intersects(&path))
+            .inspect(|_| crossings += 1)
             .map(|w| w.material.attenuation_db())
-            .sum()
-    }
-
-    /// Number of walls crossed by the straight path `tx → rx`.
-    pub fn walls_crossed(&self, tx: Point, rx: Point) -> usize {
-        let path = Segment::new(tx, rx);
-        self.walls
-            .iter()
-            .filter(|w| w.segment.intersects(&path))
-            .count()
+            .sum();
+        Obstruction { crossings, loss_db }
     }
 
     /// Shadowing loss at the receiver position, in dB (zero-mean).
@@ -193,10 +199,8 @@ mod tests {
     #[test]
     fn free_space_has_no_loss() {
         let env = Environment::free_space();
-        assert_eq!(
-            env.obstruction_loss_db(Point::new(0.0, 0.0), Point::new(10.0, 0.0)),
-            0.0
-        );
+        let clear = env.obstruction(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
+        assert_eq!((clear.crossings, clear.loss_db), (0, 0.0));
         assert_eq!(env.shadowing_loss_db(Point::new(3.0, 3.0)), 0.0);
     }
 
@@ -205,17 +209,16 @@ mod tests {
         let mut env = Environment::free_space();
         env.add_wall(vertical_wall(1.0, WallMaterial::Drywall));
         env.add_wall(vertical_wall(2.0, WallMaterial::Concrete));
-        let loss = env.obstruction_loss_db(Point::new(0.0, 0.0), Point::new(3.0, 0.0));
-        assert_eq!(loss, 15.0);
-        assert_eq!(env.walls_crossed(Point::new(0.0, 0.0), Point::new(3.0, 0.0)), 2);
+        let through = env.obstruction(Point::new(0.0, 0.0), Point::new(3.0, 0.0));
+        assert_eq!((through.crossings, through.loss_db), (2, 15.0));
     }
 
     #[test]
     fn path_not_crossing_wall_sees_nothing() {
         let mut env = Environment::free_space();
         env.add_wall(vertical_wall(5.0, WallMaterial::Brick));
-        let loss = env.obstruction_loss_db(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
-        assert_eq!(loss, 0.0);
+        let clear = env.obstruction(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
+        assert_eq!((clear.crossings, clear.loss_db), (0, 0.0));
     }
 
     #[test]
@@ -224,7 +227,7 @@ mod tests {
         env.add_wall(vertical_wall(1.0, WallMaterial::Glass));
         let a = Point::new(0.0, 0.0);
         let b = Point::new(2.0, 1.0);
-        assert_eq!(env.obstruction_loss_db(a, b), env.obstruction_loss_db(b, a));
+        assert_eq!(env.obstruction(a, b), env.obstruction(b, a));
     }
 
     #[test]

@@ -52,6 +52,6 @@ pub mod shadowing;
 pub use advertiser::{AdvChannel, Advertiser, Transmission};
 pub use channel::{Channel, LinkBudget, TransmitterProfile};
 pub use device::DeviceRxProfile;
-pub use environment::{Environment, Wall, WallMaterial};
+pub use environment::{Environment, Obstruction, Wall, WallMaterial};
 pub use fault::TransmitterFault;
 pub use interference::Interferer;

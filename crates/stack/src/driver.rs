@@ -124,7 +124,8 @@ where
 
 /// Like [`simulate_receptions`], but with a [`TransmitterFault`] per
 /// advertiser, counting each surviving advertisement's fate
-/// (`radio.rx.received` / `radio.rx.lost`) into `telemetry`.
+/// (`radio.rx.received` / `radio.rx.lost`) and adding the totals to
+/// `telemetry` once per run.
 ///
 /// Transmissions scheduled inside an outage window never happen and are not
 /// counted — they never reached the air. Transmissions inside a degraded
@@ -158,6 +159,7 @@ where
         "need exactly one TransmitterFault per advertiser"
     );
     let mut receptions = Vec::new();
+    let mut lost = 0u64;
     for (placed, fault) in advertisers.iter().zip(faults) {
         for tx_event in placed.advertiser.schedule(from, until, rng) {
             if !fault.transmits_at(tx_event.at) {
@@ -165,7 +167,7 @@ where
             }
             let profile = fault.profile_at(tx_event.at, &placed.profile);
             let rx_pos = rx_position(tx_event.at);
-            if let Some(rssi) = channel.sample_rssi_on_at_recorded(
+            if let Some(rssi) = channel.sample_rssi_on_at(
                 tx_event.at,
                 &profile,
                 placed.position,
@@ -173,7 +175,6 @@ where
                 rx_pos,
                 tx_event.channel,
                 rng,
-                telemetry,
             ) {
                 receptions.push(Reception {
                     at: tx_event.at,
@@ -181,11 +182,25 @@ where
                     rssi_dbm: rssi,
                     channel: tx_event.channel,
                 });
+            } else {
+                lost += 1;
             }
         }
     }
+    record_rx_counts(telemetry, receptions.len() as u64, lost);
     receptions.sort_by_key(|r| r.at);
     receptions
+}
+
+/// Adds one run's reception outcomes to `telemetry`, skipping a zero
+/// count so a run that lost nothing creates no `radio.rx.lost` key.
+fn record_rx_counts(telemetry: &mut Recorder, received: u64, lost: u64) {
+    if received > 0 {
+        telemetry.add(keys::RADIO_RX_RECEIVED, received);
+    }
+    if lost > 0 {
+        telemetry.add(keys::RADIO_RX_LOST, lost);
+    }
 }
 
 /// Allocation-reusing [`simulate_receptions_faulty_recorded`]: clears and
@@ -228,6 +243,7 @@ pub fn simulate_receptions_into<R, F>(
         "need exactly one TransmitterFault per advertiser"
     );
     out.clear();
+    let mut lost = 0u64;
     for (placed, fault) in advertisers.iter().zip(faults) {
         placed
             .advertiser
@@ -247,14 +263,13 @@ pub fn simulate_receptions_into<R, F>(
                     budget
                 }
             };
-            if let Some(rssi) = channel.sample_rssi_with_budget_on_at_recorded(
+            if let Some(rssi) = channel.sample_rssi_with_budget_on_at(
                 tx_event.at,
                 &budget,
                 rx,
                 rx_pos,
                 tx_event.channel,
                 rng,
-                telemetry,
             ) {
                 out.push(Reception {
                     at: tx_event.at,
@@ -262,9 +277,12 @@ pub fn simulate_receptions_into<R, F>(
                     rssi_dbm: rssi,
                     channel: tx_event.channel,
                 });
+            } else {
+                lost += 1;
             }
         }
     }
+    record_rx_counts(telemetry, out.len() as u64, lost);
     out.sort_by_key(|r| r.at);
 }
 
@@ -611,6 +629,67 @@ mod tests {
         let first = cycles.first().and_then(|c| c.mean_rssi_for(&identity)).expect("seen");
         let last = cycles.last().and_then(|c| c.mean_rssi_for(&identity)).expect("seen");
         assert!(first > last + 8.0, "first {first} last {last}");
+    }
+
+    /// Both radio functions count every transmitted packet exactly once
+    /// (received + lost), agree on receptions and telemetry, and a run that
+    /// loses nothing creates no `radio.rx.lost` key.
+    #[test]
+    fn radio_counts_every_transmitted_packet_once() {
+        let channel = Channel::new(Environment::free_space(), 6);
+        let advs = vec![placed(0, 0.0, 100), placed(1, 4.0, 150)];
+        let healthy = vec![TransmitterFault::healthy(); advs.len()];
+        let (from, until) = (SimTime::ZERO, SimTime::from_secs(10));
+        // Jitter-free schedules draw nothing, so any RNG replays them.
+        let transmitted: usize = advs
+            .iter()
+            .map(|p| {
+                p.advertiser
+                    .schedule(from, until, &mut rng::for_component(6, "tx"))
+                    .len()
+            })
+            .sum();
+        let lossy = DeviceRxProfile::new("lossy", 0.0, 0.0, 0.3, -120.0);
+        for (rx, lossless) in [(lossy, false), (DeviceRxProfile::ideal(), true)] {
+            let mut oracle = Recorder::default();
+            let receptions = simulate_receptions_faulty_recorded(
+                &channel,
+                &advs,
+                &healthy,
+                &rx,
+                |_| Point::new(2.0, 0.0),
+                from,
+                until,
+                &mut rng::for_component(6, "radio"),
+                &mut oracle,
+            );
+            let mut batched = Recorder::default();
+            let mut out = Vec::new();
+            simulate_receptions_into(
+                &channel,
+                &advs,
+                &healthy,
+                &rx,
+                |_| Point::new(2.0, 0.0),
+                from,
+                until,
+                &mut rng::for_component(6, "radio"),
+                &mut batched,
+                &mut RadioScratch::new(),
+                &mut out,
+            );
+            assert_eq!(out, receptions);
+            assert_eq!(batched.checksum(), oracle.checksum());
+            let received = oracle.counter(keys::RADIO_RX_RECEIVED);
+            let lost = oracle.counter(keys::RADIO_RX_LOST);
+            assert_eq!(received, receptions.len() as u64);
+            assert_eq!(received + lost, transmitted as u64);
+            assert_eq!(lost == 0, lossless, "{} lost {lost}", rx.model);
+            assert_eq!(
+                oracle.prometheus_text().contains("radio_rx_lost"),
+                !lossless
+            );
+        }
     }
 
     #[test]

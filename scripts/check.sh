@@ -10,8 +10,9 @@
 # Every system arm in the experiments ARMS table (tracking through
 # positioning) must assert its own invariants and produce the same
 # fingerprint checksum under a single worker and under the default
-# parallelism. Finally the full single-worker `repro all` text must match
-# the committed repro_output.txt, so every figure and checksum is pinned.
+# parallelism. The full single-worker `repro all` text must match the
+# committed repro_output.txt, so every figure and checksum is pinned.
+# Finally one traced perfbench run checks the benchmark's own gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,4 +58,12 @@ if ! diff <(grep -v 'timings:' repro_output.txt) \
 fi
 echo "repro all matches repro_output.txt (timings: lines ignored)"
 
-echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt green"
+# Benchmark gate: one short traced office_e2e run of the repository
+# benchmark (BENCHMARK.json), from the repo root. perfbench exits non-zero
+# when the layer-by-layer pipeline differs from the batched fleet or the
+# served state differs from its single-thread oracle digest.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload office_e2e --seed 1 --seconds 1 --trace 1 > /dev/null
+echo "perfbench office_e2e traced run passed its layer and oracle-digest gates"
+
+echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt + perfbench gates green"

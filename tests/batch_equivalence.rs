@@ -12,7 +12,7 @@ use roomsense::{
 use roomsense_building::mobility::{MobilityModel, StaticPosition};
 use roomsense_building::presets;
 use roomsense_geom::Point;
-use roomsense_ml::{CachedSvmEvaluator, Classifier, Dataset, SvmClassifier, SvmParams};
+use roomsense_ml::{BinarySvm, Classifier, Dataset, Kernel, SvmClassifier, SvmParams};
 use roomsense_net::DeviceId;
 use roomsense_sim::exec::with_thread_override;
 use roomsense_sim::{rng, SimDuration};
@@ -147,31 +147,66 @@ fn batched_faulted_fleet_equals_scalar_faulted() {
     }
 }
 
-fn room_classifier() -> (SvmClassifier, Dataset) {
-    let mut data = Dataset::new(3, vec!["a".into(), "b".into(), "c".into()]).expect("valid");
-    for i in 0..20 {
-        let t = f64::from(i) * 0.09;
-        data.push(vec![1.0 + t, 1.0, 4.0 - t], 0).expect("row");
-        data.push(vec![4.5 - t, 1.0 + t, 1.0], 1).expect("row");
-        data.push(vec![1.0, 4.5 - t, 2.0 + t], 2).expect("row");
-    }
-    let svm = SvmClassifier::fit(&data, &SvmParams::default()).expect("trains");
-    (svm, data)
+/// Feature values for the SVM property: a small palette makes duplicate
+/// rows common and includes both signed zeros.
+const PALETTE: [f64; 6] = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0];
+
+/// The direct one-vs-one evaluation `SvmClassifier` must reproduce: one
+/// `BinarySvm` per pair of present classes (rows in dataset order, `a`
+/// → +1), each evaluating the kernel once per support-vector reference,
+/// then majority vote with ties broken by summed margins.
+struct PerMachineOracle {
+    class_count: usize,
+    machines: Vec<(usize, usize, BinarySvm)>,
 }
 
-#[test]
-fn cached_evaluator_shares_kernel_rows() {
-    let (svm, _) = room_classifier();
-    let mut evaluator = CachedSvmEvaluator::new(&svm);
-    // `pair_splits` clones each class's rows into every one-vs-one machine,
-    // so the dedup must find real sharing for the cache to pay off.
-    assert!(evaluator.unique_row_count() < evaluator.reference_count());
-    evaluator.predict(&[2.0, 2.0, 2.0]);
-    assert_eq!(
-        evaluator.cache_misses(),
-        evaluator.unique_row_count() as u64
-    );
-    assert!(evaluator.cache_hits() > 0);
+impl PerMachineOracle {
+    fn fit(data: &Dataset, params: &SvmParams) -> Self {
+        let present: Vec<usize> = (0..data.class_count())
+            .filter(|c| data.labels().contains(c))
+            .collect();
+        let mut machines = Vec::new();
+        for (i, &a) in present.iter().enumerate() {
+            for &b in &present[i + 1..] {
+                let (rows, targets): (Vec<Vec<f64>>, Vec<f64>) = data
+                    .rows()
+                    .iter()
+                    .zip(data.labels())
+                    .filter(|(_, l)| **l == a || **l == b)
+                    .map(|(row, l)| (row.clone(), if *l == a { 1.0 } else { -1.0 }))
+                    .unzip();
+                machines.push((a, b, BinarySvm::fit(rows, &targets, params)));
+            }
+        }
+        PerMachineOracle {
+            class_count: data.class_count(),
+            machines,
+        }
+    }
+
+    fn predict(&self, features: &[f64]) -> usize {
+        let mut votes = vec![0usize; self.class_count];
+        let mut margins = vec![0.0f64; self.class_count];
+        for (a, b, svm) in &self.machines {
+            let d = svm.decision(features);
+            if d >= 0.0 {
+                votes[*a] += 1;
+            } else {
+                votes[*b] += 1;
+            }
+            margins[*a] += d;
+            margins[*b] -= d;
+        }
+        let best_votes = *votes.iter().max().expect("at least one class");
+        (0..self.class_count)
+            .filter(|c| votes[*c] == best_votes)
+            .max_by(|x, y| {
+                margins[*x]
+                    .partial_cmp(&margins[*y])
+                    .expect("finite margins")
+            })
+            .expect("at least one class has max votes")
+    }
 }
 
 proptest! {
@@ -194,17 +229,42 @@ proptest! {
         prop_assert_eq!(corridor.fleet(&faults, rows_per_chunk), oracle);
     }
 
-    /// The cached one-vs-one evaluator votes exactly like the direct
-    /// per-machine evaluation for any query point.
+    /// `SvmClassifier`'s shared-row prediction votes exactly like the
+    /// direct per-machine evaluation, for random small datasets over 2–4
+    /// classes (some possibly absent) with duplicate rows and signed zeros,
+    /// under both kernels, at the training rows and at random queries.
     #[test]
-    fn cached_svm_predicts_like_plain_svm(
-        a in -1.0f64..6.0,
-        b in -1.0f64..6.0,
-        c in -1.0f64..6.0,
+    fn svm_predicts_like_per_machine_oracle(
+        rows in prop::collection::vec(
+            (0usize..4, prop::collection::vec(0usize..6, 3..4)),
+            2..24,
+        ),
+        dims in 1usize..4,
+        linear in any::<bool>(),
+        gamma in 0.05f64..2.0,
+        queries in prop::collection::vec(
+            prop::collection::vec(-2.0f64..3.0, 3..4),
+            1..6,
+        ),
     ) {
-        let (svm, _) = room_classifier();
-        let mut evaluator = CachedSvmEvaluator::new(&svm);
-        let query = [a, b, c];
-        prop_assert_eq!(evaluator.predict(&query), svm.predict(&query));
+        let names = (0..4).map(|c| format!("c{c}")).collect();
+        let mut data = Dataset::new(dims, names).expect("valid");
+        for (i, (label, cells)) in rows.iter().enumerate() {
+            // The first two rows pin two distinct classes so training succeeds.
+            let label = if i < 2 { i } else { *label };
+            let row = cells[..dims].iter().map(|c| PALETTE[*c]).collect();
+            data.push(row, label).expect("row");
+        }
+        let params = SvmParams {
+            kernel: if linear { Kernel::Linear } else { Kernel::Rbf { gamma } },
+            ..SvmParams::default()
+        };
+        let svm = SvmClassifier::fit(&data, &params).expect("two classes present");
+        let oracle = PerMachineOracle::fit(&data, &params);
+        prop_assert_eq!(svm.machine_count(), oracle.machines.len());
+        let random = queries.iter().map(|q| q[..dims].to_vec());
+        for query in data.rows().iter().cloned().chain(random) {
+            prop_assert_eq!(svm.predict(&query), oracle.predict(&query));
+        }
     }
 }
