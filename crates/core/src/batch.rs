@@ -2,15 +2,14 @@
 //! scratch.
 //!
 //! The single-device oracle ([`crate::run_pipeline_faulted`]) allocates per
-//! cycle: the radio stage builds one schedule `Vec` per advertiser, the
-//! scanner one `Vec<ScanSample>` per cycle, aggregation one `BTreeMap` of
-//! pooled `Vec`s per cycle. [`run_fleet`] runs the same pipeline over flat
-//! batch buffers: all of a device's samples land back to back in one reused
-//! buffer with a [`CycleSpan`] per cycle, every stage's working memory lives
-//! in a per-chunk [`DeviceScratch`] reused across the chunk's devices, and
-//! the radio stage memoizes the deterministic link budget per advertiser.
-//! The memo only helps receivers that stand still: a walking phone is at a
-//! new position for every packet, so it recomputes the budget each time.
+//! cycle: the radio stage takes fresh buffers per run, the scanner one
+//! `Vec<ScanSample>` per cycle, aggregation one `BTreeMap` of pooled `Vec`s
+//! per cycle. [`run_fleet`] runs the same pipeline over flat batch buffers:
+//! all of a device's samples land back to back in one reused buffer with a
+//! [`CycleSpan`] per cycle, and every stage's working memory lives in a
+//! per-chunk [`DeviceScratch`] reused across the chunk's devices. Both call
+//! the same radio loop ([`simulate_receptions_into`]), so the radio is
+//! checked against its own per-packet oracle in the stack crate's tests.
 //!
 //! Everything is bit-for-bit the oracle: the same RNG streams are drawn in
 //! the same order, the telemetry op sequence per device is unchanged, and

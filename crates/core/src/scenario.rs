@@ -68,7 +68,7 @@ impl Scenario {
             })
             .collect();
         let environment = plan.environment(seed, shadowing_sigma_db);
-        let channel = Channel::new(environment, seed);
+        let channel = Channel::new(environment);
         Scenario {
             plan,
             uuid,

@@ -1,9 +1,10 @@
 //! The end-to-end channel: what RSSI does a receiver record for one
 //! transmitted advertisement?
 
+use crate::environment::Sighting;
 use crate::fading::{standard_normal, RicianFading};
 use crate::pathloss::LogDistanceModel;
-use crate::{AdvChannel, DeviceRxProfile, Environment};
+use crate::{AdvChannel, DeviceRxProfile, Environment, Sightlines};
 use rand::Rng;
 use roomsense_geom::Point;
 use roomsense_sim::SimTime;
@@ -55,11 +56,12 @@ impl fmt::Display for TransmitterProfile {
 /// transmitter/receiver geometry: the fading-free mean RSSI and the fading
 /// regime (Rician when line-of-sight, Rayleigh when a wall intervenes).
 ///
-/// Produced by [`Channel::link_budget`] and consumed by
-/// [`Channel::sample_rssi_with_budget_on_at`]. Because both fields are pure
-/// functions of the link geometry, a budget may be cached for as long as the
-/// transmitter profile, both positions, and the environment stay fixed —
-/// the batched fleet path caches one per advertiser per static receiver.
+/// Produced by [`Channel::link_budget`] (or [`Channel::link_budget_from`])
+/// and consumed by [`Channel::sample_rssi_with_budget_on_at`]. Because both
+/// fields are pure functions of the link geometry, a budget may be cached
+/// for as long as the transmitter profile, both positions, and the
+/// environment stay fixed — the radio loop caches one per advertiser while
+/// the receiver stands still.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     /// Mean (fading-free, noise-free) RSSI of the link, in dBm.
@@ -82,7 +84,7 @@ pub struct LinkBudget {
 /// use roomsense_radio::{Channel, DeviceRxProfile, Environment, TransmitterProfile};
 /// use roomsense_sim::rng;
 ///
-/// let channel = Channel::new(Environment::free_space(), 7);
+/// let channel = Channel::new(Environment::free_space());
 /// let mut r = rng::for_component(7, "doc");
 /// let rssi = channel
 ///     .sample_rssi(&TransmitterProfile::default(), Point::new(0.0, 0.0),
@@ -94,16 +96,13 @@ pub struct LinkBudget {
 #[derive(Debug, Clone)]
 pub struct Channel {
     environment: Environment,
-    #[allow(dead_code)] // reserved for future per-channel fields
-    seed: u64,
 }
 
 impl Channel {
-    /// Creates a channel over `environment`. The seed only labels the
-    /// channel; randomness comes from the RNG passed to each call so callers
-    /// control determinism.
-    pub fn new(environment: Environment, seed: u64) -> Self {
-        Channel { environment, seed }
+    /// Creates a channel over `environment`. Randomness comes from the RNG
+    /// passed to each call, so callers control determinism.
+    pub fn new(environment: Environment) -> Self {
+        Channel { environment }
     }
 
     /// The propagation environment.
@@ -117,9 +116,9 @@ impl Channel {
         &mut self.environment
     }
 
-    /// Samples the RSSI one advertisement produces at the receiver, or
-    /// `None` when the packet is not received (below sensitivity, or the
-    /// stack dropped it).
+    /// Samples the RSSI one advertisement produces at the receiver on
+    /// channel 38 at simulation time zero, or `None` when the packet is not
+    /// received (below sensitivity, or the stack dropped it).
     pub fn sample_rssi<R: Rng + ?Sized>(
         &self,
         tx: &TransmitterProfile,
@@ -128,22 +127,15 @@ impl Channel {
         rx_pos: Point,
         rng: &mut R,
     ) -> Option<f64> {
-        self.sample_rssi_on(tx, tx_pos, rx, rx_pos, AdvChannel::Ch38, rng)
-    }
-
-    /// Samples the RSSI on a specific advertising channel (at simulation
-    /// time zero; use [`sample_rssi_on_at`](Self::sample_rssi_on_at) when
-    /// time-varying interference matters).
-    pub fn sample_rssi_on<R: Rng + ?Sized>(
-        &self,
-        tx: &TransmitterProfile,
-        tx_pos: Point,
-        rx: &DeviceRxProfile,
-        rx_pos: Point,
-        adv_channel: AdvChannel,
-        rng: &mut R,
-    ) -> Option<f64> {
-        self.sample_rssi_on_at(SimTime::ZERO, tx, tx_pos, rx, rx_pos, adv_channel, rng)
+        let budget = self.link_budget(tx, tx_pos, rx, rx_pos);
+        self.sample_rssi_with_budget_on_at(
+            SimTime::ZERO,
+            &budget,
+            rx,
+            rx_pos,
+            AdvChannel::Ch38,
+            rng,
+        )
     }
 
     /// Precomputes the deterministic part of one link at a fixed geometry:
@@ -152,13 +144,12 @@ impl Channel {
     /// callers whose geometry is static across a scan cycle can compute it
     /// once and feed it to
     /// [`sample_rssi_with_budget_on_at`](Self::sample_rssi_with_budget_on_at)
-    /// per packet, with bit-identical results to
-    /// [`sample_rssi_on_at`](Self::sample_rssi_on_at). Its `mean_dbm` is the
-    /// channel's fading-free, noise-free RSSI, useful for calibration and
-    /// analytical expectations in tests.
+    /// per packet. Its `mean_dbm` is the channel's fading-free, noise-free
+    /// RSSI, useful for calibration and analytical expectations in tests.
     ///
-    /// One scan over the walls yields both the crossed count and the
-    /// obstruction loss.
+    /// The walls are tested with the terms of [`Environment::sightlines`]
+    /// built on the fly; [`link_budget_from`](Self::link_budget_from) is
+    /// the same budget from a prebuilt table.
     pub fn link_budget(
         &self,
         tx: &TransmitterProfile,
@@ -166,7 +157,37 @@ impl Channel {
         rx: &DeviceRxProfile,
         rx_pos: Point,
     ) -> LinkBudget {
-        let obstruction = self.environment.obstruction(tx_pos, rx_pos);
+        self.budget(tx, self.environment.sight(tx_pos, rx_pos), rx, rx_pos)
+    }
+
+    /// [`link_budget`](Self::link_budget) from the transmitter the table
+    /// was built for, bit for bit, with the walls' transmitter-side terms
+    /// taken from the table instead of recomputed.
+    ///
+    /// `sightlines` must come from this channel's environment.
+    pub fn link_budget_from(
+        &self,
+        sightlines: &Sightlines,
+        tx: &TransmitterProfile,
+        rx: &DeviceRxProfile,
+        rx_pos: Point,
+    ) -> LinkBudget {
+        self.budget(tx, sightlines.sight(rx_pos), rx, rx_pos)
+    }
+
+    /// The mean-RSSI formula: path loss over the sighted distance, the
+    /// crossed walls' attenuation, shadowing at the receiver and its gain.
+    fn budget(
+        &self,
+        tx: &TransmitterProfile,
+        sighting: Sighting,
+        rx: &DeviceRxProfile,
+        rx_pos: Point,
+    ) -> LinkBudget {
+        let Sighting {
+            distance_m,
+            obstruction,
+        } = sighting;
         // Line-of-sight links fade gently (Rician); obstructed links lose
         // their dominant path and fade hard (Rayleigh).
         let fading = if obstruction.crossings == 0 {
@@ -174,40 +195,19 @@ impl Channel {
         } else {
             RicianFading::rayleigh()
         };
-        let mean_dbm = tx
-            .pathloss_model()
-            .mean_rssi_dbm(tx_pos.distance_to(rx_pos))
+        let mean_dbm = tx.pathloss_model().mean_rssi_dbm(distance_m)
             - obstruction.loss_db
             - self.environment.shadowing_loss_db(rx_pos)
             + rx.gain_offset_db;
         LinkBudget { mean_dbm, fading }
     }
 
-    /// Samples the RSSI of one advertisement at simulation time `at`,
-    /// including duty-cycled interference sources
-    /// ([`Interferer`](crate::Interferer)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_rssi_on_at<R: Rng + ?Sized>(
-        &self,
-        at: SimTime,
-        tx: &TransmitterProfile,
-        tx_pos: Point,
-        rx: &DeviceRxProfile,
-        rx_pos: Point,
-        adv_channel: AdvChannel,
-        rng: &mut R,
-    ) -> Option<f64> {
-        let budget = self.link_budget(tx, tx_pos, rx, rx_pos);
-        self.sample_rssi_with_budget_on_at(at, &budget, rx, rx_pos, adv_channel, rng)
-    }
-
-    /// Samples one advertisement against a precomputed [`LinkBudget`]. The
-    /// RNG draw order is exactly that of
-    /// [`sample_rssi_on_at`](Self::sample_rssi_on_at): collision coin (only
-    /// when the collision probability is positive), stack-loss coin (only
-    /// when the loss probability is positive), two fading normals, one noise
-    /// normal — so the two entry points are interchangeable sample-for-sample
-    /// whenever the budget matches the geometry.
+    /// Samples one advertisement at simulation time `at` against a
+    /// precomputed [`LinkBudget`], including duty-cycled interference
+    /// sources ([`Interferer`](crate::Interferer)). The RNG draws, in order:
+    /// collision coin (only when the collision probability is positive),
+    /// stack-loss coin (only when the loss probability is positive), two
+    /// fading normals, one noise normal.
     pub fn sample_rssi_with_budget_on_at<R: Rng + ?Sized>(
         &self,
         at: SimTime,
@@ -274,11 +274,28 @@ mod tests {
         pub fn mean(xs: &[f64]) -> f64 {
             xs.iter().sum::<f64>() / xs.len() as f64
         }
+
+        /// One advertisement sampled from scratch: the link budget, then
+        /// the per-packet draws.
+        #[allow(clippy::too_many_arguments)]
+        pub fn sample_rssi_on_at<R: Rng + ?Sized>(
+            channel: &Channel,
+            at: SimTime,
+            tx: &TransmitterProfile,
+            tx_pos: Point,
+            rx: &DeviceRxProfile,
+            rx_pos: Point,
+            adv_channel: AdvChannel,
+            rng: &mut R,
+        ) -> Option<f64> {
+            let budget = channel.link_budget(tx, tx_pos, rx, rx_pos);
+            channel.sample_rssi_with_budget_on_at(at, &budget, rx, rx_pos, adv_channel, rng)
+        }
     }
 
     #[test]
     fn mean_rssi_matches_pathloss_in_free_space() {
-        let channel = Channel::new(Environment::free_space(), 1);
+        let channel = Channel::new(Environment::free_space());
         let tx = TransmitterProfile::default();
         let rx = DeviceRxProfile::ideal();
         let mean = channel
@@ -289,7 +306,7 @@ mod tests {
 
     #[test]
     fn sampled_mean_converges_to_model_mean() {
-        let channel = Channel::new(Environment::free_space(), 2);
+        let channel = Channel::new(Environment::free_space());
         let rx = DeviceRxProfile::ideal();
         let samples = collect_samples(&channel, &rx, 2.0, 20_000, 2);
         let expected = TransmitterProfile::default()
@@ -302,7 +319,7 @@ mod tests {
 
     #[test]
     fn farther_is_weaker() {
-        let channel = Channel::new(Environment::free_space(), 3);
+        let channel = Channel::new(Environment::free_space());
         let rx = DeviceRxProfile::ideal();
         let near = mean(&collect_samples(&channel, &rx, 1.0, 5_000, 3));
         let far = mean(&collect_samples(&channel, &rx, 8.0, 5_000, 3));
@@ -316,8 +333,8 @@ mod tests {
             Segment::new(Point::new(1.0, -5.0), Point::new(1.0, 5.0)),
             crate::WallMaterial::Concrete,
         ));
-        let walled = Channel::new(env, 4);
-        let open = Channel::new(Environment::free_space(), 4);
+        let walled = Channel::new(env);
+        let open = Channel::new(Environment::free_space());
         let rx = DeviceRxProfile::ideal();
         let blocked = mean(&collect_samples(&walled, &rx, 2.0, 10_000, 4));
         let clear = mean(&collect_samples(&open, &rx, 2.0, 10_000, 4));
@@ -328,7 +345,7 @@ mod tests {
     #[test]
     fn nexus5_reads_hotter_than_s3_mini() {
         // The Fig 11 effect.
-        let channel = Channel::new(Environment::free_space(), 5);
+        let channel = Channel::new(Environment::free_space());
         let n5 = mean(&collect_samples(&channel, &DeviceRxProfile::nexus_5(), 2.0, 10_000, 5));
         let s3 = mean(&collect_samples(
             &channel,
@@ -342,7 +359,7 @@ mod tests {
 
     #[test]
     fn sample_loss_rate_matches_profile() {
-        let channel = Channel::new(Environment::free_space(), 6);
+        let channel = Channel::new(Environment::free_space());
         let rx = DeviceRxProfile::new("lossy", 0.0, 0.0, 0.25, -120.0);
         let n = 20_000;
         let received = collect_samples(&channel, &rx, 1.0, n, 6).len();
@@ -352,7 +369,7 @@ mod tests {
 
     #[test]
     fn below_sensitivity_is_dropped() {
-        let channel = Channel::new(Environment::free_space(), 7);
+        let channel = Channel::new(Environment::free_space());
         let deaf = DeviceRxProfile::new("deaf", 0.0, 0.0, 0.0, -30.0);
         let samples = collect_samples(&channel, &deaf, 10.0, 1_000, 7);
         assert!(samples.is_empty());
@@ -371,12 +388,13 @@ mod tests {
             1.0,
             1.0,
         ));
-        let channel = Channel::new(env, 9);
+        let channel = Channel::new(env);
         let tx = TransmitterProfile::default();
         let rx = DeviceRxProfile::ideal();
         let mut r = rng::for_component(9, "interference");
         for _ in 0..100 {
-            let sample = channel.sample_rssi_on_at(
+            let sample = sample_rssi_on_at(
+                &channel,
                 SimTime::from_millis(100),
                 &tx,
                 Point::new(0.0, 0.0),
@@ -388,7 +406,8 @@ mod tests {
             assert!(sample.is_none(), "packet survived a certain collision");
         }
         // A receiver outside the interferer's range is untouched.
-        let far = channel.sample_rssi_on_at(
+        let far = sample_rssi_on_at(
+            &channel,
             SimTime::from_millis(100),
             &tx,
             Point::new(0.0, 0.0),
@@ -412,23 +431,23 @@ mod tests {
             0.5,
             1.0,
         ));
-        let channel = Channel::new(env, 10);
+        let channel = Channel::new(env);
         let tx = TransmitterProfile::default();
         let rx = DeviceRxProfile::ideal();
         let mut r = rng::for_component(10, "duty");
         let received = (0..1000)
             .filter(|i| {
-                channel
-                    .sample_rssi_on_at(
-                        SimTime::from_millis(i * 7), // sweeps phases
-                        &tx,
-                        Point::new(0.0, 0.0),
-                        &rx,
-                        Point::new(1.0, 0.0),
-                        AdvChannel::Ch38,
-                        &mut r,
-                    )
-                    .is_some()
+                sample_rssi_on_at(
+                    &channel,
+                    SimTime::from_millis(i * 7), // sweeps phases
+                    &tx,
+                    Point::new(0.0, 0.0),
+                    &rx,
+                    Point::new(1.0, 0.0),
+                    AdvChannel::Ch38,
+                    &mut r,
+                )
+                .is_some()
             })
             .count();
         let rate = received as f64 / 1000.0;
@@ -437,7 +456,7 @@ mod tests {
 
     #[test]
     fn channel_offsets_are_small_but_distinct() {
-        let channel = Channel::new(Environment::free_space(), 8);
+        let channel = Channel::new(Environment::free_space());
         let tx = TransmitterProfile::default();
         let rx = DeviceRxProfile::ideal();
         let mut means = Vec::new();
@@ -445,7 +464,9 @@ mod tests {
             let mut r = rng::for_component(8, "chan-offset");
             let xs: Vec<f64> = (0..20_000)
                 .filter_map(|_| {
-                    channel.sample_rssi_on(
+                    sample_rssi_on_at(
+                        &channel,
+                        SimTime::ZERO,
                         &tx,
                         Point::new(0.0, 0.0),
                         &rx,
@@ -462,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_path_is_bitwise_identical_to_direct_path() {
+    fn sightline_budget_is_bitwise_identical_to_direct_budget() {
         use crate::Interferer;
         use roomsense_sim::SimDuration;
         // Walls + an interferer + a lossy receiver exercise every draw site.
@@ -478,34 +499,30 @@ mod tests {
             0.5,
             0.4,
         ));
-        let channel = Channel::new(env, 12);
+        let channel = Channel::new(env);
         let tx = TransmitterProfile::default();
+        let tx_pos = Point::new(0.0, 0.0);
+        let sightlines = channel.environment().sightlines(tx_pos);
         let rx = DeviceRxProfile::new("lossy", 0.0, 1.5, 0.1, -95.0);
         let mut direct_rng = rng::for_component(12, "budget");
-        let mut budget_rng = rng::for_component(12, "budget");
+        let mut table_rng = rng::for_component(12, "budget");
         for i in 0..2_000u64 {
             let at = SimTime::from_millis(i * 13);
+            let adv = AdvChannel::ALL[(i % 3) as usize];
             // Sweep across the wall so both fading regimes are hit.
             let rx_pos = Point::new(1.0 + (i % 5) as f64, 0.0);
-            let direct = channel.sample_rssi_on_at(
-                at,
-                &tx,
-                Point::new(0.0, 0.0),
-                &rx,
-                rx_pos,
-                AdvChannel::ALL[(i % 3) as usize],
-                &mut direct_rng,
-            );
-            let budget = channel.link_budget(&tx, Point::new(0.0, 0.0), &rx, rx_pos);
-            let via_budget = channel.sample_rssi_with_budget_on_at(
+            let direct =
+                sample_rssi_on_at(&channel, at, &tx, tx_pos, &rx, rx_pos, adv, &mut direct_rng);
+            let budget = channel.link_budget_from(&sightlines, &tx, &rx, rx_pos);
+            let via_table = channel.sample_rssi_with_budget_on_at(
                 at,
                 &budget,
                 &rx,
                 rx_pos,
-                AdvChannel::ALL[(i % 3) as usize],
-                &mut budget_rng,
+                adv,
+                &mut table_rng,
             );
-            assert_eq!(direct.map(f64::to_bits), via_budget.map(f64::to_bits));
+            assert_eq!(direct.map(f64::to_bits), via_table.map(f64::to_bits));
         }
     }
 
@@ -523,23 +540,65 @@ mod tests {
         Point::new(f64::from(x) / 2.0, f64::from(y) / 2.0)
     }
 
+    /// The degenerate `(tx, rx)` links one wall makes: `rx` on (or a hair
+    /// along the wall from) an endpoint, and a path nudged off parallel to
+    /// the wall that starts exactly on the wall's line or just beside it,
+    /// before, inside or past the wall — where the collinear-overlap test
+    /// and the proper-crossing test can disagree. `end` picks the endpoint
+    /// and whether to shift it; `along` places points along the wall in
+    /// quarters of its length and `beside` across it (both scaled by the
+    /// wall length).
+    fn degenerate_links(
+        tx: Point,
+        wall: Segment,
+        end: u8,
+        along: (i32, i32),
+        beside: (f64, f64),
+    ) -> [(Point, Point); 3] {
+        let r = wall.direction();
+        let across = roomsense_geom::Vec2::new(-r.y, r.x);
+        let quarters = |q: i32| f64::from(q) / 4.0;
+        let endpoint = if end.is_multiple_of(2) {
+            wall.a
+        } else {
+            wall.b
+        };
+        let hair = if end % 4 < 2 { 0.0 } else { beside.1 };
+        let nudged = |start_offset: f64| {
+            let tx = wall.a + r * quarters(along.0) + across * start_offset;
+            (tx, tx + r * quarters(along.1) + across * beside.1)
+        };
+        [(tx, endpoint + r * hair), nudged(0.0), nudged(beside.0)]
+    }
+
     proptest::proptest! {
-        /// The one-scan budget equals the two-scan formula (crossed count
-        /// picks the fading regime; the attenuation sum feeds the mean) bit
-        /// for bit, including degenerate wall geometry.
+        /// The link budget equals the two-scan `Segment::intersects`
+        /// formula (crossed count picks the fading regime; the attenuation
+        /// sum feeds the mean; the distance feeds the path loss) bit for
+        /// bit, both with each wall's terms built on the fly and from a
+        /// prebuilt sightline table. Walls and endpoints sit on a
+        /// half-metre lattice, so endpoints on walls and collinear paths
+        /// are common; the degenerate cases are where the table's fast
+        /// path could part from the full test: zero-length walls,
+        /// `tx == rx`, `rx` exactly on (or a hair from) a wall endpoint,
+        /// and paths nudged off parallel to a wall.
         #[test]
         fn one_scan_link_budget_matches_two_scan_formula(
             walls in proptest::collection::vec(
-                ((0u8..9, 0u8..9), (0u8..9, 0u8..9), 0usize..5),
+                ((0u8..9, 0u8..9), (0u8..9, 0u8..9), 0usize..5, 0u8..4),
                 0..10,
             ),
             tx_at in (0u8..9, 0u8..9),
             rx_at in (0u8..9, 0u8..9),
             nudge in proptest::option::of(0.0f64..1.0),
+            along in (-3i32..8, -3i32..8),
+            beside in (-14i32..-1, -1.0f64..1.0, -1.0f64..1.0),
             shadow_seed in proptest::option::of(0u64..1000),
         ) {
             let mut env = Environment::free_space();
-            for (a, b, material) in walls {
+            for (a, b, material, shape) in walls {
+                // One wall in four has zero length.
+                let b = if shape == 0 { a } else { b };
                 env.add_wall(crate::Wall::new(
                     Segment::new(lattice(a), lattice(b)),
                     MATERIALS[material],
@@ -548,31 +607,51 @@ mod tests {
             if let Some(seed) = shadow_seed {
                 env.set_shadowing(crate::shadowing::ShadowingField::new(seed, 3.0, 2.5));
             }
-            let channel = Channel::new(env, 13);
+            let channel = Channel::new(env);
             let tx = TransmitterProfile::default();
             let rx = DeviceRxProfile::nexus_5();
-            let tx_pos = lattice(tx_at);
-            let rx_pos = lattice(rx_at);
-            let rx_pos = Point::new(rx_pos.x + nudge.unwrap_or(0.0), rx_pos.y);
-
             let env = channel.environment();
-            let path = Segment::new(tx_pos, rx_pos);
-            let crossing = || env.walls().iter().filter(|w| w.segment.intersects(&path));
-            let crossed = crossing().count();
-            let loss_db: f64 = crossing().map(|w| w.material.attenuation_db()).sum();
-            let fading = if crossed == 0 {
-                RicianFading::new(tx.los_rice_factor)
-            } else {
-                RicianFading::rayleigh()
-            };
-            let mean_dbm = tx.pathloss_model().mean_rssi_dbm(tx_pos.distance_to(rx_pos))
-                - loss_db
-                - env.shadowing_loss_db(rx_pos)
-                + rx.gain_offset_db;
+            let lattice_tx = lattice(tx_at);
+            let lattice_rx = lattice(rx_at);
+            let (exponent, tx_beside, rx_beside) = beside;
+            let beside = (tx_beside * 10f64.powi(exponent), rx_beside * 10f64.powi(exponent));
+            let mut links = vec![
+                (lattice_tx, Point::new(lattice_rx.x + nudge.unwrap_or(0.0), lattice_rx.y)),
+                (lattice_tx, lattice_tx),
+            ];
+            for wall in env.walls() {
+                links.extend(degenerate_links(lattice_tx, wall.segment, rx_at.1, along, beside));
+            }
 
-            let budget = channel.link_budget(&tx, tx_pos, &rx, rx_pos);
-            proptest::prop_assert_eq!(budget.mean_dbm.to_bits(), mean_dbm.to_bits());
-            proptest::prop_assert_eq!(budget.fading, fading);
+            for (tx_pos, rx_pos) in links {
+                let path = Segment::new(tx_pos, rx_pos);
+                let crossing = || env.walls().iter().filter(|w| w.segment.intersects(&path));
+                let crossed = crossing().count();
+                let loss_db: f64 = crossing().map(|w| w.material.attenuation_db()).sum();
+                let fading = if crossed == 0 {
+                    RicianFading::new(tx.los_rice_factor)
+                } else {
+                    RicianFading::rayleigh()
+                };
+                let mean_dbm = tx.pathloss_model().mean_rssi_dbm(tx_pos.distance_to(rx_pos))
+                    - loss_db
+                    - env.shadowing_loss_db(rx_pos)
+                    + rx.gain_offset_db;
+
+                let sightlines = env.sightlines(tx_pos);
+                let from_table = sightlines.sight(rx_pos).obstruction;
+                for seen in [env.obstruction(tx_pos, rx_pos), from_table] {
+                    proptest::prop_assert_eq!(seen.crossings, crossed);
+                    proptest::prop_assert_eq!(seen.loss_db.to_bits(), loss_db.to_bits());
+                }
+                for budget in [
+                    channel.link_budget(&tx, tx_pos, &rx, rx_pos),
+                    channel.link_budget_from(&sightlines, &tx, &rx, rx_pos),
+                ] {
+                    proptest::prop_assert_eq!(budget.mean_dbm.to_bits(), mean_dbm.to_bits());
+                    proptest::prop_assert_eq!(budget.fading, fading);
+                }
+            }
         }
     }
 }

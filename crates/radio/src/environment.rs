@@ -2,8 +2,8 @@
 
 use crate::shadowing::ShadowingField;
 use crate::Interferer;
+use roomsense_geom::{Point, Segment, Vec2, EPSILON};
 use roomsense_sim::SimTime;
-use roomsense_geom::{Point, Segment};
 use std::fmt;
 
 /// Wall construction material, determining per-crossing attenuation at
@@ -159,18 +159,25 @@ impl Environment {
 
     /// The walls on the straight path `tx → rx`, found in one scan: how
     /// many it crosses and their summed attenuation in dB (added in wall
-    /// order).
+    /// order). Each wall's transmitter-side terms are built on the fly; a
+    /// transmitter queried many times should use [`sightlines`](Self::sightlines).
     pub fn obstruction(&self, tx: Point, rx: Point) -> Obstruction {
-        let path = Segment::new(tx, rx);
-        let mut crossings = 0;
-        let loss_db = self
-            .walls
-            .iter()
-            .filter(|w| w.segment.intersects(&path))
-            .inspect(|_| crossings += 1)
-            .map(|w| w.material.attenuation_db())
-            .sum();
-        Obstruction { crossings, loss_db }
+        self.sight(tx, rx).obstruction
+    }
+
+    /// The path length and the walls of `tx → rx`, from the same kernel
+    /// as [`Sightlines`] with each wall's terms built on the fly.
+    pub(crate) fn sight(&self, tx: Point, rx: Point) -> Sighting {
+        sight(tx, rx, self.walls.iter().map(|w| WallSight::new(w, tx)))
+    }
+
+    /// The per-wall terms of every path leaving `tx`, precomputed once so
+    /// that each later query pays only the parts that depend on the
+    /// receiver.
+    pub fn sightlines(&self, tx: Point) -> Sightlines {
+        let mut table = Sightlines::default();
+        table.aim(self, tx);
+        table
     }
 
     /// Shadowing loss at the receiver position, in dB (zero-mean).
@@ -182,6 +189,148 @@ impl Environment {
 impl Default for Environment {
     fn default() -> Self {
         Environment::free_space()
+    }
+}
+
+/// What one straight path sees: its length and the walls it crosses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Sighting {
+    /// Length of the path, in metres.
+    pub distance_m: f64,
+    /// The walls the path crosses.
+    pub obstruction: Obstruction,
+}
+
+/// One wall's share of [`Segment::intersects`]`(wall, tx → rx)` that does
+/// not depend on `rx`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WallSight {
+    /// The wall, for the collinear fallback.
+    segment: Segment,
+    /// `b − a`.
+    r: Vec2,
+    /// `tx − a`.
+    qp: Vec2,
+    /// `qp × r`: the numerator of the path parameter `u`.
+    qp_cross_r: f64,
+    /// The wall-parameter tolerance, [`EPSILON`] over the wall length.
+    tol: f64,
+    /// The wall's attenuation, in dB.
+    attenuation_db: f64,
+}
+
+impl WallSight {
+    fn new(wall: &Wall, tx: Point) -> Self {
+        let r = wall.segment.direction();
+        let qp = tx - wall.segment.a;
+        WallSight {
+            segment: wall.segment,
+            r,
+            qp,
+            qp_cross_r: qp.cross(r),
+            tol: EPSILON / wall.segment.length().max(f64::EPSILON),
+            attenuation_db: wall.material.attenuation_db(),
+        }
+    }
+
+    /// Whether the wall meets `path` (from the table's transmitter, with
+    /// direction `s` and path tolerance `tol_u`): the operations and
+    /// comparisons of [`Segment::intersection`], so the answer equals
+    /// `segment.intersects(path)` bit for bit. Only a (near-)parallel path,
+    /// where the collinear-overlap test could answer instead, takes the full
+    /// test.
+    fn meets(&self, path: &Segment, s: Vec2, tol_u: f64) -> bool {
+        let denom = self.r.cross(s);
+        if denom.abs() > EPSILON {
+            // `t` only when `u` passes: most walls lie off the path's
+            // extent, and the division is the dearest step.
+            let u = self.qp_cross_r / denom;
+            u >= -tol_u && u <= 1.0 + tol_u && {
+                let t = self.qp.cross(s) / denom;
+                t >= -self.tol && t <= 1.0 + self.tol
+            }
+        } else {
+            // Near-parallel (or NaN): the collinear-overlap test may answer.
+            self.segment.intersects(path)
+        }
+    }
+}
+
+/// The one wall test: scans `walls` (terms for transmitter `tx`) along
+/// `tx → rx`. The path length is computed once and serves as both the
+/// path-loss distance and the path tolerance.
+fn sight(tx: Point, rx: Point, walls: impl Iterator<Item = WallSight>) -> Sighting {
+    let path = Segment::new(tx, rx);
+    let s = path.direction();
+    let distance_m = s.length();
+    let tol_u = EPSILON / distance_m.max(f64::EPSILON);
+    let mut crossings = 0;
+    let loss_db = walls
+        .filter(|w| w.meets(&path, s, tol_u))
+        .inspect(|_| crossings += 1)
+        .map(|w| w.attenuation_db)
+        .sum();
+    Sighting {
+        distance_m,
+        obstruction: Obstruction { crossings, loss_db },
+    }
+}
+
+/// Every wall as seen from one transmitter, from
+/// [`Environment::sightlines`] and read by
+/// [`Channel::link_budget_from`](crate::Channel::link_budget_from): a
+/// query from a receiver position computes the path vector and its length
+/// once, then at most three cross products and two divisions per wall,
+/// with answers bit-identical to [`Environment::obstruction`].
+///
+/// # Examples
+///
+/// ```
+/// use roomsense_geom::{Point, Segment};
+/// use roomsense_radio::{
+///     Channel, DeviceRxProfile, Environment, TransmitterProfile, Wall, WallMaterial,
+/// };
+///
+/// let mut env = Environment::free_space();
+/// env.add_wall(Wall::new(
+///     Segment::new(Point::new(2.0, -5.0), Point::new(2.0, 5.0)),
+///     WallMaterial::Brick,
+/// ));
+/// let channel = Channel::new(env);
+/// let (tx, rx) = (TransmitterProfile::default(), DeviceRxProfile::ideal());
+/// let tx_pos = Point::new(0.0, 0.0);
+/// let table = channel.environment().sightlines(tx_pos);
+/// for rx_pos in [Point::new(4.0, 0.0), Point::new(1.0, 3.0)] {
+///     assert_eq!(
+///         channel.link_budget_from(&table, &tx, &rx, rx_pos),
+///         channel.link_budget(&tx, tx_pos, &rx, rx_pos),
+///     );
+/// }
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Sightlines {
+    tx: Point,
+    walls: Vec<WallSight>,
+}
+
+impl Sightlines {
+    /// Rebuilds the table for transmitter `tx` in `environment`, reusing
+    /// its memory.
+    pub fn aim(&mut self, environment: &Environment, tx: Point) {
+        self.tx = tx;
+        self.walls.clear();
+        self.walls
+            .extend(environment.walls.iter().map(|w| WallSight::new(w, tx)));
+    }
+
+    /// The path length and walls from the transmitter to `rx`.
+    pub(crate) fn sight(&self, rx: Point) -> Sighting {
+        sight(self.tx, rx, self.walls.iter().copied())
+    }
+
+    /// Reserved capacity, in walls.
+    pub fn capacity(&self) -> usize {
+        self.walls.capacity()
     }
 }
 

@@ -25,7 +25,7 @@
 //! use roomsense_sim::rng;
 //!
 //! let env = Environment::free_space();
-//! let channel = Channel::new(env, 42);
+//! let channel = Channel::new(env);
 //! let tx = TransmitterProfile::default();
 //! let rx = DeviceRxProfile::galaxy_s3_mini();
 //! let mut rand = rng::for_component(42, "doc");
@@ -52,6 +52,6 @@ pub mod shadowing;
 pub use advertiser::{AdvChannel, Advertiser, Transmission};
 pub use channel::{Channel, LinkBudget, TransmitterProfile};
 pub use device::DeviceRxProfile;
-pub use environment::{Environment, Obstruction, Wall, WallMaterial};
+pub use environment::{Environment, Obstruction, Sightlines, Wall, WallMaterial};
 pub use fault::TransmitterFault;
 pub use interference::Interferer;

@@ -4,7 +4,7 @@ use crate::{Reception, ScanConfig, ScanScratch, ScanSample, ScannerModel};
 use rand::Rng;
 use roomsense_geom::Point;
 use roomsense_radio::{
-    Advertiser, Channel, DeviceRxProfile, LinkBudget, Transmission, TransmitterFault,
+    Advertiser, Channel, DeviceRxProfile, LinkBudget, Sightlines, Transmission, TransmitterFault,
     TransmitterProfile,
 };
 use roomsense_sim::SimTime;
@@ -49,12 +49,13 @@ impl ScanCycleReport {
     }
 }
 
-/// Reusable working memory for the batched radio stage: the advertising
-/// schedule buffer (one `Vec` reused across advertisers and devices instead
-/// of one allocation per advertiser per run).
+/// Reusable working memory for the radio: the advertising schedule buffer
+/// and the sightline table, each rebuilt per advertiser in place (one
+/// allocation per buffer, not one per advertiser per run).
 #[derive(Debug, Clone, Default)]
 pub struct RadioScratch {
     schedule: Vec<Transmission>,
+    sightlines: Sightlines,
 }
 
 impl RadioScratch {
@@ -66,7 +67,7 @@ impl RadioScratch {
     /// Total reserved capacity across internal buffers, in elements (for
     /// the debug allocation counter).
     pub fn total_capacity(&self) -> usize {
-        self.schedule.capacity()
+        self.schedule.capacity() + self.sightlines.capacity()
     }
 }
 
@@ -94,8 +95,8 @@ pub struct CycleSpan {
 /// `rx_position(t)`.
 ///
 /// Each advertiser's schedule is generated independently; receptions are
-/// returned sorted by time. This is [`simulate_receptions_faulty_recorded`]
-/// with every transmitter healthy and the telemetry discarded.
+/// returned sorted by time. This is [`simulate_receptions_into`] with every
+/// transmitter healthy, fresh buffers and the telemetry discarded.
 pub fn simulate_receptions<R, F>(
     channel: &Channel,
     advertisers: &[PlacedAdvertiser],
@@ -122,17 +123,8 @@ where
     )
 }
 
-/// Like [`simulate_receptions`], but with a [`TransmitterFault`] per
-/// advertiser, counting each surviving advertisement's fate
-/// (`radio.rx.received` / `radio.rx.lost`) and adding the totals to
-/// `telemetry` once per run.
-///
-/// Transmissions scheduled inside an outage window never happen and are not
-/// counted — they never reached the air. Transmissions inside a degraded
-/// window go out at reduced power, which both weakens the recorded RSSI and
-/// pushes marginal links below the receiver's sensitivity. With every fault
-/// [`TransmitterFault::healthy`] this is the plain radio. Recording never
-/// draws from `rng`.
+/// [`simulate_receptions_into`] with fresh buffers, returning the
+/// receptions.
 ///
 /// # Panics
 ///
@@ -153,42 +145,20 @@ where
     R: Rng + ?Sized,
     F: Fn(SimTime) -> Point,
 {
-    assert_eq!(
-        advertisers.len(),
-        faults.len(),
-        "need exactly one TransmitterFault per advertiser"
-    );
     let mut receptions = Vec::new();
-    let mut lost = 0u64;
-    for (placed, fault) in advertisers.iter().zip(faults) {
-        for tx_event in placed.advertiser.schedule(from, until, rng) {
-            if !fault.transmits_at(tx_event.at) {
-                continue;
-            }
-            let profile = fault.profile_at(tx_event.at, &placed.profile);
-            let rx_pos = rx_position(tx_event.at);
-            if let Some(rssi) = channel.sample_rssi_on_at(
-                tx_event.at,
-                &profile,
-                placed.position,
-                rx,
-                rx_pos,
-                tx_event.channel,
-                rng,
-            ) {
-                receptions.push(Reception {
-                    at: tx_event.at,
-                    packet: *placed.advertiser.packet(),
-                    rssi_dbm: rssi,
-                    channel: tx_event.channel,
-                });
-            } else {
-                lost += 1;
-            }
-        }
-    }
-    record_rx_counts(telemetry, receptions.len() as u64, lost);
-    receptions.sort_by_key(|r| r.at);
+    simulate_receptions_into(
+        channel,
+        advertisers,
+        faults,
+        rx,
+        rx_position,
+        from,
+        until,
+        rng,
+        telemetry,
+        &mut RadioScratch::new(),
+        &mut receptions,
+    );
     receptions
 }
 
@@ -203,19 +173,27 @@ fn record_rx_counts(telemetry: &mut Recorder, received: u64, lost: u64) {
     }
 }
 
-/// Allocation-reusing [`simulate_receptions_faulty_recorded`]: clears and
-/// fills a caller-owned receptions buffer, reuses the scratch's schedule
-/// buffer across advertisers, and memoizes the deterministic [`LinkBudget`]
-/// per advertiser while the receiver position and the effective transmitter
-/// profile are unchanged (a static receiver pays the
-/// path-loss/obstruction/shadowing evaluation once per advertiser instead
-/// of once per packet; a degraded-power window changes the profile
-/// mid-run).
+/// The radio: every advertisement that reaches a receiver at
+/// `rx_position(t)` in `[from, until)`, with a [`TransmitterFault`] per
+/// advertiser. Clears and fills `out`, sorted by time, and adds each run's
+/// received and lost totals to `telemetry` once (`radio.rx.received` /
+/// `radio.rx.lost`). Recording never draws from `rng`.
 ///
-/// The RNG draw order, the receptions and the telemetry are bit-identical
-/// to [`simulate_receptions_faulty_recorded`]: memoization only skips
-/// recomputing a pure function of unchanged inputs, and the budget-based
-/// sampler preserves the exact per-packet draw sequence.
+/// Per advertiser, the schedule is drawn first, then each packet draws in
+/// order (collision coin, stack-loss coin, fading, noise; see
+/// [`Channel::sample_rssi_with_budget_on_at`]). Transmissions scheduled
+/// inside an outage window never happen and are not counted — they never
+/// reached the air. Transmissions inside a degraded window go out at
+/// reduced power, which both weakens the recorded RSSI and pushes marginal
+/// links below the receiver's sensitivity. With every fault
+/// [`TransmitterFault::healthy`] this is the plain radio.
+///
+/// The deterministic part of each packet (path loss, walls, shadowing) is
+/// paid as follows: the advertiser's wall terms once per run (a sightline
+/// table in `scratch`), and the [`LinkBudget`] once per receiver position
+/// and effective transmitter profile (a static receiver evaluates it once;
+/// a degraded-power window changes the profile mid-run). Both only skip
+/// recomputing pure functions of unchanged inputs.
 ///
 /// # Panics
 ///
@@ -248,6 +226,9 @@ pub fn simulate_receptions_into<R, F>(
         placed
             .advertiser
             .schedule_into(from, until, rng, &mut scratch.schedule);
+        scratch
+            .sightlines
+            .aim(channel.environment(), placed.position);
         let mut cached: Option<(TransmitterProfile, Point, LinkBudget)> = None;
         for tx_event in &scratch.schedule {
             if !fault.transmits_at(tx_event.at) {
@@ -258,7 +239,8 @@ pub fn simulate_receptions_into<R, F>(
             let budget = match cached {
                 Some((p, pos, budget)) if p == profile && pos == rx_pos => budget,
                 _ => {
-                    let budget = channel.link_budget(&profile, placed.position, rx, rx_pos);
+                    let budget =
+                        channel.link_budget_from(&scratch.sightlines, &profile, rx, rx_pos);
                     cached = Some((profile, rx_pos, budget));
                     budget
                 }
@@ -300,7 +282,7 @@ pub fn simulate_receptions_into<R, F>(
 /// use roomsense_sim::{rng, SimDuration, SimTime};
 /// use roomsense_stack::{run_scan, simulate_receptions, AndroidScanner, PlacedAdvertiser, ScanConfig};
 ///
-/// let channel = Channel::new(Environment::free_space(), 1);
+/// let channel = Channel::new(Environment::free_space());
 /// let packet = Packet::new(ProximityUuid::example(), Major::new(1), Minor::new(0),
 ///                          MeasuredPower::new(-59));
 /// let placed = PlacedAdvertiser {
@@ -475,7 +457,7 @@ mod tests {
         // transmits thirty times per second, an Android device that scans
         // for ten seconds gets only five samples … an iOS device receives
         // three hundred samples".
-        let channel = Channel::new(Environment::free_space(), 1);
+        let channel = Channel::new(Environment::free_space());
         let adv = placed(0, 0.0, 33); // ~30 Hz
         let rx = DeviceRxProfile::ideal();
         let mut r = rng::for_component(1, "sectionv");
@@ -515,7 +497,7 @@ mod tests {
 
     #[test]
     fn android_sees_each_beacon_once_per_cycle() {
-        let channel = Channel::new(Environment::free_space(), 2);
+        let channel = Channel::new(Environment::free_space());
         let advs = vec![placed(0, 0.0, 100), placed(1, 4.0, 100)];
         let rx = DeviceRxProfile::ideal();
         let mut r = rng::for_component(2, "multi");
@@ -549,7 +531,7 @@ mod tests {
     fn longer_scan_period_pools_more_android_samples() {
         // The Fig 4 → Fig 6 lever: a 10 s scan period contains five 2 s
         // restart windows, so Android pools ~5 samples per beacon per cycle.
-        let channel = Channel::new(Environment::free_space(), 9);
+        let channel = Channel::new(Environment::free_space());
         let rx = DeviceRxProfile::ideal();
         let mut r = rng::for_component(9, "pooling");
         let receptions = simulate_receptions(
@@ -577,7 +559,7 @@ mod tests {
 
     #[test]
     fn partial_final_cycle_is_emitted() {
-        let channel = Channel::new(Environment::free_space(), 3);
+        let channel = Channel::new(Environment::free_space());
         let rx = DeviceRxProfile::ideal();
         let mut r = rng::for_component(3, "partial");
         let receptions = simulate_receptions(
@@ -604,7 +586,7 @@ mod tests {
     #[test]
     fn moving_receiver_changes_rssi_trend() {
         // Walk away from the beacon: later cycles should be weaker.
-        let channel = Channel::new(Environment::free_space(), 4);
+        let channel = Channel::new(Environment::free_space());
         let rx = DeviceRxProfile::ideal();
         let mut r = rng::for_component(4, "moving");
         let adv = placed(0, 0.0, 33);
@@ -631,12 +613,11 @@ mod tests {
         assert!(first > last + 8.0, "first {first} last {last}");
     }
 
-    /// Both radio functions count every transmitted packet exactly once
-    /// (received + lost), agree on receptions and telemetry, and a run that
-    /// loses nothing creates no `radio.rx.lost` key.
+    /// The radio counts every transmitted packet exactly once (received +
+    /// lost), and a run that loses nothing creates no `radio.rx.lost` key.
     #[test]
     fn radio_counts_every_transmitted_packet_once() {
-        let channel = Channel::new(Environment::free_space(), 6);
+        let channel = Channel::new(Environment::free_space());
         let advs = vec![placed(0, 0.0, 100), placed(1, 4.0, 150)];
         let healthy = vec![TransmitterFault::healthy(); advs.len()];
         let (from, until) = (SimTime::ZERO, SimTime::from_secs(10));
@@ -663,23 +644,6 @@ mod tests {
                 &mut rng::for_component(6, "radio"),
                 &mut oracle,
             );
-            let mut batched = Recorder::default();
-            let mut out = Vec::new();
-            simulate_receptions_into(
-                &channel,
-                &advs,
-                &healthy,
-                &rx,
-                |_| Point::new(2.0, 0.0),
-                from,
-                until,
-                &mut rng::for_component(6, "radio"),
-                &mut batched,
-                &mut RadioScratch::new(),
-                &mut out,
-            );
-            assert_eq!(out, receptions);
-            assert_eq!(batched.checksum(), oracle.checksum());
             let received = oracle.counter(keys::RADIO_RX_RECEIVED);
             let lost = oracle.counter(keys::RADIO_RX_LOST);
             assert_eq!(received, receptions.len() as u64);

@@ -12,7 +12,8 @@
 # fingerprint checksum under a single worker and under the default
 # parallelism. The full single-worker `repro all` text must match the
 # committed repro_output.txt, so every figure and checksum is pinned.
-# Finally one traced perfbench run checks the benchmark's own gates.
+# Finally one traced perfbench run checks the benchmark's own gates, and the
+# benchmark package runs its self-tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,4 +67,9 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload office_e2e --seed 1 --seconds 1 --trace 1 > /dev/null
 echo "perfbench office_e2e traced run passed its layer and oracle-digest gates"
 
-echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt + perfbench gates green"
+# The benchmark package's own self-tests (it is not a workspace member, so
+# the workspace test runs above never reach them).
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+echo "perfbench self-tests passed"
+
+echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt + perfbench gates and self-tests green"
