@@ -53,6 +53,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 const RECORD_MAGIC: u8 = 0xA7;
+/// Magic, kind and the `u32` payload length.
+const FRAME_HEADER: usize = 1 + 1 + 4;
 const KIND_REPORT: u8 = 0;
 const KIND_ASSIGNMENT: u8 = 1;
 const KIND_FOOTER: u8 = 2;
@@ -64,6 +66,17 @@ fn fnv_fold(hash: &mut u64, bytes: &[u8]) {
     for &byte in bytes {
         *hash ^= u64::from(byte);
         *hash = hash.wrapping_mul(FNV_PRIME);
+    }
+}
+
+/// One [`fnv_fold`] of `bytes` into each of `hashes`, in a single pass: the
+/// states are independent, so their multiply chains overlap.
+fn fnv_fold_each<const N: usize>(hashes: &mut [u64; N], bytes: &[u8]) {
+    for &byte in bytes {
+        for hash in hashes.iter_mut() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(FNV_PRIME);
+        }
     }
 }
 
@@ -233,6 +246,11 @@ impl ActiveSegment {
     fn observe(&mut self, kind: u8, payload: &[u8], at: SimTime) {
         fnv_fold(&mut self.digest, &[kind]);
         fnv_fold(&mut self.digest, payload);
+        self.count(at);
+    }
+
+    /// Counts one record at `at` whose bytes `digest` already covers.
+    fn count(&mut self, at: SimTime) {
         self.records += 1;
         self.min_at = Some(self.min_at.map_or(at, |m| m.min(at)));
         self.max_at = Some(self.max_at.map_or(at, |m| m.max(at)));
@@ -251,7 +269,11 @@ pub struct ArchiveSink {
     config: ArchiveConfig,
     sealed: Vec<SegmentMeta>,
     active_index: u64,
+    /// File name of segment `active_index`, rebuilt only when it moves.
+    active_name: String,
     active: ActiveSegment,
+    /// The frame buffer every append encodes into, reused across records.
+    frame: Vec<u8>,
     marks: BTreeMap<DeviceId, DeviceMark>,
     dedup: BTreeMap<(u8, DeviceId), DedupWindow>,
     last_at: SimTime,
@@ -266,10 +288,12 @@ impl ArchiveSink {
     pub fn new(disk: SharedDisk, config: ArchiveConfig) -> Self {
         ArchiveSink {
             disk,
+            active_name: segment_name(&config.prefix, 0),
             config,
             sealed: Vec::new(),
             active_index: 0,
             active: ActiveSegment::fresh(),
+            frame: Vec::new(),
             marks: BTreeMap::new(),
             dedup: BTreeMap::new(),
             last_at: SimTime::ZERO,
@@ -279,15 +303,16 @@ impl ArchiveSink {
         }
     }
 
-    fn segment_name(&self, index: u64) -> String {
-        format!("{}seg-{index:08}", self.config.prefix)
-    }
-
     /// Appends one compacted report. Returns `false` when the record was
     /// already archived (a journal-replay re-spill) and was suppressed.
     pub fn append_report(&mut self, report: &ObservationReport) -> bool {
-        let payload = encode_report(report);
-        self.append_record(KIND_REPORT, report.device, report.seq, report.at, payload)
+        if !self.admit(KIND_REPORT, report.device, report.seq) {
+            return false;
+        }
+        begin_frame(&mut self.frame, KIND_REPORT);
+        write_report(&mut self.frame, report);
+        self.commit_frame(report.device, report.at, None);
+        true
     }
 
     /// Appends one compacted assignment. Returns `false` on a suppressed
@@ -299,18 +324,17 @@ impl ArchiveSink {
         seq: u64,
         room: RoomLabel,
     ) -> bool {
-        let payload = encode_assignment(device, at, seq, room);
-        self.append_record(KIND_ASSIGNMENT, device, seq, at, payload)
+        if !self.admit(KIND_ASSIGNMENT, device, seq) {
+            return false;
+        }
+        begin_frame(&mut self.frame, KIND_ASSIGNMENT);
+        write_assignment(&mut self.frame, device, at, seq, room);
+        self.commit_frame(device, at, Some(room));
+        true
     }
 
-    fn append_record(
-        &mut self,
-        kind: u8,
-        device: DeviceId,
-        seq: u64,
-        at: SimTime,
-        payload: Vec<u8>,
-    ) -> bool {
+    /// The re-spill dedup verdict for one record: true when it is new.
+    fn admit(&mut self, kind: u8, device: DeviceId, seq: u64) -> bool {
         let capacity = self.config.dedup_capacity;
         let fresh = self
             .dedup
@@ -319,34 +343,36 @@ impl ArchiveSink {
             .check_and_insert(seq, capacity);
         if !fresh {
             self.stats.respill_suppressed += 1;
-            return false;
         }
+        fresh
+    }
+
+    /// Finishes the frame in the buffer (a `room` marks an assignment),
+    /// folds it into the device mark and the segment digest, and appends it
+    /// to the active segment, sealing the segment when it is full.
+    fn commit_frame(&mut self, device: DeviceId, at: SimTime, room: Option<RoomLabel>) {
         let mark = self.marks.entry(device).or_insert(DeviceMark {
             records: 0,
             digest: FNV_OFFSET,
         });
-        fnv_fold(&mut mark.digest, &[kind]);
-        fnv_fold(&mut mark.digest, &payload);
+        [mark.digest, self.active.digest] =
+            finish_frame(&mut self.frame, [mark.digest, self.active.digest]);
         mark.records += 1;
-        if kind == KIND_ASSIGNMENT {
-            let room = decode_assignment(&payload).expect("just encoded").3 as u64;
-            *self.active.summary.entry(room).or_insert(0) += 1;
+        self.active.count(at);
+        match room {
+            Some(room) => {
+                *self.active.summary.entry(room as u64).or_insert(0) += 1;
+                self.stats.assignments += 1;
+            }
+            None => self.stats.reports += 1,
         }
-        self.active.observe(kind, &payload, at);
-        let frame = frame_record(kind, &payload);
-        let name = self.segment_name(self.active_index);
-        self.disk.append(&name, at, &frame);
-        self.stats.bytes_appended += frame.len() as u64;
+        self.disk.append(&self.active_name, at, &self.frame);
+        self.stats.bytes_appended += self.frame.len() as u64;
         self.stats.records += 1;
-        match kind {
-            KIND_REPORT => self.stats.reports += 1,
-            _ => self.stats.assignments += 1,
-        }
         self.last_at = self.last_at.max(at);
         if self.active.records >= self.config.segment_records {
             self.seal(at);
         }
-        true
     }
 
     /// Seals the active segment: writes the footer, fsyncs, and opens the
@@ -365,7 +391,7 @@ impl ArchiveSink {
             &self.active.summary,
         );
         let frame = frame_record(KIND_FOOTER, &footer);
-        let name = self.segment_name(self.active_index);
+        let name = std::mem::take(&mut self.active_name);
         self.disk.append(&name, at, &frame);
         self.disk.fsync(&name, at);
         self.stats.bytes_appended += frame.len() as u64;
@@ -380,6 +406,7 @@ impl ArchiveSink {
         });
         self.active = ActiveSegment::fresh();
         self.active_index += 1;
+        self.active_name = segment_name(&self.config.prefix, self.active_index);
     }
 
     /// Makes the active segment durable (checkpoint calls this so the
@@ -390,8 +417,7 @@ impl ArchiveSink {
         if self.active.records == 0 {
             return;
         }
-        let name = self.segment_name(self.active_index);
-        self.disk.fsync(&name, self.last_at);
+        self.disk.fsync(&self.active_name, self.last_at);
     }
 
     /// Rebuilds a sink from whatever survived on `disk` under
@@ -488,6 +514,7 @@ impl ArchiveSink {
             }
         }
         sink.active_index = last_index.map_or(0, |i| i + 1);
+        sink.active_name = segment_name(&sink.config.prefix, sink.active_index);
         sink.active = ActiveSegment::fresh();
         sink.stats.records = report.records;
         sink.healed = report.clean();
@@ -577,8 +604,7 @@ impl ArchiveSink {
     /// queries degrade, they do not panic.
     fn scan_all(&self, mut visit: impl FnMut(&ArchiveRecord) -> bool) {
         for index in 0.. {
-            let name = self.segment_name(index);
-            let Some(data) = self.disk.read(&name) else {
+            let Some(data) = self.disk.read(&segment_name(&self.config.prefix, index)) else {
                 break;
             };
             let scan = scan_segment(&data);
@@ -674,8 +700,7 @@ impl ArchiveSink {
             _ => false,
         };
         if overlap_active {
-            let name = self.segment_name(self.active_index);
-            if let Some(data) = self.disk.read(&name) {
+            if let Some(data) = self.disk.read(&self.active_name) {
                 let scan = scan_segment(&data);
                 if scan.valid_len < data.len() {
                     corrupt_reads += 1;
@@ -868,8 +893,7 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
 /// Parses one frame at `pos`. Returns `(kind, payload, next_pos)` or `None`
 /// on any framing or checksum violation (including a truncated tail).
 fn parse_frame(data: &[u8], pos: usize) -> Option<(u8, &[u8], usize)> {
-    let header = 1 + 1 + 4;
-    if pos + header > data.len() {
+    if pos + FRAME_HEADER > data.len() {
         return None;
     }
     if data[pos] != RECORD_MAGIC {
@@ -877,7 +901,7 @@ fn parse_frame(data: &[u8], pos: usize) -> Option<(u8, &[u8], usize)> {
     }
     let kind = data[pos + 1];
     let len = u32::from_le_bytes(data[pos + 2..pos + 6].try_into().expect("4 bytes")) as usize;
-    let payload_start = pos + header;
+    let payload_start = pos + FRAME_HEADER;
     let payload_end = payload_start.checked_add(len)?;
     let frame_end = payload_end.checked_add(8)?;
     if frame_end > data.len() {
@@ -895,8 +919,11 @@ fn parse_frame(data: &[u8], pos: usize) -> Option<(u8, &[u8], usize)> {
     Some((kind, payload, frame_end))
 }
 
+/// Frames `payload` as one record. The append path builds the same bytes in
+/// place with [`begin_frame`] and [`finish_frame`]; footers and tests use
+/// this two-step form.
 fn frame_record(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(1 + 1 + 4 + payload.len() + 8);
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len() + 8);
     frame.push(RECORD_MAGIC);
     frame.push(kind);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -909,8 +936,41 @@ fn frame_record(kind: u8, payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// Starts a frame in `frame`, discarding what it held: magic, kind and a
+/// length placeholder. The caller writes the payload after it, then calls
+/// [`finish_frame`].
+fn begin_frame(frame: &mut Vec<u8>, kind: u8) {
+    frame.clear();
+    frame.extend_from_slice(&[RECORD_MAGIC, kind, 0, 0, 0, 0]);
+}
+
+/// Completes a frame [`begin_frame`] started: patches the payload length
+/// into the header and appends the CRC, so the buffer equals
+/// `frame_record(kind, payload)`. The same single pass over the payload
+/// folds `kind || payload` into each of `digests` — exactly what one
+/// [`fnv_fold`] of `[kind]` and one of the payload would give — and returns
+/// the advanced digests.
+fn finish_frame(frame: &mut Vec<u8>, digests: [u64; 2]) -> [u64; 2] {
+    let kind = frame[1];
+    let len = ((frame.len() - FRAME_HEADER) as u32).to_le_bytes();
+    frame[2..FRAME_HEADER].copy_from_slice(&len);
+    let mut states = [digests[0], digests[1], FNV_OFFSET];
+    fnv_fold_each(&mut states, &[kind]);
+    fnv_fold(&mut states[2], &len);
+    fnv_fold_each(&mut states, &frame[FRAME_HEADER..]);
+    let [first, second, crc] = states;
+    frame.extend_from_slice(&crc.to_le_bytes());
+    [first, second]
+}
+
 fn encode_report(report: &ObservationReport) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 8 + 8 + 2 + report.beacons.len() * 36);
+    write_report(&mut out, report);
+    out
+}
+
+/// Appends a report's payload bytes to `out`.
+fn write_report(out: &mut Vec<u8>, report: &ObservationReport) {
     out.extend_from_slice(&report.device.value().to_le_bytes());
     out.extend_from_slice(&report.seq.to_le_bytes());
     out.extend_from_slice(&report.at.as_millis().to_le_bytes());
@@ -921,7 +981,6 @@ fn encode_report(report: &ObservationReport) -> Vec<u8> {
         out.extend_from_slice(&beacon.identity.minor.value().to_le_bytes());
         out.extend_from_slice(&beacon.distance_m.to_bits().to_le_bytes());
     }
-    out
 }
 
 struct Reader<'a> {
@@ -990,11 +1049,16 @@ fn decode_report(payload: &[u8]) -> Option<ObservationReport> {
 
 fn encode_assignment(device: DeviceId, at: SimTime, seq: u64, room: RoomLabel) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 8 + 8 + 8);
+    write_assignment(&mut out, device, at, seq, room);
+    out
+}
+
+/// Appends an assignment's payload bytes to `out`.
+fn write_assignment(out: &mut Vec<u8>, device: DeviceId, at: SimTime, seq: u64, room: RoomLabel) {
     out.extend_from_slice(&device.value().to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&at.as_millis().to_le_bytes());
     out.extend_from_slice(&(room as u64).to_le_bytes());
-    out
 }
 
 fn decode_assignment(payload: &[u8]) -> Option<(DeviceId, SimTime, u64, RoomLabel)> {
@@ -1058,6 +1122,10 @@ fn decode_footer(payload: &[u8]) -> Option<FooterInfo> {
         digest,
         summary,
     })
+}
+
+fn segment_name(prefix: &str, index: u64) -> String {
+    format!("{prefix}seg-{index:08}")
 }
 
 fn parse_segment_index(prefix: &str, name: &str) -> Option<u64> {
@@ -1367,5 +1435,201 @@ mod tests {
         // ...but the sink has demoted itself and says so.
         assert!(!sink.healed());
         assert_eq!(sink.read_corruptions(), 1);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        type BeaconParts = ([u8; 16], u16, u16, u64);
+
+        fn arbitrary_report(
+            device: u32,
+            seq: u64,
+            at_ms: u64,
+            beacons: &[BeaconParts],
+        ) -> ObservationReport {
+            ObservationReport {
+                device: DeviceId::new(device),
+                seq,
+                at: SimTime::from_millis(at_ms),
+                beacons: beacons
+                    .iter()
+                    .map(|&(uuid, major, minor, bits)| SightedBeacon {
+                        identity: BeaconIdentity {
+                            uuid: ProximityUuid::from_bytes(uuid),
+                            major: Major::new(major),
+                            minor: Minor::new(minor),
+                        },
+                        distance_m: f64::from_bits(bits),
+                    })
+                    .collect(),
+            }
+        }
+
+        fn beacons() -> impl Strategy<Value = Vec<BeaconParts>> {
+            prop::collection::vec(
+                (
+                    prop::array::uniform16(any::<u8>()),
+                    any::<u16>(),
+                    any::<u16>(),
+                    any::<u64>(),
+                ),
+                0..9,
+            )
+        }
+
+        /// The valid frame of one report (`room == None`) or assignment.
+        fn oracle_frame(report: &ObservationReport, room: Option<RoomLabel>) -> Vec<u8> {
+            match room {
+                None => frame_record(KIND_REPORT, &encode_report(report)),
+                Some(room) => frame_record(
+                    KIND_ASSIGNMENT,
+                    &encode_assignment(report.device, report.at, report.seq, room),
+                ),
+            }
+        }
+
+        proptest! {
+            /// The in-place frame equals the two-step oracle byte for byte,
+            /// and the fused pass advances each digest exactly as separate
+            /// folds would — whatever the buffer held before.
+            #[test]
+            fn in_place_frames_equal_the_two_step_oracle(
+                device in any::<u32>(),
+                seq in any::<u64>(),
+                at_ms in any::<u64>(),
+                beacons in beacons(),
+                room in any::<usize>(),
+                digests in (any::<u64>(), any::<u64>()),
+                stale in prop::collection::vec(any::<u8>(), 0..40),
+            ) {
+                let report = arbitrary_report(device, seq, at_ms, &beacons);
+                let mut frame = stale;
+                for kind in [KIND_REPORT, KIND_ASSIGNMENT] {
+                    begin_frame(&mut frame, kind);
+                    let payload = if kind == KIND_REPORT {
+                        write_report(&mut frame, &report);
+                        encode_report(&report)
+                    } else {
+                        write_assignment(&mut frame, report.device, report.at, seq, room);
+                        encode_assignment(report.device, report.at, seq, room)
+                    };
+                    let fused = finish_frame(&mut frame, [digests.0, digests.1]);
+                    prop_assert_eq!(&frame, &frame_record(kind, &payload));
+
+                    let mut separate = [digests.0, digests.1];
+                    for digest in &mut separate {
+                        fnv_fold(digest, &[kind]);
+                        fnv_fold(digest, &payload);
+                    }
+                    prop_assert_eq!(fused, separate);
+                    let mut crc = FNV_OFFSET;
+                    fnv_fold(&mut crc, &[kind]);
+                    fnv_fold(&mut crc, &(payload.len() as u32).to_le_bytes());
+                    fnv_fold(&mut crc, &payload);
+                    prop_assert_eq!(&frame[frame.len() - 8..], &crc.to_le_bytes()[..]);
+                }
+            }
+
+            /// A sink's segment files hold exactly the oracle frames in
+            /// append order (footers aside), and its marks are the
+            /// separately folded oracle digests.
+            #[test]
+            fn sink_appends_the_oracle_bytes_and_marks(
+                segment_records in 1u32..6,
+                stream in prop::collection::vec(
+                    (0u32..4, prop::option::of(0usize..5), beacons()),
+                    0..40,
+                ),
+            ) {
+                let config = ArchiveConfig {
+                    segment_records,
+                    ..ArchiveConfig::default()
+                };
+                let disk = SharedDisk::new(SimDisk::pristine(21));
+                let mut sink = ArchiveSink::new(disk.clone(), config.clone());
+                let mut expected = Vec::new();
+                let mut marks: BTreeMap<DeviceId, DeviceMark> = BTreeMap::new();
+                for (i, (device, room, beacons)) in stream.iter().enumerate() {
+                    let report = arbitrary_report(*device, i as u64, 1000 * i as u64, beacons);
+                    let appended = match room {
+                        None => sink.append_report(&report),
+                        Some(room) => {
+                            sink.append_assignment(report.device, report.at, report.seq, *room)
+                        }
+                    };
+                    prop_assert!(appended);
+                    let frame = oracle_frame(&report, *room);
+                    let payload = parse_frame(&frame, 0).expect("oracle frame parses").1;
+                    let mark = marks.entry(report.device).or_insert(DeviceMark {
+                        records: 0,
+                        digest: FNV_OFFSET,
+                    });
+                    fnv_fold(&mut mark.digest, &[frame[1]]);
+                    fnv_fold(&mut mark.digest, payload);
+                    mark.records += 1;
+                    expected.extend_from_slice(&frame);
+                }
+                prop_assert_eq!(sink.marks(), &marks);
+
+                let mut written = Vec::new();
+                for name in disk.list(&config.prefix) {
+                    let data = disk.read(&name).expect("listed");
+                    let mut pos = 0;
+                    while let Some((kind, _, next)) = parse_frame(&data, pos) {
+                        if kind != KIND_FOOTER {
+                            written.extend_from_slice(&data[pos..next]);
+                        }
+                        pos = next;
+                    }
+                    prop_assert_eq!(pos, data.len());
+                }
+                prop_assert_eq!(written, expected);
+            }
+
+            /// No decoder panics on arbitrary bytes, and a scan never claims
+            /// more valid bytes than it was given.
+            #[test]
+            fn decoders_are_total_on_arbitrary_bytes(
+                data in prop::collection::vec(any::<u8>(), 0..160),
+                kind in 0u8..4,
+            ) {
+                for pos in 0..=data.len() + 1 {
+                    if let Some((_, payload, next)) = parse_frame(&data, pos) {
+                        prop_assert!(next <= data.len() && payload.len() < next);
+                    }
+                }
+                prop_assert!(scan_segment(&data).valid_len <= data.len());
+                let _ = decode_report(&data);
+                let _ = decode_assignment(&data);
+                let _ = decode_footer(&data);
+                // The same bytes behind a valid frame reach every decoder
+                // through a scan.
+                let framed = frame_record(kind, &data);
+                let scan = scan_segment(&framed);
+                prop_assert!(scan.valid_len <= framed.len());
+            }
+
+            /// Any single-byte flip or truncation of a valid report or
+            /// assignment frame is rejected.
+            #[test]
+            fn damaged_frames_are_rejected(
+                beacons in beacons(),
+                room in prop::option::of(any::<usize>()),
+                at_ms in any::<u64>(),
+                at_byte in any::<usize>(),
+                mask in 1u8..=255,
+                cut in any::<usize>(),
+            ) {
+                let report = arbitrary_report(7, 9, at_ms, &beacons);
+                let frame = oracle_frame(&report, room);
+                prop_assert!(parse_frame(&frame, 0).is_some());
+                let mut flipped = frame.clone();
+                flipped[at_byte % frame.len()] ^= mask;
+                prop_assert!(parse_frame(&flipped, 0).is_none());
+                prop_assert!(parse_frame(&frame[..cut % frame.len()], 0).is_none());
+            }
+        }
     }
 }

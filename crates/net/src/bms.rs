@@ -191,27 +191,32 @@ impl IngestOutcome {
 /// seqs that genuinely arrived, so the summary stays exact for any
 /// straggler less than `capacity` seqs behind the newest — far beyond any
 /// realistic retransmission delay — while memory stays O(capacity).
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The exact seqs are a sorted run: an in-order seq is a `push_back`, a
+/// straggler a binary search and insert, and eviction pops the front.
+#[derive(Clone, Default, PartialEq)]
 pub(crate) struct DedupWindow {
     watermark: Option<u64>,
-    seen: std::collections::BTreeSet<u64>,
+    /// Exact seqs above the watermark, ascending.
+    seen: VecDeque<u64>,
 }
 
 impl DedupWindow {
     /// Returns true when `seq` is new, recording it and shrinking the
     /// window back to `capacity` entries.
     pub(crate) fn check_and_insert(&mut self, seq: u64, capacity: usize) -> bool {
-        if let Some(watermark) = self.watermark {
-            if seq <= watermark {
-                return false;
-            }
-        }
-        if !self.seen.insert(seq) {
+        if self.watermark.is_some_and(|watermark| seq <= watermark) {
             return false;
         }
+        match self.seen.back() {
+            Some(&newest) if seq <= newest => match self.seen.binary_search(&seq) {
+                Ok(_) => return false,
+                Err(slot) => self.seen.insert(slot, seq),
+            },
+            _ => self.seen.push_back(seq),
+        }
         while self.seen.len() > capacity {
-            let lowest = *self.seen.iter().next().expect("window is non-empty");
-            self.seen.remove(&lowest);
+            let lowest = self.seen.pop_front().expect("window is non-empty");
             self.watermark = Some(self.watermark.map_or(lowest, |w| w.max(lowest)));
         }
         true
@@ -219,6 +224,24 @@ impl DedupWindow {
 
     fn len(&self) -> usize {
         self.seen.len()
+    }
+}
+
+/// Prints exactly what `#[derive(Debug)]` printed when `seen` was a
+/// `BTreeSet<u64>` — `DedupWindow { watermark: …, seen: {…} }` — because
+/// this text is part of every state digest.
+impl fmt::Debug for DedupWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct AsSet<'a>(&'a VecDeque<u64>);
+        impl fmt::Debug for AsSet<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        f.debug_struct("DedupWindow")
+            .field("watermark", &self.watermark)
+            .field("seen", &AsSet(&self.seen))
+            .finish()
     }
 }
 
@@ -2001,5 +2024,68 @@ mod tests {
         assert_eq!(server.report_count(), 800);
         let total: usize = server.occupancy().values().sum();
         assert_eq!(total, 8);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The window as it was first written: a `BTreeSet` of exact seqs.
+        /// Named `DedupWindow` so its derived `Debug` is the text the
+        /// sorted-run window must keep printing.
+        mod reference {
+            #[derive(Debug, Default)]
+            pub struct DedupWindow {
+                pub watermark: Option<u64>,
+                pub seen: std::collections::BTreeSet<u64>,
+            }
+
+            impl DedupWindow {
+                pub fn check_and_insert(&mut self, seq: u64, capacity: usize) -> bool {
+                    if let Some(watermark) = self.watermark {
+                        if seq <= watermark {
+                            return false;
+                        }
+                    }
+                    if !self.seen.insert(seq) {
+                        return false;
+                    }
+                    while self.seen.len() > capacity {
+                        let lowest = *self.seen.iter().next().expect("non-empty");
+                        self.seen.remove(&lowest);
+                        self.watermark = Some(self.watermark.map_or(lowest, |w| w.max(lowest)));
+                    }
+                    true
+                }
+            }
+        }
+
+        proptest! {
+            /// Verdicts, size, watermark and `Debug` text match the
+            /// `BTreeSet` model for streams mixing in-order seqs,
+            /// duplicates, stragglers and seqs below the watermark.
+            #[test]
+            fn sorted_run_window_matches_the_btreeset_model(
+                capacity in 1usize..8,
+                steps in prop::collection::vec((0u64..4, 0u64..12), 0..80),
+            ) {
+                let mut window = DedupWindow::default();
+                let mut model = reference::DedupWindow::default();
+                let mut cursor = 0u64;
+                for (advance, lag) in steps {
+                    cursor += advance;
+                    let seq = cursor.saturating_sub(lag);
+                    prop_assert_eq!(
+                        window.check_and_insert(seq, capacity),
+                        model.check_and_insert(seq, capacity),
+                        "seq {}", seq
+                    );
+                    prop_assert_eq!(window.len(), model.seen.len());
+                    prop_assert_eq!(window.watermark, model.watermark);
+                    prop_assert_eq!(format!("{window:?}"), format!("{model:?}"));
+                    prop_assert_eq!(format!("{window:#?}"), format!("{model:#?}"));
+                }
+            }
+        }
     }
 }

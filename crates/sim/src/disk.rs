@@ -194,13 +194,18 @@ impl SimDisk {
         &self.plan
     }
 
+    /// The file `name`, created empty on first use. Looks up by `&str`, so
+    /// the owned key is allocated only when the file is new.
     fn file_mut(&mut self, name: &str) -> &mut SimFile {
-        let seed = self.seed;
-        self.files.entry(name.to_string()).or_insert_with(|| SimFile {
-            data: Vec::new(),
-            durable_len: 0,
-            rng: rng::for_component(seed, name),
-        })
+        if !self.files.contains_key(name) {
+            let file = SimFile {
+                data: Vec::new(),
+                durable_len: 0,
+                rng: rng::for_component(self.seed, name),
+            };
+            self.files.insert(name.to_string(), file);
+        }
+        self.files.get_mut(name).expect("file exists")
     }
 
     /// Appends `bytes` to `name` (creating it on first use). Returns the
@@ -274,7 +279,6 @@ impl SimDisk {
         self.stats.truncates += 1;
         let file = self.file_mut(name);
         file.data.truncate(len);
-        file.durable_len = file.durable_len.min(file.data.len());
         file.durable_len = file.data.len();
     }
 

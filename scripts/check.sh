@@ -12,8 +12,8 @@
 # fingerprint checksum under a single worker and under the default
 # parallelism. The full single-worker `repro all` text must match the
 # committed repro_output.txt, so every figure and checksum is pinned.
-# Finally one traced perfbench run checks the benchmark's own gates, and the
-# benchmark package runs its self-tests.
+# Finally two traced perfbench runs (office_e2e and surge_ingest) check the
+# benchmark's own gates, and the benchmark package runs its self-tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,9 +67,18 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload office_e2e --seed 1 --seconds 1 --trace 1 > /dev/null
 echo "perfbench office_e2e traced run passed its layer and oracle-digest gates"
 
+# The same for the server write path: one short traced surge_ingest run.
+# perfbench exits non-zero when the ingest tier's state digest differs from
+# its single-thread oracle, when backpressure refused no report, or when the
+# crowd-count MAE exceeds the preset bound, so the archive spill path that
+# retention drives under this burst is gated too.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload surge_ingest --seed 1 --seconds 1 --trace 1 > /dev/null
+echo "perfbench surge_ingest traced run passed its oracle-digest, refusal and MAE gates"
+
 # The benchmark package's own self-tests (it is not a workspace member, so
 # the workspace test runs above never reach them).
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
-echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt + perfbench gates and self-tests green"
+echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt + perfbench office_e2e/surge_ingest gates and self-tests green"
