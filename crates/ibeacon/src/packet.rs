@@ -377,4 +377,63 @@ mod tests {
     fn default_measured_power_is_minus_59() {
         assert_eq!(MeasuredPower::default().dbm(), -59);
     }
+
+    /// Asserts the decoder's contract on `bytes`: it returns `Ok` exactly
+    /// when the length is 30 and the 9-byte prefix matches, and an `Ok`
+    /// re-encodes to the same bytes. A panic inside `decode` fails too.
+    fn assert_decode_contract(bytes: &[u8]) {
+        let valid = bytes.len() == ADVERTISEMENT_LEN && bytes[..PREFIX.len()] == PREFIX;
+        match Packet::decode(bytes) {
+            Ok(packet) => {
+                assert!(valid, "accepted invalid bytes {bytes:02x?}");
+                assert_eq!(packet.encode(), bytes);
+            }
+            Err(_) => assert!(!valid, "rejected a valid payload {bytes:02x?}"),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Arbitrary 0–64 byte inputs, half of them carrying the iBeacon
+        /// prefix so the `Ok` branch is reached too.
+        #[test]
+        fn decode_is_total_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..65),
+            prefixed in any::<bool>(),
+        ) {
+            let mut bytes = bytes;
+            if prefixed && bytes.len() >= PREFIX.len() {
+                bytes[..PREFIX.len()].copy_from_slice(&PREFIX);
+            }
+            assert_decode_contract(&bytes);
+        }
+
+        /// Every single-byte flip and every truncation of a valid encoding.
+        #[test]
+        fn damaged_encodings_keep_the_decode_contract(
+            uuid in prop::array::uniform16(any::<u8>()),
+            major in any::<u16>(),
+            minor in any::<u16>(),
+            power in any::<i8>(),
+            flip in 1u8..=255,
+        ) {
+            let bytes = Packet::new(
+                ProximityUuid::from_bytes(uuid),
+                Major::new(major),
+                Minor::new(minor),
+                MeasuredPower::new(power),
+            )
+            .encode();
+            assert_decode_contract(&bytes);
+            for at in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= flip;
+                assert_decode_contract(&flipped);
+            }
+            for len in 0..bytes.len() {
+                assert_decode_contract(&bytes[..len]);
+            }
+        }
+    }
 }

@@ -10,23 +10,15 @@
 //! batch-ack channel produces the at-least-once duplicate stream
 //! [`BmsServer::ingest`](crate::BmsServer::ingest) dedups.
 
-use crate::{ObservationReport, SendOutcome, Transport, TransportKind};
-use crate::transport::Delivery;
+use crate::outbox::{Outbox, Policy};
+use crate::{Delivery, ObservationReport, Transport};
 use rand::Rng;
 use roomsense_sim::{SimDuration, SimTime};
-use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
-use std::collections::VecDeque;
+use roomsense_telemetry::{keys, Recorder};
 use std::fmt;
 
-#[derive(Debug, Clone, PartialEq)]
-struct QueuedBatch {
-    reports: Vec<ObservationReport>,
-    attempts: u32,
-    next_attempt: SimTime,
-    /// True when the batch already reached the server once but its ack was
-    /// lost — a later success must not re-count its reports as delivered.
-    delivered_before: bool,
-}
+/// Buffered-report capacity, in full batches (open batch + retry queue).
+const CAPACITY_BATCHES: usize = 64;
 
 /// Coalesces reports into batched radio bursts over any [`Transport`].
 ///
@@ -34,9 +26,10 @@ struct QueuedBatch {
 /// report has waited `max_delay` (freshness bound: an observation is never
 /// held longer than one delay before its first transmission attempt).
 /// Sealed batches that fail in the air retry as a unit with exponential
-/// backoff; when the total buffered-report count would exceed the capacity,
-/// the **oldest queued batch** is dropped whole (the freshest observations
-/// are the most valuable to the BMS).
+/// backoff — the whole-batch policy over the shared outbox; when the total
+/// buffered-report count (64 full batches at most) would be exceeded, the
+/// **oldest queued batch** is dropped whole (the freshest observations are
+/// the most valuable to the BMS).
 ///
 /// Report-level accounting mirrors
 /// [`QueueingTransport`](crate::QueueingTransport): a delivered burst of
@@ -63,25 +56,16 @@ pub struct BatchingTransport<T> {
     inner: T,
     max_batch: usize,
     max_delay: SimDuration,
-    capacity: usize,
-    base_backoff: SimDuration,
-    max_backoff: SimDuration,
-    ack_loss: f64,
+    outbox: Outbox,
     open: Vec<ObservationReport>,
     open_since: Option<SimTime>,
-    retry: VecDeque<QueuedBatch>,
-    offered: u64,
-    delivered: u64,
-    dropped: u64,
-    retransmits: u64,
-    bursts: u64,
 }
 
 impl<T: Transport> BatchingTransport<T> {
     /// Wraps `inner`, coalescing up to `max_batch` reports per burst and
     /// holding a report at most `max_delay` before its first attempt. The
     /// retry backoff starts at `max_delay` (capped at 64×) and the buffer
-    /// capacity defaults to 64 full batches.
+    /// holds 64 full batches.
     ///
     /// # Panics
     ///
@@ -93,34 +77,10 @@ impl<T: Transport> BatchingTransport<T> {
             inner,
             max_batch,
             max_delay,
-            capacity: max_batch * 64,
-            base_backoff: max_delay,
-            max_backoff: max_delay * 64,
-            ack_loss: 0.0,
+            outbox: Outbox::new(Policy::Batch { base: max_delay }, max_batch * CAPACITY_BATCHES),
             open: Vec::new(),
             open_since: None,
-            retry: VecDeque::new(),
-            offered: 0,
-            delivered: 0,
-            dropped: 0,
-            retransmits: 0,
-            bursts: 0,
         }
-    }
-
-    /// Overrides the total buffered-report capacity (open batch + retry
-    /// queue; default 64 full batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is below `max_batch`.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        assert!(
-            capacity >= self.max_batch,
-            "capacity must hold at least one full batch"
-        );
-        self.capacity = capacity;
-        self
     }
 
     /// Overrides the retry backoff base (doubled per failed attempt, capped
@@ -130,9 +90,7 @@ impl<T: Transport> BatchingTransport<T> {
     ///
     /// Panics if `base_backoff` is zero.
     pub fn with_backoff(mut self, base_backoff: SimDuration) -> Self {
-        assert!(!base_backoff.is_zero(), "base backoff must be non-zero");
-        self.base_backoff = base_backoff;
-        self.max_backoff = base_backoff * 64;
+        self.outbox.set_policy(Policy::Batch { base: base_backoff });
         self
     }
 
@@ -144,11 +102,7 @@ impl<T: Transport> BatchingTransport<T> {
     ///
     /// Panics if the probability is outside `[0, 1]`.
     pub fn with_ack_loss(mut self, ack_loss: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&ack_loss),
-            "probability must be in [0, 1] (got {ack_loss})"
-        );
-        self.ack_loss = ack_loss;
+        self.outbox.set_ack_loss(ack_loss);
         self
     }
 
@@ -162,6 +116,11 @@ impl<T: Transport> BatchingTransport<T> {
         self.inner
     }
 
+    /// The wrapped transport's recorder, which the batcher's counters share.
+    pub fn telemetry(&self) -> &Recorder {
+        self.inner.telemetry()
+    }
+
     /// The per-burst report limit.
     pub fn max_batch(&self) -> usize {
         self.max_batch
@@ -169,120 +128,39 @@ impl<T: Transport> BatchingTransport<T> {
 
     /// Reports currently buffered (open batch + retry queue).
     pub fn pending(&self) -> usize {
-        self.open.len() + self.retry.iter().map(|b| b.reports.len()).sum::<usize>()
+        self.open.len() + self.outbox.pending()
     }
 
-    /// Reports offered via [`offer`](Self::offer) (or `send`).
+    /// Reports offered via [`offer`](Self::offer).
     pub fn offered(&self) -> u64 {
-        self.offered
+        self.outbox.offered()
     }
 
     /// Offered reports that reached the server at least once.
     pub fn delivered_reports(&self) -> u64 {
-        self.delivered
+        self.outbox.delivered()
     }
 
     /// Reports dropped when the buffer overflowed.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.outbox.dropped()
     }
 
     /// Report retransmissions caused by lost batch acks.
     pub fn retransmits(&self) -> u64 {
-        self.retransmits
+        self.outbox.retransmits()
     }
 
     /// Coalesced burst attempts on the wire.
     pub fn bursts(&self) -> u64 {
-        self.bursts
+        self.outbox.attempts()
     }
 
     /// Mean reports per burst attempt, or `None` before the first burst —
     /// the coalescing factor the energy ledger's batched arm prices.
     pub fn mean_batch_size(&self) -> Option<f64> {
-        if self.bursts == 0 {
-            None
-        } else {
-            Some((self.delivered + self.retransmits) as f64 / self.bursts as f64)
-        }
-    }
-
-    fn backoff_for<R: Rng + ?Sized>(&self, attempts: u32, rng: &mut R) -> SimDuration {
-        let doubling = attempts.saturating_sub(1).min(63);
-        let scaled_ms = self.base_backoff.as_millis().saturating_mul(1u64 << doubling);
-        let capped = self.max_backoff.min(SimDuration::from_millis(scaled_ms));
-        capped + SimDuration::from_millis(rng.gen_range(0..=self.base_backoff.as_millis()))
-    }
-
-    fn ack_lost<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        self.ack_loss > 0.0 && rng.gen::<f64>() < self.ack_loss
-    }
-
-    /// Drops whole oldest retry batches until `extra` more reports fit.
-    fn make_room(&mut self, extra: usize) {
-        while self.pending() + extra > self.capacity {
-            let Some(oldest) = self.retry.pop_front() else { break };
-            let lost = oldest.reports.len() as u64;
-            self.dropped += lost;
-            self.inner
-                .telemetry_mut()
-                .add(keys::NET_BATCH_DROPPED, lost);
-        }
-    }
-
-    /// One coalesced wire attempt for `batch`; pushes deliveries into
-    /// `out` and re-queues the batch on failure or lost ack.
-    fn transmit<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        mut batch: QueuedBatch,
-        rng: &mut R,
-        out: &mut Vec<Delivery>,
-    ) {
-        self.bursts += 1;
-        let k = batch.reports.len() as u64;
-        self.inner
-            .telemetry_mut()
-            .observe(keys::NET_BATCH_SIZE, k as f64);
-        match self.inner.send_batch(at, &batch.reports, rng) {
-            SendOutcome::Delivered { at: arrived } => {
-                if !batch.delivered_before {
-                    self.delivered += k;
-                    self.inner
-                        .telemetry_mut()
-                        .add(keys::NET_BATCH_DELIVERED, k);
-                }
-                out.extend(batch.reports.iter().map(|report| Delivery {
-                    report: report.clone(),
-                    at: arrived,
-                }));
-                if self.ack_lost(rng) {
-                    self.retransmits += k;
-                    let telemetry = self.inner.telemetry_mut();
-                    telemetry.add(keys::NET_BATCH_RETRANSMITS, k);
-                    for report in &batch.reports {
-                        telemetry.record_event(TelemetryEvent::Retransmit {
-                            at,
-                            seq: report.seq,
-                        });
-                    }
-                    batch.attempts += 1;
-                    batch.next_attempt = at + self.backoff_for(batch.attempts, rng);
-                    batch.delivered_before = true;
-                    self.retry.push_back(batch);
-                }
-            }
-            // Backpressure re-queues the batch exactly like a failed or
-            // refused burst: exponential backoff spaces the next attempt,
-            // so a saturated server sees a thinning arrival rate instead
-            // of a hammering client — and no report is ever dropped short
-            // of explicit buffer overflow.
-            SendOutcome::Failed | SendOutcome::Refused | SendOutcome::Backpressured => {
-                batch.attempts += 1;
-                batch.next_attempt = at + self.backoff_for(batch.attempts, rng);
-                self.retry.push_back(batch);
-            }
-        }
+        let bursts = self.bursts();
+        (bursts > 0).then(|| (self.delivered_reports() + self.retransmits()) as f64 / bursts as f64)
     }
 
     /// Seals the open batch into the transmit path.
@@ -293,17 +171,7 @@ impl<T: Transport> BatchingTransport<T> {
         let reports = std::mem::take(&mut self.open);
         self.open_since = None;
         self.inner.telemetry_mut().incr(keys::NET_BATCH_FLUSHES);
-        self.transmit(
-            at,
-            QueuedBatch {
-                reports,
-                attempts: 1,
-                next_attempt: at,
-                delivered_before: false,
-            },
-            rng,
-            out,
-        );
+        self.outbox.send_new(&mut self.inner, at, reports, rng, out);
     }
 
     /// Retries every queued batch whose backoff expired by `at`, and seals
@@ -311,19 +179,7 @@ impl<T: Transport> BatchingTransport<T> {
     /// whatever reached the server.
     pub fn flush_due<R: Rng + ?Sized>(&mut self, at: SimTime, rng: &mut R) -> Vec<Delivery> {
         let mut deliveries = Vec::new();
-        let mut due = Vec::new();
-        let mut waiting = VecDeque::new();
-        while let Some(batch) = self.retry.pop_front() {
-            if batch.next_attempt > at {
-                waiting.push_back(batch);
-            } else {
-                due.push(batch);
-            }
-        }
-        self.retry = waiting;
-        for batch in due {
-            self.transmit(at, batch, rng, &mut deliveries);
-        }
+        self.outbox.flush(&mut self.inner, at, rng, &mut deliveries);
         let deadline_passed = self
             .open_since
             .is_some_and(|since| at.saturating_since(since) >= self.max_delay);
@@ -342,8 +198,9 @@ impl<T: Transport> BatchingTransport<T> {
     }
 
     /// Offers a report: drains due work first, then adds the report to the
-    /// open batch, sealing it immediately when full. Returns everything
-    /// that reached the server during this call.
+    /// open batch (dropping whole oldest queued batches if the buffer is
+    /// full), sealing it immediately when full. Returns everything that
+    /// reached the server during this call.
     pub fn offer<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
@@ -351,9 +208,9 @@ impl<T: Transport> BatchingTransport<T> {
         rng: &mut R,
     ) -> Vec<Delivery> {
         let mut deliveries = self.flush_due(at, rng);
-        self.offered += 1;
-        self.inner.telemetry_mut().incr(keys::NET_BATCH_OFFERED);
-        self.make_room(1);
+        let telemetry = self.inner.telemetry_mut();
+        self.outbox.count_offered(telemetry, 1);
+        self.outbox.make_room(telemetry, self.open.len() + 1);
         if self.open.is_empty() {
             self.open_since = Some(at);
         }
@@ -365,40 +222,6 @@ impl<T: Transport> BatchingTransport<T> {
     }
 }
 
-impl<T: Transport> Transport for BatchingTransport<T> {
-    /// [`offer`](Self::offer)s the report; `Delivered` means *this* report
-    /// happened to go out (and arrive) within this call — usually it is
-    /// still coalescing, which reads as `Failed` here. Callers that batch
-    /// should use `offer`/`flush` directly.
-    fn send<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        report: &ObservationReport,
-        rng: &mut R,
-    ) -> SendOutcome {
-        let device = report.device;
-        let seq = report.seq;
-        let deliveries = self.offer(at, report.clone(), rng);
-        deliveries
-            .iter()
-            .find(|d| d.report.device == device && d.report.seq == seq)
-            .map(|d| SendOutcome::Delivered { at: d.at })
-            .unwrap_or(SendOutcome::Failed)
-    }
-
-    fn telemetry(&self) -> &Recorder {
-        self.inner.telemetry()
-    }
-
-    fn telemetry_mut(&mut self) -> &mut Recorder {
-        self.inner.telemetry_mut()
-    }
-
-    fn kind(&self) -> TransportKind {
-        self.inner.kind()
-    }
-}
-
 impl<T: Transport + fmt::Display> fmt::Display for BatchingTransport<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -407,7 +230,7 @@ impl<T: Transport + fmt::Display> fmt::Display for BatchingTransport<T> {
             self.inner,
             self.max_batch,
             self.pending(),
-            self.bursts
+            self.bursts()
         )
     }
 }
@@ -457,6 +280,7 @@ mod tests {
         assert_eq!(b.telemetry().counter(keys::NET_BATCH_FLUSHES), 1);
         let hist = b.telemetry().histogram(keys::NET_BATCH_SIZE).unwrap();
         assert_eq!(hist.count(), 1);
+        assert_eq!(b.mean_batch_size(), Some(4.0));
     }
 
     #[test]
@@ -526,37 +350,23 @@ mod tests {
 
     #[test]
     fn overflow_drops_the_oldest_queued_batch() {
+        // A dead link and a backoff longer than the test: every sealed pair
+        // parks. The buffer holds 64 full batches (128 reports), so the last
+        // four pairs each evict the oldest parked pair whole.
         let mut b = BatchingTransport::new(
             WifiTransport::new(0.0, SimDuration::from_millis(50)),
             2,
             SimDuration::from_secs(600),
-        )
-        .with_capacity(4);
+        );
         let mut r = rng::for_component(44, "batch-bound");
-        for i in 0..8u64 {
+        for i in 0..136u64 {
             b.offer(SimTime::from_secs(i), stamped_report(i), &mut r);
         }
-        assert!(b.pending() <= 4);
-        assert_eq!(b.dropped(), 4);
-        assert_eq!(b.telemetry().counter(keys::NET_BATCH_DROPPED), 4);
-        // The freshest reports survived.
-        let newest: Vec<u64> = b.retry.iter().flat_map(|q| q.reports.iter().map(|r| r.seq)).collect();
-        assert!(newest.contains(&7) || b.open.iter().any(|r| r.seq == 7));
-    }
-
-    #[test]
-    fn send_matches_on_device_and_seq() {
-        let mut b = BatchingTransport::new(
-            WifiTransport::new(1.0, SimDuration::from_millis(50)),
-            2,
-            SimDuration::from_secs(600),
-        );
-        let mut r = rng::for_component(45, "batch-send");
-        // First report coalesces: not yet delivered.
-        assert!(!b.send(SimTime::from_secs(0), &stamped_report(0), &mut r).is_delivered());
-        // Second fills the batch: this report goes out in this call.
-        assert!(b.send(SimTime::from_secs(1), &stamped_report(1), &mut r).is_delivered());
-        assert_eq!(b.delivered_reports(), 2);
-        assert_eq!(b.mean_batch_size(), Some(2.0));
+        assert_eq!(b.pending(), 128);
+        assert_eq!(b.dropped(), 8);
+        assert_eq!(b.telemetry().counter(keys::NET_BATCH_DROPPED), 8);
+        // The freshest reports survived, in order.
+        let kept: Vec<u64> = b.outbox.buffered_reports().map(|r| r.seq).collect();
+        assert_eq!(kept, (8..136).collect::<Vec<_>>());
     }
 }

@@ -12,7 +12,7 @@
 //! FaultyTransport::new(inner, ap_downtime), server_downtime)` fails when
 //! either schedule is active, which is exactly how an end-to-end ACK behaves.
 
-use crate::{ObservationReport, SendOutcome, Transport, TransportEvent};
+use crate::{Payload, SendOutcome, Transport, TransportEvent};
 use rand::Rng;
 use roomsense_sim::{FaultSchedule, SimDuration, SimTime};
 use roomsense_telemetry::{keys, Recorder};
@@ -77,10 +77,13 @@ impl<T: Transport> FaultyTransport<T> {
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
-    fn send<R: Rng + ?Sized>(
+    /// During an outage window a send — a whole batch included — costs
+    /// exactly one probe burst; outside a window the payload passes through
+    /// to the wrapped transport.
+    fn transmit<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
-        report: &ObservationReport,
+        payload: Payload<'_>,
         rng: &mut R,
     ) -> SendOutcome {
         if self.outages.active_at(at) {
@@ -102,33 +105,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             // down), so retry decorators should stop probing immediately.
             return SendOutcome::Refused;
         }
-        self.inner.send(at, report, rng)
-    }
-
-    /// During an outage window a batch costs exactly one probe burst —
-    /// batching does not multiply the refusal price. Outside a window the
-    /// batch passes through to the wrapped transport's coalesced path.
-    fn send_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: &[ObservationReport],
-        rng: &mut R,
-    ) -> SendOutcome {
-        if self.outages.active_at(at) {
-            self.refusals += 1;
-            let active = SimDuration::from_millis(80 + rng.gen_range(0..40));
-            let probe = TransportEvent {
-                kind: self.inner.kind(),
-                start: at,
-                active,
-                delivered: false,
-            };
-            let telemetry = self.inner.telemetry_mut();
-            telemetry.record_send(probe);
-            telemetry.incr(keys::NET_TX_REFUSED);
-            return SendOutcome::Refused;
-        }
-        self.inner.send_batch(at, reports, rng)
+        self.inner.transmit(at, payload, rng)
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -158,7 +135,7 @@ impl<T: Transport + fmt::Display> fmt::Display for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeviceId, SightedBeacon, WifiTransport};
+    use crate::{DeviceId, ObservationReport, SightedBeacon, WifiTransport};
     use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
     use roomsense_sim::{rng, FaultWindow};
 

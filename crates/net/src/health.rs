@@ -17,7 +17,8 @@
 //! lands in the router's own merged telemetry [`Recorder`], so the energy
 //! ledger prices resilience exactly like any other radio activity.
 
-use crate::{ObservationReport, SendOutcome, Transport, TransportKind};
+use crate::transport::forward;
+use crate::{Payload, SendOutcome, Transport, TransportKind};
 use rand::Rng;
 use roomsense_sim::{SimDuration, SimTime};
 use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
@@ -261,9 +262,10 @@ impl fmt::Display for LinkHealth {
 ///   bursts), then on the secondary if the probe failed.
 /// * primary Down, probe not due — straight to the secondary.
 ///
-/// Both transports' bursts are copied into the router's own recorder with
-/// their own [`TransportKind`], so the energy ledger prices Wi-Fi bursts as
-/// Wi-Fi and BT bursts as BT — resilience has an explicit energy bill. The
+/// Every burst either transport records during a send is copied into the
+/// router's own recorder with its own [`TransportKind`], so the energy
+/// ledger prices Wi-Fi bursts as Wi-Fi and BT bursts as BT — resilience has
+/// an explicit energy bill. The
 /// router additionally counts `net.failover.sends` / `net.failover.probes`
 /// and journals a [`TelemetryEvent::Failover`] per secondary send.
 ///
@@ -336,16 +338,10 @@ impl<P: Transport, S: Transport> FailoverTransport<P, S> {
         self.probes
     }
 
-    fn copy_last_primary_event(&mut self) {
-        if let Some(event) = self.primary.telemetry().last_transport_event() {
-            self.telemetry.record_send(event);
-        }
-    }
-
     fn send_secondary<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
-        report: &ObservationReport,
+        payload: Payload<'_>,
         rng: &mut R,
     ) -> SendOutcome {
         self.failover_sends += 1;
@@ -354,43 +350,22 @@ impl<P: Transport, S: Transport> FailoverTransport<P, S> {
             at,
             kind: self.secondary.kind(),
         });
-        let outcome = self.secondary.send(at, report, rng);
-        if let Some(event) = self.secondary.telemetry().last_transport_event() {
-            self.telemetry.record_send(event);
-        }
-        outcome
-    }
-
-    fn send_secondary_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: &[ObservationReport],
-        rng: &mut R,
-    ) -> SendOutcome {
-        self.failover_sends += 1;
-        self.telemetry.incr(keys::NET_FAILOVER_SENDS);
-        self.telemetry.record_event(TelemetryEvent::Failover {
-            at,
-            kind: self.secondary.kind(),
-        });
-        let outcome = self.secondary.send_batch(at, reports, rng);
-        if let Some(event) = self.secondary.telemetry().last_transport_event() {
-            self.telemetry.record_send(event);
-        }
-        outcome
+        forward(&mut self.telemetry, &mut self.secondary, at, payload, rng)
     }
 }
 
 impl<P: Transport, S: Transport> Transport for FailoverTransport<P, S> {
-    fn send<R: Rng + ?Sized>(
+    /// A batch routes exactly like a single report: one outcome feeds one
+    /// health sample — a burst is one observation of the link, however many
+    /// reports it carries — and a miss fails the whole batch over.
+    fn transmit<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
-        report: &ObservationReport,
+        payload: Payload<'_>,
         rng: &mut R,
     ) -> SendOutcome {
         if self.health.state() != LinkState::Down {
-            let outcome = self.primary.send(at, report, rng);
-            self.copy_last_primary_event();
+            let outcome = forward(&mut self.telemetry, &mut self.primary, at, payload, rng);
             // Server-side backpressure is not a link failure: the channel
             // carried the attempt and the server answered. Don't condemn
             // the link, and don't burn the secondary radio into the same
@@ -405,13 +380,12 @@ impl<P: Transport, S: Transport> Transport for FailoverTransport<P, S> {
             }
             // The report is too valuable to lose to one bad primary
             // attempt: retry it on the secondary right away.
-            return self.send_secondary(at, report, rng);
+            return self.send_secondary(at, payload, rng);
         }
         if self.health.probe_due(at) {
             self.probes += 1;
             self.telemetry.incr(keys::NET_FAILOVER_PROBES);
-            let outcome = self.primary.send(at, report, rng);
-            self.copy_last_primary_event();
+            let outcome = forward(&mut self.telemetry, &mut self.primary, at, payload, rng);
             // A backpressured probe proves the *link* works even though
             // the server shed the report: count it toward recovery, but
             // report the shed upward rather than rerouting.
@@ -421,46 +395,7 @@ impl<P: Transport, S: Transport> Transport for FailoverTransport<P, S> {
                 return outcome;
             }
         }
-        self.send_secondary(at, report, rng)
-    }
-
-    /// Routes a coalesced batch exactly like [`send`](Transport::send)
-    /// routes a single report: primary while not Down (failing over the
-    /// whole batch on a miss), probe-then-secondary while Down. One batch
-    /// outcome feeds one health sample — a burst is one observation of the
-    /// link, however many reports it carries.
-    fn send_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: &[ObservationReport],
-        rng: &mut R,
-    ) -> SendOutcome {
-        if self.health.state() != LinkState::Down {
-            let outcome = self.primary.send_batch(at, reports, rng);
-            self.copy_last_primary_event();
-            // Same backpressure rule as single sends: the link is fine,
-            // the server is shedding — pass the signal up unrecorded.
-            if outcome.is_backpressured() {
-                return outcome;
-            }
-            self.health.record(outcome.is_delivered());
-            if outcome.is_delivered() {
-                return outcome;
-            }
-            return self.send_secondary_batch(at, reports, rng);
-        }
-        if self.health.probe_due(at) {
-            self.probes += 1;
-            self.telemetry.incr(keys::NET_FAILOVER_PROBES);
-            let outcome = self.primary.send_batch(at, reports, rng);
-            self.copy_last_primary_event();
-            self.health
-                .record_probe(at, outcome.is_delivered() || outcome.is_backpressured());
-            if outcome.is_delivered() || outcome.is_backpressured() {
-                return outcome;
-            }
-        }
-        self.send_secondary_batch(at, reports, rng)
+        self.send_secondary(at, payload, rng)
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -496,7 +431,10 @@ impl<P: Transport + fmt::Display, S: Transport + fmt::Display> fmt::Display
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BtRelayTransport, DeviceId, FaultyTransport, SightedBeacon, WifiTransport};
+    use crate::{
+        BtRelayTransport, DeviceId, FaultyTransport, ObservationReport, Retrying, SightedBeacon,
+        WifiTransport,
+    };
     use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
     use roomsense_sim::{rng, FaultSchedule, FaultWindow};
 
@@ -762,6 +700,44 @@ mod tests {
         assert_eq!(t.probes(), 0);
         assert_eq!(t.kind(), TransportKind::Wifi);
         assert_eq!(t.health().transitions(), 0);
+    }
+
+    #[test]
+    fn empty_batch_records_no_burst_and_no_health_sample() {
+        let mut t = FailoverTransport::new(
+            WifiTransport::new(1.0, SimDuration::from_millis(50)),
+            BtRelayTransport::new(1.0, SimDuration::from_millis(400)),
+            LinkHealthConfig::default(),
+        );
+        let mut r = rng::for_component(24, "empty-batch");
+        assert!(t.send(SimTime::from_secs(1), &report(0, SimTime::from_secs(1)), &mut r).is_delivered());
+        assert_eq!(t.telemetry().counter(keys::NET_TX_ATTEMPTS), 1);
+        assert!(t.send_batch(SimTime::from_secs(2), &[], &mut r).is_delivered());
+        assert_eq!(t.telemetry().counter(keys::NET_TX_ATTEMPTS), 1, "no radio, no burst");
+        assert_eq!(t.health().success_ratio(), Some(1.0));
+        assert_eq!(t.telemetry().transport_events().len(), 1);
+    }
+
+    #[test]
+    fn every_retry_under_the_router_is_priced() {
+        // A dead primary behind Retrying burns 1 + 2 bursts before the
+        // router fails over; all three reach the merged recorder, not just
+        // the last.
+        let mut t = FailoverTransport::new(
+            Retrying::new(BtRelayTransport::new(0.0, SimDuration::from_millis(400)), 2),
+            WifiTransport::new(1.0, SimDuration::from_millis(50)),
+            LinkHealthConfig::default(),
+        );
+        let mut r = rng::for_component(25, "retry-forward");
+        let at = SimTime::from_secs(1);
+        assert!(t.send(at, &report(0, at), &mut r).is_delivered());
+        assert_eq!(t.primary().telemetry().counter(keys::NET_TX_ATTEMPTS), 3);
+        assert_eq!(t.telemetry().counter(keys::NET_TX_ATTEMPTS), 4);
+        assert_eq!(t.telemetry().counter(keys::NET_TX_ATTEMPTS_BT), 3);
+        let starts: Vec<SimTime> = t.telemetry().transport_events().iter().map(|e| e.start).collect();
+        let primary_starts: Vec<SimTime> =
+            t.primary().telemetry().transport_events().iter().map(|e| e.start).collect();
+        assert_eq!(&starts[..3], &primary_starts[..], "forwarded in record order");
     }
 
     #[test]

@@ -31,6 +31,7 @@ mod federation;
 mod health;
 mod ingest;
 mod message;
+mod outbox;
 mod peer;
 mod shard;
 mod transport;
@@ -59,6 +60,6 @@ pub use message::{
 pub use peer::{PeerRelayConfig, PeerRelayTransport};
 pub use shard::{ShardedBmsCheckpoint, ShardedBmsServer};
 pub use transport::{
-    BtRelayTransport, Delivery, QueueingTransport, Retrying, SendOutcome, Transport,
+    BtRelayTransport, Delivery, Payload, QueueingTransport, Retrying, SendOutcome, Transport,
     TransportEvent, TransportKind, WifiTransport,
 };

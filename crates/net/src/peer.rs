@@ -18,11 +18,12 @@
 //! [`TelemetryEvent::Failover`] with the mesh kind, and the mesh mirrors its
 //! own `net.peer.*` counters next to the failover router's.
 
-use crate::{Delivery, ObservationReport, SendOutcome, Transport, TransportKind};
+use crate::outbox::{Outbox, Policy};
+use crate::transport::forward;
+use crate::{Delivery, ObservationReport, Payload, SendOutcome, Transport, TransportKind};
 use rand::Rng;
 use roomsense_sim::{SimDuration, SimTime};
 use roomsense_telemetry::{keys, Recorder, TelemetryEvent, TransportEvent};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Mesh geometry and reliability knobs for [`PeerRelayTransport`].
@@ -70,7 +71,6 @@ impl PeerRelayConfig {
             "probability must be in [0, 1] (got {})",
             self.hop_success
         );
-        assert!(self.queue_capacity > 0, "queue capacity must be non-zero");
     }
 }
 
@@ -78,24 +78,24 @@ impl PeerRelayConfig {
 /// hop-count-bounded phone-to-phone BLE mesh to a peer's exit uplink, and
 /// finally into a bounded store-and-forward buffer.
 ///
-/// Routing per send:
+/// Routing per attempt:
 ///
 /// * the `direct` uplink (typically a whole
 ///   [`FailoverTransport`](crate::FailoverTransport) stack) is tried first;
-///   `Backpressured` propagates unrecorded — the server is shedding, and
+///   `Backpressured` does not walk the mesh — the server is shedding, and
 ///   flooding the mesh into the same server only deepens the overload.
 /// * on a direct failure the report hops the mesh: each hop is a priced
 ///   [`TransportKind::PeerMesh`] burst with its own success coin; after
 ///   [`hops_to_exit`](PeerRelayConfig::hops_to_exit) clean hops (within the
 ///   [`max_hops`](PeerRelayConfig::max_hops) budget) the report exits over
 ///   the peer's `exit` transport, delayed by the accumulated hop time.
-/// * if the mesh cannot get the report out, it parks in the buffer;
-///   [`offer`](Self::offer) drains the backlog whenever a later call finds a
-///   working path.
+/// * if neither path gets the report out (backpressure included), it parks
+///   in the buffer — the no-backoff policy over the shared outbox:
+///   [`offer`](Self::offer) and [`flush`](Self::flush) retry every parked
+///   report whenever they run.
 ///
-/// [`Transport::send`] returns `Failed` for a parked report (it may still
-/// deliver later) — callers that need the backlog use [`offer`](Self::offer),
-/// exactly like [`QueueingTransport`](crate::QueueingTransport).
+/// Every burst of either uplink is forwarded into the mesh's own recorder,
+/// next to the hops.
 ///
 /// # Examples
 ///
@@ -111,95 +111,39 @@ impl PeerRelayConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeerRelayTransport<D, X> {
+    path: MeshPath<D, X>,
+    outbox: Outbox,
+    parked: u64,
+}
+
+/// One end-to-end attempt — direct uplink, then the mesh walk — with no
+/// buffering: the transport the mesh's outbox sends through.
+#[derive(Debug, Clone, PartialEq)]
+struct MeshPath<D, X> {
     direct: D,
     exit: X,
     config: PeerRelayConfig,
     telemetry: Recorder,
-    queue: VecDeque<ObservationReport>,
     relayed: u64,
-    parked: u64,
-    dropped: u64,
 }
 
-impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
-    /// Wires the device's own uplink and the exit peer's uplink into one
-    /// mesh path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (zero hops, a budget
-    /// below the exit distance, a probability outside `[0, 1]`, a zero
-    /// buffer).
-    pub fn new(direct: D, exit: X, config: PeerRelayConfig) -> Self {
-        config.validate();
-        PeerRelayTransport {
-            direct,
-            exit,
-            config,
-            telemetry: Recorder::new(),
-            queue: VecDeque::new(),
-            relayed: 0,
-            parked: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Injects a pre-configured recorder as the mesh's merged sink.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
-        self
-    }
-
-    /// The mesh configuration.
-    pub fn config(&self) -> &PeerRelayConfig {
-        &self.config
-    }
-
-    /// The device's own uplink.
-    pub fn direct(&self) -> &D {
-        &self.direct
-    }
-
-    /// The exit peer's uplink.
-    pub fn exit(&self) -> &X {
-        &self.exit
-    }
-
-    /// Reports the mesh carried to the exit peer's uplink.
-    pub fn relayed(&self) -> u64 {
-        self.relayed
-    }
-
-    /// Reports currently parked in the store-and-forward buffer.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Reports that have ever parked in the buffer.
-    pub fn parked(&self) -> u64 {
-        self.parked
-    }
-
-    /// Reports evicted from a full buffer.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn copy_last_event_of(telemetry: &mut Recorder, source: &Recorder) {
-        if let Some(event) = source.last_transport_event() {
-            telemetry.record_send(event);
-        }
-    }
-
-    /// Walks the mesh: burns hop attempts until `hops_to_exit` succeed or
-    /// the budget runs out, then exits over the peer uplink. Every hop is a
-    /// priced burst; the exit send happens after the accumulated hop time.
-    fn relay_via_mesh<R: Rng + ?Sized>(
+impl<D: Transport, X: Transport> Transport for MeshPath<D, X> {
+    /// Tries the direct uplink; on a failure, walks the mesh: burns hop
+    /// attempts until `hops_to_exit` succeed or the budget runs out, then
+    /// exits over the peer uplink after the accumulated hop time.
+    fn transmit<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
-        report: &ObservationReport,
+        payload: Payload<'_>,
         rng: &mut R,
     ) -> SendOutcome {
+        let outcome = forward(&mut self.telemetry, &mut self.direct, at, payload, rng);
+        // Server-side backpressure is not a path failure: the uplink carried
+        // the attempt and the server shed it. Relaying the same report into
+        // the same server over the mesh would only deepen the overload.
+        if outcome.is_delivered() || outcome.is_backpressured() {
+            return outcome;
+        }
         let mut clean_hops = 0u32;
         let mut attempts = 0u32;
         let mut hop_start = at;
@@ -228,179 +172,13 @@ impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
             at,
             kind: TransportKind::PeerMesh,
         });
-        let outcome = self.exit.send(hop_start, report, rng);
-        Self::copy_last_event_of(&mut self.telemetry, self.exit.telemetry());
+        let outcome = forward(&mut self.telemetry, &mut self.exit, hop_start, payload, rng);
         if outcome.is_delivered() {
-            self.relayed += 1;
-            self.telemetry.incr(keys::NET_PEER_RELAYED);
+            let k = payload.reports().len() as u64;
+            self.relayed += k;
+            self.telemetry.add(keys::NET_PEER_RELAYED, k);
         }
         outcome
-    }
-
-    /// One end-to-end attempt — direct, then mesh — with no queueing.
-    fn try_path<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        report: &ObservationReport,
-        rng: &mut R,
-    ) -> SendOutcome {
-        let outcome = self.direct.send(at, report, rng);
-        Self::copy_last_event_of(&mut self.telemetry, self.direct.telemetry());
-        // Server-side backpressure is not a path failure: the uplink carried
-        // the attempt and the server shed it. Relaying the same report into
-        // the same server over the mesh would only deepen the overload —
-        // propagate the signal unrecorded so the layer above backs off.
-        if outcome.is_delivered() || outcome.is_backpressured() {
-            return outcome;
-        }
-        self.relay_via_mesh(at, report, rng)
-    }
-
-    fn park(&mut self, report: ObservationReport) {
-        if self.queue.len() == self.config.queue_capacity {
-            self.queue.pop_front();
-            self.dropped += 1;
-            self.telemetry.incr(keys::NET_PEER_DROPPED);
-        }
-        self.parked += 1;
-        self.telemetry.incr(keys::NET_PEER_QUEUED);
-        self.queue.push_back(report);
-    }
-
-    /// Retries every parked report over the full direct-then-mesh path;
-    /// returns the ones that got through. Reports that still cannot exit
-    /// stay parked (in order).
-    pub fn flush<R: Rng + ?Sized>(&mut self, at: SimTime, rng: &mut R) -> Vec<Delivery> {
-        let mut deliveries = Vec::new();
-        let mut still_waiting = VecDeque::new();
-        while let Some(report) = self.queue.pop_front() {
-            match self.try_path(at, &report, rng) {
-                SendOutcome::Delivered { at: arrived } => {
-                    deliveries.push(Delivery {
-                        report,
-                        at: arrived,
-                    });
-                }
-                SendOutcome::Failed | SendOutcome::Refused | SendOutcome::Backpressured => {
-                    still_waiting.push_back(report);
-                }
-            }
-        }
-        self.queue = still_waiting;
-        deliveries
-    }
-
-    /// Offers a new report: drains the parked backlog first, then attempts
-    /// this report once, parking it if neither the direct uplink nor the
-    /// mesh can carry it. Returns everything that reached the server during
-    /// this call (backlog first).
-    pub fn offer<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        report: ObservationReport,
-        rng: &mut R,
-    ) -> Vec<Delivery> {
-        let mut deliveries = self.flush(at, rng);
-        match self.try_path(at, &report, rng) {
-            SendOutcome::Delivered { at: arrived } => {
-                deliveries.push(Delivery {
-                    report,
-                    at: arrived,
-                });
-            }
-            SendOutcome::Failed | SendOutcome::Refused | SendOutcome::Backpressured => {
-                self.park(report);
-            }
-        }
-        deliveries
-    }
-}
-
-impl<D: Transport, X: Transport> Transport for PeerRelayTransport<D, X> {
-    /// [`offer`](Self::offer)s the report without touching the backlog;
-    /// `Failed` means it was parked (it may still deliver from a later
-    /// [`offer`](Self::offer) or [`flush`](Self::flush)).
-    fn send<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        report: &ObservationReport,
-        rng: &mut R,
-    ) -> SendOutcome {
-        let outcome = self.try_path(at, report, rng);
-        match outcome {
-            SendOutcome::Delivered { .. } | SendOutcome::Backpressured => outcome,
-            SendOutcome::Failed | SendOutcome::Refused => {
-                self.park(report.clone());
-                SendOutcome::Failed
-            }
-        }
-    }
-
-    /// Routes a coalesced batch like one report: direct uplink first, then
-    /// one mesh walk carrying the whole batch to the exit peer. A batch that
-    /// cannot get out parks report-by-report (parked retries go out
-    /// individually from [`flush`](Self::flush)).
-    fn send_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: &[ObservationReport],
-        rng: &mut R,
-    ) -> SendOutcome {
-        if reports.is_empty() {
-            return SendOutcome::Delivered { at };
-        }
-        let outcome = self.direct.send_batch(at, reports, rng);
-        Self::copy_last_event_of(&mut self.telemetry, self.direct.telemetry());
-        if outcome.is_delivered() || outcome.is_backpressured() {
-            return outcome;
-        }
-        let mut clean_hops = 0u32;
-        let mut attempts = 0u32;
-        let mut hop_start = at;
-        while clean_hops < self.config.hops_to_exit && attempts < self.config.max_hops {
-            attempts += 1;
-            let active =
-                self.config.hop_latency + SimDuration::from_millis(rng.gen_range(0..100));
-            let delivered = rng.gen::<f64>() < self.config.hop_success;
-            self.telemetry.record_send(TransportEvent {
-                kind: TransportKind::PeerMesh,
-                start: hop_start,
-                active,
-                delivered,
-            });
-            hop_start += active;
-            if delivered {
-                clean_hops += 1;
-            }
-        }
-        self.telemetry.observe(keys::NET_PEER_HOPS, attempts as f64);
-        if clean_hops < self.config.hops_to_exit {
-            for report in reports {
-                self.park(report.clone());
-            }
-            return SendOutcome::Failed;
-        }
-        self.telemetry.record_event(TelemetryEvent::Failover {
-            at,
-            kind: TransportKind::PeerMesh,
-        });
-        let outcome = self.exit.send_batch(hop_start, reports, rng);
-        Self::copy_last_event_of(&mut self.telemetry, self.exit.telemetry());
-        match outcome {
-            SendOutcome::Delivered { .. } => {
-                self.relayed += reports.len() as u64;
-                self.telemetry
-                    .add(keys::NET_PEER_RELAYED, reports.len() as u64);
-                outcome
-            }
-            SendOutcome::Backpressured => outcome,
-            SendOutcome::Failed | SendOutcome::Refused => {
-                for report in reports {
-                    self.park(report.clone());
-                }
-                SendOutcome::Failed
-            }
-        }
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -417,6 +195,109 @@ impl<D: Transport, X: Transport> Transport for PeerRelayTransport<D, X> {
     }
 }
 
+impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
+    /// Wires the device's own uplink and the exit peer's uplink into one
+    /// mesh path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is inconsistent (zero hops, a budget
+    /// below the exit distance, a probability outside `[0, 1]`, a zero
+    /// buffer).
+    pub fn new(direct: D, exit: X, config: PeerRelayConfig) -> Self {
+        config.validate();
+        PeerRelayTransport {
+            path: MeshPath {
+                direct,
+                exit,
+                config,
+                telemetry: Recorder::new(),
+                relayed: 0,
+            },
+            outbox: Outbox::new(Policy::Mesh, config.queue_capacity),
+            parked: 0,
+        }
+    }
+
+    /// Injects a pre-configured recorder as the mesh's merged sink.
+    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.path.telemetry = recorder;
+        self
+    }
+
+    /// The mesh's merged recorder: both uplinks' bursts, the hops, and the
+    /// `net.peer.*` counters.
+    pub fn telemetry(&self) -> &Recorder {
+        &self.path.telemetry
+    }
+
+    /// The mesh configuration.
+    pub fn config(&self) -> &PeerRelayConfig {
+        &self.path.config
+    }
+
+    /// The device's own uplink.
+    pub fn direct(&self) -> &D {
+        &self.path.direct
+    }
+
+    /// The exit peer's uplink.
+    pub fn exit(&self) -> &X {
+        &self.path.exit
+    }
+
+    /// Reports the mesh carried to the exit peer's uplink.
+    pub fn relayed(&self) -> u64 {
+        self.path.relayed
+    }
+
+    /// Reports currently parked in the store-and-forward buffer.
+    pub fn pending(&self) -> usize {
+        self.outbox.pending()
+    }
+
+    /// Reports that have ever parked in the buffer.
+    pub fn parked(&self) -> u64 {
+        self.parked
+    }
+
+    /// Reports evicted from a full buffer.
+    pub fn dropped(&self) -> u64 {
+        self.outbox.dropped()
+    }
+
+    /// Retries every parked report over the full direct-then-mesh path;
+    /// returns the ones that got through. Reports that still cannot exit
+    /// stay parked (in order).
+    pub fn flush<R: Rng + ?Sized>(&mut self, at: SimTime, rng: &mut R) -> Vec<Delivery> {
+        let mut deliveries = Vec::new();
+        self.outbox.flush(&mut self.path, at, rng, &mut deliveries);
+        deliveries
+    }
+
+    /// Offers a new report: drains the parked backlog first, then attempts
+    /// this report once, parking it if neither the direct uplink nor the
+    /// mesh can carry it. Returns everything that reached the server during
+    /// this call (backlog first).
+    pub fn offer<R: Rng + ?Sized>(
+        &mut self,
+        at: SimTime,
+        report: ObservationReport,
+        rng: &mut R,
+    ) -> Vec<Delivery> {
+        let mut deliveries = self.flush(at, rng);
+        self.outbox.count_offered(&mut self.path.telemetry, 1);
+        if self
+            .outbox
+            .send_new(&mut self.path, at, vec![report], rng, &mut deliveries)
+        {
+            self.parked += 1;
+            self.path.telemetry.incr(keys::NET_PEER_QUEUED);
+        }
+        deliveries
+    }
+}
+
 impl<D: Transport + fmt::Display, X: Transport + fmt::Display> fmt::Display
     for PeerRelayTransport<D, X>
 {
@@ -424,7 +305,11 @@ impl<D: Transport + fmt::Display, X: Transport + fmt::Display> fmt::Display
         write!(
             f,
             "peer mesh over [{}] exiting via [{}] ({} relayed, {} parked, {} pending)",
-            self.direct, self.exit, self.relayed, self.parked, self.pending()
+            self.path.direct,
+            self.path.exit,
+            self.path.relayed,
+            self.parked,
+            self.pending()
         )
     }
 }
@@ -469,10 +354,10 @@ mod tests {
     }
 
     impl Transport for SheddingTransport {
-        fn send<R: Rng + ?Sized>(
+        fn transmit<R: Rng + ?Sized>(
             &mut self,
             _at: SimTime,
-            _report: &ObservationReport,
+            _payload: Payload<'_>,
             _rng: &mut R,
         ) -> SendOutcome {
             SendOutcome::Backpressured
@@ -501,12 +386,11 @@ mod tests {
         let mut r = rng::for_component(40, "peer-healthy");
         for i in 0..50u64 {
             let at = SimTime::from_secs(i * 10);
-            assert!(mesh.send(at, &report(i, at), &mut r).is_delivered());
+            assert_eq!(mesh.offer(at, report(i, at), &mut r).len(), 1);
         }
         assert_eq!(mesh.relayed(), 0);
         assert_eq!(mesh.pending(), 0);
         assert_eq!(mesh.telemetry().counter(keys::NET_TX_ATTEMPTS_PEER), 0);
-        assert_eq!(mesh.kind(), TransportKind::Wifi);
     }
 
     #[test]
@@ -536,12 +420,10 @@ mod tests {
             },
         );
         let mut r = rng::for_component(41, "peer-dual-outage");
-        let mut delivered = 0u32;
+        let mut delivered = 0usize;
         for i in 0..120u64 {
             let at = SimTime::from_secs(i * 10);
-            if mesh.send(at, &report(i, at), &mut r).is_delivered() {
-                delivered += 1;
-            }
+            delivered += mesh.offer(at, report(i, at), &mut r).len();
         }
         assert_eq!(delivered, 120, "no report may be lost to the dual outage");
         assert!(mesh.relayed() > 30, "relayed {}", mesh.relayed());
@@ -596,16 +478,14 @@ mod tests {
         );
         let mut r = rng::for_component(42, "peer-latency");
         let at = SimTime::from_secs(5);
-        match mesh.send(at, &report(0, at), &mut r) {
-            SendOutcome::Delivered { at: arrived } => {
-                // Three hops at >= 250 ms each must delay the exit send.
-                assert!(
-                    arrived >= at + SimDuration::from_millis(750),
-                    "arrived {arrived:?}"
-                );
-            }
-            other => panic!("expected delivery, got {other:?}"),
-        }
+        let deliveries = mesh.offer(at, report(0, at), &mut r);
+        assert_eq!(deliveries.len(), 1, "expected delivery");
+        // Three hops at >= 250 ms each must delay the exit send.
+        let arrived = deliveries[0].at;
+        assert!(
+            arrived >= at + SimDuration::from_millis(750),
+            "arrived {arrived:?}"
+        );
     }
 
     #[test]
@@ -663,20 +543,23 @@ mod tests {
         let mut r = rng::for_component(44, "peer-evict");
         for i in 0..10u64 {
             let at = SimTime::from_secs(i);
-            assert!(!mesh.send(at, &report(i, at), &mut r).is_delivered());
+            assert!(mesh.offer(at, report(i, at), &mut r).is_empty());
         }
         assert_eq!(mesh.pending(), 4);
         assert_eq!(mesh.dropped(), 6);
         assert_eq!(mesh.telemetry().counter(keys::NET_PEER_DROPPED), 6);
         // The freshest observations survive.
         assert_eq!(
-            mesh.queue.iter().map(|q| q.seq).collect::<Vec<_>>(),
+            mesh.outbox.buffered_reports().map(|q| q.seq).collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
     }
 
     #[test]
-    fn backpressure_propagates_without_parking_or_relaying() {
+    fn backpressure_parks_without_relaying() {
+        // A shed report must not flood the mesh into the same overloaded
+        // server: no hop is burned, and the report parks instead of being
+        // lost.
         let mut mesh = PeerRelayTransport::new(
             SheddingTransport {
                 telemetry: Recorder::new(),
@@ -686,34 +569,39 @@ mod tests {
         );
         let mut r = rng::for_component(45, "peer-shed");
         let at = SimTime::from_secs(1);
-        assert!(mesh.send(at, &report(0, at), &mut r).is_backpressured());
-        assert_eq!(mesh.pending(), 0, "a shed report must not park");
+        assert!(mesh.offer(at, report(0, at), &mut r).is_empty());
+        assert_eq!(mesh.pending(), 1, "a shed report parks");
+        assert_eq!(mesh.parked(), 1);
         assert_eq!(mesh.relayed(), 0, "a shed report must not hit the mesh");
         assert_eq!(mesh.telemetry().counter(keys::NET_TX_ATTEMPTS_PEER), 0);
     }
 
     #[test]
-    fn batch_relays_as_one_mesh_walk() {
-        let mut mesh = PeerRelayTransport::new(
+    fn mesh_forwards_every_burst_of_a_failing_over_direct_uplink() {
+        // The direct router's Wi-Fi is in an outage: its refused probe
+        // burst and the BT failover burst are both radio activity, so the
+        // mesh's merged recorder must price both, not only the last.
+        let direct = FailoverTransport::new(
             FaultyTransport::new(
                 WifiTransport::new(1.0, SimDuration::from_millis(50)),
-                outage(0, 1_000_000),
+                outage(0, 1_000),
             ),
-            WifiTransport::new(1.0, SimDuration::from_millis(50)),
-            PeerRelayConfig {
-                hop_success: 1.0,
-                ..PeerRelayConfig::default()
-            },
+            BtRelayTransport::new(1.0, SimDuration::from_millis(400)),
+            LinkHealthConfig::default(),
         );
-        let mut r = rng::for_component(46, "peer-batch");
+        let mut mesh = PeerRelayTransport::new(
+            direct,
+            WifiTransport::new(1.0, SimDuration::from_millis(50)),
+            PeerRelayConfig::default(),
+        );
+        let mut r = rng::for_component(46, "peer-forward");
         let at = SimTime::from_secs(1);
-        let reports: Vec<_> = (0..5).map(|i| report(i, at)).collect();
-        assert!(mesh.send_batch(at, &reports, &mut r).is_delivered());
-        assert_eq!(mesh.relayed(), 5);
-        // One walk: hops_to_exit bursts, not 5 * hops_to_exit.
+        assert_eq!(mesh.offer(at, report(0, at), &mut r).len(), 1);
+        assert_eq!(mesh.direct().telemetry().counter(keys::NET_TX_ATTEMPTS), 2);
+        assert_eq!(mesh.telemetry().counter(keys::NET_TX_ATTEMPTS), 2);
         assert_eq!(
-            mesh.telemetry().counter(keys::NET_TX_ATTEMPTS_PEER),
-            u64::from(mesh.config().hops_to_exit)
+            mesh.telemetry().transport_events(),
+            mesh.direct().telemetry().transport_events()
         );
     }
 

@@ -8,12 +8,14 @@
 //! transport they wrap, so a whole stack (queue → fault layer → failover →
 //! radios) prices into one sink.
 
+use crate::outbox::{Outbox, Policy};
 use crate::{batched_wire_size_bytes, ObservationReport};
 use rand::Rng;
 use roomsense_sim::{SimDuration, SimTime};
 use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
 use std::fmt;
 
+pub use crate::outbox::Delivery;
 pub use roomsense_telemetry::{TransportEvent, TransportKind};
 
 /// The result of one send attempt.
@@ -58,49 +60,86 @@ impl SendOutcome {
     }
 }
 
+/// What one send carries: a single report or a coalesced batch.
+///
+/// The payload is the one place that knows how a send is sized — one
+/// report by [`ObservationReport::wire_size_bytes`], a batch by
+/// [`batched_wire_size_bytes`] (one shared envelope) — and that an empty
+/// batch is no payload at all: [`Payload::batch`] refuses it, so
+/// [`Transport::send_batch`] delivers it on the spot without a burst. A
+/// coalesced batch rides **one** radio burst — the paper's Fig. 10 energy
+/// lever (fewer wakes) applied at the transport layer — and is atomic: it
+/// delivers wholly or not at all.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Payload<'a> {
+    reports: &'a [ObservationReport],
+    coalesced: bool,
+}
+
+impl<'a> Payload<'a> {
+    /// A single report.
+    pub fn one(report: &'a ObservationReport) -> Self {
+        Payload {
+            reports: std::slice::from_ref(report),
+            coalesced: false,
+        }
+    }
+
+    /// A coalesced batch, or `None` when `reports` is empty.
+    pub fn batch(reports: &'a [ObservationReport]) -> Option<Self> {
+        (!reports.is_empty()).then_some(Payload {
+            reports,
+            coalesced: true,
+        })
+    }
+
+    /// The reports carried (never empty).
+    pub fn reports(&self) -> &'a [ObservationReport] {
+        self.reports
+    }
+
+    /// The payload's serialized size on the wire.
+    pub fn wire_size_bytes(&self) -> usize {
+        if self.coalesced {
+            batched_wire_size_bytes(self.reports)
+        } else {
+            self.reports[0].wire_size_bytes()
+        }
+    }
+}
+
 /// A channel that can carry observation reports to the server.
 pub trait Transport {
-    /// Attempts to send a report at time `at`. Returns the outcome and
-    /// records the radio burst into [`telemetry`](Self::telemetry).
+    /// Attempts to carry `payload` at time `at`. Returns the outcome and
+    /// records every radio burst into [`telemetry`](Self::telemetry).
+    fn transmit<R: Rng + ?Sized>(
+        &mut self,
+        at: SimTime,
+        payload: Payload<'_>,
+        rng: &mut R,
+    ) -> SendOutcome;
+
+    /// Attempts to send one report at time `at`.
     fn send<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
         report: &ObservationReport,
         rng: &mut R,
-    ) -> SendOutcome;
+    ) -> SendOutcome {
+        self.transmit(at, Payload::one(report), rng)
+    }
 
-    /// Attempts to send several reports as **one logical batch** at `at`.
-    ///
-    /// The default implementation loops [`send`](Self::send) — `k` separate
-    /// radio bursts, `Refused` short-circuits, `Failed` if any report
-    /// failed, otherwise `Delivered` at the latest arrival. Radios that can
-    /// coalesce (Wi-Fi, the BT relay) override this to carry the whole
-    /// batch in a **single burst** priced by
-    /// [`batched_wire_size_bytes`](crate::batched_wire_size_bytes) — the
-    /// paper's Fig. 10 energy lever (fewer wakes) applied at the transport
-    /// layer. A coalesced batch is atomic: it delivers wholly or not at
-    /// all. An empty batch is trivially delivered and burns no radio.
+    /// Attempts to send several reports as **one** coalesced batch at `at`
+    /// (see [`Payload`]); an empty batch is delivered without a burst.
     fn send_batch<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
         reports: &[ObservationReport],
         rng: &mut R,
     ) -> SendOutcome {
-        let mut arrived = at;
-        let mut failed = false;
-        for report in reports {
-            match self.send(at, report, rng) {
-                SendOutcome::Delivered { at } => arrived = arrived.max(at),
-                SendOutcome::Refused => return SendOutcome::Refused,
-                SendOutcome::Backpressured => return SendOutcome::Backpressured,
-                SendOutcome::Failed => failed = true,
-            }
-        }
-        if failed {
-            SendOutcome::Failed
-        } else {
-            SendOutcome::Delivered { at: arrived }
-        }
+        Payload::batch(reports).map_or(SendOutcome::Delivered { at }, |payload| {
+            self.transmit(at, payload, rng)
+        })
     }
 
     /// The telemetry sink this transport records into. Decorators delegate
@@ -126,6 +165,59 @@ pub trait Transport {
             return None;
         }
         Some(self.telemetry().counter(keys::NET_TX_DELIVERED) as f64 / attempts as f64)
+    }
+}
+
+/// Runs one [`transmit`](Transport::transmit) on `inner` and copies every
+/// burst `inner` recorded during the call — none when it recorded none —
+/// into `sink`. Routers that own a merged recorder (failover, the peer
+/// mesh) forward their inner layers' bursts through this, so a layer that
+/// retries or fails over underneath is priced burst for burst.
+pub(crate) fn forward<T: Transport, R: Rng + ?Sized>(
+    sink: &mut Recorder,
+    inner: &mut T,
+    at: SimTime,
+    payload: Payload<'_>,
+    rng: &mut R,
+) -> SendOutcome {
+    let before = inner.telemetry().counter(keys::NET_TX_ATTEMPTS);
+    let outcome = inner.transmit(at, payload, rng);
+    let fresh = (inner.telemetry().counter(keys::NET_TX_ATTEMPTS) - before) as usize;
+    let mut bursts: Vec<TransportEvent> = inner
+        .telemetry()
+        .journal()
+        .rev()
+        .filter_map(|event| match event {
+            TelemetryEvent::Send { event } => Some(*event),
+            _ => None,
+        })
+        .take(fresh)
+        .collect();
+    while let Some(burst) = bursts.pop() {
+        sink.record_send(burst);
+    }
+    outcome
+}
+
+/// Records one radio burst of `active` air time and turns its success coin
+/// into the outcome.
+fn burst(
+    telemetry: &mut Recorder,
+    kind: TransportKind,
+    at: SimTime,
+    active: SimDuration,
+    delivered: bool,
+) -> SendOutcome {
+    telemetry.record_send(TransportEvent {
+        kind,
+        start: at,
+        active,
+        delivered,
+    });
+    if delivered {
+        SendOutcome::Delivered { at: at + active }
+    } else {
+        SendOutcome::Failed
     }
 }
 
@@ -173,58 +265,20 @@ impl Default for WifiTransport {
 }
 
 impl Transport for WifiTransport {
-    fn send<R: Rng + ?Sized>(
+    /// One HTTP POST per payload (a batch shares it): one jitter draw, one
+    /// success coin.
+    fn transmit<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
-        report: &ObservationReport,
+        payload: Payload<'_>,
         rng: &mut R,
     ) -> SendOutcome {
         // Air time: base latency + ~1 ms per 100 bytes of payload + jitter.
-        let payload_ms = (report.wire_size_bytes() as u64) / 100;
+        let payload_ms = (payload.wire_size_bytes() as u64) / 100;
         let jitter_ms = rng.gen_range(0..30);
         let active = self.base_latency + SimDuration::from_millis(payload_ms + jitter_ms);
         let delivered = rng.gen::<f64>() < self.success_probability;
-        self.telemetry.record_send(TransportEvent {
-            kind: TransportKind::Wifi,
-            start: at,
-            active,
-            delivered,
-        });
-        if delivered {
-            SendOutcome::Delivered { at: at + active }
-        } else {
-            SendOutcome::Failed
-        }
-    }
-
-    /// Coalesces the batch into **one** HTTP POST: a single burst whose air
-    /// time covers the shared envelope plus every report's payload, one
-    /// jitter draw, one success coin. The whole batch delivers or fails
-    /// together.
-    fn send_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: &[ObservationReport],
-        rng: &mut R,
-    ) -> SendOutcome {
-        if reports.is_empty() {
-            return SendOutcome::Delivered { at };
-        }
-        let payload_ms = (batched_wire_size_bytes(reports) as u64) / 100;
-        let jitter_ms = rng.gen_range(0..30);
-        let active = self.base_latency + SimDuration::from_millis(payload_ms + jitter_ms);
-        let delivered = rng.gen::<f64>() < self.success_probability;
-        self.telemetry.record_send(TransportEvent {
-            kind: TransportKind::Wifi,
-            start: at,
-            active,
-            delivered,
-        });
-        if delivered {
-            SendOutcome::Delivered { at: at + active }
-        } else {
-            SendOutcome::Failed
-        }
+        burst(&mut self.telemetry, TransportKind::Wifi, at, active, delivered)
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -296,59 +350,23 @@ impl Default for BtRelayTransport {
 }
 
 impl Transport for BtRelayTransport {
-    fn send<R: Rng + ?Sized>(
+    /// One GATT connection per payload: connection setup is paid once for a
+    /// whole batch instead of per report — the dominant cost on this
+    /// channel, so batching helps BLE even more than Wi-Fi.
+    fn transmit<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
-        report: &ObservationReport,
+        payload: Payload<'_>,
         rng: &mut R,
     ) -> SendOutcome {
         // Connection setup dominates; payload is tiny at BLE rates
         // (~4 ms per 100 bytes) plus connection jitter.
-        let payload_ms = (report.wire_size_bytes() as u64) * 4 / 100;
+        let payload_ms = (payload.wire_size_bytes() as u64) * 4 / 100;
         let jitter_ms = rng.gen_range(0..200);
         let active = self.connect_latency + SimDuration::from_millis(payload_ms + jitter_ms);
         let delivered = rng.gen::<f64>() < self.success_probability;
         // A failed attempt still burns (most of) the connect time.
-        self.telemetry.record_send(TransportEvent {
-            kind: TransportKind::BluetoothRelay,
-            start: at,
-            active,
-            delivered,
-        });
-        if delivered {
-            SendOutcome::Delivered { at: at + active }
-        } else {
-            SendOutcome::Failed
-        }
-    }
-
-    /// Coalesces the batch into **one** GATT connection: connection setup is
-    /// paid once for the whole batch instead of per report — the dominant
-    /// cost on this channel, so batching helps BLE even more than Wi-Fi.
-    fn send_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: &[ObservationReport],
-        rng: &mut R,
-    ) -> SendOutcome {
-        if reports.is_empty() {
-            return SendOutcome::Delivered { at };
-        }
-        let payload_ms = (batched_wire_size_bytes(reports) as u64) * 4 / 100;
-        let jitter_ms = rng.gen_range(0..200);
-        let active = self.connect_latency + SimDuration::from_millis(payload_ms + jitter_ms);
-        let delivered = rng.gen::<f64>() < self.success_probability;
-        self.telemetry.record_send(TransportEvent {
-            kind: TransportKind::BluetoothRelay,
-            start: at,
-            active,
-            delivered,
-        });
-        if delivered {
-            SendOutcome::Delivered { at: at + active }
-        } else {
-            SendOutcome::Failed
-        }
+        burst(&mut self.telemetry, TransportKind::BluetoothRelay, at, active, delivered)
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -381,7 +399,8 @@ impl fmt::Display for BtRelayTransport {
 /// solution due to bugs in the BLE Android API"; the pragmatic fix is to
 /// retry. Each attempt burns its own radio burst (recorded in the inner
 /// transport's telemetry), so the energy model automatically prices the
-/// reliability gain.
+/// reliability gain. A batch retries as a unit: each attempt is one
+/// coalesced burst.
 ///
 /// # Examples
 ///
@@ -421,15 +440,15 @@ impl<T: Transport> Retrying<T> {
 }
 
 impl<T: Transport> Transport for Retrying<T> {
-    fn send<R: Rng + ?Sized>(
+    fn transmit<R: Rng + ?Sized>(
         &mut self,
         at: SimTime,
-        report: &ObservationReport,
+        payload: Payload<'_>,
         rng: &mut R,
     ) -> SendOutcome {
         let mut attempt_at = at;
         for _ in 0..=self.max_retries {
-            match self.inner.send(attempt_at, report, rng) {
+            match self.inner.transmit(attempt_at, payload, rng) {
                 SendOutcome::Delivered { at } => return SendOutcome::Delivered { at },
                 // A refusal means the link is in a correlated outage: every
                 // remaining immediate retry would be refused too, so stop
@@ -443,35 +462,6 @@ impl<T: Transport> Transport for Retrying<T> {
                 SendOutcome::Backpressured => return SendOutcome::Backpressured,
                 SendOutcome::Failed => {
                     // The retry starts after the failed attempt's burst.
-                    let burst = self
-                        .inner
-                        .telemetry()
-                        .last_transport_event()
-                        .map(|e| e.active)
-                        .unwrap_or(SimDuration::ZERO);
-                    attempt_at += burst;
-                }
-            }
-        }
-        SendOutcome::Failed
-    }
-
-    /// Retries the **whole batch** as a unit: each attempt is one coalesced
-    /// burst on the inner transport, spaced by the previous burst's air
-    /// time, with the same `Refused` short-circuit as single sends.
-    fn send_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: &[ObservationReport],
-        rng: &mut R,
-    ) -> SendOutcome {
-        let mut attempt_at = at;
-        for _ in 0..=self.max_retries {
-            match self.inner.send_batch(attempt_at, reports, rng) {
-                SendOutcome::Delivered { at } => return SendOutcome::Delivered { at },
-                SendOutcome::Refused => return SendOutcome::Refused,
-                SendOutcome::Backpressured => return SendOutcome::Backpressured,
-                SendOutcome::Failed => {
                     let burst = self
                         .inner
                         .telemetry()
@@ -504,36 +494,18 @@ impl<T: Transport + fmt::Display> fmt::Display for Retrying<T> {
     }
 }
 
-/// One report delivered out of a [`QueueingTransport`]'s buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delivery {
-    /// The report that got through.
-    pub report: ObservationReport,
-    /// When it arrived at the server.
-    pub at: SimTime,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct QueuedReport {
-    report: ObservationReport,
-    attempts: u32,
-    next_attempt: SimTime,
-    /// True when the report already reached the server once but its ack was
-    /// lost — the queued copy is a retransmission, so a later successful
-    /// send must not count it as a *second* delivered report.
-    delivered_before: bool,
-}
-
 /// Store-and-forward resilience: failed reports wait in a bounded buffer
 /// and are retried with exponential backoff (plus jitter) on later calls.
 ///
 /// Where [`Retrying`] burns its whole retry budget *immediately* — which is
-/// hopeless against a correlated outage measured in minutes — this decorator
+/// hopeless against a correlated outage measured in minutes — this layer
 /// holds reports across the outage and drains them once the link returns.
-/// Every actual radio burst still lands in the shared telemetry recorder, so
-/// the energy model automatically prices the resilience; the queue also
-/// mirrors its own counters (`net.queue.*`) and journals a
-/// [`TelemetryEvent::Retransmit`] per lost ack.
+/// It is the one-report-per-entry policy over the shared outbox (see
+/// DESIGN.md, "Delivery semantics"). Every actual radio burst still lands
+/// in the wrapped transport's recorder, so the energy model automatically
+/// prices the resilience; the queue also mirrors its own counters
+/// (`net.queue.*`) and journals a [`TelemetryEvent::Retransmit`] per lost
+/// ack.
 ///
 /// When the buffer is full the *oldest* queued report is dropped (the
 /// freshest observation is the most valuable to the BMS).
@@ -554,55 +526,22 @@ struct QueuedReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueingTransport<T> {
     inner: T,
-    capacity: usize,
-    base_backoff: SimDuration,
-    max_backoff: SimDuration,
-    ack_loss: f64,
-    queue: std::collections::VecDeque<QueuedReport>,
-    offered: u64,
-    delivered: u64,
-    dropped: u64,
-    retransmits: u64,
+    outbox: Outbox,
 }
 
 impl<T: Transport> QueueingTransport<T> {
     /// Wraps `inner` with a buffer of `capacity` reports and the given base
-    /// backoff (doubled per failed attempt, capped at
-    /// [`max_backoff`](Self::max_backoff) — 64× the base by default —
+    /// backoff (doubled per failed attempt, capped at 64× the base,
     /// jittered).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero or the backoff is zero.
     pub fn new(inner: T, capacity: usize, base_backoff: SimDuration) -> Self {
-        assert!(capacity > 0, "queue capacity must be non-zero");
-        assert!(!base_backoff.is_zero(), "base backoff must be non-zero");
         QueueingTransport {
             inner,
-            capacity,
-            base_backoff,
-            max_backoff: base_backoff * 64,
-            ack_loss: 0.0,
-            queue: std::collections::VecDeque::new(),
-            offered: 0,
-            delivered: 0,
-            dropped: 0,
-            retransmits: 0,
+            outbox: Outbox::new(Policy::Queue { base: base_backoff }, capacity),
         }
-    }
-
-    /// Overrides the backoff ceiling (default: 64× the base backoff).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_backoff` is below the base backoff.
-    pub fn with_max_backoff(mut self, max_backoff: SimDuration) -> Self {
-        assert!(
-            max_backoff >= self.base_backoff,
-            "max backoff must be at least the base backoff"
-        );
-        self.max_backoff = max_backoff;
-        self
     }
 
     /// Models a lossy acknowledgement channel: with probability `ack_loss`,
@@ -617,17 +556,8 @@ impl<T: Transport> QueueingTransport<T> {
     ///
     /// Panics if the probability is outside `[0, 1]`.
     pub fn with_ack_loss(mut self, ack_loss: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&ack_loss),
-            "probability must be in [0, 1] (got {ack_loss})"
-        );
-        self.ack_loss = ack_loss;
+        self.outbox.set_ack_loss(ack_loss);
         self
-    }
-
-    /// The configured backoff ceiling.
-    pub fn max_backoff(&self) -> SimDuration {
-        self.max_backoff
     }
 
     /// The wrapped transport.
@@ -640,30 +570,35 @@ impl<T: Transport> QueueingTransport<T> {
         self.inner
     }
 
-    /// Reports currently waiting in the buffer.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+    /// The wrapped transport's recorder, which the queue's counters share.
+    pub fn telemetry(&self) -> &Recorder {
+        self.inner.telemetry()
     }
 
-    /// Reports offered via [`offer`](Self::offer) (or `send`).
+    /// Reports currently waiting in the buffer.
+    pub fn pending(&self) -> usize {
+        self.outbox.pending()
+    }
+
+    /// Reports offered via [`offer`](Self::offer).
     pub fn offered(&self) -> u64 {
-        self.offered
+        self.outbox.offered()
     }
 
     /// Offered reports that eventually got through.
     pub fn delivered_reports(&self) -> u64 {
-        self.delivered
+        self.outbox.delivered()
     }
 
     /// Reports evicted from a full buffer.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.outbox.dropped()
     }
 
     /// Deliveries whose ack was lost, forcing a retransmission (only
     /// non-zero when [`with_ack_loss`](Self::with_ack_loss) is set).
     pub fn retransmits(&self) -> u64 {
-        self.retransmits
+        self.outbox.retransmits()
     }
 
     /// End-to-end *report* delivery rate: delivered / offered, or `None`
@@ -672,111 +607,23 @@ impl<T: Transport> QueueingTransport<T> {
     /// bursts (a report delivered on its third attempt counts once here but
     /// three times there).
     pub fn report_delivery_rate(&self) -> Option<f64> {
-        if self.offered == 0 {
-            None
-        } else {
-            Some(self.delivered as f64 / self.offered as f64)
-        }
-    }
-
-    fn backoff_for<R: Rng + ?Sized>(&self, attempts: u32, rng: &mut R) -> SimDuration {
-        // Saturate the doubling instead of hard-coding a shift cap: the
-        // ceiling is `max_backoff`, whatever the constructor chose.
-        let doubling = attempts.saturating_sub(1).min(63);
-        let scaled_ms = self.base_backoff.as_millis().saturating_mul(1u64 << doubling);
-        let capped = self.max_backoff.min(SimDuration::from_millis(scaled_ms));
-        // Full jitter on top of the exponential floor de-synchronises the
-        // fleet when a shared outage lifts.
-        capped + SimDuration::from_millis(rng.gen_range(0..=self.base_backoff.as_millis()))
-    }
-
-    fn enqueue<R: Rng + ?Sized>(
-        &mut self,
-        report: ObservationReport,
-        attempts: u32,
-        at: SimTime,
-        delivered_before: bool,
-        rng: &mut R,
-    ) {
-        if self.queue.len() == self.capacity {
-            self.queue.pop_front();
-            self.dropped += 1;
-            self.inner.telemetry_mut().incr(keys::NET_QUEUE_DROPPED);
-        }
-        let next_attempt = at + self.backoff_for(attempts, rng);
-        self.queue.push_back(QueuedReport {
-            report,
-            attempts,
-            next_attempt,
-            delivered_before,
-        });
-    }
-
-    fn record_delivered_report(&mut self) {
-        self.delivered += 1;
-        self.inner.telemetry_mut().incr(keys::NET_QUEUE_DELIVERED);
-    }
-
-    fn record_retransmit(&mut self, at: SimTime, seq: u64) {
-        self.retransmits += 1;
-        let telemetry = self.inner.telemetry_mut();
-        telemetry.incr(keys::NET_QUEUE_RETRANSMITS);
-        telemetry.record_event(TelemetryEvent::Retransmit { at, seq });
+        let offered = self.outbox.offered();
+        (offered > 0).then(|| self.outbox.delivered() as f64 / offered as f64)
     }
 
     /// Retries every queued report whose backoff has expired by `at`;
     /// returns the ones that got through.
     pub fn flush<R: Rng + ?Sized>(&mut self, at: SimTime, rng: &mut R) -> Vec<Delivery> {
         let mut deliveries = Vec::new();
-        let mut still_waiting = std::collections::VecDeque::new();
-        while let Some(mut entry) = self.queue.pop_front() {
-            if entry.next_attempt > at {
-                still_waiting.push_back(entry);
-                continue;
-            }
-            match self.inner.send(at, &entry.report, rng) {
-                SendOutcome::Delivered { at: arrived } => {
-                    if !entry.delivered_before {
-                        self.record_delivered_report();
-                    }
-                    if self.ack_lost(rng) {
-                        // The server got the report but the ack vanished:
-                        // keep the entry queued for a retransmission.
-                        self.record_retransmit(at, entry.report.seq);
-                        entry.attempts += 1;
-                        entry.next_attempt = at + self.backoff_for(entry.attempts, rng);
-                        entry.delivered_before = true;
-                        deliveries.push(Delivery {
-                            report: entry.report.clone(),
-                            at: arrived,
-                        });
-                        still_waiting.push_back(entry);
-                    } else {
-                        deliveries.push(Delivery {
-                            report: entry.report,
-                            at: arrived,
-                        });
-                    }
-                }
-                SendOutcome::Failed | SendOutcome::Refused | SendOutcome::Backpressured => {
-                    entry.attempts += 1;
-                    entry.next_attempt = at + self.backoff_for(entry.attempts, rng);
-                    still_waiting.push_back(entry);
-                }
-            }
-        }
-        self.queue = still_waiting;
+        self.outbox.flush(&mut self.inner, at, rng, &mut deliveries);
         deliveries
     }
 
-    /// Draws the ack-loss coin — only when the knob is armed, so the default
-    /// configuration consumes exactly the same RNG stream as before.
-    fn ack_lost<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        self.ack_loss > 0.0 && rng.gen::<f64>() < self.ack_loss
-    }
-
     /// Offers a new report: first drains due queue entries, then attempts
-    /// this report once, queueing it on failure. Returns everything that
+    /// this report once, queueing it on failure. An overloaded server
+    /// (`Backpressured`) queues exactly like a bad link: the report parks
+    /// with exponential backoff, so the client naturally thins its arrival
+    /// rate until the server's mailboxes drain. Returns everything that
     /// reached the server during this call (queued backlog first).
     pub fn offer<R: Rng + ?Sized>(
         &mut self,
@@ -785,153 +632,10 @@ impl<T: Transport> QueueingTransport<T> {
         rng: &mut R,
     ) -> Vec<Delivery> {
         let mut deliveries = self.flush(at, rng);
-        self.offered += 1;
-        self.inner.telemetry_mut().incr(keys::NET_QUEUE_OFFERED);
-        match self.inner.send(at, &report, rng) {
-            SendOutcome::Delivered { at: arrived } => {
-                self.record_delivered_report();
-                if self.ack_lost(rng) {
-                    self.record_retransmit(at, report.seq);
-                    deliveries.push(Delivery {
-                        report: report.clone(),
-                        at: arrived,
-                    });
-                    self.enqueue(report, 2, at, true, rng);
-                } else {
-                    deliveries.push(Delivery {
-                        report,
-                        at: arrived,
-                    });
-                }
-            }
-            // An overloaded server (`Backpressured`) queues exactly like a
-            // bad link: the report parks with exponential backoff, so the
-            // client naturally thins its arrival rate until the server's
-            // mailboxes drain. Nothing is dropped.
-            SendOutcome::Failed | SendOutcome::Refused | SendOutcome::Backpressured => {
-                self.enqueue(report, 1, at, false, rng)
-            }
-        }
+        self.outbox.count_offered(self.inner.telemetry_mut(), 1);
+        self.outbox
+            .send_new(&mut self.inner, at, vec![report], rng, &mut deliveries);
         deliveries
-    }
-
-    /// Offers a coalesced batch: drains due queue entries, then attempts
-    /// the whole batch as **one** burst via
-    /// [`Transport::send_batch`], queueing every report individually on
-    /// failure (queued retries go out as single bursts from
-    /// [`flush`](Self::flush)).
-    ///
-    /// Report-level accounting treats the burst as `k` reports, not one: a
-    /// delivered batch counts `k` toward
-    /// [`delivered_reports`](Self::delivered_reports), and a lost **batch
-    /// ack** (one coin per burst — the server acks the envelope, not each
-    /// report) retransmits and re-counts all `k` as
-    /// [`retransmits`](Self::retransmits).
-    pub fn offer_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: Vec<ObservationReport>,
-        rng: &mut R,
-    ) -> Vec<Delivery> {
-        let mut deliveries = self.flush(at, rng);
-        let k = reports.len() as u64;
-        self.offered += k;
-        self.inner.telemetry_mut().add(keys::NET_QUEUE_OFFERED, k);
-        if reports.is_empty() {
-            return deliveries;
-        }
-        match self.inner.send_batch(at, &reports, rng) {
-            SendOutcome::Delivered { at: arrived } => {
-                for _ in 0..k {
-                    self.record_delivered_report();
-                }
-                if self.ack_lost(rng) {
-                    for report in &reports {
-                        self.record_retransmit(at, report.seq);
-                    }
-                    for report in reports {
-                        deliveries.push(Delivery {
-                            report: report.clone(),
-                            at: arrived,
-                        });
-                        self.enqueue(report, 2, at, true, rng);
-                    }
-                } else {
-                    deliveries.extend(reports.into_iter().map(|report| Delivery {
-                        report,
-                        at: arrived,
-                    }));
-                }
-            }
-            SendOutcome::Failed | SendOutcome::Refused | SendOutcome::Backpressured => {
-                for report in reports {
-                    self.enqueue(report, 1, at, false, rng);
-                }
-            }
-        }
-        deliveries
-    }
-}
-
-impl<T: Transport> Transport for QueueingTransport<T> {
-    /// [`offer`](Self::offer)s the report; `Delivered` means *this* report
-    /// got through in this call. `Failed` means it was queued (it may still
-    /// deliver from a later call) — callers that need the backlog should use
-    /// `offer` directly.
-    fn send<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        report: &ObservationReport,
-        rng: &mut R,
-    ) -> SendOutcome {
-        // Match on `(device, seq)`: the sequence number is unique per
-        // device, so a queued backlog report that happens to share this
-        // report's timestamp can never alias it.
-        let device = report.device;
-        let seq = report.seq;
-        let deliveries = self.offer(at, report.clone(), rng);
-        deliveries
-            .iter()
-            .find(|d| d.report.device == device && d.report.seq == seq)
-            .map(|d| SendOutcome::Delivered { at: d.at })
-            .unwrap_or(SendOutcome::Failed)
-    }
-
-    /// [`offer_batch`](Self::offer_batch)es the reports; `Delivered` means
-    /// every report in *this* batch got through in this call (queued
-    /// otherwise, so it may still deliver later).
-    fn send_batch<R: Rng + ?Sized>(
-        &mut self,
-        at: SimTime,
-        reports: &[ObservationReport],
-        rng: &mut R,
-    ) -> SendOutcome {
-        let wanted: Vec<(crate::DeviceId, u64)> =
-            reports.iter().map(|r| (r.device, r.seq)).collect();
-        let deliveries = self.offer_batch(at, reports.to_vec(), rng);
-        let mut arrived = at;
-        for key in &wanted {
-            match deliveries
-                .iter()
-                .find(|d| (d.report.device, d.report.seq) == *key)
-            {
-                Some(d) => arrived = arrived.max(d.at),
-                None => return SendOutcome::Failed,
-            }
-        }
-        SendOutcome::Delivered { at: arrived }
-    }
-
-    fn telemetry(&self) -> &Recorder {
-        self.inner.telemetry()
-    }
-
-    fn telemetry_mut(&mut self) -> &mut Recorder {
-        self.inner.telemetry_mut()
-    }
-
-    fn kind(&self) -> TransportKind {
-        self.inner.kind()
     }
 }
 
@@ -941,15 +645,15 @@ impl<T: Transport + fmt::Display> fmt::Display for QueueingTransport<T> {
             f,
             "{} queueing (cap {}, {} pending, {} dropped)",
             self.inner,
-            self.capacity,
-            self.queue.len(),
-            self.dropped
+            self.outbox.capacity(),
+            self.outbox.pending(),
+            self.outbox.dropped()
         )
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{DeviceId, SightedBeacon};
     use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
@@ -1230,27 +934,7 @@ mod tests {
             SimDuration::from_secs(1),
         );
         assert_eq!(q.report_delivery_rate(), None);
-        assert_eq!(q.delivery_rate(), None);
-    }
-
-    #[test]
-    fn queueing_send_reports_immediate_outcome() {
-        let mut q = QueueingTransport::new(
-            WifiTransport::new(1.0, SimDuration::from_millis(50)),
-            8,
-            SimDuration::from_secs(1),
-        );
-        let mut r = rng::for_component(14, "queue-send");
-        let outcome = q.send(SimTime::from_secs(1), &stamped_report(1), &mut r);
-        assert!(outcome.is_delivered());
-        let mut dead = QueueingTransport::new(
-            WifiTransport::new(0.0, SimDuration::from_millis(50)),
-            8,
-            SimDuration::from_secs(1),
-        );
-        let outcome = dead.send(SimTime::from_secs(1), &stamped_report(1), &mut r);
-        assert!(!outcome.is_delivered());
-        assert_eq!(dead.pending(), 1);
+        assert_eq!(q.inner().delivery_rate(), None);
     }
 
     #[test]
@@ -1271,124 +955,36 @@ mod tests {
         );
     }
 
-    /// A test transport that plays back a script of per-send outcomes, so
-    /// the delivery-matching logic can be pinned down deterministically.
-    struct Scripted {
-        outcomes: std::collections::VecDeque<bool>,
-        telemetry: Recorder,
-    }
-
-    impl Scripted {
-        fn new(outcomes: &[bool]) -> Self {
-            Scripted {
-                outcomes: outcomes.iter().copied().collect(),
-                telemetry: Recorder::new(),
-            }
-        }
-    }
-
-    impl Transport for Scripted {
-        fn send<R: Rng + ?Sized>(
-            &mut self,
-            at: SimTime,
-            _report: &ObservationReport,
-            _rng: &mut R,
-        ) -> SendOutcome {
-            let delivered = self.outcomes.pop_front().expect("script exhausted");
-            self.telemetry.record_send(TransportEvent {
-                kind: TransportKind::Wifi,
-                start: at,
-                active: SimDuration::from_millis(50),
-                delivered,
-            });
-            if delivered {
-                SendOutcome::Delivered {
-                    at: at + SimDuration::from_millis(50),
-                }
-            } else {
-                SendOutcome::Failed
-            }
-        }
-
-        /// Coalesces like the real radios: one scripted outcome per burst,
-        /// whatever the batch size.
-        fn send_batch<R: Rng + ?Sized>(
-            &mut self,
-            at: SimTime,
-            reports: &[ObservationReport],
-            rng: &mut R,
-        ) -> SendOutcome {
-            if reports.is_empty() {
-                return SendOutcome::Delivered { at };
-            }
-            self.send(at, &reports[0], rng)
-        }
-
-        fn telemetry(&self) -> &Recorder {
-            &self.telemetry
-        }
-
-        fn telemetry_mut(&mut self) -> &mut Recorder {
-            &mut self.telemetry
-        }
-
-        fn kind(&self) -> TransportKind {
-            TransportKind::Wifi
-        }
-    }
-
-    #[test]
-    fn queueing_send_matches_on_seq_not_timestamp() {
-        // Regression for the `(device, at)` aliasing bug. Script: the first
-        // report (seq=1, t=5s) fails and is queued. On the second call the
-        // backlog retry *succeeds* but the fresh report (seq=2) — stamped
-        // with the identical `(device, at)` — *fails*. The old timestamp
-        // match saw the backlog delivery and reported the fresh report as
-        // delivered; the seq key must report it Failed (it is queued).
-        let mut q = QueueingTransport::new(Scripted::new(&[false, true, false]), 8, SimDuration::from_secs(1));
-        let mut r = rng::for_component(15, "queue-seq");
-        let twin = |seq: u64| ObservationReport {
-            seq,
-            at: SimTime::from_secs(5),
-            ..report()
-        };
-        assert!(!q.send(SimTime::from_secs(5), &twin(1), &mut r).is_delivered());
-        assert_eq!(q.pending(), 1);
-        let outcome = q.send(SimTime::from_secs(200), &twin(2), &mut r);
-        assert!(
-            !outcome.is_delivered(),
-            "fresh seq=2 failed; backlog seq=1's delivery must not alias it"
-        );
-        // The backlog report did get through, and seq=2 is now queued.
-        assert_eq!(q.delivered_reports(), 1);
-        assert_eq!(q.pending(), 1);
-    }
-
     /// Scripts full [`SendOutcome`]s (not just success/failure) so the
     /// decorator stack's reaction to server-side backpressure is testable
-    /// without a real overloaded server.
-    struct OutcomeScripted {
-        outcomes: std::collections::VecDeque<SendOutcome>,
+    /// without a real overloaded server. The script repeats once played out.
+    pub(crate) struct OutcomeScripted {
+        outcomes: Vec<SendOutcome>,
+        played: usize,
         telemetry: Recorder,
     }
 
     impl OutcomeScripted {
-        fn new(outcomes: &[SendOutcome]) -> Self {
+        pub(crate) fn new(outcomes: &[SendOutcome]) -> Self {
+            assert!(!outcomes.is_empty(), "empty script");
             OutcomeScripted {
-                outcomes: outcomes.iter().copied().collect(),
+                outcomes: outcomes.to_vec(),
+                played: 0,
                 telemetry: Recorder::new(),
             }
         }
     }
 
     impl Transport for OutcomeScripted {
-        fn send<R: Rng + ?Sized>(
+        /// One scripted outcome per burst, whatever the payload carries.
+        fn transmit<R: Rng + ?Sized>(
             &mut self,
             at: SimTime,
-            _report: &ObservationReport,
+            _payload: Payload<'_>,
             _rng: &mut R,
         ) -> SendOutcome {
-            let outcome = self.outcomes.pop_front().expect("script exhausted");
+            let outcome = self.outcomes[self.played % self.outcomes.len()];
+            self.played += 1;
             self.telemetry.record_send(TransportEvent {
                 kind: TransportKind::Wifi,
                 start: at,
@@ -1396,18 +992,6 @@ mod tests {
                 delivered: outcome.is_delivered(),
             });
             outcome
-        }
-
-        fn send_batch<R: Rng + ?Sized>(
-            &mut self,
-            at: SimTime,
-            reports: &[ObservationReport],
-            rng: &mut R,
-        ) -> SendOutcome {
-            if reports.is_empty() {
-                return SendOutcome::Delivered { at };
-            }
-            self.send(at, &reports[0], rng)
         }
 
         fn telemetry(&self) -> &Recorder {
@@ -1480,45 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn queueing_max_backoff_knob_caps_the_doubling() {
-        let base = SimDuration::from_secs(1);
-        let q = QueueingTransport::new(
-            BtRelayTransport::new(0.0, SimDuration::from_millis(400)),
-            8,
-            base,
-        )
-        .with_max_backoff(SimDuration::from_secs(4));
-        assert_eq!(q.max_backoff(), SimDuration::from_secs(4));
-        let mut r = rng::for_component(16, "backoff-cap");
-        // Jitter adds at most one extra base_backoff on top of the ceiling.
-        for attempts in [1u32, 2, 3, 10, 1000, u32::MAX] {
-            let wait = q.backoff_for(attempts, &mut r);
-            assert!(
-                wait <= SimDuration::from_secs(4) + base,
-                "attempts={attempts} wait={wait}"
-            );
-        }
-        // Default ceiling unchanged: 64x the base.
-        let default_q = QueueingTransport::new(
-            BtRelayTransport::new(0.0, SimDuration::from_millis(400)),
-            8,
-            base,
-        );
-        assert_eq!(default_q.max_backoff(), base * 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least the base backoff")]
-    fn max_backoff_below_base_panics() {
-        let _ = QueueingTransport::new(
-            BtRelayTransport::default(),
-            8,
-            SimDuration::from_secs(2),
-        )
-        .with_max_backoff(SimDuration::from_secs(1));
-    }
-
-    #[test]
     fn ack_loss_retransmits_duplicates_without_losing_reports() {
         // A perfect link with a very lossy ack channel: every report is
         // delivered at least once, some several times, and the duplicate
@@ -1583,79 +1128,21 @@ mod tests {
 
     #[test]
     fn retrying_retries_the_whole_batch() {
-        let mut q = Retrying::new(Scripted::new(&[false, true]), 2);
+        let mut q = Retrying::new(
+            OutcomeScripted::new(&[
+                SendOutcome::Failed,
+                SendOutcome::Delivered {
+                    at: SimTime::from_secs(2),
+                },
+            ]),
+            2,
+        );
         let mut r = rng::for_component(19, "batch-retry");
         let batch: Vec<ObservationReport> = (0..3).map(stamped_report).collect();
         let outcome = q.send_batch(SimTime::from_secs(1), &batch, &mut r);
         assert!(outcome.is_delivered());
         // Two coalesced attempts, not 3 + 3 per-report bursts.
         assert_eq!(q.telemetry().transport_events().len(), 2);
-    }
-
-    #[test]
-    fn batched_offer_counts_every_report_in_the_burst() {
-        // Satellite invariant: a coalesced burst of k reports counts k
-        // delivered reports — one wire attempt must not collapse the
-        // report-level accounting to 1.
-        let mut q = QueueingTransport::new(
-            Scripted::new(&[true]),
-            8,
-            SimDuration::from_secs(1),
-        );
-        let mut r = rng::for_component(20, "batch-count");
-        let batch: Vec<ObservationReport> = (0..5).map(stamped_report).collect();
-        let deliveries = q.offer_batch(SimTime::from_secs(1), batch, &mut r);
-        assert_eq!(deliveries.len(), 5);
-        assert_eq!(q.offered(), 5);
-        assert_eq!(q.delivered_reports(), 5, "k reports = k deliveries, not 1");
-        assert_eq!(q.report_delivery_rate(), Some(1.0));
-        assert_eq!(
-            q.telemetry().counter(keys::NET_TX_ATTEMPTS),
-            1,
-            "one coalesced wire burst"
-        );
-        assert_eq!(q.telemetry().counter(keys::NET_QUEUE_OFFERED), 5);
-        assert_eq!(q.telemetry().counter(keys::NET_QUEUE_DELIVERED), 5);
-    }
-
-    #[test]
-    fn batched_lost_ack_retransmits_every_report() {
-        // One lost batch ack covers the whole envelope: all k reports are
-        // re-queued and counted as retransmissions, but never as extra
-        // *delivered* reports.
-        let mut q = QueueingTransport::new(
-            Scripted::new(&[true]),
-            8,
-            SimDuration::from_secs(1),
-        )
-        .with_ack_loss(1.0);
-        let mut r = rng::for_component(21, "batch-ack");
-        let batch: Vec<ObservationReport> = (0..4).map(stamped_report).collect();
-        let deliveries = q.offer_batch(SimTime::from_secs(1), batch, &mut r);
-        assert_eq!(deliveries.len(), 4, "the server saw every report once");
-        assert_eq!(q.delivered_reports(), 4);
-        assert_eq!(q.retransmits(), 4, "one lost batch ack re-queues all k");
-        assert_eq!(q.pending(), 4);
-        assert_eq!(q.telemetry().counter(keys::NET_QUEUE_RETRANSMITS), 4);
-    }
-
-    #[test]
-    fn batched_failure_queues_each_report_individually() {
-        let mut q = QueueingTransport::new(
-            Scripted::new(&[false, true, true, true]),
-            8,
-            SimDuration::from_secs(1),
-        );
-        let mut r = rng::for_component(22, "batch-fail");
-        let batch: Vec<ObservationReport> = (0..3).map(stamped_report).collect();
-        assert!(q.offer_batch(SimTime::from_secs(1), batch, &mut r).is_empty());
-        assert_eq!(q.pending(), 3);
-        assert_eq!(q.delivered_reports(), 0);
-        // The queued reports drain as individual retries and each counts.
-        let drained = q.flush(SimTime::from_secs(600), &mut r);
-        assert_eq!(drained.len(), 3);
-        assert_eq!(q.delivered_reports(), 3);
-        assert_eq!(q.report_delivery_rate(), Some(1.0));
     }
 
     #[test]

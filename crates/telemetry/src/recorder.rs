@@ -392,7 +392,7 @@ impl Recorder {
     }
 
     /// Iterates the journal in record order.
-    pub fn journal(&self) -> impl Iterator<Item = &TelemetryEvent> {
+    pub fn journal(&self) -> impl DoubleEndedIterator<Item = &TelemetryEvent> {
         self.journal.events.iter()
     }
 

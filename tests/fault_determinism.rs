@@ -8,7 +8,7 @@ use roomsense::FaultPlan;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_net::{
     BmsServer, BtRelayTransport, DeviceId, FaultyTransport, ObservationReport, QueueingTransport,
-    SightedBeacon, Transport,
+    SightedBeacon,
 };
 use roomsense_sim::{rng, SimDuration, SimTime};
 
