@@ -1834,8 +1834,9 @@ pub struct ScaleFingerprint {
     pub undelivered: u64,
     /// Coalesced radio bursts across the fleet.
     pub bursts: u64,
-    /// Mean reports per burst — the coalescing factor the batched energy
-    /// arm prices.
+    /// Mean reports carried per burst attempt (the mean of every device's
+    /// `net.batch.size` observations, failed attempts included) — the
+    /// coalescing factor the batched energy arm prices.
     pub mean_batch_size: f64,
     /// Reports the (crash-free) single reference server stored.
     pub stored: u64,
@@ -1947,7 +1948,7 @@ fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
     use rand::Rng;
     use roomsense_ibeacon::{BeaconIdentity, Major, ProximityUuid};
     use roomsense_net::{BatchingTransport, BmsServer, Delivery, ShardedBmsServer};
-    use roomsense_telemetry::keys;
+    use roomsense_telemetry::{keys, Histogram};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -1971,7 +1972,7 @@ fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
         delivered: u64,
         dropped: u64,
         retransmits: u64,
-        bursts: u64,
+        burst_sizes: Histogram,
         pending: u64,
         batched_mj: f64,
         always_on_mj: f64,
@@ -2042,7 +2043,11 @@ fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
             delivered: uplink.delivered_reports(),
             dropped: uplink.dropped(),
             retransmits: uplink.retransmits(),
-            bursts: uplink.bursts(),
+            burst_sizes: uplink
+                .telemetry()
+                .histogram(keys::NET_BATCH_SIZE)
+                .cloned()
+                .unwrap_or_default(),
             pending: uplink.pending() as u64,
             batched_mj: account(&profile, &timeline, UplinkArchitecture::Batched).total_mj(),
             always_on_mj: account(&profile, &timeline, UplinkArchitecture::Wifi).total_mj(),
@@ -2053,7 +2058,7 @@ fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
     let mut delivered = 0u64;
     let mut dropped = 0u64;
     let mut retransmits = 0u64;
-    let mut bursts = 0u64;
+    let mut burst_sizes = Histogram::default();
     let mut undelivered = 0u64;
     let mut batched_energy_mj = 0.0f64;
     let mut always_on_energy_mj = 0.0f64;
@@ -2065,7 +2070,7 @@ fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
         delivered += run.delivered;
         dropped += run.dropped;
         retransmits += run.retransmits;
-        bursts += run.bursts;
+        burst_sizes.merge(&run.burst_sizes);
         undelivered += run.pending;
         batched_energy_mj += run.batched_mj;
         always_on_energy_mj += run.always_on_mj;
@@ -2150,12 +2155,8 @@ fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
         retransmits,
         dropped,
         undelivered,
-        bursts,
-        mean_batch_size: if bursts == 0 {
-            0.0
-        } else {
-            (delivered + retransmits) as f64 / bursts as f64
-        },
+        bursts: burst_sizes.count(),
+        mean_batch_size: burst_sizes.mean().unwrap_or(0.0),
         stored: stats.reports_stored,
         duplicates: stats.reports_duplicate,
         peak_retained,

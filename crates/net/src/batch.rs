@@ -14,7 +14,7 @@ use crate::outbox::{Outbox, Policy};
 use crate::{Delivery, ObservationReport, Transport};
 use rand::Rng;
 use roomsense_sim::{SimDuration, SimTime};
-use roomsense_telemetry::{keys, Recorder};
+use roomsense_telemetry::{keys, Histogram, Recorder};
 use std::fmt;
 
 /// Buffered-report capacity, in full batches (open batch + retry queue).
@@ -156,11 +156,14 @@ impl<T: Transport> BatchingTransport<T> {
         self.outbox.attempts()
     }
 
-    /// Mean reports per burst attempt, or `None` before the first burst —
-    /// the coalescing factor the energy ledger's batched arm prices.
+    /// Mean reports carried per burst attempt — the mean of the
+    /// `net.batch.size` observations, failed attempts included — or `None`
+    /// before the first burst: the coalescing factor the energy ledger's
+    /// batched arm prices.
     pub fn mean_batch_size(&self) -> Option<f64> {
-        let bursts = self.bursts();
-        (bursts > 0).then(|| (self.delivered_reports() + self.retransmits()) as f64 / bursts as f64)
+        self.telemetry()
+            .histogram(keys::NET_BATCH_SIZE)
+            .and_then(Histogram::mean)
     }
 
     /// Seals the open batch into the transmit path.
@@ -322,6 +325,9 @@ mod tests {
         assert!(b.flush_due(SimTime::from_secs(60), &mut r).is_empty());
         assert_eq!(b.bursts(), before + 1);
         assert_eq!(b.delivered_reports(), 0);
+        // Both failed bursts carried the pair: the mean counts what each
+        // burst carried, not what got through.
+        assert_eq!(b.mean_batch_size(), Some(2.0));
     }
 
     #[test]

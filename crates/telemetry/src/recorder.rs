@@ -226,7 +226,8 @@ impl Histogram {
         }
     }
 
-    fn merge(&mut self, other: &Histogram) {
+    /// Folds `other`'s observations into this histogram.
+    pub fn merge(&mut self, other: &Histogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
         }
