@@ -77,7 +77,10 @@ impl<T: Transport> BatchingTransport<T> {
             inner,
             max_batch,
             max_delay,
-            outbox: Outbox::new(Policy::Batch { base: max_delay }, max_batch * CAPACITY_BATCHES),
+            outbox: Outbox::new(
+                Policy::Batch { base: max_delay },
+                max_batch * CAPACITY_BATCHES,
+            ),
             open: Vec::new(),
             open_since: None,
         }
@@ -133,27 +136,27 @@ impl<T: Transport> BatchingTransport<T> {
 
     /// Reports offered via [`offer`](Self::offer).
     pub fn offered(&self) -> u64 {
-        self.outbox.offered()
+        self.outbox.offered
     }
 
     /// Offered reports that reached the server at least once.
     pub fn delivered_reports(&self) -> u64 {
-        self.outbox.delivered()
+        self.outbox.delivered
     }
 
     /// Reports dropped when the buffer overflowed.
     pub fn dropped(&self) -> u64 {
-        self.outbox.dropped()
+        self.outbox.dropped
     }
 
     /// Report retransmissions caused by lost batch acks.
     pub fn retransmits(&self) -> u64 {
-        self.outbox.retransmits()
+        self.outbox.retransmits
     }
 
     /// Coalesced burst attempts on the wire.
     pub fn bursts(&self) -> u64 {
-        self.outbox.attempts()
+        self.outbox.attempts
     }
 
     /// Mean reports carried per burst attempt — the mean of the

@@ -133,15 +133,20 @@ struct Entry {
 pub(crate) struct Outbox {
     policy: Policy,
     /// Buffered-report bound.
-    capacity: usize,
+    pub(crate) capacity: usize,
     ack_loss: f64,
     entries: VecDeque<Entry>,
     buffered: usize,
-    offered: u64,
-    delivered: u64,
-    dropped: u64,
-    retransmits: u64,
-    attempts: u64,
+    /// Reports offered.
+    pub(crate) offered: u64,
+    /// Offered reports that reached the server at least once.
+    pub(crate) delivered: u64,
+    /// Reports evicted from a full buffer.
+    pub(crate) dropped: u64,
+    /// Reports whose delivery lost its ack.
+    pub(crate) retransmits: u64,
+    /// Wire attempts made.
+    pub(crate) attempts: u64,
 }
 
 impl Outbox {
@@ -184,35 +189,9 @@ impl Outbox {
         self.ack_loss = ack_loss;
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Reports currently buffered.
     pub(crate) fn pending(&self) -> usize {
         self.buffered
-    }
-
-    pub(crate) fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// Offered reports that reached the server at least once.
-    pub(crate) fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    pub(crate) fn retransmits(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Wire attempts made.
-    pub(crate) fn attempts(&self) -> u64 {
-        self.attempts
     }
 
     /// Counts `k` freshly offered reports.
@@ -224,7 +203,9 @@ impl Outbox {
     /// Evicts whole entries, oldest first, until `extra` more reports fit.
     pub(crate) fn make_room(&mut self, telemetry: &mut Recorder, extra: usize) {
         while self.buffered + extra > self.capacity {
-            let Some(oldest) = self.entries.pop_front() else { break };
+            let Some(oldest) = self.entries.pop_front() else {
+                break;
+            };
             let lost = oldest.reports.len();
             self.buffered -= lost;
             self.dropped += lost as u64;
@@ -289,12 +270,16 @@ impl Outbox {
         // The ack coin is drawn only when the knob is armed, so the default
         // configuration consumes exactly the same RNG stream.
         let ack_lost = self.ack_loss > 0.0 && rng.gen::<f64>() < self.ack_loss;
+        let reports = if ack_lost {
+            entry.reports.clone()
+        } else {
+            std::mem::take(&mut entry.reports)
+        };
+        out.extend(reports.into_iter().map(|report| Delivery {
+            report,
+            at: arrived,
+        }));
         if !ack_lost {
-            out.extend(
-                std::mem::take(&mut entry.reports)
-                    .into_iter()
-                    .map(|report| Delivery { report, at: arrived }),
-            );
             return false;
         }
         // The server got the entry but the ack vanished (one coin per
@@ -309,10 +294,6 @@ impl Outbox {
                 seq: report.seq,
             });
         }
-        out.extend(entry.reports.iter().map(|report| Delivery {
-            report: report.clone(),
-            at: arrived,
-        }));
         entry.attempts = (entry.attempts + 1).max(2);
         entry.delivered_before = true;
         true
@@ -487,31 +468,31 @@ mod tests {
                 ];
                 prop_assert_eq!(states.iter().filter(|&&s| s).count(), 1, "seq {}", seq);
             }
-            prop_assert_eq!(outbox.offered(), offered);
-            prop_assert_eq!(outbox.delivered(), delivered.len() as u64);
-            prop_assert_eq!(outbox.dropped(), evicted.len() as u64);
-            prop_assert!(deliveries - delivered.len() as u64 <= outbox.retransmits());
+            prop_assert_eq!(outbox.offered, offered);
+            prop_assert_eq!(outbox.delivered, delivered.len() as u64);
+            prop_assert_eq!(outbox.dropped, evicted.len() as u64);
+            prop_assert!(deliveries - delivered.len() as u64 <= outbox.retransmits);
             if ack_loss.is_none() {
-                prop_assert_eq!(outbox.retransmits(), 0);
+                prop_assert_eq!(outbox.retransmits, 0);
                 prop_assert_eq!(deliveries, delivered.len() as u64);
                 prop_assert_eq!(
                     offered,
-                    outbox.delivered() + outbox.dropped() + outbox.pending() as u64
+                    outbox.delivered + outbox.dropped + outbox.pending() as u64
                 );
             }
             let family = policy.family();
             let counter = |key: Option<MetricKey>| key.map(|key| inner.telemetry().counter(key));
-            prop_assert_eq!(counter(family.dropped), Some(outbox.dropped()));
+            prop_assert_eq!(counter(family.dropped), Some(outbox.dropped));
             if !matches!(policy, Policy::Mesh) {
                 prop_assert_eq!(counter(family.offered), Some(offered));
-                prop_assert_eq!(counter(family.delivered), Some(outbox.delivered()));
-                prop_assert_eq!(counter(family.retransmits), Some(outbox.retransmits()));
+                prop_assert_eq!(counter(family.delivered), Some(outbox.delivered));
+                prop_assert_eq!(counter(family.retransmits), Some(outbox.retransmits));
                 let journalled = inner
                     .telemetry()
                     .journal()
                     .filter(|e| matches!(e, TelemetryEvent::Retransmit { .. }))
                     .count() as u64;
-                prop_assert_eq!(journalled, outbox.retransmits());
+                prop_assert_eq!(journalled, outbox.retransmits);
             }
         }
 

@@ -153,8 +153,7 @@ impl<D: Transport, X: Transport> Transport for MeshPath<D, X> {
                 return SendOutcome::Failed;
             }
             attempts += 1;
-            let active =
-                self.config.hop_latency + SimDuration::from_millis(rng.gen_range(0..100));
+            let active = self.config.hop_latency + SimDuration::from_millis(rng.gen_range(0..100));
             let delivered = rng.gen::<f64>() < self.config.hop_success;
             self.telemetry.record_send(TransportEvent {
                 kind: TransportKind::PeerMesh,
@@ -263,7 +262,7 @@ impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
 
     /// Reports evicted from a full buffer.
     pub fn dropped(&self) -> u64 {
-        self.outbox.dropped()
+        self.outbox.dropped
     }
 
     /// Retries every parked report over the full direct-then-mesh path;
@@ -550,7 +549,10 @@ mod tests {
         assert_eq!(mesh.telemetry().counter(keys::NET_PEER_DROPPED), 6);
         // The freshest observations survive.
         assert_eq!(
-            mesh.outbox.buffered_reports().map(|q| q.seq).collect::<Vec<_>>(),
+            mesh.outbox
+                .buffered_reports()
+                .map(|q| q.seq)
+                .collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
     }

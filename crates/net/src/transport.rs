@@ -199,28 +199,6 @@ pub(crate) fn forward<T: Transport, R: Rng + ?Sized>(
     outcome
 }
 
-/// Records one radio burst of `active` air time and turns its success coin
-/// into the outcome.
-fn burst(
-    telemetry: &mut Recorder,
-    kind: TransportKind,
-    at: SimTime,
-    active: SimDuration,
-    delivered: bool,
-) -> SendOutcome {
-    telemetry.record_send(TransportEvent {
-        kind,
-        start: at,
-        active,
-        delivered,
-    });
-    if delivered {
-        SendOutcome::Delivered { at: at + active }
-    } else {
-        SendOutcome::Failed
-    }
-}
-
 /// The Wi-Fi HTTP uplink: fast and near-perfectly reliable, but the energy
 /// model will charge for keeping the Wi-Fi adapter associated all day plus
 /// a tail after every transfer.
@@ -278,7 +256,17 @@ impl Transport for WifiTransport {
         let jitter_ms = rng.gen_range(0..30);
         let active = self.base_latency + SimDuration::from_millis(payload_ms + jitter_ms);
         let delivered = rng.gen::<f64>() < self.success_probability;
-        burst(&mut self.telemetry, TransportKind::Wifi, at, active, delivered)
+        self.telemetry.record_send(TransportEvent {
+            kind: TransportKind::Wifi,
+            start: at,
+            active,
+            delivered,
+        });
+        if delivered {
+            SendOutcome::Delivered { at: at + active }
+        } else {
+            SendOutcome::Failed
+        }
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -366,7 +354,17 @@ impl Transport for BtRelayTransport {
         let active = self.connect_latency + SimDuration::from_millis(payload_ms + jitter_ms);
         let delivered = rng.gen::<f64>() < self.success_probability;
         // A failed attempt still burns (most of) the connect time.
-        burst(&mut self.telemetry, TransportKind::BluetoothRelay, at, active, delivered)
+        self.telemetry.record_send(TransportEvent {
+            kind: TransportKind::BluetoothRelay,
+            start: at,
+            active,
+            delivered,
+        });
+        if delivered {
+            SendOutcome::Delivered { at: at + active }
+        } else {
+            SendOutcome::Failed
+        }
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -582,23 +580,23 @@ impl<T: Transport> QueueingTransport<T> {
 
     /// Reports offered via [`offer`](Self::offer).
     pub fn offered(&self) -> u64 {
-        self.outbox.offered()
+        self.outbox.offered
     }
 
     /// Offered reports that eventually got through.
     pub fn delivered_reports(&self) -> u64 {
-        self.outbox.delivered()
+        self.outbox.delivered
     }
 
     /// Reports evicted from a full buffer.
     pub fn dropped(&self) -> u64 {
-        self.outbox.dropped()
+        self.outbox.dropped
     }
 
     /// Deliveries whose ack was lost, forcing a retransmission (only
     /// non-zero when [`with_ack_loss`](Self::with_ack_loss) is set).
     pub fn retransmits(&self) -> u64 {
-        self.outbox.retransmits()
+        self.outbox.retransmits
     }
 
     /// End-to-end *report* delivery rate: delivered / offered, or `None`
@@ -607,8 +605,8 @@ impl<T: Transport> QueueingTransport<T> {
     /// bursts (a report delivered on its third attempt counts once here but
     /// three times there).
     pub fn report_delivery_rate(&self) -> Option<f64> {
-        let offered = self.outbox.offered();
-        (offered > 0).then(|| self.outbox.delivered() as f64 / offered as f64)
+        let offered = self.outbox.offered;
+        (offered > 0).then(|| self.outbox.delivered as f64 / offered as f64)
     }
 
     /// Retries every queued report whose backoff has expired by `at`;
@@ -645,9 +643,9 @@ impl<T: Transport + fmt::Display> fmt::Display for QueueingTransport<T> {
             f,
             "{} queueing (cap {}, {} pending, {} dropped)",
             self.inner,
-            self.outbox.capacity(),
+            self.outbox.capacity,
             self.outbox.pending(),
-            self.outbox.dropped()
+            self.outbox.dropped
         )
     }
 }

@@ -28,7 +28,11 @@ fn metric_keys(source: &str) -> Vec<&str> {
 fn every_metric_key_is_documented_in_design_md() {
     let recorder = read("crates/telemetry/src/recorder.rs");
     let keys = metric_keys(&recorder);
-    assert!(keys.len() >= 60, "found only {} keys; did the key table move?", keys.len());
+    assert!(
+        keys.len() >= 60,
+        "found only {} keys; did the key table move?",
+        keys.len()
+    );
     let design = read("DESIGN.md");
     let missing: Vec<&str> = keys
         .iter()
