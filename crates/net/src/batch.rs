@@ -378,4 +378,29 @@ mod tests {
         let kept: Vec<u64> = b.outbox.buffered_reports().map(|r| r.seq).collect();
         assert_eq!(kept, (8..136).collect::<Vec<_>>());
     }
+
+    #[test]
+    fn overflow_evicts_by_age_after_a_retry() {
+        // Report 0 is retried (and fails again) while report 1 still waits
+        // out its backoff; the retried batch keeps its place, so the one
+        // overflow eviction takes report 0, the older observation.
+        let mut b = BatchingTransport::new(
+            WifiTransport::new(0.0, SimDuration::from_millis(50)),
+            1,
+            SimDuration::from_secs(1),
+        );
+        let mut r = rng::for_component(46, "batch-age");
+        b.offer(SimTime::from_secs(0), stamped_report(0), &mut r);
+        b.offer(SimTime::from_secs(1), stamped_report(1), &mut r);
+        let before = b.bursts();
+        b.flush_due(SimTime::from_secs(3), &mut r);
+        assert_eq!(b.bursts(), before + 1, "only report 0 was due");
+        for i in 0..63u64 {
+            let at = SimTime::from_millis(3000 + i);
+            b.offer(at, stamped_report(100 + i), &mut r);
+        }
+        assert_eq!(b.dropped(), 1);
+        let kept: Vec<u64> = b.outbox.buffered_reports().map(|r| r.seq).collect();
+        assert_eq!(&kept[..2], &[1, 100]);
+    }
 }

@@ -31,22 +31,20 @@ pub struct Delivery {
 /// How an outbox holds and retries its entries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Policy {
-    /// One report per entry, retried in place with backoff doubling from
-    /// `base`. A fresh failure backs off one step, a fresh lost ack two.
+    /// One report per entry, with backoff doubling from `base`. A fresh
+    /// failure backs off one step, a fresh lost ack two.
     Queue {
         /// The first backoff step.
         base: SimDuration,
     },
     /// One coalesced batch per entry: every attempt is one burst carrying
-    /// the whole batch, and a retried batch that stays buffered rejoins
-    /// behind the waiting ones. A fresh batch backs off two steps on a
-    /// failure or a lost ack alike.
+    /// the whole batch. A fresh batch backs off two steps on a failure or a
+    /// lost ack alike.
     Batch {
         /// The first backoff step.
         base: SimDuration,
     },
-    /// One report per entry, no backoff: every flush retries every entry,
-    /// in place.
+    /// One report per entry, no backoff: every flush retries every entry.
     Mesh,
 }
 
@@ -327,7 +325,8 @@ impl Outbox {
     }
 
     /// Retries every entry due by `at`, pushing whatever reached the server
-    /// into `out`.
+    /// into `out`. An entry that stays keeps its place, so the buffer stays
+    /// in offer order and eviction always takes the oldest reports.
     pub(crate) fn flush<T: Transport, R: Rng + ?Sized>(
         &mut self,
         inner: &mut T,
@@ -336,25 +335,19 @@ impl Outbox {
         out: &mut Vec<Delivery>,
     ) {
         let mut kept = VecDeque::with_capacity(self.entries.len());
-        let mut rejoining = Vec::new();
         for mut entry in std::mem::take(&mut self.entries) {
             if entry.next_attempt > at {
                 kept.push_back(entry);
                 continue;
             }
             let k = entry.reports.len();
-            if !self.attempt(inner, at, &mut entry, rng, out) {
-                self.buffered -= k;
-                continue;
-            }
-            self.reschedule(&mut entry, at, rng);
-            if matches!(self.policy, Policy::Batch { .. }) {
-                rejoining.push(entry);
-            } else {
+            if self.attempt(inner, at, &mut entry, rng, out) {
+                self.reschedule(&mut entry, at, rng);
                 kept.push_back(entry);
+            } else {
+                self.buffered -= k;
             }
         }
-        kept.extend(rejoining);
         self.entries = kept;
     }
 }
@@ -406,8 +399,9 @@ mod tests {
     proptest! {
         /// Every offered report ends exactly one of delivered, dropped or
         /// still pending; `delivered` counts each report once however many
-        /// lost acks re-sent it; eviction takes the oldest entry first; and
-        /// the counters mirror under the policy's key family.
+        /// lost acks re-sent it; the buffer stays in offer order and
+        /// eviction takes the oldest entry first; and the counters mirror
+        /// under the policy's key family.
         #[test]
         fn every_policy_conserves_reports(
             policy_code in 0u8..3,
@@ -457,7 +451,11 @@ mod tests {
             }
             let buffered: Vec<u64> = outbox.buffered_reports().map(|r| r.seq).collect();
             let buffered_set: BTreeSet<u64> = buffered.iter().copied().collect();
-            prop_assert_eq!(buffered.len(), buffered_set.len(), "a report is buffered once");
+            prop_assert!(
+                buffered.windows(2).all(|w| w[0] < w[1]),
+                "the buffer stays in offer order: {:?}",
+                buffered
+            );
             prop_assert_eq!(outbox.pending(), buffered.len());
             prop_assert!(evicted.is_disjoint(&buffered_set));
             for seq in 0..offered {
