@@ -223,7 +223,40 @@ struct SegmentMeta {
     max_at: SimTime,
     digest: u64,
     summary: BTreeMap<u64, u64>,
+    /// The decode behind the assignment index, `None` until a history
+    /// query first needs this segment.
+    memo: Option<SegmentMemo>,
 }
+
+impl SegmentMeta {
+    /// The metadata of non-empty `segment`, just sealed as file `name`; no
+    /// history query has decoded it yet.
+    fn sealed(name: String, segment: ActiveSegment) -> Self {
+        SegmentMeta {
+            name,
+            records: segment.records,
+            min_at: segment.min_at.expect("non-empty segment"),
+            max_at: segment.max_at.expect("non-empty segment"),
+            digest: segment.digest,
+            summary: segment.summary,
+            memo: None,
+        }
+    }
+}
+
+/// What one decode of a sealed segment learned: valid while the file's
+/// disk generation still reads `generation`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SegmentMemo {
+    generation: u64,
+    /// The scan stopped short of the file's end.
+    corrupt: bool,
+}
+
+/// One device's archived assignments `(at, seq, room)`, sorted by
+/// `(at, seq)`; equal keys keep scan order, so the last of them is the one
+/// a front-to-back `>=` fold would keep.
+type AssignmentHistory = Vec<(SimTime, u64, RoomLabel)>;
 
 /// Accumulator for the segment currently being appended to.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -268,6 +301,11 @@ pub struct ArchiveSink {
     disk: SharedDisk,
     config: ArchiveConfig,
     sealed: Vec<SegmentMeta>,
+    /// Per device, the archived assignments of every sealed segment that
+    /// has a memo (always a prefix of `sealed`).
+    history: BTreeMap<DeviceId, AssignmentHistory>,
+    /// Sealed-segment decodes made for `history`.
+    history_decodes: u64,
     active_index: u64,
     /// File name of segment `active_index`, rebuilt only when it moves.
     active_name: String,
@@ -291,6 +329,8 @@ impl ArchiveSink {
             active_name: segment_name(&config.prefix, 0),
             config,
             sealed: Vec::new(),
+            history: BTreeMap::new(),
+            history_decodes: 0,
             active_index: 0,
             active: ActiveSegment::fresh(),
             frame: Vec::new(),
@@ -396,15 +436,8 @@ impl ArchiveSink {
         self.disk.fsync(&name, at);
         self.stats.bytes_appended += frame.len() as u64;
         self.stats.segments_sealed += 1;
-        self.sealed.push(SegmentMeta {
-            name,
-            records: self.active.records,
-            min_at,
-            max_at,
-            digest: self.active.digest,
-            summary: std::mem::take(&mut self.active.summary),
-        });
-        self.active = ActiveSegment::fresh();
+        let segment = std::mem::replace(&mut self.active, ActiveSegment::fresh());
+        self.sealed.push(SegmentMeta::sealed(name, segment));
         self.active_index += 1;
         self.active_name = segment_name(&self.config.prefix, self.active_index);
     }
@@ -441,12 +474,14 @@ impl ArchiveSink {
             };
             report.segments += 1;
             last_index = Some(index);
-            let data = sink.disk.read(&name).unwrap_or_default();
-            let scan = scan_segment(&data);
-            if scan.valid_len < data.len() {
+            let scan = sink
+                .disk
+                .with_file(&name, scan_segment)
+                .expect("listed files exist");
+            if scan.corrupt() {
                 sink.disk.truncate(&name, scan.valid_len);
                 report.truncated_segments += 1;
-                report.truncated_bytes += (data.len() - scan.valid_len) as u64;
+                report.truncated_bytes += (scan.len - scan.valid_len) as u64;
             }
             if let Some(footer) = &scan.footer {
                 if footer.records != scan.segment.records || footer.digest != scan.segment.digest
@@ -478,16 +513,7 @@ impl ArchiveSink {
             }
             sink.last_at = sink.last_at.max(scan.segment.max_at.unwrap_or(SimTime::ZERO));
             if scan.segment.records > 0 {
-                if scan.footer.is_some() {
-                    sink.sealed.push(SegmentMeta {
-                        name: name.clone(),
-                        records: scan.segment.records,
-                        min_at: scan.segment.min_at.expect("non-empty"),
-                        max_at: scan.segment.max_at.expect("non-empty"),
-                        digest: scan.segment.digest,
-                        summary: scan.segment.summary.clone(),
-                    });
-                } else {
+                if scan.footer.is_none() {
                     // Seal the surviving tail in place so the next active
                     // segment starts clean.
                     let at = scan.segment.max_at.expect("non-empty");
@@ -502,15 +528,8 @@ impl ArchiveSink {
                     sink.disk.append(&name, at, &frame);
                     sink.disk.fsync(&name, at);
                     sink.stats.segments_sealed += 1;
-                    sink.sealed.push(SegmentMeta {
-                        name: name.clone(),
-                        records: scan.segment.records,
-                        min_at: scan.segment.min_at.expect("non-empty"),
-                        max_at: at,
-                        digest: scan.segment.digest,
-                        summary: scan.segment.summary.clone(),
-                    });
                 }
+                sink.sealed.push(SegmentMeta::sealed(name, scan.segment));
             }
         }
         sink.active_index = last_index.map_or(0, |i| i + 1);
@@ -604,10 +623,10 @@ impl ArchiveSink {
     /// queries degrade, they do not panic.
     fn scan_all(&self, mut visit: impl FnMut(&ArchiveRecord) -> bool) {
         for index in 0.. {
-            let Some(data) = self.disk.read(&segment_name(&self.config.prefix, index)) else {
+            let name = segment_name(&self.config.prefix, index);
+            let Some(scan) = self.disk.with_file(&name, scan_segment) else {
                 break;
             };
-            let scan = scan_segment(&data);
             for rec in &scan.records {
                 if !visit(rec) {
                     return;
@@ -643,26 +662,109 @@ impl ArchiveSink {
     /// The newest archived assignment at or before `at`, per device.
     /// `&mut self` for the same read-audit reason as
     /// [`reports_between`](Self::reports_between).
+    ///
+    /// Sealed segments are answered from a per-device history index, each
+    /// decoded once per change to its bytes on disk; every corrupt one
+    /// still counts once per query, exactly as a rescan would. Only the
+    /// active segment is decoded on every call.
     pub fn last_assignments_at(
+        &mut self,
+        at: SimTime,
+    ) -> BTreeMap<DeviceId, (SimTime, u64, RoomLabel)> {
+        let mut corrupt_reads = self.refresh_history();
+        let mut best: BTreeMap<DeviceId, (SimTime, u64, RoomLabel)> = BTreeMap::new();
+        for (device, history) in &self.history {
+            let newer = history.partition_point(|(t, _, _)| *t <= at);
+            if let Some(index) = newer.checked_sub(1) {
+                best.insert(*device, history[index]);
+            }
+        }
+        if self.active.records > 0 {
+            if let Some(scan) = self.disk.with_file(&self.active_name, scan_segment) {
+                corrupt_reads += u64::from(scan.corrupt());
+                for rec in &scan.records {
+                    fold_assignment(&mut best, rec, at);
+                }
+            }
+        }
+        self.audit(corrupt_reads);
+        best
+    }
+
+    /// Brings the history index up to date with the sealed segments under
+    /// one disk lock and returns how many of them decode corrupt.
+    ///
+    /// A memo is trusted only while its file's disk generation is
+    /// unchanged. If any memoised segment moved (a crash cut a segment
+    /// whose fsync lied, damage landed past a footer), the whole index is
+    /// rebuilt from fresh decodes; otherwise only segments sealed since the
+    /// last query are decoded and appended.
+    fn refresh_history(&mut self) -> u64 {
+        let generations = self
+            .disk
+            .generations(self.sealed.iter().map(|meta| meta.name.as_str()));
+        let moved = self
+            .sealed
+            .iter()
+            .zip(&generations)
+            .any(|(meta, g)| meta.memo.is_some_and(|memo| memo.generation != *g));
+        if moved {
+            self.history.clear();
+            for meta in &mut self.sealed {
+                meta.memo = None;
+            }
+        }
+        let mut corrupt = 0u64;
+        for (meta, generation) in self.sealed.iter_mut().zip(generations) {
+            let memo = match meta.memo {
+                Some(memo) => memo,
+                None => {
+                    let scan = self
+                        .disk
+                        .with_file(&meta.name, scan_segment)
+                        .unwrap_or_else(|| scan_segment(&[]));
+                    self.history_decodes += 1;
+                    for rec in &scan.records {
+                        if let ArchiveRecord::Assignment {
+                            device,
+                            at,
+                            seq,
+                            room,
+                        } = rec
+                        {
+                            let history = self.history.entry(*device).or_default();
+                            let key = (*at, *seq);
+                            let position = history.partition_point(|(t, s, _)| (*t, *s) <= key);
+                            history.insert(position, (*at, *seq, *room));
+                        }
+                    }
+                    // The generation was read before the decode, so a change
+                    // racing it can only make the memo look stale, never
+                    // fresh.
+                    let memo = SegmentMemo {
+                        generation,
+                        corrupt: scan.corrupt(),
+                    };
+                    meta.memo = Some(memo);
+                    memo
+                }
+            };
+            corrupt += u64::from(memo.corrupt);
+        }
+        corrupt
+    }
+
+    /// The full-scan reference for
+    /// [`last_assignments_at`](Self::last_assignments_at): decodes every
+    /// segment on every call and folds every assignment in scan order.
+    #[cfg(test)]
+    fn last_assignments_at_full_scan(
         &mut self,
         at: SimTime,
     ) -> BTreeMap<DeviceId, (SimTime, u64, RoomLabel)> {
         let mut best: BTreeMap<DeviceId, (SimTime, u64, RoomLabel)> = BTreeMap::new();
         self.for_segments_overlapping(SimTime::ZERO, SimTime::from_millis(u64::MAX), |rec| {
-            if let ArchiveRecord::Assignment {
-                device,
-                at: t,
-                seq,
-                room,
-            } = rec
-            {
-                if *t <= at {
-                    let entry = best.entry(*device).or_insert((*t, *seq, *room));
-                    if (*t, *seq) >= (entry.0, entry.1) {
-                        *entry = (*t, *seq, *room);
-                    }
-                }
-            }
+            fold_assignment(&mut best, rec, at);
         });
         best
     }
@@ -681,35 +783,30 @@ impl ArchiveSink {
         mut visit: impl FnMut(&ArchiveRecord),
     ) {
         let mut corrupt_reads = 0u64;
-        for meta in &self.sealed {
-            if meta.max_at < from || meta.min_at >= to {
-                continue;
-            }
-            if let Some(data) = self.disk.read(&meta.name) {
-                let scan = scan_segment(&data);
-                if scan.valid_len < data.len() {
-                    corrupt_reads += 1;
-                }
-                for rec in &scan.records {
-                    visit(rec);
-                }
-            }
-        }
         let overlap_active = match (self.active.min_at, self.active.max_at) {
             (Some(min), Some(max)) => !(max < from || min >= to),
             _ => false,
         };
-        if overlap_active {
-            if let Some(data) = self.disk.read(&self.active_name) {
-                let scan = scan_segment(&data);
-                if scan.valid_len < data.len() {
-                    corrupt_reads += 1;
-                }
+        let overlapping = self
+            .sealed
+            .iter()
+            .filter(|meta| !(meta.max_at < from || meta.min_at >= to))
+            .map(|meta| meta.name.as_str())
+            .chain(overlap_active.then_some(self.active_name.as_str()));
+        for name in overlapping {
+            if let Some(scan) = self.disk.with_file(name, scan_segment) {
+                corrupt_reads += u64::from(scan.corrupt());
                 for rec in &scan.records {
                     visit(rec);
                 }
             }
         }
+        self.audit(corrupt_reads);
+    }
+
+    /// Records what one query's reads found corrupt: any corruption
+    /// demotes the sink to lossy.
+    fn audit(&mut self, corrupt_reads: u64) {
         if corrupt_reads > 0 {
             self.healed = false;
             self.read_corruptions += corrupt_reads;
@@ -833,8 +930,41 @@ struct SegmentScan {
     /// Bytes up to the end of the last valid record (or footer); anything
     /// past this is corrupt or torn and must be truncated.
     valid_len: usize,
+    /// Bytes the file held.
+    len: usize,
     /// Recomputed rolling state over the valid records.
     segment: ActiveSegment,
+}
+
+impl SegmentScan {
+    /// True when the scan stopped short of the file's end.
+    fn corrupt(&self) -> bool {
+        self.valid_len < self.len
+    }
+}
+
+/// Folds `rec`, if it is an assignment at or before `at`, into the newest
+/// assignment per device. Compared with `>=`, so of two equal `(at, seq)`
+/// keys the one folded later wins.
+fn fold_assignment(
+    best: &mut BTreeMap<DeviceId, (SimTime, u64, RoomLabel)>,
+    rec: &ArchiveRecord,
+    at: SimTime,
+) {
+    if let ArchiveRecord::Assignment {
+        device,
+        at: t,
+        seq,
+        room,
+    } = rec
+    {
+        if *t <= at {
+            let entry = best.entry(*device).or_insert((*t, *seq, *room));
+            if (*t, *seq) >= (entry.0, entry.1) {
+                *entry = (*t, *seq, *room);
+            }
+        }
+    }
 }
 
 /// Parses one segment buffer, stopping at the first record the CRC (or the
@@ -845,6 +975,7 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
         records: Vec::new(),
         footer: None,
         valid_len: 0,
+        len: data.len(),
         segment: ActiveSegment::fresh(),
     };
     let mut pos = 0usize;
@@ -1294,7 +1425,9 @@ mod tests {
         // through the sink's own name. Simplest deterministic path: append
         // more records during the rot window; the active segment's own
         // durable prefix is empty, so rot the sealed file by hand.
-        let mut sealed = disk.read("bms/seg-00000000").expect("sealed");
+        let mut sealed = disk
+            .with_file("bms/seg-00000000", <[u8]>::to_vec)
+            .expect("sealed");
         sealed[10] ^= 0x01;
         // Rewrite the file through truncate+append to keep durable_len.
         disk.truncate("bms/seg-00000000", 0);
@@ -1389,6 +1522,32 @@ mod tests {
         let at_99 = sink.last_assignments_at(SimTime::from_secs(99));
         assert_eq!(at_99.get(&DeviceId::new(1)), Some(&(SimTime::from_secs(20), 2, 7)));
         assert_eq!(at_99.get(&DeviceId::new(2)), Some(&(SimTime::from_secs(15), 1, 3)));
+    }
+
+    #[test]
+    fn repeat_history_queries_decode_no_sealed_segment_again() {
+        let disk = SharedDisk::new(SimDisk::pristine(12));
+        let mut sink = ArchiveSink::new(disk, small_config());
+        let assign = |sink: &mut ArchiveSink, i: u64| {
+            let device = DeviceId::new((i % 3) as u32);
+            sink.append_assignment(device, SimTime::from_secs(i), i, (i % 4) as usize)
+        };
+        for i in 0..10u64 {
+            assign(&mut sink, i); // two sealed segments, two active records
+        }
+        let at = SimTime::from_secs(99);
+        let first = sink.last_assignments_at(at);
+        assert_eq!(sink.history_decodes, 2, "each sealed segment decoded once");
+        assert_eq!(sink.last_assignments_at(at), first);
+        assert_eq!(sink.history_decodes, 2, "no write, no decode");
+        assign(&mut sink, 10);
+        assign(&mut sink, 11); // fills and seals the third segment
+        assert_eq!(sink.segments_sealed(), 3);
+        assert_eq!(
+            sink.last_assignments_at(at),
+            sink.last_assignments_at_full_scan(at)
+        );
+        assert_eq!(sink.history_decodes, 3, "exactly the newly sealed segment");
     }
 
     #[test]
@@ -1575,7 +1734,7 @@ mod tests {
 
                 let mut written = Vec::new();
                 for name in disk.list(&config.prefix) {
-                    let data = disk.read(&name).expect("listed");
+                    let data = disk.with_file(&name, <[u8]>::to_vec).expect("listed");
                     let mut pos = 0;
                     while let Some((kind, _, next)) = parse_frame(&data, pos) {
                         if kind != KIND_FOOTER {
@@ -1609,6 +1768,104 @@ mod tests {
                 let framed = frame_record(kind, &data);
                 let scan = scan_segment(&framed);
                 prop_assert!(scan.valid_len <= framed.len());
+            }
+
+            /// The indexed history query answers, counts corruption and
+            /// demotes exactly like the full-scan oracle over any sequence
+            /// of appends, seals, flushes, crashes, recoveries and damage
+            /// landing on sealed segments after the fact, on a faithful disk
+            /// or under scheduled faults. Two identical worlds run the same
+            /// operations; one is queried through the index, the other
+            /// through the oracle.
+            ///
+            /// Dedup keeps one sink from archiving a `(device, seq)` twice,
+            /// so equal `(at, seq)` keys are planted as valid frames behind
+            /// the sink's back; coarse assignment times make them collide.
+            #[test]
+            fn indexed_history_matches_the_full_scan_oracle(
+                seed in any::<u64>(),
+                faults in prop::option::of((
+                    (0u64..40_000, 0u64..8_000),
+                    (0u64..40_000, 0u64..8_000),
+                    (0u64..40_000, 0u64..8_000),
+                    (0u64..40_000, 0u64..8_000),
+                )),
+                ops in prop::collection::vec(
+                    (0u8..20, 0u32..4, 0u64..40_000, 0u64..12, any::<usize>(), any::<u8>()),
+                    1..120,
+                ),
+            ) {
+                let window = |(from, len): (u64, u64)| {
+                    FaultSchedule::new(vec![FaultWindow::new(
+                        SimTime::from_millis(from),
+                        SimTime::from_millis(from + len),
+                    )])
+                };
+                let plan = faults.map_or_else(DiskFaultPlan::none, |(torn, short, rot, fsync)| {
+                    DiskFaultPlan {
+                        torn_write: window(torn),
+                        short_write: window(short),
+                        bit_rot: window(rot),
+                        fsync_loss: window(fsync),
+                    }
+                });
+                let config = ArchiveConfig {
+                    segment_records: 3,
+                    ..ArchiveConfig::default()
+                };
+                let world = || {
+                    let disk = SharedDisk::new(SimDisk::new(seed).with_fault_plan(plan.clone()));
+                    (disk.clone(), ArchiveSink::new(disk, config.clone()))
+                };
+                let mut worlds = [world(), world()];
+                for (kind, device, at_ms, seq, pick, byte) in ops {
+                    let at = SimTime::from_millis(at_ms);
+                    let coarse = SimTime::from_secs(at_ms / 10_000 * 10);
+                    let device = DeviceId::new(device);
+                    let room = usize::from(byte % 4);
+                    if kind >= 17 {
+                        let [(_, indexed), (_, oracle)] = &mut worlds;
+                        let before = (indexed.read_corruptions(), oracle.read_corruptions());
+                        let got = indexed.last_assignments_at(at);
+                        let want = oracle.last_assignments_at_full_scan(at);
+                        prop_assert_eq!(got, want);
+                        prop_assert_eq!(
+                            indexed.read_corruptions() - before.0,
+                            oracle.read_corruptions() - before.1
+                        );
+                        prop_assert_eq!(indexed.healed(), oracle.healed());
+                        continue;
+                    }
+                    for (disk, sink) in &mut worlds {
+                        let sealed = sink.sealed.len();
+                        match kind {
+                            0..=7 => {
+                                sink.append_assignment(device, coarse, seq, room);
+                            }
+                            8..=10 => {
+                                sink.append_report(&arbitrary_report(device.value(), seq, at_ms, &[]));
+                            }
+                            11 => sink.flush(),
+                            12 => disk.crash(at),
+                            13 => *sink = ArchiveSink::recover(disk.clone(), config.clone()).0,
+                            14 if sealed > 0 => {
+                                // Bytes past a sealed footer, as after recovery.
+                                disk.append(&sink.sealed[pick % sealed].name, at, &[byte]);
+                            }
+                            15 if sealed > 0 => {
+                                let name = &sink.sealed[pick % sealed].name;
+                                let len = disk.with_file(name, <[u8]>::len).unwrap_or(0);
+                                disk.truncate(name, len * usize::from(byte) / 256);
+                            }
+                            16 => {
+                                let payload = encode_assignment(device, coarse, seq, room);
+                                let frame = frame_record(KIND_ASSIGNMENT, &payload);
+                                disk.append(&sink.active_name, at, &frame);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
             }
 
             /// Any single-byte flip or truncation of a valid report or

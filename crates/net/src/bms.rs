@@ -373,6 +373,10 @@ struct ServerState {
     assignments: BTreeMap<DeviceId, Retained<(SimTime, u64, RoomLabel)>>,
     /// Per-device dedup windows for the `ingest` path.
     dedup: BTreeMap<DeviceId, DedupWindow>,
+    /// The highest floor any log or history compaction has set: the
+    /// retention low-watermark, kept as compaction raises it so reading it
+    /// scans nothing. Checkpoints carry it with the rest of the state.
+    floor: Option<SimTime>,
     stats: ServerStats,
     /// Server-side metrics and structured event journal; snapshotted and
     /// restored along with the rest of the state.
@@ -429,6 +433,9 @@ impl ServerState {
             .unwrap_or_default();
         let dropped = (reports.len() + assignments.len()) as u64;
         if dropped > 0 {
+            // Either compaction that dropped an entry set its floor to at
+            // least `cutoff`; floors only rise.
+            self.floor = Some(self.floor.map_or(cutoff, |f| f.max(cutoff)));
             self.telemetry.add(keys::BMS_RETENTION_COMPACTED, dropped);
         }
         Spill {
@@ -1044,13 +1051,7 @@ impl BmsServer {
     /// compacted history. `None` while nothing was ever compacted (always,
     /// with unbounded retention).
     pub fn retention_floor(&self) -> Option<SimTime> {
-        let state = self.state.lock();
-        state
-            .logs
-            .values()
-            .filter_map(|log| log.floor)
-            .chain(state.assignments.values().filter_map(|h| h.floor))
-            .max()
+        self.state.lock().floor
     }
 
     /// The per-room population evidence aggregate over the window
@@ -2084,6 +2085,49 @@ mod tests {
                     prop_assert_eq!(window.watermark, model.watermark);
                     prop_assert_eq!(format!("{window:?}"), format!("{model:?}"));
                     prop_assert_eq!(format!("{window:#?}"), format!("{model:#?}"));
+                }
+            }
+
+            /// The running retention floor equals the maximum floor over
+            /// every device's log and history, recomputed by a full scan,
+            /// after every ingest (stragglers and unclassifiable reports
+            /// included) and across checkpoint/restore.
+            #[test]
+            fn running_retention_floor_matches_the_full_scan(
+                window_s in 1u64..60,
+                steps in prop::collection::vec(
+                    (0u32..4, 0u64..40, 0u64..20, prop::option::of(0u16..3), 0u8..16),
+                    0..80,
+                ),
+            ) {
+                let scanned = |server: &BmsServer| {
+                    let state = server.state.lock();
+                    state
+                        .logs
+                        .values()
+                        .filter_map(|log| log.floor)
+                        .chain(state.assignments.values().filter_map(|h| h.floor))
+                        .max()
+                };
+                let mut server = BmsServer::new(minor_estimator())
+                    .with_retention(SimDuration::from_secs(window_s));
+                let mut clock = 0u64;
+                for (seq, (device, advance, lag, minor, restore)) in steps.into_iter().enumerate() {
+                    clock += advance;
+                    let base = report(device, clock.saturating_sub(lag), minor.unwrap_or(0));
+                    let beacons = if minor.is_some() { base.beacons } else { vec![] };
+                    server.ingest(ObservationReport {
+                        seq: seq as u64,
+                        beacons,
+                        ..base
+                    });
+                    prop_assert_eq!(server.retention_floor(), scanned(&server));
+                    if restore == 0 {
+                        let checkpoint = server.checkpoint();
+                        server = BmsServer::restore(minor_estimator(), checkpoint)
+                            .expect("untampered checkpoint");
+                        prop_assert_eq!(server.retention_floor(), scanned(&server));
+                    }
                 }
             }
         }

@@ -44,23 +44,23 @@ pub(crate) enum Policy {
         /// The first backoff step.
         base: SimDuration,
     },
-    /// One report per entry, no backoff: every flush retries every entry.
-    Mesh,
+    /// One report per entry, backing off like [`Queue`](Policy::Queue);
+    /// counters mirror under the mesh's own keys.
+    Mesh {
+        /// The first backoff step.
+        base: SimDuration,
+    },
 }
 
 impl Policy {
     fn checked(self) -> Self {
-        assert!(
-            self.base().is_none_or(|base| !base.is_zero()),
-            "base backoff must be non-zero"
-        );
+        assert!(!self.base().is_zero(), "base backoff must be non-zero");
         self
     }
 
-    fn base(self) -> Option<SimDuration> {
+    fn base(self) -> SimDuration {
         match self {
-            Policy::Queue { base } | Policy::Batch { base } => Some(base),
-            Policy::Mesh => None,
+            Policy::Queue { base } | Policy::Batch { base } | Policy::Mesh { base } => base,
         }
     }
 
@@ -68,7 +68,7 @@ impl Policy {
     fn first_attempts(self) -> u32 {
         match self {
             Policy::Batch { .. } => 1,
-            Policy::Queue { .. } | Policy::Mesh => 0,
+            Policy::Queue { .. } | Policy::Mesh { .. } => 0,
         }
     }
 
@@ -89,7 +89,7 @@ impl Policy {
                 retransmits: Some(keys::NET_BATCH_RETRANSMITS),
                 size: Some(keys::NET_BATCH_SIZE),
             },
-            Policy::Mesh => Family {
+            Policy::Mesh { .. } => Family {
                 dropped: Some(keys::NET_PEER_DROPPED),
                 ..Family::default()
             },
@@ -223,13 +223,9 @@ impl Outbox {
         capped + SimDuration::from_millis(rng.gen_range(0..=base.as_millis()))
     }
 
-    /// Schedules `entry`'s next attempt after `at`; a policy without
-    /// backoff makes it due on every flush.
+    /// Schedules `entry`'s next attempt after `at`.
     fn reschedule<R: Rng + ?Sized>(&self, entry: &mut Entry, at: SimTime, rng: &mut R) {
-        entry.next_attempt = match self.policy.base() {
-            Some(base) => at + Self::backoff(base, entry.attempts, rng),
-            None => SimTime::ZERO,
-        };
+        entry.next_attempt = at + Self::backoff(self.policy.base(), entry.attempts, rng);
     }
 
     /// One wire attempt for `entry`. Pushes whatever reached the server into
@@ -416,7 +412,7 @@ mod tests {
             let policy = match policy_code {
                 0 => Policy::Queue { base },
                 1 => Policy::Batch { base },
-                _ => Policy::Mesh,
+                _ => Policy::Mesh { base },
             };
             let batch = policy_code == 1;
             let mut outbox = Outbox::new(policy, capacity);
@@ -481,7 +477,7 @@ mod tests {
             let family = policy.family();
             let counter = |key: Option<MetricKey>| key.map(|key| inner.telemetry().counter(key));
             prop_assert_eq!(counter(family.dropped), Some(outbox.dropped));
-            if !matches!(policy, Policy::Mesh) {
+            if !matches!(policy, Policy::Mesh { .. }) {
                 prop_assert_eq!(counter(family.offered), Some(offered));
                 prop_assert_eq!(counter(family.delivered), Some(outbox.delivered));
                 prop_assert_eq!(counter(family.retransmits), Some(outbox.retransmits));

@@ -66,6 +66,7 @@ impl PeerRelayConfig {
             self.hops_to_exit <= self.max_hops,
             "max_hops must cover hops_to_exit"
         );
+        assert!(!self.hop_latency.is_zero(), "hop_latency must be non-zero");
         assert!(
             (0.0..=1.0).contains(&self.hop_success),
             "probability must be in [0, 1] (got {})",
@@ -90,9 +91,13 @@ impl PeerRelayConfig {
 ///   [`max_hops`](PeerRelayConfig::max_hops) budget) the report exits over
 ///   the peer's `exit` transport, delayed by the accumulated hop time.
 /// * if neither path gets the report out (backpressure included), it parks
-///   in the buffer — the no-backoff policy over the shared outbox:
-///   [`offer`](Self::offer) and [`flush`](Self::flush) retry every parked
-///   report whenever they run.
+///   in the shared outbox's buffer: [`offer`](Self::offer) and
+///   [`flush`](Self::flush) retry a parked report once its capped
+///   exponential backoff with full jitter has run out. The first step is
+///   the airtime of one full failed walk,
+///   [`hop_latency`](PeerRelayConfig::hop_latency) ×
+///   [`max_hops`](PeerRelayConfig::max_hops), so a long outage costs each
+///   report a few failed walks, not one per call.
 ///
 /// Every burst of either uplink is forwarded into the mesh's own recorder,
 /// next to the hops.
@@ -201,8 +206,8 @@ impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (zero hops, a budget
-    /// below the exit distance, a probability outside `[0, 1]`, a zero
-    /// buffer).
+    /// below the exit distance, a probability outside `[0, 1]`, a zero hop
+    /// latency, a zero buffer).
     pub fn new(direct: D, exit: X, config: PeerRelayConfig) -> Self {
         config.validate();
         PeerRelayTransport {
@@ -213,7 +218,12 @@ impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
                 telemetry: Recorder::new(),
                 relayed: 0,
             },
-            outbox: Outbox::new(Policy::Mesh, config.queue_capacity),
+            outbox: Outbox::new(
+                Policy::Mesh {
+                    base: config.hop_latency * u64::from(config.max_hops),
+                },
+                config.queue_capacity,
+            ),
             parked: 0,
         }
     }
@@ -265,16 +275,16 @@ impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
         self.outbox.dropped
     }
 
-    /// Retries every parked report over the full direct-then-mesh path;
-    /// returns the ones that got through. Reports that still cannot exit
-    /// stay parked (in order).
+    /// Retries every parked report whose backoff has run out over the full
+    /// direct-then-mesh path; returns the ones that got through. Reports
+    /// that still cannot exit stay parked (in order).
     pub fn flush<R: Rng + ?Sized>(&mut self, at: SimTime, rng: &mut R) -> Vec<Delivery> {
         let mut deliveries = Vec::new();
         self.outbox.flush(&mut self.path, at, rng, &mut deliveries);
         deliveries
     }
 
-    /// Offers a new report: drains the parked backlog first, then attempts
+    /// Offers a new report: drains the due backlog first, then attempts
     /// this report once, parking it if neither the direct uplink nor the
     /// mesh can carry it. Returns everything that reached the server during
     /// this call (backlog first).
@@ -490,8 +500,8 @@ mod tests {
     #[test]
     fn exhausted_hop_budget_parks_the_report_and_flush_drains_it() {
         // Direct uplink dead for [0 s, 300 s); mesh hops never succeed, so
-        // reports park. After the outage the direct link carries the whole
-        // backlog out on the next offer.
+        // reports park. After the outage the direct link carries the
+        // backlog out as each report's backoff runs out.
         let mut mesh = PeerRelayTransport::new(
             FaultyTransport::new(
                 WifiTransport::new(1.0, SimDuration::from_millis(50)),
@@ -523,6 +533,10 @@ mod tests {
                 >= mesh.parked() * u64::from(mesh.config().max_hops)
         );
         assert_eq!(mesh.telemetry().counter(keys::NET_PEER_QUEUED), mesh.parked());
+        // Retrying every parked report on every call burned 2365 bursts
+        // here, 1860 of them hops; backoff keeps the outage under half that.
+        let bursts = mesh.telemetry().transport_events().len();
+        assert!(bursts < 1200, "{bursts} bursts");
     }
 
     #[test]
@@ -604,6 +618,19 @@ mod tests {
         assert_eq!(
             mesh.telemetry().transport_events(),
             mesh.direct().telemetry().transport_events()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "hop_latency must be non-zero")]
+    fn zero_hop_latency_panics() {
+        let _ = PeerRelayTransport::new(
+            WifiTransport::default(),
+            WifiTransport::default(),
+            PeerRelayConfig {
+                hop_latency: SimDuration::ZERO,
+                ..PeerRelayConfig::default()
+            },
         );
     }
 

@@ -127,6 +127,10 @@ struct SimFile {
     data: Vec<u8>,
     /// Bytes at or below this offset survive a crash.
     durable_len: usize,
+    /// Bumped by every operation that changes `data`, so a reader that
+    /// decoded the file at generation `g` knows its decode still holds
+    /// while the generation reads `g`.
+    generation: u64,
     /// Per-file fault-magnitude stream (seeded from the disk seed and the
     /// file name), so concurrent writers to *different* files stay
     /// deterministic.
@@ -144,9 +148,10 @@ struct SimFile {
 ///
 /// let mut disk = SimDisk::pristine(7);
 /// disk.append("wal", SimTime::from_secs(1), b"hello");
-/// assert_eq!(disk.read("wal").as_deref(), Some(&b"hello"[..]));
+/// assert_eq!(disk.with_file("wal", |bytes| bytes.len()), Some(5));
 /// disk.crash(SimTime::from_secs(2)); // never fsynced: the bytes are gone
-/// assert_eq!(disk.read("wal").as_deref(), Some(&b""[..]));
+/// assert_eq!(disk.with_file("wal", |bytes| bytes.len()), Some(0));
+/// assert_eq!(disk.generation("wal"), 2); // the append, then the cut
 /// ```
 #[derive(Debug)]
 pub struct SimDisk {
@@ -201,6 +206,7 @@ impl SimDisk {
             let file = SimFile {
                 data: Vec::new(),
                 durable_len: 0,
+                generation: 0,
                 rng: rng::for_component(self.seed, name),
             };
             self.files.insert(name.to_string(), file);
@@ -224,6 +230,7 @@ impl SimDisk {
             bytes.len()
         };
         file.data.extend_from_slice(&bytes[..kept]);
+        file.generation += 1;
         if rot && file.durable_len > 0 {
             let pos = file.rng.gen_range(0..file.durable_len);
             let mask = 1u8 << file.rng.gen_range(0..8u32);
@@ -249,9 +256,17 @@ impl SimDisk {
         file.durable_len = file.data.len();
     }
 
-    /// The current contents of `name`, or `None` if it was never written.
-    pub fn read(&self, name: &str) -> Option<Vec<u8>> {
-        self.files.get(name).map(|f| f.data.clone())
+    /// Runs `parse` over the current contents of `name` in place, or
+    /// returns `None` if it was never written.
+    pub fn with_file<R>(&self, name: &str, parse: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.files.get(name).map(|f| parse(&f.data))
+    }
+
+    /// How many times `name`'s bytes have changed: every append (short
+    /// writes and bit rot included), truncation and crash cut bumps it.
+    /// A file never written reads 0, like an empty one.
+    pub fn generation(&self, name: &str) -> u64 {
+        self.files.get(name).map_or(0, |f| f.generation)
     }
 
     /// Current length of `name` in bytes.
@@ -280,6 +295,7 @@ impl SimDisk {
         let file = self.file_mut(name);
         file.data.truncate(len);
         file.durable_len = file.data.len();
+        file.generation += 1;
     }
 
     /// Simulates a power loss at `at`: every file loses its un-fsynced
@@ -301,6 +317,7 @@ impl SimDisk {
             };
             file.data.truncate(file.durable_len + keep);
             file.durable_len = file.data.len();
+            file.generation += 1;
         }
     }
 
@@ -338,9 +355,24 @@ impl SharedDisk {
         self.0.lock().fsync(name, at)
     }
 
-    /// See [`SimDisk::read`].
-    pub fn read(&self, name: &str) -> Option<Vec<u8>> {
-        self.0.lock().read(name)
+    /// See [`SimDisk::with_file`]; holds the disk lock while `parse` runs.
+    pub fn with_file<R>(&self, name: &str, parse: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.0.lock().with_file(name, parse)
+    }
+
+    /// See [`SimDisk::generation`].
+    pub fn generation(&self, name: &str) -> u64 {
+        self.0.lock().generation(name)
+    }
+
+    /// [`SimDisk::generation`] of each of `names`, in order, under one
+    /// lock.
+    pub fn generations<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> Vec<u64> {
+        let disk = self.0.lock();
+        names
+            .into_iter()
+            .map(|name| disk.generation(name))
+            .collect()
     }
 
     /// See [`SimDisk::len`].
@@ -392,6 +424,10 @@ mod tests {
         )])
     }
 
+    fn read(disk: &SimDisk, name: &str) -> Option<Vec<u8>> {
+        disk.with_file(name, <[u8]>::to_vec)
+    }
+
     #[test]
     fn fsynced_bytes_survive_a_crash_and_volatile_bytes_do_not() {
         let mut disk = SimDisk::pristine(1);
@@ -399,7 +435,7 @@ mod tests {
         disk.fsync("seg", SimTime::from_secs(1));
         disk.append("seg", SimTime::from_secs(2), b"+volatile");
         disk.crash(SimTime::from_secs(3));
-        assert_eq!(disk.read("seg").as_deref(), Some(&b"durable"[..]));
+        assert_eq!(read(&disk, "seg").as_deref(), Some(&b"durable"[..]));
         assert_eq!(disk.stats().crashes, 1);
         assert_eq!(disk.stats().torn_tails, 0);
     }
@@ -414,7 +450,7 @@ mod tests {
         disk.fsync("seg", SimTime::from_secs(1));
         disk.append("seg", SimTime::from_secs(2), b"0123456789");
         disk.crash(SimTime::from_secs(3));
-        let data = disk.read("seg").expect("file exists");
+        let data = read(&disk, "seg").expect("file exists");
         assert!(data.len() >= b"durable".len(), "durable prefix survives");
         assert!(data.len() < b"durable".len() + 10, "torn tail is partial");
         assert!(data.starts_with(b"durable"));
@@ -441,9 +477,9 @@ mod tests {
         });
         disk.append("seg", SimTime::from_secs(1), b"pristine-data");
         disk.fsync("seg", SimTime::from_secs(1));
-        let before = disk.read("seg").expect("exists");
+        let before = read(&disk, "seg").expect("exists");
         disk.append("seg", SimTime::from_secs(20), b"x");
-        let after = disk.read("seg").expect("exists");
+        let after = read(&disk, "seg").expect("exists");
         let diffs = before
             .iter()
             .zip(after.iter())
@@ -462,7 +498,7 @@ mod tests {
         disk.append("seg", SimTime::from_secs(1), b"doomed");
         disk.fsync("seg", SimTime::from_secs(2)); // lies
         disk.crash(SimTime::from_secs(3));
-        assert_eq!(disk.read("seg").as_deref(), Some(&b""[..]));
+        assert_eq!(read(&disk, "seg").as_deref(), Some(&b""[..]));
         assert_eq!(disk.stats().lost_fsyncs, 1);
         assert_eq!(disk.stats().fsyncs, 0);
     }
@@ -483,7 +519,7 @@ mod tests {
                 }
             }
             disk.crash(SimTime::from_secs(61));
-            disk.read("a").expect("exists")
+            read(&disk, "a").expect("exists")
         };
         assert_eq!(run(), run());
     }
@@ -502,7 +538,7 @@ mod tests {
                 disk.append("b", SimTime::from_secs(1), b"bbbbbbbbbb");
             }
             disk.append("a", SimTime::from_secs(2), b"aaaaaaaaaa");
-            disk.read("a").expect("exists")
+            read(&disk, "a").expect("exists")
         };
         assert_eq!(run(false), run(true));
     }
@@ -513,8 +549,36 @@ mod tests {
         disk.append("seg", SimTime::from_secs(1), b"good+corrupt");
         disk.truncate("seg", 4);
         disk.crash(SimTime::from_secs(2));
-        assert_eq!(disk.read("seg").as_deref(), Some(&b"good"[..]));
+        assert_eq!(read(&disk, "seg").as_deref(), Some(&b"good"[..]));
         assert_eq!(disk.stats().truncates, 1);
+    }
+
+    #[test]
+    fn generation_moves_with_every_change_to_the_bytes_and_only_then() {
+        let mut disk = SimDisk::new(15).with_fault_plan(DiskFaultPlan {
+            short_write: window(10, 20),
+            bit_rot: window(30, 40),
+            ..DiskFaultPlan::none()
+        });
+        assert_eq!(disk.generation("seg"), 0, "never written");
+        disk.append("seg", SimTime::from_secs(1), b"durable");
+        disk.fsync("seg", SimTime::from_secs(1));
+        assert_eq!(disk.generation("seg"), 1, "fsync changes no byte");
+        disk.append("seg", SimTime::from_secs(15), b"short");
+        disk.append("seg", SimTime::from_secs(35), b"rot");
+        assert_eq!(disk.generation("seg"), 3, "short write and rot both count");
+        disk.fsync("seg", SimTime::from_secs(36));
+        disk.crash(SimTime::from_secs(37));
+        assert_eq!(disk.generation("seg"), 3, "nothing volatile to cut");
+        disk.append("seg", SimTime::from_secs(50), b"volatile");
+        disk.crash(SimTime::from_secs(51));
+        assert_eq!(disk.generation("seg"), 5, "the append and the cut");
+        disk.truncate("seg", 2);
+        assert_eq!(disk.generation("seg"), 6);
+        let shared = SharedDisk::new(disk);
+        assert_eq!(shared.generations(["seg", "other"]), vec![6, 0]);
+        assert_eq!(shared.generation("other"), 0, "reading creates no file");
+        assert!(shared.list("other").is_empty());
     }
 
     #[test]
@@ -535,7 +599,10 @@ mod tests {
         clone.fsync("seg", SimTime::ZERO);
         clone.append("seg", SimTime::ZERO, b"def");
         disk.crash(SimTime::ZERO);
-        assert_eq!(disk.read("seg").as_deref(), Some(&b"abc"[..]));
+        assert_eq!(
+            disk.with_file("seg", <[u8]>::to_vec).as_deref(),
+            Some(&b"abc"[..])
+        );
         assert_eq!(clone.stats().appends, 2);
     }
 

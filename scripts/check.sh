@@ -12,8 +12,9 @@
 # fingerprint checksum under a single worker and under the default
 # parallelism. The full single-worker `repro all` text must match the
 # committed repro_output.txt, so every figure and checksum is pinned.
-# Finally two traced perfbench runs (office_e2e and surge_ingest) check the
-# benchmark's own gates, and the benchmark package runs its self-tests.
+# Finally three traced perfbench runs (office_e2e, surge_ingest and
+# history_reads) check the benchmark's own gates, and the benchmark package
+# runs its self-tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,9 +77,19 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload surge_ingest --seed 1 --seconds 1 --trace 1 > /dev/null
 echo "perfbench surge_ingest traced run passed its oracle-digest, refusal and MAE gates"
 
+# The same for the archive read path: one short traced history_reads run.
+# It is the only workload whose answers to occupancy_at_checked and
+# reports_between are compared against an unbounded reference server;
+# perfbench exits non-zero when one disagrees, when the tier's state digest
+# differs from its single-thread oracle, or when the crowd-count MAE
+# exceeds the preset bound.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload history_reads --seed 1 --seconds 1 --trace 1 > /dev/null
+echo "perfbench history_reads traced run passed its reference-answer, oracle-digest and MAE gates"
+
 # The benchmark package's own self-tests (it is not a workspace member, so
 # the workspace test runs above never reach them).
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
-echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt + perfbench office_e2e/surge_ingest gates and self-tests green"
+echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
