@@ -1,33 +1,19 @@
-//! The fleet's implementation: struct-of-arrays pipelines with reused
-//! scratch.
+//! The fleet: the device body ([`crate::run_pipeline_faulted`]'s) run over
+//! every occupant in parallel chunks.
 //!
-//! The single-device oracle ([`crate::run_pipeline_faulted`]) allocates per
-//! cycle: the radio stage takes fresh buffers per run, the scanner one
-//! `Vec<ScanSample>` per cycle, aggregation one `BTreeMap` of pooled `Vec`s
-//! per cycle. [`run_fleet`] runs the same pipeline over flat batch buffers:
-//! all of a device's samples land back to back in one reused buffer with a
-//! [`CycleSpan`] per cycle, and every stage's working memory lives in a
-//! per-chunk [`DeviceScratch`] reused across the chunk's devices. Both call
-//! the same radio loop ([`simulate_receptions_into`]), so the radio is
-//! checked against its own per-packet oracle in the stack crate's tests.
-//!
-//! Everything is bit-for-bit the oracle: the same RNG streams are drawn in
-//! the same order, the telemetry op sequence per device is unchanged, and
-//! chunk children merge in chunk order — which is device order — so merged
-//! snapshots equal the per-device recorders merged in device order, at any
-//! thread count (`tests/batch_equivalence.rs` proves this by property).
+//! Each chunk owns one `DeviceScratch` and runs its devices sequentially
+//! through it, so every stage's working memory is reused across the
+//! chunk's devices. Chunk children merge in chunk order — which is device
+//! order — so merged events and telemetry equal the per-device runs merged
+//! in device order, at any thread count (`tests/batch_equivalence.rs`
+//! proves this by property).
 
 use crate::fleet::merge_streams;
-use crate::{CycleRecord, FaultPlan, FleetEvent, PipelineConfig, Scenario, ScannerKind};
+use crate::pipeline::{run_device, DeviceScratch};
+use crate::{CycleRecord, FaultPlan, FleetEvent, PipelineConfig, Scenario};
 use roomsense_building::mobility::MobilityModel;
-use crate::pipeline::FilterTracks;
-use roomsense_signal::{aggregate_cycle_into, AggregateScratch};
-use roomsense_sim::{exec, rng, SimDuration, SimTime};
-use roomsense_stack::{
-    run_scan_batch_recorded, simulate_receptions_into, AndroidLScanner, AndroidScanner, CycleSpan,
-    IosScanner, RadioScratch, Reception, ScanScratch, ScannerModel,
-};
-use roomsense_telemetry::{keys, Recorder, SpanTimer};
+use roomsense_sim::{exec, rng, SimDuration};
+use roomsense_telemetry::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the fleet groups devices into parallel tasks.
@@ -47,28 +33,7 @@ impl Default for BatchConfig {
     }
 }
 
-/// One chunk's reusable working memory, spanning every pipeline stage.
-#[derive(Debug, Default)]
-struct DeviceScratch {
-    radio: RadioScratch,
-    receptions: Vec<Reception>,
-    scan: ScanScratch,
-    spans: Vec<CycleSpan>,
-    aggregate: AggregateScratch,
-}
-
-impl DeviceScratch {
-    /// Total reserved capacity across every buffer, in elements.
-    fn total_capacity(&self) -> usize {
-        self.radio.total_capacity()
-            + self.receptions.capacity()
-            + self.scan.total_capacity()
-            + self.spans.capacity()
-            + self.aggregate.total_capacity()
-    }
-}
-
-/// Scratch-buffer growth events across all batched runs since the last
+/// Scratch-buffer growth events across all fleet runs since the last
 /// [`reset_batch_alloc_stats`] (a device whose processing grew any scratch
 /// buffer counts once), plus the cycles processed — the bench's
 /// allocations-per-cycle debug counter. In steady state growth stays at
@@ -78,7 +43,7 @@ impl DeviceScratch {
 pub struct BatchAllocStats {
     /// Devices whose run grew at least one scratch buffer.
     pub growth_events: u64,
-    /// Scan cycles processed by the batched path.
+    /// Scan cycles processed by the fleet.
     pub cycles: u64,
 }
 
@@ -197,7 +162,7 @@ pub fn run_fleet(
                     let device_seed =
                         rng::derive_indexed_seed(seed, "fleet-device", index as u64);
                     let capacity_before = scratch.total_capacity();
-                    let records = run_device_batched(
+                    let records = run_device(
                         scenario,
                         config,
                         occupants[index],
@@ -222,130 +187,6 @@ pub fn run_fleet(
         per_device.extend(records);
     }
     merge_streams(per_device)
-}
-
-/// One device through the batched pipeline. Stage structure, RNG streams
-/// and telemetry ops replicate [`crate::run_pipeline_faulted`] exactly;
-/// only the working memory differs.
-#[allow(clippy::too_many_arguments)]
-fn run_device_batched(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    mobility: &dyn MobilityModel,
-    duration: SimDuration,
-    seed: u64,
-    faults: &FaultPlan,
-    telemetry: &mut Recorder,
-    scratch: &mut DeviceScratch,
-) -> Vec<CycleRecord> {
-    let from = SimTime::ZERO;
-    let until = from + duration;
-    let mut radio_rng = rng::for_indexed(seed, "pipeline-radio", scenario.seed());
-    let radio_span = SpanTimer::start(keys::STAGE_RADIO_MS, from);
-    simulate_receptions_into(
-        scenario.channel(),
-        scenario.advertisers(),
-        &faults.transmitter,
-        &config.device,
-        |t| mobility.position_at(t),
-        from,
-        until,
-        &mut radio_rng,
-        telemetry,
-        &mut scratch.radio,
-        &mut scratch.receptions,
-    );
-    radio_span.stop(telemetry, until);
-    let mut scan_rng = rng::for_indexed(seed, "pipeline-scan", scenario.seed());
-    let scan_span = SpanTimer::start(keys::STAGE_SCAN_MS, from);
-    {
-        let mut scan = |model: &dyn ErasedScanner, rng: &mut dyn rand::RngCore| {
-            model.run_batch(
-                &scratch.receptions,
-                config,
-                from,
-                until,
-                rng,
-                telemetry,
-                &mut scratch.scan,
-                &mut scratch.spans,
-            )
-        };
-        match config.scanner {
-            ScannerKind::Android { stall_probability } => scan(
-                &faults.scanner(AndroidScanner::new(stall_probability)),
-                &mut scan_rng,
-            ),
-            ScannerKind::AndroidL => scan(
-                &faults.scanner(AndroidLScanner::low_latency()),
-                &mut scan_rng,
-            ),
-            ScannerKind::Ios => scan(&faults.scanner(IosScanner), &mut scan_rng),
-        }
-    }
-    scan_span.stop(telemetry, until);
-    let track_span = SpanTimer::start(keys::STAGE_TRACK_MS, from);
-    let ranging = scenario.ranging_config();
-    let mut tracks = FilterTracks::for_scenario(config, scenario);
-    let mut records = Vec::with_capacity(scratch.spans.len());
-    for span in &scratch.spans {
-        let mut observations = Vec::new();
-        aggregate_cycle_into(
-            span.end,
-            &scratch.scan.samples[span.sample_begin..span.sample_end],
-            config.aggregation,
-            &ranging,
-            &mut scratch.aggregate,
-            &mut observations,
-        );
-        let mut snapshots = Vec::new();
-        tracks.update_cycle_into_recorded(span.end, &observations, telemetry, &mut snapshots);
-        let true_position = mobility.position_at(span.end);
-        records.push(CycleRecord {
-            at: span.end,
-            observations,
-            snapshots,
-            true_position,
-            true_room: scenario.plan().room_at(true_position),
-        });
-    }
-    track_span.stop(telemetry, until);
-    records
-}
-
-/// Object-safe shim over [`run_scan_batch_recorded`] so the scanner match
-/// arms share one call site without monomorphizing the whole tail.
-trait ErasedScanner {
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch(
-        &self,
-        receptions: &[Reception],
-        config: &PipelineConfig,
-        from: SimTime,
-        until: SimTime,
-        rng: &mut dyn rand::RngCore,
-        telemetry: &mut Recorder,
-        scratch: &mut ScanScratch,
-        spans: &mut Vec<CycleSpan>,
-    );
-}
-
-impl<M: ScannerModel> ErasedScanner for M {
-    fn run_batch(
-        &self,
-        receptions: &[Reception],
-        config: &PipelineConfig,
-        from: SimTime,
-        until: SimTime,
-        rng: &mut dyn rand::RngCore,
-        telemetry: &mut Recorder,
-        scratch: &mut ScanScratch,
-        spans: &mut Vec<CycleSpan>,
-    ) {
-        run_scan_batch_recorded(
-            receptions, self, config.scan, from, until, rng, telemetry, scratch, spans,
-        );
-    }
 }
 
 #[cfg(test)]

@@ -2,17 +2,18 @@
 
 use crate::config::MEDIAN_FILTER_WINDOW;
 use crate::{FaultPlan, FilterKind, PipelineConfig, Scenario, ScannerKind};
+use rand::RngCore;
 use roomsense_building::mobility::MobilityModel;
 use roomsense_building::RoomId;
 use roomsense_geom::Point;
 use roomsense_signal::{
-    aggregate_cycle, BayesFilter, EwmaFilter, KalmanFilter, MedianFilter, Observation,
-    TrackManager, TrackSnapshot,
+    aggregate_cycle_into, AggregateScratch, BayesFilter, EwmaFilter, KalmanFilter, MedianFilter,
+    Observation, TrackManager, TrackSnapshot,
 };
 use roomsense_sim::{rng, SimDuration, SimTime};
 use roomsense_stack::{
-    run_scan_recorded, simulate_receptions_faulty_recorded, AndroidLScanner, AndroidScanner,
-    IosScanner,
+    run_scan_into, simulate_receptions_into, AndroidLScanner, AndroidScanner, CycleSpan,
+    IosScanner, RadioScratch, Reception, ScanScratch, ScannerModel,
 };
 use roomsense_telemetry::{keys, Recorder, SpanTimer};
 use std::fmt;
@@ -55,8 +56,7 @@ impl fmt::Display for CycleRecord {
 /// carry both the raw Android observations (Fig 4/6 material) and the
 /// EWMA-smoothed tracks (Fig 5/7/8 material), with ground truth for
 /// classification experiments (Fig 9). It is [`run_pipeline_faulted`] with
-/// [`FaultPlan::none`] and the telemetry discarded, and it is the
-/// single-device oracle the batched fleet is tested against.
+/// [`FaultPlan::none`] and the telemetry discarded.
 pub fn run_pipeline<M: MobilityModel + ?Sized>(
     scenario: &Scenario,
     config: &PipelineConfig,
@@ -87,7 +87,9 @@ pub fn run_pipeline<M: MobilityModel + ?Sized>(
 /// and drops, and the simulated span each stage covered (`stage.*_ms`).
 ///
 /// Recording never draws from the seeded RNG streams, and with
-/// [`FaultPlan::none`] the records are exactly [`run_pipeline`]'s.
+/// [`FaultPlan::none`] the records are exactly [`run_pipeline`]'s. This is
+/// the device body [`run_fleet`](crate::run_fleet) runs per device, here
+/// with fresh working memory.
 ///
 /// # Panics
 ///
@@ -102,11 +104,60 @@ pub fn run_pipeline_faulted<M: MobilityModel + ?Sized>(
     faults: &FaultPlan,
     telemetry: &mut Recorder,
 ) -> Vec<CycleRecord> {
+    run_device(
+        scenario,
+        config,
+        mobility,
+        duration,
+        seed,
+        faults,
+        telemetry,
+        &mut DeviceScratch::default(),
+    )
+}
+
+/// One device's working memory, spanning every pipeline stage. The fleet
+/// reuses one across a chunk's devices, so steady-state devices allocate
+/// only their returned records.
+#[derive(Debug, Default)]
+pub(crate) struct DeviceScratch {
+    radio: RadioScratch,
+    receptions: Vec<Reception>,
+    scan: ScanScratch,
+    pub(crate) spans: Vec<CycleSpan>,
+    aggregate: AggregateScratch,
+}
+
+impl DeviceScratch {
+    /// Total reserved capacity across every buffer, in elements.
+    pub(crate) fn total_capacity(&self) -> usize {
+        self.radio.total_capacity()
+            + self.receptions.capacity()
+            + self.scan.total_capacity()
+            + self.spans.capacity()
+            + self.aggregate.total_capacity()
+    }
+}
+
+/// The device body: radio → scanner → aggregation → tracks, each stage
+/// working in `scratch`. The radio and the scanner draw from their own
+/// seeded streams, and every stage records into `telemetry` in stage order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_device<M: MobilityModel + ?Sized>(
+    scenario: &Scenario,
+    config: &PipelineConfig,
+    mobility: &M,
+    duration: SimDuration,
+    seed: u64,
+    faults: &FaultPlan,
+    telemetry: &mut Recorder,
+    scratch: &mut DeviceScratch,
+) -> Vec<CycleRecord> {
     let from = SimTime::ZERO;
     let until = from + duration;
     let mut radio_rng = rng::for_indexed(seed, "pipeline-radio", scenario.seed());
     let radio_span = SpanTimer::start(keys::STAGE_RADIO_MS, from);
-    let receptions = simulate_receptions_faulty_recorded(
+    simulate_receptions_into(
         scenario.channel(),
         scenario.advertisers(),
         &faults.transmitter,
@@ -116,51 +167,103 @@ pub fn run_pipeline_faulted<M: MobilityModel + ?Sized>(
         until,
         &mut radio_rng,
         telemetry,
+        &mut scratch.radio,
+        &mut scratch.receptions,
     );
     radio_span.stop(telemetry, until);
     let mut scan_rng = rng::for_indexed(seed, "pipeline-scan", scenario.seed());
     let scan_span = SpanTimer::start(keys::STAGE_SCAN_MS, from);
-    let cycles = match config.scanner {
-        ScannerKind::Android { stall_probability } => run_scan_recorded(
-            &receptions,
-            &faults.scanner(AndroidScanner::new(stall_probability)),
-            config.scan,
-            from,
-            until,
-            &mut scan_rng,
-            telemetry,
-        ),
-        ScannerKind::AndroidL => run_scan_recorded(
-            &receptions,
-            &faults.scanner(AndroidLScanner::low_latency()),
-            config.scan,
-            from,
-            until,
-            &mut scan_rng,
-            telemetry,
-        ),
-        ScannerKind::Ios => run_scan_recorded(
-            &receptions,
-            &faults.scanner(IosScanner),
-            config.scan,
-            from,
-            until,
-            &mut scan_rng,
-            telemetry,
-        ),
-    };
+    {
+        let mut scan = |model: &dyn ErasedScanner| {
+            model.run_scan(
+                &scratch.receptions,
+                config,
+                from,
+                until,
+                &mut scan_rng,
+                telemetry,
+                &mut scratch.scan,
+                &mut scratch.spans,
+            )
+        };
+        match config.scanner {
+            ScannerKind::Android { stall_probability } => {
+                scan(&faults.scanner(AndroidScanner::new(stall_probability)))
+            }
+            ScannerKind::AndroidL => scan(&faults.scanner(AndroidLScanner::low_latency())),
+            ScannerKind::Ios => scan(&faults.scanner(IosScanner)),
+        }
+    }
     scan_span.stop(telemetry, until);
     let track_span = SpanTimer::start(keys::STAGE_TRACK_MS, from);
-    let records = records_from_cycles_recorded(scenario, config, mobility, &cycles, telemetry);
+    let ranging = scenario.ranging_config();
+    let mut tracks = FilterTracks::for_scenario(config, scenario);
+    let mut records = Vec::with_capacity(scratch.spans.len());
+    for span in &scratch.spans {
+        let mut observations = Vec::new();
+        aggregate_cycle_into(
+            span.end,
+            &scratch.scan.samples[span.sample_begin..span.sample_end],
+            config.aggregation,
+            &ranging,
+            &mut scratch.aggregate,
+            &mut observations,
+        );
+        let mut snapshots = Vec::new();
+        tracks.update_cycle_into_recorded(span.end, &observations, telemetry, &mut snapshots);
+        let true_position = mobility.position_at(span.end);
+        records.push(CycleRecord {
+            at: span.end,
+            observations,
+            snapshots,
+            true_position,
+            true_room: scenario.plan().room_at(true_position),
+        });
+    }
     track_span.stop(telemetry, until);
     records
 }
 
+/// Object-safe shim over [`run_scan_into`] so the scanner match arms share
+/// one call site without monomorphizing the rest of the device body.
+trait ErasedScanner {
+    #[allow(clippy::too_many_arguments)]
+    fn run_scan(
+        &self,
+        receptions: &[Reception],
+        config: &PipelineConfig,
+        from: SimTime,
+        until: SimTime,
+        rng: &mut dyn RngCore,
+        telemetry: &mut Recorder,
+        scratch: &mut ScanScratch,
+        spans: &mut Vec<CycleSpan>,
+    );
+}
+
+impl<M: ScannerModel> ErasedScanner for M {
+    fn run_scan(
+        &self,
+        receptions: &[Reception],
+        config: &PipelineConfig,
+        from: SimTime,
+        until: SimTime,
+        rng: &mut dyn RngCore,
+        telemetry: &mut Recorder,
+        scratch: &mut ScanScratch,
+        spans: &mut Vec<CycleSpan>,
+    ) {
+        run_scan_into(
+            receptions, self, config.scan, from, until, rng, telemetry, scratch, spans,
+        );
+    }
+}
+
 /// One [`TrackManager`] per configured [`FilterKind`] — the static dispatch
-/// point both the scalar pipeline and the batched fleet path share, so the
-/// two stay bit-for-bit equivalent for every filter, not just EWMA.
+/// point of the device body's track stage, so every filter, not just EWMA,
+/// runs through the one body.
 #[derive(Debug, Clone)]
-pub(crate) enum FilterTracks {
+enum FilterTracks {
     /// The paper's EWMA tracks (the default path — construction is
     /// identical to the pre-`FilterKind` pipeline).
     Ewma(TrackManager<EwmaFilter>),
@@ -174,7 +277,7 @@ pub(crate) enum FilterTracks {
 }
 
 impl FilterTracks {
-    pub(crate) fn for_scenario(config: &PipelineConfig, scenario: &Scenario) -> Self {
+    fn for_scenario(config: &PipelineConfig, scenario: &Scenario) -> Self {
         match config.filter {
             FilterKind::Ewma => FilterTracks::Ewma(TrackManager::new(EwmaFilter::new(
                 config.filter_coefficient,
@@ -195,7 +298,7 @@ impl FilterTracks {
         }
     }
 
-    pub(crate) fn update_cycle_into_recorded(
+    fn update_cycle_into_recorded(
         &mut self,
         at: SimTime,
         observations: &[Observation],
@@ -209,42 +312,6 @@ impl FilterTracks {
             FilterTracks::Bayes(t) => t.update_cycle_into_recorded(at, observations, telemetry, snaps),
         }
     }
-
-    fn update_cycle_recorded(
-        &mut self,
-        at: SimTime,
-        observations: &[Observation],
-        telemetry: &mut Recorder,
-    ) -> Vec<TrackSnapshot> {
-        let mut snaps = Vec::new();
-        self.update_cycle_into_recorded(at, observations, telemetry, &mut snaps);
-        snaps
-    }
-}
-
-fn records_from_cycles_recorded<M: MobilityModel + ?Sized>(
-    scenario: &Scenario,
-    config: &PipelineConfig,
-    mobility: &M,
-    cycles: &[roomsense_stack::ScanCycleReport],
-    telemetry: &mut Recorder,
-) -> Vec<CycleRecord> {
-    let ranging = scenario.ranging_config();
-    let mut tracks = FilterTracks::for_scenario(config, scenario);
-    let mut records = Vec::with_capacity(cycles.len());
-    for cycle in cycles {
-        let observations = aggregate_cycle(cycle, config.aggregation, &ranging);
-        let snapshots = tracks.update_cycle_recorded(cycle.end, &observations, telemetry);
-        let true_position = mobility.position_at(cycle.end);
-        records.push(CycleRecord {
-            at: cycle.end,
-            observations,
-            snapshots,
-            true_position,
-            true_room: scenario.plan().room_at(true_position),
-        });
-    }
-    records
 }
 
 #[cfg(test)]

@@ -932,10 +932,9 @@ impl BmsServer {
     }
 
     /// The linear-scan reference for [`occupancy_at`](Self::occupancy_at),
-    /// retained so the equivalence of the binary search can be checked
-    /// exactly (and property-tested). O(history) per device — do not use on
-    /// hot paths.
-    pub fn occupancy_at_linear(&self, at: SimTime) -> BTreeMap<RoomLabel, usize> {
+    /// for the unit tests. O(history) per device.
+    #[cfg(test)]
+    fn occupancy_at_linear(&self, at: SimTime) -> BTreeMap<RoomLabel, usize> {
         let state = self.state.lock();
         let mut table = BTreeMap::new();
         for history in state.assignments.values() {

@@ -8,7 +8,6 @@
 use roomsense_ibeacon::{estimate_distance_log, BeaconIdentity, RangingConfig};
 use roomsense_sim::SimTime;
 use roomsense_stack::ScanCycleReport;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// How multiple RSSI samples of one beacon within a cycle are combined.
@@ -50,7 +49,7 @@ impl fmt::Display for Observation {
 }
 
 /// Reusable working memory for [`aggregate_cycle_into`]: the sort buffer
-/// that replaces the scalar path's per-cycle `BTreeMap` of pooled `Vec`s.
+/// and one beacon's RSSI pool.
 #[derive(Debug, Clone, Default)]
 pub struct AggregateScratch {
     /// Samples of the current cycle, stably sorted by identity.
@@ -72,16 +71,14 @@ impl AggregateScratch {
     }
 }
 
-/// Allocation-reusing variant of [`aggregate_cycle`], operating on a flat
-/// sample slice (cycle end time passed explicitly) and appending to `out`.
+/// Pools one cycle's samples per beacon and estimates distances, appending
+/// one observation per beacon to `out` in ascending-identity order, each
+/// timestamped at the cycle's `end`.
 ///
-/// Instead of pooling through a per-cycle `BTreeMap` of freshly allocated
-/// `Vec`s, the samples are stably sorted by identity in a reused scratch
-/// buffer. A stable sort preserves the arrival order within each beacon's
-/// group, so the pooled mean sums in the same order, the median sorts the
-/// same permutation, and the measured power is the same first-seen value —
-/// the appended observations are bit-identical to [`aggregate_cycle`]'s,
-/// in the same ascending-identity order.
+/// The samples are stably sorted by identity in a reused scratch buffer. A
+/// stable sort keeps the arrival order within each beacon's group, so the
+/// mean sums in arrival order, the median sorts the pool in arrival order,
+/// and the measured power is the beacon's first-seen value.
 pub fn aggregate_cycle_into(
     end: SimTime,
     samples: &[roomsense_stack::ScanSample],
@@ -131,9 +128,8 @@ pub fn aggregate_cycle_into(
     }
 }
 
-/// Pools one cycle's samples per beacon and estimates distances.
-///
-/// Returns observations sorted by beacon identity (deterministic order).
+/// [`aggregate_cycle_into`] over one [`ScanCycleReport`] with a fresh
+/// scratch, returning the observations.
 ///
 /// # Examples
 ///
@@ -156,46 +152,66 @@ pub fn aggregate_cycle(
     method: AggregateMethod,
     ranging: &RangingConfig,
 ) -> Vec<Observation> {
-    let mut pools: BTreeMap<BeaconIdentity, (Vec<f64>, roomsense_ibeacon::MeasuredPower)> =
-        BTreeMap::new();
-    for sample in &cycle.samples {
-        pools
-            .entry(sample.identity)
-            .or_insert_with(|| (Vec::new(), sample.measured_power))
-            .0
-            .push(sample.rssi_dbm);
-    }
-    pools
-        .into_iter()
-        .map(|(identity, (mut rssis, power))| {
-            let pooled = match method {
-                AggregateMethod::MeanDbm => rssis.iter().sum::<f64>() / rssis.len() as f64,
-                AggregateMethod::MedianDbm => {
-                    rssis.sort_by(|a, b| a.partial_cmp(b).expect("finite rssi"));
-                    let mid = rssis.len() / 2;
-                    if rssis.len() % 2 == 0 {
-                        (rssis[mid - 1] + rssis[mid]) / 2.0
-                    } else {
-                        rssis[mid]
-                    }
-                }
-            };
-            Observation {
-                at: cycle.end,
-                identity,
-                rssi_dbm: pooled,
-                distance_m: estimate_distance_log(pooled, power, ranging),
-                sample_count: rssis.len(),
-            }
-        })
-        .collect()
+    let mut out = Vec::new();
+    aggregate_cycle_into(
+        cycle.end,
+        &cycle.samples,
+        method,
+        ranging,
+        &mut AggregateScratch::new(),
+        &mut out,
+    );
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use roomsense_ibeacon::{Major, MeasuredPower, Minor, ProximityUuid};
+    use proptest::prelude::*;
     use roomsense_stack::ScanSample;
+    use std::collections::BTreeMap;
+
+    /// The pooling oracle: one `BTreeMap` of per-beacon `Vec`s per cycle.
+    fn oracle(
+        end: SimTime,
+        samples: &[ScanSample],
+        method: AggregateMethod,
+        ranging: &RangingConfig,
+    ) -> Vec<Observation> {
+        let mut pools: BTreeMap<BeaconIdentity, (Vec<f64>, MeasuredPower)> = BTreeMap::new();
+        for sample in samples {
+            pools
+                .entry(sample.identity)
+                .or_insert_with(|| (Vec::new(), sample.measured_power))
+                .0
+                .push(sample.rssi_dbm);
+        }
+        pools
+            .into_iter()
+            .map(|(identity, (mut rssis, power))| {
+                let pooled = match method {
+                    AggregateMethod::MeanDbm => rssis.iter().sum::<f64>() / rssis.len() as f64,
+                    AggregateMethod::MedianDbm => {
+                        rssis.sort_by(|a, b| a.partial_cmp(b).expect("finite rssi"));
+                        let mid = rssis.len() / 2;
+                        if rssis.len() % 2 == 0 {
+                            (rssis[mid - 1] + rssis[mid]) / 2.0
+                        } else {
+                            rssis[mid]
+                        }
+                    }
+                };
+                Observation {
+                    at: end,
+                    identity,
+                    rssi_dbm: pooled,
+                    distance_m: estimate_distance_log(pooled, power, ranging),
+                    sample_count: rssis.len(),
+                }
+            })
+            .collect()
+    }
 
     fn sample(minor: u16, rssi: f64) -> ScanSample {
         ScanSample {
@@ -263,38 +279,54 @@ mod tests {
     }
 
     #[test]
-    fn into_variant_matches_scalar_bit_for_bit() {
-        // Interleaved identities, duplicate RSSIs, both methods: the sorted
-        // group walk must reproduce the BTreeMap pooling exactly.
-        let samples = vec![
-            sample(4, -60.0),
-            sample(1, -61.5),
-            sample(4, -72.25),
-            sample(2, -61.5),
-            sample(1, -61.5),
-            sample(4, -58.0),
-            sample(1, -90.0),
-        ];
-        let c = cycle(samples);
-        let ranging = RangingConfig::default();
-        let mut scratch = AggregateScratch::new();
-        for method in [AggregateMethod::MeanDbm, AggregateMethod::MedianDbm] {
-            let scalar = aggregate_cycle(&c, method, &ranging);
-            let mut batched = Vec::new();
-            aggregate_cycle_into(c.end, &c.samples, method, &ranging, &mut scratch, &mut batched);
-            assert_eq!(scalar, batched, "{method:?}");
-            for (a, b) in scalar.iter().zip(&batched) {
-                assert_eq!(a.rssi_dbm.to_bits(), b.rssi_dbm.to_bits());
-                assert_eq!(a.distance_m.to_bits(), b.distance_m.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn output_sorted_by_identity() {
         let c = cycle(vec![sample(4, -60.0), sample(1, -60.0), sample(3, -60.0)]);
         let obs = aggregate_cycle(&c, AggregateMethod::MeanDbm, &RangingConfig::default());
         let minors: Vec<u16> = obs.iter().map(|o| o.identity.minor.value()).collect();
         assert_eq!(minors, vec![1, 3, 4]);
+    }
+
+    fn bits(observations: &[Observation]) -> Vec<(SimTime, BeaconIdentity, u64, u64, usize)> {
+        observations
+            .iter()
+            .map(|o| {
+                let (rssi, distance) = (o.rssi_dbm.to_bits(), o.distance_m.to_bits());
+                (o.at, o.identity, rssi, distance, o.sample_count)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The sorted group walk pools exactly like the `BTreeMap` oracle,
+        /// bit for bit: interleaved and repeated identities, odd and even
+        /// pool sizes, duplicate RSSIs (a 0.25 dB grid), per-sample measured
+        /// power, both methods, and one scratch reused across cycles.
+        #[test]
+        fn aggregate_matches_the_btreemap_oracle(
+            cycles in prop::collection::vec(
+                prop::collection::vec((0u16..5, 0u16..240, -70i8..-50), 0..64),
+                1..4,
+            ),
+            median in any::<bool>(),
+            exponent in 1.6f64..3.5,
+        ) {
+            let method = if median { AggregateMethod::MedianDbm } else { AggregateMethod::MeanDbm };
+            let ranging = RangingConfig { path_loss_exponent: exponent };
+            let mut scratch = AggregateScratch::new();
+            for (k, raw) in cycles.iter().enumerate() {
+                let samples: Vec<ScanSample> = raw
+                    .iter()
+                    .map(|&(minor, quarter_db, power)| ScanSample {
+                        measured_power: MeasuredPower::new(power),
+                        rssi_dbm: -40.0 - f64::from(quarter_db) / 4.0,
+                        ..sample(minor, 0.0)
+                    })
+                    .collect();
+                let end = SimTime::from_secs(2 * (k as u64 + 1));
+                let mut out = Vec::new();
+                aggregate_cycle_into(end, &samples, method, &ranging, &mut scratch, &mut out);
+                prop_assert_eq!(bits(&out), bits(&oracle(end, &samples, method, &ranging)));
+            }
+        }
     }
 }

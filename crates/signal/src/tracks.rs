@@ -87,30 +87,20 @@ impl<F: DistanceFilter + Clone> TrackManager<F> {
 
     /// Feeds one cycle's observations. Tracks absent from `observations`
     /// receive a loss; tracks dropped by their filter are removed. Returns
-    /// the live snapshots, sorted by identity.
+    /// the live snapshots, sorted by identity. This is
+    /// [`update_cycle_into_recorded`](Self::update_cycle_into_recorded)
+    /// with a fresh buffer and the telemetry discarded.
     pub fn update_cycle(&mut self, at: SimTime, observations: &[Observation]) -> Vec<TrackSnapshot> {
-        self.update_cycle_recorded(at, observations, &mut Recorder::default())
-    }
-
-    /// Like [`update_cycle`](Self::update_cycle), but recording each hold
-    /// (`filter.holds`, a track carried across a missed observation) and
-    /// drop (`filter.drops`, a track reset after too many misses) into
-    /// `telemetry`. Recording is side-effect-free on the tracks, so the
-    /// snapshots are bit-identical to the unrecorded call.
-    pub fn update_cycle_recorded(
-        &mut self,
-        at: SimTime,
-        observations: &[Observation],
-        telemetry: &mut Recorder,
-    ) -> Vec<TrackSnapshot> {
         let mut snaps = Vec::new();
-        self.update_cycle_into_recorded(at, observations, telemetry, &mut snaps);
+        self.update_cycle_into_recorded(at, observations, &mut Recorder::default(), &mut snaps);
         snaps
     }
 
-    /// Like [`update_cycle_recorded`](Self::update_cycle_recorded), but
-    /// appending the snapshots to a caller-owned buffer (not cleared here),
-    /// so the batched pipeline controls the one remaining allocation.
+    /// Feeds one cycle's observations like [`update_cycle`](Self::update_cycle),
+    /// appending the live snapshots to `snaps` (not cleared here) and
+    /// recording each hold (`filter.holds`, a track carried across a missed
+    /// observation) and drop (`filter.drops`, a track reset after too many
+    /// misses) into `telemetry`. Recording never changes the tracks.
     pub fn update_cycle_into_recorded(
         &mut self,
         at: SimTime,
@@ -203,13 +193,16 @@ mod tests {
     fn missing_beacon_is_held_then_dropped() {
         let mut tm = TrackManager::new(EwmaFilter::paper());
         let mut telemetry = Recorder::default();
-        tm.update_cycle_recorded(SimTime::from_secs(2), &[obs(0, 2.0)], &mut telemetry);
+        let mut snaps = Vec::new();
+        tm.update_cycle_into_recorded(SimTime::from_secs(2), &[obs(0, 2.0)], &mut telemetry, &mut snaps);
         // Cycle without the beacon: held.
-        let snaps = tm.update_cycle_recorded(SimTime::from_secs(4), &[], &mut telemetry);
+        snaps.clear();
+        tm.update_cycle_into_recorded(SimTime::from_secs(4), &[], &mut telemetry, &mut snaps);
         assert_eq!(snaps.len(), 1);
         assert_eq!(telemetry.counter(keys::FILTER_HOLDS), 1);
         // Second miss: dropped and removed.
-        let snaps = tm.update_cycle_recorded(SimTime::from_secs(6), &[], &mut telemetry);
+        snaps.clear();
+        tm.update_cycle_into_recorded(SimTime::from_secs(6), &[], &mut telemetry, &mut snaps);
         assert!(snaps.is_empty());
         assert!(tm.is_empty());
         assert_eq!(telemetry.counter(keys::FILTER_DROPS), 1);

@@ -32,23 +32,6 @@ pub struct ScanCycleReport {
     pub samples: Vec<ScanSample>,
 }
 
-impl ScanCycleReport {
-    /// Mean reported RSSI for one beacon within this cycle, if it was seen.
-    pub fn mean_rssi_for(&self, identity: &roomsense_ibeacon::BeaconIdentity) -> Option<f64> {
-        let xs: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| s.identity == *identity)
-            .map(|s| s.rssi_dbm)
-            .collect();
-        if xs.is_empty() {
-            None
-        } else {
-            Some(xs.iter().sum::<f64>() / xs.len() as f64)
-        }
-    }
-}
-
 /// Reusable working memory for the radio: the advertising schedule buffer
 /// and the sightline table, each rebuilt per advertiser in place (one
 /// allocation per buffer, not one per advertiser per run).
@@ -73,11 +56,10 @@ impl RadioScratch {
 
 /// One scan cycle's extent inside a flat sample batch: the samples of cycle
 /// `i` are `samples[span.sample_begin..span.sample_end]` of the batch buffer
-/// filled by [`run_scan_batch_recorded`].
+/// filled by [`run_scan_into`].
 ///
-/// This is the struct-of-arrays replacement for [`ScanCycleReport`]: one
-/// flat `Vec<ScanSample>` per run plus one small span per cycle, instead of
-/// one owned `Vec` per cycle.
+/// One flat `Vec<ScanSample>` per run plus one small span per cycle, instead
+/// of one owned `Vec` per cycle as in [`ScanCycleReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleSpan {
     /// Cycle start (inclusive).
@@ -110,7 +92,8 @@ where
     R: Rng + ?Sized,
     F: Fn(SimTime) -> Point,
 {
-    simulate_receptions_faulty_recorded(
+    let mut receptions = Vec::new();
+    simulate_receptions_into(
         channel,
         advertisers,
         &vec![TransmitterFault::healthy(); advertisers.len()],
@@ -120,42 +103,6 @@ where
         until,
         rng,
         &mut Recorder::default(),
-    )
-}
-
-/// [`simulate_receptions_into`] with fresh buffers, returning the
-/// receptions.
-///
-/// # Panics
-///
-/// Panics if `faults` is not exactly one entry per advertiser.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_receptions_faulty_recorded<R, F>(
-    channel: &Channel,
-    advertisers: &[PlacedAdvertiser],
-    faults: &[TransmitterFault],
-    rx: &DeviceRxProfile,
-    rx_position: F,
-    from: SimTime,
-    until: SimTime,
-    rng: &mut R,
-    telemetry: &mut Recorder,
-) -> Vec<Reception>
-where
-    R: Rng + ?Sized,
-    F: Fn(SimTime) -> Point,
-{
-    let mut receptions = Vec::new();
-    simulate_receptions_into(
-        channel,
-        advertisers,
-        faults,
-        rx,
-        rx_position,
-        from,
-        until,
-        rng,
-        telemetry,
         &mut RadioScratch::new(),
         &mut receptions,
     );
@@ -271,7 +218,9 @@ pub fn simulate_receptions_into<R, F>(
 /// Groups receptions into scan cycles and runs the scanner model on each.
 ///
 /// Cycles tile `[from, until)` back to back at `config.scan_period`; a final
-/// partial cycle is included.
+/// partial cycle is included. This is [`run_scan_into`] with fresh buffers
+/// and the telemetry discarded, each cycle's samples copied into its own
+/// report.
 ///
 /// # Examples
 ///
@@ -301,6 +250,10 @@ pub fn simulate_receptions_into<R, F>(
 /// let total: usize = cycles.iter().map(|c| c.samples.len()).sum();
 /// assert_eq!(total, 5);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `config.scan_period` is zero.
 pub fn run_scan<M, R>(
     receptions: &[Reception],
     model: &M,
@@ -313,77 +266,33 @@ where
     M: ScannerModel,
     R: Rng + ?Sized,
 {
-    run_scan_recorded(
-        receptions,
-        model,
-        config,
-        from,
-        until,
-        rng,
-        &mut Recorder::default(),
-    )
-}
-
-/// Like [`run_scan`], but counting cycles (`scan.cycles`) and the scanner
-/// model's per-cycle telemetry into `telemetry`.
-///
-/// Recording never draws from `rng`, so the cycles are bit-identical to
-/// [`run_scan`].
-///
-/// # Panics
-///
-/// Panics if `config.scan_period` is zero.
-pub fn run_scan_recorded<M, R>(
-    receptions: &[Reception],
-    model: &M,
-    config: ScanConfig,
-    from: SimTime,
-    until: SimTime,
-    rng: &mut R,
-    telemetry: &mut Recorder,
-) -> Vec<ScanCycleReport>
-where
-    M: ScannerModel,
-    R: Rng + ?Sized,
-{
-    assert!(
-        !config.scan_period.is_zero(),
-        "scan period must be non-zero"
+    let (mut scratch, mut spans) = (ScanScratch::new(), Vec::new());
+    let mut telemetry = Recorder::default();
+    run_scan_into(
+        receptions, model, config, from, until, rng, &mut telemetry, &mut scratch, &mut spans,
     );
-    let mut cycles = Vec::new();
-    let mut start = from;
-    let mut idx = 0usize;
-    while start < until {
-        let end = (start + config.scan_period).min(until);
-        // Receptions are sorted; take the slice within [start, end).
-        let begin = idx;
-        while idx < receptions.len() && receptions[idx].at < end {
-            idx += 1;
-        }
-        telemetry.incr(keys::SCAN_CYCLES);
-        let samples = model.filter_cycle_recorded(start, &receptions[begin..idx], rng, telemetry);
-        cycles.push(ScanCycleReport {
-            start,
-            end,
-            samples,
-        });
-        start = end;
-    }
-    cycles
+    spans
+        .iter()
+        .map(|span| ScanCycleReport {
+            start: span.start,
+            end: span.end,
+            samples: scratch.samples[span.sample_begin..span.sample_end].to_vec(),
+        })
+        .collect()
 }
 
-/// Struct-of-arrays variant of [`run_scan_recorded`]: instead of one owned
-/// `Vec<ScanSample>` per cycle, all samples land back to back in
-/// `scratch.samples` (cleared on entry) and `spans` (cleared on entry)
-/// records each cycle's extent. Cycle boundaries, samples, RNG draws and
-/// telemetry are identical to [`run_scan_recorded`] — the flat buffer holds
-/// exactly the concatenation of the per-cycle sample vectors, in order.
+/// The scan driver: groups `receptions` (sorted by time) into scan cycles
+/// tiling `[from, until)` at `config.scan_period`, a final partial cycle
+/// included, and runs the scanner model on each. All samples land back to
+/// back in `scratch.samples` and `spans` records each cycle's extent (both
+/// cleared on entry). Counts cycles (`scan.cycles`) and the scanner model's
+/// per-cycle telemetry into `telemetry`; recording never draws from `rng`.
 ///
 /// # Panics
 ///
 /// Panics if `config.scan_period` is zero.
 #[allow(clippy::too_many_arguments)]
-pub fn run_scan_batch_recorded<M, R>(
+pub fn run_scan_into<M, R>(
     receptions: &[Reception],
     model: &M,
     config: ScanConfig,
@@ -414,7 +323,7 @@ pub fn run_scan_batch_recorded<M, R>(
         }
         telemetry.incr(keys::SCAN_CYCLES);
         let sample_begin = scratch.samples.len();
-        model.filter_cycle_scratch_recorded(start, &receptions[begin..idx], rng, telemetry, scratch);
+        model.filter_cycle_into(start, &receptions[begin..idx], rng, telemetry, scratch);
         spans.push(CycleSpan {
             start,
             end,
@@ -608,8 +517,18 @@ mod tests {
             SimTime::from_secs(10),
             &mut r,
         );
-        let first = cycles.first().and_then(|c| c.mean_rssi_for(&identity)).expect("seen");
-        let last = cycles.last().and_then(|c| c.mean_rssi_for(&identity)).expect("seen");
+        let mean_rssi = |cycle: &ScanCycleReport| {
+            let xs: Vec<f64> = cycle
+                .samples
+                .iter()
+                .filter(|s| s.identity == identity)
+                .map(|s| s.rssi_dbm)
+                .collect();
+            assert!(!xs.is_empty(), "beacon seen in {}..{}", cycle.start, cycle.end);
+            xs.iter().sum::<f64>() / xs.len() as f64
+        };
+        let first = mean_rssi(cycles.first().expect("cycles"));
+        let last = mean_rssi(cycles.last().expect("cycles"));
         assert!(first > last + 8.0, "first {first} last {last}");
     }
 
@@ -633,7 +552,8 @@ mod tests {
         let lossy = DeviceRxProfile::new("lossy", 0.0, 0.0, 0.3, -120.0);
         for (rx, lossless) in [(lossy, false), (DeviceRxProfile::ideal(), true)] {
             let mut oracle = Recorder::default();
-            let receptions = simulate_receptions_faulty_recorded(
+            let mut receptions = Vec::new();
+            simulate_receptions_into(
                 &channel,
                 &advs,
                 &healthy,
@@ -643,6 +563,8 @@ mod tests {
                 until,
                 &mut rng::for_component(6, "radio"),
                 &mut oracle,
+                &mut RadioScratch::new(),
+                &mut receptions,
             );
             let received = oracle.counter(keys::RADIO_RX_RECEIVED);
             let lost = oracle.counter(keys::RADIO_RX_LOST);
@@ -654,21 +576,6 @@ mod tests {
                 !lossless
             );
         }
-    }
-
-    #[test]
-    fn mean_rssi_for_missing_beacon_is_none() {
-        let report = ScanCycleReport {
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(2),
-            samples: Vec::new(),
-        };
-        let id = roomsense_ibeacon::BeaconIdentity {
-            uuid: ProximityUuid::example(),
-            major: Major::new(1),
-            minor: Minor::new(0),
-        };
-        assert_eq!(report.mean_rssi_for(&id), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   restarts scans so aggressively that most packets are lost in
 //!   setup/teardown; survivors still pass through the inner model.
 
-use crate::{Reception, ScanSample, ScannerModel};
+use crate::{Reception, ScanScratch, ScannerModel};
 use rand::Rng;
 use roomsense_sim::{FaultSchedule, SimTime};
 use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
@@ -90,65 +90,25 @@ impl<M: ScannerModel> FaultyScanner<M> {
 }
 
 impl<M: ScannerModel> ScannerModel for FaultyScanner<M> {
-    fn filter_cycle_recorded<R: Rng + ?Sized>(
+    fn filter_cycle_into<R: Rng + ?Sized>(
         &self,
         cycle_start: SimTime,
         receptions: &[Reception],
         rng: &mut R,
         telemetry: &mut Recorder,
-    ) -> Vec<ScanSample> {
+        scratch: &mut ScanScratch,
+    ) {
         if self.is_benign() {
             return self
                 .inner
-                .filter_cycle_recorded(cycle_start, receptions, rng, telemetry);
+                .filter_cycle_into(cycle_start, receptions, rng, telemetry, scratch);
         }
         // A wedged adapter delivers nothing for the whole cycle. The check
         // is per-reception so a stall that begins mid-cycle only eats the
-        // tail of the cycle.
-        let survivors: Vec<Reception> = receptions
-            .iter()
-            .filter(|r| !self.stalls.active_at(r.at))
-            .filter(|r| {
-                !(self.storms.active_at(r.at)
-                    && self.storm_loss > 0.0
-                    && rng.gen::<f64>() < self.storm_loss)
-            })
-            .copied()
-            .collect();
-        let dropped = (receptions.len() - survivors.len()) as u64;
-        if dropped > 0 {
-            telemetry.add(keys::SCAN_SAMPLES_DROPPED, dropped);
-            telemetry.record_event(TelemetryEvent::SampleDropped {
-                at: cycle_start,
-                count: dropped,
-            });
-        }
-        self.inner
-            .filter_cycle_recorded(cycle_start, &survivors, rng, telemetry)
-    }
-
-    fn filter_cycle_scratch_recorded<R: Rng + ?Sized>(
-        &self,
-        cycle_start: SimTime,
-        receptions: &[Reception],
-        rng: &mut R,
-        telemetry: &mut Recorder,
-        scratch: &mut crate::ScanScratch,
-    ) {
-        if self.is_benign() {
-            return self.inner.filter_cycle_scratch_recorded(
-                cycle_start,
-                receptions,
-                rng,
-                telemetry,
-                scratch,
-            );
-        }
-        // The survivors buffer is taken out of the scratch while the inner
-        // model borrows the rest of it, then put back so its capacity is
-        // reused next cycle. Filter predicates and draw order are exactly
-        // those of `filter_cycle_recorded`.
-        let mut survivors = scratch.take_survivors();
+        // tail of the cycle. The survivors buffer is taken out of the
+        // scratch while the inner model borrows the rest of it, then put
+        // back so its capacity is reused next cycle.
+        let mut survivors = std::mem::take(&mut scratch.survivors);
         survivors.clear();
         survivors.extend(
             receptions
@@ -170,8 +130,8 @@ impl<M: ScannerModel> ScannerModel for FaultyScanner<M> {
             });
         }
         self.inner
-            .filter_cycle_scratch_recorded(cycle_start, &survivors, rng, telemetry, scratch);
-        scratch.put_survivors(survivors);
+            .filter_cycle_into(cycle_start, &survivors, rng, telemetry, scratch);
+        scratch.survivors = survivors;
     }
 
     fn name(&self) -> &'static str {
@@ -204,6 +164,19 @@ mod tests {
     use roomsense_radio::AdvChannel;
     use roomsense_sim::{rng, FaultWindow, SimDuration};
 
+    /// One cycle starting at `start` through `model` into a fresh scratch.
+    fn filter<M: ScannerModel, R: Rng>(
+        model: &M,
+        start: SimTime,
+        receptions: &[Reception],
+        rng: &mut R,
+        telemetry: &mut Recorder,
+    ) -> Vec<ScanSample> {
+        let mut scratch = ScanScratch::new();
+        model.filter_cycle_into(start, receptions, rng, telemetry, &mut scratch);
+        scratch.samples
+    }
+
     fn reception(at_ms: u64, minor: u16) -> Reception {
         Reception {
             at: SimTime::from_millis(at_ms),
@@ -235,9 +208,7 @@ mod tests {
         );
         let mut r = rng::for_component(1, "stall");
         let receptions = vec![reception(100, 0), reception(900, 0)];
-        assert!(scanner
-            .filter_cycle(SimTime::ZERO, &receptions, &mut r)
-            .is_empty());
+        assert!(filter(&scanner, SimTime::ZERO, &receptions, &mut r, &mut Recorder::default()).is_empty());
         // After recovery the same receptions pass through.
         let later: Vec<Reception> = receptions
             .iter()
@@ -246,12 +217,8 @@ mod tests {
                 ..*rcp
             })
             .collect();
-        assert_eq!(
-            scanner
-                .filter_cycle(SimTime::from_secs(4), &later, &mut r)
-                .len(),
-            2
-        );
+        let recovered = filter(&scanner, SimTime::from_secs(4), &later, &mut r, &mut Recorder::default());
+        assert_eq!(recovered.len(), 2);
     }
 
     #[test]
@@ -264,7 +231,7 @@ mod tests {
         );
         let mut r = rng::for_component(2, "tail");
         let receptions = vec![reception(500, 0), reception(1_500, 0)];
-        let samples = scanner.filter_cycle(SimTime::ZERO, &receptions, &mut r);
+        let samples = filter(&scanner, SimTime::ZERO, &receptions, &mut r, &mut Recorder::default());
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].at, SimTime::from_millis(500));
     }
@@ -279,31 +246,24 @@ mod tests {
         );
         let mut r = rng::for_component(3, "storm");
         let receptions: Vec<Reception> = (0..2000).map(|i| reception(i * 33, 0)).collect();
-        let samples = scanner.filter_cycle(SimTime::ZERO, &receptions, &mut r);
+        let samples = filter(&scanner, SimTime::ZERO, &receptions, &mut r, &mut Recorder::default());
         let rate = samples.len() as f64 / receptions.len() as f64;
         assert!((rate - 0.3).abs() < 0.05, "survival rate {rate}");
     }
 
-    /// Samples, final RNG draw and telemetry checksum of one owned and one
-    /// scratch cycle through `model`.
+    /// Samples, final RNG draw and telemetry checksum of two cycles through
+    /// `model`, sharing one scratch.
     fn run_cycles(
         model: &impl ScannerModel,
         receptions: &[Reception],
     ) -> (Vec<ScanSample>, u64, u64) {
         let mut r = rng::for_component(4, "clean");
         let mut telemetry = Recorder::default();
-        let mut samples =
-            model.filter_cycle_recorded(SimTime::ZERO, receptions, &mut r, &mut telemetry);
-        let mut scratch = crate::ScanScratch::new();
-        model.filter_cycle_scratch_recorded(
-            SimTime::ZERO,
-            receptions,
-            &mut r,
-            &mut telemetry,
-            &mut scratch,
-        );
-        samples.extend(scratch.samples);
-        (samples, r.gen(), telemetry.checksum())
+        let mut scratch = ScanScratch::new();
+        for _ in 0..2 {
+            model.filter_cycle_into(SimTime::ZERO, receptions, &mut r, &mut telemetry, &mut scratch);
+        }
+        (scratch.samples, r.gen(), telemetry.checksum())
     }
 
     fn assert_transparent<M: ScannerModel + Copy>(inner: M) {
@@ -346,8 +306,7 @@ mod tests {
         let mut r = rng::for_component(5, "drop-count");
         let mut telemetry = Recorder::default();
         let receptions = vec![reception(100, 0), reception(500, 0), reception(1_500, 0)];
-        let samples =
-            scanner.filter_cycle_recorded(SimTime::ZERO, &receptions, &mut r, &mut telemetry);
+        let samples = filter(&scanner, SimTime::ZERO, &receptions, &mut r, &mut telemetry);
         assert_eq!(samples.len(), 1);
         assert_eq!(telemetry.counter(keys::SCAN_SAMPLES_DROPPED), 2);
         assert_eq!(telemetry.counter(keys::SCAN_SAMPLES), 1);

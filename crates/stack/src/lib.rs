@@ -36,9 +36,8 @@ mod fault;
 mod scanner;
 
 pub use driver::{
-    run_scan, run_scan_batch_recorded, run_scan_recorded, simulate_receptions,
-    simulate_receptions_faulty_recorded, simulate_receptions_into, CycleSpan, PlacedAdvertiser,
-    RadioScratch, ScanCycleReport,
+    run_scan, run_scan_into, simulate_receptions, simulate_receptions_into, CycleSpan,
+    PlacedAdvertiser, RadioScratch, ScanCycleReport,
 };
 pub use fault::FaultyScanner;
 pub use scanner::{

@@ -5,7 +5,6 @@ use roomsense_ibeacon::{BeaconIdentity, MeasuredPower, Packet};
 use roomsense_radio::AdvChannel;
 use roomsense_sim::{SimDuration, SimTime};
 use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
-use std::collections::HashSet;
 use std::fmt;
 
 /// One advertisement that physically reached the receiver's radio.
@@ -65,24 +64,23 @@ impl Default for ScanConfig {
     }
 }
 
-/// Reusable per-cycle working memory for the scratch-based scanner path.
+/// Reusable per-cycle working memory for the scanner models.
 ///
-/// The scalar path allocates a fresh samples `Vec`, dedup set and stall map
-/// per cycle; at fleet scale those allocations dominate the pipeline. A
-/// `ScanScratch` owns all of that memory once and is reused cycle after
-/// cycle (and device after device within a batch chunk), so steady-state
+/// A `ScanScratch` owns the samples buffer, the per-window dedup and stall
+/// tables and the fault layer's survivors once, and is reused cycle after
+/// cycle (and device after device within a fleet chunk), so steady-state
 /// cycles allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ScanScratch {
-    /// The current cycle's output samples. The driver clears this before
-    /// each cycle; scanner models append to it.
+    /// The output samples. Scanner models append to it; the scan driver
+    /// clears it once per run.
     pub samples: Vec<ScanSample>,
     /// Per-window dedup set: `(window, identity)` pairs already delivered.
     seen: Vec<(u64, BeaconIdentity)>,
     /// Per-window stall outcomes, in first-reception order.
     windows: Vec<(u64, bool)>,
     /// Receptions surviving scheduled faults ([`crate::FaultyScanner`]).
-    survivors: Vec<Reception>,
+    pub(crate) survivors: Vec<Reception>,
 }
 
 impl ScanScratch {
@@ -92,23 +90,10 @@ impl ScanScratch {
         ScanScratch::default()
     }
 
-    /// Moves the survivors buffer out (so a wrapper can fill it while the
-    /// inner model borrows the rest of the scratch); pair with
-    /// [`put_survivors`](Self::put_survivors) to return its capacity.
-    pub fn take_survivors(&mut self) -> Vec<Reception> {
-        std::mem::take(&mut self.survivors)
-    }
-
-    /// Returns a buffer taken with [`take_survivors`](Self::take_survivors)
-    /// so its capacity is reused by later cycles.
-    pub fn put_survivors(&mut self, survivors: Vec<Reception>) {
-        self.survivors = survivors;
-    }
-
     /// Total reserved capacity across every internal buffer, in elements.
-    /// The batched driver samples this before and after each cycle: any
-    /// increase is a scratch reallocation, counted by the debug
-    /// allocation counter so bench regressions are attributable.
+    /// The fleet samples this before and after each device: any increase is
+    /// a scratch reallocation, counted by the debug allocation counter so
+    /// bench regressions are attributable.
     pub fn total_capacity(&self) -> usize {
         self.samples.capacity()
             + self.seen.capacity()
@@ -123,54 +108,19 @@ impl ScanScratch {
 /// receptions themselves.
 pub trait ScannerModel {
     /// Filters the receptions of one scan cycle (which started at
-    /// `cycle_start`) into the samples the OS reports to the app, recording
-    /// scan telemetry (`scan.windows`, `scan.stalls`, `scan.dedup_suppressed`,
-    /// `scan.samples`, …) into `telemetry` as it goes.
-    ///
-    /// Recording never draws from `rng`, so the returned samples are
-    /// bit-identical to [`filter_cycle`](Self::filter_cycle).
-    fn filter_cycle_recorded<R: Rng + ?Sized>(
-        &self,
-        cycle_start: SimTime,
-        receptions: &[Reception],
-        rng: &mut R,
-        telemetry: &mut Recorder,
-    ) -> Vec<ScanSample>;
-
-    /// Filters the receptions of one scan cycle (which started at
-    /// `cycle_start`) into the samples the OS reports to the app, discarding
-    /// the telemetry.
-    fn filter_cycle<R: Rng + ?Sized>(
-        &self,
-        cycle_start: SimTime,
-        receptions: &[Reception],
-        rng: &mut R,
-    ) -> Vec<ScanSample> {
-        self.filter_cycle_recorded(cycle_start, receptions, rng, &mut Recorder::default())
-    }
-
-    /// Allocation-free variant of
-    /// [`filter_cycle_recorded`](Self::filter_cycle_recorded): appends the
-    /// cycle's samples to `scratch.samples` (which the caller clears between
-    /// cycles) using the scratch's reusable working memory instead of
-    /// per-cycle collections.
-    ///
-    /// The RNG draw order, the appended samples, and the recorded telemetry
-    /// must be identical to [`filter_cycle_recorded`](Self::filter_cycle_recorded);
-    /// the in-tree models override the default (which delegates and pays the
-    /// allocation) with true scratch-based implementations, and
-    /// `tests/batch_equivalence.rs` holds them to the contract.
-    fn filter_cycle_scratch_recorded<R: Rng + ?Sized>(
+    /// `cycle_start`) into the samples the OS reports to the app, appending
+    /// them to `scratch.samples` and recording scan telemetry
+    /// (`scan.windows`, `scan.stalls`, `scan.dedup_suppressed`,
+    /// `scan.samples`, …) into `telemetry` as it goes. Recording never draws
+    /// from `rng`.
+    fn filter_cycle_into<R: Rng + ?Sized>(
         &self,
         cycle_start: SimTime,
         receptions: &[Reception],
         rng: &mut R,
         telemetry: &mut Recorder,
         scratch: &mut ScanScratch,
-    ) {
-        let samples = self.filter_cycle_recorded(cycle_start, receptions, rng, telemetry);
-        scratch.samples.extend_from_slice(&samples);
-    }
+    );
 
     /// A short name for reports and logs.
     fn name(&self) -> &'static str;
@@ -265,54 +215,7 @@ impl Default for AndroidScanner {
 }
 
 impl ScannerModel for AndroidScanner {
-    fn filter_cycle_recorded<R: Rng + ?Sized>(
-        &self,
-        cycle_start: SimTime,
-        receptions: &[Reception],
-        rng: &mut R,
-        telemetry: &mut Recorder,
-    ) -> Vec<ScanSample> {
-        // Partition the cycle into restart windows; dedup per window. The
-        // stall coin for a window is drawn exactly once, on the first
-        // reception that lands in it — telemetry rides that same branch so
-        // the RNG stream is untouched.
-        let mut out = Vec::new();
-        let mut seen: HashSet<(u64, BeaconIdentity)> = HashSet::new();
-        let mut stalled: std::collections::HashMap<u64, bool> = std::collections::HashMap::new();
-        for r in receptions {
-            let window = r.at.saturating_since(cycle_start).as_millis()
-                / self.restart_interval.as_millis();
-            let is_stalled = match stalled.get(&window) {
-                Some(&stall) => stall,
-                None => {
-                    let stall =
-                        self.stall_probability > 0.0 && rng.gen::<f64>() < self.stall_probability;
-                    stalled.insert(window, stall);
-                    telemetry.incr(keys::SCAN_WINDOWS);
-                    if stall {
-                        telemetry.incr(keys::SCAN_STALLS);
-                        telemetry.record_event(TelemetryEvent::ScanStall {
-                            at: cycle_start + self.restart_interval * window,
-                            window,
-                        });
-                    }
-                    stall
-                }
-            };
-            if is_stalled {
-                continue;
-            }
-            if seen.insert((window, r.packet.identity())) {
-                out.push(ScanSample::from_reception(r));
-            } else {
-                telemetry.incr(keys::SCAN_DEDUP_SUPPRESSED);
-            }
-        }
-        telemetry.add(keys::SCAN_SAMPLES, out.len() as u64);
-        out
-    }
-
-    fn filter_cycle_scratch_recorded<R: Rng + ?Sized>(
+    fn filter_cycle_into<R: Rng + ?Sized>(
         &self,
         cycle_start: SimTime,
         receptions: &[Reception],
@@ -320,11 +223,11 @@ impl ScannerModel for AndroidScanner {
         telemetry: &mut Recorder,
         scratch: &mut ScanScratch,
     ) {
-        // Same walk as `filter_cycle_recorded`, with the per-cycle HashMap
-        // and HashSet replaced by linear scans over reused scratch vectors
-        // (a cycle holds a handful of windows and beacons, so linear wins).
-        // Membership answers are identical, so the RNG stream and telemetry
-        // are bit-for-bit those of the scalar path.
+        // Partition the cycle into restart windows; dedup per window. The
+        // stall coin for a window is drawn exactly once, on the first
+        // reception that lands in it — telemetry rides that same branch so
+        // the RNG stream is untouched. A cycle holds a handful of windows
+        // and beacons, so linear scans over reused vectors beat hashing.
         scratch.windows.clear();
         scratch.seen.clear();
         let appended_from = scratch.samples.len();
@@ -438,31 +341,7 @@ impl Default for AndroidLScanner {
 }
 
 impl ScannerModel for AndroidLScanner {
-    fn filter_cycle_recorded<R: Rng + ?Sized>(
-        &self,
-        cycle_start: SimTime,
-        receptions: &[Reception],
-        _rng: &mut R,
-        telemetry: &mut Recorder,
-    ) -> Vec<ScanSample> {
-        telemetry.add(keys::SCAN_SAMPLES, receptions.len() as u64);
-        match self.report_delay {
-            None => receptions.iter().map(ScanSample::from_reception).collect(),
-            Some(delay) => receptions
-                .iter()
-                .map(|r| {
-                    let mut sample = ScanSample::from_reception(r);
-                    // Delivered at the end of the batch containing it.
-                    let batch =
-                        r.at.saturating_since(cycle_start).as_millis() / delay.as_millis();
-                    sample.at = cycle_start + delay * (batch + 1);
-                    sample
-                })
-                .collect(),
-        }
-    }
-
-    fn filter_cycle_scratch_recorded<R: Rng + ?Sized>(
+    fn filter_cycle_into<R: Rng + ?Sized>(
         &self,
         cycle_start: SimTime,
         receptions: &[Reception],
@@ -477,6 +356,7 @@ impl ScannerModel for AndroidLScanner {
                 .extend(receptions.iter().map(ScanSample::from_reception)),
             Some(delay) => scratch.samples.extend(receptions.iter().map(|r| {
                 let mut sample = ScanSample::from_reception(r);
+                // Delivered at the end of the batch containing it.
                 let batch = r.at.saturating_since(cycle_start).as_millis() / delay.as_millis();
                 sample.at = cycle_start + delay * (batch + 1);
                 sample
@@ -504,18 +384,7 @@ impl fmt::Display for AndroidLScanner {
 pub struct IosScanner;
 
 impl ScannerModel for IosScanner {
-    fn filter_cycle_recorded<R: Rng + ?Sized>(
-        &self,
-        _cycle_start: SimTime,
-        receptions: &[Reception],
-        _rng: &mut R,
-        telemetry: &mut Recorder,
-    ) -> Vec<ScanSample> {
-        telemetry.add(keys::SCAN_SAMPLES, receptions.len() as u64);
-        receptions.iter().map(ScanSample::from_reception).collect()
-    }
-
-    fn filter_cycle_scratch_recorded<R: Rng + ?Sized>(
+    fn filter_cycle_into<R: Rng + ?Sized>(
         &self,
         _cycle_start: SimTime,
         receptions: &[Reception],
@@ -546,6 +415,27 @@ mod tests {
     use roomsense_ibeacon::{Major, Minor, ProximityUuid};
     use roomsense_sim::rng;
 
+    /// One cycle starting at zero through `model` into a fresh scratch.
+    fn filter_recorded<M: ScannerModel, R: Rng>(
+        model: &M,
+        receptions: &[Reception],
+        rng: &mut R,
+        telemetry: &mut Recorder,
+    ) -> Vec<ScanSample> {
+        let mut scratch = ScanScratch::new();
+        model.filter_cycle_into(SimTime::ZERO, receptions, rng, telemetry, &mut scratch);
+        scratch.samples
+    }
+
+    /// [`filter_recorded`] with the telemetry discarded.
+    fn filter<M: ScannerModel, R: Rng>(
+        model: &M,
+        receptions: &[Reception],
+        rng: &mut R,
+    ) -> Vec<ScanSample> {
+        filter_recorded(model, receptions, rng, &mut Recorder::default())
+    }
+
     fn reception(at_ms: u64, minor: u16, rssi: f64) -> Reception {
         Reception {
             at: SimTime::from_millis(at_ms),
@@ -571,7 +461,7 @@ mod tests {
             reception(120, 0, -62.0),
             reception(150, 1, -71.0),
         ];
-        let samples = scanner.filter_cycle(SimTime::ZERO, &receptions, &mut r);
+        let samples = filter(&scanner, &receptions, &mut r);
         assert_eq!(samples.len(), 2);
         // First-heard wins.
         assert_eq!(samples[0].rssi_dbm, -60.0);
@@ -583,7 +473,7 @@ mod tests {
         let mut r = rng::for_component(1, "scan");
         let receptions: Vec<Reception> =
             (0..300).map(|i| reception(i * 30, 0, -60.0)).collect();
-        let samples = IosScanner.filter_cycle(SimTime::ZERO, &receptions, &mut r);
+        let samples = filter(&IosScanner, &receptions, &mut r);
         assert_eq!(samples.len(), 300);
     }
 
@@ -594,7 +484,7 @@ mod tests {
         let receptions = vec![reception(0, 0, -60.0)];
         let n = 10_000;
         let delivered = (0..n)
-            .filter(|_| !scanner.filter_cycle(SimTime::ZERO, &receptions, &mut r).is_empty())
+            .filter(|_| !filter(&scanner, &receptions, &mut r).is_empty())
             .count();
         let rate = delivered as f64 / n as f64;
         assert!((rate - 0.7).abs() < 0.02, "rate {rate}");
@@ -603,16 +493,14 @@ mod tests {
     #[test]
     fn empty_cycle_yields_no_samples() {
         let mut r = rng::for_component(3, "empty");
-        assert!(AndroidScanner::default()
-            .filter_cycle(SimTime::ZERO, &[], &mut r)
-            .is_empty());
-        assert!(IosScanner.filter_cycle(SimTime::ZERO, &[], &mut r).is_empty());
+        assert!(filter(&AndroidScanner::default(), &[], &mut r).is_empty());
+        assert!(filter(&IosScanner, &[], &mut r).is_empty());
     }
 
     #[test]
     fn sample_copies_packet_fields() {
         let mut r = rng::for_component(4, "fields");
-        let samples = IosScanner.filter_cycle(SimTime::ZERO, &[reception(10, 7, -63.0)], &mut r);
+        let samples = filter(&IosScanner, &[reception(10, 7, -63.0)], &mut r);
         assert_eq!(samples[0].identity.minor, Minor::new(7));
         assert_eq!(samples[0].measured_power, MeasuredPower::new(-59));
         assert_eq!(samples[0].at, SimTime::from_millis(10));
@@ -638,35 +526,27 @@ mod tests {
     }
 
     #[test]
-    fn recorded_filtering_matches_plain_and_accounts_for_everything() {
+    fn recorded_filtering_accounts_for_everything() {
         use roomsense_telemetry::{keys, Recorder};
-        // 4 restart windows of 2 s each, no stalls: every reception is
-        // either delivered or suppressed by the per-window dedup.
-        let scanner = AndroidScanner::new(0.3);
+        // 4 restart windows of 2 s each: every window is counted, and
+        // without stalls every reception is either delivered or suppressed
+        // by the per-window dedup.
         let receptions: Vec<Reception> = (0..240)
             .map(|i| reception(i * 33, (i % 2) as u16, -60.0))
             .collect();
-        let plain = scanner.filter_cycle(
-            SimTime::ZERO,
-            &receptions,
-            &mut rng::for_component(6, "recorded"),
-        );
         let mut telemetry = Recorder::default();
-        let recorded = scanner.filter_cycle_recorded(
-            SimTime::ZERO,
+        let recorded = filter_recorded(
+            &AndroidScanner::new(0.3),
             &receptions,
             &mut rng::for_component(6, "recorded"),
             &mut telemetry,
         );
-        // Recording must not perturb the RNG stream.
-        assert_eq!(plain, recorded);
         assert_eq!(telemetry.counter(keys::SCAN_WINDOWS), 4);
         assert_eq!(telemetry.counter(keys::SCAN_SAMPLES), recorded.len() as u64);
 
-        let reliable = AndroidScanner::reliable();
         let mut clean = Recorder::default();
-        let delivered = reliable.filter_cycle_recorded(
-            SimTime::ZERO,
+        let delivered = filter_recorded(
+            &AndroidScanner::reliable(),
             &receptions,
             &mut rng::for_component(6, "clean"),
             &mut clean,
@@ -687,8 +567,8 @@ mod tests {
             .map(|i| reception(i * 33, 0, -60.0))
             .collect();
         let mut telemetry = Recorder::default();
-        let samples = scanner.filter_cycle_recorded(
-            SimTime::ZERO,
+        let samples = filter_recorded(
+            &scanner,
             &receptions,
             &mut rng::for_component(7, "stalled"),
             &mut telemetry,
@@ -711,8 +591,8 @@ mod tests {
         let mut r = rng::for_component(7, "android-l");
         let receptions: Vec<Reception> =
             (0..60).map(|i| reception(i * 33, 0, -60.0)).collect();
-        let l = AndroidLScanner::low_latency().filter_cycle(SimTime::ZERO, &receptions, &mut r);
-        let ios = IosScanner.filter_cycle(SimTime::ZERO, &receptions, &mut r);
+        let l = filter(&AndroidLScanner::low_latency(), &receptions, &mut r);
+        let ios = filter(&IosScanner, &receptions, &mut r);
         assert_eq!(l.len(), ios.len());
         assert_eq!(l.len(), 60);
     }
@@ -726,7 +606,7 @@ mod tests {
             reception(900, 1, -70.0),
         ];
         let scanner = AndroidLScanner::batched(SimDuration::from_millis(500));
-        let samples = scanner.filter_cycle(SimTime::ZERO, &receptions, &mut r);
+        let samples = filter(&scanner, &receptions, &mut r);
         assert_eq!(samples.len(), 3);
         assert_eq!(samples[0].at, SimTime::from_millis(500));
         assert_eq!(samples[1].at, SimTime::from_millis(500));
@@ -748,8 +628,8 @@ mod tests {
         let mut r = rng::for_component(9, "android-l-vs-4x");
         let receptions: Vec<Reception> =
             (0..30).map(|i| reception(i * 33, 0, -60.0)).collect();
-        let old = AndroidScanner::reliable().filter_cycle(SimTime::ZERO, &receptions, &mut r);
-        let new = AndroidLScanner::low_latency().filter_cycle(SimTime::ZERO, &receptions, &mut r);
+        let old = filter(&AndroidScanner::reliable(), &receptions, &mut r);
+        let new = filter(&AndroidLScanner::low_latency(), &receptions, &mut r);
         assert_eq!(old.len(), 1);
         assert_eq!(new.len(), 30);
     }

@@ -7,11 +7,12 @@
 # Tests run twice: once pinned to a single worker (the pure sequential
 # paths) and once at the default parallelism, so a scheduling-dependent
 # bug cannot hide behind whichever mode the CI host happens to pick.
-# Every system arm in the experiments ARMS table (tracking through
-# positioning) must assert its own invariants and produce the same
-# fingerprint checksum under a single worker and under the default
-# parallelism. The full single-worker `repro all` text must match the
-# committed repro_output.txt, so every figure and checksum is pinned.
+# The full `repro all` text — every paper figure, and every system arm in
+# the experiments ARMS table (tracking through positioning) asserting its
+# own invariants and printing its fingerprint checksum — must match the
+# committed repro_output.txt under a single worker and again under the
+# default parallelism, so every figure and checksum is pinned and
+# thread-invariant.
 # Finally three traced perfbench runs (office_e2e, surge_ingest and
 # history_reads) check the benchmark's own gates, and the benchmark package
 # runs its self-tests.
@@ -29,36 +30,34 @@ ROOMSENSE_DISK_FAULTS=1 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 
-# Determinism gate: every system arm in the ARMS table prints a unified
-# "  <name> checksum: <hex> (threads: N)" line after asserting its own
-# invariants (occupancy accuracy, memory bounds, zero silent loss, MAE
-# bounds for the counting presets, ...). A violated invariant exits
-# non-zero before the checksum comparison runs; here we additionally
-# require each arm's fingerprint checksum to be identical under a single
-# worker and under the default parallelism.
-arm_sum() {
-    sed -n "s/.*  $1 checksum: \([0-9a-f]*\).*/\1/p"
-}
-for arm in tracking scaling floors faults chaos telemetry scale overload archive counting positioning; do
-    seq_sum=$(ROOMSENSE_THREADS=1 ./target/release/repro "$arm" | arm_sum "$arm")
-    par_sum=$(env -u ROOMSENSE_THREADS ./target/release/repro "$arm" | arm_sum "$arm")
-    if [ -z "$seq_sum" ] || [ "$seq_sum" != "$par_sum" ]; then
-        echo "check.sh: $arm arm diverged across thread counts ('$seq_sum' vs '$par_sum')" >&2
-        exit 1
-    fi
-    echo "$arm fingerprint checksum $seq_sum identical at threads=1 and default"
-done
-
-# Figure gate: the single-worker `repro all` text is byte-identical to the
-# committed repro_output.txt. Only the `timings:` lines (wall-clock) may
-# differ; any other change to a figure, table or checksum fails here, so
-# regenerate the file deliberately when a change is meant to move numbers.
-if ! diff <(grep -v 'timings:' repro_output.txt) \
-    <(ROOMSENSE_THREADS=1 ./target/release/repro all 2>/dev/null | grep -v 'timings:'); then
-    echo "check.sh: repro all differs from repro_output.txt beyond timings: lines" >&2
+# Figure and determinism gate: `repro all` regenerates every figure and
+# table and runs every system arm in the ARMS table; each arm asserts its
+# own invariants (occupancy accuracy, memory bounds, zero silent loss, MAE
+# bounds for the counting presets, ...) and exits non-zero when one fails,
+# then prints a "  <name> checksum: <hex> (threads: N)" line. Each run is
+# written to a file first, so a non-zero exit fails here. The single-worker
+# text must be byte-identical to the committed repro_output.txt apart from
+# the wall-clock `timings:` lines; the default-parallelism text must match
+# it too once the "(threads: N)" suffixes are also dropped. Both runs equal
+# one file, so every figure and every arm checksum is thread-invariant.
+# Regenerate the file deliberately when a change is meant to move numbers.
+repro_out=$(mktemp)
+trap 'rm -f "$repro_out"' EXIT
+ROOMSENSE_THREADS=1 ./target/release/repro all 2>/dev/null > "$repro_out"
+if ! diff <(grep -v 'timings:' repro_output.txt) <(grep -v 'timings:' "$repro_out"); then
+    echo "check.sh: repro all at threads=1 differs from repro_output.txt beyond timings: lines" >&2
     exit 1
 fi
-echo "repro all matches repro_output.txt (timings: lines ignored)"
+echo "repro all at threads=1 matches repro_output.txt (timings: lines ignored)"
+without_threads() {
+    grep -v 'timings:' "$1" | sed 's/ (threads: [0-9]*)$//'
+}
+env -u ROOMSENSE_THREADS ./target/release/repro all 2>/dev/null > "$repro_out"
+if ! diff <(without_threads repro_output.txt) <(without_threads "$repro_out"); then
+    echo "check.sh: repro all at default threads differs from repro_output.txt beyond timings: lines and thread counts" >&2
+    exit 1
+fi
+echo "repro all at default threads matches repro_output.txt (timings: lines and thread counts ignored)"
 
 # Benchmark gate: one short traced office_e2e run of the repository
 # benchmark (BENCHMARK.json), from the repo root. perfbench exits non-zero
@@ -92,4 +91,4 @@ echo "perfbench history_reads traced run passed its reference-answer, oracle-dig
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
-echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + all 11 system arms + repro_output.txt + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
+echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 11 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"

@@ -4,6 +4,13 @@
 //! size, chunk width, fault plan and worker count. The oracle is built here
 //! from `run_pipeline_faulted`; these tests compare the actual structured
 //! outputs, not summaries.
+//!
+//! Both sides run the same device body, so each phone layer is checked by
+//! its own oracle proptest in its crate. What these tests prove is the
+//! fleet's own work: the chunking, the `(time, device)` merge order, thread
+//! invariance of events and telemetry, and scratch reuse across devices —
+//! the oracle runs every device with a fresh scratch, while the fleet
+//! reuses one scratch across each chunk's devices.
 
 use proptest::prelude::*;
 use roomsense::{

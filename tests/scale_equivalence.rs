@@ -1,7 +1,7 @@
 //! Property tests for the BMS scale layer: a [`ShardedBmsServer`] must be
 //! observationally identical to a single [`BmsServer`] fed the same
 //! chaotic (reordered, duplicated) report stream, and the binary-search
-//! `occupancy_at` must agree exactly with the linear reference scan.
+//! `occupancy_at` must agree exactly with a linear scan of the history.
 
 use proptest::prelude::*;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
@@ -9,6 +9,7 @@ use roomsense_net::{
     BmsServer, DeviceId, ObservationReport, OccupancyEstimator, ShardedBmsServer, SightedBeacon,
 };
 use roomsense_sim::{SimDuration, SimTime};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// `(device, seq, at-slot, minor)` — deliberately tiny ranges so arbitrary
@@ -130,7 +131,8 @@ proptest! {
     }
 
     /// The `partition_point` fast path of `occupancy_at` returns exactly
-    /// what the linear reference scan returns, at every probe time.
+    /// what a linear fold over every device's `assignment_history` returns,
+    /// at every probe time.
     #[test]
     fn binary_search_occupancy_matches_the_linear_reference(
         events in prop::collection::vec(
@@ -147,9 +149,21 @@ proptest! {
         for e in &events {
             server.ingest(report_of(*e));
         }
+        let devices: BTreeSet<DeviceId> = events.iter().map(|e| report_of(*e).device).collect();
         for probe in probes {
             let at = SimTime::from_secs(u64::from(probe % 2100));
-            prop_assert_eq!(server.occupancy_at(at), server.occupancy_at_linear(at));
+            let mut linear = BTreeMap::new();
+            for device in &devices {
+                let last = server
+                    .assignment_history(*device)
+                    .into_iter()
+                    .take_while(|(t, _)| *t <= at)
+                    .last();
+                if let Some((_, room)) = last {
+                    *linear.entry(room).or_insert(0) += 1;
+                }
+            }
+            prop_assert_eq!(server.occupancy_at(at), linear);
         }
     }
 }
