@@ -53,6 +53,7 @@ use roomsense_radio::DeviceRxProfile;
 use roomsense_signal::metrics;
 use roomsense_sim::{exec, rng, FaultSchedule, FaultWindow, SimDuration, SimTime};
 use roomsense_telemetry::Recorder;
+use std::sync::Arc;
 
 /// One static capture: the phone fixed at a known distance from a single
 /// transmitter (the Figs 4/5/6 protocol).
@@ -761,7 +762,7 @@ pub struct TrackingResult {
 fn tracking_impl(seed: u64) -> TrackingResult {
     use roomsense_building::mobility::{MobilityModel, RoomSchedule};
     use roomsense_building::{trace, RoomId};
-    use roomsense_net::BmsServer;
+    use roomsense_net::ShardedBmsServer;
 
     let scenario = Scenario::from_plan(presets::paper_house(), seed);
     let config = PipelineConfig::paper_android();
@@ -769,7 +770,7 @@ fn tracking_impl(seed: u64) -> TrackingResult {
     let model = OccupancyModel::fit(&labelled, &SvmParams::default())
         .expect("collection walk yields a multi-class dataset");
     let outside = scenario.outside_label();
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
 
     // Three occupants with different itineraries.
     let itineraries: [&[(RoomId, SimDuration)]; 3] = [
@@ -913,7 +914,7 @@ fn faults_impl(seed: u64) -> FaultsResult {
     use roomsense_building::{trace, RoomId};
     use roomsense_energy::{account, PowerProfile, UplinkArchitecture, UsageTimeline};
     use roomsense_net::{
-        BmsServer, DemandResponseController, FaultyTransport, QueueingTransport,
+        DemandResponseController, FaultyTransport, QueueingTransport, ShardedBmsServer,
     };
 
     let scenario = Scenario::from_plan(presets::paper_house(), seed);
@@ -1033,7 +1034,7 @@ fn faults_impl(seed: u64) -> FaultsResult {
         let score = |deliveries: &[(SimTime, ObservationReport)],
                      events: &[roomsense_net::TransportEvent],
                      delivery_rate: Option<f64>| {
-            let server = BmsServer::new(Box::new(model.clone()));
+            let server = ShardedBmsServer::new(Arc::new(model.clone()), 1);
             let mut dr =
                 DemandResponseController::new(room_count, SimDuration::from_secs(30));
             let ttl = SimDuration::from_secs(15);
@@ -1274,8 +1275,8 @@ fn chaos_impl(seed: u64) -> ChaosResult {
     use roomsense_building::mobility::{MobilityModel, RoomSchedule};
     use roomsense_building::RoomId;
     use roomsense_net::{
-        BmsServer, FailoverTransport, FaultyTransport, LinkHealthConfig, OccupancyEstimator,
-        QueueingTransport, SequenceStamper, TransportEvent,
+        FailoverTransport, FaultyTransport, LinkHealthConfig, OccupancyEstimator,
+        QueueingTransport, SequenceStamper, ShardedBmsServer, TransportEvent,
     };
     use roomsense_sim::{FaultSchedule, FaultWindow};
     use std::collections::{BTreeMap, BTreeSet};
@@ -1332,7 +1333,7 @@ fn chaos_impl(seed: u64) -> ChaosResult {
     let devices: BTreeSet<DeviceId> = reports.iter().map(|(_, r)| r.device).collect();
 
     // The clean oracle: every offered report, exactly once, in order.
-    let oracle = BmsServer::new(Box::new(model.clone()));
+    let oracle = ShardedBmsServer::new(Arc::new(model.clone()), 1);
     for (_, report) in &reports {
         oracle.ingest(report.clone());
     }
@@ -1444,7 +1445,7 @@ fn chaos_impl(seed: u64) -> ChaosResult {
         // the last checkpoint plus the journal tail.
         let crash_windows = crash_schedule.windows();
         let checkpoint_every = SimDuration::from_secs(120);
-        let mut server = BmsServer::new(Box::new(model.clone()));
+        let mut server = ShardedBmsServer::new(Arc::new(model.clone()), 1);
         let mut checkpoint = server.checkpoint();
         let mut checkpoint_len = 0usize;
         let mut next_checkpoint = SimTime::ZERO + checkpoint_every;
@@ -1453,11 +1454,11 @@ fn chaos_impl(seed: u64) -> ChaosResult {
         let mut crashes = 0u64;
         let mut replayed = 0u64;
         let end_of_run = SimTime::ZERO + span;
-        let restart = |server: &mut BmsServer,
-                           checkpoint: &roomsense_net::BmsCheckpoint,
+        let restart = |server: &mut ShardedBmsServer,
+                           checkpoint: &roomsense_net::ShardedBmsCheckpoint,
                            journal: &[ObservationReport],
                            checkpoint_len: usize| {
-            *server = BmsServer::restore(Box::new(model.clone()), checkpoint.clone())
+            *server = ShardedBmsServer::restore(Arc::new(model.clone()), checkpoint.clone())
                 .expect("untampered checkpoint");
             for report in &journal[checkpoint_len..] {
                 if dedup {
@@ -1600,8 +1601,8 @@ fn telemetry_impl(seed: u64) -> TelemetryResult {
     use roomsense_building::RoomId;
     use roomsense_ml::BinarySvm;
     use roomsense_net::{
-        BmsServer, FailoverTransport, FaultyTransport, LinkHealthConfig, ObservationReport,
-        QueueingTransport, SequenceStamper,
+        FailoverTransport, FaultyTransport, LinkHealthConfig, ObservationReport,
+        QueueingTransport, SequenceStamper, ShardedBmsServer,
     };
     use roomsense_sim::{FaultSchedule, FaultWindow};
     use roomsense_telemetry::{keys, TelemetryEvent};
@@ -1722,7 +1723,7 @@ fn telemetry_impl(seed: u64) -> TelemetryResult {
             .min_by(|a, b| a.distance_m.partial_cmp(&b.distance_m).expect("finite"))
             .map(|b| b.identity.minor.value() as usize)
     };
-    let mut server = BmsServer::new(Box::new(nearest_beacon));
+    let mut server = ShardedBmsServer::new(Arc::new(nearest_beacon), 1);
     let checkpoint_every = SimDuration::from_secs(120);
     let mut checkpoint = server.checkpoint();
     let mut checkpoint_len = 0usize;
@@ -1738,7 +1739,7 @@ fn telemetry_impl(seed: u64) -> TelemetryResult {
             let checkpoint_due = next_checkpoint <= delivery.at;
             if crash_due && (!checkpoint_due || crash_windows[crash_idx].from <= next_checkpoint)
             {
-                server = BmsServer::restore(Box::new(nearest_beacon), checkpoint.clone())
+                server = ShardedBmsServer::restore(Arc::new(nearest_beacon), checkpoint.clone())
                     .expect("untampered checkpoint");
                 for report in &journal[checkpoint_len..] {
                     server.ingest(report.clone());
@@ -1917,9 +1918,8 @@ pub struct ScaleResult {
 
 /// The fleet-scale bench (the `repro scale` arm): `devices` synthetic
 /// phones report through per-device batching uplinks into a
-/// [`ShardedBmsServer`](roomsense_net::ShardedBmsServer), with a single
-/// [`BmsServer`](roomsense_net::BmsServer) fed the identical stream as the
-/// semantic reference.
+/// [`ShardedBmsServer`](roomsense_net::ShardedBmsServer), with a one-shard
+/// server fed the identical stream as the semantic reference.
 ///
 /// The run exercises every scale mechanism at once:
 ///
@@ -1947,9 +1947,8 @@ pub struct ScaleResult {
 fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
     use rand::Rng;
     use roomsense_ibeacon::{BeaconIdentity, Major, ProximityUuid};
-    use roomsense_net::{BatchingTransport, BmsServer, Delivery, ShardedBmsServer};
+    use roomsense_net::{BatchingTransport, Delivery, ShardedBmsServer};
     use roomsense_telemetry::{keys, Histogram};
-    use std::sync::Arc;
     use std::time::Instant;
 
     const ROOMS: u16 = 12;
@@ -2092,14 +2091,9 @@ fn scale_impl(seed: u64, devices: usize, shards: usize) -> ScaleResult {
         Arc::new(|r: &ObservationReport| {
             r.beacons.first().map(|b| b.identity.minor.value() as usize)
         });
-    let single_estimator = || {
-        Box::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        })
-    };
     let mut fleet =
         ShardedBmsServer::new(Arc::clone(&fleet_estimator), shards).with_retention(retention);
-    let single = BmsServer::new(single_estimator()).with_retention(retention);
+    let single = ShardedBmsServer::new(Arc::clone(&fleet_estimator), 1).with_retention(retention);
     let mut checkpoint: Option<roomsense_net::ShardedBmsCheckpoint> = None;
     let mut journal_start = 0usize;
     let mut peak_retained = 0usize;
@@ -2300,11 +2294,9 @@ fn overload_impl(seed: u64, devices: usize, shards: usize) -> OverloadResult {
     use rand::Rng;
     use roomsense_ibeacon::{BeaconIdentity, Major, ProximityUuid};
     use roomsense_net::{
-        Admission, BmsServer, CampusFederation, IngestTier, IngestTierConfig, ServiceLevel,
-        ShardedBmsServer,
+        Admission, CampusFederation, IngestTier, IngestTierConfig, ServiceLevel, ShardedBmsServer,
     };
     use std::collections::VecDeque;
-    use std::sync::Arc;
     use std::time::Instant;
 
     const TICK_MS: u64 = 5_000;
@@ -2393,12 +2385,8 @@ fn overload_impl(seed: u64, devices: usize, shards: usize) -> OverloadResult {
             IngestTier::new(ShardedBmsServer::new(Arc::clone(&estimator), shards), config),
         );
     }
-    let oracles: Vec<BmsServer> = (0..BUILDINGS.len())
-        .map(|_| {
-            BmsServer::new(Box::new(|r: &ObservationReport| {
-                r.beacons.first().map(|b| b.identity.minor.value() as usize)
-            }))
-        })
+    let oracles: Vec<ShardedBmsServer> = (0..BUILDINGS.len())
+        .map(|_| ShardedBmsServer::new(Arc::clone(&estimator), 1))
         .collect();
     // The mirror re-implements the tier's drain schedule independently:
     // per-shard FIFOs fed on admission, popped `service_rate` at a time in
@@ -2736,9 +2724,8 @@ pub struct ArchiveResult {
 fn archive_impl(seed: u64, devices: usize, shards: usize) -> ArchiveResult {
     use rand::Rng;
     use roomsense_ibeacon::{BeaconIdentity, Major, ProximityUuid};
-    use roomsense_net::{ArchiveConfig, BmsServer, ShardedBmsServer};
+    use roomsense_net::{ArchiveConfig, ShardedBmsServer};
     use roomsense_sim::{DiskFaultPlan, FaultSchedule, FaultWindow, SharedDisk, SimDisk};
-    use std::sync::Arc;
     use std::time::Instant;
 
     const ROOMS: u16 = 10;
@@ -2792,11 +2779,6 @@ fn archive_impl(seed: u64, devices: usize, shards: usize) -> ArchiveResult {
 
     let estimator = || -> Arc<dyn roomsense_net::OccupancyEstimator> {
         Arc::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        })
-    };
-    let single_estimator = || {
-        Box::new(|r: &ObservationReport| {
             r.beacons.first().map(|b| b.identity.minor.value() as usize)
         })
     };
@@ -2885,7 +2867,7 @@ fn archive_impl(seed: u64, devices: usize, shards: usize) -> ArchiveResult {
             .with_retention(retention)
             .with_archives(oracle_disk, config.clone());
         // Oracle B: an unbounded single server — historical ground truth.
-        let unbounded = BmsServer::new(single_estimator());
+        let unbounded = ShardedBmsServer::new(estimator(), 1);
         for chunk in &chunks {
             oracle.ingest_all(chunk.clone());
             for report in chunk {
@@ -3121,19 +3103,16 @@ fn drive_counting(
     bool,
     usize,
     roomsense_net::Windowed<roomsense_net::PopulationView>,
-    roomsense_net::BmsServer,
+    roomsense_net::ShardedBmsServer,
 ) {
-    use roomsense_net::{BmsServer, ShardedBmsServer};
-    use std::sync::Arc;
+    use roomsense_net::ShardedBmsServer;
 
     let fleet_estimator: Arc<dyn roomsense_net::OccupancyEstimator> =
         Arc::new(|r: &ObservationReport| {
             r.beacons.first().map(|b| b.identity.minor.value() as usize)
         });
     let fleet = ShardedBmsServer::new(Arc::clone(&fleet_estimator), shards);
-    let single = BmsServer::new(Box::new(|r: &ObservationReport| {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    }));
+    let single = ShardedBmsServer::new(Arc::clone(&fleet_estimator), 1);
     let mut next = 0usize;
     let mut maes = Vec::with_capacity(probes.len());
     let mut matches = true;
@@ -3197,7 +3176,6 @@ fn counting_impl(
         Admission, CountingConfig, IngestTier, IngestTierConfig, ServiceLevel, ShardedBmsServer,
     };
     use std::collections::VecDeque;
-    use std::sync::Arc;
     use std::time::Instant;
 
     /// Probes per scenario: estimate quality is scored at each eighth of

@@ -39,7 +39,7 @@ impl From<TrainSvmError> for TrainOccupancyError {
 /// one-vs-one RBF SVM, plus the beacon feature layout it was trained with.
 ///
 /// Implements [`OccupancyEstimator`], so it plugs directly into
-/// [`BmsServer`](roomsense_net::BmsServer).
+/// [`ShardedBmsServer`](roomsense_net::ShardedBmsServer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyModel {
     scaler: StandardScaler,

@@ -1,8 +1,8 @@
 //! The durable archive tier below retention compaction.
 //!
-//! [`BmsServer::with_retention`](crate::BmsServer::with_retention) bounds
-//! live memory by dropping each device's oldest reports — and with it the
-//! ability to answer `occupancy_at` below the low watermark. An
+//! [`ShardedBmsServer::with_retention`](crate::ShardedBmsServer::with_retention)
+//! bounds live memory by dropping each device's oldest reports — and with it
+//! the ability to answer `occupancy_at` below the low watermark. An
 //! [`ArchiveSink`] turns that drop into a **spill**: every compacted report
 //! and assignment is appended to a checksummed segment log on a
 //! [`SharedDisk`], so historical queries answer *exactly* from cold storage
@@ -45,7 +45,7 @@
 //! checkpoint promised. Covered means historical answers are *exact*;
 //! anything else is reported as loss, never silently absorbed.
 
-use crate::bms::DedupWindow;
+use crate::shard::DedupWindow;
 use crate::{DeviceId, ObservationReport, RoomLabel, SightedBeacon};
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_sim::{SharedDisk, SimTime};
@@ -292,10 +292,9 @@ impl ActiveSegment {
 
 /// An append-only, checksummed segment log for compacted BMS records.
 ///
-/// One sink per [`BmsServer`](crate::BmsServer) (one per shard in a
-/// [`ShardedBmsServer`](crate::ShardedBmsServer)); several sinks share one
-/// [`SharedDisk`] under distinct prefixes. See the module docs for the
-/// format and recovery invariants.
+/// One sink per shard of a [`ShardedBmsServer`](crate::ShardedBmsServer),
+/// each under its own `shard-NNNN/` prefix on one [`SharedDisk`]. See the
+/// module docs for the format and recovery invariants.
 #[derive(Debug)]
 pub struct ArchiveSink {
     disk: SharedDisk,

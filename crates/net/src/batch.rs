@@ -8,7 +8,7 @@
 //! its oldest report has waited `max_delay`. Failed batches wait in a
 //! bounded retry queue with exponential backoff, and an optional lossy
 //! batch-ack channel produces the at-least-once duplicate stream
-//! [`BmsServer::ingest`](crate::BmsServer::ingest) dedups.
+//! [`ShardedBmsServer::ingest`](crate::ShardedBmsServer::ingest) dedups.
 
 use crate::outbox::{Outbox, Policy};
 use crate::{Delivery, ObservationReport, Transport};

@@ -162,8 +162,6 @@ pub struct IngestTier {
     pauses: u64,
     exact_queries: u64,
     degraded_queries: u64,
-    counting_exact: u64,
-    counting_degraded: u64,
 }
 
 impl IngestTier {
@@ -190,8 +188,6 @@ impl IngestTier {
             pauses: 0,
             exact_queries: 0,
             degraded_queries: 0,
-            counting_exact: 0,
-            counting_degraded: 0,
         }
     }
 
@@ -203,11 +199,6 @@ impl IngestTier {
     /// The sharded fleet behind the mailboxes.
     pub fn fleet(&self) -> &ShardedBmsServer {
         &self.fleet
-    }
-
-    /// Tears the tier down to its fleet (e.g. to checkpoint it).
-    pub fn into_fleet(self) -> ShardedBmsServer {
-        self.fleet
     }
 
     /// Offers one report to the admission controller of its device's
@@ -288,11 +279,6 @@ impl IngestTier {
         self.mailboxes.iter().map(Mailbox::depth).sum()
     }
 
-    /// Reports queued in one shard's mailbox.
-    pub fn shard_backlog(&self, shard: usize) -> usize {
-        self.mailboxes[shard].depth()
-    }
-
     /// The deepest any single mailbox ever got — bounded by
     /// [`mailbox_capacity`](IngestTierConfig::mailbox_capacity) by
     /// construction, which is the tier's memory-bound claim.
@@ -342,24 +328,13 @@ impl IngestTier {
     /// and the flag tells the consumer not to actuate HVAC on them
     /// blindly. Any lagging shard degrades the whole answer's level.
     pub fn occupancy_view(&mut self, now: SimTime, ttl: SimDuration) -> LeveledView {
-        let mut lagging = 0usize;
-        let views: Vec<OccupancyView> = self
-            .fleet
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(shard, server)| {
-                let mut view = server.occupancy_view(now, ttl);
-                if self.shard_lagging(shard) {
-                    lagging += 1;
-                    for presence in view.rooms.values_mut() {
-                        presence.fresh = 0;
-                    }
-                }
-                view
-            })
+        let lagging_set: Vec<bool> = (0..self.mailboxes.len())
+            .map(|shard| self.shard_lagging(shard))
             .collect();
-        let view = self.fleet.merge_views(now, ttl, views.into_iter());
+        let lagging = lagging_set.iter().filter(|l| **l).count();
+        let view = self
+            .fleet
+            .occupancy_view_marking(now, ttl, |shard| lagging_set[shard]);
         let level = if lagging == 0 {
             ServiceLevel::Exact
         } else {
@@ -405,31 +380,15 @@ impl IngestTier {
         } else {
             ServiceLevel::Degraded
         };
-        match level {
-            ServiceLevel::Exact => {
-                self.counting_exact += 1;
-                self.telemetry.incr(keys::BMS_COUNTING_EXACT);
-            }
-            ServiceLevel::Degraded => {
-                self.counting_degraded += 1;
-                self.telemetry.incr(keys::BMS_COUNTING_DEGRADED);
-            }
-        }
+        self.telemetry.incr(match level {
+            ServiceLevel::Exact => keys::BMS_COUNTING_EXACT,
+            ServiceLevel::Degraded => keys::BMS_COUNTING_DEGRADED,
+        });
         LeveledPopulationView {
             view,
             level,
             lagging_shards: lagging,
         }
-    }
-
-    /// Population queries answered at [`ServiceLevel::Exact`] so far.
-    pub fn counting_exact(&self) -> u64 {
-        self.counting_exact
-    }
-
-    /// Population queries answered at [`ServiceLevel::Degraded`] so far.
-    pub fn counting_degraded(&self) -> u64 {
-        self.counting_degraded
     }
 
     /// Queries answered at [`ServiceLevel::Exact`] so far.
@@ -449,13 +408,6 @@ impl IngestTier {
     /// single server fed the same reports.
     pub fn state_digest(&self) -> u64 {
         self.fleet.state_digest()
-    }
-
-    /// The fleet's historical floor (see
-    /// [`ShardedBmsServer::historical_floor`]): `None` when every shard's
-    /// durable archive can answer exactly at any instant.
-    pub fn historical_floor(&self) -> Option<SimTime> {
-        self.fleet.historical_floor()
     }
 
     /// Archive-aware historical occupancy across the fleet (see
@@ -499,7 +451,7 @@ impl fmt::Debug for IngestTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BmsServer, DeviceId, SightedBeacon};
+    use crate::{DeviceId, SightedBeacon};
     use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
     use std::sync::Arc;
 
@@ -532,9 +484,7 @@ mod tests {
     #[test]
     fn admits_pumps_and_recovers_exactly() {
         let mut t = tier(4, IngestTierConfig::default());
-        let single = BmsServer::new(Box::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        }));
+        let single = ShardedBmsServer::new(minor_estimator(), 1);
         for d in 0..40u32 {
             for k in 0..5u64 {
                 let r = report(d, k, (d % 3) as u16);

@@ -12,10 +12,15 @@
 //!   to the server over its wired side.
 //!
 //! Every send produces a [`TransportEvent`] (start, air time, success) that
-//! the energy model prices. The [`BmsServer`] stores observation reports,
-//! runs a pluggable [`OccupancyEstimator`], maintains the per-room occupancy
-//! table, and drives a [`DemandResponseController`] — the HVAC/lighting
-//! use-case the paper's introduction motivates.
+//! the energy model prices. The BMS server, [`ShardedBmsServer`], stores
+//! observation reports, runs a pluggable [`OccupancyEstimator`], maintains
+//! the per-room occupancy table, and drives a [`DemandResponseController`]
+//! — the HVAC/lighting use-case the paper's introduction motivates. It is
+//! `N >= 1` shards keyed by device, each holding one record per device; a
+//! single server is one shard, and every query is one fold over the shards,
+//! so the answer does not depend on the shard count. [`IngestTier`] puts
+//! bounded mailboxes and admission control in front of it, and
+//! [`CampusFederation`] merges several buildings' tiers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +47,8 @@ pub use archive::{
 };
 pub use batch::BatchingTransport;
 pub use bms::{
-    BmsCheckpoint, BmsServer, IngestOutcome, OccupancyEstimator, OccupancyView, RestoreError,
-    RoomLabel, RoomPresence, ServerStats, Windowed,
+    IngestOutcome, OccupancyEstimator, OccupancyView, RestoreError, RoomLabel, RoomPresence,
+    ServerStats, ShardedBmsCheckpoint, ShardedBmsServer, Windowed,
 };
 pub use counting::{
     finalize_population, CampusPopulationView, CountingConfig, LeveledPopulationView,
@@ -58,7 +63,6 @@ pub use message::{
     batched_wire_size_bytes, DeviceId, ObservationReport, SequenceStamper, SightedBeacon,
 };
 pub use peer::{PeerRelayConfig, PeerRelayTransport};
-pub use shard::{ShardedBmsCheckpoint, ShardedBmsServer};
 pub use transport::{
     BtRelayTransport, Delivery, Payload, QueueingTransport, Retrying, SendOutcome, Transport,
     TransportEvent, TransportKind, WifiTransport,

@@ -1,44 +1,27 @@
-//! Horizontal scale-out for the BMS: shard the server by device.
+//! One shard of the BMS: the records of a disjoint device set behind one
+//! lock, and the archive their compaction spills into.
 //!
-//! One [`BmsServer`] behind one mutex serializes every ingest in the
-//! building; at fleet scale the lock is the bottleneck. The
-//! [`ShardedBmsServer`] splits the fleet across `N` inner servers by a
-//! **deterministic device hash** (FNV-1a of the device id — stable across
-//! runs, platforms, and thread counts), so each shard owns a disjoint
-//! device set and takes only its own lock on the hot path. Because every
-//! per-device invariant (dedup window, LWW classification, retention
-//! cutoff) depends only on that device's stream, the sharded fleet is
-//! **semantically identical** to a single server fed the same reports —
-//! [`state_digest`](ShardedBmsServer::state_digest) makes the equivalence
-//! checkable bit-for-bit.
+//! A shard does only what needs no other shard: it ingests (dedup,
+//! last-writer-wins classification, the log insert), compacts each
+//! device's history against that device's own newest report, and spills
+//! what compaction drops into its archive. Every query is one fold over
+//! the shards in [`ShardedBmsServer`](crate::ShardedBmsServer). Because
+//! every per-device invariant depends only on that device's stream, the
+//! fold gives the same answer whatever the shard count.
 
-use crate::bms::{digest_state, Windowed};
-use crate::counting::{finalize_population, CountingConfig, PopulationEvidence, PopulationView};
-use crate::{
-    ArchiveConfig, ArchiveSink, ArchiveStats, BmsCheckpoint, BmsServer, Coverage, DeviceId,
-    IngestOutcome, ObservationReport, OccupancyEstimator, OccupancyView, RecoveryReport,
-    RestoreError, RoomLabel, RoomPresence, ServerStats,
-};
-use roomsense_sim::{exec, SharedDisk, SimDuration, SimTime};
-use roomsense_telemetry::Recorder;
-use std::collections::BTreeMap;
+use crate::archive::{ArchiveSink, DeviceMark};
+use crate::bms::{IngestOutcome, RoomLabel, ServerStats};
+use crate::{DeviceId, ObservationReport};
+use parking_lot::Mutex;
+use roomsense_sim::{SimDuration, SimTime};
+use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
-
-/// Lets one estimator (the trained classifier) back every shard without
-/// cloning the model.
-struct SharedEstimator(Arc<dyn OccupancyEstimator>);
-
-impl OccupancyEstimator for SharedEstimator {
-    fn classify(&self, report: &ObservationReport) -> Option<RoomLabel> {
-        self.0.classify(report)
-    }
-}
 
 /// The deterministic shard key: FNV-1a over the little-endian device id.
 /// Pure data — no hasher state, no platform dependence — so a device maps
 /// to the same shard in every run and on every node.
-fn device_hash(device: DeviceId) -> u64 {
+pub(crate) fn device_hash(device: DeviceId) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in device.value().to_le_bytes() {
         hash ^= u64::from(byte);
@@ -47,668 +30,604 @@ fn device_hash(device: DeviceId) -> u64 {
     hash
 }
 
-/// A full-fleet snapshot: one [`BmsCheckpoint`] per shard, in shard order.
-#[derive(Debug, Clone)]
-pub struct ShardedBmsCheckpoint {
-    shards: Vec<BmsCheckpoint>,
+/// Bounded per-device record of which sequence numbers were already
+/// ingested.
+///
+/// Exact membership is kept for at most `capacity` recent seqs; older ones
+/// are summarised by a low *watermark*: every `seq <= watermark` counts as
+/// seen. With a monotone per-device stamper the window only ever evicts
+/// seqs that genuinely arrived, so the summary stays exact for any
+/// straggler less than `capacity` seqs behind the newest — far beyond any
+/// realistic retransmission delay — while memory stays O(capacity).
+///
+/// The exact seqs are a sorted run: an in-order seq is a `push_back`, a
+/// straggler a binary search and insert, and eviction pops the front.
+#[derive(Clone, Default, PartialEq)]
+pub(crate) struct DedupWindow {
+    watermark: Option<u64>,
+    /// Exact seqs above the watermark, ascending.
+    seen: VecDeque<u64>,
 }
 
-impl ShardedBmsCheckpoint {
-    /// Shards captured in the snapshot.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+impl DedupWindow {
+    /// Returns true when `seq` is new, recording it and shrinking the
+    /// window back to `capacity` entries.
+    pub(crate) fn check_and_insert(&mut self, seq: u64, capacity: usize) -> bool {
+        if self.watermark.is_some_and(|watermark| seq <= watermark) {
+            return false;
+        }
+        match self.seen.back() {
+            Some(&newest) if seq <= newest => match self.seen.binary_search(&seq) {
+                Ok(_) => return false,
+                Err(slot) => self.seen.insert(slot, seq),
+            },
+            _ => self.seen.push_back(seq),
+        }
+        while self.seen.len() > capacity {
+            let lowest = self.seen.pop_front().expect("window is non-empty");
+            self.watermark = Some(self.watermark.map_or(lowest, |w| w.max(lowest)));
+        }
+        true
     }
 
-    /// Retained reports across every shard at snapshot time.
-    pub fn report_count(&self) -> usize {
-        self.shards.iter().map(BmsCheckpoint::report_count).sum()
+    pub(crate) fn len(&self) -> usize {
+        self.seen.len()
     }
 }
 
-/// `N` [`BmsServer`] shards keyed by a deterministic device hash, with
-/// merged cross-shard queries.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_net::{ObservationReport, ShardedBmsServer};
-/// use std::sync::Arc;
-///
-/// let fleet = ShardedBmsServer::new(
-///     Arc::new(|_: &ObservationReport| Some(0)),
-///     16,
-/// );
-/// assert_eq!(fleet.shard_count(), 16);
-/// ```
-pub struct ShardedBmsServer {
-    shards: Vec<BmsServer>,
+/// Prints exactly what `#[derive(Debug)]` printed when `seen` was a
+/// `BTreeSet<u64>` — `DedupWindow { watermark: …, seen: {…} }` — because
+/// this text is part of every state digest.
+impl fmt::Debug for DedupWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct AsSet<'a>(&'a VecDeque<u64>);
+        impl fmt::Debug for AsSet<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        f.debug_struct("DedupWindow")
+            .field("watermark", &self.watermark)
+            .field("seen", &AsSet(&self.seen))
+            .finish()
+    }
 }
 
-impl ShardedBmsServer {
-    /// Creates `shard_count` shards all backed by the same estimator.
+/// Anything stored in report-time order with a seq tie-break.
+pub(crate) trait Chronological {
+    /// The sort key: `(report time, sequence number)`.
+    fn chrono_key(&self) -> (SimTime, u64);
+
+    /// The report-time half of the key.
+    fn chrono_at(&self) -> SimTime {
+        self.chrono_key().0
+    }
+}
+
+impl Chronological for ObservationReport {
+    fn chrono_key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl Chronological for (SimTime, u64, RoomLabel) {
+    fn chrono_key(&self) -> (SimTime, u64) {
+        (self.0, self.1)
+    }
+}
+
+/// A time-sorted ring buffer with low-watermark compaction.
+///
+/// Entries are kept sorted by `(time, seq)` (insertion is a binary search —
+/// a straggler lands in its chronological slot), so every range query is a
+/// `partition_point` pair instead of a scan. [`compact`](Retained::compact)
+/// drops entries older than a cutoff and remembers the *floor*: the oldest
+/// instant queries can still be answered for exactly.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Retained<T> {
+    entries: VecDeque<T>,
+    /// Entries dropped by compaction so far.
+    pub(crate) compacted: u64,
+    /// Queries at or after this instant see every relevant entry; earlier
+    /// ones may be missing compacted records. `None` until the first drop.
+    pub(crate) floor: Option<SimTime>,
+}
+
+impl<T> Default for Retained<T> {
+    fn default() -> Self {
+        Retained {
+            entries: VecDeque::new(),
+            compacted: 0,
+            floor: None,
+        }
+    }
+}
+
+impl<T: Chronological> Retained<T> {
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter()
+    }
+
+    /// Inserts in `(time, seq)` order; equal keys keep arrival order.
+    fn insert(&mut self, item: T) {
+        let key = item.chrono_key();
+        let position = self.entries.partition_point(|e| e.chrono_key() <= key);
+        self.entries.insert(position, item);
+    }
+
+    /// Drops entries strictly older than `cutoff`, raises the floor, and
+    /// returns the dropped entries (oldest first) so the caller can spill
+    /// them into an archive instead of losing them.
     ///
-    /// # Panics
-    ///
-    /// Panics if `shard_count` is zero.
-    pub fn new(estimator: Arc<dyn OccupancyEstimator>, shard_count: usize) -> Self {
-        assert!(shard_count > 0, "shard count must be non-zero");
-        let shards = (0..shard_count)
-            .map(|_| BmsServer::new(Box::new(SharedEstimator(Arc::clone(&estimator)))))
-            .collect();
-        ShardedBmsServer { shards }
-    }
-
-    /// Applies a dedup-window size to every shard (see
-    /// [`BmsServer::with_dedup_capacity`]).
-    pub fn with_dedup_capacity(mut self, capacity: usize) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_dedup_capacity(capacity))
-            .collect();
-        self
-    }
-
-    /// Applies a retention window to every shard (see
-    /// [`BmsServer::with_retention`]). Compaction cutoffs are per-device,
-    /// so the retained state is identical to an un-sharded server's.
-    pub fn with_retention(mut self, window: SimDuration) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_retention(window))
-            .collect();
-        self
-    }
-
-    /// Attaches one durable archive sink per shard, namespaced under the
-    /// config prefix as `shard-NNNN/` on the shared disk (see
-    /// [`BmsServer::with_archive`]). Device sets are disjoint across
-    /// shards, so the union of per-shard archive marks equals a single
-    /// server's — the digest equivalence the scale gate checks extends to
-    /// the durable tier.
-    pub fn with_archives(mut self, disk: SharedDisk, config: ArchiveConfig) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.with_archive(ArchiveSink::new(disk.clone(), config.for_shard(i))))
-            .collect();
-        self
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a device's reports land on.
-    pub fn shard_of(&self, device: DeviceId) -> usize {
-        (device_hash(device) % self.shards.len() as u64) as usize
-    }
-
-    fn shard_for(&self, device: DeviceId) -> &BmsServer {
-        &self.shards[self.shard_of(device)]
-    }
-
-    /// Routes one report through the idempotent ingestion path of its
-    /// device's shard (see [`BmsServer::ingest`]).
-    pub fn ingest(&self, report: ObservationReport) -> IngestOutcome {
-        self.shard_for(report.device).ingest(report)
-    }
-
-    /// Routes one report through the trusting REST path of its device's
-    /// shard (see [`BmsServer::post_observation`]).
-    pub fn post_observation(&self, report: ObservationReport) -> Option<RoomLabel> {
-        self.shard_for(report.device).post_observation(report)
-    }
-
-    /// Bulk-ingests a delivery stream: reports are partitioned by shard
-    /// (preserving their relative order — per-device order is what the
-    /// LWW and dedup semantics care about, and a device never spans
-    /// shards), then every shard ingests its partition in parallel via the
-    /// deterministic executor. Returns `(accepted, duplicates)`.
-    pub fn ingest_all(&self, reports: Vec<ObservationReport>) -> (u64, u64) {
-        let mut partitions: Vec<Vec<ObservationReport>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for report in reports {
-            partitions[self.shard_of(report.device)].push(report);
+    /// With `carry_last`, the newest pre-cutoff entry survives — an
+    /// assignment history needs it so "last room at or before `t`" stays
+    /// correct for every `t >= cutoff` even when the device has been silent
+    /// for longer than the window. An entry timestamped **exactly at** the
+    /// cutoff is always retained and anchors the window by itself: carrying
+    /// an extra pre-cutoff entry past it would keep a record the archive is
+    /// owed, putting the same record on both sides of the live/archived
+    /// boundary later.
+    fn compact(&mut self, cutoff: SimTime, carry_last: bool) -> Vec<T> {
+        let first_kept = self.entries.partition_point(|e| e.chrono_at() < cutoff);
+        let carry_needed = carry_last
+            && self
+                .entries
+                .get(first_kept)
+                .is_none_or(|e| e.chrono_at() != cutoff);
+        let drop_to = if carry_needed {
+            first_kept.saturating_sub(1)
+        } else {
+            first_kept
+        };
+        if drop_to == 0 {
+            return Vec::new();
         }
-        let counts = exec::par_map_indexed(&partitions, |shard, partition| {
-            let mut accepted = 0u64;
-            let mut duplicates = 0u64;
-            for report in partition {
-                match self.shards[shard].ingest(report.clone()) {
-                    IngestOutcome::Accepted { .. } => accepted += 1,
-                    IngestOutcome::Duplicate => duplicates += 1,
-                }
-            }
-            (accepted, duplicates)
-        });
-        counts
-            .into_iter()
-            .fold((0, 0), |(a, d), (pa, pd)| (a + pa, d + pd))
+        let dropped: Vec<T> = self.entries.drain(..drop_to).collect();
+        self.compacted += dropped.len() as u64;
+        self.floor = Some(self.floor.map_or(cutoff, |f| f.max(cutoff)));
+        dropped
     }
 
-    /// The merged occupancy table: per-room sums across shards (device
-    /// sets are disjoint, so summing never double-counts).
-    pub fn occupancy(&self) -> BTreeMap<RoomLabel, usize> {
-        let mut table = BTreeMap::new();
-        for shard in &self.shards {
-            for (room, count) in shard.occupancy() {
-                *table.entry(room).or_insert(0) += count;
-            }
+    /// The entries whose time falls in the half-open window `[from, to)`.
+    pub(crate) fn window(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &T> {
+        let start = self.entries.partition_point(|e| e.chrono_at() < from);
+        let end = self.entries.partition_point(|e| e.chrono_at() < to);
+        self.entries.range(start..end.max(start))
+    }
+
+    /// The newest entry with time at or before `at`, by binary search.
+    pub(crate) fn last_at_or_before(&self, at: SimTime) -> Option<&T> {
+        let index = self.entries.partition_point(|e| e.chrono_at() <= at);
+        index.checked_sub(1).map(|i| &self.entries[i])
+    }
+
+    /// Direct access to the entries, for tests that corrupt a snapshot.
+    #[cfg(test)]
+    pub(crate) fn entries_mut(&mut self) -> &mut VecDeque<T> {
+        &mut self.entries
+    }
+}
+
+/// Everything a shard holds about one device, so a classified ingest finds
+/// all of it with one map lookup.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DeviceRecord {
+    /// Latest classified `(report time, seq, room)` — last writer wins on
+    /// *report* time (seq breaks exact ties), never on arrival time.
+    /// `None` until the device is first classified.
+    pub(crate) room: Option<(SimTime, u64, RoomLabel)>,
+    /// Every classification as `(report time, seq, room)` — the raw
+    /// material for movement analytics, kept in `(time, seq)` order so
+    /// reordered arrivals cannot corrupt the history. `None` until the
+    /// device is first classified.
+    pub(crate) history: Option<Retained<(SimTime, u64, RoomLabel)>>,
+    /// The observation log, sorted by `(report time, seq)` and bounded by
+    /// the retention window when one is configured.
+    pub(crate) log: Retained<ObservationReport>,
+    /// The dedup window; `None` for a device only ever posted through the
+    /// trusting path.
+    pub(crate) dedup: Option<DedupWindow>,
+}
+
+impl DeviceRecord {
+    /// Applies a classified report to the current room and the history.
+    fn classify(&mut self, report: &ObservationReport, label: RoomLabel) {
+        // Only move forward in report time (out-of-order arrivals happen
+        // with retrying transports); seq breaks exact ties.
+        if self
+            .room
+            .is_none_or(|(at, seq, _)| (report.at, report.seq) >= (at, seq))
+        {
+            self.room = Some((report.at, report.seq, label));
         }
-        table
+        self.history
+            .get_or_insert_with(Retained::default)
+            .insert((report.at, report.seq, label));
     }
 
-    /// The room one device was last classified into (routed, no merge).
-    pub fn room_of(&self, device: DeviceId) -> Option<RoomLabel> {
-        self.shard_for(device).room_of(device)
+    /// Retention compaction of log and history against the device's newest
+    /// report; the cutoff depends only on this device's stream, so it is
+    /// identical however the fleet is sharded.
+    fn compact(&mut self, window: SimDuration) -> (SimTime, Spill) {
+        let newest = self
+            .log
+            .entries
+            .back()
+            .expect("compacted right after an insert")
+            .at
+            .as_millis();
+        let cutoff = SimTime::from_millis(newest.saturating_sub(window.as_millis()));
+        let spill = Spill {
+            reports: self.log.compact(cutoff, false),
+            assignments: self
+                .history
+                .as_mut()
+                .map(|history| history.compact(cutoff, true))
+                .unwrap_or_default(),
+        };
+        (cutoff, spill)
     }
 
-    /// Per-shard servers in shard order — the ingestion tier reads these
-    /// to compute per-shard views it can mark stale independently.
-    pub(crate) fn shards(&self) -> &[BmsServer] {
-        &self.shards
-    }
-
-    pub(crate) fn merge_views(
-        &self,
-        at: SimTime,
-        ttl: SimDuration,
-        views: impl Iterator<Item = OccupancyView>,
-    ) -> OccupancyView {
-        let mut rooms: BTreeMap<RoomLabel, RoomPresence> = BTreeMap::new();
-        for view in views {
-            for (room, presence) in view.rooms {
-                let entry = rooms.entry(room).or_default();
-                entry.occupants += presence.occupants;
-                entry.fresh += presence.fresh;
-            }
-        }
-        OccupancyView { at, ttl, rooms }
-    }
-
-    /// The merged staleness-aware occupancy table (see
-    /// [`BmsServer::occupancy_view`]).
-    pub fn occupancy_view(&self, now: SimTime, ttl: SimDuration) -> OccupancyView {
-        self.merge_views(now, ttl, self.shards.iter().map(|s| s.occupancy_view(now, ttl)))
-    }
-
-    /// The merged historical staleness-aware table (see
-    /// [`BmsServer::occupancy_view_at`]).
-    pub fn occupancy_view_at(&self, at: SimTime, ttl: SimDuration) -> OccupancyView {
-        self.merge_views(
-            at,
-            ttl,
-            self.shards.iter().map(|s| s.occupancy_view_at(at, ttl)),
+    /// The record in the text every state digest hashes: the `Debug` form
+    /// of its four fields, `|`-separated, each `None` when absent. Every
+    /// arm checksum and committed digest rests on this exact text.
+    fn dump(record: Option<&DeviceRecord>) -> String {
+        format!(
+            "{:?}|{:?}|{:?}|{:?}",
+            record.and_then(|r| r.room.as_ref()),
+            record.and_then(|r| r.history.as_ref()),
+            record.map(|r| &r.log),
+            record.and_then(|r| r.dedup.as_ref()),
         )
     }
+}
 
-    /// The merged historical occupancy table (see
-    /// [`BmsServer::occupancy_at`]).
-    pub fn occupancy_at(&self, at: SimTime) -> BTreeMap<RoomLabel, usize> {
-        let mut table = BTreeMap::new();
-        for shard in &self.shards {
-            for (room, count) in shard.occupancy_at(at) {
-                *table.entry(room).or_insert(0) += count;
+/// One shard's state; snapshotted whole by a checkpoint.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ServerState {
+    /// One record per device this shard owns.
+    pub(crate) devices: BTreeMap<DeviceId, DeviceRecord>,
+    /// The highest floor any log or history compaction has set: the
+    /// retention low-watermark, kept as compaction raises it so reading it
+    /// scans nothing.
+    pub(crate) floor: Option<SimTime>,
+    pub(crate) stats: ServerStats,
+    /// Server-side metrics and structured event journal; snapshotted and
+    /// restored along with the rest of the state.
+    pub(crate) telemetry: Recorder,
+}
+
+impl ServerState {
+    pub(crate) fn retained_reports(&self) -> usize {
+        self.devices.values().map(|r| r.log.len()).sum()
+    }
+
+    /// Applies one report: the dedup check when `dedup_capacity` is given,
+    /// the classification, the log insert and the retention compaction.
+    /// Returns `None` for a duplicate, else what compaction handed off for
+    /// archival.
+    fn apply(
+        &mut self,
+        report: ObservationReport,
+        room: Option<RoomLabel>,
+        dedup_capacity: Option<usize>,
+        retention: Option<SimDuration>,
+    ) -> Option<Spill> {
+        let device = report.device;
+        let record = self.devices.entry(device).or_default();
+        if let Some(capacity) = dedup_capacity {
+            let window = record.dedup.get_or_insert_with(DedupWindow::default);
+            if !window.check_and_insert(report.seq, capacity) {
+                self.stats.reports_duplicate += 1;
+                self.telemetry.incr(keys::BMS_INGEST_DUPLICATES);
+                self.telemetry.record_event(TelemetryEvent::DedupHit {
+                    device: device.value(),
+                    seq: report.seq,
+                });
+                return None;
             }
         }
-        table
-    }
-
-    /// [`occupancy_at`](Self::occupancy_at) with the merged completeness
-    /// flag: complete iff every shard's answer was complete; the floor is
-    /// the worst (latest) shard floor. Shards with healed archives answer
-    /// below their retention floor from the segment log, so the merged
-    /// answer stays exact wherever every shard's history survives.
-    pub fn occupancy_at_checked(&self, at: SimTime) -> Windowed<BTreeMap<RoomLabel, usize>> {
-        let mut value = BTreeMap::new();
-        let mut complete = true;
-        let mut floor = None;
-        for shard in &self.shards {
-            let answer = shard.occupancy_at_checked(at);
-            for (room, count) in answer.value {
-                *value.entry(room).or_insert(0) += count;
-            }
-            complete &= answer.complete;
-            floor = floor.max(answer.floor);
+        self.stats.reports_stored += 1;
+        self.telemetry.incr(keys::BMS_INGEST_ACCEPTED);
+        match room {
+            Some(label) => record.classify(&report, label),
+            None => self.stats.reports_unclassified += 1,
         }
-        Windowed { value, complete, floor }
-    }
-
-    /// The merged counters across shards.
-    pub fn stats(&self) -> ServerStats {
-        self.shards
-            .iter()
-            .map(BmsServer::stats)
-            .fold(ServerStats::default(), ServerStats::merged)
-    }
-
-    /// The worst per-device staleness across the whole fleet.
-    pub fn staleness(&self, now: SimTime) -> Option<SimDuration> {
-        self.shards.iter().filter_map(|s| s.staleness(now)).max()
-    }
-
-    /// Retained reports across every shard.
-    pub fn report_count(&self) -> usize {
-        self.shards.iter().map(BmsServer::report_count).sum()
-    }
-
-    /// Exact dedup entries held across every shard.
-    pub fn dedup_entries(&self) -> usize {
-        self.shards.iter().map(BmsServer::dedup_entries).sum()
-    }
-
-    /// Entries dropped by retention compaction across every shard.
-    pub fn compacted_entries(&self) -> u64 {
-        self.shards.iter().map(BmsServer::compacted_entries).sum()
-    }
-
-    /// The fleet-wide retention low-watermark (the latest shard floor).
-    pub fn retention_floor(&self) -> Option<SimTime> {
-        self.shards.iter().filter_map(BmsServer::retention_floor).max()
-    }
-
-    /// The merged per-room population evidence (see
-    /// [`BmsServer::population_evidence`]). Devices partition by shard and
-    /// the aggregate is integer-valued, so the merge is order-independent
-    /// and the merged table is bit-for-bit what one unsharded server
-    /// would produce. Complete iff every shard's window was fully
-    /// retained; the floor is the latest shard floor.
-    pub fn population_evidence(
-        &self,
-        now: SimTime,
-        config: &CountingConfig,
-    ) -> Windowed<BTreeMap<RoomLabel, PopulationEvidence>> {
-        let mut rooms: BTreeMap<RoomLabel, PopulationEvidence> = BTreeMap::new();
-        let mut complete = true;
-        let mut floor: Option<SimTime> = None;
-        for shard in &self.shards {
-            let part = shard.population_evidence(now, config);
-            complete &= part.complete;
-            floor = floor.max(part.floor);
-            for (room, evidence) in &part.value {
-                rooms.entry(*room).or_default().merge(evidence);
-            }
-        }
-        Windowed {
-            value: rooms,
-            complete,
-            floor,
-        }
-    }
-
-    /// The merged population table (see [`BmsServer::population_view`]):
-    /// identical to a single server's answer over the same stream.
-    pub fn population_view(
-        &self,
-        now: SimTime,
-        config: &CountingConfig,
-    ) -> Windowed<PopulationView> {
-        let evidence = self.population_evidence(now, config);
-        Windowed {
-            value: finalize_population(now, config, &evidence.value),
-            complete: evidence.complete,
-            floor: evidence.floor,
-        }
-    }
-
-    /// The fleet-wide historical floor: `None` when every shard can answer
-    /// exactly at any instant (healed archives), otherwise the latest
-    /// floor among shards whose history is bounded (see
-    /// [`BmsServer::historical_floor`]).
-    pub fn historical_floor(&self) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(BmsServer::historical_floor)
-            .max()
-    }
-
-    /// Merged archive counters across shards; `None` when no shard has an
-    /// archive attached.
-    pub fn archive_stats(&self) -> Option<ArchiveStats> {
-        self.shards
-            .iter()
-            .filter_map(BmsServer::archive_stats)
-            .reduce(ArchiveStats::merged)
-    }
-
-    /// All retained reports in `[from, to)` across shards, in the same
-    /// `(time, device, seq)` order [`BmsServer::reports_between`] uses —
-    /// the merge is invisible to callers.
-    pub fn reports_between(&self, from: SimTime, to: SimTime) -> Vec<ObservationReport> {
-        let mut rows: Vec<ObservationReport> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.reports_between(from, to))
-            .collect();
-        rows.sort_by_key(|r| (r.at, r.device, r.seq));
-        rows
-    }
-
-    /// One device's retained reports (routed, no merge).
-    pub fn reports_for(&self, device: DeviceId) -> Vec<ObservationReport> {
-        self.shard_for(device).reports_for(device)
-    }
-
-    /// One device's classification history (routed, no merge).
-    pub fn assignment_history(&self, device: DeviceId) -> Vec<(SimTime, RoomLabel)> {
-        self.shard_for(device).assignment_history(device)
-    }
-
-    /// Snapshots every shard, in shard order.
-    pub fn checkpoint(&self) -> ShardedBmsCheckpoint {
-        ShardedBmsCheckpoint {
-            shards: self.shards.iter().map(BmsServer::checkpoint).collect(),
-        }
-    }
-
-    /// Rebuilds the fleet from a [`checkpoint`](Self::checkpoint); shard
-    /// count and per-shard configuration come from the snapshot. Every
-    /// shard snapshot is digest-validated first — one tampered shard
-    /// refuses the whole restore.
-    pub fn restore(
-        estimator: Arc<dyn OccupancyEstimator>,
-        checkpoint: ShardedBmsCheckpoint,
-    ) -> Result<Self, RestoreError> {
-        let shards = checkpoint
-            .shards
-            .into_iter()
-            .map(|snapshot| {
-                BmsServer::restore(
-                    Box::new(SharedEstimator(Arc::clone(&estimator))),
-                    snapshot,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedBmsServer { shards })
-    }
-
-    /// Crash recovery for an archived fleet: scans every shard's segment
-    /// log on `disk` (truncating torn tails at the first corrupt record),
-    /// verifies each surviving log against its shard checkpoint's archive
-    /// marks, and rebuilds the fleet with the recovered sinks attached.
-    /// Returns the merged scan report and coverage verdict; when coverage
-    /// fails for any shard the fleet degrades to lossy mode — below-floor
-    /// answers are flagged incomplete, never silently wrong.
-    pub fn restore_with_archives(
-        estimator: Arc<dyn OccupancyEstimator>,
-        checkpoint: ShardedBmsCheckpoint,
-        disk: SharedDisk,
-        config: ArchiveConfig,
-    ) -> Result<(Self, RecoveryReport, Coverage), RestoreError> {
-        let mut shards = Vec::with_capacity(checkpoint.shards.len());
-        let mut recovery = RecoveryReport::default();
-        let mut coverage = Coverage {
-            covered: true,
-            ..Coverage::default()
+        record.log.insert(report);
+        let Some(window) = retention else {
+            return Some(Spill::default());
         };
-        for (i, snapshot) in checkpoint.shards.into_iter().enumerate() {
-            let (sink, report) = ArchiveSink::recover(disk.clone(), config.for_shard(i));
-            recovery = recovery.merged(report);
-            let (server, shard_coverage) = BmsServer::restore_with_archive(
-                Box::new(SharedEstimator(Arc::clone(&estimator))),
-                snapshot,
-                sink,
-            )?;
-            coverage = coverage.merged(shard_coverage);
-            shards.push(server);
+        let (cutoff, spill) = record.compact(window);
+        let dropped = (spill.reports.len() + spill.assignments.len()) as u64;
+        if dropped > 0 {
+            // Either compaction that dropped an entry set its floor to at
+            // least `cutoff`; floors only rise.
+            self.floor = Some(self.floor.map_or(cutoff, |f| f.max(cutoff)));
+            self.telemetry.add(keys::BMS_RETENTION_COMPACTED, dropped);
         }
-        Ok((ShardedBmsServer { shards }, recovery, coverage))
+        Some(spill)
     }
 
-    /// One recorder holding every shard's counters and journal, merged in
-    /// shard order (deterministic whatever the ingest parallelism, because
-    /// each shard's recorder only ever sees its own lock-ordered stream).
-    pub fn telemetry_snapshot(&self) -> Recorder {
-        let mut merged = Recorder::new();
-        for shard in &self.shards {
-            merged.merge_child(shard.telemetry_snapshot());
+    /// The canonical per-device dump of this state (plus, when archive
+    /// `marks` are given, each device's archive position) — the raw
+    /// material of every digest.
+    pub(crate) fn dump(
+        &self,
+        marks: Option<&BTreeMap<DeviceId, DeviceMark>>,
+    ) -> (BTreeMap<DeviceId, String>, ServerStats) {
+        let mut devices: BTreeSet<DeviceId> = self.devices.keys().copied().collect();
+        if let Some(marks) = marks {
+            devices.extend(marks.keys().copied());
         }
-        merged
-    }
-
-    /// The fleet-wide state digest: per-device dumps from every shard are
-    /// unioned (device sets are disjoint) and hashed exactly like
-    /// [`BmsServer::state_digest`], so a sharded fleet and a single server
-    /// fed the same reports produce the **same digest** — the bit-for-bit
-    /// equivalence check the scale bench gates on.
-    pub fn state_digest(&self) -> u64 {
-        let mut dumps = BTreeMap::new();
-        let mut stats = ServerStats::default();
-        for shard in &self.shards {
-            let (shard_dumps, shard_stats) = shard.state_dump();
-            dumps.extend(shard_dumps);
-            stats = stats.merged(shard_stats);
-        }
-        digest_state(&dumps, stats)
+        let dumps = devices
+            .into_iter()
+            .map(|device| {
+                let mut dump = DeviceRecord::dump(self.devices.get(&device));
+                if let Some(mark) = marks.and_then(|m| m.get(&device)) {
+                    dump.push_str(&format!("|archive:{}:{:016x}", mark.records, mark.digest));
+                }
+                (device, dump)
+            })
+            .collect();
+        (dumps, self.stats)
     }
 }
 
-impl fmt::Debug for ShardedBmsServer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedBmsServer")
-            .field("shards", &self.shards.len())
-            .field("reports", &self.report_count())
-            .finish()
+/// Entries one compaction pass handed off for archival, all belonging to a
+/// single device.
+#[derive(Debug, Default)]
+struct Spill {
+    reports: Vec<ObservationReport>,
+    assignments: Vec<(SimTime, u64, RoomLabel)>,
+}
+
+impl Spill {
+    fn is_empty(&self) -> bool {
+        self.reports.is_empty() && self.assignments.is_empty()
+    }
+}
+
+/// One shard: its state behind one lock and the durable tier retention
+/// compaction spills into. Lock order is always `state` before `archive`;
+/// never the reverse.
+pub(crate) struct Shard {
+    pub(crate) state: Mutex<ServerState>,
+    pub(crate) archive: Option<Mutex<ArchiveSink>>,
+}
+
+impl Shard {
+    pub(crate) fn new(state: ServerState, archive: Option<ArchiveSink>) -> Self {
+        Shard {
+            state: Mutex::new(state),
+            archive: archive.map(Mutex::new),
+        }
+    }
+
+    /// Ingests one report already classified into `room` (see
+    /// [`ServerState::apply`]) and spills whatever compaction dropped.
+    pub(crate) fn ingest(
+        &self,
+        report: ObservationReport,
+        room: Option<RoomLabel>,
+        dedup_capacity: Option<usize>,
+        retention: Option<SimDuration>,
+    ) -> IngestOutcome {
+        let device = report.device;
+        let mut state = self.state.lock();
+        match state.apply(report, room, dedup_capacity, retention) {
+            None => IngestOutcome::Duplicate,
+            Some(spill) => {
+                self.spill_to_archive(&mut state, device, spill);
+                IngestOutcome::Accepted { room }
+            }
+        }
+    }
+
+    /// Appends one compaction pass's evicted entries to the archive (when
+    /// one is attached), crediting the telemetry counters. Expects the
+    /// state lock held — the archive lock nests inside it.
+    fn spill_to_archive(&self, state: &mut ServerState, device: DeviceId, spill: Spill) {
+        let Some(archive) = &self.archive else { return };
+        if spill.is_empty() {
+            return;
+        }
+        let mut sink = archive.lock();
+        let bytes_before = sink.stats().bytes_appended;
+        let sealed_before = sink.segments_sealed();
+        let mut appended = 0u64;
+        let mut suppressed = 0u64;
+        for report in &spill.reports {
+            if sink.append_report(report) {
+                appended += 1;
+            } else {
+                suppressed += 1;
+            }
+        }
+        for (at, seq, room) in &spill.assignments {
+            if sink.append_assignment(device, *at, *seq, *room) {
+                appended += 1;
+            } else {
+                suppressed += 1;
+            }
+        }
+        let bytes = sink.stats().bytes_appended - bytes_before;
+        let sealed = sink.segments_sealed() - sealed_before;
+        drop(sink);
+        if appended > 0 {
+            state.telemetry.add(keys::BMS_ARCHIVE_RECORDS, appended);
+        }
+        if suppressed > 0 {
+            state
+                .telemetry
+                .add(keys::BMS_ARCHIVE_RESPILL_SUPPRESSED, suppressed);
+        }
+        if bytes > 0 {
+            state.telemetry.add(keys::BMS_ARCHIVE_BYTES, bytes);
+        }
+        if sealed > 0 {
+            state
+                .telemetry
+                .add(keys::BMS_ARCHIVE_SEGMENTS_SEALED, sealed);
+        }
+    }
+
+    /// Runs one archive read (when an archive is attached) and credits the
+    /// corrupt segments it met to this shard's telemetry.
+    pub(crate) fn read_archive<T>(&self, read: impl FnOnce(&mut ArchiveSink) -> T) -> Option<T> {
+        let mut sink = self.archive.as_ref()?.lock();
+        let corruptions_before = sink.read_corruptions();
+        let value = read(&mut sink);
+        let corrupt_reads = sink.read_corruptions() - corruptions_before;
+        drop(sink);
+        if corrupt_reads > 0 {
+            self.state
+                .lock()
+                .telemetry
+                .add(keys::BMS_ARCHIVE_READ_CORRUPTIONS, corrupt_reads);
+        }
+        Some(value)
+    }
+
+    /// The oldest instant this shard's history answers exactly: `None`
+    /// when a healed archive holds everything compaction spilled (or
+    /// nothing was ever compacted), else the retention floor.
+    pub(crate) fn historical_floor(&self) -> Option<SimTime> {
+        let floor = self.state.lock().floor;
+        match self.archive.as_ref().map(|a| a.lock().healed()) {
+            Some(true) => None,
+            _ => floor,
+        }
+    }
+
+    /// The shard's canonical dump, archive marks included.
+    pub(crate) fn dump(&self) -> (BTreeMap<DeviceId, String>, ServerStats) {
+        let state = self.state.lock();
+        let marks = self.archive.as_ref().map(|a| a.lock().marks().clone());
+        state.dump(marks.as_ref())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SightedBeacon;
-    use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
-
-    fn report(device: u32, at_secs: u64, minor: u16) -> ObservationReport {
-        ObservationReport {
-            device: DeviceId::new(device),
-            seq: at_secs,
-            at: SimTime::from_secs(at_secs),
-            beacons: vec![SightedBeacon {
-                identity: BeaconIdentity {
-                    uuid: ProximityUuid::example(),
-                    major: Major::new(1),
-                    minor: Minor::new(minor),
-                },
-                distance_m: 1.0,
-            }],
-        }
-    }
-
-    fn minor_estimator() -> Arc<dyn OccupancyEstimator> {
-        Arc::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        })
-    }
-
-    fn boxed_minor_estimator() -> Box<dyn OccupancyEstimator> {
-        Box::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        })
-    }
-
-    fn stream() -> Vec<ObservationReport> {
-        (0..200u64)
-            .map(|i| report((i % 23) as u32, i * 7, (i % 5) as u16))
-            .collect()
-    }
 
     #[test]
-    fn sharding_is_deterministic_and_covers_every_shard() {
-        let fleet = ShardedBmsServer::new(minor_estimator(), 8);
-        let mut hit = [false; 8];
-        for d in 0..1000u32 {
-            let shard = fleet.shard_of(DeviceId::new(d));
-            assert_eq!(shard, fleet.shard_of(DeviceId::new(d)), "stable key");
-            hit[shard] = true;
+    fn compaction_retains_the_exact_cutoff_entry() {
+        // Satellite regression: an entry timestamped precisely at the
+        // cutoff must be retained, and the live/archived partition must be
+        // exact — every entry ends up on exactly one side.
+        let mut log: Retained<(SimTime, u64, RoomLabel)> = Retained::default();
+        for t in [10u64, 20, 30, 40] {
+            log.insert((SimTime::from_secs(t), t, 0usize));
         }
-        assert!(hit.iter().all(|h| *h), "1000 devices reach all 8 shards");
-    }
-
-    #[test]
-    fn merged_queries_match_a_single_server() {
-        let fleet = ShardedBmsServer::new(minor_estimator(), 5);
-        let single = BmsServer::new(boxed_minor_estimator());
-        for r in stream() {
-            fleet.ingest(r.clone());
-            single.ingest(r);
-        }
-        assert_eq!(fleet.occupancy(), single.occupancy());
-        assert_eq!(fleet.stats(), single.stats());
-        assert_eq!(fleet.report_count(), single.report_count());
-        let now = SimTime::from_secs(2000);
-        let ttl = SimDuration::from_secs(300);
-        assert_eq!(fleet.occupancy_view(now, ttl), single.occupancy_view(now, ttl));
-        assert_eq!(fleet.staleness(now), single.staleness(now));
-        for t in [0u64, 100, 700, 1393] {
-            let at = SimTime::from_secs(t);
-            assert_eq!(fleet.occupancy_at(at), single.occupancy_at(at));
-            assert_eq!(fleet.occupancy_view_at(at, ttl), single.occupancy_view_at(at, ttl));
-        }
+        let dropped = log.compact(SimTime::from_secs(30), false);
+        let dropped_ts: Vec<u64> = dropped.iter().map(|e| e.0.as_millis()).collect();
+        assert_eq!(dropped_ts, vec![10_000, 20_000], "strictly-older only");
         assert_eq!(
-            fleet.reports_between(SimTime::from_secs(100), SimTime::from_secs(900)),
-            single.reports_between(SimTime::from_secs(100), SimTime::from_secs(900))
+            log.entries.front().map(|e| e.0),
+            Some(SimTime::from_secs(30)),
+            "the ==cutoff entry is retained"
         );
-        let d = DeviceId::new(3);
-        assert_eq!(fleet.reports_for(d), single.reports_for(d));
-        assert_eq!(fleet.assignment_history(d), single.assignment_history(d));
-        assert_eq!(fleet.state_digest(), single.state_digest());
+
+        // With carry and an entry exactly at the cutoff: the anchor makes
+        // the carry redundant, so the pre-cutoff entries are all handed to
+        // the archive — none is kept on both sides of the boundary.
+        let mut anchored: Retained<(SimTime, u64, RoomLabel)> = Retained::default();
+        for t in [10u64, 20, 30, 40] {
+            anchored.insert((SimTime::from_secs(t), t, 0usize));
+        }
+        let dropped = anchored.compact(SimTime::from_secs(30), true);
+        assert_eq!(dropped.len(), 2, "anchor at cutoff carries the window");
+        assert_eq!(
+            anchored.entries.front().map(|e| e.0),
+            Some(SimTime::from_secs(30))
+        );
+
+        // With carry and no anchor at the cutoff: the newest pre-cutoff
+        // entry is carried — and spilled exactly once, when a later
+        // compaction finally passes it.
+        let mut sparse: Retained<(SimTime, u64, RoomLabel)> = Retained::default();
+        for t in [10u64, 20, 40] {
+            sparse.insert((SimTime::from_secs(t), t, 0usize));
+        }
+        let dropped = sparse.compact(SimTime::from_secs(30), true);
+        assert_eq!(dropped.iter().map(|e| e.1).collect::<Vec<_>>(), vec![10]);
+        assert_eq!(
+            sparse.entries.front().map(|e| e.0),
+            Some(SimTime::from_secs(20))
+        );
+        let dropped = sparse.compact(SimTime::from_secs(40), true);
+        assert_eq!(
+            dropped.iter().map(|e| e.1).collect::<Vec<_>>(),
+            vec![20],
+            "the carried entry spills exactly once"
+        );
     }
 
-    #[test]
-    fn ingest_all_partitions_and_counts() {
-        let fleet = ShardedBmsServer::new(minor_estimator(), 4);
-        let mut reports = stream();
-        // Duplicate a slice of the stream: at-least-once delivery.
-        reports.extend(stream().into_iter().take(40));
-        let (accepted, duplicates) = fleet.ingest_all(reports);
-        assert_eq!(accepted, 200);
-        assert_eq!(duplicates, 40);
-        assert_eq!(fleet.stats().reports_duplicate, 40);
-        // Bulk and per-report ingestion land in identical state.
-        let serial = ShardedBmsServer::new(minor_estimator(), 4);
-        let mut replay = stream();
-        replay.extend(stream().into_iter().take(40));
-        for r in replay {
-            serial.ingest(r);
-        }
-        assert_eq!(fleet.state_digest(), serial.state_digest());
-    }
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
 
-    #[test]
-    fn checkpoint_restore_round_trips_the_fleet() {
-        let window = SimDuration::from_secs(600);
-        let fleet = ShardedBmsServer::new(minor_estimator(), 3)
-            .with_dedup_capacity(32)
-            .with_retention(window);
-        for r in stream() {
-            fleet.ingest(r);
-        }
-        let snapshot = fleet.checkpoint();
-        assert_eq!(snapshot.shard_count(), 3);
-        assert_eq!(snapshot.report_count(), fleet.report_count());
-        let restored = ShardedBmsServer::restore(minor_estimator(), snapshot)
-            .expect("untampered checkpoint");
-        assert_eq!(restored.shard_count(), 3);
-        assert_eq!(restored.state_digest(), fleet.state_digest());
-        // The restored fleet keeps the snapshotted config: further traffic
-        // dedups and compacts exactly like the original.
-        for r in stream() {
-            fleet.ingest(r.clone());
-            restored.ingest(r);
-        }
-        assert_eq!(restored.state_digest(), fleet.state_digest());
-        assert_eq!(restored.stats(), fleet.stats());
-    }
+        /// The window as it was first written: a `BTreeSet` of exact seqs.
+        /// Named `DedupWindow` so its derived `Debug` is the text the
+        /// sorted-run window must keep printing.
+        mod reference {
+            #[derive(Debug, Default)]
+            pub struct DedupWindow {
+                pub watermark: Option<u64>,
+                pub seen: std::collections::BTreeSet<u64>,
+            }
 
-    #[test]
-    fn retention_applies_per_shard() {
-        let fleet = ShardedBmsServer::new(minor_estimator(), 4)
-            .with_retention(SimDuration::from_secs(100));
-        for i in 0..300u64 {
-            fleet.ingest(report((i % 7) as u32, i * 10, 0));
+            impl DedupWindow {
+                pub fn check_and_insert(&mut self, seq: u64, capacity: usize) -> bool {
+                    if let Some(watermark) = self.watermark {
+                        if seq <= watermark {
+                            return false;
+                        }
+                    }
+                    if !self.seen.insert(seq) {
+                        return false;
+                    }
+                    while self.seen.len() > capacity {
+                        let lowest = *self.seen.iter().next().expect("non-empty");
+                        self.seen.remove(&lowest);
+                        self.watermark = Some(self.watermark.map_or(lowest, |w| w.max(lowest)));
+                    }
+                    true
+                }
+            }
         }
-        // 100 s window / 70 s per-device period: at most a couple retained
-        // per device.
-        assert!(fleet.report_count() <= 7 * 3, "retained {}", fleet.report_count());
-        assert!(fleet.compacted_entries() > 0);
-        assert!(fleet.retention_floor().is_some());
-        let ancient = fleet.occupancy_at_checked(SimTime::from_secs(10));
-        assert!(!ancient.complete);
-    }
 
-    #[test]
-    fn telemetry_snapshot_merges_shard_counters() {
-        use roomsense_telemetry::keys;
-        let fleet = ShardedBmsServer::new(minor_estimator(), 4);
-        let mut reports = stream();
-        reports.extend(stream().into_iter().take(10));
-        let n = reports.len() as u64;
-        for r in reports {
-            fleet.ingest(r);
+        proptest! {
+            /// Verdicts, size, watermark and `Debug` text match the
+            /// `BTreeSet` model for streams mixing in-order seqs,
+            /// duplicates, stragglers and seqs below the watermark.
+            #[test]
+            fn sorted_run_window_matches_the_btreeset_model(
+                capacity in 1usize..8,
+                steps in prop::collection::vec((0u64..4, 0u64..12), 0..80),
+            ) {
+                let mut window = DedupWindow::default();
+                let mut model = reference::DedupWindow::default();
+                let mut cursor = 0u64;
+                for (advance, lag) in steps {
+                    cursor += advance;
+                    let seq = cursor.saturating_sub(lag);
+                    prop_assert_eq!(
+                        window.check_and_insert(seq, capacity),
+                        model.check_and_insert(seq, capacity),
+                        "seq {}", seq
+                    );
+                    prop_assert_eq!(window.len(), model.seen.len());
+                    prop_assert_eq!(window.watermark, model.watermark);
+                    prop_assert_eq!(format!("{window:?}"), format!("{model:?}"));
+                    prop_assert_eq!(format!("{window:#?}"), format!("{model:#?}"));
+                }
+            }
         }
-        let merged = fleet.telemetry_snapshot();
-        assert_eq!(merged.counter(keys::BMS_INGEST_ACCEPTED), 200);
-        assert_eq!(merged.counter(keys::BMS_INGEST_DUPLICATES), n - 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be non-zero")]
-    fn zero_shards_panics() {
-        let _ = ShardedBmsServer::new(minor_estimator(), 0);
-    }
-
-    #[test]
-    fn sharded_archives_merge_digest_equal_with_a_single_server() {
-        use roomsense_sim::{SharedDisk, SimDisk};
-        let window = SimDuration::from_secs(120);
-        let config = ArchiveConfig {
-            segment_records: 16,
-            ..ArchiveConfig::default()
-        };
-        let fleet_disk = SharedDisk::new(SimDisk::pristine(21));
-        let fleet = ShardedBmsServer::new(minor_estimator(), 4)
-            .with_retention(window)
-            .with_archives(fleet_disk.clone(), config.clone());
-        let single_disk = SharedDisk::new(SimDisk::pristine(22));
-        let single = BmsServer::new(boxed_minor_estimator())
-            .with_retention(window)
-            .with_archive(ArchiveSink::new(single_disk, config.clone()));
-        for r in stream() {
-            fleet.ingest(r.clone());
-            single.ingest(r);
-        }
-        // Archive marks ride the state digest: disjoint per-shard logs
-        // union to exactly the single server's durable history.
-        assert_eq!(fleet.state_digest(), single.state_digest());
-        assert_eq!(fleet.historical_floor(), None, "healed everywhere");
-        let stats = fleet.archive_stats().expect("archives attached");
-        assert_eq!(stats.records, single.archive_stats().expect("attached").records);
-        for t in [0u64, 100, 700, 1393] {
-            let at = SimTime::from_secs(t);
-            let fleet_answer = fleet.occupancy_at_checked(at);
-            let single_answer = single.occupancy_at_checked(at);
-            assert!(fleet_answer.complete, "t={t}");
-            assert_eq!(fleet_answer.value, single_answer.value, "t={t}");
-        }
-        // Crash the fleet and recover from disk + checkpoint.
-        let snapshot = fleet.checkpoint();
-        let digest = fleet.state_digest();
-        drop(fleet);
-        fleet_disk.crash(SimTime::from_secs(2000));
-        let (restored, recovery, coverage) = ShardedBmsServer::restore_with_archives(
-            minor_estimator(),
-            snapshot,
-            fleet_disk,
-            config,
-        )
-        .expect("valid shard checkpoints");
-        assert!(coverage.covered, "flushed at checkpoint: {recovery:?}");
-        assert!(recovery.segments >= 4, "one log per shard scanned");
-        assert_eq!(restored.state_digest(), digest);
-        assert_eq!(restored.historical_floor(), None);
     }
 }

@@ -546,7 +546,7 @@ impl<T: Transport> QueueingTransport<T> {
     /// a delivered report's ack never comes back, so the sender re-enqueues
     /// the report and retransmits it later. The server therefore sees the
     /// report **at least once** — possibly several times — which is exactly
-    /// the duplicate stream [`BmsServer::ingest`](crate::BmsServer::ingest)
+    /// the duplicate stream [`ShardedBmsServer::ingest`](crate::ShardedBmsServer::ingest)
     /// must dedup. Zero (the default) disables the knob and leaves the
     /// transport's behaviour bit-for-bit unchanged.
     ///

@@ -16,8 +16,9 @@ use roomsense::{collect_dataset, run_pipeline, OccupancyModel, PipelineConfig, S
 use roomsense_building::mobility::{MobilityModel, RoomSchedule};
 use roomsense_building::{presets, RoomId};
 use roomsense_ml::SvmParams;
-use roomsense_net::{BmsServer, DebouncedRoom, DeviceId, MovementAnalytics};
+use roomsense_net::{DebouncedRoom, DeviceId, MovementAnalytics, ShardedBmsServer};
 use roomsense_sim::{rng, SimDuration, SimTime};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = 23;
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let labelled = collect_dataset(&scenario, &config, SimDuration::from_secs(40), 3, seed);
     let model = OccupancyModel::fit(&labelled, &SvmParams::default())?;
     let names = model.label_names().to_vec();
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
 
     // A morning at home: kitchen breakfast, study work, bathroom break,
     // more study, wind down in the living room.

@@ -17,9 +17,12 @@ use roomsense::{
 use roomsense_building::mobility::{MobilityModel, RandomWaypoint};
 use roomsense_building::presets;
 use roomsense_ml::SvmParams;
-use roomsense_net::{BmsServer, BtRelayTransport, DemandResponseController, Retrying, Transport};
+use roomsense_net::{
+    BtRelayTransport, DemandResponseController, Retrying, ShardedBmsServer, Transport,
+};
 use roomsense_sim::{rng, SimDuration, SimTime};
 use roomsense_telemetry::Recorder;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = 11;
@@ -30,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = PipelineConfig::paper_android();
     let labelled = collect_dataset(&scenario, &config, SimDuration::from_secs(30), 2, seed);
     let model = OccupancyModel::fit(&labelled, &SvmParams::default())?;
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
     println!("server model trained from {} rows", labelled.data.len());
 
     // Four occupants wander for ten minutes, reporting over BT relay. The

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: release build, every test, a warning-free clippy
-# pass, and a warning-free doc build over the whole workspace. The build
-# environment has no crate registry, so everything runs --offline against
-# the in-tree shims.
+# Full pre-merge gate: release build, every example run end to end, every
+# test, a warning-free clippy pass, and a warning-free doc build over the
+# whole workspace. The build environment has no crate registry, so
+# everything runs --offline against the in-tree shims.
 #
 # Tests run twice: once pinned to a single worker (the pure sequential
 # paths) and once at the default parallelism, so a scheduling-dependent
@@ -20,6 +20,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
+# Every example end to end in release (each runs in well under a second);
+# a panic or non-zero exit fails the gate.
+cargo build --release --offline --examples
+for example in examples/*.rs; do
+    ./target/release/examples/"$(basename "$example" .rs)" > /dev/null
+done
+echo "every example ran to completion"
 ROOMSENSE_THREADS=1 cargo test -q --offline --workspace
 cargo test -q --offline --workspace
 # One full pass under background disk chaos: every SimDisk consults the
@@ -91,4 +98,4 @@ echo "perfbench history_reads traced run passed its reference-answer, oracle-dig
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
-echo "check.sh: build + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 11 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
+echo "check.sh: build + examples + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 11 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"

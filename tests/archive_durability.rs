@@ -13,8 +13,7 @@
 use proptest::prelude::*;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_net::{
-    ArchiveConfig, BmsServer, DeviceId, ObservationReport, OccupancyEstimator, ShardedBmsServer,
-    SightedBeacon,
+    ArchiveConfig, DeviceId, ObservationReport, OccupancyEstimator, ShardedBmsServer, SightedBeacon,
 };
 use roomsense_sim::{
     DiskFaultPlan, FaultSchedule, FaultWindow, SharedDisk, SimDisk, SimDuration, SimTime,
@@ -29,12 +28,6 @@ const SPAN_SECS: u64 = CYCLES * PERIOD_MS / 1000;
 
 fn arc_estimator() -> Arc<dyn OccupancyEstimator> {
     Arc::new(|r: &ObservationReport| {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    })
-}
-
-fn boxed_estimator() -> Box<dyn OccupancyEstimator> {
-    Box::new(|r: &ObservationReport| {
         r.beacons.first().map(|b| b.identity.minor.value() as usize)
     })
 }
@@ -116,7 +109,7 @@ proptest! {
             .with_retention(retention)
             .with_archives(oracle_disk, config.clone());
         // Oracle B: unbounded single server — historical ground truth.
-        let unbounded = BmsServer::new(boxed_estimator());
+        let unbounded = ShardedBmsServer::new(arc_estimator(), 1);
         for chunk in &chunks {
             oracle.ingest_all(chunk.clone());
             for report in chunk {
@@ -237,7 +230,7 @@ fn ambient_disk_chaos_is_never_silently_wrong() {
     let fleet = ShardedBmsServer::new(arc_estimator(), 3)
         .with_retention(SimDuration::from_secs(120))
         .with_archives(disk.clone(), config.clone());
-    let unbounded = BmsServer::new(boxed_estimator());
+    let unbounded = ShardedBmsServer::new(arc_estimator(), 1);
     for chunk in &chunks {
         for report in chunk {
             unbounded.ingest(report.clone());

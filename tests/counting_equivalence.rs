@@ -3,8 +3,9 @@
 //!
 //! Three property families cover the crowd-census estimator:
 //!
-//! * **sharded == single** — a `ShardedBmsServer` census is identical to a
-//!   single `BmsServer` fed the same reports, for any seed and shard count.
+//! * **sharded == single** — a `ShardedBmsServer` census over a crowd trace
+//!   is identical to a one-shard server's fed the same reports, for any
+//!   seed and shard count.
 //! * **chaos converges** — once every outage-delayed report has been
 //!   delivered, the faulted census equals the clean oracle exactly.
 //! * **thread invariance** — the counting fingerprint checksum does not
@@ -14,9 +15,7 @@ use proptest::prelude::*;
 use roomsense::crowd::{self, CrowdPreset};
 use roomsense::experiments::{ExperimentCtx, ExperimentReport};
 use roomsense::FaultPlan;
-use roomsense_net::{
-    BmsServer, CountingConfig, ObservationReport, OccupancyEstimator, ShardedBmsServer,
-};
+use roomsense_net::{CountingConfig, ObservationReport, OccupancyEstimator, ShardedBmsServer};
 use roomsense_sim::SimTime;
 use std::sync::Arc;
 
@@ -52,9 +51,7 @@ proptest! {
 
         let fleet = ShardedBmsServer::new(room_estimator(), shards);
         fleet.ingest_all(reports.clone());
-        let single = BmsServer::new(Box::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        }));
+        let single = ShardedBmsServer::new(room_estimator(), 1);
         for report in &reports {
             single.ingest(report.clone());
         }
@@ -91,15 +88,11 @@ proptest! {
         let mut delayed = crowd::delayed_by_outages(&reports, &plan.uplink_outages);
         delayed.sort_by_key(|(at, r)| (*at, r.device, r.seq));
 
-        let clean = BmsServer::new(Box::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        }));
+        let clean = ShardedBmsServer::new(room_estimator(), 1);
         for report in &reports {
             clean.ingest(report.clone());
         }
-        let faulted = BmsServer::new(Box::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        }));
+        let faulted = ShardedBmsServer::new(room_estimator(), 1);
         let mut last_delivery = SimTime::from_millis(0);
         for (at, report) in delayed {
             last_delivery = last_delivery.max(at);

@@ -6,9 +6,11 @@ use roomsense_building::mobility::{MobilityModel, RoomSchedule};
 use roomsense_building::{presets, RoomId};
 use roomsense_ml::SvmParams;
 use roomsense_net::{
-    BmsServer, BtRelayTransport, DemandResponseController, DeviceId, Transport, WifiTransport,
+    BtRelayTransport, DemandResponseController, DeviceId, ShardedBmsServer, Transport,
+    WifiTransport,
 };
 use roomsense_sim::{rng, SimDuration, SimTime};
+use std::sync::Arc;
 
 const SEED: u64 = 2015;
 
@@ -31,7 +33,7 @@ fn trained_scenario() -> (Scenario, OccupancyModel) {
 #[test]
 fn server_tracks_a_dwelling_occupant() {
     let (scenario, model) = trained_scenario();
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
     let config = PipelineConfig::paper_android();
 
     let mut walk_rng = rng::for_component(SEED, "e2e-user");
@@ -79,7 +81,7 @@ fn server_tracks_a_dwelling_occupant() {
 #[test]
 fn lossy_relay_still_drives_demand_response() {
     let (scenario, model) = trained_scenario();
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
     let config = PipelineConfig::paper_android();
     let room_count = scenario.plan().rooms().len();
     let mut controller = DemandResponseController::new(room_count, SimDuration::from_secs(60));
@@ -133,7 +135,7 @@ fn model_is_a_working_server_estimator() {
     let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.2, SimTime::ZERO, &mut walk_rng);
     let duration = user.end_time().expect("bounded") - SimTime::ZERO;
     let records = run_pipeline(&scenario, &config, &user, duration, SEED ^ 3);
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
     for record in records.iter().filter(|r| !r.snapshots.is_empty()) {
         server.post_observation(report_from_snapshots(
             DeviceId::new(1),
@@ -150,7 +152,7 @@ fn model_is_a_working_server_estimator() {
 #[test]
 fn dead_uplink_fails_safe() {
     let (scenario, model) = trained_scenario();
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
     let config = PipelineConfig::paper_android();
     let mut controller = DemandResponseController::new(
         scenario.plan().rooms().len(),
@@ -192,9 +194,10 @@ fn dead_uplink_fails_safe() {
 fn unclassifiable_estimator_keeps_server_consistent() {
     let scenario = Scenario::from_plan(presets::paper_house(), SEED);
     let config = PipelineConfig::paper_android();
-    let server = BmsServer::new(Box::new(
-        |_: &roomsense_net::ObservationReport| -> Option<usize> { None },
-    ));
+    let server = ShardedBmsServer::new(
+        Arc::new(|_: &roomsense_net::ObservationReport| -> Option<usize> { None }),
+        1,
+    );
     let mut walk_rng = rng::for_component(SEED, "none-estimator-user");
     let itinerary = [(RoomId::new(1), SimDuration::from_secs(40))];
     let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.2, SimTime::ZERO, &mut walk_rng);

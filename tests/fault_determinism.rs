@@ -7,10 +7,11 @@ use proptest::prelude::*;
 use roomsense::FaultPlan;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_net::{
-    BmsServer, BtRelayTransport, DeviceId, FaultyTransport, ObservationReport, QueueingTransport,
-    SightedBeacon,
+    BtRelayTransport, DeviceId, FaultyTransport, ObservationReport, QueueingTransport,
+    ShardedBmsServer, SightedBeacon,
 };
 use roomsense_sim::{rng, SimDuration, SimTime};
+use std::sync::Arc;
 
 const HORIZON: SimDuration = SimDuration::from_secs(600);
 
@@ -56,9 +57,12 @@ fn replay(
     let mut transport_rng = rng::for_component(seed, "determinism-uplink");
 
     // Rooms keyed by beacon minor — deterministic, model-free estimator.
-    let server = BmsServer::new(Box::new(|r: &ObservationReport| -> Option<usize> {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    }));
+    let server = ShardedBmsServer::new(
+        Arc::new(|r: &ObservationReport| -> Option<usize> {
+            r.beacons.first().map(|b| b.identity.minor.value() as usize)
+        }),
+        1,
+    );
     let mut deliveries = Vec::new();
     for report in synthetic_reports() {
         deliveries.extend(q.offer(report.at, report, &mut transport_rng));

@@ -11,9 +11,10 @@ use roomsense_building::{presets, RoomId};
 use roomsense_geom::Point;
 use roomsense_ibeacon::Minor;
 use roomsense_ml::SvmParams;
-use roomsense_net::{BmsServer, DebouncedRoom, MovementAnalytics};
+use roomsense_net::{DebouncedRoom, MovementAnalytics, ShardedBmsServer};
 use roomsense_radio::Interferer;
 use roomsense_sim::{rng, SimDuration, SimTime};
+use std::sync::Arc;
 
 const SEED: u64 = 77;
 
@@ -25,7 +26,7 @@ fn fleet_populates_the_occupancy_table() {
     let config = PipelineConfig::paper_android();
     let labelled = collect_dataset(&scenario, &config, SimDuration::from_secs(40), 3, SEED);
     let model = OccupancyModel::fit(&labelled, &SvmParams::default()).expect("trains");
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
 
     // Three occupants parked in three different rooms.
     let kitchen = StaticPosition::new(Point::new(2.0, 2.0));
@@ -64,7 +65,7 @@ fn analytics_recover_a_scripted_morning() {
     let config = PipelineConfig::paper_android();
     let labelled = collect_dataset(&scenario, &config, SimDuration::from_secs(40), 3, SEED);
     let model = OccupancyModel::fit(&labelled, &SvmParams::default()).expect("trains");
-    let server = BmsServer::new(Box::new(model));
+    let server = ShardedBmsServer::new(Arc::new(model), 1);
 
     let mut walk_rng = rng::for_component(SEED, "analytics-walk");
     let itinerary = [

@@ -6,7 +6,7 @@
 //! * **Nothing is ever lost or corrupted under backpressure** — any
 //!   chaotic stream (duplicates, reorderings, seq/time ties) pushed
 //!   through an [`IngestTier`] with client-side retry ends, post-drain,
-//!   bit-for-bit equal to a single [`BmsServer`] fed the admitted
+//!   bit-for-bit equal to a one-shard server fed the admitted
 //!   sequence.
 //! * **Mailbox memory is bounded** by the configured capacity no matter
 //!   how hard the offered load exceeds the service rate.
@@ -20,8 +20,8 @@ use proptest::prelude::*;
 use roomsense::experiments::ExperimentCtx;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_net::{
-    Admission, BmsServer, CampusFederation, DeviceId, IngestTier, IngestTierConfig,
-    ObservationReport, OccupancyEstimator, ServiceLevel, ShardedBmsServer, SightedBeacon,
+    Admission, CampusFederation, DeviceId, IngestTier, IngestTierConfig, ObservationReport,
+    OccupancyEstimator, ServiceLevel, ShardedBmsServer, SightedBeacon,
 };
 use roomsense_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -53,12 +53,6 @@ fn arc_estimator() -> Arc<dyn OccupancyEstimator> {
     })
 }
 
-fn boxed_estimator() -> Box<dyn OccupancyEstimator> {
-    Box::new(|r: &ObservationReport| {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    })
-}
-
 proptest! {
     /// Any chaotic stream through a deliberately tiny tier (so shedding
     /// is common): clients park refused reports and retry after every
@@ -83,7 +77,7 @@ proptest! {
             ShardedBmsServer::new(arc_estimator(), shards),
             config,
         );
-        let single = BmsServer::new(boxed_estimator());
+        let single = ShardedBmsServer::new(arc_estimator(), 1);
         let mut pending: VecDeque<ObservationReport> =
             events.iter().map(|e| report_of(*e)).collect();
         let total = pending.len();

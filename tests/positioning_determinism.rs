@@ -18,14 +18,15 @@ use roomsense_building::presets;
 use roomsense_geom::Point;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_net::{
-    BmsServer, BtRelayTransport, DeviceId, FailoverTransport, FaultyTransport, LinkHealthConfig,
-    ObservationReport, PeerRelayConfig, PeerRelayTransport, SequenceStamper, SightedBeacon,
-    WifiTransport,
+    BtRelayTransport, DeviceId, FailoverTransport, FaultyTransport, LinkHealthConfig,
+    ObservationReport, PeerRelayConfig, PeerRelayTransport, SequenceStamper, ShardedBmsServer,
+    SightedBeacon, WifiTransport,
 };
 use roomsense_signal::{BayesFilter, DistanceFilter};
 use roomsense_sim::exec::with_thread_override;
 use roomsense_sim::{rng, FaultSchedule, SimDuration, SimTime};
 use roomsense_telemetry::Recorder;
+use std::sync::Arc;
 
 const HORIZON: SimDuration = SimDuration::from_secs(400);
 const CYCLES: u64 = 50;
@@ -53,10 +54,13 @@ fn bayes_trace(seed: u64, len: usize) -> Vec<Option<f64>> {
 
 /// A deterministic, model-free server: rooms keyed by the first beacon's
 /// minor.
-fn server() -> BmsServer {
-    BmsServer::new(Box::new(|r: &ObservationReport| -> Option<usize> {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    }))
+fn server() -> ShardedBmsServer {
+    ShardedBmsServer::new(
+        Arc::new(|r: &ObservationReport| -> Option<usize> {
+            r.beacons.first().map(|b| b.identity.minor.value() as usize)
+        }),
+        1,
+    )
 }
 
 /// A sequenced report stream: `devices` phones reporting every 8 s,

@@ -12,20 +12,25 @@
 use proptest::prelude::*;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_net::{
-    BmsServer, BtRelayTransport, DeviceId, FailoverTransport, FaultyTransport, LinkHealthConfig,
-    ObservationReport, QueueingTransport, SequenceStamper, SightedBeacon, WifiTransport,
+    BtRelayTransport, DeviceId, FailoverTransport, FaultyTransport, LinkHealthConfig,
+    ObservationReport, QueueingTransport, SequenceStamper, ShardedBmsServer, SightedBeacon,
+    WifiTransport,
 };
 use roomsense_sim::{rng, FaultSchedule, SimDuration, SimTime};
+use std::sync::Arc;
 
 const HORIZON: SimDuration = SimDuration::from_secs(600);
 const CYCLES: u64 = 80;
 
 /// A deterministic, model-free server: rooms keyed by the first beacon's
 /// minor.
-fn server() -> BmsServer {
-    BmsServer::new(Box::new(|r: &ObservationReport| -> Option<usize> {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    }))
+fn server() -> ShardedBmsServer {
+    ShardedBmsServer::new(
+        Arc::new(|r: &ObservationReport| -> Option<usize> {
+            r.beacons.first().map(|b| b.identity.minor.value() as usize)
+        }),
+        1,
+    )
 }
 
 /// A sequenced fleet stream: `devices` phones reporting every 5 s, hopping
@@ -180,8 +185,8 @@ proptest! {
             if i == crash_at {
                 // The process dies: everything since the checkpoint is
                 // gone from memory, and comes back via the journal.
-                crashed = BmsServer::restore(
-                    Box::new(|r: &ObservationReport| -> Option<usize> {
+                crashed = ShardedBmsServer::restore(
+                    Arc::new(|r: &ObservationReport| -> Option<usize> {
                         r.beacons.first().map(|b| b.identity.minor.value() as usize)
                     }),
                     checkpoint.clone(),

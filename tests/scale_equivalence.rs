@@ -1,12 +1,13 @@
-//! Property tests for the BMS scale layer: a [`ShardedBmsServer`] must be
-//! observationally identical to a single [`BmsServer`] fed the same
-//! chaotic (reordered, duplicated) report stream, and the binary-search
+//! Property tests for the BMS scale layer: a [`ShardedBmsServer`] of many
+//! shards must be observationally identical to a one-shard server fed the
+//! same chaotic (reordered, duplicated) report stream, and the binary-search
 //! `occupancy_at` must agree exactly with a linear scan of the history.
 
 use proptest::prelude::*;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_net::{
-    BmsServer, DeviceId, ObservationReport, OccupancyEstimator, ShardedBmsServer, SightedBeacon,
+    CountingConfig, DeviceId, ObservationReport, OccupancyEstimator, ShardedBmsServer,
+    SightedBeacon,
 };
 use roomsense_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,30 +40,24 @@ fn arc_estimator() -> Arc<dyn OccupancyEstimator> {
     })
 }
 
-fn boxed_estimator() -> Box<dyn OccupancyEstimator> {
-    Box::new(|r: &ObservationReport| {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    })
-}
-
 proptest! {
-    /// Any shard count, any chaotic stream, with or without a retention
-    /// window: every merged query, the telemetry exposition, the state
-    /// digest, and a checkpoint/restore round-trip agree with the
-    /// un-sharded server.
+    /// Any shard count from 2 to 9, any chaotic stream, with or without a
+    /// retention window: every query (the population census included), the
+    /// telemetry exposition, the state digest, and a checkpoint/restore
+    /// round-trip agree with the one-shard server.
     #[test]
     fn sharded_fleet_is_indistinguishable_from_a_single_server(
         events in prop::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
             0..120,
         ),
-        shards in 1usize..10,
+        shards in 2usize..10,
         retained in any::<bool>(),
     ) {
         let window = SimDuration::from_secs(200);
         let mut fleet = ShardedBmsServer::new(arc_estimator(), shards)
             .with_dedup_capacity(16);
-        let mut single = BmsServer::new(boxed_estimator()).with_dedup_capacity(16);
+        let mut single = ShardedBmsServer::new(arc_estimator(), 1).with_dedup_capacity(16);
         if retained {
             fleet = fleet.with_retention(window);
             single = single.with_retention(window);
@@ -98,6 +93,14 @@ proptest! {
             prop_assert_eq!(f.complete, s.complete);
             prop_assert_eq!(f.value, s.value);
         }
+        let census = CountingConfig::default().with_window(SimDuration::from_secs(300));
+        for secs in [70u64, 900, 1800] {
+            let at = SimTime::from_secs(secs);
+            prop_assert_eq!(
+                fleet.population_view(at, &census),
+                single.population_view(at, &census)
+            );
+        }
         let now = SimTime::from_secs(1800);
         prop_assert_eq!(fleet.occupancy_view(now, ttl), single.occupancy_view(now, ttl));
         prop_assert_eq!(fleet.staleness(now), single.staleness(now));
@@ -118,7 +121,8 @@ proptest! {
         prop_assert_eq!(fleet.state_digest(), single.state_digest());
         prop_assert_eq!(bulk.state_digest(), single.state_digest());
 
-        // Telemetry counters merge to the single server's exposition.
+        // Telemetry counters and the census gauges merge to the one-shard
+        // server's exposition.
         prop_assert_eq!(
             fleet.telemetry_snapshot().prometheus_text(),
             single.telemetry_snapshot().prometheus_text()
@@ -142,7 +146,7 @@ proptest! {
         probes in prop::collection::vec(any::<u16>(), 1..12),
         retained in any::<bool>(),
     ) {
-        let mut server = BmsServer::new(boxed_estimator());
+        let mut server = ShardedBmsServer::new(arc_estimator(), 1);
         if retained {
             server = server.with_retention(SimDuration::from_secs(200));
         }
@@ -176,7 +180,7 @@ fn retention_bounds_resident_state_on_the_sharded_path() {
     let period_s = 60u64;
     let devices = 11u32;
     let fleet = ShardedBmsServer::new(arc_estimator(), 4).with_retention(window);
-    let single = BmsServer::new(boxed_estimator()).with_retention(window);
+    let single = ShardedBmsServer::new(arc_estimator(), 1).with_retention(window);
     let cap = devices as usize * ((window.as_millis() / (period_s * 1000)) as usize + 1);
     let mut peak = 0usize;
     for k in 0..120u64 {
