@@ -13,7 +13,7 @@ use roomsense_signal::{
 use roomsense_sim::{rng, SimDuration, SimTime};
 use roomsense_stack::{
     run_scan_into, simulate_receptions_into, AndroidLScanner, AndroidScanner, CycleSpan,
-    IosScanner, RadioScratch, Reception, ScanScratch, ScannerModel,
+    IosScanner, RadioScratch, Reception, RestartWindows, ScanScratch, ScannerModel,
 };
 use roomsense_telemetry::{keys, Recorder, SpanTimer};
 use std::fmt;
@@ -142,6 +142,10 @@ impl DeviceScratch {
 /// The device body: radio → scanner → aggregation → tracks, each stage
 /// working in `scratch`. The radio and the scanner draw from their own
 /// seeded streams, and every stage records into `telemetry` in stage order.
+/// The scanner is built first: when it keeps only the first reception per
+/// advertiser per restart window, the radio evaluates only those packets
+/// and replays the draws of the rest, so the samples are those of the
+/// full radio.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_device<M: MobilityModel + ?Sized>(
     scenario: &Scenario,
@@ -155,6 +159,21 @@ pub(crate) fn run_device<M: MobilityModel + ?Sized>(
 ) -> Vec<CycleRecord> {
     let from = SimTime::ZERO;
     let until = from + duration;
+    let (android, android_l, ios);
+    let scanner: &dyn ErasedScanner = match config.scanner {
+        ScannerKind::Android { stall_probability } => {
+            android = faults.scanner(AndroidScanner::new(stall_probability));
+            &android
+        }
+        ScannerKind::AndroidL => {
+            android_l = faults.scanner(AndroidLScanner::low_latency());
+            &android_l
+        }
+        ScannerKind::Ios => {
+            ios = faults.scanner(IosScanner);
+            &ios
+        }
+    };
     let mut radio_rng = rng::for_indexed(seed, "pipeline-radio", scenario.seed());
     let radio_span = SpanTimer::start(keys::STAGE_RADIO_MS, from);
     simulate_receptions_into(
@@ -166,6 +185,9 @@ pub(crate) fn run_device<M: MobilityModel + ?Sized>(
         from,
         until,
         &mut radio_rng,
+        scanner
+            .first_per_window()
+            .map(|restart| RestartWindows::new(config.scan, restart)),
         telemetry,
         &mut scratch.radio,
         &mut scratch.receptions,
@@ -173,27 +195,16 @@ pub(crate) fn run_device<M: MobilityModel + ?Sized>(
     radio_span.stop(telemetry, until);
     let mut scan_rng = rng::for_indexed(seed, "pipeline-scan", scenario.seed());
     let scan_span = SpanTimer::start(keys::STAGE_SCAN_MS, from);
-    {
-        let mut scan = |model: &dyn ErasedScanner| {
-            model.run_scan(
-                &scratch.receptions,
-                config,
-                from,
-                until,
-                &mut scan_rng,
-                telemetry,
-                &mut scratch.scan,
-                &mut scratch.spans,
-            )
-        };
-        match config.scanner {
-            ScannerKind::Android { stall_probability } => {
-                scan(&faults.scanner(AndroidScanner::new(stall_probability)))
-            }
-            ScannerKind::AndroidL => scan(&faults.scanner(AndroidLScanner::low_latency())),
-            ScannerKind::Ios => scan(&faults.scanner(IosScanner)),
-        }
-    }
+    scanner.run_scan(
+        &scratch.receptions,
+        config,
+        from,
+        until,
+        &mut scan_rng,
+        telemetry,
+        &mut scratch.scan,
+        &mut scratch.spans,
+    );
     scan_span.stop(telemetry, until);
     let track_span = SpanTimer::start(keys::STAGE_TRACK_MS, from);
     let ranging = scenario.ranging_config();
@@ -224,9 +235,14 @@ pub(crate) fn run_device<M: MobilityModel + ?Sized>(
     records
 }
 
-/// Object-safe shim over [`run_scan_into`] so the scanner match arms share
-/// one call site without monomorphizing the rest of the device body.
+/// Object-safe shim over a [`ScannerModel`] and [`run_scan_into`], so the
+/// device body builds its scanner once, asks it which packets the radio
+/// must evaluate, and scans through one call site without monomorphizing
+/// the rest of the body.
 trait ErasedScanner {
+    /// [`ScannerModel::first_per_window`].
+    fn first_per_window(&self) -> Option<SimDuration>;
+
     #[allow(clippy::too_many_arguments)]
     fn run_scan(
         &self,
@@ -242,6 +258,10 @@ trait ErasedScanner {
 }
 
 impl<M: ScannerModel> ErasedScanner for M {
+    fn first_per_window(&self) -> Option<SimDuration> {
+        ScannerModel::first_per_window(self)
+    }
+
     fn run_scan(
         &self,
         receptions: &[Reception],

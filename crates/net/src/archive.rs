@@ -27,8 +27,8 @@
 //! * **footer** (`2`): record count, time bounds, segment digest, and a
 //!   downsampled per-room occupancy summary. A segment ending in a valid
 //!   footer is **sealed** and fsynced; the footer's time bounds let range
-//!   queries skip whole segments and its summary answers coarse
-//!   "roughly who was where" questions without decoding a single record.
+//!   queries skip whole segments. The summary is written and parsed as
+//!   part of the format, but no query reads it.
 //!
 //! # Recovery invariants
 //!
@@ -59,10 +59,10 @@ const KIND_REPORT: u8 = 0;
 const KIND_ASSIGNMENT: u8 = 1;
 const KIND_FOOTER: u8 = 2;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_fold(hash: &mut u64, bytes: &[u8]) {
+pub(crate) fn fnv_fold(hash: &mut u64, bytes: &[u8]) {
     for &byte in bytes {
         *hash ^= u64::from(byte);
         *hash = hash.wrapping_mul(FNV_PRIME);
@@ -222,7 +222,6 @@ struct SegmentMeta {
     min_at: SimTime,
     max_at: SimTime,
     digest: u64,
-    summary: BTreeMap<u64, u64>,
     /// The decode behind the assignment index, `None` until a history
     /// query first needs this segment.
     memo: Option<SegmentMemo>,
@@ -238,7 +237,6 @@ impl SegmentMeta {
             min_at: segment.min_at.expect("non-empty segment"),
             max_at: segment.max_at.expect("non-empty segment"),
             digest: segment.digest,
-            summary: segment.summary,
             memo: None,
         }
     }
@@ -810,24 +808,6 @@ impl ArchiveSink {
             self.healed = false;
             self.read_corruptions += corrupt_reads;
         }
-    }
-
-    /// The downsampled occupancy summary over sealed segments overlapping
-    /// `[from, to)`: per-room archived-assignment counts, straight from the
-    /// footers — no record is decoded. Coarse by design (whole segments
-    /// count as in-range); the exact answer is a
-    /// [`reports_between`](Self::reports_between)-style scan away.
-    pub fn occupancy_summary(&self, from: SimTime, to: SimTime) -> BTreeMap<RoomLabel, u64> {
-        let mut summary: BTreeMap<RoomLabel, u64> = BTreeMap::new();
-        for meta in &self.sealed {
-            if meta.max_at < from || meta.min_at >= to {
-                continue;
-            }
-            for (room, count) in &meta.summary {
-                *summary.entry(*room as RoomLabel).or_insert(0) += count;
-            }
-        }
-        summary
     }
 
     /// Per-device archive marks (records + running digest), the coverage
@@ -1490,22 +1470,6 @@ mod tests {
         let mut merged = shard0.marks().clone();
         merged.extend(shard1.marks().clone());
         assert_eq!(&merged, single.marks());
-    }
-
-    #[test]
-    fn occupancy_summary_comes_from_footers_only() {
-        let disk = SharedDisk::new(SimDisk::pristine(8));
-        let mut sink = ArchiveSink::new(disk, small_config());
-        for i in 0..8u64 {
-            sink.append_assignment(DeviceId::new(1), SimTime::from_secs(i), i, (i % 2) as usize);
-        }
-        // Two sealed segments of 4 assignments each.
-        let all = sink.occupancy_summary(SimTime::ZERO, SimTime::from_secs(100));
-        assert_eq!(all.get(&0), Some(&4));
-        assert_eq!(all.get(&1), Some(&4));
-        // Range pruning: only the first segment overlaps [0, 4).
-        let early = sink.occupancy_summary(SimTime::ZERO, SimTime::from_secs(4));
-        assert_eq!(early.values().sum::<u64>(), 4);
     }
 
     #[test]

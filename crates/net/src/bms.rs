@@ -32,7 +32,9 @@
 //! * queries that can be truncated by compaction have `*_checked` variants
 //!   returning [`Windowed`] values that say whether the answer is complete.
 
-use crate::archive::{ArchiveConfig, ArchiveSink, ArchiveStats, Coverage, DeviceMark};
+use crate::archive::{
+    fnv_fold, ArchiveConfig, ArchiveSink, ArchiveStats, Coverage, DeviceMark, FNV_OFFSET,
+};
 use crate::counting::{finalize_population, CountingConfig, PopulationEvidence, PopulationView};
 use crate::shard::{device_hash, DeviceRecord, ServerState, Shard};
 use crate::{DeviceId, ObservationReport, RecoveryReport};
@@ -193,7 +195,7 @@ impl IngestOutcome {
 }
 
 /// One shard's part of a [`ShardedBmsCheckpoint`]: its state, the archive
-/// marks at flush time, and a digest over both.
+/// marks at flush time, and a digest over both and the retention floor.
 #[derive(Debug, Clone)]
 struct ShardSnapshot {
     state: ServerState,
@@ -205,10 +207,10 @@ struct ShardSnapshot {
 /// configuration, produced by [`ShardedBmsServer::checkpoint`] and consumed
 /// by [`ShardedBmsServer::restore`].
 ///
-/// Each shard's snapshot embeds a digest of its own contents (and, when
-/// the shard has an archive, its per-device archive marks at flush time),
-/// so restore can prove no shard was corrupted in storage before trusting
-/// it.
+/// Each shard's snapshot embeds a digest of its own contents (its device
+/// records, counters and retention floor and, when the shard has an
+/// archive, its per-device archive marks at flush time), so restore can
+/// prove no shard was corrupted in storage before trusting it.
 #[derive(Debug, Clone)]
 pub struct ShardedBmsCheckpoint {
     dedup_capacity: usize,
@@ -838,11 +840,10 @@ impl ShardedBmsServer {
                     sink.flush();
                     sink.marks().clone()
                 });
-                let (dumps, stats) = state.dump(archive_marks.as_ref());
                 ShardSnapshot {
+                    digest: snapshot_digest(&state, archive_marks.as_ref()),
                     state: state.clone(),
                     archive_marks,
-                    digest: digest_state(&dumps, stats),
                 }
             })
             .collect();
@@ -919,8 +920,7 @@ impl ShardedBmsServer {
         let mut shards = Vec::with_capacity(checkpoint.shards.len());
         for (i, snapshot) in checkpoint.shards.into_iter().enumerate() {
             let archive = archive_for(i, snapshot.archive_marks.as_ref());
-            let (dumps, stats) = snapshot.state.dump(snapshot.archive_marks.as_ref());
-            let actual = digest_state(&dumps, stats);
+            let actual = snapshot_digest(&snapshot.state, snapshot.archive_marks.as_ref());
             if actual != snapshot.digest {
                 return Err(RestoreError::DigestMismatch {
                     expected: snapshot.digest,
@@ -949,20 +949,25 @@ impl ShardedBmsServer {
 }
 
 /// FNV-1a over the canonical per-device dumps (in `DeviceId` order) and the
-/// merged counters: the state digest and each shard snapshot's digest.
+/// merged counters: the state digest, and the start of each shard
+/// snapshot's digest.
 fn digest_state(dumps: &BTreeMap<DeviceId, String>, stats: ServerStats) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut hash = FNV_OFFSET;
     for (device, dump) in dumps {
-        eat(&device.value().to_le_bytes());
-        eat(dump.as_bytes());
+        fnv_fold(&mut hash, &device.value().to_le_bytes());
+        fnv_fold(&mut hash, dump.as_bytes());
     }
-    eat(format!("{stats:?}").as_bytes());
+    fnv_fold(&mut hash, format!("{stats:?}").as_bytes());
+    hash
+}
+
+/// A shard snapshot's digest: [`digest_state`] over the shard's dump (with
+/// its archive marks), continued over its retention floor, which decides
+/// whether a historical answer is complete.
+fn snapshot_digest(state: &ServerState, marks: Option<&BTreeMap<DeviceId, DeviceMark>>) -> u64 {
+    let (dumps, stats) = state.dump(marks);
+    let mut hash = digest_state(&dumps, stats);
+    fnv_fold(&mut hash, format!("|floor:{:?}", state.floor).as_bytes());
     hash
 }
 
@@ -1545,6 +1550,23 @@ mod tests {
             }
         }
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn restore_refuses_a_changed_retention_floor() {
+        let server = server().with_retention(SimDuration::from_secs(30));
+        for r in stream() {
+            server.ingest(r);
+        }
+        let good = server.checkpoint();
+        assert!(good.shards[0].state.floor.is_some());
+        assert!(ShardedBmsServer::restore(minor_estimator(), good.clone()).is_ok());
+        let mut corrupted = good;
+        corrupted.shards[0].state.floor = Some(SimTime::from_secs(99_999));
+        assert!(matches!(
+            ShardedBmsServer::restore(minor_estimator(), corrupted),
+            Err(RestoreError::DigestMismatch { .. })
+        ));
     }
 
     #[test]

@@ -217,13 +217,7 @@ impl Channel {
         adv_channel: AdvChannel,
         rng: &mut R,
     ) -> Option<f64> {
-        // Interference collisions destroy the packet outright.
-        let collision = self.environment.collision_probability(at, rx_pos);
-        if collision > 0.0 && rng.gen::<f64>() < collision {
-            return None;
-        }
-        // Stack-level sample loss happens regardless of signal quality.
-        if rx.sample_loss_probability > 0.0 && rng.gen::<f64>() < rx.sample_loss_probability {
+        if !self.survives_loss_coins(at, rx, || rx_pos, rng) {
             return None;
         }
         let rssi = budget.mean_dbm
@@ -236,7 +230,59 @@ impl Channel {
             Some(rssi)
         }
     }
+
+    /// Advances `rng` exactly as
+    /// [`sample_rssi_with_budget_on_at`](Self::sample_rssi_with_budget_on_at)
+    /// does for a packet at `at`, without computing the packet: the same
+    /// collision and stack-loss coins, then, when the packet survives both,
+    /// the raw steps its fading and noise normals take, unconverted. How
+    /// many draws a packet takes depends only on its coins, so a caller
+    /// that does not need a packet's outcome keeps every later draw in
+    /// place. `rx_pos` is asked for only when the environment has
+    /// interferers.
+    pub fn replay_sample_at<R: Rng + ?Sized>(
+        &self,
+        at: SimTime,
+        rx: &DeviceRxProfile,
+        rx_pos: impl FnOnce() -> Point,
+        rng: &mut R,
+    ) {
+        if self.survives_loss_coins(at, rx, rx_pos, rng) {
+            for _ in 0..FADING_AND_NOISE_DRAWS {
+                rng.next_u64();
+            }
+        }
+    }
+
+    /// The coins every packet draws first, in order: the interference
+    /// collision coin (only when the collision probability is positive,
+    /// so never without interferers) and the stack-loss coin (only when
+    /// the loss probability is positive). True when the packet survives
+    /// both.
+    fn survives_loss_coins<R: Rng + ?Sized>(
+        &self,
+        at: SimTime,
+        rx: &DeviceRxProfile,
+        rx_pos: impl FnOnce() -> Point,
+        rng: &mut R,
+    ) -> bool {
+        // Interference collisions destroy the packet outright.
+        if !self.environment.interferers().is_empty() {
+            let collision = self.environment.collision_probability(at, rx_pos());
+            if collision > 0.0 && rng.gen::<f64>() < collision {
+                return false;
+            }
+        }
+        // Stack-level sample loss happens regardless of signal quality.
+        !(rx.sample_loss_probability > 0.0 && rng.gen::<f64>() < rx.sample_loss_probability)
+    }
 }
+
+/// The raw RNG steps behind a surviving packet's fading and noise: three
+/// standard normals ([`standard_normal`]: two for the fading's complex
+/// gain, one for the receiver noise), each a Box–Muller pair of uniforms
+/// that take one `next_u64` apiece.
+const FADING_AND_NOISE_DRAWS: usize = 6;
 
 #[cfg(test)]
 mod tests {
@@ -523,6 +569,57 @@ mod tests {
                 &mut table_rng,
             );
             assert_eq!(direct.map(f64::to_bits), via_table.map(f64::to_bits));
+        }
+    }
+
+    /// Replaying a packet leaves the RNG where sampling it does, for each
+    /// way a packet can end: collision, stack loss, below sensitivity,
+    /// received. The next draw of both streams must agree.
+    #[test]
+    fn replay_leaves_the_rng_where_sampling_does() {
+        use crate::Interferer;
+        use roomsense_sim::SimDuration;
+        let mut jammed = Environment::free_space();
+        jammed.add_interferer(Interferer::new(
+            Point::new(1.0, 0.0),
+            5.0,
+            SimDuration::from_secs(1),
+            1.0,
+            1.0,
+        ));
+        let jammed = Channel::new(jammed);
+        let open = Channel::new(Environment::free_space());
+        let dropping = DeviceRxProfile::new("dropping", 0.0, 0.0, 1.0, -120.0);
+        let deaf = DeviceRxProfile::new("deaf", 0.0, 0.0, 0.0, -30.0);
+        let ideal = DeviceRxProfile::ideal();
+        let near = Point::new(1.0, 0.0);
+        let far = Point::new(10.0, 0.0);
+        let cases = [
+            ("collision", &jammed, &ideal, near, false),
+            ("stack loss", &open, &dropping, near, false),
+            ("below sensitivity", &open, &deaf, far, false),
+            ("received", &open, &ideal, near, true),
+        ];
+        let tx = TransmitterProfile::default();
+        for (outcome, channel, rx, rx_pos, received) in cases {
+            for seed in 0..50 {
+                let mut sampled = rng::for_component(seed, "replay");
+                let mut replayed = sampled.clone();
+                let at = SimTime::from_millis(100);
+                let sample = sample_rssi_on_at(
+                    channel,
+                    at,
+                    &tx,
+                    Point::new(0.0, 0.0),
+                    rx,
+                    rx_pos,
+                    AdvChannel::Ch37,
+                    &mut sampled,
+                );
+                assert_eq!(sample.is_some(), received, "{outcome}");
+                channel.replay_sample_at(at, rx, || rx_pos, &mut replayed);
+                assert_eq!(sampled.gen::<u64>(), replayed.gen::<u64>(), "{outcome}");
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! Driving a receiver through the radio: receptions → scan cycles.
 
-use crate::{Reception, ScanConfig, ScanScratch, ScanSample, ScannerModel};
+use crate::{Reception, RestartWindows, ScanConfig, ScanScratch, ScanSample, ScannerModel};
 use rand::Rng;
 use roomsense_geom::Point;
 use roomsense_radio::{
@@ -78,7 +78,8 @@ pub struct CycleSpan {
 ///
 /// Each advertiser's schedule is generated independently; receptions are
 /// returned sorted by time. This is [`simulate_receptions_into`] with every
-/// transmitter healthy, fresh buffers and the telemetry discarded.
+/// transmitter healthy, every packet evaluated, fresh buffers and the
+/// telemetry discarded.
 pub fn simulate_receptions<R, F>(
     channel: &Channel,
     advertisers: &[PlacedAdvertiser],
@@ -102,6 +103,7 @@ where
         from,
         until,
         rng,
+        None,
         &mut Recorder::default(),
         &mut RadioScratch::new(),
         &mut receptions,
@@ -109,22 +111,37 @@ where
     receptions
 }
 
-/// Adds one run's reception outcomes to `telemetry`, skipping a zero
-/// count so a run that lost nothing creates no `radio.rx.lost` key.
-fn record_rx_counts(telemetry: &mut Recorder, received: u64, lost: u64) {
-    if received > 0 {
-        telemetry.add(keys::RADIO_RX_RECEIVED, received);
-    }
-    if lost > 0 {
-        telemetry.add(keys::RADIO_RX_LOST, lost);
+/// Adds one run's packet outcomes to `telemetry`, skipping a zero count so
+/// a run that lost or replayed nothing creates no `radio.rx.lost` or
+/// `radio.rx.replayed` key.
+fn record_rx_counts(telemetry: &mut Recorder, received: u64, lost: u64, replayed: u64) {
+    for (key, count) in [
+        (keys::RADIO_RX_RECEIVED, received),
+        (keys::RADIO_RX_LOST, lost),
+        (keys::RADIO_RX_REPLAYED, replayed),
+    ] {
+        if count > 0 {
+            telemetry.add(key, count);
+        }
     }
 }
 
-/// The radio: every advertisement that reaches a receiver at
-/// `rx_position(t)` in `[from, until)`, with a [`TransmitterFault`] per
-/// advertiser. Clears and fills `out`, sorted by time, and adds each run's
-/// received and lost totals to `telemetry` once (`radio.rx.received` /
-/// `radio.rx.lost`). Recording never draws from `rng`.
+/// The radio: the advertisements that reach a receiver at `rx_position(t)`
+/// in `[from, until)`, with a [`TransmitterFault`] per advertiser. Clears
+/// and fills `out`, sorted by time, and adds each run's totals of evaluated
+/// packets (`radio.rx.received` / `radio.rx.lost`) and replayed ones
+/// (`radio.rx.replayed`) to `telemetry` once. Recording never draws from
+/// `rng`.
+///
+/// With `keep` `None` every packet is evaluated. With `Some(windows)` the
+/// scanner downstream keeps only the first reception per advertiser per
+/// cell of `windows` (a scan started at `from`; see
+/// [`ScannerModel::first_per_window`]), so each advertiser's packets are
+/// evaluated up to and including its first reception in a cell, and the
+/// rest of that cell's packets are only replayed
+/// ([`Channel::replay_sample_at`]): they take their draws but are neither
+/// computed nor emitted. Every draw, and so every later packet, stays as
+/// with `None`.
 ///
 /// Per advertiser, the schedule is drawn first, then each packet draws in
 /// order (collision coin, stack-loss coin, fading, noise; see
@@ -155,6 +172,7 @@ pub fn simulate_receptions_into<R, F>(
     from: SimTime,
     until: SimTime,
     rng: &mut R,
+    keep: Option<RestartWindows>,
     telemetry: &mut Recorder,
     scratch: &mut RadioScratch,
     out: &mut Vec<Reception>,
@@ -168,7 +186,7 @@ pub fn simulate_receptions_into<R, F>(
         "need exactly one TransmitterFault per advertiser"
     );
     out.clear();
-    let mut lost = 0u64;
+    let (mut lost, mut replayed) = (0u64, 0u64);
     for (placed, fault) in advertisers.iter().zip(faults) {
         placed
             .advertiser
@@ -177,8 +195,17 @@ pub fn simulate_receptions_into<R, F>(
             .sightlines
             .aim(channel.environment(), placed.position);
         let mut cached: Option<(TransmitterProfile, Point, LinkBudget)> = None;
+        // The end of the cell of this advertiser's latest kept reception:
+        // its packets before it only replay their draws. The schedule runs
+        // forward in time, so one bound per advertiser suffices.
+        let mut kept_until = from;
         for tx_event in &scratch.schedule {
             if !fault.transmits_at(tx_event.at) {
+                continue;
+            }
+            if tx_event.at < kept_until {
+                channel.replay_sample_at(tx_event.at, rx, || rx_position(tx_event.at), rng);
+                replayed += 1;
                 continue;
             }
             let profile = fault.profile_at(tx_event.at, &placed.profile);
@@ -206,12 +233,15 @@ pub fn simulate_receptions_into<R, F>(
                     rssi_dbm: rssi,
                     channel: tx_event.channel,
                 });
+                if let Some(windows) = keep {
+                    kept_until = windows.window_end(from, tx_event.at);
+                }
             } else {
                 lost += 1;
             }
         }
     }
-    record_rx_counts(telemetry, out.len() as u64, lost);
+    record_rx_counts(telemetry, out.len() as u64, lost, replayed);
     out.sort_by_key(|r| r.at);
 }
 
@@ -533,7 +563,8 @@ mod tests {
     }
 
     /// The radio counts every transmitted packet exactly once (received +
-    /// lost), and a run that loses nothing creates no `radio.rx.lost` key.
+    /// lost + replayed), and a run that loses or replays nothing creates no
+    /// `radio.rx.lost` or `radio.rx.replayed` key.
     #[test]
     fn radio_counts_every_transmitted_packet_once() {
         let channel = Channel::new(Environment::free_space());
@@ -550,31 +581,39 @@ mod tests {
             })
             .sum();
         let lossy = DeviceRxProfile::new("lossy", 0.0, 0.0, 0.3, -120.0);
+        let first_per_window = Some(RestartWindows::new(
+            ScanConfig::default(),
+            SimDuration::from_millis(700),
+        ));
         for (rx, lossless) in [(lossy, false), (DeviceRxProfile::ideal(), true)] {
-            let mut oracle = Recorder::default();
-            let mut receptions = Vec::new();
-            simulate_receptions_into(
-                &channel,
-                &advs,
-                &healthy,
-                &rx,
-                |_| Point::new(2.0, 0.0),
-                from,
-                until,
-                &mut rng::for_component(6, "radio"),
-                &mut oracle,
-                &mut RadioScratch::new(),
-                &mut receptions,
-            );
-            let received = oracle.counter(keys::RADIO_RX_RECEIVED);
-            let lost = oracle.counter(keys::RADIO_RX_LOST);
-            assert_eq!(received, receptions.len() as u64);
-            assert_eq!(received + lost, transmitted as u64);
-            assert_eq!(lost == 0, lossless, "{} lost {lost}", rx.model);
-            assert_eq!(
-                oracle.prometheus_text().contains("radio_rx_lost"),
-                !lossless
-            );
+            for keep in [None, first_per_window] {
+                let mut oracle = Recorder::default();
+                let mut receptions = Vec::new();
+                simulate_receptions_into(
+                    &channel,
+                    &advs,
+                    &healthy,
+                    &rx,
+                    |_| Point::new(2.0, 0.0),
+                    from,
+                    until,
+                    &mut rng::for_component(6, "radio"),
+                    keep,
+                    &mut oracle,
+                    &mut RadioScratch::new(),
+                    &mut receptions,
+                );
+                let received = oracle.counter(keys::RADIO_RX_RECEIVED);
+                let lost = oracle.counter(keys::RADIO_RX_LOST);
+                let replayed = oracle.counter(keys::RADIO_RX_REPLAYED);
+                assert_eq!(received, receptions.len() as u64);
+                assert_eq!(received + lost + replayed, transmitted as u64);
+                assert_eq!(lost == 0, lossless, "{} lost {lost}", rx.model);
+                assert_eq!(replayed > 0, keep.is_some(), "{} replayed {replayed}", rx.model);
+                let text = oracle.prometheus_text();
+                assert_eq!(text.contains("radio_rx_lost"), !lossless);
+                assert_eq!(text.contains("radio_rx_replayed"), keep.is_some());
+            }
         }
     }
 

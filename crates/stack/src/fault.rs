@@ -14,7 +14,7 @@
 
 use crate::{Reception, ScanScratch, ScannerModel};
 use rand::Rng;
-use roomsense_sim::{FaultSchedule, SimTime};
+use roomsense_sim::{FaultSchedule, SimDuration, SimTime};
 use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
 use std::fmt;
 
@@ -140,6 +140,16 @@ impl<M: ScannerModel> ScannerModel for FaultyScanner<M> {
             "android-l" => "android-l+faults",
             "ios" => "ios+faults",
             _ => "faulty",
+        }
+    }
+
+    /// The inner model's answer while no window is scheduled; `None`
+    /// otherwise, since a storm draws once per reception it sees.
+    fn first_per_window(&self) -> Option<SimDuration> {
+        if self.is_benign() {
+            self.inner.first_per_window()
+        } else {
+            None
         }
     }
 }

@@ -41,6 +41,6 @@ pub use driver::{
 };
 pub use fault::FaultyScanner;
 pub use scanner::{
-    AndroidLScanner, AndroidScanner, IosScanner, Reception, ScanConfig, ScanSample, ScanScratch,
-    ScannerModel,
+    AndroidLScanner, AndroidScanner, IosScanner, Reception, RestartWindows, ScanConfig, ScanSample,
+    ScanScratch, ScannerModel,
 };

@@ -102,6 +102,74 @@ impl ScanScratch {
     }
 }
 
+/// The restart window `at` falls in, counted from `cycle_start`. This is
+/// the one place the window rule is written: the Android dedup keys on it
+/// and [`RestartWindows`] partitions the radio's packets with it.
+fn restart_window(cycle_start: SimTime, at: SimTime, restart_interval: SimDuration) -> u64 {
+    at.saturating_since(cycle_start).as_millis() / restart_interval.as_millis()
+}
+
+/// The (scan cycle, restart window) partition of a scan: cycles tile time
+/// from the scan's start at the scan period, as
+/// [`run_scan_into`](crate::run_scan_into) cuts them, and each cycle splits
+/// into restart windows from its own start. When the interval does not
+/// divide the period, the cycle end cuts its last window short.
+///
+/// The radio takes one for a scanner that keeps only the first reception
+/// per advertiser per window (see [`ScannerModel::first_per_window`]).
+///
+/// # Examples
+///
+/// ```
+/// use roomsense_sim::{SimDuration, SimTime};
+/// use roomsense_stack::{RestartWindows, ScanConfig};
+///
+/// let windows = RestartWindows::new(
+///     ScanConfig { scan_period: SimDuration::from_secs(5) },
+///     SimDuration::from_secs(2),
+/// );
+/// let end = |ms| windows.window_end(SimTime::ZERO, SimTime::from_millis(ms)).as_millis();
+/// assert_eq!(end(1_999), 2_000);
+/// assert_eq!(end(4_500), 5_000); // the cycle end cuts the third window
+/// assert_eq!(end(5_000), 7_000); // the next cycle starts its own windows
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RestartWindows {
+    scan_period: SimDuration,
+    restart_interval: SimDuration,
+}
+
+impl RestartWindows {
+    /// The partition of a scan run at `scan` by a scanner restarting every
+    /// `restart_interval`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scan period or the restart interval is zero.
+    pub fn new(scan: ScanConfig, restart_interval: SimDuration) -> Self {
+        assert!(!scan.scan_period.is_zero(), "scan period must be non-zero");
+        assert!(
+            !restart_interval.is_zero(),
+            "restart interval must be non-zero"
+        );
+        RestartWindows {
+            scan_period: scan.scan_period,
+            restart_interval,
+        }
+    }
+
+    /// The end (exclusive) of the cell holding `at`, for a scan started at
+    /// `from` (`at >= from`): every time in `[at, end)` falls in the same
+    /// scan cycle and restart window as `at`.
+    pub fn window_end(&self, from: SimTime, at: SimTime) -> SimTime {
+        let period = self.scan_period.as_millis();
+        let cycle_start =
+            from + SimDuration::from_millis(at.saturating_since(from).as_millis() / period * period);
+        let window = restart_window(cycle_start, at, self.restart_interval);
+        (cycle_start + self.restart_interval * (window + 1)).min(cycle_start + self.scan_period)
+    }
+}
+
 /// How an operating system turns radio receptions into app-visible samples.
 ///
 /// Implementations are stateless between cycles; all state lives in the
@@ -124,6 +192,15 @@ pub trait ScannerModel {
 
     /// A short name for reports and logs.
     fn name(&self) -> &'static str;
+
+    /// The restart interval when this model delivers at most the first
+    /// reception per advertiser per restart window and draws nothing for
+    /// the later ones, so an advertiser's receptions after its first in a
+    /// window change neither the samples nor the draws. `None` (the
+    /// default) when every reception may matter.
+    fn first_per_window(&self) -> Option<SimDuration> {
+        None
+    }
 }
 
 /// The Android 4.x BLE scan behaviour.
@@ -232,8 +309,7 @@ impl ScannerModel for AndroidScanner {
         scratch.seen.clear();
         let appended_from = scratch.samples.len();
         for r in receptions {
-            let window = r.at.saturating_since(cycle_start).as_millis()
-                / self.restart_interval.as_millis();
+            let window = restart_window(cycle_start, r.at, self.restart_interval);
             let is_stalled = match scratch.windows.iter().find(|(w, _)| *w == window) {
                 Some(&(_, stall)) => stall,
                 None => {
@@ -270,6 +346,10 @@ impl ScannerModel for AndroidScanner {
 
     fn name(&self) -> &'static str {
         "android-4.x"
+    }
+
+    fn first_per_window(&self) -> Option<SimDuration> {
+        Some(self.restart_interval)
     }
 }
 

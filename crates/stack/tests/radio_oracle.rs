@@ -244,6 +244,7 @@ proptest! {
                 from,
                 until,
                 &mut rng::for_component(seed, "radio-oracle"),
+                None,
                 &mut telemetry,
                 &mut scratch,
                 &mut out,

@@ -127,7 +127,8 @@ pub mod keys {
     pub const SCAN_STALLS: MetricKey = MetricKey("scan.stalls");
     /// Samples the scanner stack reported upward.
     pub const SCAN_SAMPLES: MetricKey = MetricKey("scan.samples");
-    /// Repeat sightings suppressed by per-window dedup (Android 4.x).
+    /// Repeat sightings suppressed by per-window dedup (Android 4.x),
+    /// among the receptions the radio delivered.
     pub const SCAN_DEDUP_SUPPRESSED: MetricKey = MetricKey("scan.dedup_suppressed");
     /// Receptions destroyed before the scanner saw them (fault storms).
     pub const SCAN_SAMPLES_DROPPED: MetricKey = MetricKey("scan.samples_dropped");
@@ -135,10 +136,15 @@ pub mod keys {
     pub const FILTER_HOLDS: MetricKey = MetricKey("filter.holds");
     /// Tracks dropped after exhausting their loss policy.
     pub const FILTER_DROPS: MetricKey = MetricKey("filter.drops");
-    /// Advertisements that produced a reception at the device.
+    /// Evaluated advertisements that produced a reception at the device.
     pub const RADIO_RX_RECEIVED: MetricKey = MetricKey("radio.rx.received");
-    /// Advertisements lost to collision, sensitivity or stack drop.
+    /// Evaluated advertisements lost to collision, sensitivity or stack
+    /// drop.
     pub const RADIO_RX_LOST: MetricKey = MetricKey("radio.rx.lost");
+    /// Advertisements whose draws were replayed without evaluating them,
+    /// because the scanner keeps only an earlier reception of their
+    /// advertiser in the same restart window.
+    pub const RADIO_RX_REPLAYED: MetricKey = MetricKey("radio.rx.replayed");
     /// SVM decision margins (histogram; signed distance to the hyperplane).
     pub const ML_SVM_MARGIN: MetricKey = MetricKey("ml.svm.margin");
     /// Sim-time spent generating receptions, per pipeline run (histogram).
