@@ -2,7 +2,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::Rng;
-use roomsense_ml::{Classifier, Dataset, Kernel, KnnClassifier, SvmClassifier, SvmParams};
+use roomsense_ml::{
+    Classifier, Dataset, Kernel, KnnClassifier, SvmClassifier, SvmParams, SvmScratch,
+};
 use roomsense_sim::rng;
 
 /// A five-class Gaussian-blob dataset resembling the house fingerprints.
@@ -56,8 +58,9 @@ fn bench_svm_predict(c: &mut Criterion) {
     let data = blob_dataset(40, 1);
     let svm = SvmClassifier::fit(&data, &SvmParams::default()).expect("trains");
     let probe = vec![1.1, 5.9, 7.2, 7.8, 9.1];
+    let mut scratch = SvmScratch::default();
     c.bench_function("svm/predict", |b| {
-        b.iter(|| svm.predict(black_box(&probe)));
+        b.iter(|| svm.decide_into(black_box(&probe), &mut scratch));
     });
 }
 

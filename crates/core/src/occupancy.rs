@@ -3,11 +3,19 @@
 use crate::{features_from_snapshots, LabelledDataset, MISSING_DISTANCE};
 use roomsense_ibeacon::Minor;
 use roomsense_ml::{
-    Classifier, ConfusionMatrix, Dataset, StandardScaler, SvmClassifier, SvmParams, TrainSvmError,
+    ConfusionMatrix, Dataset, StandardScaler, SvmClassifier, SvmParams, SvmScratch, TrainSvmError,
 };
 use roomsense_net::{ObservationReport, OccupancyEstimator, RoomLabel};
 use roomsense_signal::TrackSnapshot;
+use std::cell::RefCell;
 use std::fmt;
+
+thread_local! {
+    /// This thread's scaled feature row and SVM scratch. The model is shared
+    /// by `Arc` across shard workers and classifies through `&self`, so the
+    /// buffers belong to the thread, not the model.
+    static SCRATCH: RefCell<(Vec<f64>, SvmScratch)> = RefCell::default();
+}
 
 /// Error training an [`OccupancyModel`].
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +92,20 @@ impl OccupancyModel {
 
     /// Classifies one raw feature row (per-beacon distances).
     pub fn predict_features(&self, features: &[f64]) -> usize {
-        self.svm.predict(&self.scaler.transform(features))
+        self.classify_raw(features.iter().copied())
+    }
+
+    /// Scales a raw feature row straight into this thread's scratch and
+    /// classifies it there, allocation-free once the scratch has grown.
+    fn classify_raw<I>(&self, raw: I) -> usize
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        SCRATCH.with_borrow_mut(|(features, svm)| {
+            self.scaler.transform_into(raw, features);
+            self.svm.decide_into(features, svm)
+        })
     }
 
     /// Classifies the current smoothed tracks.
@@ -107,18 +128,13 @@ impl OccupancyEstimator for OccupancyModel {
         if report.beacons.is_empty() {
             return None;
         }
-        let features: Vec<f64> = self
-            .beacon_order
-            .iter()
-            .map(|minor| {
-                report
-                    .beacons
-                    .iter()
-                    .find(|b| b.identity.minor == *minor)
-                    .map_or(MISSING_DISTANCE, |b| b.distance_m.min(MISSING_DISTANCE))
-            })
-            .collect();
-        Some(self.predict_features(&features))
+        Some(self.classify_raw(self.beacon_order.iter().map(|minor| {
+            report
+                .beacons
+                .iter()
+                .find(|b| b.identity.minor == *minor)
+                .map_or(MISSING_DISTANCE, |b| b.distance_m.min(MISSING_DISTANCE))
+        })))
     }
 }
 

@@ -6,7 +6,7 @@
 //! standard grid search so downstream users do not hand-roll it.
 
 use crate::svm::{pair_splits, PairSplit};
-use crate::{k_fold, BinarySvm, Classifier, Dataset, Gram, Kernel, SvmClassifier, SvmParams};
+use crate::{k_fold, BinarySvm, Dataset, Gram, Kernel, SvmClassifier, SvmParams, SvmScratch};
 use rand::Rng;
 use roomsense_sim::exec;
 use std::fmt;
@@ -119,6 +119,7 @@ pub fn grid_search<R: Rng + ?Sized>(
             .iter()
             .map(|p| Gram::compute(&p.rows, kernel))
             .collect();
+        let mut scratch = SvmScratch::default();
         cs.iter()
             .map(|&c| {
                 let params = SvmParams {
@@ -137,7 +138,7 @@ pub fn grid_search<R: Rng + ?Sized>(
                         )
                     })
                     .collect();
-                let svm = SvmClassifier::from_machines(data.class_count(), machines);
+                let svm = SvmClassifier::from_machines(data, machines);
                 if val.is_empty() {
                     0.0
                 } else {
@@ -145,7 +146,7 @@ pub fn grid_search<R: Rng + ?Sized>(
                         .rows()
                         .iter()
                         .zip(val.labels())
-                        .filter(|(row, label)| svm.predict(row) == **label)
+                        .filter(|(row, label)| svm.decide_into(row, &mut scratch) == **label)
                         .count();
                     correct as f64 / val.len() as f64
                 }

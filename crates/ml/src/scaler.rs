@@ -77,6 +77,24 @@ impl StandardScaler {
     ///
     /// Panics if the row width differs from the fitted dimensionality.
     pub fn transform(&self, row: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(row.len());
+        self.transform_into(row.iter().copied(), &mut out);
+        out
+    }
+
+    /// Standardises the values `row` yields into `out`, replacing its
+    /// contents; reusing `out` across rows makes this allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` yields a different number of values than the fitted
+    /// dimensionality.
+    pub fn transform_into<I>(&self, row: I, out: &mut Vec<f64>)
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let row = row.into_iter();
         assert_eq!(
             row.len(),
             self.means.len(),
@@ -84,10 +102,11 @@ impl StandardScaler {
             row.len(),
             self.means.len()
         );
-        row.iter()
-            .zip(self.means.iter().zip(&self.stds))
-            .map(|(v, (m, s))| (v - m) / s)
-            .collect()
+        out.clear();
+        out.extend(
+            row.zip(self.means.iter().zip(&self.stds))
+                .map(|(v, (m, s))| (v - m) / s),
+        );
     }
 
     /// Standardises a whole dataset, preserving labels.

@@ -313,13 +313,309 @@ impl BinarySvm {
         }
     }
 
-    /// The pre-error-cache reference solver: recomputes the full decision
-    /// function for every error evaluation.
+    /// The signed decision value; positive predicts class `+1`.
+    pub fn decision(&self, x: &[f64]) -> f64 {
+        let mut acc = self.bias;
+        for (sv, coeff) in self.support_vectors.iter().zip(&self.coefficients) {
+            acc += coeff * self.kernel.compute(sv, x);
+        }
+        acc
+    }
+
+    /// Number of support vectors retained.
+    pub fn support_vector_count(&self) -> usize {
+        self.support_vectors.len()
+    }
+}
+
+/// One one-vs-one subproblem of a dataset: the rows of classes `a` and
+/// `b` with ±1 targets. Independent of every hyper-parameter, so grid
+/// search builds these once per fold and reuses them across the grid.
+pub(crate) struct PairSplit {
+    pub(crate) a: usize,
+    pub(crate) b: usize,
+    pub(crate) rows: Vec<Vec<f64>>,
+    pub(crate) targets: Vec<f64>,
+}
+
+/// Splits a dataset into its one-vs-one pair subproblems over the classes
+/// that actually appear, in ascending `(a, b)` order.
+pub(crate) fn pair_splits(data: &Dataset) -> Result<Vec<PairSplit>, TrainSvmError> {
+    if data.is_empty() {
+        return Err(TrainSvmError::EmptyDataset);
+    }
+    let histogram = data.class_histogram();
+    let present: Vec<usize> = (0..data.class_count())
+        .filter(|c| histogram[*c] > 0)
+        .collect();
+    if present.len() < 2 {
+        return Err(TrainSvmError::SingleClass);
+    }
+    let mut splits = Vec::new();
+    for (pi, &a) in present.iter().enumerate() {
+        for &b in &present[pi + 1..] {
+            let mut rows = Vec::new();
+            let mut targets = Vec::new();
+            for (row, label) in data.rows().iter().zip(data.labels()) {
+                if *label == a {
+                    rows.push(row.clone());
+                    targets.push(1.0);
+                } else if *label == b {
+                    rows.push(row.clone());
+                    targets.push(-1.0);
+                }
+            }
+            splits.push(PairSplit { a, b, rows, targets });
+        }
+    }
+    Ok(splits)
+}
+
+/// Rows per lane of [`SvmClassifier`]'s transposed row table.
+const LANE: usize = 4;
+
+/// A one-vs-one multiclass SVM.
+///
+/// Trains one [`BinarySvm`] per class pair and predicts by majority vote,
+/// breaking ties by summed decision margins.
+///
+/// `pair_splits` clones each class's rows into every machine that involves
+/// the class, so one support-vector row can appear in up to `k − 1` of the
+/// pairwise machines. Construction moves every machine's support vectors
+/// into one table deduped by `f64` bit pattern, and each machine keeps its
+/// `(coefficient, row index)` refs in the original support-vector order.
+/// The table is stored transposed, four rows to a lane, so one pass
+/// over the features computes a lane's sums side by side; each row's sum
+/// still adds its terms in dimension order from the start value
+/// `Iterator::sum` uses, so every kernel value is the identical `f64`
+/// [`Kernel::compute`] returns. A prediction evaluates the kernel once per
+/// unique row, then every machine accumulates `bias + Σ coeff · k` in its
+/// ref order, so votes, margins and the tie-break are bit-for-bit those of
+/// evaluating each [`BinarySvm`] on its own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SvmClassifier {
+    class_count: usize,
+    kernel: Kernel,
+    /// Feature width of every row.
+    dim: usize,
+    /// Distinct support-vector rows across every machine.
+    row_count: usize,
+    /// The rows transposed: `lanes[lane * dim + d][j]` is feature `d` of
+    /// row `lane * LANE + j`. The last lane is padded with zero rows.
+    lanes: Vec<[f64; LANE]>,
+    machines: Vec<PairMachine>,
+}
+
+/// One pairwise machine over the shared row table. Positive decisions vote
+/// for `a`; `a < b`.
+#[derive(Debug, Clone, PartialEq)]
+struct PairMachine {
+    a: usize,
+    b: usize,
+    bias: f64,
+    /// `(αᵢ · yᵢ, row index)` in the machine's support-vector order.
+    refs: Vec<(f64, usize)>,
+}
+
+/// Caller-owned buffers for [`SvmClassifier::decide_into`]: one kernel
+/// value per unique row, and the votes and summed margins per class. Reusing
+/// one scratch across predictions makes a prediction allocation-free once
+/// the buffers have grown to the model's size.
+#[derive(Debug, Clone, Default)]
+pub struct SvmScratch {
+    values: Vec<f64>,
+    votes: Vec<usize>,
+    margins: Vec<f64>,
+}
+
+impl SvmScratch {
+    /// The summed decision margin of each class from the last
+    /// [`decide_into`](SvmClassifier::decide_into): every machine adds its
+    /// decision value to class `a` and subtracts it from class `b`.
+    pub fn margins(&self) -> &[f64] {
+        &self.margins
+    }
+}
+
+impl SvmClassifier {
+    /// Trains on a labelled dataset.
     ///
-    /// Kept for the bitwise regression test and the `repro bench`
-    /// error-cache measurement; not a public API.
-    #[doc(hidden)]
-    pub fn fit_uncached(rows: &[Vec<f64>], targets: &[f64], params: &SvmParams) -> Self {
+    /// Pairs in which one class has no rows are skipped; prediction still
+    /// works over the remaining machines.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainSvmError::EmptyDataset`] and [`TrainSvmError::SingleClass`].
+    pub fn fit(data: &Dataset, params: &SvmParams) -> Result<Self, TrainSvmError> {
+        let machines = pair_splits(data)?
+            .into_iter()
+            .map(|p| (p.a, p.b, BinarySvm::fit(p.rows, &p.targets, params)))
+            .collect();
+        Ok(SvmClassifier::from_machines(data, machines))
+    }
+
+    /// Assembles a classifier for `data`'s classes and feature width from
+    /// trained pair machines `(a, b, machine)` sharing one kernel, moving
+    /// their support vectors into the deduped row table. Grid search uses
+    /// this directly, since it shares Gram matrices across fits.
+    pub(crate) fn from_machines(data: &Dataset, machines: Vec<(usize, usize, BinarySvm)>) -> Self {
+        let dim = data.dimension();
+        let kernel = machines
+            .first()
+            .map_or_else(Kernel::default, |m| m.2.kernel);
+        let mut row_count = 0;
+        let mut lanes: Vec<[f64; LANE]> = Vec::new();
+        // Bit patterns, not numeric equality: -0.0 and 0.0 must stay
+        // distinct or Linear-kernel sums could differ in sign.
+        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut pair_machines = Vec::with_capacity(machines.len());
+        for (a, b, svm) in machines {
+            debug_assert_eq!(svm.kernel, kernel, "pair machines share one kernel");
+            let mut refs = Vec::with_capacity(svm.coefficients.len());
+            for (row, coeff) in svm.support_vectors.into_iter().zip(svm.coefficients) {
+                let bits = row.iter().map(|x| x.to_bits()).collect();
+                let idx = *index.entry(bits).or_insert_with(|| {
+                    let (lane, j) = (row_count / LANE, row_count % LANE);
+                    if j == 0 {
+                        lanes.resize((lane + 1) * dim, [0.0; LANE]);
+                    }
+                    for (d, x) in row.iter().enumerate() {
+                        lanes[lane * dim + d][j] = *x;
+                    }
+                    row_count += 1;
+                    row_count - 1
+                });
+                refs.push((coeff, idx));
+            }
+            pair_machines.push(PairMachine {
+                a,
+                b,
+                bias: svm.bias,
+                refs,
+            });
+        }
+        SvmClassifier {
+            class_count: data.class_count(),
+            kernel,
+            dim,
+            row_count,
+            lanes,
+            machines: pair_machines,
+        }
+    }
+
+    /// Number of pairwise machines.
+    pub fn machine_count(&self) -> usize {
+        self.machines.len()
+    }
+
+    /// Predicts the class of `features` into `scratch`, which afterwards
+    /// also holds every class's summed margin
+    /// ([`SvmScratch::margins`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the training width.
+    pub fn decide_into(&self, features: &[f64], scratch: &mut SvmScratch) -> usize {
+        assert_eq!(
+            features.len(),
+            self.dim,
+            "feature width {} does not match the model's {}",
+            features.len(),
+            self.dim
+        );
+        let SvmScratch {
+            values,
+            votes,
+            margins,
+        } = scratch;
+        match self.kernel {
+            Kernel::Linear => self.lane_sums(features, values, |r, x| r * x),
+            Kernel::Rbf { gamma } => {
+                self.lane_sums(features, values, |r, x| (r - x) * (r - x));
+                for v in values.iter_mut() {
+                    *v = (-gamma * *v).exp();
+                }
+            }
+        }
+        votes.clear();
+        votes.resize(self.class_count, 0);
+        margins.clear();
+        margins.resize(self.class_count, 0.0);
+        for machine in &self.machines {
+            let mut d = machine.bias;
+            for (coeff, idx) in &machine.refs {
+                d += coeff * values[*idx];
+            }
+            if d >= 0.0 {
+                votes[machine.a] += 1;
+            } else {
+                votes[machine.b] += 1;
+            }
+            margins[machine.a] += d;
+            margins[machine.b] -= d;
+        }
+        let best_votes = *votes.iter().max().expect("at least one machine");
+        (0..self.class_count)
+            .filter(|c| votes[*c] == best_votes)
+            .max_by(|x, y| {
+                margins[*x]
+                    .partial_cmp(&margins[*y])
+                    .expect("finite margins")
+            })
+            .expect("at least one class has max votes")
+    }
+
+    /// Fills `values` with `Σ_d term(row[d], features[d])` for every row,
+    /// one lane of rows at a time. Each sum starts at `-0.0`, the start
+    /// value of `Iterator::sum::<f64>`, and adds its terms in dimension
+    /// order, exactly as [`Kernel::compute`] does.
+    #[inline]
+    fn lane_sums(&self, features: &[f64], values: &mut Vec<f64>, term: impl Fn(f64, f64) -> f64) {
+        values.clear();
+        for lane in self.lanes.chunks_exact(self.dim) {
+            let mut acc = [-0.0f64; LANE];
+            for (column, x) in lane.iter().zip(features) {
+                for (a, r) in acc.iter_mut().zip(column) {
+                    *a += term(*r, *x);
+                }
+            }
+            values.extend_from_slice(&acc);
+        }
+        values.truncate(self.row_count);
+    }
+}
+
+impl Classifier for SvmClassifier {
+    fn predict(&self, features: &[f64]) -> usize {
+        self.decide_into(features, &mut SvmScratch::default())
+    }
+
+    fn name(&self) -> &'static str {
+        "svm"
+    }
+}
+
+impl fmt::Display for SvmClassifier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "one-vs-one svm: {} machines over {} classes",
+            self.machines.len(),
+            self.class_count
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-error-cache reference solver, the oracle of
+    /// `error_cache_reproduces_uncached_model_bitwise`: recomputes the full
+    /// decision function for every error evaluation.
+    fn fit_uncached(rows: &[Vec<f64>], targets: &[f64], params: &SvmParams) -> BinarySvm {
         assert_eq!(rows.len(), targets.len(), "rows/targets length mismatch");
         assert!(
             targets.iter().all(|t| *t == 1.0 || *t == -1.0),
@@ -414,174 +710,22 @@ impl BinarySvm {
         }
     }
 
-    /// The signed decision value; positive predicts class `+1`.
-    pub fn decision(&self, x: &[f64]) -> f64 {
-        let mut acc = self.bias;
-        for (sv, coeff) in self.support_vectors.iter().zip(&self.coefficients) {
-            acc += coeff * self.kernel.compute(sv, x);
-        }
-        acc
-    }
-
-    /// Number of support vectors retained.
-    pub fn support_vector_count(&self) -> usize {
-        self.support_vectors.len()
-    }
-}
-
-/// One one-vs-one subproblem of a dataset: the rows of classes `a` and
-/// `b` with ±1 targets. Independent of every hyper-parameter, so grid
-/// search builds these once per fold and reuses them across the grid.
-pub(crate) struct PairSplit {
-    pub(crate) a: usize,
-    pub(crate) b: usize,
-    pub(crate) rows: Vec<Vec<f64>>,
-    pub(crate) targets: Vec<f64>,
-}
-
-/// Splits a dataset into its one-vs-one pair subproblems over the classes
-/// that actually appear, in ascending `(a, b)` order.
-pub(crate) fn pair_splits(data: &Dataset) -> Result<Vec<PairSplit>, TrainSvmError> {
-    if data.is_empty() {
-        return Err(TrainSvmError::EmptyDataset);
-    }
-    let histogram = data.class_histogram();
-    let present: Vec<usize> = (0..data.class_count())
-        .filter(|c| histogram[*c] > 0)
-        .collect();
-    if present.len() < 2 {
-        return Err(TrainSvmError::SingleClass);
-    }
-    let mut splits = Vec::new();
-    for (pi, &a) in present.iter().enumerate() {
-        for &b in &present[pi + 1..] {
-            let mut rows = Vec::new();
-            let mut targets = Vec::new();
-            for (row, label) in data.rows().iter().zip(data.labels()) {
-                if *label == a {
-                    rows.push(row.clone());
-                    targets.push(1.0);
-                } else if *label == b {
-                    rows.push(row.clone());
-                    targets.push(-1.0);
-                }
-            }
-            splits.push(PairSplit { a, b, rows, targets });
-        }
-    }
-    Ok(splits)
-}
-
-/// A one-vs-one multiclass SVM.
-///
-/// Trains one [`BinarySvm`] per class pair and predicts by majority vote,
-/// breaking ties by summed decision margins.
-///
-/// `pair_splits` clones each class's rows into every machine that involves
-/// the class, so one support-vector row can appear in up to `k − 1` of the
-/// pairwise machines. Construction moves every machine's support vectors
-/// into one table deduped by `f64` bit pattern, and each machine keeps its
-/// `(coefficient, row index)` refs in the original support-vector order.
-/// A prediction evaluates the kernel once per unique row, then every
-/// machine accumulates `bias + Σ coeff · k` in that order. A shared kernel
-/// value is the identical `f64` a per-machine [`BinarySvm::decision`] would
-/// recompute, and the summation order is unchanged, so votes, margins and
-/// the tie-break are bit-for-bit those of the per-machine evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SvmClassifier {
-    class_count: usize,
-    kernel: Kernel,
-    /// Distinct support-vector rows across every machine.
-    rows: Vec<Vec<f64>>,
-    machines: Vec<PairMachine>,
-}
-
-/// One pairwise machine over the shared row table. Positive decisions vote
-/// for `a`; `a < b`.
-#[derive(Debug, Clone, PartialEq)]
-struct PairMachine {
-    a: usize,
-    b: usize,
-    bias: f64,
-    /// `(αᵢ · yᵢ, row index)` in the machine's support-vector order.
-    refs: Vec<(f64, usize)>,
-}
-
-impl SvmClassifier {
-    /// Trains on a labelled dataset.
-    ///
-    /// Pairs in which one class has no rows are skipped; prediction still
-    /// works over the remaining machines.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainSvmError::EmptyDataset`] and [`TrainSvmError::SingleClass`].
-    pub fn fit(data: &Dataset, params: &SvmParams) -> Result<Self, TrainSvmError> {
-        let machines = pair_splits(data)?
-            .into_iter()
-            .map(|p| (p.a, p.b, BinarySvm::fit(p.rows, &p.targets, params)))
+    /// The row-at-a-time prediction the lane table replaced: each unique
+    /// row's kernel value through [`Kernel::compute`], then the machines'
+    /// vote. Returns the class, every row's kernel value and every class's
+    /// summed margin.
+    fn row_table_oracle(svm: &SvmClassifier, features: &[f64]) -> (usize, Vec<f64>, Vec<f64>) {
+        let values: Vec<f64> = (0..svm.row_count)
+            .map(|i| {
+                let row: Vec<f64> = (0..svm.dim)
+                    .map(|d| svm.lanes[(i / LANE) * svm.dim + d][i % LANE])
+                    .collect();
+                svm.kernel.compute(&row, features)
+            })
             .collect();
-        Ok(SvmClassifier::from_machines(data.class_count(), machines))
-    }
-
-    /// Assembles a classifier from trained pair machines `(a, b, machine)`
-    /// sharing one kernel, moving their support vectors into the deduped
-    /// row table. Grid search uses this directly, since it shares Gram
-    /// matrices across fits.
-    pub(crate) fn from_machines(
-        class_count: usize,
-        machines: Vec<(usize, usize, BinarySvm)>,
-    ) -> Self {
-        let kernel = machines
-            .first()
-            .map_or_else(Kernel::default, |m| m.2.kernel);
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        // Bit patterns, not numeric equality: -0.0 and 0.0 must stay
-        // distinct or Linear-kernel sums could differ in sign.
-        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut pair_machines = Vec::with_capacity(machines.len());
-        for (a, b, svm) in machines {
-            debug_assert_eq!(svm.kernel, kernel, "pair machines share one kernel");
-            let mut refs = Vec::with_capacity(svm.coefficients.len());
-            for (row, coeff) in svm.support_vectors.into_iter().zip(svm.coefficients) {
-                let bits = row.iter().map(|x| x.to_bits()).collect();
-                let idx = *index.entry(bits).or_insert_with(|| {
-                    rows.push(row);
-                    rows.len() - 1
-                });
-                refs.push((coeff, idx));
-            }
-            pair_machines.push(PairMachine {
-                a,
-                b,
-                bias: svm.bias,
-                refs,
-            });
-        }
-        SvmClassifier {
-            class_count,
-            kernel,
-            rows,
-            machines: pair_machines,
-        }
-    }
-
-    /// Number of pairwise machines.
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-}
-
-impl Classifier for SvmClassifier {
-    fn predict(&self, features: &[f64]) -> usize {
-        let values: Vec<f64> = self
-            .rows
-            .iter()
-            .map(|row| self.kernel.compute(row, features))
-            .collect();
-        let mut votes = vec![0usize; self.class_count];
-        let mut margins = vec![0.0f64; self.class_count];
-        for machine in &self.machines {
+        let mut votes = vec![0usize; svm.class_count];
+        let mut margins = vec![0.0f64; svm.class_count];
+        for machine in &svm.machines {
             let mut d = machine.bias;
             for (coeff, idx) in &machine.refs {
                 d += coeff * values[*idx];
@@ -595,35 +739,16 @@ impl Classifier for SvmClassifier {
             margins[machine.b] -= d;
         }
         let best_votes = *votes.iter().max().expect("at least one machine");
-        (0..self.class_count)
+        let class = (0..svm.class_count)
             .filter(|c| votes[*c] == best_votes)
             .max_by(|x, y| {
                 margins[*x]
                     .partial_cmp(&margins[*y])
                     .expect("finite margins")
             })
-            .expect("at least one class has max votes")
+            .expect("at least one class has max votes");
+        (class, values, margins)
     }
-
-    fn name(&self) -> &'static str {
-        "svm"
-    }
-}
-
-impl fmt::Display for SvmClassifier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "one-vs-one svm: {} machines over {} classes",
-            self.machines.len(),
-            self.class_count
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn xor_free_dataset() -> Dataset {
         // Two linearly separable blobs.
@@ -786,7 +911,7 @@ mod tests {
             ),
         ] {
             for split in pair_splits(&data).expect("two classes") {
-                let reference = BinarySvm::fit_uncached(&split.rows, &split.targets, &params);
+                let reference = fit_uncached(&split.rows, &split.targets, &params);
                 let cached = BinarySvm::fit(split.rows.clone(), &split.targets, &params);
                 assert_eq!(cached, reference, "cached fit drifted from reference");
                 let gram = Gram::compute(&split.rows, params.kernel);
@@ -810,7 +935,7 @@ mod tests {
         let svm = SvmClassifier::fit(&d, &SvmParams::default()).expect("trains");
         let references: usize = svm.machines.iter().map(|m| m.refs.len()).sum();
         assert!(
-            svm.rows.len() < references,
+            svm.row_count < references,
             "3-class one-vs-one must share support-vector rows"
         );
     }
@@ -823,5 +948,84 @@ mod tests {
         let svm = SvmClassifier::fit(&d, &SvmParams::default()).expect("trains");
         assert_eq!(svm.predict(&[-2.5, -1.5]), 0);
         assert_eq!(svm.predict(&[2.5, 1.5]), 1);
+    }
+
+    /// A feature row wider than the model must panic, not have its extra
+    /// features dropped by the zip over a lane's columns.
+    #[test]
+    #[should_panic(expected = "does not match the model")]
+    fn wider_feature_row_panics() {
+        let svm = SvmClassifier::fit(&xor_free_dataset(), &SvmParams::default()).expect("trains");
+        let _ = svm.predict(&[2.0, 2.0, 2.0]);
+    }
+
+    /// One scratch serves models of different sizes: each call resizes the
+    /// buffers to the model it runs.
+    #[test]
+    fn scratch_is_reused_across_models() {
+        let mut three = Dataset::new(2, vec!["a".into(), "b".into(), "c".into()]).expect("valid");
+        for i in 0..15 {
+            let t = f64::from(i) * 0.02;
+            three.push(vec![0.0 + t, 0.0], 0).expect("row");
+            three.push(vec![4.0 + t, 0.0], 1).expect("row");
+            three.push(vec![2.0 + t, 4.0], 2).expect("row");
+        }
+        let big = SvmClassifier::fit(&three, &SvmParams::default()).expect("trains");
+        let small = SvmClassifier::fit(&xor_free_dataset(), &SvmParams::default()).expect("trains");
+        let mut scratch = SvmScratch::default();
+        for (svm, probe) in [(&big, [4.1, 0.1]), (&small, [2.0, 2.0]), (&big, [0.1, 0.1])] {
+            let class = svm.decide_into(&probe, &mut scratch);
+            let (expected, _, margins) = row_table_oracle(svm, &probe);
+            assert_eq!(class, expected);
+            assert_eq!(scratch.margins().len(), svm.class_count);
+            let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(scratch.margins()), bits(&margins));
+        }
+    }
+
+    /// Feature values for the lane property: duplicates are common and
+    /// both signed zeros appear.
+    const PALETTE: [f64; 7] = [-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0];
+
+    proptest! {
+        /// The lane table predicts exactly like the row-at-a-time oracle,
+        /// class and every margin bit for bit, over widths 1–11 and row
+        /// counts that leave the last lane partly filled, under both
+        /// kernels, with one scratch reused across every query.
+        #[test]
+        fn lanes_predict_like_the_row_table_oracle(
+            rows in prop::collection::vec(
+                (0usize..4, prop::collection::vec(0usize..PALETTE.len(), 11..12)),
+                2..48,
+            ),
+            dims in 1usize..12,
+            linear in any::<bool>(),
+            gamma in 0.05f64..2.0,
+            queries in prop::collection::vec(prop::collection::vec(-2.0f64..3.0, 11..12), 1..6),
+        ) {
+            let names = (0..4).map(|c| format!("c{c}")).collect();
+            let mut data = Dataset::new(dims, names).expect("valid");
+            for (i, (label, cells)) in rows.iter().enumerate() {
+                // The first two rows pin two distinct classes.
+                let label = if i < 2 { i } else { *label };
+                data.push(cells[..dims].iter().map(|c| PALETTE[*c]).collect(), label)
+                    .expect("row");
+            }
+            let params = SvmParams {
+                kernel: if linear { Kernel::Linear } else { Kernel::Rbf { gamma } },
+                ..SvmParams::default()
+            };
+            let svm = SvmClassifier::fit(&data, &params).expect("two classes present");
+            prop_assert_eq!(svm.lanes.len(), svm.row_count.div_ceil(LANE) * dims);
+            let mut scratch = SvmScratch::default();
+            let random = queries.iter().map(|q| q[..dims].to_vec());
+            let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for query in data.rows().iter().cloned().chain(random) {
+                let (class, values, margins) = row_table_oracle(&svm, &query);
+                prop_assert_eq!(svm.decide_into(&query, &mut scratch), class);
+                prop_assert_eq!(bits(&scratch.values), bits(&values));
+                prop_assert_eq!(bits(scratch.margins()), bits(&margins));
+            }
+        }
     }
 }

@@ -377,10 +377,13 @@ impl ShardedBmsServer {
     ///
     /// Returns the room the device was classified into, if any.
     pub fn post_observation(&self, report: ObservationReport) -> Option<RoomLabel> {
-        let room = self.estimator.classify(&report);
-        self.shard_for(report.device)
-            .ingest(report, room, None, self.retention);
-        room
+        match self
+            .shard_for(report.device)
+            .ingest(report, &*self.estimator, None, self.retention)
+        {
+            IngestOutcome::Accepted { room } => room,
+            IngestOutcome::Duplicate => unreachable!("no dedup window, so no duplicates"),
+        }
     }
 
     /// The reliable ingestion endpoint: idempotent and reorder-tolerant.
@@ -388,17 +391,16 @@ impl ShardedBmsServer {
     /// Where [`post_observation`](Self::post_observation) trusts its caller,
     /// `ingest` assumes an **at-least-once** uplink: a retransmitted
     /// duplicate (same `(device, seq)` inside the bounded dedup window) is
-    /// dropped with no state change, a straggler that arrives late is
-    /// applied but can never overwrite a newer classification (last writer
-    /// wins on *report* time, not arrival time), and the per-device
-    /// assignment history is kept in report-time order. At-least-once
-    /// delivery composed with this endpoint gives effectively exactly-once
-    /// ingestion *effects*.
+    /// dropped with no state change and is never classified, a straggler
+    /// that arrives late is applied but can never overwrite a newer
+    /// classification (last writer wins on *report* time, not arrival
+    /// time), and the per-device assignment history is kept in report-time
+    /// order. At-least-once delivery composed with this endpoint gives
+    /// effectively exactly-once ingestion *effects*.
     pub fn ingest(&self, report: ObservationReport) -> IngestOutcome {
-        let room = self.estimator.classify(&report);
         self.shard_for(report.device).ingest(
             report,
-            room,
+            &*self.estimator,
             Some(self.dedup_capacity),
             self.retention,
         )
@@ -1343,6 +1345,28 @@ mod tests {
             .filter(|e| matches!(e, TelemetryEvent::DedupHit { device: 1, seq: 10 }))
             .count();
         assert_eq!(hits, 2);
+    }
+
+    /// Dedup runs before classification: the estimator sees each accepted
+    /// `(device, seq)` once and never a retransmitted duplicate.
+    #[test]
+    fn duplicates_are_never_classified() {
+        let classified = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&classified);
+        let counting: Arc<dyn OccupancyEstimator> = Arc::new(move |r: &ObservationReport| {
+            log.lock().push((r.device, r.seq));
+            Some(0)
+        });
+        let fleet = ShardedBmsServer::new(counting, 3);
+        let mut reports = stream();
+        reports.extend(stream());
+        assert_eq!(fleet.ingest_all(reports), (200, 200));
+        assert_eq!(fleet.ingest(report(0, 0, 0)), IngestOutcome::Duplicate);
+        let mut seen = classified.lock().clone();
+        seen.sort();
+        let mut expected: Vec<_> = stream().iter().map(|r| (r.device, r.seq)).collect();
+        expected.sort();
+        assert_eq!(seen, expected);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! fold gives the same answer whatever the shard count.
 
 use crate::archive::{ArchiveSink, DeviceMark};
-use crate::bms::{IngestOutcome, RoomLabel, ServerStats};
+use crate::bms::{IngestOutcome, OccupancyEstimator, RoomLabel, ServerStats};
 use crate::{DeviceId, ObservationReport};
 use parking_lot::Mutex;
 use roomsense_sim::{SimDuration, SimTime};
@@ -307,16 +307,17 @@ impl ServerState {
     }
 
     /// Applies one report: the dedup check when `dedup_capacity` is given,
-    /// the classification, the log insert and the retention compaction.
-    /// Returns `None` for a duplicate, else what compaction handed off for
-    /// archival.
+    /// then — only for a report that passed it — the classification by
+    /// `estimator`, the log insert and the retention compaction. Returns
+    /// `None` for a duplicate, else the room and what compaction handed off
+    /// for archival.
     fn apply(
         &mut self,
         report: ObservationReport,
-        room: Option<RoomLabel>,
+        estimator: &dyn OccupancyEstimator,
         dedup_capacity: Option<usize>,
         retention: Option<SimDuration>,
-    ) -> Option<Spill> {
+    ) -> Option<(Option<RoomLabel>, Spill)> {
         let device = report.device;
         let record = self.devices.entry(device).or_default();
         if let Some(capacity) = dedup_capacity {
@@ -333,13 +334,14 @@ impl ServerState {
         }
         self.stats.reports_stored += 1;
         self.telemetry.incr(keys::BMS_INGEST_ACCEPTED);
+        let room = estimator.classify(&report);
         match room {
             Some(label) => record.classify(&report, label),
             None => self.stats.reports_unclassified += 1,
         }
         record.log.insert(report);
         let Some(window) = retention else {
-            return Some(Spill::default());
+            return Some((room, Spill::default()));
         };
         let (cutoff, spill) = record.compact(window);
         let dropped = (spill.reports.len() + spill.assignments.len()) as u64;
@@ -349,7 +351,7 @@ impl ServerState {
             self.floor = Some(self.floor.map_or(cutoff, |f| f.max(cutoff)));
             self.telemetry.add(keys::BMS_RETENTION_COMPACTED, dropped);
         }
-        Some(spill)
+        Some((room, spill))
     }
 
     /// The canonical per-device dump of this state (plus, when archive
@@ -407,20 +409,21 @@ impl Shard {
         }
     }
 
-    /// Ingests one report already classified into `room` (see
-    /// [`ServerState::apply`]) and spills whatever compaction dropped.
+    /// Ingests one report, classifying it only once it has passed the
+    /// dedup check (see [`ServerState::apply`]), and spills whatever
+    /// compaction dropped.
     pub(crate) fn ingest(
         &self,
         report: ObservationReport,
-        room: Option<RoomLabel>,
+        estimator: &dyn OccupancyEstimator,
         dedup_capacity: Option<usize>,
         retention: Option<SimDuration>,
     ) -> IngestOutcome {
         let device = report.device;
         let mut state = self.state.lock();
-        match state.apply(report, room, dedup_capacity, retention) {
+        match state.apply(report, estimator, dedup_capacity, retention) {
             None => IngestOutcome::Duplicate,
-            Some(spill) => {
+            Some((room, spill)) => {
                 self.spill_to_archive(&mut state, device, spill);
                 IngestOutcome::Accepted { room }
             }

@@ -19,7 +19,7 @@ use roomsense::{
 use roomsense_building::mobility::{MobilityModel, StaticPosition};
 use roomsense_building::presets;
 use roomsense_geom::Point;
-use roomsense_ml::{BinarySvm, Classifier, Dataset, Kernel, SvmClassifier, SvmParams};
+use roomsense_ml::{BinarySvm, Dataset, Kernel, SvmClassifier, SvmParams, SvmScratch};
 use roomsense_net::DeviceId;
 use roomsense_sim::exec::with_thread_override;
 use roomsense_sim::{rng, SimDuration};
@@ -191,7 +191,8 @@ impl PerMachineOracle {
         }
     }
 
-    fn predict(&self, features: &[f64]) -> usize {
+    /// The predicted class and every class's summed margin.
+    fn predict(&self, features: &[f64]) -> (usize, Vec<f64>) {
         let mut votes = vec![0usize; self.class_count];
         let mut margins = vec![0.0f64; self.class_count];
         for (a, b, svm) in &self.machines {
@@ -205,14 +206,15 @@ impl PerMachineOracle {
             margins[*b] -= d;
         }
         let best_votes = *votes.iter().max().expect("at least one class");
-        (0..self.class_count)
+        let class = (0..self.class_count)
             .filter(|c| votes[*c] == best_votes)
             .max_by(|x, y| {
                 margins[*x]
                     .partial_cmp(&margins[*y])
                     .expect("finite margins")
             })
-            .expect("at least one class has max votes")
+            .expect("at least one class has max votes");
+        (class, margins)
     }
 }
 
@@ -236,21 +238,24 @@ proptest! {
         prop_assert_eq!(corridor.fleet(&faults, rows_per_chunk), oracle);
     }
 
-    /// `SvmClassifier`'s shared-row prediction votes exactly like the
-    /// direct per-machine evaluation, for random small datasets over 2–4
-    /// classes (some possibly absent) with duplicate rows and signed zeros,
-    /// under both kernels, at the training rows and at random queries.
+    /// `SvmClassifier`'s shared-row, lane-laid prediction votes exactly
+    /// like the direct per-machine evaluation, class and every margin bit
+    /// for bit, for random datasets over 2–4 classes (some possibly absent)
+    /// with duplicate rows and signed zeros, widths 1–11 and row counts
+    /// that leave the last lane of 4 rows partly filled, under both
+    /// kernels, at the training rows and at random queries, with one
+    /// scratch reused across every query.
     #[test]
     fn svm_predicts_like_per_machine_oracle(
         rows in prop::collection::vec(
-            (0usize..4, prop::collection::vec(0usize..6, 3..4)),
-            2..24,
+            (0usize..4, prop::collection::vec(0usize..6, 11..12)),
+            2..48,
         ),
-        dims in 1usize..4,
+        dims in 1usize..12,
         linear in any::<bool>(),
         gamma in 0.05f64..2.0,
         queries in prop::collection::vec(
-            prop::collection::vec(-2.0f64..3.0, 3..4),
+            prop::collection::vec(-2.0f64..3.0, 11..12),
             1..6,
         ),
     ) {
@@ -269,9 +274,13 @@ proptest! {
         let svm = SvmClassifier::fit(&data, &params).expect("two classes present");
         let oracle = PerMachineOracle::fit(&data, &params);
         prop_assert_eq!(svm.machine_count(), oracle.machines.len());
+        let mut scratch = SvmScratch::default();
+        let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let random = queries.iter().map(|q| q[..dims].to_vec());
         for query in data.rows().iter().cloned().chain(random) {
-            prop_assert_eq!(svm.predict(&query), oracle.predict(&query));
+            let (class, margins) = oracle.predict(&query);
+            prop_assert_eq!(svm.decide_into(&query, &mut scratch), class);
+            prop_assert_eq!(bits(scratch.margins()), bits(&margins));
         }
     }
 }
