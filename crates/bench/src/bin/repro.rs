@@ -3,9 +3,9 @@
 //! Usage: `repro [fig1|fig3|fig4|fig5|fig6|fig7_8|fig9|fig10|fig11|sampling|calibration|<system arm>|all]`
 //!
 //! System arms (tracking, scaling, floors, faults, chaos, telemetry,
-//! scale, overload, archive, counting, positioning) dispatch through the
-//! [`roomsense::experiments::ARMS`] table: `repro` prints each arm's
-//! [`roomsense::experiments::ExperimentReport`] summary, asserts its
+//! scale, overload, archive, counting, positioning, ablation) dispatch
+//! through the [`roomsense::experiments::ARMS`] table: `repro` prints each
+//! arm's [`roomsense::experiments::ExperimentReport`] summary, asserts its
 //! invariants, and prints a unified `  <name> checksum: <hex> (threads: N)`
 //! line that `scripts/check.sh` compares across thread counts.
 //!
@@ -85,7 +85,7 @@ fn run_system(arm: &'static ExperimentArm) {
     report.assert_invariants();
     println!(
         "  {} checksum: {:016x} (threads: {})",
-        report.name(),
+        arm.name,
         report.checksum(),
         exec::thread_count()
     );

@@ -15,7 +15,7 @@ use roomsense_stack::{
     run_scan_into, simulate_receptions_into, AndroidLScanner, AndroidScanner, CycleSpan,
     IosScanner, RadioScratch, Reception, RestartWindows, ScanScratch, ScannerModel,
 };
-use roomsense_telemetry::{keys, Recorder, SpanTimer};
+use roomsense_telemetry::Recorder;
 use std::fmt;
 
 /// The output of one scan cycle with ground truth attached.
@@ -83,8 +83,8 @@ pub fn run_pipeline<M: MobilityModel + ?Sized>(
 /// apply when reports are sent, not here — wrap the transport in
 /// [`roomsense_net::FaultyTransport`] with the plan's schedules.) The
 /// recorder receives radio reception counts, scanner windows/stalls/dedup,
-/// the fault layer's dropped samples (`scan.samples_dropped`), filter holds
-/// and drops, and the simulated span each stage covered (`stage.*_ms`).
+/// the fault layer's dropped samples (`scan.samples_dropped`), and filter
+/// holds and drops.
 ///
 /// Recording never draws from the seeded RNG streams, and with
 /// [`FaultPlan::none`] the records are exactly [`run_pipeline`]'s. This is
@@ -175,7 +175,6 @@ pub(crate) fn run_device<M: MobilityModel + ?Sized>(
         }
     };
     let mut radio_rng = rng::for_indexed(seed, "pipeline-radio", scenario.seed());
-    let radio_span = SpanTimer::start(keys::STAGE_RADIO_MS, from);
     simulate_receptions_into(
         scenario.channel(),
         scenario.advertisers(),
@@ -192,9 +191,7 @@ pub(crate) fn run_device<M: MobilityModel + ?Sized>(
         &mut scratch.radio,
         &mut scratch.receptions,
     );
-    radio_span.stop(telemetry, until);
     let mut scan_rng = rng::for_indexed(seed, "pipeline-scan", scenario.seed());
-    let scan_span = SpanTimer::start(keys::STAGE_SCAN_MS, from);
     scanner.run_scan(
         &scratch.receptions,
         config,
@@ -205,8 +202,6 @@ pub(crate) fn run_device<M: MobilityModel + ?Sized>(
         &mut scratch.scan,
         &mut scratch.spans,
     );
-    scan_span.stop(telemetry, until);
-    let track_span = SpanTimer::start(keys::STAGE_TRACK_MS, from);
     let ranging = scenario.ranging_config();
     let mut tracks = FilterTracks::for_scenario(config, scenario);
     let mut records = Vec::with_capacity(scratch.spans.len());
@@ -231,7 +226,6 @@ pub(crate) fn run_device<M: MobilityModel + ?Sized>(
             true_room: scenario.plan().room_at(true_position),
         });
     }
-    track_span.stop(telemetry, until);
     records
 }
 
@@ -341,6 +335,7 @@ mod tests {
     use roomsense_building::presets;
     use roomsense_geom::Polyline;
     use roomsense_ibeacon::Minor;
+    use roomsense_telemetry::keys;
 
     fn corridor_scenario() -> Scenario {
         Scenario::from_plan(presets::two_transmitter_corridor(), 42)
@@ -522,12 +517,6 @@ mod tests {
         assert_eq!(telemetry.counter(keys::SCAN_CYCLES), 15);
         assert!(telemetry.counter(keys::RADIO_RX_RECEIVED) > 0);
         assert!(telemetry.counter(keys::SCAN_WINDOWS) > 0);
-        // Each stage covered the full 30 s simulated span exactly once.
-        for key in [keys::STAGE_RADIO_MS, keys::STAGE_SCAN_MS, keys::STAGE_TRACK_MS] {
-            let span = telemetry.histogram(key).expect("stage span recorded");
-            assert_eq!(span.count(), 1);
-            assert_eq!(span.sum(), 30_000.0);
-        }
     }
 
     #[test]

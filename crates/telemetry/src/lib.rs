@@ -37,4 +37,4 @@ mod event;
 mod recorder;
 
 pub use event::{TelemetryEvent, TransportEvent, TransportKind};
-pub use recorder::{keys, Histogram, MetricKey, Recorder, SpanTimer};
+pub use recorder::{keys, Histogram, MetricKey, Recorder};

@@ -1,8 +1,7 @@
-//! The [`Recorder`]: counters, gauges, fixed-bucket histograms, span timers
-//! and the bounded event journal, plus deterministic text exporters.
+//! The [`Recorder`]: counters, gauges, fixed-bucket histograms and the
+//! bounded event journal, plus deterministic text exporters.
 
 use crate::event::{TelemetryEvent, TransportEvent, TransportKind};
-use roomsense_sim::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -147,12 +146,6 @@ pub mod keys {
     pub const RADIO_RX_REPLAYED: MetricKey = MetricKey("radio.rx.replayed");
     /// SVM decision margins (histogram; signed distance to the hyperplane).
     pub const ML_SVM_MARGIN: MetricKey = MetricKey("ml.svm.margin");
-    /// Sim-time spent generating receptions, per pipeline run (histogram).
-    pub const STAGE_RADIO_MS: MetricKey = MetricKey("stage.radio_ms");
-    /// Sim-time spanned by the scan stage, per pipeline run (histogram).
-    pub const STAGE_SCAN_MS: MetricKey = MetricKey("stage.scan_ms");
-    /// Sim-time spanned by the tracking stage, per pipeline run (histogram).
-    pub const STAGE_TRACK_MS: MetricKey = MetricKey("stage.track_ms");
     /// Energy drawn by the always-on baseline, in millijoules (gauge).
     pub const ENERGY_BASELINE_MJ: MetricKey = MetricKey("energy.baseline_mj");
     /// Energy drawn by the occupancy service CPU load (gauge).
@@ -498,43 +491,10 @@ fn sanitise(key: &str) -> String {
     key.replace('.', "_")
 }
 
-/// Measures the sim-time span of one pipeline stage into a histogram key.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_sim::SimTime;
-/// use roomsense_telemetry::{keys, Recorder, SpanTimer};
-///
-/// let mut rec = Recorder::new();
-/// let timer = SpanTimer::start(keys::STAGE_SCAN_MS, SimTime::ZERO);
-/// timer.stop(&mut rec, SimTime::from_secs(2));
-/// assert_eq!(rec.histogram(keys::STAGE_SCAN_MS).unwrap().sum(), 2000.0);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SpanTimer {
-    key: MetricKey,
-    start: SimTime,
-}
-
-impl SpanTimer {
-    /// Starts a span at sim-time `at`.
-    pub fn start(key: MetricKey, at: SimTime) -> Self {
-        SpanTimer { key, start: at }
-    }
-
-    /// Ends the span at sim-time `at`, recording its length in milliseconds
-    /// (clamped to zero if `at` precedes the start).
-    pub fn stop(self, recorder: &mut Recorder, at: SimTime) {
-        let span = at.saturating_since(self.start);
-        recorder.observe(self.key, span.as_millis() as f64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roomsense_sim::SimDuration;
+    use roomsense_sim::{SimDuration, SimTime};
 
     fn burst(start_ms: u64, delivered: bool) -> TransportEvent {
         TransportEvent {

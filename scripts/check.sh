@@ -8,8 +8,8 @@
 # paths) and once at the default parallelism, so a scheduling-dependent
 # bug cannot hide behind whichever mode the CI host happens to pick.
 # The full `repro all` text — every paper figure, and every system arm in
-# the experiments ARMS table (tracking through positioning) asserting its
-# own invariants and printing its fingerprint checksum — must match the
+# the experiments ARMS table (tracking through ablation, 12 arms) asserting
+# its own invariants and printing its fingerprint checksum — must match the
 # committed repro_output.txt under a single worker and again under the
 # default parallelism, so every figure and checksum is pinned and
 # thread-invariant.
@@ -40,31 +40,32 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # Figure and determinism gate: `repro all` regenerates every figure and
 # table and runs every system arm in the ARMS table; each arm asserts its
 # own invariants (occupancy accuracy, memory bounds, zero silent loss, MAE
-# bounds for the counting presets, ...) and exits non-zero when one fails,
-# then prints a "  <name> checksum: <hex> (threads: N)" line. Each run is
-# written to a file first, so a non-zero exit fails here. The single-worker
-# text must be byte-identical to the committed repro_output.txt apart from
-# the wall-clock `timings:` lines; the default-parallelism text must match
-# it too once the "(threads: N)" suffixes are also dropped. Both runs equal
-# one file, so every figure and every arm checksum is thread-invariant.
+# bounds for the counting presets, the ablation orderings, ...) and exits
+# non-zero when one fails, then prints a "  <name> checksum: <hex>
+# (threads: N)" line. No arm prints wall-clock figures, so every line is
+# compared. Each run is written to a file first, so a non-zero exit fails
+# here. The single-worker text must be byte-identical to the committed
+# repro_output.txt; the default-parallelism text must match it too once the
+# "(threads: N)" suffixes are dropped. Both runs equal one file, so every
+# figure and every arm checksum is thread-invariant.
 # Regenerate the file deliberately when a change is meant to move numbers.
 repro_out=$(mktemp)
 trap 'rm -f "$repro_out"' EXIT
 ROOMSENSE_THREADS=1 ./target/release/repro all 2>/dev/null > "$repro_out"
-if ! diff <(grep -v 'timings:' repro_output.txt) <(grep -v 'timings:' "$repro_out"); then
-    echo "check.sh: repro all at threads=1 differs from repro_output.txt beyond timings: lines" >&2
+if ! diff repro_output.txt "$repro_out"; then
+    echo "check.sh: repro all at threads=1 differs from repro_output.txt" >&2
     exit 1
 fi
-echo "repro all at threads=1 matches repro_output.txt (timings: lines ignored)"
+echo "repro all at threads=1 matches repro_output.txt"
 without_threads() {
-    grep -v 'timings:' "$1" | sed 's/ (threads: [0-9]*)$//'
+    sed 's/ (threads: [0-9]*)$//' "$1"
 }
 env -u ROOMSENSE_THREADS ./target/release/repro all 2>/dev/null > "$repro_out"
 if ! diff <(without_threads repro_output.txt) <(without_threads "$repro_out"); then
-    echo "check.sh: repro all at default threads differs from repro_output.txt beyond timings: lines and thread counts" >&2
+    echo "check.sh: repro all at default threads differs from repro_output.txt beyond thread counts" >&2
     exit 1
 fi
-echo "repro all at default threads matches repro_output.txt (timings: lines and thread counts ignored)"
+echo "repro all at default threads matches repro_output.txt (thread counts ignored)"
 
 # Benchmark gate: short traced office_e2e runs of the repository benchmark
 # (BENCHMARK.json) on two seeds, from the repo root. The fleet's radio
@@ -104,4 +105,4 @@ echo "perfbench history_reads traced run passed its reference-answer, oracle-dig
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
-echo "check.sh: build + examples + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 11 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
+echo "check.sh: build + examples + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 12 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"

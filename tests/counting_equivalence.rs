@@ -16,6 +16,7 @@ use roomsense::crowd::{self, CrowdPreset};
 use roomsense::experiments::{ExperimentCtx, ExperimentReport};
 use roomsense::FaultPlan;
 use roomsense_net::{CountingConfig, ObservationReport, OccupancyEstimator, ShardedBmsServer};
+use roomsense_sim::exec::with_thread_override;
 use roomsense_sim::SimTime;
 use std::sync::Arc;
 
@@ -112,15 +113,10 @@ proptest! {
     /// worker count must not leak into it.
     #[test]
     fn counting_checksum_is_thread_invariant(seed in any::<u64>()) {
-        let serial = ExperimentCtx::new(seed)
-            .with_devices(12)
-            .with_threads(1)
-            .counting();
-        let parallel = ExperimentCtx::new(seed)
-            .with_devices(12)
-            .with_threads(4)
-            .counting();
+        let ctx = ExperimentCtx::new(seed).with_devices(12);
+        let serial = with_thread_override(1, || ctx.counting());
+        let parallel = with_thread_override(4, || ctx.counting());
         prop_assert_eq!(serial.checksum(), parallel.checksum());
-        prop_assert_eq!(serial.fingerprint, parallel.fingerprint);
+        prop_assert_eq!(serial, parallel);
     }
 }

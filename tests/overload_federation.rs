@@ -23,6 +23,7 @@ use roomsense_net::{
     Admission, CampusFederation, DeviceId, IngestTier, IngestTierConfig, ObservationReport,
     OccupancyEstimator, ServiceLevel, ShardedBmsServer, SightedBeacon,
 };
+use roomsense_sim::exec::with_thread_override;
 use roomsense_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -168,9 +169,9 @@ proptest! {
 fn overload_experiment_is_thread_invariant_and_bounded() {
     let ctx = ExperimentCtx::new(77).with_devices(30).with_shards(3);
     let base = ctx.overload();
-    let serial = ctx.clone().with_threads(1).overload();
-    assert_eq!(base.fingerprint, serial.fingerprint);
-    let f = &base.fingerprint;
+    let serial = with_thread_override(1, || ctx.overload());
+    assert_eq!(base, serial);
+    let f = &base;
     assert!(f.memory_bounded());
     assert_eq!(f.admitted, f.offered, "shedding lost reports");
     assert!(f.degraded_consistent, "a degraded answer was wrong, not just stale");

@@ -67,31 +67,25 @@ fn grid_search_parallel_equals_sequential() {
 
 #[test]
 fn faults_experiment_parallel_equals_sequential() {
-    let sequential = ExperimentCtx::new(21).with_threads(1).faults();
-    let parallel = ExperimentCtx::new(21).with_threads(4).faults();
+    let ctx = ExperimentCtx::new(21);
+    let sequential = with_thread_override(1, || ctx.faults());
+    let parallel = with_thread_override(4, || ctx.faults());
     assert_eq!(parallel, sequential);
 }
 
 #[test]
 fn sweeps_and_folds_parallel_equal_sequential() {
-    let sweep_seq = ExperimentCtx::new(13)
-        .with_threads(1)
-        .coefficient_sweep(&[0.2, 0.65], 2);
-    let sweep_par = ExperimentCtx::new(13)
-        .with_threads(4)
-        .coefficient_sweep(&[0.2, 0.65], 2);
+    let ctx = ExperimentCtx::new(13);
+    let sweep_seq = with_thread_override(1, || ctx.coefficient_sweep(&[0.2, 0.65], 2));
+    let sweep_par = with_thread_override(4, || ctx.coefficient_sweep(&[0.2, 0.65], 2));
     assert_eq!(sweep_par, sweep_seq);
 
-    let energy_seq = ExperimentCtx::new(13)
-        .with_threads(1)
-        .energy(SimDuration::from_secs(600), 3);
-    let energy_par = ExperimentCtx::new(13)
-        .with_threads(4)
-        .energy(SimDuration::from_secs(600), 3);
+    let energy_seq = with_thread_override(1, || ctx.energy(SimDuration::from_secs(600), 3));
+    let energy_par = with_thread_override(4, || ctx.energy(SimDuration::from_secs(600), 3));
     assert_eq!(energy_par, energy_seq);
 
-    let cv_seq = ExperimentCtx::new(13).with_threads(1).cross_validation(4);
-    let cv_par = ExperimentCtx::new(13).with_threads(4).cross_validation(4);
+    let cv_seq = with_thread_override(1, || ctx.cross_validation(4));
+    let cv_par = with_thread_override(4, || ctx.cross_validation(4));
     assert_eq!(cv_par, cv_seq);
 }
 

@@ -226,8 +226,9 @@ proptest! {
 /// any worker count.
 #[test]
 fn positioning_checksum_is_thread_invariant() {
-    let serial = ExperimentCtx::new(roomsense_bench_seed()).with_threads(1).positioning();
-    let parallel = ExperimentCtx::new(roomsense_bench_seed()).with_threads(4).positioning();
+    let ctx = ExperimentCtx::new(roomsense_bench_seed());
+    let serial = with_thread_override(1, || ctx.positioning());
+    let parallel = with_thread_override(4, || ctx.positioning());
     assert_eq!(serial.checksum(), parallel.checksum());
     serial.assert_invariants();
 }

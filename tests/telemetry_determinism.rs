@@ -89,8 +89,9 @@ fn tracking_snapshot_is_identical_across_thread_counts() {
 
 #[test]
 fn telemetry_experiment_is_identical_across_thread_counts() {
-    let sequential = ExperimentCtx::new(31).with_threads(1).telemetry();
-    let parallel = ExperimentCtx::new(31).with_threads(4).telemetry();
+    let ctx = ExperimentCtx::new(31);
+    let sequential = with_thread_override(1, || ctx.telemetry());
+    let parallel = with_thread_override(4, || ctx.telemetry());
     assert_eq!(sequential.offered, parallel.offered);
     assert_eq!(sequential.delivered, parallel.delivered);
     assert_snapshots_identical(&sequential.recorder, &parallel.recorder);
