@@ -458,14 +458,11 @@ impl ExperimentCtx {
         distance_m: f64,
         duration: SimDuration,
     ) -> Vec<DeviceComparisonRow> {
-        let seed = self.seed;
         devices
             .iter()
             .map(|device| {
                 let config = PipelineConfig::paper_android().with_device(device.clone());
                 let capture = self.static_capture(&config, distance_m, duration);
-                let scenario = Scenario::from_plan(presets::two_transmitter_corridor(), seed);
-                let _ = &scenario;
                 // Recover per-cycle RSSI by re-running at the observation level:
                 // static_capture already exposes distances; convert the mean
                 // distance back to an effective RSSI via the ranging model.

@@ -48,7 +48,7 @@
 use crate::shard::DedupWindow;
 use crate::{DeviceId, ObservationReport, RoomLabel, SightedBeacon};
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
-use roomsense_sim::{SharedDisk, SimTime};
+use roomsense_sim::{FileId, SharedDisk, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -120,6 +120,41 @@ pub struct DeviceMark {
     pub records: u64,
     /// Running digest over `kind || payload` of each record, in order.
     pub digest: u64,
+}
+
+/// One device's archive slot: its mark and a re-spill dedup window per
+/// record kind, so a spill looks the device up once.
+#[derive(Debug)]
+struct DeviceArchive {
+    mark: DeviceMark,
+    reports: DedupWindow,
+    assignments: DedupWindow,
+}
+
+impl Default for DeviceArchive {
+    fn default() -> Self {
+        DeviceArchive {
+            mark: DeviceMark {
+                records: 0,
+                digest: FNV_OFFSET,
+            },
+            reports: DedupWindow::default(),
+            assignments: DedupWindow::default(),
+        }
+    }
+}
+
+/// What one [`ArchiveSink::append_spill`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SpillOutcome {
+    /// Records appended.
+    pub(crate) appended: u64,
+    /// Re-spilled records the dedup windows suppressed.
+    pub(crate) suppressed: u64,
+    /// Bytes appended to segment files, footers included.
+    pub(crate) bytes: u64,
+    /// Segments sealed.
+    pub(crate) sealed: u64,
 }
 
 /// Counters for one [`ArchiveSink`].
@@ -306,11 +341,13 @@ pub struct ArchiveSink {
     active_index: u64,
     /// File name of segment `active_index`, rebuilt only when it moves.
     active_name: String,
+    /// The active segment's file, opened at its first append (so a segment
+    /// that was never written is never listed) and dropped when it seals.
+    active_file: Option<FileId>,
     active: ActiveSegment,
     /// The frame buffer every append encodes into, reused across records.
     frame: Vec<u8>,
-    marks: BTreeMap<DeviceId, DeviceMark>,
-    dedup: BTreeMap<(u8, DeviceId), DedupWindow>,
+    devices: BTreeMap<DeviceId, DeviceArchive>,
     last_at: SimTime,
     healed: bool,
     read_corruptions: u64,
@@ -329,10 +366,10 @@ impl ArchiveSink {
             history: BTreeMap::new(),
             history_decodes: 0,
             active_index: 0,
+            active_file: None,
             active: ActiveSegment::fresh(),
             frame: Vec::new(),
-            marks: BTreeMap::new(),
-            dedup: BTreeMap::new(),
+            devices: BTreeMap::new(),
             last_at: SimTime::ZERO,
             healed: true,
             read_corruptions: 0,
@@ -340,44 +377,54 @@ impl ArchiveSink {
         }
     }
 
-    /// Appends one compacted report. Returns `false` when the record was
-    /// already archived (a journal-replay re-spill) and was suppressed.
-    pub fn append_report(&mut self, report: &ObservationReport) -> bool {
-        if !self.admit(KIND_REPORT, report.device, report.seq) {
-            return false;
-        }
-        begin_frame(&mut self.frame, KIND_REPORT);
-        write_report(&mut self.frame, report);
-        self.commit_frame(report.device, report.at, None);
-        true
-    }
-
-    /// Appends one compacted assignment. Returns `false` on a suppressed
-    /// re-spill.
-    pub fn append_assignment(
+    /// Appends one compaction pass's spill of `device`: its `reports`,
+    /// then its `assignments` `(at, seq, room)`, each in order. A record
+    /// the device's dedup window has already seen (a journal-replay
+    /// re-spill) is suppressed. The device's slot is looked up once for
+    /// the whole spill.
+    pub(crate) fn append_spill(
         &mut self,
         device: DeviceId,
-        at: SimTime,
-        seq: u64,
-        room: RoomLabel,
-    ) -> bool {
-        if !self.admit(KIND_ASSIGNMENT, device, seq) {
-            return false;
+        reports: &[ObservationReport],
+        assignments: &[(SimTime, u64, RoomLabel)],
+    ) -> SpillOutcome {
+        // An empty spill must not create a slot: every slot's device has
+        // at least one archived record, so `marks` lists exactly those.
+        if reports.is_empty() && assignments.is_empty() {
+            return SpillOutcome::default();
         }
-        begin_frame(&mut self.frame, KIND_ASSIGNMENT);
-        write_assignment(&mut self.frame, device, at, seq, room);
-        self.commit_frame(device, at, Some(room));
-        true
+        let before = self.stats;
+        // The map is moved out for the spill so the device's slot and the
+        // segment writer (the rest of `self`) can be borrowed side by side.
+        let mut devices = std::mem::take(&mut self.devices);
+        let slot = devices.entry(device).or_default();
+        for report in reports {
+            debug_assert_eq!(report.device, device, "a spill holds one device");
+            if self.admit(&mut slot.reports, report.seq) {
+                begin_frame(&mut self.frame, KIND_REPORT);
+                write_report(&mut self.frame, report);
+                self.commit_frame(&mut slot.mark, report.at, None);
+            }
+        }
+        for &(at, seq, room) in assignments {
+            if self.admit(&mut slot.assignments, seq) {
+                begin_frame(&mut self.frame, KIND_ASSIGNMENT);
+                write_assignment(&mut self.frame, device, at, seq, room);
+                self.commit_frame(&mut slot.mark, at, Some(room));
+            }
+        }
+        self.devices = devices;
+        SpillOutcome {
+            appended: self.stats.records - before.records,
+            suppressed: self.stats.respill_suppressed - before.respill_suppressed,
+            bytes: self.stats.bytes_appended - before.bytes_appended,
+            sealed: self.stats.segments_sealed - before.segments_sealed,
+        }
     }
 
     /// The re-spill dedup verdict for one record: true when it is new.
-    fn admit(&mut self, kind: u8, device: DeviceId, seq: u64) -> bool {
-        let capacity = self.config.dedup_capacity;
-        let fresh = self
-            .dedup
-            .entry((kind, device))
-            .or_default()
-            .check_and_insert(seq, capacity);
+    fn admit(&mut self, window: &mut DedupWindow, seq: u64) -> bool {
+        let fresh = window.check_and_insert(seq, self.config.dedup_capacity);
         if !fresh {
             self.stats.respill_suppressed += 1;
         }
@@ -385,13 +432,9 @@ impl ArchiveSink {
     }
 
     /// Finishes the frame in the buffer (a `room` marks an assignment),
-    /// folds it into the device mark and the segment digest, and appends it
-    /// to the active segment, sealing the segment when it is full.
-    fn commit_frame(&mut self, device: DeviceId, at: SimTime, room: Option<RoomLabel>) {
-        let mark = self.marks.entry(device).or_insert(DeviceMark {
-            records: 0,
-            digest: FNV_OFFSET,
-        });
+    /// folds it into the device `mark` and the segment digest, and appends
+    /// it to the active segment, sealing the segment when it is full.
+    fn commit_frame(&mut self, mark: &mut DeviceMark, at: SimTime, room: Option<RoomLabel>) {
         [mark.digest, self.active.digest] =
             finish_frame(&mut self.frame, [mark.digest, self.active.digest]);
         mark.records += 1;
@@ -403,7 +446,10 @@ impl ArchiveSink {
             }
             None => self.stats.reports += 1,
         }
-        self.disk.append(&self.active_name, at, &self.frame);
+        let file = *self
+            .active_file
+            .get_or_insert_with(|| self.disk.open(&self.active_name));
+        self.disk.append_file(file, at, &self.frame);
         self.stats.bytes_appended += self.frame.len() as u64;
         self.stats.records += 1;
         self.last_at = self.last_at.max(at);
@@ -412,12 +458,9 @@ impl ArchiveSink {
         }
     }
 
-    /// Seals the active segment: writes the footer, fsyncs, and opens the
-    /// next segment. No-op while the active segment is empty.
+    /// Seals the full active segment: writes the footer, fsyncs, and moves
+    /// on to the next segment, whose file opens at its first append.
     fn seal(&mut self, at: SimTime) {
-        if self.active.records == 0 {
-            return;
-        }
         let min_at = self.active.min_at.expect("non-empty segment");
         let max_at = self.active.max_at.expect("non-empty segment");
         let footer = encode_footer(
@@ -428,12 +471,13 @@ impl ArchiveSink {
             &self.active.summary,
         );
         let frame = frame_record(KIND_FOOTER, &footer);
-        let name = std::mem::take(&mut self.active_name);
-        self.disk.append(&name, at, &frame);
-        self.disk.fsync(&name, at);
+        let file = self.active_file.take().expect("a written segment is open");
+        self.disk.append_file(file, at, &frame);
+        self.disk.fsync_file(file, at);
         self.stats.bytes_appended += frame.len() as u64;
         self.stats.segments_sealed += 1;
         let segment = std::mem::replace(&mut self.active, ActiveSegment::fresh());
+        let name = std::mem::take(&mut self.active_name);
         self.sealed.push(SegmentMeta::sealed(name, segment));
         self.active_index += 1;
         self.active_name = segment_name(&self.config.prefix, self.active_index);
@@ -444,10 +488,9 @@ impl ArchiveSink {
     /// last record's report time as the operation time, keeping disk fault
     /// windows deterministic.
     pub fn flush(&mut self) {
-        if self.active.records == 0 {
-            return;
+        if let Some(file) = self.active_file {
+            self.disk.fsync_file(file, self.last_at);
         }
-        self.disk.fsync(&self.active_name, self.last_at);
     }
 
     /// Rebuilds a sink from whatever survived on `disk` under
@@ -538,15 +581,13 @@ impl ArchiveSink {
     }
 
     fn replay_mark(&mut self, kind: u8, device: DeviceId, seq: u64, payload: &[u8]) {
-        let capacity = self.config.dedup_capacity;
-        self.dedup
-            .entry((kind, device))
-            .or_default()
-            .check_and_insert(seq, capacity);
-        let mark = self.marks.entry(device).or_insert(DeviceMark {
-            records: 0,
-            digest: FNV_OFFSET,
-        });
+        let slot = self.devices.entry(device).or_default();
+        let window = match kind {
+            KIND_REPORT => &mut slot.reports,
+            _ => &mut slot.assignments,
+        };
+        window.check_and_insert(seq, self.config.dedup_capacity);
+        let mark = &mut slot.mark;
         fnv_fold(&mut mark.digest, &[kind]);
         fnv_fold(&mut mark.digest, payload);
         mark.records += 1;
@@ -812,8 +853,11 @@ impl ArchiveSink {
 
     /// Per-device archive marks (records + running digest), the coverage
     /// contract a checkpoint embeds.
-    pub fn marks(&self) -> &BTreeMap<DeviceId, DeviceMark> {
-        &self.marks
+    pub fn marks(&self) -> BTreeMap<DeviceId, DeviceMark> {
+        self.devices
+            .iter()
+            .map(|(device, slot)| (*device, slot.mark))
+            .collect()
     }
 
     /// Counters.
@@ -876,7 +920,7 @@ impl fmt::Display for ArchiveSink {
             "{} record(s) in {} sealed segment(s) (+active), {} device(s)",
             self.stats.records,
             self.sealed.len(),
-            self.marks.len()
+            self.devices.len()
         )
     }
 }
@@ -1248,7 +1292,7 @@ fn parse_segment_index(prefix: &str, name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roomsense_sim::{DiskFaultPlan, FaultSchedule, FaultWindow, SimDisk};
+    use roomsense_sim::{DiskFaultPlan, FaultSchedule, FaultWindow, SimDisk, SimDuration};
 
     fn report(device: u32, at_secs: u64, minor: u16) -> ObservationReport {
         ObservationReport {
@@ -1278,6 +1322,206 @@ mod tests {
             SimTime::from_secs(from_s),
             SimTime::from_secs(to_s),
         )])
+    }
+
+    /// One-record spills, for tests that append a record at a time.
+    impl ArchiveSink {
+        fn append_report(&mut self, report: &ObservationReport) -> bool {
+            self.append_spill(report.device, std::slice::from_ref(report), &[])
+                .appended
+                == 1
+        }
+
+        fn append_assignment(
+            &mut self,
+            device: DeviceId,
+            at: SimTime,
+            seq: u64,
+            room: RoomLabel,
+        ) -> bool {
+            self.append_spill(device, &[], &[(at, seq, room)]).appended == 1
+        }
+    }
+
+    /// The per-record append body [`ArchiveSink::append_spill`] replaced,
+    /// kept as its oracle: every record looks up its own `(kind, device)`
+    /// dedup window and its device's mark, encodes through the two-step
+    /// [`frame_record`], and appends to its segment by name.
+    struct OracleSink {
+        disk: SharedDisk,
+        config: ArchiveConfig,
+        active_index: u64,
+        active: ActiveSegment,
+        marks: BTreeMap<DeviceId, DeviceMark>,
+        dedup: BTreeMap<(u8, DeviceId), DedupWindow>,
+        last_at: SimTime,
+        stats: ArchiveStats,
+    }
+
+    impl OracleSink {
+        fn new(disk: SharedDisk, config: ArchiveConfig) -> Self {
+            OracleSink {
+                disk,
+                config,
+                active_index: 0,
+                active: ActiveSegment::fresh(),
+                marks: BTreeMap::new(),
+                dedup: BTreeMap::new(),
+                last_at: SimTime::ZERO,
+                stats: ArchiveStats::default(),
+            }
+        }
+
+        /// Recovery of `disk`: [`ArchiveSink::recover`] repairs the disk
+        /// and supplies the segment bookkeeping, while the marks, dedup
+        /// windows and record counts are replayed here from the records
+        /// that survived the crash, scanned before the repair wrote to
+        /// the disk.
+        fn recover(disk: SharedDisk, config: ArchiveConfig) -> Self {
+            let scans: Vec<SegmentScan> = disk
+                .list(&config.prefix)
+                .iter()
+                .map(|name| disk.with_file(name, scan_segment).expect("listed"))
+                .collect();
+            let (repaired, _) = ArchiveSink::recover(disk.clone(), config.clone());
+            let mut oracle = OracleSink::new(disk, config);
+            oracle.active_index = repaired.active_index;
+            oracle.last_at = repaired.last_at;
+            oracle.stats.segments_sealed = repaired.stats.segments_sealed;
+            for scan in &scans {
+                for rec in &scan.records {
+                    let (kind, device, seq, payload) = match rec {
+                        ArchiveRecord::Report(r) => {
+                            (KIND_REPORT, r.device, r.seq, encode_report(r))
+                        }
+                        ArchiveRecord::Assignment {
+                            device,
+                            at,
+                            seq,
+                            room,
+                        } => (
+                            KIND_ASSIGNMENT,
+                            *device,
+                            *seq,
+                            encode_assignment(*device, *at, *seq, *room),
+                        ),
+                    };
+                    let capacity = oracle.config.dedup_capacity;
+                    oracle
+                        .dedup
+                        .entry((kind, device))
+                        .or_default()
+                        .check_and_insert(seq, capacity);
+                    oracle.fold_mark(kind, device, &payload);
+                    oracle.stats.records += 1;
+                    match kind {
+                        KIND_REPORT => oracle.stats.reports += 1,
+                        _ => oracle.stats.assignments += 1,
+                    }
+                }
+            }
+            oracle
+        }
+
+        fn append_report(&mut self, report: &ObservationReport) -> bool {
+            if !self.admit(KIND_REPORT, report.device, report.seq) {
+                return false;
+            }
+            self.commit(
+                KIND_REPORT,
+                report.device,
+                report.at,
+                &encode_report(report),
+                None,
+            );
+            true
+        }
+
+        fn append_assignment(
+            &mut self,
+            device: DeviceId,
+            at: SimTime,
+            seq: u64,
+            room: RoomLabel,
+        ) -> bool {
+            if !self.admit(KIND_ASSIGNMENT, device, seq) {
+                return false;
+            }
+            let payload = encode_assignment(device, at, seq, room);
+            self.commit(KIND_ASSIGNMENT, device, at, &payload, Some(room));
+            true
+        }
+
+        fn admit(&mut self, kind: u8, device: DeviceId, seq: u64) -> bool {
+            let capacity = self.config.dedup_capacity;
+            let fresh = self
+                .dedup
+                .entry((kind, device))
+                .or_default()
+                .check_and_insert(seq, capacity);
+            if !fresh {
+                self.stats.respill_suppressed += 1;
+            }
+            fresh
+        }
+
+        fn fold_mark(&mut self, kind: u8, device: DeviceId, payload: &[u8]) {
+            let mark = self.marks.entry(device).or_insert(DeviceMark {
+                records: 0,
+                digest: FNV_OFFSET,
+            });
+            fnv_fold(&mut mark.digest, &[kind]);
+            fnv_fold(&mut mark.digest, payload);
+            mark.records += 1;
+        }
+
+        fn commit(
+            &mut self,
+            kind: u8,
+            device: DeviceId,
+            at: SimTime,
+            payload: &[u8],
+            room: Option<RoomLabel>,
+        ) {
+            self.fold_mark(kind, device, payload);
+            self.active.observe(kind, payload, at);
+            match room {
+                Some(room) => {
+                    *self.active.summary.entry(room as u64).or_insert(0) += 1;
+                    self.stats.assignments += 1;
+                }
+                None => self.stats.reports += 1,
+            }
+            let frame = frame_record(kind, payload);
+            let name = segment_name(&self.config.prefix, self.active_index);
+            self.disk.append(&name, at, &frame);
+            self.stats.bytes_appended += frame.len() as u64;
+            self.stats.records += 1;
+            self.last_at = self.last_at.max(at);
+            if self.active.records >= self.config.segment_records {
+                let footer = encode_footer(
+                    self.active.records,
+                    self.active.min_at.expect("non-empty segment"),
+                    self.active.max_at.expect("non-empty segment"),
+                    self.active.digest,
+                    &self.active.summary,
+                );
+                let frame = frame_record(KIND_FOOTER, &footer);
+                self.disk.append(&name, at, &frame);
+                self.disk.fsync(&name, at);
+                self.stats.bytes_appended += frame.len() as u64;
+                self.stats.segments_sealed += 1;
+                self.active = ActiveSegment::fresh();
+                self.active_index += 1;
+            }
+        }
+
+        fn flush(&mut self) {
+            if self.active.records > 0 {
+                let name = segment_name(&self.config.prefix, self.active_index);
+                self.disk.fsync(&name, self.last_at);
+            }
+        }
     }
 
     #[test]
@@ -1320,13 +1564,13 @@ mod tests {
         }
         assert_eq!(sink.records(), 20);
         assert_eq!(sink.segments_sealed(), 5);
-        let marks = sink.marks().clone();
+        let marks = sink.marks();
         sink.flush();
 
         let (mut recovered, rep) = ArchiveSink::recover(disk, small_config());
         assert!(rep.clean(), "{rep:?}");
         assert_eq!(rep.records, 20);
-        assert_eq!(recovered.marks(), &marks);
+        assert_eq!(recovered.marks(), marks);
         assert!(recovered.verify_covers(&marks).covered);
         let rows = recovered.reports_between(SimTime::ZERO, SimTime::from_secs(100));
         assert_eq!(rows.len(), 10);
@@ -1355,7 +1599,7 @@ mod tests {
         }
         // Segment 2 holds one volatile record; crash drops it cleanly.
         disk.crash(SimTime::from_secs(10));
-        let marks_full = sink.marks().clone();
+        let marks_full = sink.marks();
         let (recovered, rep) = ArchiveSink::recover(disk, small_config());
         assert_eq!(rep.records, 8);
         assert!(rep.clean(), "clean tail drop is not corruption: {rep:?}");
@@ -1397,7 +1641,7 @@ mod tests {
         for i in 0..4u64 {
             sink.append_report(&report(1, i, 0)); // sealed + fsynced pre-rot
         }
-        let marks = sink.marks().clone();
+        let marks = sink.marks();
         // A later append lands in the rot window and flips a durable byte
         // of the file it writes — but that is the *new* active segment, so
         // plant the flip into the sealed file instead by appending to it
@@ -1467,9 +1711,9 @@ mod tests {
                 shard1.append_report(&r);
             }
         }
-        let mut merged = shard0.marks().clone();
-        merged.extend(shard1.marks().clone());
-        assert_eq!(&merged, single.marks());
+        let mut merged = shard0.marks();
+        merged.extend(shard1.marks());
+        assert_eq!(merged, single.marks());
     }
 
     #[test]
@@ -1524,7 +1768,7 @@ mod tests {
         for i in 0..4u64 {
             sink.append_report(&report(1, i, 0)); // seal fsync silently lost
         }
-        let marks = sink.marks().clone();
+        let marks = sink.marks();
         disk.crash(SimTime::from_secs(50));
         let (recovered, rep) = ArchiveSink::recover(disk, small_config());
         // The scan sees an innocently empty disk...
@@ -1693,7 +1937,7 @@ mod tests {
                     mark.records += 1;
                     expected.extend_from_slice(&frame);
                 }
-                prop_assert_eq!(sink.marks(), &marks);
+                prop_assert_eq!(sink.marks(), marks);
 
                 let mut written = Vec::new();
                 for name in disk.list(&config.prefix) {
@@ -1827,6 +2071,106 @@ mod tests {
                             }
                             _ => {}
                         }
+                    }
+                }
+            }
+
+            /// `append_spill` writes what the per-record oracle writes, spill
+            /// by spill: every segment file byte for byte, the marks, the
+            /// counters, and each spill's appended/suppressed/bytes/sealed
+            /// split. Spills pick random devices and seqs from a small range
+            /// (so re-spills recur) and straddle seals of tiny segments; a
+            /// spill can be replayed verbatim. After a crash, recovery
+            /// rebuilds the marks and dedup windows the oracle replays from
+            /// the same surviving bytes, and the two keep agreeing.
+            #[test]
+            fn append_spill_matches_the_per_record_oracle(
+                seed in any::<u64>(),
+                faults in any::<bool>(),
+                segment_records in 1u32..6,
+                ops in prop::collection::vec(
+                    (
+                        0u8..10,
+                        0u32..5,
+                        0u64..20_000,
+                        prop::collection::vec((0u64..24, 0u64..20_000), 0..5),
+                        prop::collection::vec((0u64..24, 0u64..20_000, 0usize..4), 0..5),
+                    ),
+                    1..40,
+                ),
+            ) {
+                let config = ArchiveConfig {
+                    segment_records,
+                    dedup_capacity: 8,
+                    ..ArchiveConfig::default()
+                };
+                let plan = if faults {
+                    DiskFaultPlan::chaos(seed, SimDuration::from_secs(20))
+                } else {
+                    DiskFaultPlan::none()
+                };
+                let new_disk = || SharedDisk::new(SimDisk::new(seed).with_fault_plan(plan.clone()));
+                let (disk, oracle_disk) = (new_disk(), new_disk());
+                let mut sink = ArchiveSink::new(disk.clone(), config.clone());
+                let mut oracle = OracleSink::new(oracle_disk.clone(), config.clone());
+                let mut last_spill = None;
+                for (op, device, at_ms, reports, assignments) in ops {
+                    let device = DeviceId::new(device);
+                    let at = SimTime::from_millis(at_ms);
+                    let spill = match op {
+                        0..=5 => {
+                            let reports: Vec<ObservationReport> = reports
+                                .iter()
+                                .map(|&(seq, at_ms)| arbitrary_report(device.value(), seq, at_ms, &[]))
+                                .collect();
+                            let assignments: Vec<(SimTime, u64, RoomLabel)> = assignments
+                                .iter()
+                                .map(|&(seq, at_ms, room)| (SimTime::from_millis(at_ms), seq, room))
+                                .collect();
+                            Some((device, reports, assignments))
+                        }
+                        6 => last_spill.clone(),
+                        7 => {
+                            sink.flush();
+                            oracle.flush();
+                            None
+                        }
+                        _ => {
+                            disk.crash(at);
+                            oracle_disk.crash(at);
+                            sink = ArchiveSink::recover(disk.clone(), config.clone()).0;
+                            oracle = OracleSink::recover(oracle_disk.clone(), config.clone());
+                            None
+                        }
+                    };
+                    if let Some((device, reports, assignments)) = &spill {
+                        let outcome = sink.append_spill(*device, reports, assignments);
+                        let before = oracle.stats;
+                        let mut verdicts: Vec<bool> =
+                            reports.iter().map(|r| oracle.append_report(r)).collect();
+                        verdicts.extend(
+                            assignments
+                                .iter()
+                                .map(|&(at, seq, room)| oracle.append_assignment(*device, at, seq, room)),
+                        );
+                        let appended = verdicts.iter().filter(|&&fresh| fresh).count() as u64;
+                        prop_assert_eq!(outcome, SpillOutcome {
+                            appended,
+                            suppressed: verdicts.len() as u64 - appended,
+                            bytes: oracle.stats.bytes_appended - before.bytes_appended,
+                            sealed: oracle.stats.segments_sealed - before.segments_sealed,
+                        });
+                        last_spill = spill;
+                    }
+                    prop_assert_eq!(sink.marks(), oracle.marks.clone());
+                    prop_assert_eq!(sink.stats(), oracle.stats);
+                    let names = disk.list("");
+                    prop_assert_eq!(&names, &oracle_disk.list(""));
+                    for name in &names {
+                        prop_assert_eq!(
+                            disk.with_file(name, <[u8]>::to_vec),
+                            oracle_disk.with_file(name, <[u8]>::to_vec)
+                        );
                     }
                 }
             }

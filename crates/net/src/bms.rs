@@ -417,11 +417,15 @@ impl ShardedBmsServer {
         for report in reports {
             partitions[self.shard_of(report.device)].push(report);
         }
+        // Each partition sits behind its own (never contended) lock so the
+        // one worker that takes it can move its reports out.
+        let partitions: Vec<Mutex<Vec<ObservationReport>>> =
+            partitions.into_iter().map(Mutex::new).collect();
         let counts = exec::par_map_indexed(&partitions, |_, partition| {
             let mut accepted = 0u64;
             let mut duplicates = 0u64;
-            for report in partition {
-                match self.ingest(report.clone()) {
+            for report in std::mem::take(&mut *partition.lock()) {
+                match self.ingest(report) {
                     IngestOutcome::Accepted { .. } => accepted += 1,
                     IngestOutcome::Duplicate => duplicates += 1,
                 }
@@ -840,7 +844,7 @@ impl ShardedBmsServer {
                 let archive_marks = shard.archive.as_ref().map(|archive| {
                     let mut sink = archive.lock();
                     sink.flush();
-                    sink.marks().clone()
+                    sink.marks()
                 });
                 ShardSnapshot {
                     digest: snapshot_digest(&state, archive_marks.as_ref()),

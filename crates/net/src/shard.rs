@@ -387,12 +387,6 @@ struct Spill {
     assignments: Vec<(SimTime, u64, RoomLabel)>,
 }
 
-impl Spill {
-    fn is_empty(&self) -> bool {
-        self.reports.is_empty() && self.assignments.is_empty()
-    }
-}
-
 /// One shard: its state behind one lock and the durable tier retention
 /// compaction spills into. Lock order is always `state` before `archive`;
 /// never the reverse.
@@ -435,46 +429,26 @@ impl Shard {
     /// state lock held — the archive lock nests inside it.
     fn spill_to_archive(&self, state: &mut ServerState, device: DeviceId, spill: Spill) {
         let Some(archive) = &self.archive else { return };
-        if spill.is_empty() {
-            return;
-        }
-        let mut sink = archive.lock();
-        let bytes_before = sink.stats().bytes_appended;
-        let sealed_before = sink.segments_sealed();
-        let mut appended = 0u64;
-        let mut suppressed = 0u64;
-        for report in &spill.reports {
-            if sink.append_report(report) {
-                appended += 1;
-            } else {
-                suppressed += 1;
-            }
-        }
-        for (at, seq, room) in &spill.assignments {
-            if sink.append_assignment(device, *at, *seq, *room) {
-                appended += 1;
-            } else {
-                suppressed += 1;
-            }
-        }
-        let bytes = sink.stats().bytes_appended - bytes_before;
-        let sealed = sink.segments_sealed() - sealed_before;
-        drop(sink);
-        if appended > 0 {
-            state.telemetry.add(keys::BMS_ARCHIVE_RECORDS, appended);
-        }
-        if suppressed > 0 {
+        let outcome = archive
+            .lock()
+            .append_spill(device, &spill.reports, &spill.assignments);
+        if outcome.appended > 0 {
             state
                 .telemetry
-                .add(keys::BMS_ARCHIVE_RESPILL_SUPPRESSED, suppressed);
+                .add(keys::BMS_ARCHIVE_RECORDS, outcome.appended);
         }
-        if bytes > 0 {
-            state.telemetry.add(keys::BMS_ARCHIVE_BYTES, bytes);
-        }
-        if sealed > 0 {
+        if outcome.suppressed > 0 {
             state
                 .telemetry
-                .add(keys::BMS_ARCHIVE_SEGMENTS_SEALED, sealed);
+                .add(keys::BMS_ARCHIVE_RESPILL_SUPPRESSED, outcome.suppressed);
+        }
+        if outcome.bytes > 0 {
+            state.telemetry.add(keys::BMS_ARCHIVE_BYTES, outcome.bytes);
+        }
+        if outcome.sealed > 0 {
+            state
+                .telemetry
+                .add(keys::BMS_ARCHIVE_SEGMENTS_SEALED, outcome.sealed);
         }
     }
 
@@ -509,7 +483,7 @@ impl Shard {
     /// The shard's canonical dump, archive marks included.
     pub(crate) fn dump(&self) -> (BTreeMap<DeviceId, String>, ServerStats) {
         let state = self.state.lock();
-        let marks = self.archive.as_ref().map(|a| a.lock().marks().clone());
+        let marks = self.archive.as_ref().map(|a| a.lock().marks());
         state.dump(marks.as_ref())
     }
 }

@@ -121,6 +121,13 @@ pub struct DiskStats {
     pub truncates: u64,
 }
 
+/// A handle to one file of a [`SimDisk`], from [`SimDisk::open`]. Appends
+/// and fsyncs through it index the disk's file table directly instead of
+/// looking the name up. Files are never removed, so a handle stays valid
+/// for the life of the disk that issued it (and means nothing on another).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FileId(usize);
+
 /// One simulated file: bytes plus the durable/volatile split.
 #[derive(Debug)]
 struct SimFile {
@@ -147,7 +154,8 @@ struct SimFile {
 /// use roomsense_sim::{SimDisk, SimTime};
 ///
 /// let mut disk = SimDisk::pristine(7);
-/// disk.append("wal", SimTime::from_secs(1), b"hello");
+/// let wal = disk.open("wal");
+/// disk.append_file(wal, SimTime::from_secs(1), b"hello");
 /// assert_eq!(disk.with_file("wal", |bytes| bytes.len()), Some(5));
 /// disk.crash(SimTime::from_secs(2)); // never fsynced: the bytes are gone
 /// assert_eq!(disk.with_file("wal", |bytes| bytes.len()), Some(0));
@@ -157,7 +165,10 @@ struct SimFile {
 pub struct SimDisk {
     seed: u64,
     plan: DiskFaultPlan,
-    files: BTreeMap<String, SimFile>,
+    /// Every file ever opened, in opening order; a [`FileId`] indexes it.
+    files: Vec<SimFile>,
+    /// File names, sorted, to their slots in `files`.
+    names: BTreeMap<String, FileId>,
     stats: DiskStats,
 }
 
@@ -172,7 +183,8 @@ impl SimDisk {
         SimDisk {
             seed,
             plan: DiskFaultPlan::from_env(seed, crate::SimDuration::from_secs(3600)),
-            files: BTreeMap::new(),
+            files: Vec::new(),
+            names: BTreeMap::new(),
             stats: DiskStats::default(),
         }
     }
@@ -183,7 +195,8 @@ impl SimDisk {
         SimDisk {
             seed,
             plan: DiskFaultPlan::none(),
-            files: BTreeMap::new(),
+            files: Vec::new(),
+            names: BTreeMap::new(),
             stats: DiskStats::default(),
         }
     }
@@ -199,31 +212,39 @@ impl SimDisk {
         &self.plan
     }
 
-    /// The file `name`, created empty on first use. Looks up by `&str`, so
-    /// the owned key is allocated only when the file is new.
-    fn file_mut(&mut self, name: &str) -> &mut SimFile {
-        if !self.files.contains_key(name) {
-            let file = SimFile {
-                data: Vec::new(),
-                durable_len: 0,
-                generation: 0,
-                rng: rng::for_component(self.seed, name),
-            };
-            self.files.insert(name.to_string(), file);
+    /// The handle of file `name`, created empty on first use (an open file
+    /// is listed even before its first write). Looks up by `&str`, so the
+    /// owned name is allocated only when the file is new.
+    pub fn open(&mut self, name: &str) -> FileId {
+        if let Some(&id) = self.names.get(name) {
+            return id;
         }
-        self.files.get_mut(name).expect("file exists")
+        let id = FileId(self.files.len());
+        self.files.push(SimFile {
+            data: Vec::new(),
+            durable_len: 0,
+            generation: 0,
+            rng: rng::for_component(self.seed, name),
+        });
+        self.names.insert(name.to_string(), id);
+        id
     }
 
-    /// Appends `bytes` to `name` (creating it on first use). Returns the
-    /// number of bytes the disk *claims* it wrote — always `bytes.len()`;
-    /// a short-write fault silently persists less, exactly the failure a
-    /// checksummed record format exists to catch.
-    pub fn append(&mut self, name: &str, at: SimTime, bytes: &[u8]) -> usize {
+    /// The file `name`, if it was ever opened.
+    fn file(&self, name: &str) -> Option<&SimFile> {
+        self.names.get(name).map(|&id| &self.files[id.0])
+    }
+
+    /// Appends `bytes` to `file`. Returns the number of bytes the disk
+    /// *claims* it wrote — always `bytes.len()`; a short-write fault
+    /// silently persists less, exactly the failure a checksummed record
+    /// format exists to catch.
+    pub fn append_file(&mut self, file: FileId, at: SimTime, bytes: &[u8]) -> usize {
         self.stats.appends += 1;
         self.stats.bytes_offered += bytes.len() as u64;
         let short = self.plan.short_write.active_at(at) && !bytes.is_empty();
         let rot = self.plan.bit_rot.active_at(at);
-        let file = self.file_mut(name);
+        let file = &mut self.files[file.0];
         let kept = if short {
             file.rng.gen_range(0..bytes.len())
         } else {
@@ -244,34 +265,46 @@ impl SimDisk {
         bytes.len()
     }
 
-    /// Makes `name`'s bytes durable. Under an fsync-loss window the call
+    /// [`append_file`](Self::append_file) to `name`, opening it first.
+    pub fn append(&mut self, name: &str, at: SimTime, bytes: &[u8]) -> usize {
+        let file = self.open(name);
+        self.append_file(file, at, bytes)
+    }
+
+    /// Makes `file`'s bytes durable. Under an fsync-loss window the call
     /// still *looks* successful — the only honest signal is a later crash.
-    pub fn fsync(&mut self, name: &str, at: SimTime) {
+    pub fn fsync_file(&mut self, file: FileId, at: SimTime) {
         if self.plan.fsync_loss.active_at(at) {
             self.stats.lost_fsyncs += 1;
             return;
         }
         self.stats.fsyncs += 1;
-        let file = self.file_mut(name);
+        let file = &mut self.files[file.0];
         file.durable_len = file.data.len();
     }
 
+    /// [`fsync_file`](Self::fsync_file) of `name`, opening it first.
+    pub fn fsync(&mut self, name: &str, at: SimTime) {
+        let file = self.open(name);
+        self.fsync_file(file, at)
+    }
+
     /// Runs `parse` over the current contents of `name` in place, or
-    /// returns `None` if it was never written.
+    /// returns `None` if it was never opened.
     pub fn with_file<R>(&self, name: &str, parse: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        self.files.get(name).map(|f| parse(&f.data))
+        self.file(name).map(|f| parse(&f.data))
     }
 
     /// How many times `name`'s bytes have changed: every append (short
     /// writes and bit rot included), truncation and crash cut bumps it.
     /// A file never written reads 0, like an empty one.
     pub fn generation(&self, name: &str) -> u64 {
-        self.files.get(name).map_or(0, |f| f.generation)
+        self.file(name).map_or(0, |f| f.generation)
     }
 
     /// Current length of `name` in bytes.
     pub fn len(&self, name: &str) -> Option<usize> {
-        self.files.get(name).map(|f| f.data.len())
+        self.file(name).map(|f| f.data.len())
     }
 
     /// True when the disk holds no files at all.
@@ -281,7 +314,7 @@ impl SimDisk {
 
     /// File names starting with `prefix`, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.files
+        self.names
             .keys()
             .filter(|n| n.starts_with(prefix))
             .cloned()
@@ -292,7 +325,8 @@ impl SimDisk {
     /// recovery path uses this to discard a corrupt tail for good.
     pub fn truncate(&mut self, name: &str, len: usize) {
         self.stats.truncates += 1;
-        let file = self.file_mut(name);
+        let id = self.open(name);
+        let file = &mut self.files[id.0];
         file.data.truncate(len);
         file.durable_len = file.data.len();
         file.generation += 1;
@@ -304,7 +338,7 @@ impl SimDisk {
     pub fn crash(&mut self, at: SimTime) {
         self.stats.crashes += 1;
         let torn = self.plan.torn_write.active_at(at);
-        for file in self.files.values_mut() {
+        for file in &mut self.files {
             let volatile = file.data.len().saturating_sub(file.durable_len);
             if volatile == 0 {
                 continue;
@@ -329,7 +363,7 @@ impl SimDisk {
 
 impl fmt::Display for SimDisk {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let bytes: usize = self.files.values().map(|file| file.data.len()).sum();
+        let bytes: usize = self.files.iter().map(|file| file.data.len()).sum();
         write!(f, "{} file(s), {} byte(s)", self.files.len(), bytes)
     }
 }
@@ -345,9 +379,24 @@ impl SharedDisk {
         SharedDisk(Arc::new(Mutex::new(disk)))
     }
 
+    /// See [`SimDisk::open`].
+    pub fn open(&self, name: &str) -> FileId {
+        self.0.lock().open(name)
+    }
+
+    /// See [`SimDisk::append_file`].
+    pub fn append_file(&self, file: FileId, at: SimTime, bytes: &[u8]) -> usize {
+        self.0.lock().append_file(file, at, bytes)
+    }
+
     /// See [`SimDisk::append`].
     pub fn append(&self, name: &str, at: SimTime, bytes: &[u8]) -> usize {
         self.0.lock().append(name, at, bytes)
+    }
+
+    /// See [`SimDisk::fsync_file`].
+    pub fn fsync_file(&self, file: FileId, at: SimTime) {
+        self.0.lock().fsync_file(file, at)
     }
 
     /// See [`SimDisk::fsync`].
@@ -607,10 +656,93 @@ mod tests {
     }
 
     #[test]
+    fn an_opened_file_is_listed_and_empty_before_its_first_write() {
+        let mut disk = SimDisk::pristine(16);
+        let seg = disk.open("seg");
+        assert_eq!(disk.open("seg"), seg, "one handle per name");
+        assert_eq!(disk.list(""), vec!["seg"]);
+        assert_eq!(disk.len("seg"), Some(0));
+        disk.append_file(seg, SimTime::ZERO, b"abc");
+        assert_eq!(read(&disk, "seg").as_deref(), Some(&b"abc"[..]));
+    }
+
+    #[test]
     fn chaos_plan_is_seeded_and_env_gated() {
         let horizon = SimDuration::from_secs(600);
         assert_eq!(DiskFaultPlan::chaos(3, horizon), DiskFaultPlan::chaos(3, horizon));
         assert!(!DiskFaultPlan::chaos(3, horizon).is_empty());
         assert!(DiskFaultPlan::none().is_empty());
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const NAMES: [&str; 4] = ["seg-b", "seg-a", "other/c", "seg-d"];
+
+        /// Everything observable about file `name`: bytes, durable length
+        /// and generation.
+        fn observe(disk: &SimDisk, name: &str) -> (Option<Vec<u8>>, Option<usize>, u64) {
+            (
+                read(disk, name),
+                disk.file(name).map(|file| file.durable_len),
+                disk.generation(name),
+            )
+        }
+
+        proptest! {
+            /// Appends and fsyncs through a [`FileId`] leave the disk exactly
+            /// as the name-addressed calls do — bytes, durable lengths,
+            /// generations, counters and listing — under a plan with windows
+            /// in every fault mode, whatever the mix of appends, fsyncs,
+            /// truncations and crashes.
+            #[test]
+            fn id_addressed_ops_match_name_addressed_ops(
+                seed in any::<u64>(),
+                ops in prop::collection::vec(
+                    (0u8..8, 0usize..NAMES.len(), 0u64..600, prop::collection::vec(any::<u8>(), 0..12), 0usize..48),
+                    1..80,
+                ),
+            ) {
+                let plan = DiskFaultPlan::chaos(seed, SimDuration::from_secs(600));
+                let (mut by_id, mut by_name) = (
+                    SimDisk::new(seed).with_fault_plan(plan.clone()),
+                    SimDisk::new(seed).with_fault_plan(plan),
+                );
+                let mut ids: [Option<FileId>; NAMES.len()] = [None; NAMES.len()];
+                for (op, file, at_s, bytes, len) in ops {
+                    let at = SimTime::from_secs(at_s);
+                    let name = NAMES[file];
+                    let mut open = || *ids[file].get_or_insert_with(|| by_id.open(name));
+                    match op {
+                        0..=3 => {
+                            let id = open();
+                            prop_assert_eq!(
+                                by_id.append_file(id, at, &bytes),
+                                by_name.append(name, at, &bytes)
+                            );
+                        }
+                        4 | 5 => {
+                            let id = open();
+                            by_id.fsync_file(id, at);
+                            by_name.fsync(name, at);
+                        }
+                        6 => {
+                            by_id.truncate(name, len);
+                            by_name.truncate(name, len);
+                        }
+                        _ => {
+                            by_id.crash(at);
+                            by_name.crash(at);
+                        }
+                    }
+                    prop_assert_eq!(by_id.list(""), by_name.list(""));
+                    for name in NAMES {
+                        prop_assert_eq!(observe(&by_id, name), observe(&by_name, name));
+                    }
+                    prop_assert_eq!(by_id.stats(), by_name.stats());
+                }
+            }
+        }
     }
 }

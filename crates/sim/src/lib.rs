@@ -44,7 +44,7 @@ mod queue;
 pub mod rng;
 mod time;
 
-pub use disk::{DiskFaultPlan, DiskStats, SharedDisk, SimDisk};
+pub use disk::{DiskFaultPlan, DiskStats, FileId, SharedDisk, SimDisk};
 pub use fault::{FaultSchedule, FaultWindow};
 pub use mailbox::{Mailbox, TickClock};
 pub use queue::EventQueue;

@@ -13,9 +13,9 @@
 # committed repro_output.txt under a single worker and again under the
 # default parallelism, so every figure and checksum is pinned and
 # thread-invariant.
-# Finally traced perfbench runs (office_e2e on two seeds, surge_ingest and
-# history_reads) check the benchmark's own gates, and the benchmark package
-# runs its self-tests.
+# Finally traced perfbench runs (office_e2e and surge_ingest on two seeds
+# each, history_reads on one) check the benchmark's own gates, and the
+# benchmark package runs its self-tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,14 +81,17 @@ for seed in 1 2; do
 done
 echo "perfbench office_e2e traced runs (seeds 1, 2) passed their layer and oracle-digest gates"
 
-# The same for the server write path: one short traced surge_ingest run.
-# perfbench exits non-zero when the ingest tier's state digest differs from
-# its single-thread oracle, when backpressure refused no report, or when the
-# crowd-count MAE exceeds the preset bound, so the archive spill path that
-# retention drives under this burst is gated too.
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload surge_ingest --seed 1 --seconds 1 --trace 1 > /dev/null
-echo "perfbench surge_ingest traced run passed its oracle-digest, refusal and MAE gates"
+# The same for the server write path: short traced surge_ingest runs on two
+# seeds. perfbench exits non-zero when the ingest tier's state digest
+# differs from its single-thread oracle, when backpressure refused no
+# report, or when the crowd-count MAE exceeds the preset bound, so the
+# archive spill path that retention drives under this burst (per-device
+# slots, frames appended by file handle) is gated on both seeds too.
+for seed in 1 2; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload surge_ingest --seed "$seed" --seconds 1 --trace 1 > /dev/null
+done
+echo "perfbench surge_ingest traced runs (seeds 1, 2) passed their oracle-digest, refusal and MAE gates"
 
 # The same for the archive read path: one short traced history_reads run.
 # It is the only workload whose answers to occupancy_at_checked and
