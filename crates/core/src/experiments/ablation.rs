@@ -4,10 +4,13 @@
 //! accelerometer gating, 2.4 GHz interference, SVM hyper-parameters,
 //! shadowing severity and beacon density.
 
+use super::house::{
+    commissioned_house, held_out_split, house_dataset, knn_confusion, proximity_confusion,
+    svm_and_proximity,
+};
 use super::{mean, CoefficientSweepPoint, ExperimentCtx, ExperimentReport};
 use crate::{
-    collect_dataset, run_pipeline, LabelledDataset, OccupancyModel, PipelineConfig, Scenario,
-    MISSING_DISTANCE,
+    collect_dataset, run_pipeline, OccupancyModel, PipelineConfig, Scenario, MISSING_DISTANCE,
 };
 use roomsense_building::mobility::StaticPosition;
 use roomsense_building::presets;
@@ -17,8 +20,7 @@ use roomsense_energy::{
 use roomsense_geom::Point;
 use roomsense_ibeacon::Minor;
 use roomsense_ml::{
-    train_test_split, trilaterate, Classifier, ConfusionMatrix, Dataset, GridSearchResult, Kernel,
-    KnnClassifier, ProximityClassifier, StandardScaler, SvmParams,
+    trilaterate, ConfusionMatrix, GridSearchResult, Kernel, StandardScaler, SvmParams,
 };
 use roomsense_net::{TransportEvent, TransportKind};
 use roomsense_radio::{DeviceRxProfile, Interferer, TransmitterProfile};
@@ -149,36 +151,10 @@ impl ExperimentCtx {
     }
 }
 
-/// Held-out accuracy of the proximity baseline on `test`.
-fn proximity_accuracy(scenario: &Scenario, test: &Dataset) -> f64 {
-    let proximity = ProximityClassifier::new(
-        scenario.beacon_room_labels(),
-        scenario.outside_label(),
-        MISSING_DISTANCE,
-    );
-    let mut cm = ConfusionMatrix::new(scenario.label_names().len());
-    for (row, label) in test.rows().iter().zip(test.labels()) {
-        cm.record(*label, proximity.predict(row));
-    }
-    cm.accuracy()
-}
-
 /// SVM-RBF vs SVM-linear vs kNN vs proximity vs trilateration, one split.
 fn ablate_classifier(seed: u64) -> Vec<(&'static str, f64)> {
-    let scenario = Scenario::from_plan(presets::paper_house(), seed);
-    let labelled = collect_dataset(
-        &scenario,
-        &PipelineConfig::paper_android(),
-        SimDuration::from_secs(40),
-        3,
-        seed,
-    );
-    let mut split_rng = rng::for_component(seed, "ablate-classifier-split");
-    let (train, test) = train_test_split(&labelled.data, 0.3, &mut split_rng);
-    let train_labelled = LabelledDataset {
-        data: train.clone(),
-        beacon_order: labelled.beacon_order.clone(),
-    };
+    let (scenario, labelled) = house_dataset(seed);
+    let (train, test) = held_out_split(&labelled, seed, "ablate-classifier-split");
 
     let mut rows = Vec::new();
 
@@ -191,23 +167,18 @@ fn ablate_classifier(seed: u64) -> Vec<(&'static str, f64)> {
             kernel,
             ..SvmParams::default()
         };
-        let model = OccupancyModel::fit(&train_labelled, &params).expect("dataset is multi-class");
+        let model = OccupancyModel::fit(&train, &params).expect("dataset is multi-class");
         rows.push((name, model.evaluate(&test).accuracy()));
     }
 
-    // kNN on standardised features.
-    let scaler = StandardScaler::fit(&train);
-    let knn = KnnClassifier::fit(&scaler.transform_dataset(&train), 5).expect("non-empty");
-    let mut cm = ConfusionMatrix::new(scenario.label_names().len());
-    for (row, label) in test.rows().iter().zip(test.labels()) {
-        cm.record(*label, knn.predict(&scaler.transform(row)));
-    }
-    rows.push(("knn (k=5)", cm.accuracy()));
-
+    rows.push((
+        "knn (k=5)",
+        knn_confusion(&scenario, &train.data, &test).accuracy(),
+    ));
     // Proximity (the previous iOS work's technique).
     rows.push((
         "proximity (prev. work)",
-        proximity_accuracy(&scenario, &test),
+        proximity_confusion(&scenario, &test).accuracy(),
     ));
 
     // Trilateration (the technique the paper discarded): estimate a
@@ -299,10 +270,7 @@ fn ablate_scan_period(seed: u64) -> Vec<ScanPeriodAblationRow> {
 /// Classification is also evaluated cross-device (train on the S3 Mini,
 /// deploy on a Nexus 5).
 fn ablate_calibration(seed: u64) -> Vec<CalibrationAblationRow> {
-    let scenario = Scenario::from_plan(presets::paper_house(), seed);
-    let train_cfg = PipelineConfig::paper_android();
-    let labelled = collect_dataset(&scenario, &train_cfg, SimDuration::from_secs(40), 3, seed);
-    let model = OccupancyModel::fit(&labelled, &SvmParams::default()).expect("multi-class dataset");
+    let (scenario, model) = commissioned_house(seed);
     [
         (
             "S3 Mini (training device)",
@@ -460,30 +428,6 @@ fn ablate_grid_search(seed: u64) -> GridSearchResult {
         &[0.05, 0.5, 2.0],
         4,
         &mut grid_rng,
-    )
-}
-
-/// Fits the default SVM on a 70/30 split of `labelled` and returns the
-/// held-out `(svm, proximity)` accuracies.
-fn svm_and_proximity(
-    scenario: &Scenario,
-    labelled: &LabelledDataset,
-    seed: u64,
-    split: &str,
-) -> (f64, f64) {
-    let mut split_rng = rng::for_component(seed, split);
-    let (train, test) = train_test_split(&labelled.data, 0.3, &mut split_rng);
-    let model = OccupancyModel::fit(
-        &LabelledDataset {
-            data: train,
-            beacon_order: labelled.beacon_order.clone(),
-        },
-        &SvmParams::default(),
-    )
-    .expect("multi-class dataset");
-    (
-        model.evaluate(&test).accuracy(),
-        proximity_accuracy(scenario, &test),
     )
 }
 

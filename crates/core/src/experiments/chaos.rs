@@ -1,13 +1,16 @@
 //! The `chaos` arm: end-to-end reliable delivery under duplicates,
 //! reorder, crash/restore and failover.
 
-use super::{pump_queue, sequenced_report_from_snapshots, ExperimentCtx, ExperimentReport};
-use crate::{collect_dataset, BatchConfig, OccupancyModel, PipelineConfig, Scenario};
-use roomsense_building::presets;
-use roomsense_energy::{account, PowerProfile, UplinkArchitecture, UsageTimeline};
-use roomsense_ml::SvmParams;
-use roomsense_net::{BtRelayTransport, DeviceId, ObservationReport, WifiTransport};
+use super::house::{
+    commissioned_house, ingest_with_crashes, itinerary_walks, lossy_ack_uplink, report_stream,
+    uplink_energy, LOSSY_QUEUE_CAPACITY,
+};
+use super::{ExperimentCtx, ExperimentReport};
+use crate::{BatchConfig, PipelineConfig};
+use roomsense_energy::UplinkArchitecture;
+use roomsense_net::{BtRelayTransport, DeviceId, OccupancyEstimator, WifiTransport};
 use roomsense_sim::{exec, rng, SimDuration, SimTime};
+use roomsense_telemetry::keys;
 use std::sync::Arc;
 
 /// One cell of the chaos sweep: one outage pattern under one `(failover,
@@ -87,12 +90,6 @@ impl ChaosResult {
     }
 }
 
-/// Queue capacity used by every chaos cell. Sized so the short outages fit
-/// in the backlog but a full blackout overflows a Wi-Fi-only uplink — the
-/// sweep's point is that failover avoids that loss.
-const CHAOS_QUEUE_CAPACITY: usize = 256;
-
-
 impl ExperimentCtx {
     /// End-to-end reliable-delivery sweep (the `repro chaos` arm): one clean
     /// fleet run is replayed through twelve delivery stacks — three outage
@@ -111,21 +108,18 @@ impl ExperimentCtx {
     /// cells). Deterministic for a fixed `seed` regardless of thread count:
     /// the fleet runs once up front and each cell draws an indexed RNG stream.
     pub fn chaos(&self) -> ChaosResult {
-        use roomsense_building::mobility::{MobilityModel, RoomSchedule};
+        use roomsense_building::mobility::MobilityModel;
         use roomsense_building::RoomId;
         use roomsense_net::{
-            FailoverTransport, FaultyTransport, LinkHealthConfig, OccupancyEstimator,
-            QueueingTransport, SequenceStamper, ShardedBmsServer, TransportEvent,
+            FailoverTransport, FaultyTransport, LinkHealthConfig, ShardedBmsServer,
         };
         use roomsense_sim::{FaultSchedule, FaultWindow};
         use std::collections::{BTreeMap, BTreeSet};
         let seed = self.seed;
 
-        let scenario = Scenario::from_plan(presets::paper_house(), seed);
+        let (scenario, model) = commissioned_house(seed);
         let config = PipelineConfig::paper_android();
-        let labelled = collect_dataset(&scenario, &config, SimDuration::from_secs(40), 3, seed);
-        let model = OccupancyModel::fit(&labelled, &SvmParams::default())
-            .expect("collection walk yields a multi-class dataset");
+        let estimator: Arc<dyn OccupancyEstimator> = Arc::new(model);
 
         let duration = SimDuration::from_secs(600);
         let drain = SimDuration::from_secs(600);
@@ -139,14 +133,7 @@ impl ExperimentCtx {
                 (RoomId::new(1), SimDuration::from_secs(240)),
             ],
         ];
-        let walks: Vec<RoomSchedule> = itineraries
-            .iter()
-            .enumerate()
-            .map(|(i, visits)| {
-                let mut r = rng::for_indexed(seed, "chaos-walk", i as u64);
-                RoomSchedule::generate(scenario.plan(), visits, 1.2, SimTime::ZERO, &mut r)
-            })
-            .collect();
+        let walks = itinerary_walks(&scenario, seed, "chaos-walk", &itineraries);
         let occupants: Vec<&dyn MobilityModel> = walks.iter().map(|w| w as _).collect();
 
         // The radio/fleet side runs once, clean: chaos lives in the uplink and
@@ -159,21 +146,11 @@ impl ExperimentCtx {
             seed,
             &BatchConfig::default(),
         );
-        let mut stamper = SequenceStamper::new();
-        let reports: Vec<(SimTime, ObservationReport)> = events
-            .iter()
-            .filter(|e| !e.record.snapshots.is_empty())
-            .map(|e| {
-                (
-                    e.at,
-                    sequenced_report_from_snapshots(&mut stamper, e.device, e.at, &e.record.snapshots),
-                )
-            })
-            .collect();
+        let reports = report_stream(&events, true);
         let devices: BTreeSet<DeviceId> = reports.iter().map(|(_, r)| r.device).collect();
 
         // The clean oracle: every offered report, exactly once, in order.
-        let oracle = ShardedBmsServer::new(Arc::new(model.clone()), 1);
+        let oracle = ShardedBmsServer::new(Arc::clone(&estimator), 1);
         for (_, report) in &reports {
             oracle.ingest(report.clone());
         }
@@ -210,154 +187,46 @@ impl ExperimentCtx {
             }
         }
 
-        let span = duration + drain;
+        let end_of_run = SimTime::ZERO + duration + drain;
         let cells = exec::par_map_indexed(&specs, |index, &(p, failover, dedup)| {
             let (pattern_name, wifi_outages, crash_schedule) = &patterns[p];
             let mut cell_rng = rng::for_indexed(seed, "chaos-cell", index as u64);
-            let price = |events: &[TransportEvent], arch: UplinkArchitecture| {
-                let timeline = UsageTimeline {
-                    duration: span,
-                    scan_active: duration,
-                    transport_events: events.to_vec(),
-                };
-                account(&PowerProfile::galaxy_s3_mini(), &timeline, arch).total_mj()
-            };
-            let wifi = || {
-                FaultyTransport::new(
-                    WifiTransport::new(0.99, SimDuration::from_millis(50)),
-                    wifi_outages.clone(),
-                )
-            };
+            let wifi = FaultyTransport::new(
+                WifiTransport::new(0.99, SimDuration::from_millis(50)),
+                wifi_outages.clone(),
+            );
 
-            // Lossy acks on every cell: retransmission duplicates and the
-            // reordering they cause are the load the server must tolerate.
             // The crash schedule wraps the whole chain — a dead server refuses
             // both radios.
-            let (mut deliveries, offered, delivered, dropped, retransmits, pending, fo_sends, probes, energy_mj);
-            if failover {
-                let chain = FaultyTransport::new(
-                    FailoverTransport::new(
-                        wifi(),
-                        BtRelayTransport::default(),
-                        LinkHealthConfig::default(),
-                    ),
-                    crash_schedule.clone(),
+            let (uplink, architecture) = if failover {
+                let chain = FailoverTransport::new(
+                    wifi,
+                    BtRelayTransport::default(),
+                    LinkHealthConfig::default(),
                 );
-                let mut queue =
-                    QueueingTransport::new(chain, CHAOS_QUEUE_CAPACITY, SimDuration::from_secs(2))
-                        .with_ack_loss(0.25);
-                deliveries = pump_queue(&mut queue, &reports, duration, drain, &mut cell_rng);
-                offered = queue.offered();
-                delivered = queue.delivered_reports();
-                dropped = queue.dropped();
-                retransmits = queue.retransmits();
-                pending = queue.pending();
-                fo_sends = queue.inner().inner().failover_sends();
-                probes = queue.inner().inner().probes();
-                energy_mj = price(
-                    &queue.telemetry().transport_events(),
-                    UplinkArchitecture::Failover,
-                );
+                let chain = FaultyTransport::new(chain, crash_schedule.clone());
+                let uplink = lossy_ack_uplink(chain, &reports, duration, drain, &mut cell_rng);
+                (uplink, UplinkArchitecture::Failover)
             } else {
-                let chain = FaultyTransport::new(wifi(), crash_schedule.clone());
-                let mut queue =
-                    QueueingTransport::new(chain, CHAOS_QUEUE_CAPACITY, SimDuration::from_secs(2))
-                        .with_ack_loss(0.25);
-                deliveries = pump_queue(&mut queue, &reports, duration, drain, &mut cell_rng);
-                offered = queue.offered();
-                delivered = queue.delivered_reports();
-                dropped = queue.dropped();
-                retransmits = queue.retransmits();
-                pending = queue.pending();
-                fo_sends = 0;
-                probes = 0;
-                energy_mj = price(
-                    &queue.telemetry().transport_events(),
-                    UplinkArchitecture::Wifi,
-                );
-            }
-            // Arrival order with a deterministic tie-break, so ingestion is
-            // identical across thread counts.
-            deliveries.sort_by_key(|d| (d.at, d.report.device, d.report.seq));
-
-            // Ingest in arrival order, checkpointing periodically; at each
-            // crash-window start the in-memory server is lost and restarts from
-            // the last checkpoint plus the journal tail.
-            let crash_windows = crash_schedule.windows();
-            let checkpoint_every = SimDuration::from_secs(120);
-            let mut server = ShardedBmsServer::new(Arc::new(model.clone()), 1);
-            let mut checkpoint = server.checkpoint();
-            let mut checkpoint_len = 0usize;
-            let mut next_checkpoint = SimTime::ZERO + checkpoint_every;
-            let mut journal: Vec<ObservationReport> = Vec::new();
-            let mut crash_idx = 0usize;
-            let mut crashes = 0u64;
-            let mut replayed = 0u64;
-            let end_of_run = SimTime::ZERO + span;
-            let restart = |server: &mut ShardedBmsServer,
-                               checkpoint: &roomsense_net::ShardedBmsCheckpoint,
-                               journal: &[ObservationReport],
-                               checkpoint_len: usize| {
-                *server = ShardedBmsServer::restore(Arc::new(model.clone()), checkpoint.clone())
-                    .expect("untampered checkpoint");
-                for report in &journal[checkpoint_len..] {
-                    if dedup {
-                        server.ingest(report.clone());
-                    } else {
-                        server.post_observation(report.clone());
-                    }
-                }
-                (journal.len() - checkpoint_len) as u64
+                let chain = FaultyTransport::new(wifi, crash_schedule.clone());
+                let uplink = lossy_ack_uplink(chain, &reports, duration, drain, &mut cell_rng);
+                (uplink, UplinkArchitecture::Wifi)
             };
-            for delivery in &deliveries {
-                loop {
-                    let crash_due = crash_windows
-                        .get(crash_idx)
-                        .is_some_and(|w| w.from <= delivery.at);
-                    let checkpoint_due = next_checkpoint <= delivery.at;
-                    if crash_due
-                        && (!checkpoint_due || crash_windows[crash_idx].from <= next_checkpoint)
-                    {
-                        replayed += restart(&mut server, &checkpoint, &journal, checkpoint_len);
-                        crashes += 1;
-                        crash_idx += 1;
-                    } else if checkpoint_due {
-                        checkpoint = server.checkpoint();
-                        checkpoint_len = journal.len();
-                        next_checkpoint += checkpoint_every;
-                    } else {
-                        break;
-                    }
-                }
-                let stored = if dedup {
-                    !server.ingest(delivery.report.clone()).is_duplicate()
-                } else {
-                    server.post_observation(delivery.report.clone());
-                    true
-                };
-                if stored {
-                    journal.push(delivery.report.clone());
-                }
-            }
-            while crash_windows
-                .get(crash_idx)
-                .is_some_and(|w| w.from <= end_of_run)
-            {
-                replayed += restart(&mut server, &checkpoint, &journal, checkpoint_len);
-                crashes += 1;
-                crash_idx += 1;
-            }
+            let deliveries = &uplink.deliveries;
+            let run =
+                ingest_with_crashes(&estimator, deliveries, crash_schedule, end_of_run, dedup);
+            let server = &run.server;
 
             // Invariants and the oracle comparison.
             let mut distinct: BTreeSet<(DeviceId, u64)> = BTreeSet::new();
             let mut last_writer: BTreeMap<DeviceId, (SimTime, u64, usize)> = BTreeMap::new();
             let mut duplicates_on_wire = 0u64;
-            for delivery in &deliveries {
+            for delivery in deliveries.iter() {
                 if !distinct.insert((delivery.report.device, delivery.report.seq)) {
                     duplicates_on_wire += 1;
                     continue;
                 }
-                if let Some(room) = model.classify(&delivery.report) {
+                if let Some(room) = estimator.classify(&delivery.report) {
                     let entry = last_writer
                         .entry(delivery.report.device)
                         .or_insert((delivery.report.at, delivery.report.seq, room));
@@ -370,23 +239,29 @@ impl ExperimentCtx {
             let monotone_ok = devices
                 .iter()
                 .all(|&d| server.room_of(d) == last_writer.get(&d).map(|&(_, _, room)| room));
-            let bounded_ok = pending <= CHAOS_QUEUE_CAPACITY
+            let bounded_ok = uplink.pending <= LOSSY_QUEUE_CAPACITY
                 && server.dedup_entries() <= devices.len() * server.dedup_capacity();
             ChaosCell {
                 pattern: pattern_name.to_string(),
                 failover,
                 dedup,
-                offered,
-                delivered,
-                dropped,
-                retransmits,
+                offered: uplink.offered,
+                delivered: uplink.delivered,
+                dropped: uplink.dropped,
+                retransmits: uplink.retransmits,
                 duplicates_on_wire,
                 duplicates_rejected: server.stats().reports_duplicate,
-                failover_sends: fo_sends,
-                probes,
-                crashes,
-                replayed,
-                energy_mj,
+                failover_sends: uplink.telemetry.counter(keys::NET_FAILOVER_SENDS),
+                probes: uplink.telemetry.counter(keys::NET_FAILOVER_PROBES),
+                crashes: run.crashes,
+                replayed: run.replayed,
+                energy_mj: uplink_energy(
+                    uplink.telemetry.transport_events(),
+                    duration,
+                    drain,
+                    architecture,
+                )
+                .total_mj(),
                 view_matches_oracle: server.occupancy() == oracle_occupancy,
                 exactly_once_ok,
                 monotone_ok,

@@ -101,6 +101,22 @@ fn population_mae(view: &roomsense_net::PopulationView, truth: &[usize]) -> f64 
     error / truth.len().max(1) as f64
 }
 
+/// Whether the building-total estimate covers the `inside` headcount. CI
+/// coverage is scored against the total building population, because
+/// `observed / carry_rate` estimates *people*, carriers or not.
+fn building_ci_covers(
+    view: &roomsense_net::PopulationView,
+    at: SimTime,
+    config: &roomsense_net::CountingConfig,
+    inside: usize,
+) -> bool {
+    let total = roomsense_net::PopulationEvidence {
+        observed: view.observed_total(),
+        ..Default::default()
+    };
+    total.finalize(at, config).covers(inside)
+}
+
 /// Drives one delivery schedule through a sharded fleet and a single
 /// reference server, probing both at each instant in `probes` and once
 /// more after everything drained. Returns the probe MAEs (against the
@@ -147,17 +163,7 @@ fn drive_counting(
         let single_view = single.population_view(probe, config);
         matches &= fleet_view == single_view;
         maes.push(population_mae(&fleet_view.value, &trace.occupancy(probe)));
-        // CI coverage is scored against the total building population:
-        // `observed / carry_rate` estimates *people*, carriers or not.
-        let total = fleet_view.value.rooms.values().fold(
-            roomsense_net::PopulationEvidence::default(),
-            |mut acc, e| {
-                acc.observed += e.observed;
-                acc
-            },
-        );
-        let building = total.finalize(probe, config);
-        if building.covers(trace.total_inside(probe)) {
+        if building_ci_covers(&fleet_view.value, probe, config, trace.total_inside(probe)) {
             covered += 1;
         }
     }
@@ -358,17 +364,12 @@ impl ExperimentCtx {
                         &leveled.view.value,
                         &scenario.trace.occupancy(now),
                     ));
-                    let total = leveled.view.value.rooms.values().fold(
-                        roomsense_net::PopulationEvidence::default(),
-                        |mut acc, e| {
-                            acc.observed += e.observed;
-                            acc
-                        },
-                    );
-                    if total
-                        .finalize(now, &config)
-                        .covers(scenario.trace.total_inside(now))
-                    {
+                    if building_ci_covers(
+                        &leveled.view.value,
+                        now,
+                        &config,
+                        scenario.trace.total_inside(now),
+                    ) {
                         overload_covered += 1;
                     }
                     probe_i += 1;

@@ -1,10 +1,12 @@
 //! The `faults` arm: graceful degradation over a fault-intensity sweep.
 
-use super::{report_from_snapshots, ExperimentCtx, ExperimentReport};
-use crate::{collect_dataset, BatchConfig, OccupancyModel, PipelineConfig, Scenario};
-use roomsense_building::presets;
-use roomsense_ml::SvmParams;
-use roomsense_net::{BtRelayTransport, DeviceId, ObservationReport, Transport};
+use super::house::{
+    agrees_with_truth, commissioned_house, itinerary_walks, pump_queue, report_stream,
+    uplink_energy,
+};
+use super::{ExperimentCtx, ExperimentReport};
+use crate::{BatchConfig, PipelineConfig};
+use roomsense_net::{BtRelayTransport, Delivery, DeviceId, Transport};
 use roomsense_sim::{exec, rng, SimDuration, SimTime};
 use roomsense_telemetry::Recorder;
 use std::sync::Arc;
@@ -60,20 +62,17 @@ impl ExperimentCtx {
     /// Deterministic for a fixed `seed`: the fault schedules, walks, radio, and
     /// transports all draw from named streams.
     pub fn faults(&self) -> FaultsResult {
-        use roomsense_building::mobility::{MobilityModel, RoomSchedule};
+        use roomsense_building::mobility::MobilityModel;
         use roomsense_building::{trace, RoomId};
-        use roomsense_energy::{account, PowerProfile, UplinkArchitecture, UsageTimeline};
+        use roomsense_energy::UplinkArchitecture;
         use roomsense_net::{
             DemandResponseController, FaultyTransport, QueueingTransport, ShardedBmsServer,
         };
         let seed = self.seed;
 
-        let scenario = Scenario::from_plan(presets::paper_house(), seed);
-        let config = PipelineConfig::paper_android();
         // Commissioning happens before anything breaks: train on a clean walk.
-        let labelled = collect_dataset(&scenario, &config, SimDuration::from_secs(40), 3, seed);
-        let model = OccupancyModel::fit(&labelled, &SvmParams::default())
-            .expect("collection walk yields a multi-class dataset");
+        let (scenario, model) = commissioned_house(seed);
+        let config = PipelineConfig::paper_android();
         let outside = scenario.outside_label();
         let room_count = scenario.plan().rooms().len();
 
@@ -89,14 +88,7 @@ impl ExperimentCtx {
                 (RoomId::new(2), SimDuration::from_secs(200)),
             ],
         ];
-        let walks: Vec<RoomSchedule> = itineraries
-            .iter()
-            .enumerate()
-            .map(|(i, visits)| {
-                let mut r = rng::for_indexed(seed, "faults-walk", i as u64);
-                RoomSchedule::generate(scenario.plan(), visits, 1.2, SimTime::ZERO, &mut r)
-            })
-            .collect();
+        let walks = itinerary_walks(&scenario, seed, "faults-walk", &itineraries);
         let occupants: Vec<&dyn MobilityModel> = walks.iter().map(|w| w as _).collect();
         let truth = trace::ground_truth(
             scenario.plan(),
@@ -126,16 +118,7 @@ impl ExperimentCtx {
                 &BatchConfig::default(),
                 &mut Recorder::default(),
             );
-            let reports: Vec<(SimTime, ObservationReport)> = events
-                .iter()
-                .filter(|e| !e.record.snapshots.is_empty())
-                .map(|e| {
-                    (
-                        e.at,
-                        report_from_snapshots(e.device, e.at, &e.record.snapshots),
-                    )
-                })
-                .collect();
+            let reports = report_stream(&events, false);
             let chain = || {
                 FaultyTransport::new(
                     FaultyTransport::new(BtRelayTransport::default(), plan.uplink_outages.clone()),
@@ -151,7 +134,10 @@ impl ExperimentCtx {
                 if let roomsense_net::SendOutcome::Delivered { at: arrived } =
                     bare_transport.send(*at, report, &mut bare_rng)
                 {
-                    bare_deliveries.push((arrived, report.clone()));
+                    bare_deliveries.push(Delivery {
+                        report: report.clone(),
+                        at: arrived,
+                    });
                 }
             }
             let bare_rate = (!reports.is_empty())
@@ -161,29 +147,16 @@ impl ExperimentCtx {
             // last cycle until the backlog drains or the run is called off.
             let mut queue = QueueingTransport::new(chain(), 256, SimDuration::from_secs(2));
             let mut resilient_rng = rng::for_indexed(seed, "faults-resilient", index as u64);
-            let mut resilient_deliveries = Vec::new();
-            for (at, report) in &reports {
-                for d in queue.offer(*at, report.clone(), &mut resilient_rng) {
-                    resilient_deliveries.push((d.at, d.report));
-                }
-            }
-            let mut drain_at = SimTime::ZERO + duration;
-            let drain_until = drain_at + drain;
-            while drain_at < drain_until && queue.pending() > 0 {
-                drain_at += SimDuration::from_secs(2);
-                for d in queue.flush(drain_at, &mut resilient_rng) {
-                    resilient_deliveries.push((d.at, d.report));
-                }
-            }
+            let mut resilient_deliveries =
+                pump_queue(&mut queue, &reports, duration, drain, &mut resilient_rng);
             let resilient_rate = queue.report_delivery_rate();
             // Arrival times can locally invert (variable link latency); the
             // scorer consumes deliveries in arrival order.
-            bare_deliveries.sort_by_key(|(at, _)| *at);
-            resilient_deliveries.sort_by_key(|(at, _)| *at);
+            bare_deliveries.sort_by_key(|d| d.at);
+            resilient_deliveries.sort_by_key(|d| d.at);
 
-            let span = duration + drain;
-            let score = |deliveries: &[(SimTime, ObservationReport)],
-                         events: &[roomsense_net::TransportEvent],
+            let score = |deliveries: &[Delivery],
+                         events: Vec<roomsense_net::TransportEvent>,
                          delivery_rate: Option<f64>| {
                 let server = ShardedBmsServer::new(Arc::new(model.clone()), 1);
                 let mut dr =
@@ -196,8 +169,8 @@ impl ExperimentCtx {
                 let mut staleness_sum = SimDuration::ZERO;
                 let mut staleness_samples = 0u64;
                 for sample in truth.samples() {
-                    while next < deliveries.len() && deliveries[next].0 <= sample.at {
-                        let report = &deliveries[next].1;
+                    while next < deliveries.len() && deliveries[next].at <= sample.at {
+                        let report = &deliveries[next].report;
                         let device = report.device.value() as usize;
                         if last_seen[device].is_none_or(|t| report.at > t) {
                             last_seen[device] = Some(report.at);
@@ -207,10 +180,9 @@ impl ExperimentCtx {
                     }
                     dr.update_view(sample.at, &server.occupancy_view(sample.at, ttl));
                     for (device, true_room) in sample.rooms.iter().enumerate() {
-                        let truth_label = true_room.map_or(outside, |r| r.index() as usize);
                         let believed = server.room_of(DeviceId::new(device as u32));
                         total += 1;
-                        if believed.map_or(truth_label == outside, |b| b == truth_label) {
+                        if agrees_with_truth(believed, *true_room, outside) {
                             hits += 1;
                         }
                         staleness_sum += sample
@@ -219,17 +191,9 @@ impl ExperimentCtx {
                         staleness_samples += 1;
                     }
                 }
-                let timeline = UsageTimeline {
-                    duration: span,
-                    scan_active: duration,
-                    transport_events: events.to_vec(),
-                };
-                let energy_mj = account(
-                    &PowerProfile::galaxy_s3_mini(),
-                    &timeline,
-                    UplinkArchitecture::BluetoothRelay,
-                )
-                .total_mj();
+                let energy_mj =
+                    uplink_energy(events, duration, drain, UplinkArchitecture::BluetoothRelay)
+                        .total_mj();
                 FaultArmOutcome {
                     delivery_rate,
                     device_agreement: hits as f64 / total.max(1) as f64,
@@ -243,12 +207,12 @@ impl ExperimentCtx {
 
             let bare = score(
                 &bare_deliveries,
-                &bare_transport.telemetry().transport_events(),
+                bare_transport.telemetry().transport_events(),
                 bare_rate,
             );
             let resilient = score(
                 &resilient_deliveries,
-                &queue.telemetry().transport_events(),
+                queue.telemetry().transport_events(),
                 resilient_rate,
             );
             FaultSweepPoint {

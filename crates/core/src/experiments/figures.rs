@@ -1,10 +1,10 @@
 //! The paper-figure runners (Figs 4–11, the Section V sampling count and
 //! the Section IV-A calibration): plotted by `repro`, not checksummed.
 
+use super::house::{held_out_split, house_dataset, knn_confusion, proximity_confusion};
 use super::ExperimentCtx;
 use crate::{
     collect_dataset, run_pipeline, LabelledDataset, OccupancyModel, PipelineConfig, Scenario,
-    MISSING_DISTANCE,
 };
 use roomsense_building::mobility::{StaticPosition, WaypointWalk};
 use roomsense_building::presets;
@@ -13,10 +13,7 @@ use roomsense_energy::{
 };
 use roomsense_geom::{Point, Polyline};
 use roomsense_ibeacon::Minor;
-use roomsense_ml::{
-    k_fold, train_test_split, Classifier, ConfusionMatrix, KnnClassifier, ProximityClassifier,
-    StandardScaler, SvmParams,
-};
+use roomsense_ml::{k_fold, ConfusionMatrix, SvmParams};
 use roomsense_net::{
     BtRelayTransport, DeviceId, ObservationReport, SightedBeacon, Transport, WifiTransport,
 };
@@ -243,47 +240,14 @@ impl ExperimentCtx {
     /// evaluate SVM vs proximity vs kNN on the same held-out rows.
     pub fn classification(&self) -> ClassificationResult {
         let seed = self.seed;
-        let scenario = Scenario::from_plan(presets::paper_house(), seed);
-        let labelled = collect_dataset(
-            &scenario,
-            &PipelineConfig::paper_android(),
-            SimDuration::from_secs(40),
-            3,
-            seed,
-        );
-        let mut split_rng = rng::for_component(seed, "classification-split");
-        let (train, test) = train_test_split(&labelled.data, 0.3, &mut split_rng);
-        let train_labelled = LabelledDataset {
-            data: train,
-            beacon_order: labelled.beacon_order.clone(),
-        };
-        let model = OccupancyModel::fit(&train_labelled, &SvmParams::default())
+        let (scenario, labelled) = house_dataset(seed);
+        let (train, test) = held_out_split(&labelled, seed, "classification-split");
+        let model = OccupancyModel::fit(&train, &SvmParams::default())
             .expect("collection walk always yields a multi-class dataset");
-        let svm_cm = model.evaluate(&test);
-
-        let proximity = ProximityClassifier::new(
-            scenario.beacon_room_labels(),
-            scenario.outside_label(),
-            MISSING_DISTANCE,
-        );
-        let mut prox_cm = ConfusionMatrix::new(scenario.label_names().len());
-        for (row, label) in test.rows().iter().zip(test.labels()) {
-            prox_cm.record(*label, proximity.predict(row));
-        }
-
-        // kNN works on standardised features like the SVM.
-        let scaler = StandardScaler::fit(&train_labelled.data);
-        let knn = KnnClassifier::fit(&scaler.transform_dataset(&train_labelled.data), 5)
-            .expect("train set is non-empty");
-        let mut knn_cm = ConfusionMatrix::new(scenario.label_names().len());
-        for (row, label) in test.rows().iter().zip(test.labels()) {
-            knn_cm.record(*label, knn.predict(&scaler.transform(row)));
-        }
-
         ClassificationResult {
-            svm: svm_cm,
-            proximity: prox_cm,
-            knn: knn_cm,
+            svm: model.evaluate(&test),
+            proximity: proximity_confusion(&scenario, &test),
+            knn: knn_confusion(&scenario, &train.data, &test),
             label_names: scenario.label_names(),
         }
     }

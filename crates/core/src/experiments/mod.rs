@@ -33,8 +33,8 @@
 //! [`ExperimentReport`] and register in the [`ARMS`] table, which is the
 //! single place `repro` dispatches them from.
 
-use roomsense_net::{DeviceId, ObservationReport, SightedBeacon, Transport};
-use roomsense_sim::{SimDuration, SimTime};
+use roomsense_net::{DeviceId, ObservationReport, SightedBeacon};
+use roomsense_sim::SimTime;
 
 mod ablation;
 mod archive;
@@ -43,6 +43,7 @@ mod counting;
 mod faults;
 mod figures;
 mod floors;
+mod house;
 mod overload;
 mod positioning;
 mod scale;
@@ -113,28 +114,6 @@ pub fn sequenced_report_from_snapshots(
         seq: stamper.next(device),
         ..report_from_snapshots(device, at, snapshots)
     }
-}
-
-/// Offers every report at its cycle time, then keeps flushing the backlog
-/// for `drain` past the end of the run.
-pub(super) fn pump_queue<T: Transport, R: rand::Rng + ?Sized>(
-    queue: &mut roomsense_net::QueueingTransport<T>,
-    reports: &[(SimTime, ObservationReport)],
-    duration: SimDuration,
-    drain: SimDuration,
-    rng: &mut R,
-) -> Vec<roomsense_net::Delivery> {
-    let mut deliveries = Vec::new();
-    for (at, report) in reports {
-        deliveries.extend(queue.offer(*at, report.clone(), rng));
-    }
-    let mut drain_at = SimTime::ZERO + duration;
-    let drain_until = drain_at + drain;
-    while drain_at < drain_until && queue.pending() > 0 {
-        drain_at += SimDuration::from_secs(2);
-        deliveries.extend(queue.flush(drain_at, rng));
-    }
-    deliveries
 }
 
 /// Arithmetic mean of a non-empty slice (0 for an empty one).

@@ -1,12 +1,10 @@
 //! The `scaling` arm: the Fig 9 protocol on a commercial office floor.
 
+use super::house::svm_and_proximity;
 use super::{ExperimentCtx, ExperimentReport};
-use crate::{
-    collect_dataset, LabelledDataset, OccupancyModel, PipelineConfig, Scenario, MISSING_DISTANCE,
-};
+use crate::{collect_dataset, PipelineConfig, Scenario};
 use roomsense_building::presets;
-use roomsense_ml::{train_test_split, Classifier, ConfusionMatrix, ProximityClassifier, SvmParams};
-use roomsense_sim::{rng, SimDuration};
+use roomsense_sim::SimDuration;
 
 /// Classification accuracy at commercial-building scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,29 +33,11 @@ impl ExperimentCtx {
             3,
             seed,
         );
-        let mut split_rng = rng::for_component(seed, "scaling-split");
-        let (train, test) = train_test_split(&labelled.data, 0.3, &mut split_rng);
-        let model = OccupancyModel::fit(
-            &LabelledDataset {
-                data: train,
-                beacon_order: labelled.beacon_order.clone(),
-            },
-            &SvmParams::default(),
-        )
-        .expect("office collection walk yields a multi-class dataset");
-        let svm_cm = model.evaluate(&test);
-        let proximity = ProximityClassifier::new(
-            scenario.beacon_room_labels(),
-            scenario.outside_label(),
-            MISSING_DISTANCE,
-        );
-        let mut prox_cm = ConfusionMatrix::new(scenario.label_names().len());
-        for (row, label) in test.rows().iter().zip(test.labels()) {
-            prox_cm.record(*label, proximity.predict(row));
-        }
+        let (office_svm, office_proximity) =
+            svm_and_proximity(&scenario, &labelled, seed, "scaling-split");
         ScalingResult {
-            office_svm: svm_cm.accuracy(),
-            office_proximity: prox_cm.accuracy(),
+            office_svm,
+            office_proximity,
             rooms: scenario.plan().rooms().len(),
             beacons: scenario.plan().beacon_sites().len(),
         }

@@ -1,12 +1,15 @@
 //! The `telemetry` arm: one recorder across fleet, filter, uplink, BMS and
 //! energy.
 
-use super::{pump_queue, sequenced_report_from_snapshots, ExperimentCtx, ExperimentReport};
+use super::house::{
+    ingest_with_crashes, itinerary_walks, lossy_ack_uplink, report_stream, uplink_energy,
+};
+use super::{ExperimentCtx, ExperimentReport};
 use crate::{features_from_snapshots, BatchConfig, PipelineConfig, Scenario};
 use roomsense_building::presets;
-use roomsense_energy::{account, PowerProfile, UplinkArchitecture, UsageTimeline};
+use roomsense_energy::UplinkArchitecture;
 use roomsense_ml::SvmParams;
-use roomsense_net::{BtRelayTransport, WifiTransport};
+use roomsense_net::{BtRelayTransport, OccupancyEstimator, WifiTransport};
 use roomsense_sim::{rng, SimDuration, SimTime};
 use roomsense_telemetry::Recorder;
 use std::sync::Arc;
@@ -53,12 +56,11 @@ impl ExperimentCtx {
     /// parallel section (the fleet) merges per-device child recorders in
     /// device order, and every other phase is sequential.
     pub fn telemetry(&self) -> TelemetryResult {
-        use roomsense_building::mobility::{MobilityModel, RoomSchedule};
+        use roomsense_building::mobility::MobilityModel;
         use roomsense_building::RoomId;
         use roomsense_ml::BinarySvm;
         use roomsense_net::{
             FailoverTransport, FaultyTransport, LinkHealthConfig, ObservationReport,
-            QueueingTransport, SequenceStamper, ShardedBmsServer,
         };
         use roomsense_sim::{FaultSchedule, FaultWindow};
         use roomsense_telemetry::{keys, TelemetryEvent};
@@ -82,14 +84,7 @@ impl ExperimentCtx {
                 (RoomId::new(1), SimDuration::from_secs(120)),
             ],
         ];
-        let walks: Vec<RoomSchedule> = itineraries
-            .iter()
-            .enumerate()
-            .map(|(i, visits)| {
-                let mut r = rng::for_indexed(seed, "telemetry-walk", i as u64);
-                RoomSchedule::generate(scenario.plan(), visits, 1.2, SimTime::ZERO, &mut r)
-            })
-            .collect();
+        let walks = itinerary_walks(&scenario, seed, "telemetry-walk", &itineraries);
         let occupants: Vec<&dyn MobilityModel> = walks.iter().map(|w| w as _).collect();
         let plan =
             crate::FaultPlan::generate(scenario.advertisers().len(), duration, 0.6, seed);
@@ -133,17 +128,7 @@ impl ExperimentCtx {
         // Phase 3: the chaos uplink. Lossy acks force retransmits, a blackout
         // forces failover, and a server crash forces a checkpoint restore —
         // each layer records into its own recorder, merged below.
-        let mut stamper = SequenceStamper::new();
-        let reports: Vec<(SimTime, ObservationReport)> = labelled
-            .iter()
-            .zip(events.iter().filter(|e| !e.record.snapshots.is_empty()))
-            .map(|((at, _, _), e)| {
-                (
-                    *at,
-                    sequenced_report_from_snapshots(&mut stamper, e.device, e.at, &e.record.snapshots),
-                )
-            })
-            .collect();
+        let reports = report_stream(&events, true);
         let wifi_outages = FaultSchedule::new(vec![FaultWindow::new(
             SimTime::from_secs(120),
             SimTime::from_secs(240),
@@ -163,80 +148,45 @@ impl ExperimentCtx {
             ),
             crash_schedule.clone(),
         );
-        let mut queue = QueueingTransport::new(chain, 256, SimDuration::from_secs(2))
-            .with_ack_loss(0.25);
         let mut uplink_rng = rng::for_component(seed, "telemetry-uplink");
-        let mut deliveries = pump_queue(&mut queue, &reports, duration, drain, &mut uplink_rng);
-        deliveries.sort_by_key(|d| (d.at, d.report.device, d.report.seq));
+        let uplink = lossy_ack_uplink(chain, &reports, duration, drain, &mut uplink_rng);
 
         // Ingest with periodic checkpoints; at the crash-window start the
         // in-memory server is lost and restarts from the last checkpoint plus
         // the journal tail (the server recorder rolls back and replays with
         // it, so its snapshot reflects what the surviving server counted).
-        let nearest_beacon = |report: &ObservationReport| {
+        let nearest_beacon: Arc<dyn OccupancyEstimator> = Arc::new(|report: &ObservationReport| {
             report
                 .beacons
                 .iter()
                 .min_by(|a, b| a.distance_m.partial_cmp(&b.distance_m).expect("finite"))
                 .map(|b| b.identity.minor.value() as usize)
-        };
-        let mut server = ShardedBmsServer::new(Arc::new(nearest_beacon), 1);
-        let checkpoint_every = SimDuration::from_secs(120);
-        let mut checkpoint = server.checkpoint();
-        let mut checkpoint_len = 0usize;
-        let mut next_checkpoint = SimTime::ZERO + checkpoint_every;
-        let mut journal: Vec<ObservationReport> = Vec::new();
-        let crash_windows = crash_schedule.windows();
-        let mut crash_idx = 0usize;
-        for delivery in &deliveries {
-            loop {
-                let crash_due = crash_windows
-                    .get(crash_idx)
-                    .is_some_and(|w| w.from <= delivery.at);
-                let checkpoint_due = next_checkpoint <= delivery.at;
-                if crash_due && (!checkpoint_due || crash_windows[crash_idx].from <= next_checkpoint)
-                {
-                    server = ShardedBmsServer::restore(Arc::new(nearest_beacon), checkpoint.clone())
-                        .expect("untampered checkpoint");
-                    for report in &journal[checkpoint_len..] {
-                        server.ingest(report.clone());
-                    }
-                    crash_idx += 1;
-                } else if checkpoint_due {
-                    checkpoint = server.checkpoint();
-                    checkpoint_len = journal.len();
-                    next_checkpoint += checkpoint_every;
-                } else {
-                    break;
-                }
-            }
-            if !server.ingest(delivery.report.clone()).is_duplicate() {
-                journal.push(delivery.report.clone());
-            }
-        }
-        let offered = queue.offered();
-        let delivered = queue.delivered_reports();
-        let transport_events = queue.telemetry().transport_events();
-        recorder.merge_child(queue.telemetry().clone());
+        });
+        let server = ingest_with_crashes(
+            &nearest_beacon,
+            &uplink.deliveries,
+            &crash_schedule,
+            SimTime::ZERO + duration + drain,
+            true,
+        )
+        .server;
+        let transport_events = uplink.telemetry.transport_events();
+        recorder.merge_child(uplink.telemetry);
         recorder.merge_child(server.telemetry_snapshot());
 
         // Phase 4: price the uplink's bursts and publish the energy account.
-        let timeline = UsageTimeline {
-            duration: duration + drain,
-            scan_active: duration,
+        uplink_energy(
             transport_events,
-        };
-        account(
-            &PowerProfile::galaxy_s3_mini(),
-            &timeline,
+            duration,
+            drain,
             UplinkArchitecture::Failover,
         )
         .record_into(&mut recorder);
 
         TelemetryResult {
             recorder,
-            offered,
-            delivered,
+            offered: uplink.offered,
+            delivered: uplink.delivered,
         }
     }
 }

@@ -1,11 +1,10 @@
 //! The `tracking` arm: the BMS occupancy table against ground truth.
 
-use super::{report_from_snapshots, ExperimentCtx, ExperimentReport};
-use crate::{collect_dataset, BatchConfig, OccupancyModel, PipelineConfig, Scenario};
-use roomsense_building::presets;
-use roomsense_ml::SvmParams;
+use super::house::{agrees_with_truth, commissioned_house, itinerary_walks, report_stream};
+use super::{ExperimentCtx, ExperimentReport};
+use crate::{BatchConfig, PipelineConfig};
 use roomsense_net::{DeviceId, Transport, WifiTransport};
-use roomsense_sim::{rng, SimDuration, SimTime};
+use roomsense_sim::{rng, SimDuration};
 use std::sync::Arc;
 
 /// System-level tracking quality: how often the BMS occupancy table agrees
@@ -27,16 +26,13 @@ impl ExperimentCtx {
     /// occupancy table against the ground-truth trace — the system-level number
     /// a BMS operator actually cares about.
     pub fn tracking(&self) -> TrackingResult {
-        use roomsense_building::mobility::{MobilityModel, RoomSchedule};
+        use roomsense_building::mobility::MobilityModel;
         use roomsense_building::{trace, RoomId};
         use roomsense_net::ShardedBmsServer;
         let seed = self.seed;
 
-        let scenario = Scenario::from_plan(presets::paper_house(), seed);
+        let (scenario, model) = commissioned_house(seed);
         let config = PipelineConfig::paper_android();
-        let labelled = collect_dataset(&scenario, &config, SimDuration::from_secs(40), 3, seed);
-        let model = OccupancyModel::fit(&labelled, &SvmParams::default())
-            .expect("collection walk yields a multi-class dataset");
         let outside = scenario.outside_label();
         let server = ShardedBmsServer::new(Arc::new(model), 1);
 
@@ -54,14 +50,7 @@ impl ExperimentCtx {
                 (RoomId::new(2), SimDuration::from_secs(240)),
             ],
         ];
-        let walks: Vec<RoomSchedule> = itineraries
-            .iter()
-            .enumerate()
-            .map(|(i, visits)| {
-                let mut r = rng::for_indexed(seed, "tracking-walk", i as u64);
-                RoomSchedule::generate(scenario.plan(), visits, 1.2, SimTime::ZERO, &mut r)
-            })
-            .collect();
+        let walks = itinerary_walks(&scenario, seed, "tracking-walk", &itineraries);
         let occupants: Vec<&dyn MobilityModel> = walks.iter().map(|w| w as _).collect();
         let duration = SimDuration::from_secs(240);
 
@@ -76,10 +65,9 @@ impl ExperimentCtx {
         );
         let mut transport = WifiTransport::default();
         let mut transport_rng = rng::for_component(seed, "tracking-uplink");
-        for event in events.iter().filter(|e| !e.record.snapshots.is_empty()) {
-            let report = report_from_snapshots(event.device, event.at, &event.record.snapshots);
+        for (at, report) in report_stream(&events, false) {
             if transport
-                .send(event.at, &report, &mut transport_rng)
+                .send(at, &report, &mut transport_rng)
                 .is_delivered()
             {
                 server.post_observation(report);
@@ -106,11 +94,8 @@ impl ExperimentCtx {
                     .take_while(|(t, _)| *t <= sample.at)
                     .last()
                     .map(|(_, room)| *room);
-                let truth_label = true_room.map_or(outside, |r| r.index() as usize);
                 device_total += 1;
-                // Before the first report the server knows nothing; count it
-                // as a miss unless the device is truly outside.
-                let hit = believed.map_or(truth_label == outside, |b| b == truth_label);
+                let hit = agrees_with_truth(believed, *true_room, outside);
                 if hit {
                     device_hits += 1;
                 } else {

@@ -56,30 +56,6 @@ pub struct UsageTimeline {
     pub transport_events: Vec<TransportEvent>,
 }
 
-impl UsageTimeline {
-    /// A timeline whose scanner runs at a duty cycle: `window` of scanning
-    /// out of every `period` (Android L's opportunistic/balanced scan
-    /// modes). `window > period` saturates at continuous scanning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn with_scan_duty(
-        duration: SimDuration,
-        window: SimDuration,
-        period: SimDuration,
-        transport_events: Vec<roomsense_net::TransportEvent>,
-    ) -> Self {
-        assert!(!period.is_zero(), "scan duty period must be non-zero");
-        let duty = (window.as_millis() as f64 / period.as_millis() as f64).min(1.0);
-        UsageTimeline {
-            duration,
-            scan_active: SimDuration::from_secs_f64(duration.as_secs_f64() * duty),
-            transport_events,
-        }
-    }
-}
-
 /// Energy totals per component, in millijoules.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EnergyLedger {
@@ -456,25 +432,6 @@ mod tests {
         for pair in breakdown.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
         }
-    }
-
-    #[test]
-    fn duty_cycle_constructor_scales_scan_time() {
-        let t = UsageTimeline::with_scan_duty(
-            SimDuration::from_secs(1000),
-            SimDuration::from_millis(512),
-            SimDuration::from_millis(5120),
-            vec![],
-        );
-        assert_eq!(t.scan_active, SimDuration::from_secs(100));
-        // Window longer than period saturates.
-        let full = UsageTimeline::with_scan_duty(
-            SimDuration::from_secs(100),
-            SimDuration::from_secs(9),
-            SimDuration::from_secs(3),
-            vec![],
-        );
-        assert_eq!(full.scan_active, SimDuration::from_secs(100));
     }
 
     #[test]

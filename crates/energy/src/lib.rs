@@ -25,12 +25,10 @@
 
 mod battery;
 mod gating;
-mod hvac;
 mod ledger;
 mod profile;
 
 pub use battery::{Battery, BatteryTracePoint};
 pub use gating::{gate_timeline, BuildMotionError, MotionIntervals};
-pub use hvac::HvacPricing;
 pub use ledger::{account, ComponentKind, EnergyLedger, UsageTimeline};
 pub use profile::{PowerProfile, UplinkArchitecture};

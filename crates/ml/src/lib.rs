@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod csv;
 mod dataset;
 mod kernel;
 mod knn;
@@ -52,7 +51,6 @@ mod scaler;
 mod svm;
 mod trilateration;
 
-pub use csv::ParseCsvError;
 pub use dataset::{k_fold, train_test_split, BuildDatasetError, Dataset};
 pub use kernel::Kernel;
 pub use knn::{FitKnnError, KnnClassifier};

@@ -326,33 +326,6 @@ pub struct LeveledPopulationView {
     pub lagging_shards: usize,
 }
 
-/// The campus-wide population answer: per-building leveled views plus a
-/// merged table keyed `(building, room)` — the counting twin of
-/// [`CampusView`](crate::CampusView).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampusPopulationView {
-    /// The instant the view was taken.
-    pub at: SimTime,
-    /// Worst service level across buildings.
-    pub level: ServiceLevel,
-    /// Lagging shards summed across buildings.
-    pub lagging_shards: usize,
-    /// Whether every building's evidence window was fully retained.
-    pub complete: bool,
-    /// Each building's own answer, in registration order.
-    pub buildings: Vec<(String, LeveledPopulationView)>,
-    /// The merged table; the key carries the building name so rooms from
-    /// different buildings never collide.
-    pub rooms: BTreeMap<(String, RoomLabel), PopulationEstimate>,
-}
-
-impl CampusPopulationView {
-    /// Total estimated headcount across the campus.
-    pub fn estimated_total(&self) -> f64 {
-        self.rooms.values().map(|e| e.count).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,6 @@
 //! reports how much conditioning time demand-response saved against an
 //! always-on baseline.
 
-use crate::counting::PopulationView;
 use crate::{OccupancyView, RoomLabel};
 use roomsense_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -64,9 +63,7 @@ pub struct DemandResponseReport {
     pub stale: SimDuration,
     /// Estimated person-seconds spent inside conditioned rooms — the
     /// integral of each conditioned room's (estimated) headcount over its
-    /// on-time. Headcount-aware HVAC pricing (the energy crate's
-    /// `HvacPricing` tariff) scales with this instead of treating a
-    /// packed lecture hall like a lone late worker.
+    /// on-time.
     pub person_seconds: f64,
 }
 
@@ -176,39 +173,6 @@ impl DemandResponseController {
         self.stale_driven.iter_mut().for_each(|s| *s = false);
         self.set_counts(|room| occupancy.get(&room).copied().unwrap_or(0) as f64);
         self.apply(now, occupancy);
-    }
-
-    /// Applies a staleness-aware *population* view at time `now`: the
-    /// headcount-scaled twin of [`update_view`](Self::update_view). Rooms
-    /// with an estimated headcount of at least half a person are treated
-    /// as occupied; the fractional estimate itself becomes the
-    /// person-time integrand, so [`DemandResponseReport::person_seconds`]
-    /// — and any headcount-scaled HVAC tariff priced from it — follows
-    /// estimated crowd size rather than binary presence. Fails safe
-    /// exactly like the presence path: a room whose estimate rests on
-    /// expired evidence stays conditioned, and the time is surfaced as
-    /// [`DemandResponseReport::stale`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes an earlier update, or a label is out of
-    /// range.
-    pub fn update_population(&mut self, now: SimTime, view: &PopulationView) {
-        self.accrue_stale(now);
-        self.accrue_people(now);
-        for (room, flag) in self.stale_driven.iter_mut().enumerate() {
-            *flag = view
-                .rooms
-                .get(&room)
-                .is_some_and(|e| e.count >= 0.5 && !e.fresh);
-        }
-        self.set_counts(|room| view.rooms.get(&room).map_or(0.0, |e| e.count));
-        let occupancy: BTreeMap<RoomLabel, usize> = view
-            .rooms
-            .iter()
-            .map(|(room, e)| (*room, if e.count >= 0.5 { e.rounded().max(1) } else { 0 }))
-            .collect();
-        self.apply(now, &occupancy);
     }
 
     /// Applies a staleness-aware occupancy view at time `now`.

@@ -14,9 +14,8 @@
 //! deterministically, so a federated run checksums identically at any
 //! `ROOMSENSE_THREADS`.
 
-use crate::counting::{CampusPopulationView, CountingConfig, LeveledPopulationView, PopulationEstimate};
 use crate::{Admission, IngestTier, LeveledView, RoomLabel, RoomPresence, ServiceLevel};
-use crate::{ObservationReport, SendOutcome};
+use crate::ObservationReport;
 use roomsense_sim::{SimDuration, SimTime};
 use roomsense_telemetry::Recorder;
 use std::collections::BTreeMap;
@@ -135,21 +134,6 @@ impl CampusFederation {
             .offer(at, report)
     }
 
-    /// [`offer`](Self::offer) expressed in transport vocabulary, for
-    /// wiring a federation behind a [`Transport`](crate::Transport)
-    /// adapter: `Delivered` on admission, `Backpressured` on shed.
-    pub fn offer_as_send(
-        &mut self,
-        building: &str,
-        at: SimTime,
-        report: ObservationReport,
-    ) -> SendOutcome {
-        match self.offer(building, at, report) {
-            Admission::Admitted => SendOutcome::Delivered { at },
-            Admission::Backpressured => SendOutcome::Backpressured,
-        }
-    }
-
     /// One event-loop turn for every building, in registration order.
     /// Returns `(accepted, duplicates)` summed across buildings.
     pub fn pump(&mut self) -> (u64, u64) {
@@ -209,48 +193,6 @@ impl CampusFederation {
             ttl,
             level,
             lagging_shards: lagging,
-            buildings,
-            rooms,
-        }
-    }
-
-    /// The campus-wide population answer (see the
-    /// [`counting`](crate::counting) module): every building estimates at
-    /// its own service level and the merged table keys rooms by
-    /// `(building, room)` — the counting twin of
-    /// [`campus_view`](Self::campus_view).
-    pub fn campus_population(
-        &mut self,
-        now: SimTime,
-        config: &CountingConfig,
-    ) -> CampusPopulationView {
-        let mut buildings: Vec<(String, LeveledPopulationView)> =
-            Vec::with_capacity(self.buildings.len());
-        let mut rooms: BTreeMap<(String, RoomLabel), PopulationEstimate> = BTreeMap::new();
-        let mut lagging = 0usize;
-        let mut complete = true;
-        for (name, tier) in &mut self.buildings {
-            let leveled = tier.population_view(now, config);
-            lagging += leveled.lagging_shards;
-            complete &= leveled.view.complete;
-            for (room, estimate) in &leveled.view.value.rooms {
-                rooms.insert((name.clone(), *room), *estimate);
-            }
-            buildings.push((name.clone(), leveled));
-        }
-        let level = if buildings
-            .iter()
-            .any(|(_, v)| v.level == ServiceLevel::Degraded)
-        {
-            ServiceLevel::Degraded
-        } else {
-            ServiceLevel::Exact
-        };
-        CampusPopulationView {
-            at: now,
-            level,
-            lagging_shards: lagging,
-            complete,
             buildings,
             rooms,
         }
@@ -381,7 +323,7 @@ mod tests {
         // The library stays idle; the hall gets a surge it cannot absorb.
         let mut sheds = 0u64;
         for k in 0..30u64 {
-            if c.offer_as_send("hall", SimTime::ZERO, report(1, k, 0)).is_backpressured() {
+            if c.offer("hall", SimTime::ZERO, report(1, k, 0)) == Admission::Backpressured {
                 sheds += 1;
             }
         }

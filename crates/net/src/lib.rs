@@ -51,7 +51,7 @@ pub use bms::{
     ServerStats, ShardedBmsCheckpoint, ShardedBmsServer, Windowed,
 };
 pub use counting::{
-    finalize_population, CampusPopulationView, CountingConfig, LeveledPopulationView,
+    finalize_population, CountingConfig, LeveledPopulationView,
     PopulationEstimate, PopulationEvidence, PopulationView,
 };
 pub use demand::{DemandResponseController, DemandResponseReport, HvacState};

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: release build, every example run end to end, every
-# test, a warning-free clippy pass, and a warning-free doc build over the
-# whole workspace. The build environment has no crate registry, so
-# everything runs --offline against the in-tree shims.
+# Full pre-merge gate: release build, every example run end to end with its
+# output diffed against examples_output.txt, every test, a warning-free
+# clippy pass, and a warning-free doc build over the whole workspace. The
+# build environment has no crate registry, so everything runs --offline
+# against the in-tree shims.
 #
 # Tests run twice: once pinned to a single worker (the pure sequential
 # paths) and once at the default parallelism, so a scheduling-dependent
@@ -21,12 +22,31 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 # Every example end to end in release (each runs in well under a second);
-# a panic or non-zero exit fails the gate.
+# a panic or non-zero exit fails the gate. Their stdout, each example under
+# an "== <name>" header, must be byte-identical to the committed
+# examples_output.txt under a single worker and again under the default
+# parallelism, so every printed figure is pinned and thread-invariant.
 cargo build --release --offline --examples
-for example in examples/*.rs; do
-    ./target/release/examples/"$(basename "$example" .rs)" > /dev/null
-done
-echo "every example ran to completion"
+run_examples() {
+    for example in examples/*.rs; do
+        name="$(basename "$example" .rs)"
+        echo "== $name"
+        ./target/release/examples/"$name"
+    done
+}
+examples_out=$(mktemp)
+trap 'rm -f "$examples_out"' EXIT
+ROOMSENSE_THREADS=1 run_examples > "$examples_out"
+if ! diff examples_output.txt "$examples_out"; then
+    echo "check.sh: examples at threads=1 differ from examples_output.txt" >&2
+    exit 1
+fi
+(unset ROOMSENSE_THREADS; run_examples) > "$examples_out"
+if ! diff examples_output.txt "$examples_out"; then
+    echo "check.sh: examples at default threads differ from examples_output.txt" >&2
+    exit 1
+fi
+echo "every example ran to completion and matches examples_output.txt at threads=1 and default"
 ROOMSENSE_THREADS=1 cargo test -q --offline --workspace
 cargo test -q --offline --workspace
 # One full pass under background disk chaos: every SimDisk consults the
@@ -50,7 +70,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # figure and every arm checksum is thread-invariant.
 # Regenerate the file deliberately when a change is meant to move numbers.
 repro_out=$(mktemp)
-trap 'rm -f "$repro_out"' EXIT
+trap 'rm -f "$examples_out" "$repro_out"' EXIT
 ROOMSENSE_THREADS=1 ./target/release/repro all 2>/dev/null > "$repro_out"
 if ! diff repro_output.txt "$repro_out"; then
     echo "check.sh: repro all at threads=1 differs from repro_output.txt" >&2
@@ -108,4 +128,4 @@ echo "perfbench history_reads traced run passed its reference-answer, oracle-dig
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
-echo "check.sh: build + examples + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 12 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
+echo "check.sh: build + examples (examples_output.txt at threads=1 and default) + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 12 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
