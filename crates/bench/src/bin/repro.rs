@@ -21,13 +21,10 @@ use roomsense_sim::{exec, SimDuration, SimTime};
 use roomsense_stack::app::{App, AppEvent};
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    if let Some(dir) = std::env::args().nth(2) {
-        if let Err(e) = export_csv(&arg, &dir) {
-            eprintln!("csv export failed: {e}");
-            std::process::exit(1);
-        }
-        return;
+    let mut args = std::env::args().skip(1);
+    let arg = args.next().unwrap_or_else(|| "all".to_string());
+    if let Some(extra) = args.next() {
+        usage(&format!("unexpected argument {extra:?}"));
     }
     match arg.as_str() {
         "fig1" => fig1(),
@@ -59,17 +56,20 @@ fn main() {
         }
         other => match experiments::arm(other) {
             Some(arm) => run_system(arm),
-            None => {
-                let arms: Vec<&str> = experiments::ARMS.iter().map(|a| a.name).collect();
-                eprintln!("unknown experiment {other:?}");
-                eprintln!(
-                    "usage: repro [fig1|fig3|fig4|fig5|fig6|fig7_8|fig9|fig10|fig11|sampling|calibration|{}|all]",
-                    arms.join("|")
-                );
-                std::process::exit(2);
-            }
+            None => usage(&format!("unknown experiment {other:?}")),
         },
     }
+}
+
+/// Prints `problem` and the usage line to stderr, then exits with status 2.
+fn usage(problem: &str) -> ! {
+    let arms: Vec<&str> = experiments::ARMS.iter().map(|a| a.name).collect();
+    eprintln!("{problem}");
+    eprintln!(
+        "usage: repro [fig1|fig3|fig4|fig5|fig6|fig7_8|fig9|fig10|fig11|sampling|calibration|{}|all]",
+        arms.join("|")
+    );
+    std::process::exit(2);
 }
 
 /// Runs one registered system arm under the canonical seed: summary,
@@ -327,67 +327,6 @@ fn calibration() {
         "  verification capture estimates {:.2} m at a true 1.00 m",
         outcome.verified_distance_m
     );
-}
-
-/// Writes the figure's data series as CSV files under `dir`.
-fn export_csv(which: &str, dir: &str) -> Result<(), Box<dyn std::error::Error>> {
-    use std::fmt::Write as _;
-    std::fs::create_dir_all(dir)?;
-    let write = |name: &str, contents: String| -> std::io::Result<()> {
-        let path = std::path::Path::new(dir).join(name);
-        std::fs::write(&path, contents)?;
-        println!("wrote {}", path.display());
-        Ok(())
-    };
-    match which {
-        "fig4" | "fig5" | "fig6" => {
-            let period = if which == "fig6" { 5 } else { 2 };
-            let config = PipelineConfig::paper_android()
-                .with_scan_period(SimDuration::from_secs(period));
-            let capture = ExperimentCtx::new(SEED).static_capture(&config, 2.0, SimDuration::from_secs(120));
-            let series = if which == "fig5" {
-                &capture.smoothed
-            } else {
-                &capture.raw
-            };
-            let mut csv = String::from("t_seconds,distance_m
-");
-            for (t, d) in series {
-                writeln!(csv, "{t},{d}")?;
-            }
-            write(&format!("{which}.csv"), csv)?;
-        }
-        "fig7_8" => {
-            let walk = ExperimentCtx::new(SEED).dynamic_walk(0.65, 1.2);
-            let mut csv = String::from("t_seconds,west_m,east_m
-");
-            for (t, a, b) in &walk.series {
-                writeln!(
-                    csv,
-                    "{t},{},{}",
-                    a.map_or(String::new(), |d| d.to_string()),
-                    b.map_or(String::new(), |d| d.to_string())
-                )?;
-            }
-            write("fig7_8.csv", csv)?;
-        }
-        "fig10" => {
-            let result = ExperimentCtx::new(SEED).energy(SimDuration::from_secs(3600), 10);
-            let mut csv = String::from("t_seconds,wifi_percent,bt_percent
-");
-            for (w, b) in result.wifi_trace.iter().zip(&result.bt_trace) {
-                writeln!(csv, "{},{},{}", w.at.as_secs_f64(), w.percent, b.percent)?;
-            }
-            write("fig10.csv", csv)?;
-        }
-        other => {
-            return Err(format!(
-                "no csv series defined for {other:?} (supported: fig4 fig5 fig6 fig7_8 fig10)"
-            )
-            .into());
-        }
-    }
-    Ok(())
 }
 
 fn bar(value: f64, full_scale: f64) -> String {

@@ -46,3 +46,15 @@ fn unknown_subcommand_fails_with_usage() {
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("usage:"), "stderr: {err}");
 }
+
+#[test]
+fn a_second_argument_fails_with_usage() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig1", "out"])
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty(), "nothing runs before the usage check");
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(err.contains("usage:"), "stderr: {err}");
+}

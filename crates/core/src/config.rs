@@ -145,18 +145,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Returns the config with a different OS scanner model.
-    pub fn with_scanner(mut self, scanner: ScannerKind) -> Self {
-        self.scanner = scanner;
-        self
-    }
-
-    /// Returns the config with a different per-cycle sample aggregation.
-    pub fn with_aggregation(mut self, aggregation: AggregateMethod) -> Self {
-        self.aggregation = aggregation;
-        self
-    }
-
     /// Returns the config with a different smoothing coefficient.
     pub fn with_coefficient(mut self, coefficient: f64) -> Self {
         self.filter_coefficient = coefficient;
@@ -224,12 +212,12 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let cfg = PipelineConfig::paper_android()
+        let mut cfg = PipelineConfig::paper_android()
             .with_scan_period(SimDuration::from_secs(5))
             .with_coefficient(0.3)
-            .with_device(DeviceRxProfile::nexus_5())
-            .with_scanner(ScannerKind::Ios)
-            .with_aggregation(AggregateMethod::MedianDbm);
+            .with_device(DeviceRxProfile::nexus_5());
+        cfg.scanner = ScannerKind::Ios;
+        cfg.aggregation = AggregateMethod::MedianDbm;
         assert_eq!(cfg.scan.scan_period, SimDuration::from_secs(5));
         assert_eq!(cfg.filter_coefficient, 0.3);
         assert!(cfg.device.model.contains("Nexus"));

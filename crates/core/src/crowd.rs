@@ -24,7 +24,7 @@
 //! `ROOMSENSE_THREADS` and any generation order.
 
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
-use roomsense_net::{DeviceId, ObservationReport, SightedBeacon};
+use roomsense_net::{DeviceId, ObservationReport, RoomLabel, SightedBeacon};
 use roomsense_sim::{exec, rng, FaultSchedule, SimDuration, SimTime};
 use rand::Rng;
 
@@ -360,6 +360,38 @@ pub fn carriers(scenario: &CrowdScenario, seed: u64) -> Vec<bool> {
         .collect()
 }
 
+/// A synthetic report that names its room directly: one sighted beacon
+/// (the example UUID, major 1) whose minor is `room`, at `distance_m`.
+/// [`room_of`] reads the room back.
+pub fn room_report(
+    device: DeviceId,
+    seq: u64,
+    at: SimTime,
+    room: u16,
+    distance_m: f64,
+) -> ObservationReport {
+    ObservationReport {
+        device,
+        seq,
+        at,
+        beacons: vec![SightedBeacon {
+            identity: BeaconIdentity {
+                uuid: ProximityUuid::example(),
+                major: Major::new(1),
+                minor: Minor::new(room),
+            },
+            distance_m,
+        }],
+    }
+}
+
+/// The estimator for [`room_report`] streams: the minor of the report's
+/// first beacon is its room, and a report with no beacon has none. Used
+/// as `Arc::new(crowd::room_of)`.
+pub fn room_of(report: &ObservationReport) -> Option<RoomLabel> {
+    report.beacons.first().map(|b| b.identity.minor.value() as usize)
+}
+
 /// The replay driver: turns a scenario into the report stream its carried
 /// devices would produce — one report per period while the subject is
 /// inside, beacon minor = room, distance jittered per report. Device `i`
@@ -388,19 +420,7 @@ pub fn replay_reports(scenario: &CrowdScenario, seed: u64) -> Vec<ObservationRep
             let distance_m = r.gen_range(0.5..4.0);
             if let Some(room) = scenario.trace.subjects[i].room_at(at) {
                 seq += 1;
-                out.push(ObservationReport {
-                    device: DeviceId::new(i as u32),
-                    seq,
-                    at,
-                    beacons: vec![SightedBeacon {
-                        identity: BeaconIdentity {
-                            uuid: ProximityUuid::example(),
-                            major: Major::new(1),
-                            minor: Minor::new(room as u16),
-                        },
-                        distance_m,
-                    }],
-                });
+                out.push(room_report(DeviceId::new(i as u32), seq, at, room as u16, distance_m));
             }
             t += period_ms;
         }

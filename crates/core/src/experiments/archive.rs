@@ -1,8 +1,8 @@
 //! The `archive` arm: segment-log retention under disk faults.
 
 use super::{ExperimentCtx, ExperimentReport};
-use roomsense_ibeacon::Minor;
-use roomsense_net::{DeviceId, ObservationReport, SightedBeacon};
+use crate::crowd;
+use roomsense_net::{DeviceId, ObservationReport};
 use roomsense_sim::{exec, rng, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -157,7 +157,6 @@ impl ExperimentCtx {
     /// and [`ExperimentCtx::with_shards`] override them.
     pub fn archive(&self) -> ArchiveFingerprint {
         use rand::Rng;
-        use roomsense_ibeacon::{BeaconIdentity, Major, ProximityUuid};
         use roomsense_net::{ArchiveConfig, ShardedBmsServer};
         use roomsense_sim::{DiskFaultPlan, FaultSchedule, FaultWindow, SharedDisk, SimDisk};
         let seed = self.seed;
@@ -185,19 +184,13 @@ impl ExperimentCtx {
             (0..CYCLES)
                 .map(|k| {
                     let room = if k >= switch { away } else { home };
-                    ObservationReport {
-                        device: DeviceId::new(i as u32),
-                        seq: k,
-                        at: SimTime::from_millis(k * PERIOD_MS + jitter_ms),
-                        beacons: vec![SightedBeacon {
-                            identity: BeaconIdentity {
-                                uuid: ProximityUuid::example(),
-                                major: Major::new(1),
-                                minor: Minor::new(room),
-                            },
-                            distance_m: r.gen_range(0.5..3.0),
-                        }],
-                    }
+                    crowd::room_report(
+                        DeviceId::new(i as u32),
+                        k,
+                        SimTime::from_millis(k * PERIOD_MS + jitter_ms),
+                        room,
+                        r.gen_range(0.5..3.0),
+                    )
                 })
                 .collect::<Vec<_>>()
         })
@@ -212,9 +205,7 @@ impl ExperimentCtx {
             .collect();
 
         let estimator = || -> Arc<dyn roomsense_net::OccupancyEstimator> {
-            Arc::new(|r: &ObservationReport| {
-                r.beacons.first().map(|b| b.identity.minor.value() as usize)
-            })
+            Arc::new(crowd::room_of)
         };
         let window = |from_s: u64, to_s: u64| {
             FaultSchedule::new(vec![FaultWindow::new(

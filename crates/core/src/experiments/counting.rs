@@ -2,6 +2,7 @@
 //! delivery condition.
 
 use super::{fnv1a, mean, ExperimentCtx, ExperimentReport};
+use crate::crowd;
 use roomsense_net::ObservationReport;
 use roomsense_sim::SimTime;
 use roomsense_telemetry::Recorder;
@@ -140,9 +141,7 @@ fn drive_counting(
     use roomsense_net::ShardedBmsServer;
 
     let fleet_estimator: Arc<dyn roomsense_net::OccupancyEstimator> =
-        Arc::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        });
+        Arc::new(crowd::room_of);
     let fleet = ShardedBmsServer::new(Arc::clone(&fleet_estimator), shards);
     let single = ShardedBmsServer::new(Arc::clone(&fleet_estimator), 1);
     let mut next = 0usize;
@@ -307,9 +306,7 @@ impl ExperimentCtx {
 
             // --- overload: per-minute gateway bursts into bounded mailboxes -
             let fleet_estimator: Arc<dyn roomsense_net::OccupancyEstimator> =
-                Arc::new(|r: &ObservationReport| {
-                    r.beacons.first().map(|b| b.identity.minor.value() as usize)
-                });
+                Arc::new(crowd::room_of);
             let tier_config = IngestTierConfig {
                 mailbox_capacity: 32,
                 service_rate: 4,

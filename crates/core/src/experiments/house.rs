@@ -321,24 +321,18 @@ pub(super) fn uplink_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
-    use roomsense_net::{DeviceId, SightedBeacon};
+    use crate::crowd;
+    use roomsense_net::DeviceId;
     use roomsense_sim::FaultWindow;
 
     fn delivery(arrival_secs: u64, report_secs: u64) -> Delivery {
-        let report = ObservationReport {
-            device: DeviceId::new((report_secs / 10 % 2) as u32),
-            seq: report_secs,
-            at: SimTime::from_secs(report_secs),
-            beacons: vec![SightedBeacon {
-                identity: BeaconIdentity {
-                    uuid: ProximityUuid::example(),
-                    major: Major::new(1),
-                    minor: Minor::new((report_secs / 10 % 3) as u16),
-                },
-                distance_m: 1.0,
-            }],
-        };
+        let report = crowd::room_report(
+            DeviceId::new((report_secs / 10 % 2) as u32),
+            report_secs,
+            SimTime::from_secs(report_secs),
+            (report_secs / 10 % 3) as u16,
+            1.0,
+        );
         Delivery {
             report,
             at: SimTime::from_secs(arrival_secs),
@@ -347,9 +341,7 @@ mod tests {
 
     #[test]
     fn crash_restart_ingest_converges_to_the_crash_free_server() {
-        let estimator: Arc<dyn OccupancyEstimator> = Arc::new(|r: &ObservationReport| {
-            r.beacons.first().map(|b| b.identity.minor.value() as usize)
-        });
+        let estimator: Arc<dyn OccupancyEstimator> = Arc::new(crowd::room_of);
         // One report every 10 s from 10 s to 300 s, plus a late duplicate of
         // the 130 s report arriving at 205 s.
         let mut deliveries: Vec<Delivery> = (1..=30).map(|k| delivery(k * 10, k * 10)).collect();

@@ -2,8 +2,8 @@
 //! a campus federation.
 
 use super::{ExperimentCtx, ExperimentReport};
-use roomsense_ibeacon::Minor;
-use roomsense_net::{DeviceId, ObservationReport, SightedBeacon};
+use crate::crowd;
+use roomsense_net::{DeviceId, ObservationReport};
 use roomsense_sim::{exec, rng, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -98,7 +98,6 @@ impl ExperimentCtx {
     /// and [`ExperimentCtx::with_shards`] override them.
     pub fn overload(&self) -> OverloadFingerprint {
         use rand::Rng;
-        use roomsense_ibeacon::{BeaconIdentity, Major, ProximityUuid};
         use roomsense_net::{
             Admission, CampusFederation, IngestTier, IngestTierConfig, ServiceLevel, ShardedBmsServer,
         };
@@ -162,18 +161,14 @@ impl ExperimentCtx {
             stamps
                 .into_iter()
                 .enumerate()
-                .map(|(seq, (at_ms, room))| ObservationReport {
-                    device: DeviceId::new(i as u32),
-                    seq: seq as u64,
-                    at: SimTime::from_millis(at_ms),
-                    beacons: vec![SightedBeacon {
-                        identity: BeaconIdentity {
-                            uuid: ProximityUuid::example(),
-                            major: Major::new(1),
-                            minor: Minor::new(room),
-                        },
-                        distance_m: 1.5,
-                    }],
+                .map(|(seq, (at_ms, room))| {
+                    crowd::room_report(
+                        DeviceId::new(i as u32),
+                        seq as u64,
+                        SimTime::from_millis(at_ms),
+                        room,
+                        1.5,
+                    )
                 })
                 .collect::<Vec<_>>()
         });
@@ -181,9 +176,7 @@ impl ExperimentCtx {
 
         // Phase 2: the campus, its oracles, and the prefix mirrors.
         let estimator: Arc<dyn roomsense_net::OccupancyEstimator> =
-            Arc::new(|r: &ObservationReport| {
-                r.beacons.first().map(|b| b.identity.minor.value() as usize)
-            });
+            Arc::new(crowd::room_of);
         let mut campus = CampusFederation::new();
         for name in BUILDINGS {
             campus.add_building(

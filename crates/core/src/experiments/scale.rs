@@ -1,9 +1,9 @@
 //! The `scale` arm: a batched fleet into a sharded, retention-bounded BMS.
 
 use super::{ExperimentCtx, ExperimentReport};
+use crate::crowd;
 use roomsense_energy::{account, PowerProfile, UplinkArchitecture, UsageTimeline};
-use roomsense_ibeacon::Minor;
-use roomsense_net::{DeviceId, ObservationReport, SightedBeacon, WifiTransport};
+use roomsense_net::{DeviceId, ObservationReport, WifiTransport};
 use roomsense_sim::{exec, rng, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -150,7 +150,6 @@ impl ExperimentCtx {
     /// and [`ExperimentCtx::with_shards`] override them.
     pub fn scale(&self) -> ScaleFingerprint {
         use rand::Rng;
-        use roomsense_ibeacon::{BeaconIdentity, Major, ProximityUuid};
         use roomsense_net::{BatchingTransport, Delivery, ShardedBmsServer};
         use roomsense_telemetry::{keys, Histogram};
         let seed = self.seed;
@@ -214,19 +213,8 @@ impl ExperimentCtx {
             for k in 0..cycles {
                 let room = if roams && k >= switch { away } else { home };
                 let at = SimTime::from_millis(k * period_ms + jitter_ms);
-                let report = ObservationReport {
-                    device: DeviceId::new(i as u32),
-                    seq: k,
-                    at,
-                    beacons: vec![SightedBeacon {
-                        identity: BeaconIdentity {
-                            uuid: ProximityUuid::example(),
-                            major: Major::new(1),
-                            minor: Minor::new(room),
-                        },
-                        distance_m: r.gen_range(0.5..3.0),
-                    }],
-                };
+                let report =
+                    crowd::room_report(DeviceId::new(i as u32), k, at, room, r.gen_range(0.5..3.0));
                 deliveries.extend(uplink.offer(at, report, &mut r));
             }
             let mut t = SimTime::ZERO + duration;
@@ -292,9 +280,7 @@ impl ExperimentCtx {
             .map(|c| c.iter().map(|d| d.report.clone()).collect())
             .collect();
         let fleet_estimator: Arc<dyn roomsense_net::OccupancyEstimator> =
-            Arc::new(|r: &ObservationReport| {
-                r.beacons.first().map(|b| b.identity.minor.value() as usize)
-            });
+            Arc::new(crowd::room_of);
         let mut fleet =
             ShardedBmsServer::new(Arc::clone(&fleet_estimator), shards).with_retention(retention);
         let single = ShardedBmsServer::new(Arc::clone(&fleet_estimator), 1).with_retention(retention);

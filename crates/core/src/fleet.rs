@@ -30,7 +30,7 @@ pub struct FleetEvent {
 /// Each pipeline returns chronologically ordered cycles, so the merge
 /// is a k-way merge over sorted runs: a min-heap holds one candidate
 /// per device, keyed `(time, device)` so simultaneous cycles keep
-/// device order — the same tie-break the event queue's FIFO gave.
+/// device order.
 pub(crate) fn merge_streams(per_device: Vec<Vec<CycleRecord>>) -> Vec<FleetEvent> {
     let total = per_device.iter().map(Vec::len).sum();
     let mut streams: Vec<_> = per_device

@@ -80,7 +80,7 @@ pub use collect::{
 pub use crowd::{CrowdPreset, CrowdScenario, CrowdTrace, MaeBounds, SubjectTrace, TraceSegment};
 pub use fault::FaultPlan;
 pub use fleet::FleetEvent;
-pub use multifloor::{MultiFloorScenario, SLAB_ATTENUATION_DB};
+pub use multifloor::MultiFloorScenario;
 pub use config::{FilterKind, PipelineConfig, ScannerKind, MEDIAN_FILTER_WINDOW};
 pub use occupancy::{OccupancyModel, TrainOccupancyError};
 pub use pipeline::{run_pipeline, run_pipeline_faulted, CycleRecord};

@@ -23,7 +23,7 @@ use roomsense_stack::PlacedAdvertiser;
 use std::fmt;
 
 /// Attenuation of one reinforced-concrete floor slab at 2.4 GHz, in dB.
-pub const SLAB_ATTENUATION_DB: f64 = 18.0;
+const SLAB_ATTENUATION_DB: f64 = 18.0;
 
 /// A building of stacked floors sharing one proximity UUID.
 ///
@@ -42,31 +42,17 @@ pub const SLAB_ATTENUATION_DB: f64 = 18.0;
 #[derive(Debug, Clone)]
 pub struct MultiFloorScenario {
     floors: Vec<Scenario>,
-    slab_attenuation_db: f64,
 }
 
 impl MultiFloorScenario {
-    /// Stacks `plans` bottom-up (index 0 = ground floor) with the default
-    /// slab attenuation.
+    /// Stacks `plans` bottom-up (index 0 = ground floor), each slab
+    /// between floors attenuating by 18 dB.
     ///
     /// # Panics
     ///
     /// Panics if `plans` is empty.
     pub fn new(plans: Vec<FloorPlan>, seed: u64) -> Self {
-        MultiFloorScenario::with_slab(plans, seed, SLAB_ATTENUATION_DB)
-    }
-
-    /// Stacks floors with an explicit per-slab attenuation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plans` is empty or the attenuation is negative.
-    pub fn with_slab(plans: Vec<FloorPlan>, seed: u64, slab_attenuation_db: f64) -> Self {
         assert!(!plans.is_empty(), "a building needs at least one floor");
-        assert!(
-            slab_attenuation_db >= 0.0,
-            "slab attenuation must be non-negative (got {slab_attenuation_db})"
-        );
         let floors = plans
             .into_iter()
             .enumerate()
@@ -76,10 +62,7 @@ impl MultiFloorScenario {
                 scenario
             })
             .collect();
-        MultiFloorScenario {
-            floors,
-            slab_attenuation_db,
-        }
+        MultiFloorScenario { floors }
     }
 
     /// Number of floors.
@@ -146,7 +129,7 @@ impl MultiFloorScenario {
         let mut out = Vec::new();
         for (i, floor) in self.floors.iter().enumerate() {
             let slabs = user_floor.abs_diff(i) as f64;
-            let extra_loss = slabs * self.slab_attenuation_db;
+            let extra_loss = slabs * SLAB_ATTENUATION_DB;
             for placed in floor.advertisers() {
                 let profile = TransmitterProfile {
                     rssi_at_1m_dbm: placed.profile.rssi_at_1m_dbm - extra_loss,
@@ -261,10 +244,9 @@ impl fmt::Display for MultiFloorScenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}-floor building, {} beacons, {:.0} dB slabs",
+            "{}-floor building, {} beacons, {SLAB_ATTENUATION_DB:.0} dB slabs",
             self.floors.len(),
-            self.beacon_order().len(),
-            self.slab_attenuation_db
+            self.beacon_order().len()
         )
     }
 }

@@ -1,12 +1,11 @@
 //! The trained occupancy model: scaler + SVM + feature layout.
 
-use crate::{features_from_snapshots, LabelledDataset, MISSING_DISTANCE};
+use crate::{LabelledDataset, MISSING_DISTANCE};
 use roomsense_ibeacon::Minor;
 use roomsense_ml::{
     ConfusionMatrix, Dataset, StandardScaler, SvmClassifier, SvmParams, SvmScratch, TrainSvmError,
 };
 use roomsense_net::{ObservationReport, OccupancyEstimator, RoomLabel};
-use roomsense_signal::TrackSnapshot;
 use std::cell::RefCell;
 use std::fmt;
 
@@ -106,11 +105,6 @@ impl OccupancyModel {
             self.scaler.transform_into(raw, features);
             self.svm.decide_into(features, svm)
         })
-    }
-
-    /// Classifies the current smoothed tracks.
-    pub fn predict_snapshots(&self, snapshots: &[TrackSnapshot]) -> usize {
-        self.predict_features(&features_from_snapshots(snapshots, &self.beacon_order))
     }
 
     /// Evaluates on a held-out dataset, producing the confusion matrix.

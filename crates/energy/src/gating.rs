@@ -71,13 +71,6 @@ impl MotionIntervals {
         self.intervals.iter().any(|(a, b)| t >= *a && t < *b)
     }
 
-    /// Total moving time.
-    pub fn total_moving(&self) -> SimDuration {
-        self.intervals
-            .iter()
-            .fold(SimDuration::ZERO, |acc, (a, b)| acc + (*b - *a))
-    }
-
     /// Moving time clipped to `[0, horizon)`.
     pub fn moving_within(&self, horizon: SimDuration) -> SimDuration {
         let end = SimTime::ZERO + horizon;
@@ -227,6 +220,9 @@ mod tests {
             motion.moving_within(SimDuration::from_secs(40)),
             SimDuration::from_secs(40)
         );
-        assert_eq!(motion.total_moving(), SimDuration::from_secs(100));
+        assert_eq!(
+            motion.moving_within(SimDuration::from_secs(500)),
+            SimDuration::from_secs(100)
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Points and displacement vectors in the floor-plan plane.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// A position in the floor plan, in metres.
 ///
@@ -55,12 +55,6 @@ impl Point {
         (other - self).length()
     }
 
-    /// Squared Euclidean distance to `other`; cheaper than
-    /// [`distance_to`](Self::distance_to) when only comparisons are needed.
-    pub fn distance_sq_to(self, other: Point) -> f64 {
-        (other - self).length_sq()
-    }
-
     /// Linear interpolation from `self` towards `other`.
     ///
     /// `t = 0` yields `self`, `t = 1` yields `other`; values outside `[0, 1]`
@@ -109,22 +103,6 @@ impl Vec2 {
     /// Positive when `other` lies counter-clockwise of `self`.
     pub fn cross(self, other: Vec2) -> f64 {
         self.x * other.y - self.y * other.x
-    }
-
-    /// Returns the unit vector in the same direction, or `None` when the
-    /// vector is (numerically) zero-length.
-    pub fn normalized(self) -> Option<Vec2> {
-        let len = self.length();
-        if len <= f64::EPSILON {
-            None
-        } else {
-            Some(self / len)
-        }
-    }
-
-    /// The vector rotated 90° counter-clockwise.
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
     }
 
     /// Angle of the vector from the +x axis, in radians in `(-π, π]`.
@@ -213,13 +191,6 @@ impl Mul<f64> for Vec2 {
     }
 }
 
-impl Div<f64> for Vec2 {
-    type Output = Vec2;
-    fn div(self, rhs: f64) -> Vec2 {
-        Vec2::new(self.x / rhs, self.y / rhs)
-    }
-}
-
 impl Neg for Vec2 {
     type Output = Vec2;
     fn neg(self) -> Vec2 {
@@ -259,19 +230,6 @@ mod tests {
         assert!(right.cross(up) > 0.0);
         assert!(up.cross(right) < 0.0);
         assert_eq!(right.cross(right), 0.0);
-    }
-
-    #[test]
-    fn normalized_unit_length() {
-        let v = Vec2::new(3.0, 4.0).normalized().expect("non-zero");
-        assert!((v.length() - 1.0).abs() < 1e-12);
-        assert!(Vec2::ZERO.normalized().is_none());
-    }
-
-    #[test]
-    fn perp_is_orthogonal() {
-        let v = Vec2::new(2.5, -1.0);
-        assert_eq!(v.dot(v.perp()), 0.0);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// The centre of the rectangle.
-    pub fn center(&self) -> Point {
-        self.min.midpoint(self.max)
-    }
-
     /// Whether the point lies inside or on the boundary.
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y

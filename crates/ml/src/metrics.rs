@@ -95,41 +95,6 @@ impl ConfusionMatrix {
         correct as f64 / total as f64
     }
 
-    /// Precision of one class: `TP / (TP + FP)`; `None` when nothing was
-    /// predicted as the class.
-    pub fn precision(&self, class: usize) -> Option<f64> {
-        let tp = self.count(class, class);
-        let predicted: u64 = (0..self.classes).map(|t| self.count(t, class)).sum();
-        if predicted == 0 {
-            None
-        } else {
-            Some(tp as f64 / predicted as f64)
-        }
-    }
-
-    /// Recall of one class: `TP / (TP + FN)`; `None` when the class never
-    /// occurred.
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let tp = self.count(class, class);
-        let actual: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if actual == 0 {
-            None
-        } else {
-            Some(tp as f64 / actual as f64)
-        }
-    }
-
-    /// F1 score of one class, when both precision and recall exist.
-    pub fn f1(&self, class: usize) -> Option<f64> {
-        let p = self.precision(class)?;
-        let r = self.recall(class)?;
-        if p + r == 0.0 {
-            Some(0.0)
-        } else {
-            Some(2.0 * p * r / (p + r))
-        }
-    }
-
     /// Occupancy false positives for a room class: outcomes predicted as
     /// `class` whose truth was different ("detected inside while outside").
     pub fn false_positives(&self, class: usize) -> u64 {
@@ -153,16 +118,6 @@ impl ConfusionMatrix {
     /// misclassifications, as does the false-negative sum).
     pub fn total_false_positives(&self) -> u64 {
         (0..self.classes).map(|c| self.false_positives(c)).sum()
-    }
-
-    /// Macro-averaged F1 over classes that occurred.
-    pub fn macro_f1(&self) -> f64 {
-        let scores: Vec<f64> = (0..self.classes).filter_map(|c| self.f1(c)).collect();
-        if scores.is_empty() {
-            0.0
-        } else {
-            scores.iter().sum::<f64>() / scores.len() as f64
-        }
     }
 }
 
@@ -208,29 +163,11 @@ mod tests {
     }
 
     #[test]
-    fn precision_and_recall() {
-        let cm = sample();
-        assert_eq!(cm.precision(0), Some(8.0 / 9.0));
-        assert_eq!(cm.recall(0), Some(0.8));
-        assert_eq!(cm.precision(1), Some(9.0 / 11.0));
-        assert_eq!(cm.recall(1), Some(0.9));
-    }
-
-    #[test]
     fn fp_fn_semantics() {
         let cm = sample();
         assert_eq!(cm.false_positives(0), 1); // one truth-1 predicted as 0
         assert_eq!(cm.false_negatives(0), 2);
         assert_eq!(cm.total_false_positives(), 3);
-    }
-
-    #[test]
-    fn absent_class_metrics_are_none() {
-        let mut cm = ConfusionMatrix::new(3);
-        cm.record(0, 0);
-        assert_eq!(cm.precision(2), None);
-        assert_eq!(cm.recall(2), None);
-        assert_eq!(cm.f1(2), None);
     }
 
     #[test]
@@ -245,15 +182,6 @@ mod tests {
         let cm = ConfusionMatrix::from_pairs(2, &truth, &pred);
         assert_eq!(cm.count(0, 1), 1);
         assert_eq!(cm.accuracy(), 0.75);
-    }
-
-    #[test]
-    fn f1_is_harmonic_mean() {
-        let cm = sample();
-        let p = cm.precision(0).expect("exists");
-        let r = cm.recall(0).expect("exists");
-        let f1 = cm.f1(0).expect("exists");
-        assert!((f1 - 2.0 * p * r / (p + r)).abs() < 1e-12);
     }
 
     #[test]

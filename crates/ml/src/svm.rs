@@ -321,11 +321,6 @@ impl BinarySvm {
         }
         acc
     }
-
-    /// Number of support vectors retained.
-    pub fn support_vector_count(&self) -> usize {
-        self.support_vectors.len()
-    }
 }
 
 /// One one-vs-one subproblem of a dataset: the rows of classes `a` and
@@ -883,7 +878,7 @@ mod tests {
             .map(|l| if *l == 0 { 1.0 } else { -1.0 })
             .collect();
         let bin = BinarySvm::fit(rows.to_vec(), &targets, &SvmParams::default());
-        assert!(bin.support_vector_count() > 0);
+        assert!(!bin.support_vectors.is_empty());
         assert!(bin.decision(&[-2.0, -2.0]) > 0.0);
         assert!(bin.decision(&[2.0, 2.0]) < 0.0);
     }

@@ -51,6 +51,7 @@ use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_sim::{FileId, SharedDisk, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 const RECORD_MAGIC: u8 = 0xA7;
 /// Magic, kind and the `u32` payload length.
@@ -112,14 +113,23 @@ impl ArchiveConfig {
 }
 
 /// Per-device archive position: how many records this device has archived
-/// and the running FNV-1a digest over their canonical bytes, in spill
-/// order. Embedded into checkpoints so recovery can prove coverage.
+/// and the running FNV-1a digest over their kind and payload bytes, in
+/// spill order. Embedded into checkpoints so recovery can prove coverage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceMark {
     /// Records archived for this device.
     pub records: u64,
     /// Running digest over `kind || payload` of each record, in order.
     pub digest: u64,
+}
+
+impl DeviceMark {
+    /// Folds one more record, its frame `kind` and `payload` bytes.
+    fn fold(&mut self, kind: u8, payload: &[u8]) {
+        fnv_fold(&mut self.digest, &[kind]);
+        fnv_fold(&mut self.digest, payload);
+        self.records += 1;
+    }
 }
 
 /// One device's archive slot: its mark and a re-spill dedup window per
@@ -514,9 +524,17 @@ impl ArchiveSink {
             };
             report.segments += 1;
             last_index = Some(index);
-            let scan = sink
-                .disk
-                .with_file(&name, scan_segment)
+            // Fold the surviving records' payload bytes, as they stand on
+            // disk, into marks and dedup windows.
+            let disk = sink.disk.clone();
+            let scan = disk
+                .with_file(&name, |data| {
+                    let scan = scan_segment(data);
+                    for (kind, device, seq, payload) in scan.frames(data) {
+                        sink.replay_mark(kind, device, seq, payload);
+                    }
+                    scan
+                })
                 .expect("listed files exist");
             if scan.corrupt() {
                 sink.disk.truncate(&name, scan.valid_len);
@@ -530,27 +548,6 @@ impl ArchiveSink {
                 }
             }
             report.records += u64::from(scan.segment.records);
-            // Fold the surviving records into marks and dedup windows.
-            for rec in &scan.records {
-                match rec {
-                    ArchiveRecord::Report(r) => {
-                        sink.replay_mark(KIND_REPORT, r.device, r.seq, &encode_report(r));
-                    }
-                    ArchiveRecord::Assignment {
-                        device,
-                        at,
-                        seq,
-                        room,
-                    } => {
-                        sink.replay_mark(
-                            KIND_ASSIGNMENT,
-                            *device,
-                            *seq,
-                            &encode_assignment(*device, *at, *seq, *room),
-                        );
-                    }
-                }
-            }
             sink.last_at = sink.last_at.max(scan.segment.max_at.unwrap_or(SimTime::ZERO));
             if scan.segment.records > 0 {
                 if scan.footer.is_none() {
@@ -587,10 +584,7 @@ impl ArchiveSink {
             _ => &mut slot.assignments,
         };
         window.check_and_insert(seq, self.config.dedup_capacity);
-        let mark = &mut slot.mark;
-        fnv_fold(&mut mark.digest, &[kind]);
-        fnv_fold(&mut mark.digest, payload);
-        mark.records += 1;
+        slot.mark.fold(kind, payload);
         match kind {
             KIND_REPORT => self.stats.reports += 1,
             _ => self.stats.assignments += 1,
@@ -606,34 +600,28 @@ impl ArchiveSink {
     pub fn verify_covers(&self, marks: &BTreeMap<DeviceId, DeviceMark>) -> Coverage {
         let mut running: BTreeMap<DeviceId, DeviceMark> = BTreeMap::new();
         let mut at_mark: BTreeMap<DeviceId, u64> = BTreeMap::new();
-        self.scan_all(|rec| {
-            let (kind, device, payload) = match rec {
-                ArchiveRecord::Report(r) => (KIND_REPORT, r.device, encode_report(r)),
-                ArchiveRecord::Assignment {
-                    device,
-                    at,
-                    seq,
-                    room,
-                } => (
-                    KIND_ASSIGNMENT,
-                    *device,
-                    encode_assignment(*device, *at, *seq, *room),
-                ),
-            };
-            let entry = running.entry(device).or_insert(DeviceMark {
-                records: 0,
-                digest: FNV_OFFSET,
-            });
-            fnv_fold(&mut entry.digest, &[kind]);
-            fnv_fold(&mut entry.digest, &payload);
-            entry.records += 1;
-            if let Some(mark) = marks.get(&device) {
-                if entry.records == mark.records {
-                    at_mark.insert(device, entry.digest);
+        // Every decodable record's payload bytes across all segments, in
+        // spill order. Corruption mid-scan (bit rot landed after recovery)
+        // ends that segment's scan.
+        for index in 0..=self.active_index {
+            let name = segment_name(&self.config.prefix, index);
+            let scanned = self.disk.with_file(&name, |data| {
+                let scan = scan_segment(data);
+                for (kind, device, _, payload) in scan.frames(data) {
+                    let entry = running.entry(device).or_insert(DeviceMark {
+                        records: 0,
+                        digest: FNV_OFFSET,
+                    });
+                    entry.fold(kind, payload);
+                    if marks.get(&device).is_some_and(|mark| entry.records == mark.records) {
+                        at_mark.insert(device, entry.digest);
+                    }
                 }
+            });
+            if scanned.is_none() {
+                break;
             }
-            true
-        });
+        }
         let mut coverage = Coverage {
             covered: true,
             missing_records: 0,
@@ -653,27 +641,6 @@ impl ArchiveSink {
             }
         }
         coverage
-    }
-
-    /// Visits every decodable record across all segments in spill order;
-    /// the visitor returns `false` to stop early. Corruption encountered
-    /// mid-scan (bit rot landed after recovery) ends that segment's scan —
-    /// queries degrade, they do not panic.
-    fn scan_all(&self, mut visit: impl FnMut(&ArchiveRecord) -> bool) {
-        for index in 0.. {
-            let name = segment_name(&self.config.prefix, index);
-            let Some(scan) = self.disk.with_file(&name, scan_segment) else {
-                break;
-            };
-            for rec in &scan.records {
-                if !visit(rec) {
-                    return;
-                }
-            }
-            if index >= self.active_index {
-                break;
-            }
-        }
     }
 
     /// Archived reports with time in `[from, to)`, sorted by
@@ -949,6 +916,8 @@ struct FooterInfo {
 /// Everything a front-to-back scan of one segment file learns.
 struct SegmentScan {
     records: Vec<ArchiveRecord>,
+    /// Where each of `records`' payload bytes lie in the scanned buffer.
+    payloads: Vec<Range<usize>>,
     footer: Option<FooterInfo>,
     /// Bytes up to the end of the last valid record (or footer); anything
     /// past this is corrupt or torn and must be truncated.
@@ -963,6 +932,21 @@ impl SegmentScan {
     /// True when the scan stopped short of the file's end.
     fn corrupt(&self) -> bool {
         self.valid_len < self.len
+    }
+
+    /// Each record's frame kind, device and sequence number, with its
+    /// payload bytes as they stand in `data`, the buffer this scan parsed.
+    fn frames<'a>(
+        &'a self,
+        data: &'a [u8],
+    ) -> impl Iterator<Item = (u8, DeviceId, u64, &'a [u8])> + 'a {
+        self.records.iter().zip(&self.payloads).map(|(rec, span)| {
+            let (kind, device, seq) = match rec {
+                ArchiveRecord::Report(r) => (KIND_REPORT, r.device, r.seq),
+                ArchiveRecord::Assignment { device, seq, .. } => (KIND_ASSIGNMENT, *device, *seq),
+            };
+            (kind, device, seq, &data[span.clone()])
+        })
     }
 }
 
@@ -996,6 +980,7 @@ fn fold_assignment(
 fn scan_segment(data: &[u8]) -> SegmentScan {
     let mut scan = SegmentScan {
         records: Vec::new(),
+        payloads: Vec::new(),
         footer: None,
         valid_len: 0,
         len: data.len(),
@@ -1006,6 +991,7 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
         let Some((kind, payload, next)) = parse_frame(data, pos) else {
             break;
         };
+        let span = pos + FRAME_HEADER..pos + FRAME_HEADER + payload.len();
         match kind {
             KIND_REPORT => {
                 let Some(report) = decode_report(payload) else {
@@ -1014,6 +1000,7 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
                 let at = report.at;
                 scan.segment.observe(KIND_REPORT, payload, at);
                 scan.records.push(ArchiveRecord::Report(report));
+                scan.payloads.push(span);
             }
             KIND_ASSIGNMENT => {
                 let Some((device, at, seq, room)) = decode_assignment(payload) else {
@@ -1027,6 +1014,7 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
                     seq,
                     room,
                 });
+                scan.payloads.push(span);
             }
             KIND_FOOTER => {
                 let Some(footer) = decode_footer(payload) else {
@@ -1117,12 +1105,6 @@ fn finish_frame(frame: &mut Vec<u8>, digests: [u64; 2]) -> [u64; 2] {
     [first, second]
 }
 
-fn encode_report(report: &ObservationReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 8 + 8 + 2 + report.beacons.len() * 36);
-    write_report(&mut out, report);
-    out
-}
-
 /// Appends a report's payload bytes to `out`.
 fn write_report(out: &mut Vec<u8>, report: &ObservationReport) {
     out.extend_from_slice(&report.device.value().to_le_bytes());
@@ -1199,12 +1181,6 @@ fn decode_report(payload: &[u8]) -> Option<ObservationReport> {
         at,
         beacons,
     })
-}
-
-fn encode_assignment(device: DeviceId, at: SimTime, seq: u64, room: RoomLabel) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 8 + 8 + 8);
-    write_assignment(&mut out, device, at, seq, room);
-    out
 }
 
 /// Appends an assignment's payload bytes to `out`.
@@ -1308,6 +1284,18 @@ mod tests {
                 distance_m: 1.5,
             }],
         }
+    }
+
+    fn encode_report(report: &ObservationReport) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + 8 + 8 + 2 + report.beacons.len() * 36);
+        write_report(&mut out, report);
+        out
+    }
+
+    fn encode_assignment(device: DeviceId, at: SimTime, seq: u64, room: RoomLabel) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + 8 + 8 + 8);
+        write_assignment(&mut out, device, at, seq, room);
+        out
     }
 
     fn small_config() -> ArchiveConfig {

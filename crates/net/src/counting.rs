@@ -90,12 +90,6 @@ impl CountingConfig {
         self
     }
 
-    /// Sets the freshness TTL.
-    pub fn with_ttl(mut self, ttl: SimDuration) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
     /// Sets the device carry rate.
     ///
     /// # Panics
@@ -107,17 +101,6 @@ impl CountingConfig {
             "carry rate must be in (0, 1] (got {carry_rate})"
         );
         self.carry_rate = carry_rate;
-        self
-    }
-
-    /// Sets the confidence-interval half-width multiplier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is negative.
-    pub fn with_z(mut self, z: f64) -> Self {
-        assert!(z >= 0.0, "z must be non-negative (got {z})");
-        self.z = z;
         self
     }
 }
@@ -399,7 +382,10 @@ mod tests {
             distance_um: 0,
             newest: Some(SimTime::from_secs(10)),
         };
-        let config = CountingConfig::default().with_ttl(SimDuration::from_secs(60));
+        let config = CountingConfig {
+            ttl: SimDuration::from_secs(60),
+            ..CountingConfig::default()
+        };
         let estimate = evidence.finalize(SimTime::from_secs(500), &config);
         assert!(!estimate.fresh);
         assert_eq!(estimate.count, 0.0);

@@ -180,11 +180,7 @@ impl Outbox {
     ///
     /// Panics if the probability is outside `[0, 1]`.
     pub(crate) fn set_ack_loss(&mut self, ack_loss: f64) {
-        assert!(
-            (0.0..=1.0).contains(&ack_loss),
-            "probability must be in [0, 1] (got {ack_loss})"
-        );
-        self.ack_loss = ack_loss;
+        self.ack_loss = crate::transport::checked_probability(ack_loss);
     }
 
     /// Reports currently buffered.

@@ -67,11 +67,7 @@ impl PeerRelayConfig {
             "max_hops must cover hops_to_exit"
         );
         assert!(!self.hop_latency.is_zero(), "hop_latency must be non-zero");
-        assert!(
-            (0.0..=1.0).contains(&self.hop_success),
-            "probability must be in [0, 1] (got {})",
-            self.hop_success
-        );
+        crate::transport::checked_probability(self.hop_success);
     }
 }
 

@@ -199,6 +199,56 @@ pub(crate) fn forward<T: Transport, R: Rng + ?Sized>(
     outcome
 }
 
+/// The air-time shape of one burst on a direct uplink channel: setup
+/// latency, plus `ms_per_100_bytes` of payload time, plus a uniform jitter
+/// draw in `0..jitter_ms`.
+struct Burst {
+    kind: TransportKind,
+    setup: SimDuration,
+    ms_per_100_bytes: u64,
+    jitter_ms: u64,
+}
+
+impl Burst {
+    /// Sends one burst: one jitter draw, then one success coin against
+    /// `success_probability`. The burst is recorded into `telemetry`
+    /// whether or not it was delivered.
+    fn send<R: Rng + ?Sized>(
+        &self,
+        success_probability: f64,
+        telemetry: &mut Recorder,
+        at: SimTime,
+        payload: Payload<'_>,
+        rng: &mut R,
+    ) -> SendOutcome {
+        let payload_ms = (payload.wire_size_bytes() as u64) * self.ms_per_100_bytes / 100;
+        let jitter_ms = rng.gen_range(0..self.jitter_ms);
+        let active = self.setup + SimDuration::from_millis(payload_ms + jitter_ms);
+        let delivered = rng.gen::<f64>() < success_probability;
+        telemetry.record_send(TransportEvent {
+            kind: self.kind,
+            start: at,
+            active,
+            delivered,
+        });
+        if delivered {
+            SendOutcome::Delivered { at: at + active }
+        } else {
+            SendOutcome::Failed
+        }
+    }
+}
+
+/// Returns `p` after checking it is a probability.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 1]`.
+pub(crate) fn checked_probability(p: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1] (got {p})");
+    p
+}
+
 /// The Wi-Fi HTTP uplink: fast and near-perfectly reliable, but the energy
 /// model will charge for keeping the Wi-Fi adapter associated all day plus
 /// a tail after every transfer.
@@ -216,12 +266,8 @@ impl WifiTransport {
     ///
     /// Panics if the probability is outside `[0, 1]`.
     pub fn new(success_probability: f64, base_latency: SimDuration) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&success_probability),
-            "probability must be in [0, 1] (got {success_probability})"
-        );
         WifiTransport {
-            success_probability,
+            success_probability: checked_probability(success_probability),
             base_latency,
             telemetry: Recorder::new(),
         }
@@ -252,21 +298,13 @@ impl Transport for WifiTransport {
         rng: &mut R,
     ) -> SendOutcome {
         // Air time: base latency + ~1 ms per 100 bytes of payload + jitter.
-        let payload_ms = (payload.wire_size_bytes() as u64) / 100;
-        let jitter_ms = rng.gen_range(0..30);
-        let active = self.base_latency + SimDuration::from_millis(payload_ms + jitter_ms);
-        let delivered = rng.gen::<f64>() < self.success_probability;
-        self.telemetry.record_send(TransportEvent {
+        let burst = Burst {
             kind: TransportKind::Wifi,
-            start: at,
-            active,
-            delivered,
-        });
-        if delivered {
-            SendOutcome::Delivered { at: at + active }
-        } else {
-            SendOutcome::Failed
-        }
+            setup: self.base_latency,
+            ms_per_100_bytes: 1,
+            jitter_ms: 30,
+        };
+        burst.send(self.success_probability, &mut self.telemetry, at, payload, rng)
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -312,12 +350,8 @@ impl BtRelayTransport {
     ///
     /// Panics if the probability is outside `[0, 1]`.
     pub fn new(success_probability: f64, connect_latency: SimDuration) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&success_probability),
-            "probability must be in [0, 1] (got {success_probability})"
-        );
         BtRelayTransport {
-            success_probability,
+            success_probability: checked_probability(success_probability),
             connect_latency,
             telemetry: Recorder::new(),
         }
@@ -348,23 +382,15 @@ impl Transport for BtRelayTransport {
         rng: &mut R,
     ) -> SendOutcome {
         // Connection setup dominates; payload is tiny at BLE rates
-        // (~4 ms per 100 bytes) plus connection jitter.
-        let payload_ms = (payload.wire_size_bytes() as u64) * 4 / 100;
-        let jitter_ms = rng.gen_range(0..200);
-        let active = self.connect_latency + SimDuration::from_millis(payload_ms + jitter_ms);
-        let delivered = rng.gen::<f64>() < self.success_probability;
-        // A failed attempt still burns (most of) the connect time.
-        self.telemetry.record_send(TransportEvent {
+        // (~4 ms per 100 bytes) plus connection jitter. A failed attempt
+        // still burns (most of) the connect time.
+        let burst = Burst {
             kind: TransportKind::BluetoothRelay,
-            start: at,
-            active,
-            delivered,
-        });
-        if delivered {
-            SendOutcome::Delivered { at: at + active }
-        } else {
-            SendOutcome::Failed
-        }
+            setup: self.connect_latency,
+            ms_per_100_bytes: 4,
+            jitter_ms: 200,
+        };
+        burst.send(self.success_probability, &mut self.telemetry, at, payload, rng)
     }
 
     fn telemetry(&self) -> &Recorder {

@@ -31,15 +31,6 @@ impl AdvChannel {
     /// All three channels in hop order.
     pub const ALL: [AdvChannel; 3] = [AdvChannel::Ch37, AdvChannel::Ch38, AdvChannel::Ch39];
 
-    /// Centre frequency in MHz.
-    pub fn frequency_mhz(self) -> f64 {
-        match self {
-            AdvChannel::Ch37 => 2402.0,
-            AdvChannel::Ch38 => 2426.0,
-            AdvChannel::Ch39 => 2480.0,
-        }
-    }
-
     /// Small deterministic gain offset relative to mid-band, in dB.
     pub fn gain_offset_db(self) -> f64 {
         match self {
@@ -259,12 +250,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_interval_panics() {
         let _ = advertiser(0, 0);
-    }
-
-    #[test]
-    fn channel_frequencies_are_spec_values() {
-        assert_eq!(AdvChannel::Ch37.frequency_mhz(), 2402.0);
-        assert_eq!(AdvChannel::Ch38.frequency_mhz(), 2426.0);
-        assert_eq!(AdvChannel::Ch39.frequency_mhz(), 2480.0);
     }
 }

@@ -70,12 +70,6 @@ impl LogDistanceModel {
         let d = distance_m.max(0.01);
         self.rssi_at_reference - 10.0 * self.exponent * d.log10()
     }
-
-    /// Inverts the model: the distance at which the mean RSSI equals
-    /// `rssi_dbm`.
-    pub fn distance_for_rssi(&self, rssi_dbm: f64) -> f64 {
-        10f64.powf((self.rssi_at_reference - rssi_dbm) / (10.0 * self.exponent))
-    }
 }
 
 impl Default for LogDistanceModel {
@@ -118,15 +112,6 @@ mod tests {
     fn log_distance_reference_point() {
         let m = LogDistanceModel::new(-59.0, 2.5);
         assert_eq!(m.mean_rssi_dbm(1.0), -59.0);
-    }
-
-    #[test]
-    fn log_distance_roundtrip_with_inverse() {
-        let m = LogDistanceModel::default();
-        for d in [0.5, 1.0, 2.0, 5.0, 12.0] {
-            let rssi = m.mean_rssi_dbm(d);
-            assert!((m.distance_for_rssi(rssi) - d).abs() < 1e-9, "d={d}");
-        }
     }
 
     #[test]

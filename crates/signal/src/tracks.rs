@@ -80,11 +80,6 @@ impl<F: DistanceFilter + Clone> TrackManager<F> {
         self.tracks.is_empty()
     }
 
-    /// The smoothed distance of a beacon, if tracked.
-    pub fn distance_of(&self, identity: &BeaconIdentity) -> Option<f64> {
-        self.tracks.get(identity).and_then(DistanceFilter::current)
-    }
-
     /// Feeds one cycle's observations. Tracks absent from `observations`
     /// receive a loss; tracks dropped by their filter are removed. Returns
     /// the live snapshots, sorted by identity. This is
@@ -184,9 +179,11 @@ mod tests {
     fn tracks_are_independent() {
         let mut tm = TrackManager::new(EwmaFilter::paper());
         tm.update_cycle(SimTime::from_secs(2), &[obs(0, 1.0), obs(1, 5.0)]);
-        tm.update_cycle(SimTime::from_secs(4), &[obs(0, 1.0), obs(1, 5.0)]);
-        assert!((tm.distance_of(&id(0)).expect("live") - 1.0).abs() < 1e-9);
-        assert!((tm.distance_of(&id(1)).expect("live") - 5.0).abs() < 1e-9);
+        let snaps = tm.update_cycle(SimTime::from_secs(4), &[obs(0, 1.0), obs(1, 5.0)]);
+        assert_eq!(snaps.len(), 2);
+        assert_eq!((snaps[0].identity, snaps[1].identity), (id(0), id(1)));
+        assert!((snaps[0].distance_m - 1.0).abs() < 1e-9);
+        assert!((snaps[1].distance_m - 5.0).abs() < 1e-9);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //!
 //! * [`SimTime`] / [`SimDuration`]: integer-millisecond timestamps. Integer
 //!   time keeps event ordering exact and runs reproducible.
-//! * [`EventQueue`]: a monotonic priority queue of `(SimTime, payload)` pairs
-//!   with FIFO tie-breaking for simultaneous events.
 //! * [`rng`]: seed-derivation helpers so each component gets an independent,
 //!   named random stream from one experiment master seed.
 //! * [`exec`]: a deterministic ordered parallel map — independent
@@ -16,21 +14,19 @@
 //!   sequential path.
 //! * [`FaultSchedule`]: seeded, scheduled fault windows — the shared
 //!   substrate of fault injection across the radio, stack, and net layers.
-//! * [`Mailbox`] / [`TickClock`]: bounded, counting event queues and the
-//!   fixed-step virtual clock behind the overload-safe async ingestion
-//!   tier — backpressure and shed decisions become pure functions of the
-//!   call sequence.
+//! * [`Mailbox`]: bounded, counting event queues behind the overload-safe
+//!   async ingestion tier — backpressure and shed decisions become pure
+//!   functions of the call sequence.
 //!
 //! # Examples
 //!
 //! ```
-//! use roomsense_sim::{EventQueue, SimDuration, SimTime};
+//! use roomsense_sim::{Mailbox, SimDuration, SimTime};
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(20), "second");
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(10), "first");
-//! let (t, ev) = q.pop().expect("non-empty");
-//! assert_eq!((t.as_millis(), ev), (10, "first"));
+//! let mut inbox = Mailbox::new(1);
+//! assert!(inbox.offer(SimTime::ZERO + SimDuration::from_millis(10), "first"));
+//! assert!(!inbox.offer(SimTime::from_millis(20), "second"), "full: backpressure");
+//! assert_eq!(inbox.lag(SimTime::from_millis(25)), SimDuration::from_millis(15));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,12 +36,10 @@ pub mod exec;
 mod disk;
 mod fault;
 mod mailbox;
-mod queue;
 pub mod rng;
 mod time;
 
 pub use disk::{DiskFaultPlan, DiskStats, FileId, SharedDisk, SimDisk};
 pub use fault::{FaultSchedule, FaultWindow};
-pub use mailbox::{Mailbox, TickClock};
-pub use queue::EventQueue;
+pub use mailbox::Mailbox;
 pub use time::{SimDuration, SimTime};

@@ -1,5 +1,4 @@
-//! Bounded mailboxes and the fixed-step virtual-time loop behind the
-//! async ingestion tier.
+//! Bounded mailboxes: the queues in front of the async ingestion tier.
 //!
 //! A real async server puts a queue in front of every worker; the queue is
 //! where overload becomes *visible* (depth, lag) and *survivable* (a full
@@ -9,13 +8,6 @@
 //! far behind virtual time its oldest resident is. Refusal is the
 //! *backpressure signal* — the caller decides whether to shed, queue, or
 //! back off, but nothing is ever dropped silently inside the mailbox.
-//!
-//! [`TickClock`] is the matching event-loop driver: a fixed-step virtual
-//! clock. One tick = one scheduling quantum; a server pumping its
-//! mailboxes once per tick at a fixed per-tick budget has a precisely
-//! known service capacity, so an experiment can drive arrivals past that
-//! capacity and get bit-identical admit/shed decisions at any
-//! `ROOMSENSE_THREADS`.
 //!
 //! # Examples
 //!
@@ -130,65 +122,6 @@ impl<E> Mailbox<E> {
     }
 }
 
-/// A fixed-step virtual clock: the scheduling quantum of a deterministic
-/// event loop.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_sim::{SimDuration, TickClock};
-///
-/// let mut clock = TickClock::new(SimDuration::from_secs(5));
-/// assert_eq!(clock.now().as_millis(), 0);
-/// clock.advance();
-/// assert_eq!(clock.now().as_millis(), 5_000);
-/// assert_eq!(clock.ticks(), 1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TickClock {
-    now: SimTime,
-    step: SimDuration,
-    ticks: u64,
-}
-
-impl TickClock {
-    /// Creates a clock at [`SimTime::ZERO`] advancing by `step` per tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero.
-    pub fn new(step: SimDuration) -> Self {
-        assert!(step.as_millis() > 0, "tick step must be non-zero");
-        TickClock {
-            now: SimTime::ZERO,
-            step,
-            ticks: 0,
-        }
-    }
-
-    /// The current virtual instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The per-tick step.
-    pub fn step(&self) -> SimDuration {
-        self.step
-    }
-
-    /// Ticks elapsed since the clock started.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Advances one step and returns the new instant.
-    pub fn advance(&mut self) -> SimTime {
-        self.now += self.step;
-        self.ticks += 1;
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,21 +186,5 @@ mod tests {
     #[should_panic(expected = "capacity must be non-zero")]
     fn zero_capacity_panics() {
         let _: Mailbox<()> = Mailbox::new(0);
-    }
-
-    #[test]
-    fn tick_clock_advances_in_fixed_steps() {
-        let mut clock = TickClock::new(SimDuration::from_millis(250));
-        for k in 1..=8u64 {
-            assert_eq!(clock.advance().as_millis(), k * 250);
-        }
-        assert_eq!(clock.ticks(), 8);
-        assert_eq!(clock.step(), SimDuration::from_millis(250));
-    }
-
-    #[test]
-    #[should_panic(expected = "step must be non-zero")]
-    fn zero_step_panics() {
-        let _ = TickClock::new(SimDuration::ZERO);
     }
 }

@@ -87,6 +87,11 @@ if ! diff <(without_threads repro_output.txt) <(without_threads "$repro_out"); t
 fi
 echo "repro all at default threads matches repro_output.txt (thread counts ignored)"
 
+# Every perfbench command runs --locked: perfbench/Cargo.lock belongs to
+# the benchmark and only a change to the benchmark itself may rewrite it,
+# so a dependency edit that would touch it fails here instead of silently
+# editing a benchmark file.
+#
 # Benchmark gate: short traced office_e2e runs of the repository benchmark
 # (BENCHMARK.json) on two seeds, from the repo root. The fleet's radio
 # evaluates only the packets the Android scanner keeps (the first
@@ -96,7 +101,7 @@ echo "repro all at default threads matches repro_output.txt (thread counts ignor
 # bit for bit, or when the served state differs from its single-thread
 # oracle digest.
 for seed in 1 2; do
-    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload office_e2e --seed "$seed" --seconds 1 --trace 1 > /dev/null
 done
 echo "perfbench office_e2e traced runs (seeds 1, 2) passed their layer and oracle-digest gates"
@@ -108,7 +113,7 @@ echo "perfbench office_e2e traced runs (seeds 1, 2) passed their layer and oracl
 # archive spill path that retention drives under this burst (per-device
 # slots, frames appended by file handle) is gated on both seeds too.
 for seed in 1 2; do
-    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload surge_ingest --seed "$seed" --seconds 1 --trace 1 > /dev/null
 done
 echo "perfbench surge_ingest traced runs (seeds 1, 2) passed their oracle-digest, refusal and MAE gates"
@@ -119,13 +124,13 @@ echo "perfbench surge_ingest traced runs (seeds 1, 2) passed their oracle-digest
 # perfbench exits non-zero when one disagrees, when the tier's state digest
 # differs from its single-thread oracle, or when the crowd-count MAE
 # exceeds the preset bound.
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload history_reads --seed 1 --seconds 1 --trace 1 > /dev/null
 echo "perfbench history_reads traced run passed its reference-answer, oracle-digest and MAE gates"
 
 # The benchmark package's own self-tests (it is not a workspace member, so
 # the workspace test runs above never reach them).
-cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
 echo "check.sh: build + examples (examples_output.txt at threads=1 and default) + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 12 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
