@@ -164,7 +164,8 @@ fn fig_static(period_secs: u64, tag: &str) {
     ));
     let config =
         PipelineConfig::paper_android().with_scan_period(SimDuration::from_secs(period_secs));
-    let capture = ExperimentCtx::new(SEED).static_capture(&config, 2.0, SimDuration::from_secs(120));
+    let capture =
+        ExperimentCtx::new(SEED).static_capture(&config, 2.0, SimDuration::from_secs(120));
     println!("  t(s)   raw distance (m)");
     for (t, d) in &capture.raw {
         println!("  {t:>5.0}  {d:>6.2}  {}", bar(*d, 6.0));
@@ -311,7 +312,10 @@ fn sampling() {
     header("sampling: Android vs iOS samples (10 s window, 30 Hz beacon, 2 s scan period)");
     let s = ExperimentCtx::new(SEED).sampling();
     println!("  android 4.x: {:>4} samples (paper: 5)", s.android_samples);
-    println!("  android L:   {:>4} samples (paper's future work, implemented)", s.android_l_samples);
+    println!(
+        "  android L:   {:>4} samples (paper's future work, implemented)",
+        s.android_l_samples
+    );
     println!("  ios:         {:>4} samples (paper: ~300)", s.ios_samples);
 }
 

@@ -24,7 +24,10 @@ fn fast_subcommands_print_their_sections() {
         ("calibration", "TX-power field calibration"),
     ] {
         let out = run(arg);
-        assert!(out.contains(expected), "repro {arg} output missing {expected:?}:\n{out}");
+        assert!(
+            out.contains(expected),
+            "repro {arg} output missing {expected:?}:\n{out}"
+        );
     }
 }
 
@@ -54,7 +57,10 @@ fn a_second_argument_fails_with_usage() {
         .output()
         .expect("repro binary runs");
     assert_eq!(output.status.code(), Some(2));
-    assert!(output.stdout.is_empty(), "nothing runs before the usage check");
+    assert!(
+        output.stdout.is_empty(),
+        "nothing runs before the usage check"
+    );
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("usage:"), "stderr: {err}");
 }

@@ -291,7 +291,11 @@ mod tests {
         let (mut plan, room) = plan_with_one_room();
         plan.add_beacon(room, Point::new(1.0, 1.0), Minor::new(0));
         plan.add_beacon(room, Point::new(3.0, 1.0), Minor::new(1));
-        let minors: Vec<u16> = plan.beacon_sites().iter().map(|b| b.minor.value()).collect();
+        let minors: Vec<u16> = plan
+            .beacon_sites()
+            .iter()
+            .map(|b| b.minor.value())
+            .collect();
         assert_eq!(minors, vec![0, 1]);
         assert!(plan.beacon_sites().iter().all(|b| b.room == room));
     }
@@ -355,6 +359,9 @@ mod tests {
     #[test]
     fn display_summarises_the_plan() {
         let text = presets::paper_house().to_string();
-        assert!(text.contains("5 rooms") && text.contains("5 beacons"), "{text}");
+        assert!(
+            text.contains("5 rooms") && text.contains("5 beacons"),
+            "{text}"
+        );
     }
 }

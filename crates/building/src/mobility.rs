@@ -213,7 +213,10 @@ impl RandomWaypoint {
             let room = &rooms[rng.gen_range(0..rooms.len())];
             let p = random_point_in(room.polygon(), rng);
             // A repeated point would add a zero-length leg; resample.
-            if points.last().is_some_and(|last: &Point| last.distance_to(p) < 1e-9) {
+            if points
+                .last()
+                .is_some_and(|last: &Point| last.distance_to(p) < 1e-9)
+            {
                 continue;
             }
             points.push(p);
@@ -286,7 +289,10 @@ impl RoomSchedule {
         start: SimTime,
         rng: &mut R,
     ) -> Self {
-        assert!(!itinerary.is_empty(), "itinerary must visit at least one room");
+        assert!(
+            !itinerary.is_empty(),
+            "itinerary must visit at least one room"
+        );
         assert!(
             speed_mps > 0.0 && speed_mps.is_finite(),
             "walking speed must be positive and finite (got {speed_mps})"
@@ -364,9 +370,15 @@ mod tests {
         // Before departure: at the first waypoint.
         assert_eq!(walk.position_at(SimTime::ZERO), Point::new(0.0, 0.0));
         // Mid-walk.
-        assert_eq!(walk.position_at(SimTime::from_secs(12)), Point::new(4.0, 0.0));
+        assert_eq!(
+            walk.position_at(SimTime::from_secs(12)),
+            Point::new(4.0, 0.0)
+        );
         // After arrival: frozen at the last waypoint.
-        assert_eq!(walk.position_at(SimTime::from_secs(60)), Point::new(8.0, 0.0));
+        assert_eq!(
+            walk.position_at(SimTime::from_secs(60)),
+            Point::new(8.0, 0.0)
+        );
         assert_eq!(walk.end_time(), Some(SimTime::from_secs(14)));
     }
 
@@ -379,7 +391,11 @@ mod tests {
         // The whole dwell happens inside the bedroom.
         for s in 0..=120 {
             let p = day.position_at(SimTime::from_secs(s));
-            assert_eq!(plan.room_at(p), Some(RoomId::new(2)), "left the room at {s} s: {p}");
+            assert_eq!(
+                plan.room_at(p),
+                Some(RoomId::new(2)),
+                "left the room at {s} s: {p}"
+            );
         }
         let end = day.end_time().expect("bounded");
         assert!(end >= SimTime::from_secs(120));

@@ -118,10 +118,7 @@ mod tests {
         // Entry happens on the first sighted cycle; nearly everything after
         // is reported.
         assert!(run.ranging_duty() > 0.9, "duty {}", run.ranging_duty());
-        assert!(run
-            .transitions
-            .iter()
-            .any(|t| t.to == AppState::Ranging));
+        assert!(run.transitions.iter().any(|t| t.to == AppState::Ranging));
     }
 
     #[test]
@@ -140,10 +137,7 @@ mod tests {
         assert_eq!(run.ranging_duty(), 0.0);
         assert_eq!(run.reported_records().count(), 0);
         // The app reached monitoring but never ranging.
-        assert!(run
-            .transitions
-            .iter()
-            .all(|t| t.to != AppState::Ranging));
+        assert!(run.transitions.iter().all(|t| t.to != AppState::Ranging));
     }
 
     #[test]

@@ -159,8 +159,7 @@ pub fn run_fleet(
             let records: Vec<Vec<CycleRecord>> = range
                 .clone()
                 .map(|index| {
-                    let device_seed =
-                        rng::derive_indexed_seed(seed, "fleet-device", index as u64);
+                    let device_seed = rng::derive_indexed_seed(seed, "fleet-device", index as u64);
                     let capacity_before = scratch.total_capacity();
                     let records = run_device(
                         scenario,

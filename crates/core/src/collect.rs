@@ -126,17 +126,9 @@ pub fn collect_dataset(
         .collect();
     for lap in 0..laps {
         let mut walk_rng = rng::for_indexed(seed, "collect-walk", lap as u64);
-        let schedule = RoomSchedule::generate(
-            scenario.plan(),
-            &visits,
-            1.2,
-            SimTime::ZERO,
-            &mut walk_rng,
-        );
-        let duration = schedule
-            .walk()
-            .duration()
-            + SimDuration::from_secs(2);
+        let schedule =
+            RoomSchedule::generate(scenario.plan(), &visits, 1.2, SimTime::ZERO, &mut walk_rng);
+        let duration = schedule.walk().duration() + SimDuration::from_secs(2);
         let records = run_pipeline(
             scenario,
             config,
@@ -144,7 +136,13 @@ pub fn collect_dataset(
             duration,
             rng::derive_seed(seed, "collect-lap") ^ lap as u64,
         );
-        records_to_dataset(scenario, &records, &mut data, &beacon_order, anchors.as_deref());
+        records_to_dataset(
+            scenario,
+            &records,
+            &mut data,
+            &beacon_order,
+            anchors.as_deref(),
+        );
     }
     LabelledDataset { data, beacon_order }
 }

@@ -185,7 +185,11 @@ impl Default for PipelineConfig {
 
 impl fmt::Display for PipelineConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} scanner, {} scan period, ", self.scanner, self.scan.scan_period)?;
+        write!(
+            f,
+            "{} scanner, {} scan period, ",
+            self.scanner, self.scan.scan_period
+        )?;
         match self.filter {
             FilterKind::Ewma => write!(f, "ewma({:.2})", self.filter_coefficient)?,
             FilterKind::Median => write!(f, "median({MEDIAN_FILTER_WINDOW})")?,

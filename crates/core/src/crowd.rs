@@ -23,10 +23,10 @@
 //! draw from [`rng::for_indexed`] streams, so traces are identical at any
 //! `ROOMSENSE_THREADS` and any generation order.
 
+use rand::Rng;
 use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
 use roomsense_net::{DeviceId, ObservationReport, RoomLabel, SightedBeacon};
 use roomsense_sim::{exec, rng, FaultSchedule, SimDuration, SimTime};
-use rand::Rng;
 
 /// The three crowd presets, in sweep order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,7 +261,13 @@ fn lecture_hall_surge(seed: u64, subjects: usize) -> CrowdScenario {
             let through_foyer = arrive + r.gen_range(20..90u64);
             push_segment(&mut segments, arrive, through_foyer, DURATION_S, 0);
             let hall = if r.gen_range(0.0..1.0) < 0.65 { 1 } else { 2 };
-            push_segment(&mut segments, through_foyer, LECTURE_END_S, DURATION_S, hall);
+            push_segment(
+                &mut segments,
+                through_foyer,
+                LECTURE_END_S,
+                DURATION_S,
+                hall,
+            );
             if r.gen_range(0.0..1.0) < 0.4 {
                 // Leaves at the break, through the foyer.
                 let exit = LECTURE_END_S + r.gen_range(30..120u64);
@@ -389,7 +395,10 @@ pub fn room_report(
 /// first beacon is its room, and a report with no beacon has none. Used
 /// as `Arc::new(crowd::room_of)`.
 pub fn room_of(report: &ObservationReport) -> Option<RoomLabel> {
-    report.beacons.first().map(|b| b.identity.minor.value() as usize)
+    report
+        .beacons
+        .first()
+        .map(|b| b.identity.minor.value() as usize)
 }
 
 /// The replay driver: turns a scenario into the report stream its carried
@@ -420,7 +429,13 @@ pub fn replay_reports(scenario: &CrowdScenario, seed: u64) -> Vec<ObservationRep
             let distance_m = r.gen_range(0.5..4.0);
             if let Some(room) = scenario.trace.subjects[i].room_at(at) {
                 seq += 1;
-                out.push(room_report(DeviceId::new(i as u32), seq, at, room as u16, distance_m));
+                out.push(room_report(
+                    DeviceId::new(i as u32),
+                    seq,
+                    at,
+                    room as u16,
+                    distance_m,
+                ));
             }
             t += period_ms;
         }

@@ -199,14 +199,11 @@ impl ExperimentCtx {
         .collect();
         reports.sort_by_key(|r| (r.at, r.device, r.seq));
         let chunk_size = reports.len().div_ceil(CHUNKS).max(1);
-        let chunks: Vec<Vec<ObservationReport>> = reports
-            .chunks(chunk_size)
-            .map(|c| c.to_vec())
-            .collect();
+        let chunks: Vec<Vec<ObservationReport>> =
+            reports.chunks(chunk_size).map(|c| c.to_vec()).collect();
 
-        let estimator = || -> Arc<dyn roomsense_net::OccupancyEstimator> {
-            Arc::new(crowd::room_of)
-        };
+        let estimator =
+            || -> Arc<dyn roomsense_net::OccupancyEstimator> { Arc::new(crowd::room_of) };
         let window = |from_s: u64, to_s: u64| {
             FaultSchedule::new(vec![FaultWindow::new(
                 SimTime::from_secs(from_s),
@@ -286,7 +283,8 @@ impl ExperimentCtx {
                 .with_retention(retention)
                 .with_archives(disk.clone(), config.clone());
             // Oracle A: the same fleet shape on a pristine disk, never crashed.
-            let oracle_disk = SharedDisk::new(SimDisk::pristine(seed.wrapping_add(1000 + idx as u64)));
+            let oracle_disk =
+                SharedDisk::new(SimDisk::pristine(seed.wrapping_add(1000 + idx as u64)));
             let oracle = ShardedBmsServer::new(estimator(), shards)
                 .with_retention(retention)
                 .with_archives(oracle_disk, config.clone());
@@ -468,8 +466,16 @@ mod tests {
 
     #[test]
     fn archive_experiment_is_thread_invariant_and_never_silently_wrong() {
-        let base = ExperimentCtx::new(33).with_devices(24).with_shards(2).archive();
-        let serial = exec::with_thread_override(1, || ExperimentCtx::new(33).with_devices(24).with_shards(2).archive());
+        let base = ExperimentCtx::new(33)
+            .with_devices(24)
+            .with_shards(2)
+            .archive();
+        let serial = exec::with_thread_override(1, || {
+            ExperimentCtx::new(33)
+                .with_devices(24)
+                .with_shards(2)
+                .archive()
+        });
         assert_eq!(base, serial);
         let f = &base;
         assert_eq!(f.scenarios.len(), 6);

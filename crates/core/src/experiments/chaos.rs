@@ -227,9 +227,11 @@ impl ExperimentCtx {
                     continue;
                 }
                 if let Some(room) = estimator.classify(&delivery.report) {
-                    let entry = last_writer
-                        .entry(delivery.report.device)
-                        .or_insert((delivery.report.at, delivery.report.seq, room));
+                    let entry = last_writer.entry(delivery.report.device).or_insert((
+                        delivery.report.at,
+                        delivery.report.seq,
+                        room,
+                    ));
                     if (delivery.report.at, delivery.report.seq) >= (entry.0, entry.1) {
                         *entry = (delivery.report.at, delivery.report.seq, room);
                     }

@@ -140,8 +140,7 @@ fn drive_counting(
 ) {
     use roomsense_net::ShardedBmsServer;
 
-    let fleet_estimator: Arc<dyn roomsense_net::OccupancyEstimator> =
-        Arc::new(crowd::room_of);
+    let fleet_estimator: Arc<dyn roomsense_net::OccupancyEstimator> = Arc::new(crowd::room_of);
     let fleet = ShardedBmsServer::new(Arc::clone(&fleet_estimator), shards);
     let single = ShardedBmsServer::new(Arc::clone(&fleet_estimator), 1);
     let mut next = 0usize;
@@ -251,7 +250,13 @@ impl ExperimentCtx {
             let prompt_deliveries: Vec<(SimTime, ObservationReport)> =
                 reports.iter().map(|r| (r.at, r.clone())).collect();
             let (clean_maes, clean_matches, clean_covered, clean_final, clean_oracle) =
-                drive_counting(&prompt_deliveries, shards, &config, &probes, &scenario.trace);
+                drive_counting(
+                    &prompt_deliveries,
+                    shards,
+                    &config,
+                    &probes,
+                    &scenario.trace,
+                );
             recorder.merge_child(clean_oracle.telemetry_snapshot());
             let clean_peak = clean_oracle
                 .population_view(truth_peak_probe, &config)
@@ -313,10 +318,8 @@ impl ExperimentCtx {
                 admit_high: 24,
                 admit_low: 4,
             };
-            let mut tier = IngestTier::new(
-                ShardedBmsServer::new(fleet_estimator, shards),
-                tier_config,
-            );
+            let mut tier =
+                IngestTier::new(ShardedBmsServer::new(fleet_estimator, shards), tier_config);
             let mut pending: VecDeque<ObservationReport> = VecDeque::new();
             let mut next = 0usize;
             let mut shed_reports = 0u64;

@@ -102,12 +102,8 @@ impl ExperimentCtx {
         // run's per-device pipelines fan out again inside run_fleet).
         let intensities = [0.0, 0.25, 0.5, 0.75];
         let points = exec::par_map_indexed(&intensities, |index, &intensity| {
-            let plan = crate::FaultPlan::generate(
-                scenario.advertisers().len(),
-                duration,
-                intensity,
-                seed,
-            );
+            let plan =
+                crate::FaultPlan::generate(scenario.advertisers().len(), duration, intensity, seed);
             let events = crate::run_fleet(
                 &scenario,
                 &config,
@@ -140,8 +136,8 @@ impl ExperimentCtx {
                     });
                 }
             }
-            let bare_rate = (!reports.is_empty())
-                .then(|| bare_deliveries.len() as f64 / reports.len() as f64);
+            let bare_rate =
+                (!reports.is_empty()).then(|| bare_deliveries.len() as f64 / reports.len() as f64);
 
             // Resilient arm: queue, retry with backoff, keep flushing after the
             // last cycle until the backlog drains or the run is called off.
@@ -159,8 +155,7 @@ impl ExperimentCtx {
                          events: Vec<roomsense_net::TransportEvent>,
                          delivery_rate: Option<f64>| {
                 let server = ShardedBmsServer::new(Arc::new(model.clone()), 1);
-                let mut dr =
-                    DemandResponseController::new(room_count, SimDuration::from_secs(30));
+                let mut dr = DemandResponseController::new(room_count, SimDuration::from_secs(30));
                 let ttl = SimDuration::from_secs(15);
                 let mut last_seen: Vec<Option<SimTime>> = vec![None; occupants.len()];
                 let mut next = 0usize;

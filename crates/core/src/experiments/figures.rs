@@ -186,8 +186,14 @@ impl ExperimentCtx {
                 let coefficient = coefficients[ci];
                 let trial_seed = rng::derive_seed(seed, "coeff-sweep") ^ trial;
                 let config = PipelineConfig::paper_android().with_coefficient(coefficient);
-                let capture = ExperimentCtx::new(trial_seed).static_capture(&config, 2.0, SimDuration::from_secs(120));
-                let crossing = ExperimentCtx::new(trial_seed).dynamic_walk(coefficient, 1.2).crossover_cycle;
+                let capture = ExperimentCtx::new(trial_seed).static_capture(
+                    &config,
+                    2.0,
+                    SimDuration::from_secs(120),
+                );
+                let crossing = ExperimentCtx::new(trial_seed)
+                    .dynamic_walk(coefficient, 1.2)
+                    .crossover_cycle;
                 (capture.smoothed_std(), crossing)
             });
         coefficients
@@ -196,8 +202,10 @@ impl ExperimentCtx {
             .map(|(ci, &coefficient)| {
                 let per_coeff = &outcomes[ci * trials as usize..(ci + 1) * trials as usize];
                 let stds: Vec<f64> = per_coeff.iter().map(|(std, _)| *std).collect();
-                let crossings: Vec<usize> =
-                    per_coeff.iter().filter_map(|(_, crossing)| *crossing).collect();
+                let crossings: Vec<usize> = per_coeff
+                    .iter()
+                    .filter_map(|(_, crossing)| *crossing)
+                    .collect();
                 let stability_std_m = metrics::mean(&stds).unwrap_or(0.0);
                 let crossover_cycle = if crossings.is_empty() {
                     None
@@ -355,12 +363,8 @@ impl ExperimentCtx {
                 };
                 let wifi_mj =
                     account(&profile, &wifi_timeline, UplinkArchitecture::Wifi).total_mj();
-                let bt_mj = account(
-                    &profile,
-                    &bt_timeline,
-                    UplinkArchitecture::BluetoothRelay,
-                )
-                .total_mj();
+                let bt_mj =
+                    account(&profile, &bt_timeline, UplinkArchitecture::BluetoothRelay).total_mj();
                 (wifi_mj, bt_mj, wifi_timeline, bt_timeline)
             });
         let mut wifi_energy_mj = 0.0;
@@ -592,8 +596,16 @@ mod tests {
     #[test]
     fn longer_scan_period_reduces_raw_variance() {
         // The Fig 4 vs Fig 6 contrast.
-        let two = ExperimentCtx::new(7).static_capture(&PipelineConfig::paper_android(), 2.0, SimDuration::from_secs(240));
-        let five = ExperimentCtx::new(7).static_capture(&PipelineConfig::paper_android().with_scan_period(SimDuration::from_secs(5)), 2.0, SimDuration::from_secs(240));
+        let two = ExperimentCtx::new(7).static_capture(
+            &PipelineConfig::paper_android(),
+            2.0,
+            SimDuration::from_secs(240),
+        );
+        let five = ExperimentCtx::new(7).static_capture(
+            &PipelineConfig::paper_android().with_scan_period(SimDuration::from_secs(5)),
+            2.0,
+            SimDuration::from_secs(240),
+        );
         assert!(
             five.raw_std() < two.raw_std(),
             "5s std {} should be below 2s std {}",
@@ -605,7 +617,11 @@ mod tests {
     #[test]
     fn smoothing_reduces_variance() {
         // The Fig 4 vs Fig 5 contrast.
-        let capture = ExperimentCtx::new(8).static_capture(&PipelineConfig::paper_android(), 2.0, SimDuration::from_secs(240));
+        let capture = ExperimentCtx::new(8).static_capture(
+            &PipelineConfig::paper_android(),
+            2.0,
+            SimDuration::from_secs(240),
+        );
         assert!(
             capture.smoothed_std() < capture.raw_std(),
             "smoothed {} raw {}",
@@ -677,7 +693,11 @@ mod tests {
 
     #[test]
     fn zero_duration_capture_is_empty() {
-        let capture = ExperimentCtx::new(1).static_capture(&PipelineConfig::paper_android(), 2.0, SimDuration::ZERO);
+        let capture = ExperimentCtx::new(1).static_capture(
+            &PipelineConfig::paper_android(),
+            2.0,
+            SimDuration::ZERO,
+        );
         assert!(capture.raw.is_empty());
         assert!(capture.smoothed.is_empty());
         assert_eq!(capture.raw_std(), 0.0);
@@ -719,10 +739,14 @@ mod tests {
 
     #[test]
     fn device_comparison_shows_the_gap() {
-        let rows = ExperimentCtx::new(6).device_comparison(&[
+        let rows = ExperimentCtx::new(6).device_comparison(
+            &[
                 DeviceRxProfile::galaxy_s3_mini(),
                 DeviceRxProfile::nexus_5(),
-            ], 2.0, SimDuration::from_secs(120));
+            ],
+            2.0,
+            SimDuration::from_secs(120),
+        );
         assert_eq!(rows.len(), 2);
         // The Nexus 5 reads hotter, so its distance estimate is shorter.
         assert!(

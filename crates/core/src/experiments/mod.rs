@@ -278,7 +278,8 @@ pub static ARMS: &[ExperimentArm] = &[
     },
     ExperimentArm {
         name: "archive",
-        title: "archive: durable segment-log retention under disk faults (crash -> recover -> verify)",
+        title:
+            "archive: durable segment-log retention under disk faults (crash -> recover -> verify)",
         run: |ctx| Box::new(ctx.archive()),
     },
     ExperimentArm {

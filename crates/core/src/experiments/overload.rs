@@ -99,7 +99,8 @@ impl ExperimentCtx {
     pub fn overload(&self) -> OverloadFingerprint {
         use rand::Rng;
         use roomsense_net::{
-            Admission, CampusFederation, IngestTier, IngestTierConfig, ServiceLevel, ShardedBmsServer,
+            Admission, CampusFederation, IngestTier, IngestTierConfig, ServiceLevel,
+            ShardedBmsServer,
         };
         use std::collections::VecDeque;
         let seed = self.seed;
@@ -175,13 +176,15 @@ impl ExperimentCtx {
         let offered: u64 = schedules.iter().map(|s| s.len() as u64).sum();
 
         // Phase 2: the campus, its oracles, and the prefix mirrors.
-        let estimator: Arc<dyn roomsense_net::OccupancyEstimator> =
-            Arc::new(crowd::room_of);
+        let estimator: Arc<dyn roomsense_net::OccupancyEstimator> = Arc::new(crowd::room_of);
         let mut campus = CampusFederation::new();
         for name in BUILDINGS {
             campus.add_building(
                 name,
-                IngestTier::new(ShardedBmsServer::new(Arc::clone(&estimator), shards), config),
+                IngestTier::new(
+                    ShardedBmsServer::new(Arc::clone(&estimator), shards),
+                    config,
+                ),
             );
         }
         let oracles: Vec<ShardedBmsServer> = (0..BUILDINGS.len())
@@ -234,7 +237,9 @@ impl ExperimentCtx {
                     .get(client.next_scheduled)
                     .is_some_and(|r| r.at <= now)
                 {
-                    client.queue.push_back(client.schedule[client.next_scheduled].clone());
+                    client
+                        .queue
+                        .push_back(client.schedule[client.next_scheduled].clone());
                     client.next_scheduled += 1;
                 }
                 if client.next_scheduled < client.schedule.len() || !client.queue.is_empty() {
@@ -308,7 +313,12 @@ impl ExperimentCtx {
         degraded_consistent &= final_view.level == ServiceLevel::Exact;
         let peak_mailbox_depth = BUILDINGS
             .iter()
-            .map(|name| campus.building(name).expect("registered").peak_mailbox_depth())
+            .map(|name| {
+                campus
+                    .building(name)
+                    .expect("registered")
+                    .peak_mailbox_depth()
+            })
             .max()
             .unwrap_or(0);
         let (pauses, exact_queries, degraded_queries) =
@@ -398,22 +408,47 @@ mod tests {
 
     #[test]
     fn overload_experiment_sheds_recovers_and_bounds_memory() {
-        let f = &ExperimentCtx::new(31).with_devices(36).with_shards(3).overload();
+        let f = &ExperimentCtx::new(31)
+            .with_devices(36)
+            .with_shards(3)
+            .overload();
         assert!(f.shed > 0, "the surge never overflowed admission");
         assert!(f.pauses > 0, "no admission gate ever paused");
-        assert!(f.memory_bounded(), "peak {} > cap {}", f.peak_mailbox_depth, f.mailbox_capacity);
-        assert_eq!(f.admitted, f.offered, "reports were lost despite retry queues");
+        assert!(
+            f.memory_bounded(),
+            "peak {} > cap {}",
+            f.peak_mailbox_depth,
+            f.mailbox_capacity
+        );
+        assert_eq!(
+            f.admitted, f.offered,
+            "reports were lost despite retry queues"
+        );
         assert!(f.degraded_queries > 0, "the surge never degraded a query");
         assert!(f.exact_queries > 0, "the tier never recovered to Exact");
-        assert!(f.degraded_consistent, "a degraded answer diverged from the pumped prefix");
-        assert!(f.digests_match, "post-drain state diverged from the unthrottled oracle");
+        assert!(
+            f.degraded_consistent,
+            "a degraded answer diverged from the pumped prefix"
+        );
+        assert!(
+            f.digests_match,
+            "post-drain state diverged from the unthrottled oracle"
+        );
         assert_eq!(f.occupants, 36, "every device occupies exactly one room");
     }
 
     #[test]
     fn overload_experiment_is_thread_invariant() {
-        let base = ExperimentCtx::new(32).with_devices(24).with_shards(2).overload();
-        let serial = exec::with_thread_override(1, || ExperimentCtx::new(32).with_devices(24).with_shards(2).overload());
+        let base = ExperimentCtx::new(32)
+            .with_devices(24)
+            .with_shards(2)
+            .overload();
+        let serial = exec::with_thread_override(1, || {
+            ExperimentCtx::new(32)
+                .with_devices(24)
+                .with_shards(2)
+                .overload()
+        });
         assert_eq!(base, serial);
     }
 }

@@ -252,8 +252,7 @@ impl ExperimentCtx {
         // peer phone whose AP stayed up.
         let outage_from = SimTime::from_secs(60);
         let outage_until = SimTime::from_secs(600);
-        let dual_outage =
-            || FaultSchedule::new(vec![FaultWindow::new(outage_from, outage_until)]);
+        let dual_outage = || FaultSchedule::new(vec![FaultWindow::new(outage_from, outage_until)]);
         let direct_stack = || {
             FailoverTransport::new(
                 FaultyTransport::new(
@@ -400,7 +399,10 @@ impl ExperimentReport for PositioningResult {
             self.outage_delivered, self.outage_reports,
             "the mesh must deliver every report offered inside the dual outage"
         );
-        assert!(self.mesh_relayed > 0, "the dual outage must exercise the mesh");
+        assert!(
+            self.mesh_relayed > 0,
+            "the dual outage must exercise the mesh"
+        );
         assert!(
             self.failover_only_delivered < self.mesh_delivered,
             "the mesh must beat the failover-only stack across the dual outage"

@@ -27,10 +27,7 @@ use std::sync::Arc;
 /// let periods = [SimDuration::from_secs(60), SimDuration::from_secs(30)];
 /// assert_eq!(retention_cap(window, periods), 6 + 11);
 /// ```
-pub fn retention_cap(
-    window: SimDuration,
-    periods: impl IntoIterator<Item = SimDuration>,
-) -> usize {
+pub fn retention_cap(window: SimDuration, periods: impl IntoIterator<Item = SimDuration>) -> usize {
     periods
         .into_iter()
         .map(|period| (window.as_millis() / period.as_millis().max(1)) as usize + 1)
@@ -279,11 +276,11 @@ impl ExperimentCtx {
             .chunks(chunk_size)
             .map(|c| c.iter().map(|d| d.report.clone()).collect())
             .collect();
-        let fleet_estimator: Arc<dyn roomsense_net::OccupancyEstimator> =
-            Arc::new(crowd::room_of);
+        let fleet_estimator: Arc<dyn roomsense_net::OccupancyEstimator> = Arc::new(crowd::room_of);
         let mut fleet =
             ShardedBmsServer::new(Arc::clone(&fleet_estimator), shards).with_retention(retention);
-        let single = ShardedBmsServer::new(Arc::clone(&fleet_estimator), 1).with_retention(retention);
+        let single =
+            ShardedBmsServer::new(Arc::clone(&fleet_estimator), 1).with_retention(retention);
         let mut checkpoint: Option<roomsense_net::ShardedBmsCheckpoint> = None;
         let mut journal_start = 0usize;
         let mut peak_retained = 0usize;
@@ -293,8 +290,9 @@ impl ExperimentCtx {
             if idx == CRASH_CHUNK {
                 if let Some(snapshot) = &checkpoint {
                     let pre_crash = fleet.state_digest();
-                    fleet = ShardedBmsServer::restore(Arc::clone(&fleet_estimator), snapshot.clone())
-                        .expect("untampered checkpoint");
+                    fleet =
+                        ShardedBmsServer::restore(Arc::clone(&fleet_estimator), snapshot.clone())
+                            .expect("untampered checkpoint");
                     for replay in &chunks[journal_start..idx] {
                         recovered_reports += replay.len();
                         fleet.ingest_all(replay.clone());
@@ -401,7 +399,10 @@ impl ExperimentReport for ScaleFingerprint {
 
     fn assert_invariants(&self) {
         let f = self;
-        assert!(f.digests_match, "sharded fleet diverged from the single server");
+        assert!(
+            f.digests_match,
+            "sharded fleet diverged from the single server"
+        );
         assert!(f.restore_digest_match, "crash recovery lost state");
         assert!(
             f.retention_bounded(),
@@ -422,7 +423,10 @@ mod tests {
 
     #[test]
     fn scale_experiment_matches_single_server_and_bounds_memory() {
-        let f = &ExperimentCtx::new(21).with_devices(96).with_shards(8).scale();
+        let f = &ExperimentCtx::new(21)
+            .with_devices(96)
+            .with_shards(8)
+            .scale();
         assert!(f.digests_match, "sharded fleet diverged from the reference");
         assert!(f.restore_digest_match, "crash recovery lost state");
         assert!(
@@ -432,7 +436,10 @@ mod tests {
             f.retained_cap
         );
         assert!(f.compacted > 0, "retention never compacted anything");
-        assert!(!f.early_query_complete, "query below the floor must be flagged");
+        assert!(
+            !f.early_query_complete,
+            "query below the floor must be flagged"
+        );
         assert!(f.delivered > 0 && f.offered >= f.delivered);
         assert!(
             f.mean_batch_size > 2.0,
@@ -450,8 +457,16 @@ mod tests {
 
     #[test]
     fn scale_experiment_is_thread_invariant() {
-        let base = ExperimentCtx::new(22).with_devices(48).with_shards(4).scale();
-        let serial = exec::with_thread_override(1, || ExperimentCtx::new(22).with_devices(48).with_shards(4).scale());
+        let base = ExperimentCtx::new(22)
+            .with_devices(48)
+            .with_shards(4)
+            .scale();
+        let serial = exec::with_thread_override(1, || {
+            ExperimentCtx::new(22)
+                .with_devices(48)
+                .with_shards(4)
+                .scale()
+        });
         assert_eq!(base, serial);
     }
 

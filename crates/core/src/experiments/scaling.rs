@@ -65,7 +65,11 @@ mod tests {
         let result = ExperimentCtx::new(16).scaling();
         assert_eq!(result.rooms, 9);
         assert_eq!(result.beacons, 10);
-        assert!(result.office_svm > 0.80, "office svm {:.3}", result.office_svm);
+        assert!(
+            result.office_svm > 0.80,
+            "office svm {:.3}",
+            result.office_svm
+        );
         assert!(
             result.office_svm > result.office_proximity,
             "svm {:.3} vs proximity {:.3}",

@@ -86,8 +86,7 @@ impl ExperimentCtx {
         ];
         let walks = itinerary_walks(&scenario, seed, "telemetry-walk", &itineraries);
         let occupants: Vec<&dyn MobilityModel> = walks.iter().map(|w| w as _).collect();
-        let plan =
-            crate::FaultPlan::generate(scenario.advertisers().len(), duration, 0.6, seed);
+        let plan = crate::FaultPlan::generate(scenario.advertisers().len(), duration, 0.6, seed);
         let events = crate::run_fleet(
             &scenario,
             &config,
@@ -112,8 +111,8 @@ impl ExperimentCtx {
                 (e.at, features, target)
             })
             .collect();
-        let has_both_classes = labelled.iter().any(|(_, _, t)| *t > 0.0)
-            && labelled.iter().any(|(_, _, t)| *t < 0.0);
+        let has_both_classes =
+            labelled.iter().any(|(_, _, t)| *t > 0.0) && labelled.iter().any(|(_, _, t)| *t < 0.0);
         if has_both_classes {
             let rows: Vec<Vec<f64>> = labelled.iter().map(|(_, f, _)| f.clone()).collect();
             let targets: Vec<f64> = labelled.iter().map(|(_, _, t)| *t).collect();
@@ -203,18 +202,66 @@ impl ExperimentReport for TelemetryResult {
         let mean_of = |k| r.histogram(k).and_then(|h| h.mean()).unwrap_or(0.0);
         let mut rows = vec!["  metric                       value      paper artifact".to_string()];
         let counters: [(&str, u64, &str); 12] = [
-            ("scan.cycles", r.counter(keys::SCAN_CYCLES), "Section V scan loop"),
-            ("scan.stalls", r.counter(keys::SCAN_STALLS), "Fig 5 Android stalls"),
-            ("scan.samples", r.counter(keys::SCAN_SAMPLES), "Section V (5 samples/cycle)"),
-            ("scan.samples_dropped", r.counter(keys::SCAN_SAMPLES_DROPPED), "fault-layer loss"),
-            ("filter.holds", r.counter(keys::FILTER_HOLDS), "Section V loss policy"),
-            ("filter.drops", r.counter(keys::FILTER_DROPS), "Section V loss policy"),
-            ("radio.rx.lost", r.counter(keys::RADIO_RX_LOST), "Fig 5 loss rate"),
-            ("net.queue.retransmits", r.counter(keys::NET_QUEUE_RETRANSMITS), "uplink reliability"),
-            ("net.failover.sends", r.counter(keys::NET_FAILOVER_SENDS), "Wi-Fi->BT failover"),
-            ("bms.ingest.duplicates", r.counter(keys::BMS_INGEST_DUPLICATES), "exactly-once ingest"),
-            ("bms.ingest.accepted", r.counter(keys::BMS_INGEST_ACCEPTED), "occupancy table input"),
-            ("bms.checkpoints", r.counter(keys::BMS_CHECKPOINTS), "crash/restore"),
+            (
+                "scan.cycles",
+                r.counter(keys::SCAN_CYCLES),
+                "Section V scan loop",
+            ),
+            (
+                "scan.stalls",
+                r.counter(keys::SCAN_STALLS),
+                "Fig 5 Android stalls",
+            ),
+            (
+                "scan.samples",
+                r.counter(keys::SCAN_SAMPLES),
+                "Section V (5 samples/cycle)",
+            ),
+            (
+                "scan.samples_dropped",
+                r.counter(keys::SCAN_SAMPLES_DROPPED),
+                "fault-layer loss",
+            ),
+            (
+                "filter.holds",
+                r.counter(keys::FILTER_HOLDS),
+                "Section V loss policy",
+            ),
+            (
+                "filter.drops",
+                r.counter(keys::FILTER_DROPS),
+                "Section V loss policy",
+            ),
+            (
+                "radio.rx.lost",
+                r.counter(keys::RADIO_RX_LOST),
+                "Fig 5 loss rate",
+            ),
+            (
+                "net.queue.retransmits",
+                r.counter(keys::NET_QUEUE_RETRANSMITS),
+                "uplink reliability",
+            ),
+            (
+                "net.failover.sends",
+                r.counter(keys::NET_FAILOVER_SENDS),
+                "Wi-Fi->BT failover",
+            ),
+            (
+                "bms.ingest.duplicates",
+                r.counter(keys::BMS_INGEST_DUPLICATES),
+                "exactly-once ingest",
+            ),
+            (
+                "bms.ingest.accepted",
+                r.counter(keys::BMS_INGEST_ACCEPTED),
+                "occupancy table input",
+            ),
+            (
+                "bms.checkpoints",
+                r.counter(keys::BMS_CHECKPOINTS),
+                "crash/restore",
+            ),
         ];
         for (name, value, artifact) in counters {
             rows.push(format!("  {name:<28} {value:>8}   {artifact}"));

@@ -46,9 +46,7 @@ impl ExperimentCtx {
                 (RoomId::new(4), SimDuration::from_secs(180)),
                 (RoomId::new(3), SimDuration::from_secs(60)),
             ],
-            &[
-                (RoomId::new(2), SimDuration::from_secs(240)),
-            ],
+            &[(RoomId::new(2), SimDuration::from_secs(240))],
         ];
         let walks = itinerary_walks(&scenario, seed, "tracking-walk", &itineraries);
         let occupants: Vec<&dyn MobilityModel> = walks.iter().map(|w| w as _).collect();
@@ -143,7 +141,11 @@ mod tests {
             "device agreement {:.3}",
             result.device_agreement
         );
-        assert!(result.table_agreement > 0.4, "table agreement {:.3}", result.table_agreement);
+        assert!(
+            result.table_agreement > 0.4,
+            "table agreement {:.3}",
+            result.table_agreement
+        );
         assert!(result.table_agreement <= result.device_agreement);
     }
 }

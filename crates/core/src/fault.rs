@@ -66,12 +66,7 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if `intensity` is outside `[0, 1]`.
-    pub fn generate(
-        beacon_count: usize,
-        horizon: SimDuration,
-        intensity: f64,
-        seed: u64,
-    ) -> Self {
+    pub fn generate(beacon_count: usize, horizon: SimDuration, intensity: f64, seed: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&intensity),
             "fault intensity must be in [0, 1] (got {intensity})"
@@ -84,12 +79,7 @@ impl FaultPlan {
         // on one long one.
         let draw = |r: &mut rand::rngs::StdRng, share: f64, mean_outage_s: u64| {
             let outage_s = (mean_outage_s as f64 * (0.4 + 0.6 * intensity)).round() as u64;
-            downtime_schedule(
-                r,
-                horizon,
-                share,
-                SimDuration::from_secs(outage_s.max(1)),
-            )
+            downtime_schedule(r, horizon, share, SimDuration::from_secs(outage_s.max(1)))
         };
         let transmitter = (0..beacon_count)
             .map(|b| {
@@ -278,7 +268,10 @@ mod tests {
             FaultWindow::new(SimTime::from_secs(30), SimTime::from_secs(40)),
         ]);
         assert_eq!(merged_downtime(&a, &b), SimDuration::from_secs(25));
-        assert_eq!(merged_downtime(&a, &FaultSchedule::none()), SimDuration::from_secs(10));
+        assert_eq!(
+            merged_downtime(&a, &FaultSchedule::none()),
+            SimDuration::from_secs(10)
+        );
     }
 
     #[test]

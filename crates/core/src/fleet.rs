@@ -203,10 +203,7 @@ mod tests {
         assert_eq!(seq_rec.prometheus_text(), par_rec.prometheus_text());
         assert_eq!(seq_rec.journal_jsonl(), par_rec.journal_jsonl());
         // And it actually saw the fleet: 3 devices x 10 cycles each.
-        assert_eq!(
-            seq_rec.counter(roomsense_telemetry::keys::SCAN_CYCLES),
-            30
-        );
+        assert_eq!(seq_rec.counter(roomsense_telemetry::keys::SCAN_CYCLES), 30);
     }
 
     #[test]

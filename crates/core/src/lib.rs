@@ -58,12 +58,12 @@
 mod app_run;
 mod batch;
 mod collect;
+mod config;
 pub mod crowd;
+pub mod experiments;
 mod fault;
 mod fleet;
 mod multifloor;
-mod config;
-pub mod experiments;
 mod occupancy;
 mod pipeline;
 mod scenario;
@@ -77,11 +77,11 @@ pub use collect::{
     collect_dataset, features_from_snapshots, positioned_features_from_snapshots, LabelledDataset,
     MISSING_DISTANCE,
 };
+pub use config::{FilterKind, PipelineConfig, ScannerKind, MEDIAN_FILTER_WINDOW};
 pub use crowd::{CrowdPreset, CrowdScenario, CrowdTrace, MaeBounds, SubjectTrace, TraceSegment};
 pub use fault::FaultPlan;
 pub use fleet::FleetEvent;
 pub use multifloor::MultiFloorScenario;
-pub use config::{FilterKind, PipelineConfig, ScannerKind, MEDIAN_FILTER_WINDOW};
 pub use occupancy::{OccupancyModel, TrainOccupancyError};
 pub use pipeline::{run_pipeline, run_pipeline_faulted, CycleRecord};
 pub use scenario::Scenario;

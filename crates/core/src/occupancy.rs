@@ -160,11 +160,8 @@ mod tests {
             let jitter = f64::from(i % 5) * 0.2;
             data.push(vec![1.0 + jitter, 7.0 - jitter], 0).expect("row");
             data.push(vec![7.0 - jitter, 1.0 + jitter], 1).expect("row");
-            data.push(
-                vec![MISSING_DISTANCE, MISSING_DISTANCE],
-                2,
-            )
-            .expect("row");
+            data.push(vec![MISSING_DISTANCE, MISSING_DISTANCE], 2)
+                .expect("row");
         }
         LabelledDataset {
             data,

@@ -1,7 +1,7 @@
 //! The end-to-end phone pipeline: radio → scanner → aggregation → tracks.
 
 use crate::config::MEDIAN_FILTER_WINDOW;
-use crate::{FaultPlan, FilterKind, PipelineConfig, Scenario, ScannerKind};
+use crate::{FaultPlan, FilterKind, PipelineConfig, ScannerKind, Scenario};
 use rand::RngCore;
 use roomsense_building::mobility::MobilityModel;
 use roomsense_building::RoomId;
@@ -268,7 +268,15 @@ impl<M: ScannerModel> ErasedScanner for M {
         spans: &mut Vec<CycleSpan>,
     ) {
         run_scan_into(
-            receptions, self, config.scan, from, until, rng, telemetry, scratch, spans,
+            receptions,
+            self,
+            config.scan,
+            from,
+            until,
+            rng,
+            telemetry,
+            scratch,
+            spans,
         );
     }
 }
@@ -320,10 +328,18 @@ impl FilterTracks {
         snaps: &mut Vec<TrackSnapshot>,
     ) {
         match self {
-            FilterTracks::Ewma(t) => t.update_cycle_into_recorded(at, observations, telemetry, snaps),
-            FilterTracks::Kalman(t) => t.update_cycle_into_recorded(at, observations, telemetry, snaps),
-            FilterTracks::Median(t) => t.update_cycle_into_recorded(at, observations, telemetry, snaps),
-            FilterTracks::Bayes(t) => t.update_cycle_into_recorded(at, observations, telemetry, snaps),
+            FilterTracks::Ewma(t) => {
+                t.update_cycle_into_recorded(at, observations, telemetry, snaps)
+            }
+            FilterTracks::Kalman(t) => {
+                t.update_cycle_into_recorded(at, observations, telemetry, snaps)
+            }
+            FilterTracks::Median(t) => {
+                t.update_cycle_into_recorded(at, observations, telemetry, snaps)
+            }
+            FilterTracks::Bayes(t) => {
+                t.update_cycle_into_recorded(at, observations, telemetry, snaps)
+            }
         }
     }
 }
@@ -388,8 +404,8 @@ mod tests {
     #[test]
     fn ground_truth_follows_the_walk() {
         let scenario = corridor_scenario();
-        let path = Polyline::new(vec![Point::new(1.0, 1.0), Point::new(11.0, 1.0)])
-            .expect("valid path");
+        let path =
+            Polyline::new(vec![Point::new(1.0, 1.0), Point::new(11.0, 1.0)]).expect("valid path");
         let walk = WaypointWalk::new(path, 1.0, SimTime::ZERO);
         let records = run_pipeline(
             &scenario,

@@ -129,8 +129,7 @@ impl Scenario {
                 old.minor(),
                 old.measured_power(),
             );
-            placed.advertiser =
-                Advertiser::new(packet, placed.advertiser.interval());
+            placed.advertiser = Advertiser::new(packet, placed.advertiser.interval());
         }
     }
 
@@ -251,7 +250,9 @@ mod tests {
         use roomsense_geom::Point;
         use roomsense_sim::SimTime;
         let mut s = Scenario::from_plan(presets::paper_house(), 1);
-        s.add_interferer(roomsense_radio::Interferer::microwave_oven(Point::new(2.0, 2.0)));
+        s.add_interferer(roomsense_radio::Interferer::microwave_oven(Point::new(
+            2.0, 2.0,
+        )));
         assert_eq!(s.channel().environment().interferers().len(), 1);
         assert!(
             s.channel()

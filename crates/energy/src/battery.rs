@@ -165,7 +165,12 @@ impl Battery {
 
 impl fmt::Display for Battery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "battery {:.1}% of {:.0} mWh", self.percent(), self.capacity_mwh)
+        write!(
+            f,
+            "battery {:.1}% of {:.0} mWh",
+            self.percent(),
+            self.capacity_mwh
+        )
     }
 }
 

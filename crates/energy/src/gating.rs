@@ -200,11 +200,9 @@ mod tests {
 
     #[test]
     fn intervals_validate() {
-        assert!(MotionIntervals::new(vec![(
-            SimTime::from_secs(5),
-            SimTime::from_secs(2)
-        )])
-        .is_err());
+        assert!(
+            MotionIntervals::new(vec![(SimTime::from_secs(5), SimTime::from_secs(2))]).is_err()
+        );
         assert!(MotionIntervals::new(vec![
             (SimTime::ZERO, SimTime::from_secs(10)),
             (SimTime::from_secs(5), SimTime::from_secs(15)),

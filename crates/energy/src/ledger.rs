@@ -70,8 +70,7 @@ impl EnergyLedger {
 
     /// Adds `power_mw` drawn for `duration` to a component.
     pub fn charge(&mut self, component: ComponentKind, power_mw: f64, duration: SimDuration) {
-        *self.totals_mj.entry(component).or_insert(0.0) +=
-            power_mw * duration.as_secs_f64();
+        *self.totals_mj.entry(component).or_insert(0.0) += power_mw * duration.as_secs_f64();
     }
 
     /// Energy charged to one component, in millijoules.
@@ -194,18 +193,30 @@ pub fn account(
     architecture: UplinkArchitecture,
 ) -> EnergyLedger {
     let mut ledger = EnergyLedger::new();
-    ledger.charge(ComponentKind::Baseline, profile.baseline_mw, timeline.duration);
+    ledger.charge(
+        ComponentKind::Baseline,
+        profile.baseline_mw,
+        timeline.duration,
+    );
     ledger.charge(
         ComponentKind::CpuService,
         profile.cpu_service_mw,
         timeline.duration,
     );
-    ledger.charge(ComponentKind::BleScan, profile.ble_scan_mw, timeline.scan_active);
+    ledger.charge(
+        ComponentKind::BleScan,
+        profile.ble_scan_mw,
+        timeline.scan_active,
+    );
     if matches!(
         architecture,
         UplinkArchitecture::Wifi | UplinkArchitecture::Failover
     ) {
-        ledger.charge(ComponentKind::WifiIdle, profile.wifi_idle_mw, timeline.duration);
+        ledger.charge(
+            ComponentKind::WifiIdle,
+            profile.wifi_idle_mw,
+            timeline.duration,
+        );
     }
     for event in &timeline.transport_events {
         match event.kind {
@@ -219,7 +230,11 @@ pub fn account(
                         profile.wifi_wake_duration,
                     );
                 }
-                ledger.charge(ComponentKind::WifiActive, profile.wifi_active_mw, event.active);
+                ledger.charge(
+                    ComponentKind::WifiActive,
+                    profile.wifi_active_mw,
+                    event.active,
+                );
                 ledger.charge(
                     ComponentKind::WifiTail,
                     profile.wifi_tail_mw,
@@ -306,7 +321,11 @@ mod tests {
             event(TransportKind::BluetoothRelay, 20, 500),
             event(TransportKind::Wifi, 30, 80),
         ];
-        let ledger = account(&profile, &hour_timeline(events), UplinkArchitecture::Failover);
+        let ledger = account(
+            &profile,
+            &hour_timeline(events),
+            UplinkArchitecture::Failover,
+        );
         assert!(ledger.energy_mj(ComponentKind::WifiIdle) > 0.0);
         assert!(ledger.energy_mj(ComponentKind::WifiActive) > 0.0);
         assert!(ledger.energy_mj(ComponentKind::WifiTail) > 0.0);
@@ -325,8 +344,16 @@ mod tests {
         let batched: Vec<TransportEvent> = (0..225)
             .map(|i| event(TransportKind::Wifi, i * 16, 120))
             .collect();
-        let wifi = account(&profile, &hour_timeline(per_report), UplinkArchitecture::Wifi);
-        let coalesced = account(&profile, &hour_timeline(batched), UplinkArchitecture::Batched);
+        let wifi = account(
+            &profile,
+            &hour_timeline(per_report),
+            UplinkArchitecture::Wifi,
+        );
+        let coalesced = account(
+            &profile,
+            &hour_timeline(batched),
+            UplinkArchitecture::Batched,
+        );
         // No idle dwell, but a wake charge per burst.
         assert_eq!(coalesced.energy_mj(ComponentKind::WifiIdle), 0.0);
         let wake = coalesced.energy_mj(ComponentKind::WifiWake);
@@ -351,7 +378,11 @@ mod tests {
     fn record_into_publishes_the_wake_gauge() {
         let profile = PowerProfile::galaxy_s3_mini();
         let events = vec![event(TransportKind::Wifi, 10, 80)];
-        let ledger = account(&profile, &hour_timeline(events), UplinkArchitecture::Batched);
+        let ledger = account(
+            &profile,
+            &hour_timeline(events),
+            UplinkArchitecture::Batched,
+        );
         let mut telemetry = Recorder::default();
         ledger.record_into(&mut telemetry);
         assert_eq!(
@@ -370,7 +401,11 @@ mod tests {
         let bt_events: Vec<TransportEvent> = (0..1800)
             .map(|i| event(TransportKind::BluetoothRelay, i * 2, 500))
             .collect();
-        let wifi = account(&profile, &hour_timeline(wifi_events), UplinkArchitecture::Wifi);
+        let wifi = account(
+            &profile,
+            &hour_timeline(wifi_events),
+            UplinkArchitecture::Wifi,
+        );
         let bt = account(
             &profile,
             &hour_timeline(bt_events),
@@ -397,7 +432,11 @@ mod tests {
             event(TransportKind::Wifi, 10, 80),
             event(TransportKind::BluetoothRelay, 20, 500),
         ];
-        let ledger = account(&profile, &hour_timeline(events), UplinkArchitecture::Failover);
+        let ledger = account(
+            &profile,
+            &hour_timeline(events),
+            UplinkArchitecture::Failover,
+        );
         let mut telemetry = Recorder::default();
         ledger.record_into(&mut telemetry);
         assert_eq!(

@@ -206,11 +206,7 @@ mod tests {
 
     #[test]
     fn zero_area_rejected() {
-        let collinear = vec![
-            Point::ORIGIN,
-            Point::new(1.0, 0.0),
-            Point::new(2.0, 0.0),
-        ];
+        let collinear = vec![Point::ORIGIN, Point::new(1.0, 0.0), Point::new(2.0, 0.0)];
         assert_eq!(Polygon::new(collinear), Err(BuildPolygonError::ZeroArea));
     }
 
@@ -296,15 +292,9 @@ mod tests {
 
         /// Strategy: a random non-degenerate axis-aligned rectangle.
         fn rect_polygon() -> impl Strategy<Value = Polygon> {
-            (
-                -50.0f64..50.0,
-                -50.0f64..50.0,
-                0.5f64..30.0,
-                0.5f64..30.0,
-            )
-                .prop_map(|(x, y, w, h)| {
-                    Polygon::rectangle(Point::new(x, y), Point::new(x + w, y + h))
-                })
+            (-50.0f64..50.0, -50.0f64..50.0, 0.5f64..30.0, 0.5f64..30.0).prop_map(|(x, y, w, h)| {
+                Polygon::rectangle(Point::new(x, y), Point::new(x + w, y + h))
+            })
         }
 
         proptest! {

@@ -118,7 +118,12 @@ impl Polyline {
 
 impl fmt::Display for Polyline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "polyline({} waypoints, {:.2} m)", self.waypoints.len(), self.length())
+        write!(
+            f,
+            "polyline({} waypoints, {:.2} m)",
+            self.waypoints.len(),
+            self.length()
+        )
     }
 }
 
@@ -174,12 +179,8 @@ mod tests {
 
     #[test]
     fn repeated_waypoints_are_tolerated() {
-        let p = Polyline::new(vec![
-            Point::ORIGIN,
-            Point::ORIGIN,
-            Point::new(2.0, 0.0),
-        ])
-        .expect("valid");
+        let p =
+            Polyline::new(vec![Point::ORIGIN, Point::ORIGIN, Point::new(2.0, 0.0)]).expect("valid");
         assert_eq!(p.length(), 2.0);
         assert_eq!(p.point_at_distance(1.0), Point::new(1.0, 0.0));
     }

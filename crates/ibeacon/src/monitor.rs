@@ -113,14 +113,17 @@ impl RegionMonitor {
     /// Registers a region to monitor. Re-adding an id replaces its pattern
     /// and resets its state.
     pub fn add_region(&mut self, id: RegionId, region: Region) {
-        if self.regions.insert(
-            id,
-            RegionState {
-                region,
-                inside: false,
-                last_sighting: None,
-            },
-        ).is_none()
+        if self
+            .regions
+            .insert(
+                id,
+                RegionState {
+                    region,
+                    inside: false,
+                    last_sighting: None,
+                },
+            )
+            .is_none()
         {
             self.order.push(id);
         }

@@ -169,7 +169,10 @@ impl fmt::Display for DecodePacketError {
                 write!(f, "expected {ADVERTISEMENT_LEN} bytes, found {found}")
             }
             DecodePacketError::NotIBeacon { offset } => {
-                write!(f, "not an ibeacon payload (prefix mismatch at byte {offset})")
+                write!(
+                    f,
+                    "not an ibeacon payload (prefix mismatch at byte {offset})"
+                )
             }
         }
     }
@@ -274,12 +277,7 @@ impl TryFrom<&[u8]> for Packet {
 
 impl fmt::Display for Packet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ibeacon {} tx={}",
-            self.identity(),
-            self.measured_power
-        )
+        write!(f, "ibeacon {} tx={}", self.identity(), self.measured_power)
     }
 }
 

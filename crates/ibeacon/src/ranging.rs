@@ -142,7 +142,8 @@ pub fn estimate_distance_log(
     if !rssi_dbm.is_finite() {
         return -1.0;
     }
-    let exponent = (f64::from(measured_power.dbm()) - rssi_dbm) / (10.0 * config.path_loss_exponent);
+    let exponent =
+        (f64::from(measured_power.dbm()) - rssi_dbm) / (10.0 * config.path_loss_exponent);
     10f64.powf(exponent)
 }
 
@@ -228,7 +229,11 @@ mod tests {
     fn non_finite_rssi_means_unknown() {
         assert_eq!(estimate_distance(f64::NAN, MeasuredPower::new(-59)), -1.0);
         assert_eq!(
-            estimate_distance_log(f64::INFINITY, MeasuredPower::new(-59), &RangingConfig::default()),
+            estimate_distance_log(
+                f64::INFINITY,
+                MeasuredPower::new(-59),
+                &RangingConfig::default()
+            ),
             -1.0
         );
     }

@@ -146,7 +146,9 @@ mod tests {
 
     #[test]
     fn parse_uppercase() {
-        let a: ProximityUuid = "F7826DA6-4FA2-4E98-8024-BC5B71E0893E".parse().expect("valid");
+        let a: ProximityUuid = "F7826DA6-4FA2-4E98-8024-BC5B71E0893E"
+            .parse()
+            .expect("valid");
         assert_eq!(a, ProximityUuid::example());
     }
 

@@ -198,8 +198,10 @@ pub fn train_test_split<R: Rng + ?Sized>(
     );
     let mut indices: Vec<usize> = (0..data.len()).collect();
     indices.shuffle(rng);
-    let test_len = ((data.len() as f64 * test_fraction).round() as usize)
-        .clamp(usize::from(!data.is_empty()), data.len().saturating_sub(1).max(1));
+    let test_len = ((data.len() as f64 * test_fraction).round() as usize).clamp(
+        usize::from(!data.is_empty()),
+        data.len().saturating_sub(1).max(1),
+    );
     let (test_idx, train_idx) = indices.split_at(test_len.min(indices.len()));
     (data.subset(train_idx), data.subset(test_idx))
 }
@@ -221,12 +223,7 @@ pub fn k_fold<R: Rng + ?Sized>(data: &Dataset, k: usize, rng: &mut R) -> Vec<(Da
     indices.shuffle(rng);
     let mut folds = Vec::with_capacity(k);
     for fold in 0..k {
-        let val_idx: Vec<usize> = indices
-            .iter()
-            .copied()
-            .skip(fold)
-            .step_by(k)
-            .collect();
+        let val_idx: Vec<usize> = indices.iter().copied().skip(fold).step_by(k).collect();
         let val_set: std::collections::HashSet<usize> = val_idx.iter().copied().collect();
         let train_idx: Vec<usize> = indices
             .iter()
@@ -246,7 +243,8 @@ mod tests {
     fn toy(n: usize) -> Dataset {
         let mut d = Dataset::new(2, vec!["a".into(), "b".into()]).expect("valid");
         for i in 0..n {
-            d.push(vec![i as f64, -(i as f64)], i % 2).expect("valid row");
+            d.push(vec![i as f64, -(i as f64)], i % 2)
+                .expect("valid row");
         }
         d
     }

@@ -123,7 +123,11 @@ impl ConfusionMatrix {
 
 impl fmt::Display for ConfusionMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "confusion matrix ({} classes, rows = truth):", self.classes)?;
+        writeln!(
+            f,
+            "confusion matrix ({} classes, rows = truth):",
+            self.classes
+        )?;
         for t in 0..self.classes {
             for p in 0..self.classes {
                 write!(f, "{:>6}", self.count(t, p))?;

@@ -91,7 +91,10 @@ pub fn grid_search<R: Rng + ?Sized>(
     folds: usize,
     rng: &mut R,
 ) -> GridSearchResult {
-    assert!(!cs.is_empty() && !gammas.is_empty(), "grid must be non-empty");
+    assert!(
+        !cs.is_empty() && !gammas.is_empty(),
+        "grid must be non-empty"
+    );
     let fold_sets = k_fold(data, folds, rng);
     // The one-vs-one pair subproblems of each fold depend on neither C nor
     // γ; build them once. A degenerate fold (empty / single-class train

@@ -157,7 +157,8 @@ mod tests {
         for dim in 0..2 {
             let col: Vec<f64> = t.rows().iter().map(|r| r[dim]).collect();
             let mean: f64 = col.iter().sum::<f64>() / col.len() as f64;
-            let var: f64 = col.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / col.len() as f64;
+            let var: f64 =
+                col.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / col.len() as f64;
             assert!(mean.abs() < 1e-12);
             assert!((var - 1.0).abs() < 1e-12);
         }

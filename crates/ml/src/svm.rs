@@ -360,7 +360,12 @@ pub(crate) fn pair_splits(data: &Dataset) -> Result<Vec<PairSplit>, TrainSvmErro
                     targets.push(-1.0);
                 }
             }
-            splits.push(PairSplit { a, b, rows, targets });
+            splits.push(PairSplit {
+                a,
+                b,
+                rows,
+                targets,
+            });
         }
     }
     Ok(splits)
@@ -816,8 +821,7 @@ mod tests {
 
     #[test]
     fn three_class_one_vs_one() {
-        let mut d =
-            Dataset::new(2, vec!["a".into(), "b".into(), "c".into()]).expect("valid");
+        let mut d = Dataset::new(2, vec!["a".into(), "b".into(), "c".into()]).expect("valid");
         for i in 0..15 {
             let t = f64::from(i) * 0.02;
             d.push(vec![0.0 + t, 0.0], 0).expect("row");
@@ -833,8 +837,7 @@ mod tests {
 
     #[test]
     fn missing_class_is_skipped_not_fatal() {
-        let mut d =
-            Dataset::new(1, vec!["a".into(), "b".into(), "ghost".into()]).expect("valid");
+        let mut d = Dataset::new(1, vec!["a".into(), "b".into(), "ghost".into()]).expect("valid");
         for i in 0..10 {
             d.push(vec![f64::from(i)], 0).expect("row");
             d.push(vec![f64::from(i) + 100.0], 1).expect("row");

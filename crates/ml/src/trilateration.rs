@@ -181,10 +181,22 @@ pub fn position_features(
     let cy = anchors.iter().map(|(_, y)| y).sum::<f64>() / n;
     match trilaterate(anchors, &masked) {
         Ok((x, y)) => {
-            let min_x = anchors.iter().map(|(x, _)| *x).fold(f64::INFINITY, f64::min);
-            let max_x = anchors.iter().map(|(x, _)| *x).fold(f64::NEG_INFINITY, f64::max);
-            let min_y = anchors.iter().map(|(_, y)| *y).fold(f64::INFINITY, f64::min);
-            let max_y = anchors.iter().map(|(_, y)| *y).fold(f64::NEG_INFINITY, f64::max);
+            let min_x = anchors
+                .iter()
+                .map(|(x, _)| *x)
+                .fold(f64::INFINITY, f64::min);
+            let max_x = anchors
+                .iter()
+                .map(|(x, _)| *x)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let min_y = anchors
+                .iter()
+                .map(|(_, y)| *y)
+                .fold(f64::INFINITY, f64::min);
+            let max_y = anchors
+                .iter()
+                .map(|(_, y)| *y)
+                .fold(f64::NEG_INFINITY, f64::max);
             [
                 x.clamp(min_x - missing_sentinel, max_x + missing_sentinel),
                 y.clamp(min_y - missing_sentinel, max_y + missing_sentinel),

@@ -542,13 +542,14 @@ impl ArchiveSink {
                 report.truncated_bytes += (scan.len - scan.valid_len) as u64;
             }
             if let Some(footer) = &scan.footer {
-                if footer.records != scan.segment.records || footer.digest != scan.segment.digest
-                {
+                if footer.records != scan.segment.records || footer.digest != scan.segment.digest {
                     report.footer_mismatches += 1;
                 }
             }
             report.records += u64::from(scan.segment.records);
-            sink.last_at = sink.last_at.max(scan.segment.max_at.unwrap_or(SimTime::ZERO));
+            sink.last_at = sink
+                .last_at
+                .max(scan.segment.max_at.unwrap_or(SimTime::ZERO));
             if scan.segment.records > 0 {
                 if scan.footer.is_none() {
                     // Seal the surviving tail in place so the next active
@@ -613,7 +614,10 @@ impl ArchiveSink {
                         digest: FNV_OFFSET,
                     });
                     entry.fold(kind, payload);
-                    if marks.get(&device).is_some_and(|mark| entry.records == mark.records) {
+                    if marks
+                        .get(&device)
+                        .is_some_and(|mark| entry.records == mark.records)
+                    {
                         at_mark.insert(device, entry.digest);
                     }
                 }
@@ -1606,7 +1610,11 @@ mod tests {
                 sink.append_report(&report(1, i, 0));
             }
             let frame = frame_record(KIND_REPORT, &encode_report(&report(1, 9, 0)));
-            disk.append("bms/seg-00000001", SimTime::from_secs(9), &frame[..frame.len() / 2]);
+            disk.append(
+                "bms/seg-00000001",
+                SimTime::from_secs(9),
+                &frame[..frame.len() / 2],
+            );
         }
         let (recovered, rep) = ArchiveSink::recover(disk.clone(), small_config());
         assert_eq!(rep.records, 4);
@@ -1675,7 +1683,9 @@ mod tests {
         assert!(rep.clean());
         assert_eq!(rep.records, 12);
         assert_eq!(
-            again.reports_between(SimTime::ZERO, SimTime::from_secs(100)).len(),
+            again
+                .reports_between(SimTime::ZERO, SimTime::from_secs(100))
+                .len(),
             12
         );
     }
@@ -1712,11 +1722,20 @@ mod tests {
         sink.append_assignment(DeviceId::new(1), SimTime::from_secs(20), 2, 7);
         sink.append_assignment(DeviceId::new(2), SimTime::from_secs(15), 1, 3);
         let at_12 = sink.last_assignments_at(SimTime::from_secs(12));
-        assert_eq!(at_12.get(&DeviceId::new(1)), Some(&(SimTime::from_secs(10), 1, 5)));
+        assert_eq!(
+            at_12.get(&DeviceId::new(1)),
+            Some(&(SimTime::from_secs(10), 1, 5))
+        );
         assert!(!at_12.contains_key(&DeviceId::new(2)));
         let at_99 = sink.last_assignments_at(SimTime::from_secs(99));
-        assert_eq!(at_99.get(&DeviceId::new(1)), Some(&(SimTime::from_secs(20), 2, 7)));
-        assert_eq!(at_99.get(&DeviceId::new(2)), Some(&(SimTime::from_secs(15), 1, 3)));
+        assert_eq!(
+            at_99.get(&DeviceId::new(1)),
+            Some(&(SimTime::from_secs(20), 2, 7))
+        );
+        assert_eq!(
+            at_99.get(&DeviceId::new(2)),
+            Some(&(SimTime::from_secs(15), 1, 3))
+        );
     }
 
     #[test]

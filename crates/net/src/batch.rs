@@ -297,8 +297,12 @@ mod tests {
             SimDuration::from_secs(60),
         );
         let mut r = rng::for_component(41, "batch-delay");
-        assert!(b.offer(SimTime::from_secs(0), stamped_report(0), &mut r).is_empty());
-        assert!(b.offer(SimTime::from_secs(30), stamped_report(30), &mut r).is_empty());
+        assert!(b
+            .offer(SimTime::from_secs(0), stamped_report(0), &mut r)
+            .is_empty());
+        assert!(b
+            .offer(SimTime::from_secs(30), stamped_report(30), &mut r)
+            .is_empty());
         assert_eq!(b.pending(), 2);
         // At t=60 the oldest report has waited the full delay: the partial
         // batch goes out even though it is nowhere near max_batch.

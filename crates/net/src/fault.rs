@@ -164,11 +164,20 @@ mod tests {
 
     #[test]
     fn sends_inside_the_window_are_refused_but_priced() {
-        let mut t = FaultyTransport::new(WifiTransport::new(1.0, SimDuration::from_millis(50)), outage(10, 20));
+        let mut t = FaultyTransport::new(
+            WifiTransport::new(1.0, SimDuration::from_millis(50)),
+            outage(10, 20),
+        );
         let mut r = rng::for_component(1, "refuse");
-        assert!(t.send(SimTime::from_secs(5), &report(), &mut r).is_delivered());
-        assert!(!t.send(SimTime::from_secs(15), &report(), &mut r).is_delivered());
-        assert!(t.send(SimTime::from_secs(25), &report(), &mut r).is_delivered());
+        assert!(t
+            .send(SimTime::from_secs(5), &report(), &mut r)
+            .is_delivered());
+        assert!(!t
+            .send(SimTime::from_secs(15), &report(), &mut r)
+            .is_delivered());
+        assert!(t
+            .send(SimTime::from_secs(25), &report(), &mut r)
+            .is_delivered());
         assert_eq!(t.outage_refusals(), 1);
         // All three attempts appear in the merged burst log, including the
         // refused probe burst.
@@ -203,7 +212,9 @@ mod tests {
     fn refusals_return_refused_not_failed() {
         let mut t = FaultyTransport::new(WifiTransport::default(), outage(0, 10));
         let mut r = rng::for_component(4, "refused-kind");
-        assert!(t.send(SimTime::from_secs(5), &report(), &mut r).is_refused());
+        assert!(t
+            .send(SimTime::from_secs(5), &report(), &mut r)
+            .is_refused());
     }
 
     #[test]
@@ -226,18 +237,29 @@ mod tests {
             "one probe burst, not six"
         );
         // Outside the window the link (and the retry budget) works as before.
-        assert!(t.send(SimTime::from_secs(200), &report(), &mut r).is_delivered());
+        assert!(t
+            .send(SimTime::from_secs(200), &report(), &mut r)
+            .is_delivered());
     }
 
     #[test]
     fn nested_outage_layers_compose() {
         // AP down 0–10 s, server down 20–30 s: both windows refuse.
-        let ap = FaultyTransport::new(WifiTransport::new(1.0, SimDuration::from_millis(50)), outage(0, 10));
+        let ap = FaultyTransport::new(
+            WifiTransport::new(1.0, SimDuration::from_millis(50)),
+            outage(0, 10),
+        );
         let mut both = FaultyTransport::new(ap, outage(20, 30));
         let mut r = rng::for_component(3, "nested");
-        assert!(!both.send(SimTime::from_secs(5), &report(), &mut r).is_delivered());
-        assert!(both.send(SimTime::from_secs(15), &report(), &mut r).is_delivered());
-        assert!(!both.send(SimTime::from_secs(25), &report(), &mut r).is_delivered());
+        assert!(!both
+            .send(SimTime::from_secs(5), &report(), &mut r)
+            .is_delivered());
+        assert!(both
+            .send(SimTime::from_secs(15), &report(), &mut r)
+            .is_delivered());
+        assert!(!both
+            .send(SimTime::from_secs(25), &report(), &mut r)
+            .is_delivered());
         assert_eq!(both.telemetry().transport_events().len(), 3);
         assert_eq!(both.delivery_rate(), Some(1.0 / 3.0));
     }

@@ -14,8 +14,8 @@
 //! deterministically, so a federated run checksums identically at any
 //! `ROOMSENSE_THREADS`.
 
-use crate::{Admission, IngestTier, LeveledView, RoomLabel, RoomPresence, ServiceLevel};
 use crate::ObservationReport;
+use crate::{Admission, IngestTier, LeveledView, RoomLabel, RoomPresence, ServiceLevel};
 use roomsense_sim::{SimDuration, SimTime};
 use roomsense_telemetry::Recorder;
 use std::collections::BTreeMap;
@@ -275,10 +275,7 @@ mod tests {
         for name in ["hall", "library"] {
             campus.add_building(
                 name,
-                IngestTier::new(
-                    ShardedBmsServer::new(Arc::clone(&estimator), 2),
-                    config,
-                ),
+                IngestTier::new(ShardedBmsServer::new(Arc::clone(&estimator), 2), config),
             );
         }
         campus
@@ -297,7 +294,10 @@ mod tests {
         let view = c.campus_view(SimTime::from_secs(10), SimDuration::from_secs(300));
         assert_eq!(view.level, ServiceLevel::Exact);
         assert_eq!(view.occupants(), 6);
-        assert_eq!(view.rooms.get(&("hall".into(), 0)).map(|p| p.occupants), Some(3));
+        assert_eq!(
+            view.rooms.get(&("hall".into(), 0)).map(|p| p.occupants),
+            Some(3)
+        );
         assert_eq!(
             view.rooms.get(&("library".into(), 1)).map(|p| p.occupants),
             Some(3)
@@ -305,7 +305,10 @@ mod tests {
         // Per-building digests match dedicated oracles.
         let digests = c.building_digests();
         assert_eq!(digests.len(), 2);
-        assert_ne!(digests[0].1, digests[1].1, "disjoint streams, distinct state");
+        assert_ne!(
+            digests[0].1, digests[1].1,
+            "disjoint streams, distinct state"
+        );
         // The campus digest is a pure function of the building digests.
         let again = c.campus_digest();
         assert_eq!(again, c.campus_digest());
@@ -331,7 +334,11 @@ mod tests {
         c.offer("library", SimTime::ZERO, report(2, 0, 1));
         c.building_mut("library").unwrap().drain(10);
         let view = c.campus_view(SimTime::from_secs(1), SimDuration::from_secs(300));
-        assert_eq!(view.level, ServiceLevel::Degraded, "campus label is the worst level");
+        assert_eq!(
+            view.level,
+            ServiceLevel::Degraded,
+            "campus label is the worst level"
+        );
         let hall = &view.buildings[0].1;
         let library = &view.buildings[1].1;
         assert_eq!(hall.level, ServiceLevel::Degraded);
@@ -354,10 +361,7 @@ mod tests {
         c.add_building(
             "hall",
             IngestTier::new(
-                ShardedBmsServer::new(
-                    Arc::new(|_: &ObservationReport| Some(0)),
-                    1,
-                ),
+                ShardedBmsServer::new(Arc::new(|_: &ObservationReport| Some(0)), 1),
                 IngestTierConfig::default(),
             ),
         );

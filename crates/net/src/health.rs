@@ -97,7 +97,10 @@ impl LinkHealthConfig {
             self.down_below <= self.degraded_below && self.degraded_below < self.recover_above,
             "thresholds must satisfy down_below <= degraded_below < recover_above"
         );
-        assert!(self.probes_to_recover > 0, "probes_to_recover must be non-zero");
+        assert!(
+            self.probes_to_recover > 0,
+            "probes_to_recover must be non-zero"
+        );
     }
 }
 
@@ -243,7 +246,12 @@ impl LinkHealth {
 impl fmt::Display for LinkHealth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.success_ratio() {
-            Some(ratio) => write!(f, "link {} ({:.0} % over window)", self.state, ratio * 100.0),
+            Some(ratio) => write!(
+                f,
+                "link {} ({:.0} % over window)",
+                self.state,
+                ratio * 100.0
+            ),
             None => write!(f, "link {} (no traffic)", self.state),
         }
     }
@@ -657,8 +665,16 @@ mod tests {
         // During the outage the primary refuses a handful of sends until the
         // window trips Down; after that everything rides the secondary, and
         // probes bring Wi-Fi back once the outage ends.
-        assert_eq!(t.health().state(), LinkState::Up, "failed back after outage");
-        assert!(t.failover_sends() > 30, "failover sends {}", t.failover_sends());
+        assert_eq!(
+            t.health().state(),
+            LinkState::Up,
+            "failed back after outage"
+        );
+        assert!(
+            t.failover_sends() > 30,
+            "failover sends {}",
+            t.failover_sends()
+        );
         assert!(t.probes() > 0);
         // Only the handful of sends while the window was filling were lost
         // (each of those still got a secondary retry, so in fact none are).

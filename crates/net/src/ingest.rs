@@ -104,7 +104,10 @@ impl Default for IngestTierConfig {
 
 impl IngestTierConfig {
     fn validate(&self) {
-        assert!(self.mailbox_capacity > 0, "mailbox_capacity must be non-zero");
+        assert!(
+            self.mailbox_capacity > 0,
+            "mailbox_capacity must be non-zero"
+        );
         assert!(self.service_rate > 0, "service_rate must be non-zero");
         assert!(
             self.admit_high <= self.mailbox_capacity,
@@ -283,7 +286,11 @@ impl IngestTier {
     /// [`mailbox_capacity`](IngestTierConfig::mailbox_capacity) by
     /// construction, which is the tier's memory-bound claim.
     pub fn peak_mailbox_depth(&self) -> usize {
-        self.mailboxes.iter().map(Mailbox::peak_depth).max().unwrap_or(0)
+        self.mailboxes
+            .iter()
+            .map(Mailbox::peak_depth)
+            .max()
+            .unwrap_or(0)
     }
 
     /// How far behind `now` the oldest queued report is, across shards.

@@ -42,17 +42,15 @@ mod shard;
 mod transport;
 
 pub use analytics::{DebouncedRoom, MovementAnalytics, RoomTransition};
-pub use archive::{
-    ArchiveConfig, ArchiveSink, ArchiveStats, Coverage, DeviceMark, RecoveryReport,
-};
+pub use archive::{ArchiveConfig, ArchiveSink, ArchiveStats, Coverage, DeviceMark, RecoveryReport};
 pub use batch::BatchingTransport;
 pub use bms::{
     IngestOutcome, OccupancyEstimator, OccupancyView, RestoreError, RoomLabel, RoomPresence,
     ServerStats, ShardedBmsCheckpoint, ShardedBmsServer, Windowed,
 };
 pub use counting::{
-    finalize_population, CountingConfig, LeveledPopulationView,
-    PopulationEstimate, PopulationEvidence, PopulationView,
+    finalize_population, CountingConfig, LeveledPopulationView, PopulationEstimate,
+    PopulationEvidence, PopulationView,
 };
 pub use demand::{DemandResponseController, DemandResponseReport, HvacState};
 pub use fault::FaultyTransport;

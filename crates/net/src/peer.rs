@@ -439,7 +439,10 @@ mod tests {
             mesh.relayed() * u64::from(mesh.config().hops_to_exit)
         );
         // Counters mirror the accessors; relays journalled mesh failovers.
-        assert_eq!(mesh.telemetry().counter(keys::NET_PEER_RELAYED), mesh.relayed());
+        assert_eq!(
+            mesh.telemetry().counter(keys::NET_PEER_RELAYED),
+            mesh.relayed()
+        );
         let mesh_failovers = mesh
             .telemetry()
             .journal()
@@ -528,7 +531,10 @@ mod tests {
             mesh.telemetry().counter(keys::NET_TX_ATTEMPTS_PEER)
                 >= mesh.parked() * u64::from(mesh.config().max_hops)
         );
-        assert_eq!(mesh.telemetry().counter(keys::NET_PEER_QUEUED), mesh.parked());
+        assert_eq!(
+            mesh.telemetry().counter(keys::NET_PEER_QUEUED),
+            mesh.parked()
+        );
         // Retrying every parked report on every call burned 2365 bursts
         // here, 1860 of them hops; backoff keeps the outage under half that.
         let bursts = mesh.telemetry().transport_events().len();

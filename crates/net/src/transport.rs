@@ -245,7 +245,10 @@ impl Burst {
 ///
 /// Panics if `p` is outside `[0, 1]`.
 pub(crate) fn checked_probability(p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1] (got {p})");
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "probability must be in [0, 1] (got {p})"
+    );
     p
 }
 
@@ -304,7 +307,13 @@ impl Transport for WifiTransport {
             ms_per_100_bytes: 1,
             jitter_ms: 30,
         };
-        burst.send(self.success_probability, &mut self.telemetry, at, payload, rng)
+        burst.send(
+            self.success_probability,
+            &mut self.telemetry,
+            at,
+            payload,
+            rng,
+        )
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -390,7 +399,13 @@ impl Transport for BtRelayTransport {
             ms_per_100_bytes: 4,
             jitter_ms: 200,
         };
-        burst.send(self.success_probability, &mut self.telemetry, at, payload, rng)
+        burst.send(
+            self.success_probability,
+            &mut self.telemetry,
+            at,
+            payload,
+            rng,
+        )
     }
 
     fn telemetry(&self) -> &Recorder {
@@ -727,8 +742,7 @@ pub(crate) mod tests {
             bt.send(at, &report(), &mut r);
         }
         let mean = |events: &[TransportEvent]| {
-            events.iter().map(|e| e.active.as_millis()).sum::<u64>() as f64
-                / events.len() as f64
+            events.iter().map(|e| e.active.as_millis()).sum::<u64>() as f64 / events.len() as f64
         };
         assert!(
             mean(&bt.telemetry().transport_events())
@@ -849,16 +863,13 @@ pub(crate) mod tests {
 
     #[test]
     fn retrying_reports_every_attempt_in_events() {
-        let mut never = Retrying::new(
-            BtRelayTransport::new(0.0, SimDuration::from_millis(400)),
-            3,
-        );
+        let mut never = Retrying::new(BtRelayTransport::new(0.0, SimDuration::from_millis(400)), 3);
         let mut r = rng::for_component(8, "retry-never");
         let outcome = never.send(SimTime::ZERO, &report(), &mut r);
         assert_eq!(outcome, SendOutcome::Failed);
         let events = never.telemetry().transport_events();
         assert_eq!(events.len(), 4); // original + 3 retries
-        // Attempts are spaced by the previous burst, not simultaneous.
+                                     // Attempts are spaced by the previous burst, not simultaneous.
         let starts: Vec<u64> = events.iter().map(|e| e.start.as_millis()).collect();
         assert!(starts.windows(2).all(|w| w[1] > w[0]), "starts {starts:?}");
     }
@@ -952,11 +963,7 @@ pub(crate) mod tests {
 
     #[test]
     fn queueing_report_rate_is_none_before_traffic() {
-        let q = QueueingTransport::new(
-            BtRelayTransport::default(),
-            8,
-            SimDuration::from_secs(1),
-        );
+        let q = QueueingTransport::new(BtRelayTransport::default(), 8, SimDuration::from_secs(1));
         assert_eq!(q.report_delivery_rate(), None);
         assert_eq!(q.inner().delivery_rate(), None);
     }
@@ -1036,19 +1043,13 @@ pub(crate) mod tests {
         // An immediate retry against an overloaded server would only deepen
         // the overload, so the retry budget must not be spent: exactly one
         // attempt reaches the wire and the signal propagates to the caller.
-        let mut t = Retrying::new(
-            OutcomeScripted::new(&[SendOutcome::Backpressured]),
-            5,
-        );
+        let mut t = Retrying::new(OutcomeScripted::new(&[SendOutcome::Backpressured]), 5);
         let mut r = rng::for_component(40, "bp-retry");
         let outcome = t.send(SimTime::from_secs(1), &report(), &mut r);
         assert!(outcome.is_backpressured());
         assert_eq!(t.telemetry().counter(keys::NET_TX_ATTEMPTS), 1);
         // Batches behave identically.
-        let mut tb = Retrying::new(
-            OutcomeScripted::new(&[SendOutcome::Backpressured]),
-            5,
-        );
+        let mut tb = Retrying::new(OutcomeScripted::new(&[SendOutcome::Backpressured]), 5);
         let batch = vec![report(), report()];
         assert!(tb
             .send_batch(SimTime::from_secs(2), &batch, &mut r)
@@ -1076,7 +1077,11 @@ pub(crate) mod tests {
         let mut r = rng::for_component(41, "bp-queue");
         let deliveries = q.offer(SimTime::from_secs(1), stamped_report(1), &mut r);
         assert!(deliveries.is_empty());
-        assert_eq!(q.pending(), 1, "backpressured report is parked, not dropped");
+        assert_eq!(
+            q.pending(),
+            1,
+            "backpressured report is parked, not dropped"
+        );
         assert_eq!(q.dropped(), 0);
         let deliveries = q.flush(SimTime::from_secs(300), &mut r);
         assert!(deliveries.is_empty(), "second shed keeps it parked");

@@ -392,7 +392,13 @@ mod tests {
     fn nexus5_reads_hotter_than_s3_mini() {
         // The Fig 11 effect.
         let channel = Channel::new(Environment::free_space());
-        let n5 = mean(&collect_samples(&channel, &DeviceRxProfile::nexus_5(), 2.0, 10_000, 5));
+        let n5 = mean(&collect_samples(
+            &channel,
+            &DeviceRxProfile::nexus_5(),
+            2.0,
+            10_000,
+            5,
+        ));
         let s3 = mean(&collect_samples(
             &channel,
             &DeviceRxProfile::galaxy_s3_mini(),

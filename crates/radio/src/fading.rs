@@ -64,7 +64,10 @@ impl RicianFading {
     ///
     /// Panics if `k` is negative or not finite.
     pub fn new(k: f64) -> Self {
-        assert!(k.is_finite() && k >= 0.0, "rice factor must be ≥ 0 (got {k})");
+        assert!(
+            k.is_finite() && k >= 0.0,
+            "rice factor must be ≥ 0 (got {k})"
+        );
         RicianFading { k }
     }
 

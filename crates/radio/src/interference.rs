@@ -215,8 +215,10 @@ mod tests {
         let ap = Interferer::busy_wifi_ap(Point::new(0.0, 0.0));
         let oven = Interferer::microwave_oven(Point::new(0.0, 0.0));
         // The oven is nastier up close but shorter-ranged.
-        assert!(oven.collision_probability(SimTime::ZERO, Point::new(1.0, 0.0))
-            > ap.collision_probability(SimTime::ZERO, Point::new(1.0, 0.0)));
+        assert!(
+            oven.collision_probability(SimTime::ZERO, Point::new(1.0, 0.0))
+                > ap.collision_probability(SimTime::ZERO, Point::new(1.0, 0.0))
+        );
         assert_eq!(
             oven.collision_probability(SimTime::ZERO, Point::new(6.0, 0.0)),
             0.0

@@ -41,11 +41,11 @@
 
 mod advertiser;
 mod channel;
-mod fault;
 mod device;
 mod environment;
-mod interference;
 pub mod fading;
+mod fault;
+mod interference;
 pub mod pathloss;
 pub mod shadowing;
 

@@ -89,7 +89,9 @@ mod tests {
 
     #[test]
     fn fspl_grows_with_distance_and_frequency() {
-        assert!(free_space_loss_db(2.0, BLE_FREQUENCY_HZ) > free_space_loss_db(1.0, BLE_FREQUENCY_HZ));
+        assert!(
+            free_space_loss_db(2.0, BLE_FREQUENCY_HZ) > free_space_loss_db(1.0, BLE_FREQUENCY_HZ)
+        );
         assert!(free_space_loss_db(1.0, 5.0e9) > free_space_loss_db(1.0, 2.44e9));
     }
 

@@ -43,7 +43,10 @@ impl ShadowingField {
     ///
     /// Panics if `sigma_db` is negative or `correlation_m` is not positive.
     pub fn new(seed: u64, sigma_db: f64, correlation_m: f64) -> Self {
-        assert!(sigma_db >= 0.0, "sigma must be non-negative (got {sigma_db})");
+        assert!(
+            sigma_db >= 0.0,
+            "sigma must be non-negative (got {sigma_db})"
+        );
         assert!(
             correlation_m > 0.0,
             "correlation length must be positive (got {correlation_m})"
@@ -105,9 +108,7 @@ impl ShadowingField {
 
     /// Deterministic lattice value in `[-1, 1]` for integer grid point.
     fn lattice(&self, ix: i64, iy: i64, salt: u64) -> f64 {
-        let mut z = self
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        let mut z = self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ (ix as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
             ^ (iy as u64).wrapping_mul(0x94d0_49bb_1331_11eb)
             ^ salt;

@@ -167,8 +167,8 @@ pub fn aggregate_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roomsense_ibeacon::{Major, MeasuredPower, Minor, ProximityUuid};
     use proptest::prelude::*;
+    use roomsense_ibeacon::{Major, MeasuredPower, Minor, ProximityUuid};
     use roomsense_stack::ScanSample;
     use std::collections::BTreeMap;
 
@@ -236,11 +236,7 @@ mod tests {
 
     #[test]
     fn pools_per_beacon() {
-        let c = cycle(vec![
-            sample(0, -60.0),
-            sample(0, -62.0),
-            sample(1, -70.0),
-        ]);
+        let c = cycle(vec![sample(0, -60.0), sample(0, -62.0), sample(1, -70.0)]);
         let obs = aggregate_cycle(&c, AggregateMethod::MeanDbm, &RangingConfig::default());
         assert_eq!(obs.len(), 2);
         assert_eq!(obs[0].rssi_dbm, -61.0);
@@ -250,11 +246,7 @@ mod tests {
 
     #[test]
     fn median_resists_one_outlier() {
-        let c = cycle(vec![
-            sample(0, -60.0),
-            sample(0, -61.0),
-            sample(0, -95.0),
-        ]);
+        let c = cycle(vec![sample(0, -60.0), sample(0, -61.0), sample(0, -95.0)]);
         let mean = aggregate_cycle(&c, AggregateMethod::MeanDbm, &RangingConfig::default());
         let median = aggregate_cycle(&c, AggregateMethod::MedianDbm, &RangingConfig::default());
         assert!(median[0].rssi_dbm > mean[0].rssi_dbm);

@@ -324,7 +324,7 @@ mod tests {
         f.update(Some(2.0));
         assert!(f.update(None).is_some()); // held
         assert_eq!(f.update(None), None); // dropped
-        // A new observation restarts the track from the uniform prior.
+                                          // A new observation restarts the track from the uniform prior.
         let est = f.update(Some(5.0)).expect("tracking");
         assert!((est - 5.0).abs() < 0.6, "est {est}");
     }

@@ -180,7 +180,7 @@ mod tests {
         f.update(Some(2.0));
         assert_eq!(f.update(None), Some(2.0)); // held
         assert_eq!(f.update(None), None); // dropped
-        // A new observation restarts the track.
+                                          // A new observation restarts the track.
         assert_eq!(f.update(Some(5.0)), Some(5.0));
     }
 

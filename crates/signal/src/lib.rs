@@ -30,7 +30,9 @@ mod median;
 pub mod metrics;
 mod tracks;
 
-pub use aggregate::{aggregate_cycle, aggregate_cycle_into, AggregateMethod, AggregateScratch, Observation};
+pub use aggregate::{
+    aggregate_cycle, aggregate_cycle_into, AggregateMethod, AggregateScratch, Observation,
+};
 pub use bayes::BayesFilter;
 pub use ewma::{DistanceFilter, EwmaFilter, LossPolicy, PAPER_COEFFICIENT};
 pub use kalman::KalmanFilter;

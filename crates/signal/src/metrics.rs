@@ -39,7 +39,11 @@ pub fn rmse_against(values: &[f64], truth: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    let sq = values.iter().map(|v| (v - truth) * (v - truth)).sum::<f64>() / values.len() as f64;
+    let sq = values
+        .iter()
+        .map(|v| (v - truth) * (v - truth))
+        .sum::<f64>()
+        / values.len() as f64;
     Some(sq.sqrt())
 }
 

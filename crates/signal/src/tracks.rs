@@ -85,7 +85,11 @@ impl<F: DistanceFilter + Clone> TrackManager<F> {
     /// the live snapshots, sorted by identity. This is
     /// [`update_cycle_into_recorded`](Self::update_cycle_into_recorded)
     /// with a fresh buffer and the telemetry discarded.
-    pub fn update_cycle(&mut self, at: SimTime, observations: &[Observation]) -> Vec<TrackSnapshot> {
+    pub fn update_cycle(
+        &mut self,
+        at: SimTime,
+        observations: &[Observation],
+    ) -> Vec<TrackSnapshot> {
         let mut snaps = Vec::new();
         self.update_cycle_into_recorded(at, observations, &mut Recorder::default(), &mut snaps);
         snaps
@@ -191,7 +195,12 @@ mod tests {
         let mut tm = TrackManager::new(EwmaFilter::paper());
         let mut telemetry = Recorder::default();
         let mut snaps = Vec::new();
-        tm.update_cycle_into_recorded(SimTime::from_secs(2), &[obs(0, 2.0)], &mut telemetry, &mut snaps);
+        tm.update_cycle_into_recorded(
+            SimTime::from_secs(2),
+            &[obs(0, 2.0)],
+            &mut telemetry,
+            &mut snaps,
+        );
         // Cycle without the beacon: held.
         snaps.clear();
         tm.update_cycle_into_recorded(SimTime::from_secs(4), &[], &mut telemetry, &mut snaps);
@@ -218,7 +227,10 @@ mod tests {
     #[test]
     fn closest_picks_minimum_distance() {
         let mut tm = TrackManager::new(EwmaFilter::paper());
-        tm.update_cycle(SimTime::from_secs(2), &[obs(0, 3.0), obs(1, 1.5), obs(2, 7.0)]);
+        tm.update_cycle(
+            SimTime::from_secs(2),
+            &[obs(0, 3.0), obs(1, 1.5), obs(2, 7.0)],
+        );
         let (winner, d) = tm.closest().expect("tracks live");
         assert_eq!(winner, id(1));
         assert!((d - 1.5).abs() < 1e-9);

@@ -669,7 +669,10 @@ mod tests {
     #[test]
     fn chaos_plan_is_seeded_and_env_gated() {
         let horizon = SimDuration::from_secs(600);
-        assert_eq!(DiskFaultPlan::chaos(3, horizon), DiskFaultPlan::chaos(3, horizon));
+        assert_eq!(
+            DiskFaultPlan::chaos(3, horizon),
+            DiskFaultPlan::chaos(3, horizon)
+        );
         assert!(!DiskFaultPlan::chaos(3, horizon).is_empty());
         assert!(DiskFaultPlan::none().is_empty());
     }

@@ -172,10 +172,7 @@ where
 {
     let ranges = chunk_ranges(items.len(), chunk_size);
     par_map_indexed(&ranges, |_, range| {
-        range
-            .clone()
-            .map(|i| f(i, &items[i]))
-            .collect::<Vec<U>>()
+        range.clone().map(|i| f(i, &items[i])).collect::<Vec<U>>()
     })
     .into_iter()
     .flatten()

@@ -94,7 +94,7 @@ impl FaultSchedule {
         horizon: SimDuration,
         mean_uptime: SimDuration,
         mean_outage: SimDuration,
-        ) -> Self {
+    ) -> Self {
         assert!(!mean_uptime.is_zero(), "mean uptime must be non-zero");
         assert!(!mean_outage.is_zero(), "mean outage must be non-zero");
         let exp_ms = |rng: &mut R, mean: SimDuration| -> u64 {
@@ -232,7 +232,12 @@ mod tests {
             assert!(w.until <= end, "window {w} spills past {end}");
         }
         for pair in s.windows().windows(2) {
-            assert!(pair[0].until <= pair[1].from, "overlap {} {}", pair[0], pair[1]);
+            assert!(
+                pair[0].until <= pair[1].from,
+                "overlap {} {}",
+                pair[0],
+                pair[1]
+            );
         }
     }
 

@@ -32,8 +32,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod exec;
 mod disk;
+pub mod exec;
 mod fault;
 mod mailbox;
 pub mod rng;

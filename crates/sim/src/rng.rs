@@ -76,8 +76,14 @@ mod tests {
 
     #[test]
     fn same_inputs_same_stream() {
-        let a: Vec<u32> = for_component(7, "x").sample_iter(rand::distributions::Standard).take(8).collect();
-        let b: Vec<u32> = for_component(7, "x").sample_iter(rand::distributions::Standard).take(8).collect();
+        let a: Vec<u32> = for_component(7, "x")
+            .sample_iter(rand::distributions::Standard)
+            .take(8)
+            .collect();
+        let b: Vec<u32> = for_component(7, "x")
+            .sample_iter(rand::distributions::Standard)
+            .take(8)
+            .collect();
         assert_eq!(a, b);
     }
 

@@ -201,8 +201,14 @@ mod tests {
 
     #[test]
     fn from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.0014), SimDuration::from_millis(1));
-        assert_eq!(SimDuration::from_secs_f64(0.0016), SimDuration::from_millis(2));
+        assert_eq!(
+            SimDuration::from_secs_f64(0.0014),
+            SimDuration::from_millis(1)
+        );
+        assert_eq!(
+            SimDuration::from_secs_f64(0.0016),
+            SimDuration::from_millis(2)
+        );
     }
 
     #[test]

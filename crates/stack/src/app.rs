@@ -89,7 +89,11 @@ pub struct Transition {
 
 impl fmt::Display for Transition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}: {} -> {}", self.at, self.event, self.from, self.to)
+        write!(
+            f,
+            "{} {}: {} -> {}",
+            self.at, self.event, self.from, self.to
+        )
     }
 }
 
@@ -215,7 +219,10 @@ mod tests {
     fn happy_path_reaches_ranging() {
         let mut app = booted();
         assert_eq!(app.state(), AppState::Monitoring);
-        app.handle(SimTime::from_secs(1), AppEvent::RegionEntered(RegionId::new(1)));
+        app.handle(
+            SimTime::from_secs(1),
+            AppEvent::RegionEntered(RegionId::new(1)),
+        );
         assert!(app.is_ranging());
     }
 
@@ -234,24 +241,42 @@ mod tests {
     #[test]
     fn ranging_persists_while_any_region_remains() {
         let mut app = booted();
-        app.handle(SimTime::from_secs(1), AppEvent::RegionEntered(RegionId::new(1)));
-        app.handle(SimTime::from_secs(2), AppEvent::RegionEntered(RegionId::new(2)));
-        app.handle(SimTime::from_secs(3), AppEvent::RegionExited(RegionId::new(1)));
+        app.handle(
+            SimTime::from_secs(1),
+            AppEvent::RegionEntered(RegionId::new(1)),
+        );
+        app.handle(
+            SimTime::from_secs(2),
+            AppEvent::RegionEntered(RegionId::new(2)),
+        );
+        app.handle(
+            SimTime::from_secs(3),
+            AppEvent::RegionExited(RegionId::new(1)),
+        );
         assert!(app.is_ranging());
-        app.handle(SimTime::from_secs(4), AppEvent::RegionExited(RegionId::new(2)));
+        app.handle(
+            SimTime::from_secs(4),
+            AppEvent::RegionExited(RegionId::new(2)),
+        );
         assert_eq!(app.state(), AppState::Monitoring);
     }
 
     #[test]
     fn bluetooth_crash_resets_to_background_service() {
         let mut app = booted();
-        app.handle(SimTime::from_secs(1), AppEvent::RegionEntered(RegionId::new(1)));
+        app.handle(
+            SimTime::from_secs(1),
+            AppEvent::RegionEntered(RegionId::new(1)),
+        );
         app.handle(SimTime::from_secs(2), AppEvent::BluetoothDisabled);
         assert_eq!(app.state(), AppState::BackgroundService);
         assert_eq!(app.regions_inside().count(), 0);
         // Recovery path works again.
         app.handle(SimTime::from_secs(3), AppEvent::BluetoothEnabled);
-        app.handle(SimTime::from_secs(4), AppEvent::RegionEntered(RegionId::new(1)));
+        app.handle(
+            SimTime::from_secs(4),
+            AppEvent::RegionEntered(RegionId::new(1)),
+        );
         assert!(app.is_ranging());
     }
 
@@ -266,15 +291,24 @@ mod tests {
     #[test]
     fn exit_of_unknown_region_is_harmless() {
         let mut app = booted();
-        app.handle(SimTime::from_secs(1), AppEvent::RegionEntered(RegionId::new(1)));
-        app.handle(SimTime::from_secs(2), AppEvent::RegionExited(RegionId::new(9)));
+        app.handle(
+            SimTime::from_secs(1),
+            AppEvent::RegionEntered(RegionId::new(1)),
+        );
+        app.handle(
+            SimTime::from_secs(2),
+            AppEvent::RegionExited(RegionId::new(9)),
+        );
         assert!(app.is_ranging());
     }
 
     #[test]
     fn log_records_everything_in_order() {
         let mut app = booted();
-        app.handle(SimTime::from_secs(1), AppEvent::RegionEntered(RegionId::new(1)));
+        app.handle(
+            SimTime::from_secs(1),
+            AppEvent::RegionEntered(RegionId::new(1)),
+        );
         let log = app.log();
         assert_eq!(log.len(), 3);
         assert!(log.windows(2).all(|w| w[0].at <= w[1].at));

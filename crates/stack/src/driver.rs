@@ -1,6 +1,6 @@
 //! Driving a receiver through the radio: receptions → scan cycles.
 
-use crate::{Reception, RestartWindows, ScanConfig, ScanScratch, ScanSample, ScannerModel};
+use crate::{Reception, RestartWindows, ScanConfig, ScanSample, ScanScratch, ScannerModel};
 use rand::Rng;
 use roomsense_geom::Point;
 use roomsense_radio::{
@@ -299,7 +299,15 @@ where
     let (mut scratch, mut spans) = (ScanScratch::new(), Vec::new());
     let mut telemetry = Recorder::default();
     run_scan_into(
-        receptions, model, config, from, until, rng, &mut telemetry, &mut scratch, &mut spans,
+        receptions,
+        model,
+        config,
+        from,
+        until,
+        rng,
+        &mut telemetry,
+        &mut scratch,
+        &mut spans,
     );
     spans
         .iter()
@@ -459,7 +467,11 @@ mod tests {
         );
         for cycle in &cycles {
             assert!(cycle.samples.len() <= 2);
-            let minors: Vec<u16> = cycle.samples.iter().map(|s| s.identity.minor.value()).collect();
+            let minors: Vec<u16> = cycle
+                .samples
+                .iter()
+                .map(|s| s.identity.minor.value())
+                .collect();
             let mut dedup = minors.clone();
             dedup.dedup();
             assert_eq!(minors, dedup, "duplicate advertiser in one cycle");
@@ -554,7 +566,12 @@ mod tests {
                 .filter(|s| s.identity == identity)
                 .map(|s| s.rssi_dbm)
                 .collect();
-            assert!(!xs.is_empty(), "beacon seen in {}..{}", cycle.start, cycle.end);
+            assert!(
+                !xs.is_empty(),
+                "beacon seen in {}..{}",
+                cycle.start,
+                cycle.end
+            );
             xs.iter().sum::<f64>() / xs.len() as f64
         };
         let first = mean_rssi(cycles.first().expect("cycles"));
@@ -609,7 +626,12 @@ mod tests {
                 assert_eq!(received, receptions.len() as u64);
                 assert_eq!(received + lost + replayed, transmitted as u64);
                 assert_eq!(lost == 0, lossless, "{} lost {lost}", rx.model);
-                assert_eq!(replayed > 0, keep.is_some(), "{} replayed {replayed}", rx.model);
+                assert_eq!(
+                    replayed > 0,
+                    keep.is_some(),
+                    "{} replayed {replayed}",
+                    rx.model
+                );
                 let text = oracle.prometheus_text();
                 assert_eq!(text.contains("radio_rx_lost"), !lossless);
                 assert_eq!(text.contains("radio_rx_replayed"), keep.is_some());

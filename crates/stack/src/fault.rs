@@ -210,15 +210,18 @@ mod tests {
 
     #[test]
     fn stall_window_swallows_the_cycle() {
-        let scanner = FaultyScanner::new(
-            IosScanner,
-            one_window(0, 2_000),
-            FaultSchedule::none(),
-            0.0,
-        );
+        let scanner =
+            FaultyScanner::new(IosScanner, one_window(0, 2_000), FaultSchedule::none(), 0.0);
         let mut r = rng::for_component(1, "stall");
         let receptions = vec![reception(100, 0), reception(900, 0)];
-        assert!(filter(&scanner, SimTime::ZERO, &receptions, &mut r, &mut Recorder::default()).is_empty());
+        assert!(filter(
+            &scanner,
+            SimTime::ZERO,
+            &receptions,
+            &mut r,
+            &mut Recorder::default()
+        )
+        .is_empty());
         // After recovery the same receptions pass through.
         let later: Vec<Reception> = receptions
             .iter()
@@ -227,7 +230,13 @@ mod tests {
                 ..*rcp
             })
             .collect();
-        let recovered = filter(&scanner, SimTime::from_secs(4), &later, &mut r, &mut Recorder::default());
+        let recovered = filter(
+            &scanner,
+            SimTime::from_secs(4),
+            &later,
+            &mut r,
+            &mut Recorder::default(),
+        );
         assert_eq!(recovered.len(), 2);
     }
 
@@ -241,7 +250,13 @@ mod tests {
         );
         let mut r = rng::for_component(2, "tail");
         let receptions = vec![reception(500, 0), reception(1_500, 0)];
-        let samples = filter(&scanner, SimTime::ZERO, &receptions, &mut r, &mut Recorder::default());
+        let samples = filter(
+            &scanner,
+            SimTime::ZERO,
+            &receptions,
+            &mut r,
+            &mut Recorder::default(),
+        );
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].at, SimTime::from_millis(500));
     }
@@ -256,7 +271,13 @@ mod tests {
         );
         let mut r = rng::for_component(3, "storm");
         let receptions: Vec<Reception> = (0..2000).map(|i| reception(i * 33, 0)).collect();
-        let samples = filter(&scanner, SimTime::ZERO, &receptions, &mut r, &mut Recorder::default());
+        let samples = filter(
+            &scanner,
+            SimTime::ZERO,
+            &receptions,
+            &mut r,
+            &mut Recorder::default(),
+        );
         let rate = samples.len() as f64 / receptions.len() as f64;
         assert!((rate - 0.3).abs() < 0.05, "survival rate {rate}");
     }
@@ -271,7 +292,13 @@ mod tests {
         let mut telemetry = Recorder::default();
         let mut scratch = ScanScratch::new();
         for _ in 0..2 {
-            model.filter_cycle_into(SimTime::ZERO, receptions, &mut r, &mut telemetry, &mut scratch);
+            model.filter_cycle_into(
+                SimTime::ZERO,
+                receptions,
+                &mut r,
+                &mut telemetry,
+                &mut scratch,
+            );
         }
         (scratch.samples, r.gen(), telemetry.checksum())
     }
@@ -307,12 +334,8 @@ mod tests {
 
     #[test]
     fn dropped_receptions_are_counted_and_journalled() {
-        let scanner = FaultyScanner::new(
-            IosScanner,
-            one_window(0, 1_000),
-            FaultSchedule::none(),
-            0.0,
-        );
+        let scanner =
+            FaultyScanner::new(IosScanner, one_window(0, 1_000), FaultSchedule::none(), 0.0);
         let mut r = rng::for_component(5, "drop-count");
         let mut telemetry = Recorder::default();
         let receptions = vec![reception(100, 0), reception(500, 0), reception(1_500, 0)];

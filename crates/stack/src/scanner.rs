@@ -163,8 +163,8 @@ impl RestartWindows {
     /// scan cycle and restart window as `at`.
     pub fn window_end(&self, from: SimTime, at: SimTime) -> SimTime {
         let period = self.scan_period.as_millis();
-        let cycle_start =
-            from + SimDuration::from_millis(at.saturating_since(from).as_millis() / period * period);
+        let cycle_start = from
+            + SimDuration::from_millis(at.saturating_since(from).as_millis() / period * period);
         let window = restart_window(cycle_start, at, self.restart_interval);
         (cycle_start + self.restart_interval * (window + 1)).min(cycle_start + self.scan_period)
     }
@@ -551,8 +551,7 @@ mod tests {
     #[test]
     fn ios_keeps_everything() {
         let mut r = rng::for_component(1, "scan");
-        let receptions: Vec<Reception> =
-            (0..300).map(|i| reception(i * 30, 0, -60.0)).collect();
+        let receptions: Vec<Reception> = (0..300).map(|i| reception(i * 30, 0, -60.0)).collect();
         let samples = filter(&IosScanner, &receptions, &mut r);
         assert_eq!(samples.len(), 300);
     }
@@ -643,9 +642,7 @@ mod tests {
         use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
         // Certain stall: all 4 windows wedge, nothing is delivered.
         let scanner = AndroidScanner::new(1.0);
-        let receptions: Vec<Reception> = (0..240)
-            .map(|i| reception(i * 33, 0, -60.0))
-            .collect();
+        let receptions: Vec<Reception> = (0..240).map(|i| reception(i * 33, 0, -60.0)).collect();
         let mut telemetry = Recorder::default();
         let samples = filter_recorded(
             &scanner,
@@ -669,8 +666,7 @@ mod tests {
     #[test]
     fn android_l_low_latency_matches_ios() {
         let mut r = rng::for_component(7, "android-l");
-        let receptions: Vec<Reception> =
-            (0..60).map(|i| reception(i * 33, 0, -60.0)).collect();
+        let receptions: Vec<Reception> = (0..60).map(|i| reception(i * 33, 0, -60.0)).collect();
         let l = filter(&AndroidLScanner::low_latency(), &receptions, &mut r);
         let ios = filter(&IosScanner, &receptions, &mut r);
         assert_eq!(l.len(), ios.len());
@@ -706,8 +702,7 @@ mod tests {
         // The paper's future-work hope, quantified: same receptions, the
         // 4.x stack keeps 1 sample (single restart window), L keeps all.
         let mut r = rng::for_component(9, "android-l-vs-4x");
-        let receptions: Vec<Reception> =
-            (0..30).map(|i| reception(i * 33, 0, -60.0)).collect();
+        let receptions: Vec<Reception> = (0..30).map(|i| reception(i * 33, 0, -60.0)).collect();
         let old = filter(&AndroidScanner::reliable(), &receptions, &mut r);
         let new = filter(&AndroidLScanner::low_latency(), &receptions, &mut r);
         assert_eq!(old.len(), 1);

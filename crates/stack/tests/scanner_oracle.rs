@@ -206,7 +206,14 @@ fn schedule(windows: &[(u64, u64)]) -> FaultSchedule {
 fn bits(samples: &[ScanSample]) -> Vec<(SimTime, BeaconIdentity, i8, u64)> {
     samples
         .iter()
-        .map(|s| (s.at, s.identity, s.measured_power.dbm(), s.rssi_dbm.to_bits()))
+        .map(|s| {
+            (
+                s.at,
+                s.identity,
+                s.measured_power.dbm(),
+                s.rssi_dbm.to_bits(),
+            )
+        })
         .collect()
 }
 

@@ -188,7 +188,10 @@ mod tests {
             "{\"event\":\"send\",\"kind\":\"wifi\",\"start_ms\":1500,\"active_ms\":73,\"delivered\":true}"
         );
         let hit = TelemetryEvent::DedupHit { device: 3, seq: 17 };
-        assert_eq!(hit.to_json(), "{\"event\":\"dedup_hit\",\"device\":3,\"seq\":17}");
+        assert_eq!(
+            hit.to_json(),
+            "{\"event\":\"dedup_hit\",\"device\":3,\"seq\":17}"
+        );
         assert!(!hit.to_json().contains('\n'));
     }
 }

@@ -103,7 +103,8 @@ pub mod keys {
     /// recovery; each one demotes the sink to lossy on the spot.
     pub const BMS_ARCHIVE_READ_CORRUPTIONS: MetricKey = MetricKey("bms.archive.read_corruptions");
     /// Re-spills of already-archived records suppressed after journal replay.
-    pub const BMS_ARCHIVE_RESPILL_SUPPRESSED: MetricKey = MetricKey("bms.archive.respill_suppressed");
+    pub const BMS_ARCHIVE_RESPILL_SUPPRESSED: MetricKey =
+        MetricKey("bms.archive.respill_suppressed");
     /// Queries answered exactly — no shard had backlog at query time.
     pub const BMS_QUERIES_EXACT: MetricKey = MetricKey("bms.queries.exact");
     /// Queries answered from the stale-marked view while shards lagged.
@@ -171,8 +172,22 @@ pub mod keys {
 /// radio bursts (tens of ms) and whole pipeline stages (minutes of sim
 /// time). A final implicit `+Inf` bucket catches the rest.
 const BUCKET_BOUNDS: [f64; 16] = [
-    1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10_000.0,
-    60_000.0, 300_000.0, 1_000_000.0,
+    1.0,
+    2.5,
+    5.0,
+    10.0,
+    25.0,
+    50.0,
+    100.0,
+    250.0,
+    500.0,
+    1000.0,
+    2500.0,
+    5000.0,
+    10_000.0,
+    60_000.0,
+    300_000.0,
+    1_000_000.0,
 ];
 
 /// A fixed-bucket histogram: 16 finite buckets plus `+Inf`, a running sum
@@ -446,7 +461,10 @@ impl Recorder {
             let mut cumulative = 0u64;
             for (bound, count) in BUCKET_BOUNDS.iter().zip(histogram.counts.iter()) {
                 cumulative += count;
-                let _ = writeln!(out, "roomsense_{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+                let _ = writeln!(
+                    out,
+                    "roomsense_{name}_bucket{{le=\"{bound}\"}} {cumulative}"
+                );
             }
             cumulative += histogram.counts[BUCKET_BOUNDS.len()];
             let _ = writeln!(out, "roomsense_{name}_bucket{{le=\"+Inf\"}} {cumulative}");
@@ -478,7 +496,11 @@ impl Recorder {
     /// `scripts/check.sh` compares across thread counts.
     pub fn checksum(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in self.prometheus_text().bytes().chain(self.journal_jsonl().bytes()) {
+        for byte in self
+            .prometheus_text()
+            .bytes()
+            .chain(self.journal_jsonl().bytes())
+        {
             hash ^= u64::from(byte);
             hash = hash.wrapping_mul(0x100_0000_01b3);
         }

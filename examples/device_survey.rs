@@ -27,7 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("uncalibrated survey, D = 2 m from the same transmitter:");
     println!("  device                      mean rssi   std    est. distance");
-    for row in ExperimentCtx::new(seed).device_comparison(&devices, 2.0, SimDuration::from_secs(240)) {
+    for row in
+        ExperimentCtx::new(seed).device_comparison(&devices, 2.0, SimDuration::from_secs(240))
+    {
         println!(
             "  {:<26} {:>7.1} dBm  {:>4.1}  {:>6.2} m",
             row.model, row.mean_rssi_dbm, row.std_rssi_db, row.mean_distance_m
@@ -39,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for device in &devices {
         let calibrated = device.calibrated();
         let config = PipelineConfig::paper_android().with_device(calibrated.clone());
-        let capture = ExperimentCtx::new(seed).static_capture(&config, 2.0, SimDuration::from_secs(240));
+        let capture =
+            ExperimentCtx::new(seed).static_capture(&config, 2.0, SimDuration::from_secs(240));
         let mean: f64 = if capture.raw.is_empty() {
             f64::NAN
         } else {

@@ -71,7 +71,10 @@ fn main() {
         println!(
             "  {coeff:>5.2}   {}",
             walk.crossover_cycle
-                .map_or("never".to_string(), |c| format!("{c} (t = {:.0} s)", walk.series[c].0))
+                .map_or("never".to_string(), |c| format!(
+                    "{c} (t = {:.0} s)",
+                    walk.series[c].0
+                ))
         );
     }
     println!("\nthe paper's 0.65 sits at the knee: calm output, timely switching.");

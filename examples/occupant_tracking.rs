@@ -69,7 +69,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\ntransition log (debounced):");
     for t in analytics.transitions() {
-        println!("  {:>6.0}s  {} -> {}", t.at.as_secs_f64(), names[t.from], names[t.to]);
+        println!(
+            "  {:>6.0}s  {} -> {}",
+            t.at.as_secs_f64(),
+            names[t.from],
+            names[t.to]
+        );
     }
 
     println!("\ndwell table:");

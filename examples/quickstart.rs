@@ -28,7 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("deployment: {}", scenario.plan());
     for site in scenario.plan().beacon_sites() {
         let room = scenario.plan().room(site.room).expect("site rooms exist");
-        println!("  beacon minor={} in {} at {}", site.minor, room.name(), site.position);
+        println!(
+            "  beacon minor={} in {} at {}",
+            site.minor,
+            room.name(),
+            site.position
+        );
     }
 
     // 2. Data collection: 40 s per room, three laps.
@@ -51,9 +56,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut walk_rng = rng::for_component(seed, "quickstart-user");
     let itinerary: Vec<_> = [0u32, 2, 4, 1]
         .iter()
-        .map(|r| (roomsense_building::RoomId::new(*r), SimDuration::from_secs(30)))
+        .map(|r| {
+            (
+                roomsense_building::RoomId::new(*r),
+                SimDuration::from_secs(30),
+            )
+        })
         .collect();
-    let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.3, SimTime::ZERO, &mut walk_rng);
+    let user = RoomSchedule::generate(
+        scenario.plan(),
+        &itinerary,
+        1.3,
+        SimTime::ZERO,
+        &mut walk_rng,
+    );
     let duration = user.end_time().expect("bounded walk") - SimTime::ZERO;
     let records = run_pipeline(&scenario, &config, &user, duration, seed ^ 0xff);
 

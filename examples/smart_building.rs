@@ -72,7 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         attempted += 1;
         let report = report_from_snapshots(event.device, event.at, &event.record.snapshots);
-        if transport.send(event.at, &report, &mut transport_rng).is_delivered() {
+        if transport
+            .send(event.at, &report, &mut transport_rng)
+            .is_delivered()
+        {
             delivered += 1;
             server.post_observation(report);
             controller.update(event.at, &server.occupancy());
@@ -86,7 +89,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Final occupancy table.
-    println!("\noccupancy table after {} simulated seconds:", duration.as_secs_f64());
+    println!(
+        "\noccupancy table after {} simulated seconds:",
+        duration.as_secs_f64()
+    );
     let names = scenario.label_names();
     for (room, count) in server.occupancy() {
         println!("  {:<12} {count} occupant(s)", names[room]);

@@ -47,10 +47,7 @@ mod tests {
     fn scoped_workers_return_results() {
         let data = [1u64, 2, 3, 4];
         let total: u64 = super::thread::scope(|scope| {
-            let handles: Vec<_> = data
-                .iter()
-                .map(|&n| scope.spawn(move |_| n * 10))
-                .collect();
+            let handles: Vec<_> = data.iter().map(|&n| scope.spawn(move |_| n * 10)).collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         })
         .expect("scope does not panic");

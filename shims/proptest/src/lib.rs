@@ -161,12 +161,12 @@ pub mod strategy {
         };
     }
 
-    tuple_strategy!(A/0);
-    tuple_strategy!(A/0, B/1);
-    tuple_strategy!(A/0, B/1, C/2);
-    tuple_strategy!(A/0, B/1, C/2, D/3);
-    tuple_strategy!(A/0, B/1, C/2, D/3, E/4);
-    tuple_strategy!(A/0, B/1, C/2, D/3, E/4, F/5);
+    tuple_strategy!(A / 0);
+    tuple_strategy!(A / 0, B / 1);
+    tuple_strategy!(A / 0, B / 1, C / 2);
+    tuple_strategy!(A / 0, B / 1, C / 2, D / 3);
+    tuple_strategy!(A / 0, B / 1, C / 2, D / 3, E / 4);
+    tuple_strategy!(A / 0, B / 1, C / 2, D / 3, E / 4, F / 5);
 
     impl<S: Strategy + ?Sized> Strategy for &S {
         type Value = S::Value;

@@ -101,8 +101,7 @@ pub trait SampleRange<T> {
 /// Types with a uniform-in-range sampler.
 pub trait SampleUniform: Sized + PartialOrd {
     /// Uniform draw from `[low, high)` (or `[low, high]` when `inclusive`).
-    fn sample_in<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self, inclusive: bool)
-        -> Self;
+    fn sample_in<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self, inclusive: bool) -> Self;
 }
 
 macro_rules! uniform_int {

@@ -27,9 +27,7 @@ const CHECKPOINT_CHUNK: usize = 4;
 const SPAN_SECS: u64 = CYCLES * PERIOD_MS / 1000;
 
 fn arc_estimator() -> Arc<dyn OccupancyEstimator> {
-    Arc::new(|r: &ObservationReport| {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    })
+    Arc::new(|r: &ObservationReport| r.beacons.first().map(|b| b.identity.minor.value() as usize))
 }
 
 /// A deterministic fleet stream: each device reports every cycle, moving
@@ -269,7 +267,12 @@ fn ambient_disk_chaos_is_never_silently_wrong() {
         let at = SimTime::from_secs(j * SPAN_SECS / 20);
         let answer = restored.occupancy_at_checked(at);
         if answer.complete {
-            assert_eq!(answer.value, unbounded.occupancy_at(at), "t={}s silently wrong", j);
+            assert_eq!(
+                answer.value,
+                unbounded.occupancy_at(at),
+                "t={}s silently wrong",
+                j
+            );
         } else {
             flagged += 1;
         }

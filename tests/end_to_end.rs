@@ -41,7 +41,13 @@ fn server_tracks_a_dwelling_occupant() {
         (RoomId::new(0), SimDuration::from_secs(60)),
         (RoomId::new(1), SimDuration::from_secs(60)),
     ];
-    let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.2, SimTime::ZERO, &mut walk_rng);
+    let user = RoomSchedule::generate(
+        scenario.plan(),
+        &itinerary,
+        1.2,
+        SimTime::ZERO,
+        &mut walk_rng,
+    );
     let duration = user.end_time().expect("bounded") - SimTime::ZERO;
     let records = run_pipeline(&scenario, &config, &user, duration, SEED ^ 1);
 
@@ -61,9 +67,7 @@ fn server_tracks_a_dwelling_occupant() {
         {
             server.post_observation(report);
         }
-        if let (Some(server_room), Some(true_room)) =
-            (server.room_of(device), record.true_room)
-        {
+        if let (Some(server_room), Some(true_room)) = (server.room_of(device), record.true_room) {
             checked += 1;
             if server_room == true_room.index() as usize {
                 matches += 1;
@@ -88,7 +92,13 @@ fn lossy_relay_still_drives_demand_response() {
 
     let mut walk_rng = rng::for_component(SEED, "e2e-relay-user");
     let itinerary = [(RoomId::new(2), SimDuration::from_secs(120))];
-    let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.2, SimTime::ZERO, &mut walk_rng);
+    let user = RoomSchedule::generate(
+        scenario.plan(),
+        &itinerary,
+        1.2,
+        SimTime::ZERO,
+        &mut walk_rng,
+    );
     let duration = user.end_time().expect("bounded") - SimTime::ZERO;
     let records = run_pipeline(&scenario, &config, &user, duration, SEED ^ 2);
 
@@ -121,7 +131,11 @@ fn lossy_relay_still_drives_demand_response() {
         savings.actual < savings.baseline,
         "demand response must beat always-on"
     );
-    assert!(savings.savings_fraction() > 0.3, "saved {:.2}", savings.savings_fraction());
+    assert!(
+        savings.savings_fraction() > 0.3,
+        "saved {:.2}",
+        savings.savings_fraction()
+    );
 }
 
 /// The occupancy model slots into the BMS server via the estimator trait
@@ -132,7 +146,13 @@ fn model_is_a_working_server_estimator() {
     let config = PipelineConfig::paper_android();
     let mut walk_rng = rng::for_component(SEED, "e2e-estimator-user");
     let itinerary = [(RoomId::new(4), SimDuration::from_secs(80))];
-    let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.2, SimTime::ZERO, &mut walk_rng);
+    let user = RoomSchedule::generate(
+        scenario.plan(),
+        &itinerary,
+        1.2,
+        SimTime::ZERO,
+        &mut walk_rng,
+    );
     let duration = user.end_time().expect("bounded") - SimTime::ZERO;
     let records = run_pipeline(&scenario, &config, &user, duration, SEED ^ 3);
     let server = ShardedBmsServer::new(Arc::new(model), 1);
@@ -154,13 +174,17 @@ fn dead_uplink_fails_safe() {
     let (scenario, model) = trained_scenario();
     let server = ShardedBmsServer::new(Arc::new(model), 1);
     let config = PipelineConfig::paper_android();
-    let mut controller = DemandResponseController::new(
-        scenario.plan().rooms().len(),
-        SimDuration::from_secs(60),
-    );
+    let mut controller =
+        DemandResponseController::new(scenario.plan().rooms().len(), SimDuration::from_secs(60));
     let mut walk_rng = rng::for_component(SEED, "dead-uplink-user");
     let itinerary = [(RoomId::new(0), SimDuration::from_secs(60))];
-    let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.2, SimTime::ZERO, &mut walk_rng);
+    let user = RoomSchedule::generate(
+        scenario.plan(),
+        &itinerary,
+        1.2,
+        SimTime::ZERO,
+        &mut walk_rng,
+    );
     let duration = user.end_time().expect("bounded") - SimTime::ZERO;
     let records = run_pipeline(&scenario, &config, &user, duration, SEED ^ 9);
 
@@ -169,8 +193,7 @@ fn dead_uplink_fails_safe() {
     let mut transport_rng = rng::for_component(SEED, "dead-uplink");
     let mut end = SimTime::ZERO;
     for record in records.iter().filter(|r| !r.snapshots.is_empty()) {
-        let report =
-            report_from_snapshots(DeviceId::new(1), record.at, &record.snapshots);
+        let report = report_from_snapshots(DeviceId::new(1), record.at, &record.snapshots);
         if transport
             .send(record.at, &report, &mut transport_rng)
             .is_delivered()
@@ -200,7 +223,13 @@ fn unclassifiable_estimator_keeps_server_consistent() {
     );
     let mut walk_rng = rng::for_component(SEED, "none-estimator-user");
     let itinerary = [(RoomId::new(1), SimDuration::from_secs(40))];
-    let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.2, SimTime::ZERO, &mut walk_rng);
+    let user = RoomSchedule::generate(
+        scenario.plan(),
+        &itinerary,
+        1.2,
+        SimTime::ZERO,
+        &mut walk_rng,
+    );
     let duration = user.end_time().expect("bounded") - SimTime::ZERO;
     let records = run_pipeline(&scenario, &config, &user, duration, SEED ^ 10);
     let mut posted = 0u64;

@@ -19,7 +19,11 @@ fn tracking_gate() {
 #[test]
 fn scaling_gate() {
     let result = ExperimentCtx::new(SEED).scaling();
-    assert!(result.office_svm > 0.85, "office svm {:.3}", result.office_svm);
+    assert!(
+        result.office_svm > 0.85,
+        "office svm {:.3}",
+        result.office_svm
+    );
     assert!(result.office_svm >= result.office_proximity);
 }
 

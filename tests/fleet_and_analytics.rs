@@ -52,7 +52,11 @@ fn fleet_populates_the_occupancy_table() {
     let total: usize = occupancy.values().sum();
     assert_eq!(total, 3, "every device counted once: {occupancy:?}");
     // The three most common rooms should be the right ones.
-    assert_eq!(occupancy.get(&0).copied(), Some(1), "kitchen: {occupancy:?}");
+    assert_eq!(
+        occupancy.get(&0).copied(),
+        Some(1),
+        "kitchen: {occupancy:?}"
+    );
     assert_eq!(occupancy.get(&1).copied(), Some(1), "living: {occupancy:?}");
     assert_eq!(occupancy.get(&4).copied(), Some(1), "study: {occupancy:?}");
 }
@@ -72,7 +76,13 @@ fn analytics_recover_a_scripted_morning() {
         (RoomId::new(0), SimDuration::from_secs(90)),
         (RoomId::new(2), SimDuration::from_secs(90)),
     ];
-    let user = RoomSchedule::generate(scenario.plan(), &itinerary, 1.2, SimTime::ZERO, &mut walk_rng);
+    let user = RoomSchedule::generate(
+        scenario.plan(),
+        &itinerary,
+        1.2,
+        SimTime::ZERO,
+        &mut walk_rng,
+    );
     let duration = user.end_time().expect("bounded") - SimTime::ZERO;
     let records = run_pipeline(&scenario, &config, &user, duration, SEED ^ 1);
     let device = roomsense_net::DeviceId::new(1);
@@ -118,7 +128,11 @@ fn jammer_degrades_tracking_but_wifi_ap_does_not() {
         );
         let tracked = records
             .iter()
-            .filter(|r| r.snapshots.iter().any(|s| s.identity.minor == Minor::new(0)))
+            .filter(|r| {
+                r.snapshots
+                    .iter()
+                    .any(|s| s.identity.minor == Minor::new(0))
+            })
             .count();
         tracked as f64 / records.len() as f64
     };
@@ -136,7 +150,10 @@ fn jammer_degrades_tracking_but_wifi_ap_does_not() {
         (coexistence - clean).abs() < 0.05,
         "coexistence should be benign: {coexistence} vs {clean}"
     );
-    assert!(jammed < clean - 0.2, "jammer too gentle: {jammed} vs {clean}");
+    assert!(
+        jammed < clean - 0.2,
+        "jammer too gentle: {jammed} vs {clean}"
+    );
 }
 
 /// The Android L pipeline (the paper's future work) classifies at least as

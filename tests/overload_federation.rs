@@ -49,9 +49,7 @@ fn report_of(event: Event) -> ObservationReport {
 }
 
 fn arc_estimator() -> Arc<dyn OccupancyEstimator> {
-    Arc::new(|r: &ObservationReport| {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    })
+    Arc::new(|r: &ObservationReport| r.beacons.first().map(|b| b.identity.minor.value() as usize))
 }
 
 proptest! {
@@ -174,6 +172,9 @@ fn overload_experiment_is_thread_invariant_and_bounded() {
     let f = &base;
     assert!(f.memory_bounded());
     assert_eq!(f.admitted, f.offered, "shedding lost reports");
-    assert!(f.degraded_consistent, "a degraded answer was wrong, not just stale");
+    assert!(
+        f.degraded_consistent,
+        "a degraded answer was wrong, not just stale"
+    );
     assert!(f.digests_match, "post-drain state diverged from the oracle");
 }

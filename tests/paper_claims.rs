@@ -17,7 +17,10 @@ const SEED: u64 = 20150309;
 fn svm_beats_proximity_by_about_ten_points() {
     let result = ExperimentCtx::new(SEED).classification();
     let (svm, proximity) = result.headline();
-    assert!(svm > 0.88, "svm accuracy {svm:.3} below the paper's ~0.94 band");
+    assert!(
+        svm > 0.88,
+        "svm accuracy {svm:.3} below the paper's ~0.94 band"
+    );
     assert!(
         proximity < svm,
         "proximity {proximity:.3} must trail the svm {svm:.3}"
@@ -81,8 +84,7 @@ fn android_gets_five_samples_where_ios_gets_three_hundred() {
 #[test]
 fn five_second_scan_period_is_less_noisy_than_two() {
     let mean_std = |period: u64| {
-        let cfg =
-            PipelineConfig::paper_android().with_scan_period(SimDuration::from_secs(period));
+        let cfg = PipelineConfig::paper_android().with_scan_period(SimDuration::from_secs(period));
         let stds: Vec<f64> = (0..6)
             .map(|t| {
                 ExperimentCtx::new(SEED ^ t)

@@ -85,7 +85,10 @@ fn every_retry_burst_is_priced_by_the_ledger() {
     );
     // And the retry overhead is visible: more than one burst's worth per report.
     let single = 0.4 * profile.bt_connection_mw * reports as f64;
-    assert!(charged > single, "retries cost nothing: {charged} vs {single}");
+    assert!(
+        charged > single,
+        "retries cost nothing: {charged} vs {single}"
+    );
 }
 
 /// Sends refused by a dead uplink still cost a connection probe: the

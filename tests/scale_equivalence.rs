@@ -35,9 +35,7 @@ fn report_of(event: Event) -> ObservationReport {
 }
 
 fn arc_estimator() -> Arc<dyn OccupancyEstimator> {
-    Arc::new(|r: &ObservationReport| {
-        r.beacons.first().map(|b| b.identity.minor.value() as usize)
-    })
+    Arc::new(|r: &ObservationReport| r.beacons.first().map(|b| b.identity.minor.value() as usize))
 }
 
 proptest! {

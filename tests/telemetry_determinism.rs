@@ -117,7 +117,8 @@ fn telemetry_experiment_is_identical_across_thread_counts() {
     );
     assert!(r.counter(keys::BMS_CHECKPOINTS) > 0, "checkpoints recorded");
     assert!(
-        r.histogram(keys::ML_SVM_MARGIN).is_some_and(|h| h.count() > 0),
+        r.histogram(keys::ML_SVM_MARGIN)
+            .is_some_and(|h| h.count() > 0),
         "svm margins recorded"
     );
     assert!(

@@ -98,7 +98,10 @@ fn every_workspace_member_exists_with_a_manifest() {
             "workspace member {dir:?} has no Cargo.toml"
         );
         let has_src = dir.join("src/lib.rs").is_file() || dir.join("src/main.rs").is_file();
-        assert!(has_src, "workspace member {dir:?} has no src/lib.rs or src/main.rs");
+        assert!(
+            has_src,
+            "workspace member {dir:?} has no src/lib.rs or src/main.rs"
+        );
     }
 }
 
@@ -130,7 +133,10 @@ fn every_path_dependency_resolves_to_a_crate_on_disk() {
     }
     // Members inherit deps via `workspace = true`, so the bulk of the path
     // graph lives in the root manifest: all shims plus every crate alias.
-    assert!(checked >= 15, "expected a dense path-dep graph, checked only {checked}");
+    assert!(
+        checked >= 15,
+        "expected a dense path-dep graph, checked only {checked}"
+    );
 }
 
 #[test]
