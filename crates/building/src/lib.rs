@@ -24,7 +24,7 @@ pub mod mobility;
 pub mod presets;
 pub mod trace;
 
-use roomsense_geom::{Point, Polygon, Rect};
+use roomsense_geom::{Point, Polygon};
 use roomsense_ibeacon::{Major, MeasuredPower, Minor, Packet, ProximityUuid};
 use roomsense_radio::shadowing::ShadowingField;
 use roomsense_radio::{Environment, Wall};
@@ -34,7 +34,7 @@ use std::fmt;
 /// [`environment`](FloorPlan::environment) carries, in metres. Indoor
 /// measurement campaigns put the decorrelation distance of 2.4 GHz
 /// shadowing at one to a few metres.
-pub const SHADOWING_CORRELATION_M: f64 = 2.0;
+pub(crate) const SHADOWING_CORRELATION_M: f64 = 2.0;
 
 /// Identifies one room within a floor plan (its index in room order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,7 +78,7 @@ impl Room {
     }
 
     /// The room's footprint.
-    pub fn polygon(&self) -> &Polygon {
+    pub(crate) fn polygon(&self) -> &Polygon {
         &self.polygon
     }
 }
@@ -137,7 +137,7 @@ pub struct FloorPlan {
 impl FloorPlan {
     /// Creates an empty plan; populate it with [`add_room`](Self::add_room),
     /// [`add_wall`](Self::add_wall), and [`add_beacon`](Self::add_beacon).
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         FloorPlan {
             name: name.into(),
             rooms: Vec::new(),
@@ -147,7 +147,7 @@ impl FloorPlan {
     }
 
     /// Appends a room and returns its id.
-    pub fn add_room(&mut self, name: impl Into<String>, polygon: Polygon) -> RoomId {
+    pub(crate) fn add_room(&mut self, name: impl Into<String>, polygon: Polygon) -> RoomId {
         let id = RoomId::new(self.rooms.len() as u32);
         self.rooms.push(Room {
             id,
@@ -158,7 +158,7 @@ impl FloorPlan {
     }
 
     /// Appends a wall.
-    pub fn add_wall(&mut self, wall: Wall) {
+    pub(crate) fn add_wall(&mut self, wall: Wall) {
         self.walls.push(wall);
     }
 
@@ -167,7 +167,7 @@ impl FloorPlan {
     /// # Panics
     ///
     /// Panics if the room does not exist or the minor is already in use.
-    pub fn add_beacon(&mut self, room: RoomId, position: Point, minor: Minor) {
+    pub(crate) fn add_beacon(&mut self, room: RoomId, position: Point, minor: Minor) {
         assert!(
             self.room(room).is_some(),
             "beacon room {room} not in plan '{}'",
@@ -183,11 +183,6 @@ impl FloorPlan {
             minor,
             room,
         });
-    }
-
-    /// The plan's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// All rooms, in id order.
@@ -212,26 +207,6 @@ impl FloorPlan {
     /// All beacon sites, in installation order.
     pub fn beacon_sites(&self) -> &[BeaconSite] {
         &self.beacons
-    }
-
-    /// All walls.
-    pub fn walls(&self) -> &[Wall] {
-        &self.walls
-    }
-
-    /// The bounding box of every room.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan has no rooms.
-    pub fn bounding_box(&self) -> Rect {
-        let mut rooms = self.rooms.iter();
-        let first = rooms
-            .next()
-            .unwrap_or_else(|| panic!("plan '{}' has no rooms", self.name))
-            .polygon
-            .bounding_box();
-        rooms.fold(first, |acc, room| acc.union(&room.polygon.bounding_box()))
     }
 
     /// Lowers the plan into the radio model: the walls plus a seeded
@@ -353,7 +328,7 @@ mod tests {
     fn environment_carries_every_wall() {
         let plan = presets::paper_house();
         let environment = plan.environment(1, 3.0);
-        assert_eq!(environment.walls().len(), plan.walls().len());
+        assert_eq!(environment.walls().len(), plan.walls.len());
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl StaticPosition {
     pub const fn new(position: Point) -> Self {
         StaticPosition { position }
     }
-
-    /// The parked position.
-    pub const fn position(&self) -> Point {
-        self.position
-    }
 }
 
 impl MobilityModel for StaticPosition {
@@ -117,21 +112,6 @@ impl WaypointWalk {
             speed_mps,
             start,
         }
-    }
-
-    /// The path walked.
-    pub fn path(&self) -> &Polyline {
-        &self.path
-    }
-
-    /// The walking speed in metres per second.
-    pub fn speed_mps(&self) -> f64 {
-        self.speed_mps
-    }
-
-    /// Departure time.
-    pub fn start(&self) -> SimTime {
-        self.start
     }
 
     /// How long the walk takes from departure to the final waypoint.
@@ -225,11 +205,6 @@ impl RandomWaypoint {
         RandomWaypoint {
             walk: WaypointWalk::new(path, speed_mps, start),
         }
-    }
-
-    /// The underlying waypoint walk.
-    pub fn walk(&self) -> &WaypointWalk {
-        &self.walk
     }
 }
 
@@ -425,7 +400,12 @@ mod tests {
     #[test]
     fn random_waypoint_stays_inside_the_plan() {
         let plan = presets::office_floor();
-        let bounds = plan.bounding_box();
+        let bounds = plan
+            .rooms()
+            .iter()
+            .map(|r| r.polygon().bounding_box())
+            .reduce(|a, b| a.union(&b))
+            .expect("rooms");
         let mut r = rng::for_component(11, "rw-test");
         let wander = RandomWaypoint::generate(&plan, 12, 1.2, SimTime::ZERO, &mut r);
         let end = wander.end_time().expect("bounded");
@@ -448,8 +428,8 @@ mod tests {
             RoomSchedule::generate(&plan, &itinerary, 1.2, SimTime::ZERO, &mut r)
         };
         let (a, b, c) = (gen(5), gen(5), gen(6));
-        assert_eq!(a.walk().path().waypoints(), b.walk().path().waypoints());
-        assert_ne!(a.walk().path().waypoints(), c.walk().path().waypoints());
+        assert_eq!(a.walk.path.waypoints(), b.walk.path.waypoints());
+        assert_ne!(a.walk.path.waypoints(), c.walk.path.waypoints());
     }
 
     mod properties {

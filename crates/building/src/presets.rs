@@ -173,7 +173,7 @@ mod tests {
         assert_eq!(plan.room_at(Point::new(7.0, 2.0)), Some(RoomId::new(1)));
         assert_eq!(plan.room_at(Point::new(8.5, 6.0)), Some(RoomId::new(4)));
         assert_eq!(plan.room_at(Point::new(160.0, 4.0)), None);
-        assert_eq!(plan.walls().len(), 14);
+        assert_eq!(plan.walls.len(), 14);
         // One beacon per room, minors in room order.
         let rooms: Vec<u32> = plan.beacon_sites().iter().map(|b| b.room.index()).collect();
         assert_eq!(rooms, vec![0, 1, 2, 3, 4]);
@@ -190,7 +190,12 @@ mod tests {
         assert_eq!(plan.beacon_sites().len(), 10);
         // (10, 5) is in the corridor, the last room.
         assert_eq!(plan.room_at(Point::new(10.0, 5.0)), Some(RoomId::new(8)));
-        let bounds = plan.bounding_box();
+        let bounds = plan
+            .rooms()
+            .iter()
+            .map(|r| r.polygon().bounding_box())
+            .reduce(|a, b| a.union(&b))
+            .expect("rooms");
         assert_eq!(bounds.width(), 20.0);
         assert_eq!(bounds.height(), 10.0);
     }

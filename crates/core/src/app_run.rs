@@ -15,6 +15,8 @@ use roomsense_sim::SimDuration;
 use roomsense_stack::app::{App, AppEvent, AppState, Transition};
 
 /// The outcome of one full app simulation.
+///
+/// Kept public: paper behaviour (Fig 3) that only unit tests run.
 #[derive(Debug, Clone)]
 pub struct AppRun {
     /// Every scan cycle, with `reported[i]` telling whether cycle `i`'s
@@ -28,6 +30,8 @@ pub struct AppRun {
 
 impl AppRun {
     /// The cycles that produced server reports.
+    ///
+    /// Kept public: paper behaviour (Fig 3) that only unit tests run.
     pub fn reported_records(&self) -> impl Iterator<Item = &CycleRecord> {
         self.records
             .iter()
@@ -37,6 +41,8 @@ impl AppRun {
 
     /// Fraction of cycles spent ranging — the duty cycle the energy model
     /// charges for.
+    ///
+    /// Kept public: paper behaviour (Fig 3) that only unit tests run.
     pub fn ranging_duty(&self) -> f64 {
         if self.reported.is_empty() {
             return 0.0;
@@ -51,6 +57,8 @@ impl AppRun {
 /// The monitoring service observes each cycle's beacon sightings; its
 /// enter/exit events drive the [`App`] state machine, and a cycle's output
 /// counts as reported only if the app was ranging when the cycle ended.
+///
+/// Kept public: paper behaviour (Fig 3) that only unit tests run.
 pub fn run_app<M: MobilityModel + ?Sized>(
     scenario: &Scenario,
     config: &PipelineConfig,

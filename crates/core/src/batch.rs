@@ -44,7 +44,7 @@ pub struct BatchAllocStats {
     /// Devices whose run grew at least one scratch buffer.
     pub growth_events: u64,
     /// Scan cycles processed by the fleet.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
 }
 
 static GROWTH_EVENTS: AtomicU64 = AtomicU64::new(0);

@@ -14,7 +14,7 @@ use roomsense_sim::{rng, SimDuration, SimTime};
 
 /// The sentinel distance (metres) standing in for "beacon not currently
 /// tracked" in a feature vector. Far beyond any real indoor range.
-pub const MISSING_DISTANCE: f64 = 50.0;
+pub(crate) const MISSING_DISTANCE: f64 = 50.0;
 
 /// A labelled dataset plus the feature layout needed to use it.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,18 +26,8 @@ pub struct LabelledDataset {
 }
 
 /// Builds the feature vector for one cycle: the smoothed distance to each
-/// beacon in `beacon_order`, with [`MISSING_DISTANCE`] for untracked
+/// beacon in `beacon_order`, with `MISSING_DISTANCE` for untracked
 /// beacons.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense::features_from_snapshots;
-/// use roomsense_ibeacon::Minor;
-///
-/// let features = features_from_snapshots(&[], &[Minor::new(0), Minor::new(1)]);
-/// assert_eq!(features, vec![roomsense::MISSING_DISTANCE; 2]);
-/// ```
 pub fn features_from_snapshots(snapshots: &[TrackSnapshot], beacon_order: &[Minor]) -> Vec<f64> {
     beacon_order
         .iter()
@@ -59,7 +49,7 @@ pub fn features_from_snapshots(snapshots: &[TrackSnapshot], beacon_order: &[Mino
 /// # Panics
 ///
 /// Panics if `anchors.len() != beacon_order.len()`.
-pub fn positioned_features_from_snapshots(
+pub(crate) fn positioned_features_from_snapshots(
     snapshots: &[TrackSnapshot],
     beacon_order: &[Minor],
     anchors: &[(f64, f64)],
@@ -72,7 +62,7 @@ pub fn positioned_features_from_snapshots(
 /// Converts pipeline records into labelled rows (one per cycle). With
 /// `anchors` supplied, every row carries the trilateration block
 /// ([`positioned_features_from_snapshots`]); the dataset width must match.
-pub fn records_to_dataset(
+pub(crate) fn records_to_dataset(
     scenario: &Scenario,
     records: &[CycleRecord],
     dataset: &mut Dataset,

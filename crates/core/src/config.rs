@@ -42,7 +42,7 @@ pub enum FilterKind {
     Ewma,
     /// A scalar constant-position Kalman filter (indoor defaults).
     Kalman,
-    /// A moving median over [`MEDIAN_FILTER_WINDOW`] cycles.
+    /// A moving median over `MEDIAN_FILTER_WINDOW` cycles.
     Median,
     /// The seeded grid Bayes filter (Mackey-style recursive estimation);
     /// its support grid is derived from the scenario seed, so runs stay
@@ -62,7 +62,7 @@ impl fmt::Display for FilterKind {
 }
 
 /// Window length the [`FilterKind::Median`] tracks use.
-pub const MEDIAN_FILTER_WINDOW: usize = 5;
+pub(crate) const MEDIAN_FILTER_WINDOW: usize = 5;
 
 /// The phone-side pipeline configuration.
 ///
@@ -86,7 +86,7 @@ pub struct PipelineConfig {
     /// How per-cycle samples pool into one RSSI.
     pub aggregation: AggregateMethod,
     /// Which distance filter smooths the per-beacon tracks (paper: EWMA).
-    pub filter: FilterKind,
+    pub(crate) filter: FilterKind,
     /// EWMA smoothing coefficient (paper: 0.65).
     pub filter_coefficient: f64,
     /// What to do on missed cycles (paper: hold one).
@@ -94,7 +94,7 @@ pub struct PipelineConfig {
     /// Append the `ml::position_features` trilateration block (`[x, y,
     /// fix_quality]`) to every dataset row (paper: off — Section VI
     /// discards triangulation; the positioning arm re-litigates that).
-    pub position_features: bool,
+    pub(crate) position_features: bool,
     /// The phone's RX hardware profile.
     pub device: DeviceRxProfile,
 }
@@ -115,16 +115,6 @@ impl PipelineConfig {
             loss_policy: LossPolicy::HoldOneCycle,
             position_features: false,
             device: DeviceRxProfile::galaxy_s3_mini(),
-        }
-    }
-
-    /// The previous work's iOS configuration (same filter, iOS sampling,
-    /// iPhone RX profile).
-    pub fn paper_ios() -> Self {
-        PipelineConfig {
-            scanner: ScannerKind::Ios,
-            device: DeviceRxProfile::iphone_5s(),
-            ..PipelineConfig::paper_android()
         }
     }
 
@@ -158,7 +148,7 @@ impl PipelineConfig {
     }
 
     /// Returns the config with a different loss policy.
-    pub fn with_loss_policy(mut self, policy: LossPolicy) -> Self {
+    pub(crate) fn with_loss_policy(mut self, policy: LossPolicy) -> Self {
         self.loss_policy = policy;
         self
     }
@@ -238,11 +228,6 @@ mod tests {
         expected.scan_period = SimDuration::from_secs(7);
         cfg = cfg.with_scan_period(SimDuration::from_secs(7));
         assert_eq!(cfg.scan, expected);
-    }
-
-    #[test]
-    fn ios_config_uses_ios_scanner() {
-        assert_eq!(PipelineConfig::paper_ios().scanner, ScannerKind::Ios);
     }
 
     #[test]

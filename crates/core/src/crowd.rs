@@ -51,7 +51,7 @@ impl CrowdPreset {
     ];
 
     /// Stable short name (experiment rows, telemetry, docs).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CrowdPreset::OpenPlanOffice => "open_plan_office",
             CrowdPreset::LectureHallSurge => "lecture_hall_surge",
@@ -69,7 +69,7 @@ impl CrowdPreset {
     }
 
     /// Builds the preset's scenario at its canonical subject count.
-    pub fn scenario(self, seed: u64) -> CrowdScenario {
+    pub(crate) fn scenario(self, seed: u64) -> CrowdScenario {
         self.scenario_with(seed, self.default_subjects())
     }
 
@@ -91,26 +91,26 @@ impl CrowdPreset {
 
 /// One contiguous stay in one room: `[from, until)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSegment {
+pub(crate) struct TraceSegment {
     /// Stay start (inclusive).
-    pub from: SimTime,
+    pub(crate) from: SimTime,
     /// Stay end (exclusive); the subject is outside every room between
     /// segments.
-    pub until: SimTime,
+    pub(crate) until: SimTime,
     /// Room index.
-    pub room: usize,
+    pub(crate) room: usize,
 }
 
 /// One subject's full itinerary: non-overlapping segments in time order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SubjectTrace {
+pub(crate) struct SubjectTrace {
     /// The subject's stays, chronological and disjoint.
-    pub segments: Vec<TraceSegment>,
+    pub(crate) segments: Vec<TraceSegment>,
 }
 
 impl SubjectTrace {
     /// The room the subject is in at `at`, or `None` when outside.
-    pub fn room_at(&self, at: SimTime) -> Option<usize> {
+    pub(crate) fn room_at(&self, at: SimTime) -> Option<usize> {
         self.segments
             .iter()
             .find(|s| at >= s.from && at < s.until)
@@ -122,9 +122,9 @@ impl SubjectTrace {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrowdTrace {
     /// Number of rooms (room indices are `0..rooms`).
-    pub rooms: usize,
+    pub(crate) rooms: usize,
     /// Per-subject itineraries.
-    pub subjects: Vec<SubjectTrace>,
+    pub(crate) subjects: Vec<SubjectTrace>,
 }
 
 impl CrowdTrace {
@@ -140,7 +140,7 @@ impl CrowdTrace {
     }
 
     /// Subjects inside any room at `at`.
-    pub fn total_inside(&self, at: SimTime) -> usize {
+    pub(crate) fn total_inside(&self, at: SimTime) -> usize {
         self.subjects
             .iter()
             .filter(|s| s.room_at(at).is_some())
@@ -155,7 +155,7 @@ pub struct MaeBounds {
     /// Clean run (no faults, unthrottled ingest).
     pub clean: f64,
     /// Under seeded uplink-outage chaos (store-and-forward delivery).
-    pub chaos: f64,
+    pub(crate) chaos: f64,
     /// Through an undersized ingestion tier driven past capacity.
     pub overload: f64,
 }
@@ -171,7 +171,7 @@ pub struct CrowdScenario {
     /// Probability a subject carries a reporting device.
     pub carry_rate: f64,
     /// Per-device report period while inside.
-    pub report_period: SimDuration,
+    pub(crate) report_period: SimDuration,
     /// Run length.
     pub duration: SimDuration,
     /// Declared per-room MAE ceilings for the counting gate.
@@ -357,7 +357,7 @@ fn trace_replay(seed: u64, subjects: usize) -> CrowdScenario {
 
 /// Which subjects carry a reporting device: one seeded draw per subject,
 /// independent of the itinerary and replay streams.
-pub fn carriers(scenario: &CrowdScenario, seed: u64) -> Vec<bool> {
+pub(crate) fn carriers(scenario: &CrowdScenario, seed: u64) -> Vec<bool> {
     (0..scenario.subjects())
         .map(|i| {
             let mut r = rng::for_indexed(seed, "crowd-carry", i as u64);
@@ -369,7 +369,7 @@ pub fn carriers(scenario: &CrowdScenario, seed: u64) -> Vec<bool> {
 /// A synthetic report that names its room directly: one sighted beacon
 /// (the example UUID, major 1) whose minor is `room`, at `distance_m`.
 /// [`room_of`] reads the room back.
-pub fn room_report(
+pub(crate) fn room_report(
     device: DeviceId,
     seq: u64,
     at: SimTime,
@@ -394,7 +394,7 @@ pub fn room_report(
 /// The estimator for [`room_report`] streams: the minor of the report's
 /// first beacon is its room, and a report with no beacon has none. Used
 /// as `Arc::new(crowd::room_of)`.
-pub fn room_of(report: &ObservationReport) -> Option<RoomLabel> {
+pub(crate) fn room_of(report: &ObservationReport) -> Option<RoomLabel> {
     report
         .beacons
         .first()

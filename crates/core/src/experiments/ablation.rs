@@ -33,102 +33,102 @@ use roomsense_sim::{exec, rng, SimDuration, SimTime};
 pub struct AblationResult {
     /// `(technique, held-out accuracy)`: SVM-RBF, SVM-linear, kNN,
     /// proximity and trilateration on one split of the paper house.
-    pub classifier: Vec<(&'static str, f64)>,
+    pub(crate) classifier: Vec<(&'static str, f64)>,
     /// The EWMA coefficient sweep behind the paper's 0.65.
-    pub coefficient: Vec<CoefficientSweepPoint>,
+    pub(crate) coefficient: Vec<CoefficientSweepPoint>,
     /// `(loss policy, track availability)` under a 15 % Android stall rate.
-    pub loss_hold: Vec<(&'static str, f64)>,
+    pub(crate) loss_hold: Vec<(&'static str, f64)>,
     /// Scan period against estimate noise and rate.
-    pub scan_period: Vec<ScanPeriodAblationRow>,
+    pub(crate) scan_period: Vec<ScanPeriodAblationRow>,
     /// Deployment device against ranging error and accuracy, for a model
     /// trained on the S3 Mini.
-    pub calibration: Vec<CalibrationAblationRow>,
+    pub(crate) calibration: Vec<CalibrationAblationRow>,
     /// Always-on sensing against accelerometer-gated sensing.
-    pub accel_gate: GatingAblation,
+    pub(crate) accel_gate: GatingAblation,
     /// Co-channel interferer against track availability and rate.
-    pub interference: Vec<InterferenceAblationRow>,
+    pub(crate) interference: Vec<InterferenceAblationRow>,
     /// The SVM `(C, gamma)` grid, cross-validated.
-    pub grid_search: GridSearchResult,
+    pub(crate) grid_search: GridSearchResult,
     /// Shadowing severity against SVM and proximity accuracy.
-    pub environment: Vec<EnvironmentAblationRow>,
+    pub(crate) environment: Vec<EnvironmentAblationRow>,
     /// Installed beacon count against SVM and proximity accuracy.
-    pub beacon_density: Vec<DensityAblationRow>,
+    pub(crate) beacon_density: Vec<DensityAblationRow>,
 }
 
 /// One scan period, averaged over 8 trials of a 2 m static capture.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScanPeriodAblationRow {
+pub(crate) struct ScanPeriodAblationRow {
     /// The scan period, seconds.
-    pub period_s: u64,
+    pub(crate) period_s: u64,
     /// Mean std-dev of the raw distance estimates, metres.
-    pub raw_std_m: f64,
+    pub(crate) raw_std_m: f64,
     /// Mean RMSE of the raw estimates against the true 2 m, metres.
-    pub rmse_m: f64,
+    pub(crate) rmse_m: f64,
     /// Mean raw estimates per minute.
-    pub estimates_per_min: f64,
+    pub(crate) estimates_per_min: f64,
 }
 
 /// One deployment device of the calibration study.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibrationAblationRow {
+pub(crate) struct CalibrationAblationRow {
     /// The deployment device.
-    pub device: &'static str,
+    pub(crate) device: &'static str,
     /// Raw ranging RMSE of a 2 m static capture, metres.
-    pub ranging_rmse_m: f64,
+    pub(crate) ranging_rmse_m: f64,
     /// Accuracy of the S3 Mini-trained model on this device's data.
-    pub accuracy: f64,
+    pub(crate) accuracy: f64,
 }
 
 /// Mean power of an occupant who moves 15 minutes of every hour, with and
 /// without accelerometer-gated sensing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GatingAblation {
+pub(crate) struct GatingAblation {
     /// Mean power with sensing always on, mW.
-    pub always_on_mw: f64,
+    pub(crate) always_on_mw: f64,
     /// Mean power with sensing gated on motion, mW.
-    pub gated_mw: f64,
+    pub(crate) gated_mw: f64,
     /// The phone's battery capacity, mWh.
-    pub battery_capacity_mwh: f64,
+    pub(crate) battery_capacity_mwh: f64,
 }
 
 impl GatingAblation {
     /// The fraction of mean power gating saves.
-    pub fn saving_fraction(&self) -> f64 {
+    pub(crate) fn saving_fraction(&self) -> f64 {
         1.0 - self.gated_mw / self.always_on_mw
     }
 }
 
 /// One interference environment of the coexistence study.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InterferenceAblationRow {
+pub(crate) struct InterferenceAblationRow {
     /// The environment.
-    pub environment: &'static str,
+    pub(crate) environment: &'static str,
     /// Fraction of scan cycles with a smoothed track of the near beacon.
-    pub availability: f64,
+    pub(crate) availability: f64,
     /// Raw observations of the near beacon per minute.
-    pub estimates_per_min: f64,
+    pub(crate) estimates_per_min: f64,
 }
 
 /// One shadowing severity of the environment study.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnvironmentAblationRow {
+pub(crate) struct EnvironmentAblationRow {
     /// Log-normal shadowing sigma, dB.
-    pub sigma_db: f64,
+    pub(crate) sigma_db: f64,
     /// SVM held-out accuracy.
-    pub svm: f64,
+    pub(crate) svm: f64,
     /// Proximity held-out accuracy.
-    pub proximity: f64,
+    pub(crate) proximity: f64,
 }
 
 /// One beacon count of the density study.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DensityAblationRow {
+pub(crate) struct DensityAblationRow {
     /// Beacons left installed.
-    pub beacons: usize,
+    pub(crate) beacons: usize,
     /// SVM held-out accuracy.
-    pub svm: f64,
+    pub(crate) svm: f64,
     /// Proximity held-out accuracy.
-    pub proximity: f64,
+    pub(crate) proximity: f64,
 }
 
 impl ExperimentCtx {

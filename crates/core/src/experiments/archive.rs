@@ -11,84 +11,84 @@ use std::sync::Arc;
 /// deterministic for a fixed `(seed, devices, shards)` at any
 /// `ROOMSENSE_THREADS`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ArchiveScenarioRow {
+pub(crate) struct ArchiveScenarioRow {
     /// Scenario tag: `clean`, `crash_mid_compaction`, `torn_tail`,
     /// `short_write`, `fsync_loss`, or `bit_rot`.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Segment files scanned across every shard at recovery.
-    pub segments_scanned: usize,
+    pub(crate) segments_scanned: usize,
     /// Segments truncated at a corrupt record.
-    pub truncated_segments: usize,
+    pub(crate) truncated_segments: usize,
     /// Bytes the truncations discarded.
-    pub truncated_bytes: u64,
+    pub(crate) truncated_bytes: u64,
     /// Sealed footers whose recomputed count or digest disagreed.
-    pub footer_mismatches: usize,
+    pub(crate) footer_mismatches: usize,
     /// Whether the recovery scan itself found nothing to repair (a lying
     /// fsync leaves a clean scan — only coverage catches it).
-    pub scan_clean: bool,
+    pub(crate) scan_clean: bool,
     /// Whether the recovered logs still covered every record the
     /// checkpoint's archive marks promised.
-    pub covered: bool,
+    pub(crate) covered: bool,
     /// Records the marks promised that the disk no longer held.
-    pub missing_records: u64,
+    pub(crate) missing_records: u64,
     /// Devices whose surviving records diverged from the mark digest (a
     /// mid-log hole: later records survive but the prefix is broken).
-    pub diverged_devices: u64,
+    pub(crate) diverged_devices: u64,
     /// Records in the recovered archive after the journal replay and the
     /// post-crash tail of the stream.
-    pub archive_records: u64,
+    pub(crate) archive_records: u64,
     /// Journal-replay re-spills the archive's dedup window suppressed.
-    pub respill_suppressed: u64,
+    pub(crate) respill_suppressed: u64,
     /// Disk fault counters for the run: short writes injected.
-    pub short_writes: u64,
+    pub(crate) short_writes: u64,
     /// Durable bytes flipped by bit rot.
-    pub flipped_bytes: u64,
+    pub(crate) flipped_bytes: u64,
     /// fsyncs that lied (claimed success without persisting).
-    pub lost_fsyncs: u64,
+    pub(crate) lost_fsyncs: u64,
     /// Crashes that kept a torn partial tail.
-    pub torn_tails: u64,
+    pub(crate) torn_tails: u64,
     /// Recovered-and-replayed fleet digest equals the never-crashed
     /// archived oracle's (expected exactly when `covered`).
-    pub digest_match: bool,
+    pub(crate) digest_match: bool,
     /// Live occupancy table equals the unbounded oracle's (always
     /// expected: checkpoint + journal replay is exact above the floor).
-    pub live_occupancy_match: bool,
+    pub(crate) live_occupancy_match: bool,
     /// Historical probes issued across the run's span.
-    pub probes: usize,
+    pub(crate) probes: usize,
     /// Probes answered complete **and** equal to the unbounded oracle.
-    pub exact_probes: usize,
+    pub(crate) exact_probes: usize,
     /// Probes answered incomplete (below the post-loss historical floor).
-    pub flagged_probes: usize,
+    pub(crate) flagged_probes: usize,
     /// A probe was answered complete but *wrong* — the one outcome the
     /// design forbids. Expected `false` in every scenario.
-    pub silent_loss: bool,
+    pub(crate) silent_loss: bool,
     /// Checksum of the recovered fleet's merged telemetry.
-    pub telemetry_checksum: u64,
+    pub(crate) telemetry_checksum: u64,
 }
 
 /// What one [`ExperimentCtx::archive`] run returns (every field is
 /// deterministic, so the `repro archive` checksum hashes all of it).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ArchiveFingerprint {
+pub(crate) struct ArchiveFingerprint {
     /// Synthetic fleet size.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Shards (and therefore per-shard segment logs).
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Reports in the generated stream (identical in every scenario).
-    pub reports_per_scenario: u64,
+    pub(crate) reports_per_scenario: u64,
     /// One row per fault scenario, in a fixed order.
-    pub scenarios: Vec<ArchiveScenarioRow>,
+    pub(crate) scenarios: Vec<ArchiveScenarioRow>,
 }
 
 impl ArchiveFingerprint {
     /// No scenario ever answered a historical query complete-but-wrong.
-    pub fn no_silent_loss(&self) -> bool {
+    pub(crate) fn no_silent_loss(&self) -> bool {
         self.scenarios.iter().all(|s| !s.silent_loss)
     }
 
     /// Every covered recovery converged bit-for-bit with the
     /// never-crashed oracle and answered every probe exactly.
-    pub fn covered_scenarios_exact(&self) -> bool {
+    pub(crate) fn covered_scenarios_exact(&self) -> bool {
         self.scenarios
             .iter()
             .filter(|s| s.covered)
@@ -97,7 +97,7 @@ impl ArchiveFingerprint {
 
     /// Every lossy recovery reported the loss: coverage failed **and**
     /// below-floor probes came back flagged incomplete.
-    pub fn lossy_scenarios_flagged(&self) -> bool {
+    pub(crate) fn lossy_scenarios_flagged(&self) -> bool {
         self.scenarios
             .iter()
             .filter(|s| !s.covered)
@@ -106,13 +106,13 @@ impl ArchiveFingerprint {
 
     /// Checkpoint + journal replay restored the live table in every
     /// scenario, covered or not.
-    pub fn live_state_always_exact(&self) -> bool {
+    pub(crate) fn live_state_always_exact(&self) -> bool {
         self.scenarios.iter().all(|s| s.live_occupancy_match)
     }
 
     /// Each fault scenario actually injected its fault: the matrix never
     /// silently degrades into six clean runs.
-    pub fn faults_exercised(&self) -> bool {
+    pub(crate) fn faults_exercised(&self) -> bool {
         let row = |name: &str| self.scenarios.iter().find(|s| s.name == name);
         row("torn_tail").is_some_and(|s| s.torn_tails > 0)
             && row("short_write").is_some_and(|s| s.short_writes > 0)
@@ -155,7 +155,7 @@ impl ExperimentCtx {
     ///
     /// Defaults: 240 devices over 4 shards; [`ExperimentCtx::with_devices`]
     /// and [`ExperimentCtx::with_shards`] override them.
-    pub fn archive(&self) -> ArchiveFingerprint {
+    pub(crate) fn archive(&self) -> ArchiveFingerprint {
         use rand::Rng;
         use roomsense_net::{ArchiveConfig, ShardedBmsServer};
         use roomsense_sim::{DiskFaultPlan, FaultSchedule, FaultWindow, SharedDisk, SimDisk};

@@ -16,73 +16,73 @@ use std::sync::Arc;
 /// One cell of the chaos sweep: one outage pattern under one `(failover,
 /// dedup)` configuration of the delivery stack.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChaosCell {
+pub(crate) struct ChaosCell {
     /// Outage pattern name (`calm`, `blackout`, `storm`).
-    pub pattern: String,
+    pub(crate) pattern: String,
     /// Whether the uplink ran through the Wi-Fi→BT
     /// [`FailoverTransport`](roomsense_net::FailoverTransport)
     /// (`false` = Wi-Fi only).
-    pub failover: bool,
+    pub(crate) failover: bool,
     /// Whether the server ingested through the idempotent `(device, seq)`
     /// dedup endpoint (`false` = legacy `post_observation`).
-    pub dedup: bool,
+    pub(crate) dedup: bool,
     /// Reports the fleet offered to the queue.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Distinct reports delivered at least once.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Reports evicted from the full queue (lost forever).
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Retransmissions caused by lost acks (each one a wire duplicate).
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Wire deliveries beyond the first per `(device, seq)`.
-    pub duplicates_on_wire: u64,
+    pub(crate) duplicates_on_wire: u64,
     /// Duplicates the server's dedup window rejected.
-    pub duplicates_rejected: u64,
+    pub(crate) duplicates_rejected: u64,
     /// Sends the failover path redirected to the secondary radio.
-    pub failover_sends: u64,
+    pub(crate) failover_sends: u64,
     /// Recovery probes the failover path sent while the primary was down.
-    pub probes: u64,
+    pub(crate) probes: u64,
     /// Server crashes survived via checkpoint + journal replay.
-    pub crashes: u64,
+    pub(crate) crashes: u64,
     /// Journal entries replayed across all restarts.
-    pub replayed: u64,
+    pub(crate) replayed: u64,
     /// Uplink radio energy for the run, mJ.
-    pub energy_mj: f64,
+    pub(crate) energy_mj: f64,
     /// Final occupancy table equals the clean oracle's.
-    pub view_matches_oracle: bool,
+    pub(crate) view_matches_oracle: bool,
     /// Stored-report count equals the distinct delivered count (vacuously
     /// true when `dedup` is off — duplicates are then expected effects).
-    pub exactly_once_ok: bool,
+    pub(crate) exactly_once_ok: bool,
     /// Every device's believed room is its last-writer report's room
     /// (no straggler or duplicate ever rolled a device backwards).
-    pub monotone_ok: bool,
+    pub(crate) monotone_ok: bool,
     /// Queue backlog and dedup windows stayed within their bounds.
-    pub bounded_ok: bool,
+    pub(crate) bounded_ok: bool,
 }
 
 impl ChaosCell {
     /// All invariants that apply to this cell hold.
-    pub fn invariants_hold(&self) -> bool {
+    pub(crate) fn invariants_hold(&self) -> bool {
         self.exactly_once_ok && self.monotone_ok && self.bounded_ok
     }
 }
 
 /// The full chaos sweep: outage patterns × failover on/off × dedup on/off.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChaosResult {
+pub(crate) struct ChaosResult {
     /// One cell per configuration, pattern-major.
-    pub cells: Vec<ChaosCell>,
+    pub(crate) cells: Vec<ChaosCell>,
 }
 
 impl ChaosResult {
     /// Every cell's applicable invariants hold.
-    pub fn all_invariants_hold(&self) -> bool {
+    pub(crate) fn all_invariants_hold(&self) -> bool {
         self.cells.iter().all(ChaosCell::invariants_hold)
     }
 
     /// Every fully reliable cell (failover + dedup) converged to the clean
     /// oracle's occupancy view.
-    pub fn reliable_cells_match_oracle(&self) -> bool {
+    pub(crate) fn reliable_cells_match_oracle(&self) -> bool {
         self.cells
             .iter()
             .filter(|c| c.failover && c.dedup)
@@ -107,7 +107,7 @@ impl ExperimentCtx {
     /// last-writer state (all cells), and bounded queue/dedup memory (all
     /// cells). Deterministic for a fixed `seed` regardless of thread count:
     /// the fleet runs once up front and each cell draws an indexed RNG stream.
-    pub fn chaos(&self) -> ChaosResult {
+    pub(crate) fn chaos(&self) -> ChaosResult {
         use roomsense_building::mobility::MobilityModel;
         use roomsense_building::RoomId;
         use roomsense_net::{

@@ -10,42 +10,42 @@ use std::sync::Arc;
 
 /// One preset × condition cell of the crowd-counting sweep.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CountingCell {
+pub(crate) struct CountingCell {
     /// The crowd preset's stable name (`open_plan_office`, …).
-    pub preset: &'static str,
+    pub(crate) preset: &'static str,
     /// `clean`, `chaos` (uplink outages), or `overload` (bounded mailboxes).
-    pub condition: &'static str,
+    pub(crate) condition: &'static str,
     /// People in the building, carriers or not.
-    pub subjects: usize,
+    pub(crate) subjects: usize,
     /// Subjects actually carrying a reporting device.
-    pub carriers: usize,
+    pub(crate) carriers: usize,
     /// Observation reports the condition delivered.
-    pub reports: usize,
+    pub(crate) reports: usize,
     /// Estimate probes taken over the scenario.
-    pub probes: usize,
+    pub(crate) probes: usize,
     /// Mean absolute per-room headcount error across the probes.
-    pub mae: f64,
+    pub(crate) mae: f64,
     /// The preset's declared MAE ceiling for this condition.
-    pub mae_bound: f64,
+    pub(crate) mae_bound: f64,
     /// Ground-truth peak building population across the probes.
-    pub truth_peak: usize,
+    pub(crate) truth_peak: usize,
     /// Estimated building population at the same probe as `truth_peak`.
-    pub estimate_at_peak: f64,
+    pub(crate) estimate_at_peak: f64,
     /// Probes whose building-total confidence interval covered the true
     /// carrier count.
-    pub covered_probes: usize,
+    pub(crate) covered_probes: usize,
     /// Probes answered at [`ServiceLevel::Degraded`] (overload only).
     ///
     /// [`ServiceLevel::Degraded`]: roomsense_net::ServiceLevel
-    pub degraded_probes: usize,
+    pub(crate) degraded_probes: usize,
     /// Reports the admission gate refused at least once (overload only).
-    pub shed_reports: u64,
+    pub(crate) shed_reports: u64,
     /// Every sharded answer was bit-identical to the single reference
     /// server fed the same delivered prefix.
-    pub sharded_matches_single: bool,
+    pub(crate) sharded_matches_single: bool,
     /// After every report drained, the view equals the clean oracle's at
     /// the same instant (trivially true for the clean condition itself).
-    pub converged_to_clean: bool,
+    pub(crate) converged_to_clean: bool,
 }
 
 /// What one [`ExperimentCtx::counting`] run returns — everything the
@@ -53,35 +53,30 @@ pub struct CountingCell {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountingFingerprint {
     /// BMS shards behind every condition.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Evidence window (seconds) the estimates were computed over.
-    pub window_s: u64,
+    pub(crate) window_s: u64,
     /// One row per preset × condition, in [`CrowdPreset::ALL`] order.
     ///
     /// [`CrowdPreset::ALL`]: crate::CrowdPreset::ALL
-    pub cells: Vec<CountingCell>,
+    pub(crate) cells: Vec<CountingCell>,
     /// Checksum of the merged telemetry recorder (`bms.counting.*` et al).
-    pub telemetry_checksum: u64,
+    pub(crate) telemetry_checksum: u64,
 }
 
 impl CountingFingerprint {
-    /// Every cell's MAE is within its preset's declared ceiling.
-    pub fn within_bounds(&self) -> bool {
-        self.cells.iter().all(|c| c.mae <= c.mae_bound)
-    }
-
     /// Every condition's sharded answers matched the single server.
-    pub fn sharded_consistent(&self) -> bool {
+    pub(crate) fn sharded_consistent(&self) -> bool {
         self.cells.iter().all(|c| c.sharded_matches_single)
     }
 
     /// Every faulted condition converged to the clean oracle after drain.
-    pub fn faulted_converges(&self) -> bool {
+    pub(crate) fn faulted_converges(&self) -> bool {
         self.cells.iter().all(|c| c.converged_to_clean)
     }
 
     /// The overload condition actually exercised backpressure somewhere.
-    pub fn backpressure_exercised(&self) -> bool {
+    pub(crate) fn backpressure_exercised(&self) -> bool {
         self.cells
             .iter()
             .any(|c| c.condition == "overload" && c.shed_reports > 0 && c.degraded_probes > 0)
@@ -186,7 +181,7 @@ fn drive_counting(
 
 impl ExperimentCtx {
     /// The crowd-counting arm: population estimates for every
-    /// [`CrowdPreset`](crate::CrowdPreset) under clean, chaos
+    /// `CrowdPreset` under clean, chaos
     /// (uplink-outage), and overload (bounded-mailbox) delivery
     /// (defaults: each preset's canonical crowd, 4 shards).
     ///

@@ -13,42 +13,42 @@ use std::sync::Arc;
 
 /// How one uplink arm fared at one fault intensity.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultArmOutcome {
+pub(crate) struct FaultArmOutcome {
     /// Fraction of offered reports that reached the server by the end of
     /// the run (`None` when nothing was offered).
-    pub delivery_rate: Option<f64>,
+    pub(crate) delivery_rate: Option<f64>,
     /// Online BMS-vs-truth agreement: at each truth sample, the fraction of
     /// devices whose *currently stored* room matches reality.
-    pub device_agreement: f64,
+    pub(crate) device_agreement: f64,
     /// Mean age of the server's per-device knowledge across the run.
-    pub mean_staleness: SimDuration,
+    pub(crate) mean_staleness: SimDuration,
     /// Radio energy spent on the uplink (all attempts, including refused
     /// probes and retries), mJ.
-    pub energy_mj: f64,
+    pub(crate) energy_mj: f64,
     /// Conditioning time the demand-response controller ran on expired
     /// occupancy evidence.
-    pub stale_conditioning: SimDuration,
+    pub(crate) stale_conditioning: SimDuration,
 }
 
 /// One intensity point of the fault sweep: the same faulted run scored with
 /// a bare transport vs the store-and-forward queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultSweepPoint {
+pub(crate) struct FaultSweepPoint {
     /// The fault intensity in `[0, 1]` this point was generated with.
-    pub intensity: f64,
+    pub(crate) intensity: f64,
     /// Scheduled downtime of the end-to-end report path.
-    pub uplink_downtime: SimDuration,
+    pub(crate) uplink_downtime: SimDuration,
     /// Fire-and-forget: each report gets one try at its cycle time.
-    pub bare: FaultArmOutcome,
+    pub(crate) bare: FaultArmOutcome,
     /// Store-and-forward: failed reports queue and retry with backoff.
-    pub resilient: FaultArmOutcome,
+    pub(crate) resilient: FaultArmOutcome,
 }
 
 /// The full fault sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultsResult {
     /// One point per intensity, in ascending intensity order.
-    pub points: Vec<FaultSweepPoint>,
+    pub(crate) points: Vec<FaultSweepPoint>,
 }
 
 impl ExperimentCtx {

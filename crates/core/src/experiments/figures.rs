@@ -26,7 +26,7 @@ use roomsense_sim::{exec, rng, SimDuration, SimTime};
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaticCaptureResult {
     /// The true transmitter–receiver distance, metres.
-    pub true_distance_m: f64,
+    pub(crate) true_distance_m: f64,
     /// Raw per-cycle distance estimates `(t_seconds, metres)`; cycles where
     /// the beacon was missed are absent.
     pub raw: Vec<(f64, f64)>,
@@ -107,7 +107,7 @@ pub struct DynamicWalkResult {
     /// The cycle index at which the east beacon first reads closer.
     pub crossover_cycle: Option<usize>,
     /// Walk speed used, m/s.
-    pub speed_mps: f64,
+    pub(crate) speed_mps: f64,
 }
 
 impl ExperimentCtx {
@@ -228,7 +228,7 @@ pub struct ClassificationResult {
     /// The scene-analysis SVM (the paper's contribution).
     pub svm: ConfusionMatrix,
     /// The proximity baseline (the previous iOS work's technique).
-    pub proximity: ConfusionMatrix,
+    pub(crate) proximity: ConfusionMatrix,
     /// A kNN fingerprinting alternative (ablation).
     pub knn: ConfusionMatrix,
     /// Class names (rooms plus "outside").

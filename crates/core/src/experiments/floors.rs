@@ -14,9 +14,9 @@ pub struct MultiFloorResult {
     /// Fraction of test rows assigned to the exact (floor, room) label.
     pub room_accuracy: f64,
     /// Floors in the building.
-    pub floors: usize,
+    pub(crate) floors: usize,
     /// Beacons across all floors.
-    pub beacons: usize,
+    pub(crate) beacons: usize,
 }
 
 impl ExperimentCtx {

@@ -192,13 +192,13 @@ pub(super) const LOSSY_QUEUE_CAPACITY: usize = 256;
 pub(super) struct LossyUplink {
     /// Deliveries in arrival order, ties broken by `(device, seq)` so
     /// ingestion is identical across thread counts.
-    pub deliveries: Vec<Delivery>,
-    pub offered: u64,
-    pub delivered: u64,
-    pub dropped: u64,
-    pub retransmits: u64,
-    pub pending: usize,
-    pub telemetry: Recorder,
+    pub(crate) deliveries: Vec<Delivery>,
+    pub(crate) offered: u64,
+    pub(crate) delivered: u64,
+    pub(crate) dropped: u64,
+    pub(crate) retransmits: u64,
+    pub(crate) pending: usize,
+    pub(crate) telemetry: Recorder,
 }
 
 /// Pumps the reports through a queue over `chain` that loses a quarter of
@@ -229,11 +229,11 @@ pub(super) fn lossy_ack_uplink<T: Transport, R: rand::Rng + ?Sized>(
 /// The BMS left standing after [`ingest_with_crashes`].
 pub(super) struct Restarted {
     /// The server after the last delivery and the last crash.
-    pub server: ShardedBmsServer,
+    pub(crate) server: ShardedBmsServer,
     /// Crash windows that started before the end of the run.
-    pub crashes: u64,
+    pub(crate) crashes: u64,
     /// Journal entries replayed across all restarts.
-    pub replayed: u64,
+    pub(crate) replayed: u64,
 }
 
 /// Ingests `deliveries` (in arrival order) into a one-shard BMS that

@@ -51,25 +51,7 @@ mod scaling;
 mod telemetry;
 mod tracking;
 
-pub use ablation::{
-    AblationResult, CalibrationAblationRow, DensityAblationRow, EnvironmentAblationRow,
-    GatingAblation, InterferenceAblationRow, ScanPeriodAblationRow,
-};
-pub use archive::{ArchiveFingerprint, ArchiveScenarioRow};
-pub use chaos::{ChaosCell, ChaosResult};
-pub use counting::{CountingCell, CountingFingerprint};
-pub use faults::{FaultArmOutcome, FaultSweepPoint, FaultsResult};
-pub use figures::{
-    CalibrationOutcome, ClassificationResult, CoefficientSweepPoint, DeviceComparisonRow,
-    DynamicWalkResult, EnergyResult, SamplingComparison, StaticCaptureResult,
-};
-pub use floors::MultiFloorResult;
-pub use overload::OverloadFingerprint;
-pub use positioning::{PositioningArmResult, PositioningResult};
-pub use scale::{retention_cap, ScaleFingerprint};
-pub use scaling::ScalingResult;
-pub use telemetry::{cycle_features, TelemetryResult};
-pub use tracking::TrackingResult;
+pub(crate) use figures::CoefficientSweepPoint;
 
 // ===========================================================================
 // Shared helpers
@@ -157,19 +139,18 @@ pub fn fnv1a(s: &str) -> u64 {
 /// use roomsense::experiments::ExperimentCtx;
 ///
 /// let ctx = ExperimentCtx::new(7).with_devices(48).with_shards(4);
-/// let fingerprint = ctx.scale();
-/// assert!(fingerprint.digests_match);
+/// assert_eq!(ctx, ExperimentCtx::new(7).with_shards(4).with_devices(48));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExperimentCtx {
     /// Master seed; every experiment is a pure function of it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Fleet size override for the fleet-scale arms (`None` = the arm's
     /// published default: scale 10 000, overload 600, archive 240,
     /// counting = each preset's canonical crowd).
-    pub devices: Option<usize>,
+    pub(crate) devices: Option<usize>,
     /// BMS shard-count override (`None` = the arm's published default).
-    pub shards: Option<usize>,
+    pub(crate) shards: Option<usize>,
 }
 
 impl ExperimentCtx {

@@ -13,9 +13,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadFingerprint {
     /// Synthetic fleet size across both buildings.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Shards per building's [`IngestTier`](roomsense_net::IngestTier).
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Reports generated by the fleet (trickle + surge schedules).
     pub offered: u64,
     /// Offers admitted into a mailbox (equals `offered` after the drain:
@@ -24,22 +24,22 @@ pub struct OverloadFingerprint {
     /// Offer attempts answered `Backpressured` — each one costs the
     /// client exactly one deferred retry, so this is also the retry
     /// count.
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// Admission-gate pause events across both buildings.
-    pub pauses: u64,
+    pub(crate) pauses: u64,
     /// Deepest any client-side retry queue grew during the surge.
-    pub max_client_queue: usize,
+    pub(crate) max_client_queue: usize,
     /// Deepest any shard mailbox grew — must stay `<= mailbox_capacity`.
-    pub peak_mailbox_depth: usize,
+    pub(crate) peak_mailbox_depth: usize,
     /// The configured per-shard mailbox bound.
-    pub mailbox_capacity: usize,
+    pub(crate) mailbox_capacity: usize,
     /// Event-loop ticks until every mailbox and client queue drained.
-    pub ticks_to_drain: u64,
+    pub(crate) ticks_to_drain: u64,
     /// Campus queries answered at `Exact` service level.
-    pub exact_queries: u64,
+    pub(crate) exact_queries: u64,
     /// Campus queries answered at `Degraded` (stale-but-consistent)
     /// service level — the surge must force at least one.
-    pub degraded_queries: u64,
+    pub(crate) degraded_queries: u64,
     /// Every sampled query (degraded included) matched the prefix
     /// oracle's digest, and every lagging shard's rooms were marked
     /// stale.
@@ -48,11 +48,11 @@ pub struct OverloadFingerprint {
     /// single-server oracle digest.
     pub digests_match: bool,
     /// The federation's campus digest after the drain.
-    pub campus_digest: u64,
+    pub(crate) campus_digest: u64,
     /// Devices visible in the final campus view (one room each).
-    pub occupants: usize,
+    pub(crate) occupants: usize,
     /// Checksum of the merged campus telemetry.
-    pub telemetry_checksum: u64,
+    pub(crate) telemetry_checksum: u64,
 }
 
 impl OverloadFingerprint {

@@ -23,15 +23,15 @@ use roomsense_telemetry::Recorder;
 /// without the trilateration feature block, evaluated on the same held-out
 /// walk clean and faulted.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PositioningArmResult {
+pub(crate) struct PositioningArmResult {
     /// Which track filter smoothed the distances.
-    pub filter: FilterKind,
+    pub(crate) filter: FilterKind,
     /// Whether the trilateration block was appended to the features.
-    pub trilateration: bool,
+    pub(crate) trilateration: bool,
     /// Confusion matrix on the clean evaluation walk.
-    pub clean: ConfusionMatrix,
+    pub(crate) clean: ConfusionMatrix,
     /// Confusion matrix on the faulted replay of the same walk.
-    pub faulted: ConfusionMatrix,
+    pub(crate) faulted: ConfusionMatrix,
 }
 
 /// The positioning-arm output: the filter × trilateration SVM ablation, the
@@ -39,31 +39,31 @@ pub struct PositioningArmResult {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PositioningResult {
     /// One cell per `(filter, trilateration)` combination.
-    pub arms: Vec<PositioningArmResult>,
+    pub(crate) arms: Vec<PositioningArmResult>,
     /// The proximity baseline on the clean evaluation walk.
-    pub proximity_clean: ConfusionMatrix,
+    pub(crate) proximity_clean: ConfusionMatrix,
     /// The proximity baseline on the faulted replay.
-    pub proximity_faulted: ConfusionMatrix,
+    pub(crate) proximity_faulted: ConfusionMatrix,
     /// Class names (rooms plus "outside").
-    pub label_names: Vec<String>,
+    pub(crate) label_names: Vec<String>,
     /// Reports offered to the peer-relay mesh over the dual-outage drive.
-    pub mesh_reports: u64,
+    pub(crate) mesh_reports: u64,
     /// Distinct reports that reached the BMS by the end of the drive.
-    pub mesh_delivered: u64,
+    pub(crate) mesh_delivered: u64,
     /// Reports carried out over phone-to-phone mesh hops.
-    pub mesh_relayed: u64,
+    pub(crate) mesh_relayed: u64,
     /// Reports offered while BOTH direct channels were in outage.
-    pub outage_reports: u64,
+    pub(crate) outage_reports: u64,
     /// In-outage reports the mesh eventually delivered.
-    pub outage_delivered: u64,
+    pub(crate) outage_delivered: u64,
     /// What the plain Wi-Fi→BT failover stack delivered on the same drive
     /// (its best case: no phone→phone exit path).
-    pub failover_only_delivered: u64,
+    pub(crate) failover_only_delivered: u64,
 }
 
 impl PositioningResult {
     /// Accuracy pair `(clean, faulted)` for one ablation cell.
-    pub fn accuracy(&self, filter: FilterKind, trilateration: bool) -> Option<(f64, f64)> {
+    pub(crate) fn accuracy(&self, filter: FilterKind, trilateration: bool) -> Option<(f64, f64)> {
         self.arms
             .iter()
             .find(|a| a.filter == filter && a.trilateration == trilateration)

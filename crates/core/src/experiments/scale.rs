@@ -16,18 +16,10 @@ use std::sync::Arc;
 /// this collapses to the old `devices × (window / period + 1)` formula;
 /// summing per device keeps the bound tight when parts of the fleet
 /// report faster than others.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense::experiments::retention_cap;
-/// use roomsense_sim::SimDuration;
-///
-/// let window = SimDuration::from_secs(300);
-/// let periods = [SimDuration::from_secs(60), SimDuration::from_secs(30)];
-/// assert_eq!(retention_cap(window, periods), 6 + 11);
-/// ```
-pub fn retention_cap(window: SimDuration, periods: impl IntoIterator<Item = SimDuration>) -> usize {
+pub(crate) fn retention_cap(
+    window: SimDuration,
+    periods: impl IntoIterator<Item = SimDuration>,
+) -> usize {
     periods
         .into_iter()
         .map(|period| (window.as_millis() / period.as_millis().max(1)) as usize + 1)
@@ -38,73 +30,73 @@ pub fn retention_cap(window: SimDuration, periods: impl IntoIterator<Item = SimD
 /// pure function of `(seed, devices, shards)` at any `ROOMSENSE_THREADS`, so
 /// the `repro scale` checksum hashes exactly this.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScaleFingerprint {
+pub(crate) struct ScaleFingerprint {
     /// Synthetic fleet size.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Shards in the [`ShardedBmsServer`](roomsense_net::ShardedBmsServer).
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Reports offered to the per-device batching uplinks.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Offered reports that reached the server at least once.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Report retransmissions caused by lost batch acks (the at-least-once
     /// duplicate stream the dedup window absorbs).
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Reports dropped by uplink buffer overflow.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Reports still buffered when the drain window closed.
-    pub undelivered: u64,
+    pub(crate) undelivered: u64,
     /// Coalesced radio bursts across the fleet.
-    pub bursts: u64,
+    pub(crate) bursts: u64,
     /// Mean reports carried per burst attempt (the mean of every device's
     /// `net.batch.size` observations, failed attempts included) — the
     /// coalescing factor the batched energy arm prices.
-    pub mean_batch_size: f64,
+    pub(crate) mean_batch_size: f64,
     /// Reports the (crash-free) single reference server stored.
-    pub stored: u64,
+    pub(crate) stored: u64,
     /// Duplicates the single reference server rejected.
-    pub duplicates: u64,
+    pub(crate) duplicates: u64,
     /// Highest retained-report count observed across ingest chunks.
-    pub peak_retained: usize,
+    pub(crate) peak_retained: usize,
     /// The retention-window bound, summed per device over heterogeneous
     /// report periods: `Σ_d (window / period_d + 1)` (see
     /// [`retention_cap`]).
-    pub retained_cap: usize,
+    pub(crate) retained_cap: usize,
     /// Reports retained after the full stream (post-compaction).
-    pub final_retained: usize,
+    pub(crate) final_retained: usize,
     /// Entries dropped by retention compaction on the sharded fleet.
-    pub compacted: u64,
+    pub(crate) compacted: u64,
     /// Reports replayed from the journal after the mid-run crash.
-    pub recovered_reports: usize,
+    pub(crate) recovered_reports: usize,
     /// Sharded fleet and single server ended bit-for-bit identical.
-    pub digests_match: bool,
+    pub(crate) digests_match: bool,
     /// Post-crash restore + replay reproduced the pre-crash digest.
-    pub restore_digest_match: bool,
+    pub(crate) restore_digest_match: bool,
     /// Whether a query below the retention floor was (wrongly) marked
     /// complete — expected `false`.
-    pub early_query_complete: bool,
+    pub(crate) early_query_complete: bool,
     /// Rooms probed by the historical-occupancy query sweep.
-    pub history_rooms_probed: usize,
+    pub(crate) history_rooms_probed: usize,
     /// Rooms with at least one device in the final occupancy view.
-    pub occupied_rooms: usize,
+    pub(crate) occupied_rooms: usize,
     /// Devices in the final occupancy view.
-    pub occupants: usize,
+    pub(crate) occupants: usize,
     /// Fleet uplink energy under the batched (wake-per-burst) ledger arm.
-    pub batched_energy_mj: f64,
+    pub(crate) batched_energy_mj: f64,
     /// The same bursts priced with an always-associated Wi-Fi adapter.
-    pub always_on_energy_mj: f64,
+    pub(crate) always_on_energy_mj: f64,
     /// Checksum of the merged fleet telemetry (plus the peak gauge).
-    pub telemetry_checksum: u64,
+    pub(crate) telemetry_checksum: u64,
 }
 
 impl ScaleFingerprint {
     /// Whether peak resident state stayed under the retention bound.
-    pub fn retention_bounded(&self) -> bool {
+    pub(crate) fn retention_bounded(&self) -> bool {
         self.peak_retained <= self.retained_cap
     }
 
     /// Fraction of uplink energy saved by disassociating between bursts.
-    pub fn batched_saving_fraction(&self) -> f64 {
+    pub(crate) fn batched_saving_fraction(&self) -> f64 {
         if self.always_on_energy_mj > 0.0 {
             1.0 - self.batched_energy_mj / self.always_on_energy_mj
         } else {
@@ -145,7 +137,7 @@ impl ExperimentCtx {
     ///
     /// Defaults: 10 000 devices over 16 shards; [`ExperimentCtx::with_devices`]
     /// and [`ExperimentCtx::with_shards`] override them.
-    pub fn scale(&self) -> ScaleFingerprint {
+    pub(crate) fn scale(&self) -> ScaleFingerprint {
         use rand::Rng;
         use roomsense_net::{BatchingTransport, Delivery, ShardedBmsServer};
         use roomsense_telemetry::{keys, Histogram};

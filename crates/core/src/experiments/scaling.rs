@@ -14,9 +14,9 @@ pub struct ScalingResult {
     /// Proximity accuracy on the office floor.
     pub office_proximity: f64,
     /// Rooms and beacons, for the report.
-    pub rooms: usize,
+    pub(crate) rooms: usize,
     /// Beacons installed.
-    pub beacons: usize,
+    pub(crate) beacons: usize,
 }
 
 impl ExperimentCtx {

@@ -15,7 +15,7 @@ use roomsense_telemetry::Recorder;
 use std::sync::Arc;
 
 /// Convenience: feature vector of a cycle under a scenario's layout.
-pub fn cycle_features(scenario: &Scenario, record: &crate::CycleRecord) -> Vec<f64> {
+pub(crate) fn cycle_features(scenario: &Scenario, record: &crate::CycleRecord) -> Vec<f64> {
     features_from_snapshots(&record.snapshots, &scenario.beacon_order())
 }
 

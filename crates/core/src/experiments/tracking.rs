@@ -16,9 +16,9 @@ pub struct TrackingResult {
     pub device_agreement: f64,
     /// Fraction of samples where the entire occupancy table matched truth
     /// exactly.
-    pub table_agreement: f64,
+    pub(crate) table_agreement: f64,
     /// Number of truth samples compared.
-    pub samples: usize,
+    pub(crate) samples: usize,
 }
 
 impl ExperimentCtx {

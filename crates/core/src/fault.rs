@@ -22,13 +22,13 @@ use std::fmt;
 pub struct FaultPlan {
     /// One fault schedule per installed beacon, in `Scenario::advertisers()`
     /// order.
-    pub transmitter: Vec<TransmitterFault>,
+    pub(crate) transmitter: Vec<TransmitterFault>,
     /// Windows where the phone's BLE adapter is wedged and delivers nothing.
-    pub scanner_stalls: FaultSchedule,
+    pub(crate) scanner_stalls: FaultSchedule,
     /// Windows of scan-restart storms (most packets lost in setup/teardown).
-    pub scanner_storms: FaultSchedule,
+    pub(crate) scanner_storms: FaultSchedule,
     /// Per-packet drop probability inside a storm window.
-    pub storm_loss: f64,
+    pub(crate) storm_loss: f64,
     /// Windows where the first uplink hop (Wi-Fi AP or relay beacon) is down.
     pub uplink_outages: FaultSchedule,
     /// Windows where the BMS server itself is unreachable.
@@ -37,7 +37,7 @@ pub struct FaultPlan {
     /// start the in-memory state since the last checkpoint is lost, and the
     /// server restarts from checkpoint + journal replay when the window
     /// ends.
-    pub server_crashes: FaultSchedule,
+    pub(crate) server_crashes: FaultSchedule,
 }
 
 impl FaultPlan {
@@ -107,16 +107,6 @@ impl FaultPlan {
             server_outages,
             server_crashes,
         }
-    }
-
-    /// True when no domain has any fault scheduled.
-    pub fn is_benign(&self) -> bool {
-        self.transmitter.iter().all(|t| t.is_healthy())
-            && self.scanner_stalls.is_empty()
-            && self.scanner_storms.is_empty()
-            && self.uplink_outages.is_empty()
-            && self.server_outages.is_empty()
-            && self.server_crashes.is_empty()
     }
 
     /// Total scheduled downtime of the end-to-end report path (either hop
@@ -213,7 +203,6 @@ mod tests {
     #[test]
     fn zero_intensity_is_benign() {
         let plan = FaultPlan::generate(5, SimDuration::from_secs(600), 0.0, 42);
-        assert!(plan.is_benign());
         assert_eq!(plan, FaultPlan::none(5));
         assert_eq!(plan.uplink_downtime(), SimDuration::ZERO);
     }

@@ -70,18 +70,16 @@ mod scenario;
 
 pub use app_run::{run_app, AppRun};
 pub use batch::{
-    batch_alloc_stats, reset_batch_alloc_stats, run_fleet, run_fleet_batched, BatchAllocStats,
-    BatchConfig,
+    batch_alloc_stats, reset_batch_alloc_stats, run_fleet, run_fleet_batched, BatchConfig,
 };
-pub use collect::{
-    collect_dataset, features_from_snapshots, positioned_features_from_snapshots, LabelledDataset,
-    MISSING_DISTANCE,
-};
-pub use config::{FilterKind, PipelineConfig, ScannerKind, MEDIAN_FILTER_WINDOW};
-pub use crowd::{CrowdPreset, CrowdScenario, CrowdTrace, MaeBounds, SubjectTrace, TraceSegment};
+use collect::MISSING_DISTANCE;
+pub use collect::{collect_dataset, features_from_snapshots, LabelledDataset};
+pub use config::{FilterKind, PipelineConfig, ScannerKind};
+use crowd::CrowdTrace;
 pub use fault::FaultPlan;
 pub use fleet::FleetEvent;
-pub use multifloor::MultiFloorScenario;
-pub use occupancy::{OccupancyModel, TrainOccupancyError};
-pub use pipeline::{run_pipeline, run_pipeline_faulted, CycleRecord};
+use multifloor::MultiFloorScenario;
+pub use occupancy::OccupancyModel;
+use pipeline::CycleRecord;
+pub use pipeline::{run_pipeline, run_pipeline_faulted};
 pub use scenario::Scenario;

@@ -26,21 +26,8 @@ use std::fmt;
 const SLAB_ATTENUATION_DB: f64 = 18.0;
 
 /// A building of stacked floors sharing one proximity UUID.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense::MultiFloorScenario;
-/// use roomsense_building::presets;
-///
-/// let building = MultiFloorScenario::new(
-///     vec![presets::paper_house(), presets::paper_house()], 7);
-/// assert_eq!(building.floor_count(), 2);
-/// // Ten beacons total, five per floor, distinguished by major.
-/// assert_eq!(building.beacon_order().len(), 10);
-/// ```
 #[derive(Debug, Clone)]
-pub struct MultiFloorScenario {
+pub(crate) struct MultiFloorScenario {
     floors: Vec<Scenario>,
 }
 
@@ -51,7 +38,7 @@ impl MultiFloorScenario {
     /// # Panics
     ///
     /// Panics if `plans` is empty.
-    pub fn new(plans: Vec<FloorPlan>, seed: u64) -> Self {
+    pub(crate) fn new(plans: Vec<FloorPlan>, seed: u64) -> Self {
         assert!(!plans.is_empty(), "a building needs at least one floor");
         let floors = plans
             .into_iter()
@@ -66,18 +53,18 @@ impl MultiFloorScenario {
     }
 
     /// Number of floors.
-    pub fn floor_count(&self) -> usize {
+    pub(crate) fn floor_count(&self) -> usize {
         self.floors.len()
     }
 
     /// The per-floor scenarios (index = floor).
-    pub fn floors(&self) -> &[Scenario] {
+    pub(crate) fn floors(&self) -> &[Scenario] {
         &self.floors
     }
 
     /// The building-wide feature layout: every beacon's full identity, in
     /// (floor, site) order.
-    pub fn beacon_order(&self) -> Vec<BeaconIdentity> {
+    pub(crate) fn beacon_order(&self) -> Vec<BeaconIdentity> {
         self.floors
             .iter()
             .flat_map(|floor| {
@@ -90,7 +77,7 @@ impl MultiFloorScenario {
     }
 
     /// Class names: `floorN/room` for every room, plus `outside` last.
-    pub fn label_names(&self) -> Vec<String> {
+    pub(crate) fn label_names(&self) -> Vec<String> {
         let mut names = Vec::new();
         for (i, floor) in self.floors.iter().enumerate() {
             for room in floor.plan().rooms() {
@@ -102,7 +89,7 @@ impl MultiFloorScenario {
     }
 
     /// The label meaning "in no room on any floor".
-    pub fn outside_label(&self) -> usize {
+    pub(crate) fn outside_label(&self) -> usize {
         self.floors
             .iter()
             .map(|f| f.plan().rooms().len())
@@ -154,7 +141,7 @@ impl MultiFloorScenario {
     /// # Panics
     ///
     /// Panics if `user_floor` is out of range.
-    pub fn run_floor_pipeline<M: MobilityModel + ?Sized>(
+    pub(crate) fn run_floor_pipeline<M: MobilityModel + ?Sized>(
         &self,
         user_floor: usize,
         config: &PipelineConfig,
@@ -174,7 +161,7 @@ impl MultiFloorScenario {
 
     /// Builds the feature vector for one cycle over the building-wide
     /// beacon layout.
-    pub fn features_from_snapshots(&self, snapshots: &[TrackSnapshot]) -> Vec<f64> {
+    pub(crate) fn features_from_snapshots(&self, snapshots: &[TrackSnapshot]) -> Vec<f64> {
         self.beacon_order()
             .iter()
             .map(|identity| {
@@ -188,7 +175,7 @@ impl MultiFloorScenario {
 
     /// Runs the operator walk on every floor and assembles the labelled
     /// building-wide dataset.
-    pub fn collect_dataset(
+    pub(crate) fn collect_dataset(
         &self,
         config: &PipelineConfig,
         dwell_per_room: SimDuration,

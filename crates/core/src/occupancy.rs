@@ -60,7 +60,7 @@ impl OccupancyModel {
     ///
     /// # Errors
     ///
-    /// [`TrainOccupancyError`] when the dataset is empty or degenerate.
+    /// `TrainOccupancyError` when the dataset is empty or degenerate.
     pub fn fit(
         labelled: &LabelledDataset,
         params: &SvmParams,

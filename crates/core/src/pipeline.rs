@@ -24,11 +24,11 @@ pub struct CycleRecord {
     /// Cycle end time (when the app processes the batch).
     pub at: SimTime,
     /// Raw per-beacon observations this cycle (before smoothing).
-    pub observations: Vec<Observation>,
+    pub(crate) observations: Vec<Observation>,
     /// Smoothed per-beacon tracks after this cycle.
     pub snapshots: Vec<TrackSnapshot>,
     /// Where the occupant actually was at cycle end.
-    pub true_position: Point,
+    pub(crate) true_position: Point,
     /// Which room that is (`None` = outside every room).
     pub true_room: Option<RoomId>,
 }
@@ -351,6 +351,7 @@ mod tests {
     use roomsense_building::presets;
     use roomsense_geom::Polyline;
     use roomsense_ibeacon::Minor;
+    use roomsense_radio::DeviceRxProfile;
     use roomsense_telemetry::keys;
 
     fn corridor_scenario() -> Scenario {
@@ -547,7 +548,11 @@ mod tests {
                 .sum()
         };
         let android = total_samples(&PipelineConfig::paper_android());
-        let ios = total_samples(&PipelineConfig::paper_ios());
+        let ios = total_samples(&PipelineConfig {
+            scanner: ScannerKind::Ios,
+            device: DeviceRxProfile::iphone_5s(),
+            ..PipelineConfig::paper_android()
+        });
         assert!(ios > android * 5, "ios {ios} android {android}");
     }
 }

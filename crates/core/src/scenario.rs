@@ -46,7 +46,7 @@ impl Scenario {
     }
 
     /// Full control over the radio parameters.
-    pub fn with_radio(
+    pub(crate) fn with_radio(
         plan: FloorPlan,
         seed: u64,
         tx_profile: TransmitterProfile,
@@ -86,18 +86,13 @@ impl Scenario {
     }
 
     /// The deployment's proximity UUID.
-    pub fn uuid(&self) -> ProximityUuid {
+    pub(crate) fn uuid(&self) -> ProximityUuid {
         self.uuid
     }
 
     /// The deployment's major value.
-    pub fn major(&self) -> Major {
+    pub(crate) fn major(&self) -> Major {
         self.major
-    }
-
-    /// The transmitter profile shared by all beacons.
-    pub fn tx_profile(&self) -> &TransmitterProfile {
-        &self.tx_profile
     }
 
     /// The live advertisers (one per beacon site, same order).
@@ -119,7 +114,7 @@ impl Scenario {
 
     /// Changes the deployment's major value (e.g. the floor number in a
     /// multi-floor building), re-stamping every advertiser's packet.
-    pub fn set_major(&mut self, major: Major) {
+    pub(crate) fn set_major(&mut self, major: Major) {
         self.major = major;
         for placed in &mut self.advertisers {
             let old = *placed.advertiser.packet();
@@ -136,7 +131,7 @@ impl Scenario {
     /// A view of this scenario with a substituted advertiser set — used by
     /// multi-floor deployments to inject attenuated cross-floor beacons.
     /// The floor plan, channel and seed are shared.
-    pub fn with_advertisers(&self, advertisers: Vec<PlacedAdvertiser>) -> Scenario {
+    pub(crate) fn with_advertisers(&self, advertisers: Vec<PlacedAdvertiser>) -> Scenario {
         Scenario {
             advertisers,
             ..self.clone()
@@ -150,13 +145,13 @@ impl Scenario {
 
     /// The fixed feature order: each beacon's minor, in floor-plan order.
     /// Classifier feature `i` is the distance to `beacon_order()[i]`.
-    pub fn beacon_order(&self) -> Vec<Minor> {
+    pub(crate) fn beacon_order(&self) -> Vec<Minor> {
         self.plan.beacon_sites().iter().map(|s| s.minor).collect()
     }
 
     /// Beacon mounting positions in [`beacon_order`](Self::beacon_order)
     /// order — the trilateration anchors for `ml::position_features`.
-    pub fn beacon_anchors(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn beacon_anchors(&self) -> Vec<(f64, f64)> {
         self.plan
             .beacon_sites()
             .iter()
@@ -167,7 +162,7 @@ impl Scenario {
     /// The room label (dense index) each beacon belongs to, in
     /// [`beacon_order`](Self::beacon_order) order — what the proximity
     /// baseline needs.
-    pub fn beacon_room_labels(&self) -> Vec<usize> {
+    pub(crate) fn beacon_room_labels(&self) -> Vec<usize> {
         self.plan
             .beacon_sites()
             .iter()
@@ -267,7 +262,7 @@ mod tests {
         let s = Scenario::from_plan(presets::paper_house(), 1);
         assert_eq!(
             s.ranging_config().path_loss_exponent,
-            s.tx_profile().path_loss_exponent
+            s.tx_profile.path_loss_exponent
         );
     }
 }

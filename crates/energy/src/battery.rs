@@ -14,17 +14,6 @@ pub struct BatteryTracePoint {
 }
 
 /// A phone battery with a state of charge.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_energy::Battery;
-///
-/// let mut battery = Battery::new(5700.0);
-/// battery.drain_mwh(570.0);
-/// assert!((battery.percent() - 90.0).abs() < 1e-9);
-/// assert!(!battery.is_empty());
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_mwh: f64,
@@ -37,7 +26,7 @@ impl Battery {
     /// # Panics
     ///
     /// Panics if the capacity is not positive and finite.
-    pub fn new(capacity_mwh: f64) -> Self {
+    pub(crate) fn new(capacity_mwh: f64) -> Self {
         assert!(
             capacity_mwh.is_finite() && capacity_mwh > 0.0,
             "capacity must be positive (got {capacity_mwh})"
@@ -54,23 +43,18 @@ impl Battery {
     }
 
     /// Removes energy; clamps at empty.
-    pub fn drain_mwh(&mut self, energy_mwh: f64) {
+    pub(crate) fn drain_mwh(&mut self, energy_mwh: f64) {
         self.drained_mwh = (self.drained_mwh + energy_mwh.max(0.0)).min(self.capacity_mwh);
     }
 
     /// State of charge in percent (100 = full).
-    pub fn percent(&self) -> f64 {
+    pub(crate) fn percent(&self) -> f64 {
         100.0 * (1.0 - self.drained_mwh / self.capacity_mwh)
     }
 
     /// True once fully drained.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.drained_mwh >= self.capacity_mwh
-    }
-
-    /// The capacity in mWh.
-    pub fn capacity_mwh(&self) -> f64 {
-        self.capacity_mwh
     }
 
     /// Projected lifetime at a constant draw, in hours.

@@ -11,23 +11,6 @@ use roomsense_sim::{SimDuration, SimTime};
 use std::fmt;
 
 /// The intervals during which the accelerometer reports motion.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_energy::MotionIntervals;
-/// use roomsense_sim::SimTime;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let motion = MotionIntervals::new(vec![
-///     (SimTime::from_secs(0), SimTime::from_secs(60)),
-///     (SimTime::from_secs(300), SimTime::from_secs(360)),
-/// ])?;
-/// assert!(motion.is_moving(SimTime::from_secs(30)));
-/// assert!(!motion.is_moving(SimTime::from_secs(120)));
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MotionIntervals {
     intervals: Vec<(SimTime, SimTime)>,
@@ -52,7 +35,7 @@ impl MotionIntervals {
     ///
     /// # Errors
     ///
-    /// [`BuildMotionError`] when the intervals are malformed.
+    /// `BuildMotionError` when the intervals are malformed.
     pub fn new(intervals: Vec<(SimTime, SimTime)>) -> Result<Self, BuildMotionError> {
         for w in intervals.windows(2) {
             if w[0].1 > w[1].0 {
@@ -67,12 +50,12 @@ impl MotionIntervals {
 
     /// Whether the user is moving at `t` (intervals are half-open
     /// `[start, end)`).
-    pub fn is_moving(&self, t: SimTime) -> bool {
+    pub(crate) fn is_moving(&self, t: SimTime) -> bool {
         self.intervals.iter().any(|(a, b)| t >= *a && t < *b)
     }
 
     /// Moving time clipped to `[0, horizon)`.
-    pub fn moving_within(&self, horizon: SimDuration) -> SimDuration {
+    pub(crate) fn moving_within(&self, horizon: SimDuration) -> SimDuration {
         let end = SimTime::ZERO + horizon;
         self.intervals
             .iter()

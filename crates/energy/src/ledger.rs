@@ -64,12 +64,17 @@ pub struct EnergyLedger {
 
 impl EnergyLedger {
     /// Creates an empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EnergyLedger::default()
     }
 
     /// Adds `power_mw` drawn for `duration` to a component.
-    pub fn charge(&mut self, component: ComponentKind, power_mw: f64, duration: SimDuration) {
+    pub(crate) fn charge(
+        &mut self,
+        component: ComponentKind,
+        power_mw: f64,
+        duration: SimDuration,
+    ) {
         *self.totals_mj.entry(component).or_insert(0.0) += power_mw * duration.as_secs_f64();
     }
 
@@ -84,7 +89,7 @@ impl EnergyLedger {
     }
 
     /// Total energy in milliwatt-hours (the unit batteries are rated in).
-    pub fn total_mwh(&self) -> f64 {
+    pub(crate) fn total_mwh(&self) -> f64 {
         self.total_mj() / 3600.0
     }
 
@@ -97,7 +102,7 @@ impl EnergyLedger {
     }
 
     /// Per-component breakdown, largest first.
-    pub fn breakdown(&self) -> Vec<(ComponentKind, f64)> {
+    pub(crate) fn breakdown(&self) -> Vec<(ComponentKind, f64)> {
         let mut items: Vec<(ComponentKind, f64)> =
             self.totals_mj.iter().map(|(k, v)| (*k, *v)).collect();
         items.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite energies"));
@@ -167,26 +172,9 @@ impl fmt::Display for EnergyLedger {
 /// The batched architecture drops the idle dwell entirely (the adapter
 /// disassociates between coalesced bursts) and instead charges a
 /// wake/re-associate cost ([`ComponentKind::WifiWake`], at active power for
-/// [`PowerProfile::wifi_wake_duration`]) per Wi-Fi burst — fewer bursts is
+/// `PowerProfile::wifi_wake_duration`) per Wi-Fi burst — fewer bursts is
 /// the whole point, so the event log `roomsense_net::BatchingTransport`
 /// produces makes the trade explicit.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_energy::{account, PowerProfile, UplinkArchitecture, UsageTimeline};
-/// use roomsense_sim::SimDuration;
-///
-/// let idle_hour = UsageTimeline {
-///     duration: SimDuration::from_secs(3600),
-///     scan_active: SimDuration::from_secs(3600),
-///     transport_events: vec![],
-/// };
-/// let ledger = account(&PowerProfile::galaxy_s3_mini(), &idle_hour,
-///                      UplinkArchitecture::BluetoothRelay);
-/// // baseline + cpu + scan = 480 mW for one hour = 480 mWh
-/// assert!((ledger.total_mwh() - 480.0).abs() < 1.0);
-/// ```
 pub fn account(
     profile: &PowerProfile,
     timeline: &UsageTimeline,

@@ -29,6 +29,6 @@ mod ledger;
 mod profile;
 
 pub use battery::{Battery, BatteryTracePoint};
-pub use gating::{gate_timeline, BuildMotionError, MotionIntervals};
+pub use gating::{gate_timeline, MotionIntervals};
 pub use ledger::{account, ComponentKind, EnergyLedger, UsageTimeline};
 pub use profile::{PowerProfile, UplinkArchitecture};

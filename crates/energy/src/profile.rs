@@ -43,23 +43,23 @@ impl fmt::Display for UplinkArchitecture {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Device floor: kernel, RAM refresh, cellular idle. Always charged.
-    pub baseline_mw: f64,
+    pub(crate) baseline_mw: f64,
     /// The app's CPU wakelock while the service runs. Always charged while
     /// the app runs.
-    pub cpu_service_mw: f64,
+    pub(crate) cpu_service_mw: f64,
     /// The BLE scanner while actively scanning.
-    pub ble_scan_mw: f64,
+    pub(crate) ble_scan_mw: f64,
     /// Wi-Fi adapter associated but idle (Wi-Fi architecture only).
-    pub wifi_idle_mw: f64,
+    pub(crate) wifi_idle_mw: f64,
     /// Wi-Fi actively transmitting.
-    pub wifi_active_mw: f64,
+    pub(crate) wifi_active_mw: f64,
     /// Wi-Fi high-power tail after each transfer.
-    pub wifi_tail_mw: f64,
+    pub(crate) wifi_tail_mw: f64,
     /// How long the Wi-Fi tail lasts after each transfer.
-    pub wifi_tail_duration: SimDuration,
+    pub(crate) wifi_tail_duration: SimDuration,
     /// How long waking + re-associating the adapter takes before a batched
     /// burst (charged at `wifi_active_mw`, batched architecture only).
-    pub wifi_wake_duration: SimDuration,
+    pub(crate) wifi_wake_duration: SimDuration,
     /// Bluetooth during a relay connection (connect + transfer).
     pub bt_connection_mw: f64,
     /// Battery capacity in milliwatt-hours.
@@ -81,23 +81,6 @@ impl PowerProfile {
             wifi_wake_duration: SimDuration::from_millis(1800),
             bt_connection_mw: 270.0,
             battery_capacity_mwh: 5700.0,
-        }
-    }
-
-    /// The LG Nexus 5 (2300 mAh at 3.8 V): beefier battery, similar radio
-    /// power, slightly hungrier SoC.
-    pub fn nexus_5() -> Self {
-        PowerProfile {
-            baseline_mw: 190.0,
-            cpu_service_mw: 170.0,
-            ble_scan_mw: 150.0,
-            wifi_idle_mw: 55.0,
-            wifi_active_mw: 800.0,
-            wifi_tail_mw: 140.0,
-            wifi_tail_duration: SimDuration::from_millis(900),
-            wifi_wake_duration: SimDuration::from_millis(1500),
-            bt_connection_mw: 250.0,
-            battery_capacity_mwh: 8740.0,
         }
     }
 }
@@ -133,13 +116,5 @@ mod tests {
         let p = PowerProfile::galaxy_s3_mini();
         assert!(p.wifi_active_mw > p.bt_connection_mw);
         assert!(p.wifi_active_mw > p.ble_scan_mw);
-    }
-
-    #[test]
-    fn nexus_battery_is_larger() {
-        assert!(
-            PowerProfile::nexus_5().battery_capacity_mwh
-                > PowerProfile::galaxy_s3_mini().battery_capacity_mwh
-        );
     }
 }

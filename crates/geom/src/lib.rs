@@ -34,9 +34,9 @@ mod rect;
 mod segment;
 
 pub use point::{Point, Vec2};
-pub use polygon::{BuildPolygonError, Polygon};
-pub use polyline::{BuildPolylineError, Polyline};
-pub use rect::Rect;
+pub use polygon::Polygon;
+pub use polyline::Polyline;
+use rect::Rect;
 pub use segment::Segment;
 
 /// Tolerance used for floating-point geometric predicates, in metres.

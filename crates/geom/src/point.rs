@@ -42,9 +42,6 @@ pub struct Vec2 {
 }
 
 impl Point {
-    /// The origin of the floor plan.
-    pub const ORIGIN: Point = Point { x: 0.0, y: 0.0 };
-
     /// Creates a point at `(x, y)` metres.
     pub const fn new(x: f64, y: f64) -> Self {
         Point { x, y }
@@ -62,22 +59,9 @@ impl Point {
     pub fn lerp(self, other: Point, t: f64) -> Point {
         self + (other - self) * t
     }
-
-    /// The midpoint between `self` and `other`.
-    pub fn midpoint(self, other: Point) -> Point {
-        self.lerp(other, 0.5)
-    }
-
-    /// Converts the point to the displacement from the origin.
-    pub fn to_vec(self) -> Vec2 {
-        Vec2::new(self.x, self.y)
-    }
 }
 
 impl Vec2 {
-    /// The zero displacement.
-    pub const ZERO: Vec2 = Vec2 { x: 0.0, y: 0.0 };
-
     /// Creates a vector `(x, y)` in metres.
     pub const fn new(x: f64, y: f64) -> Self {
         Vec2 { x, y }
@@ -89,12 +73,12 @@ impl Vec2 {
     }
 
     /// Squared Euclidean length.
-    pub fn length_sq(self) -> f64 {
+    pub(crate) fn length_sq(self) -> f64 {
         self.x * self.x + self.y * self.y
     }
 
     /// Dot product with `other`.
-    pub fn dot(self, other: Vec2) -> f64 {
+    pub(crate) fn dot(self, other: Vec2) -> f64 {
         self.x * other.x + self.y * other.y
     }
 
@@ -103,11 +87,6 @@ impl Vec2 {
     /// Positive when `other` lies counter-clockwise of `self`.
     pub fn cross(self, other: Vec2) -> f64 {
         self.x * other.y - self.y * other.x
-    }
-
-    /// Angle of the vector from the +x axis, in radians in `(-π, π]`.
-    pub fn angle(self) -> f64 {
-        self.y.atan2(self.x)
     }
 }
 
@@ -211,7 +190,7 @@ mod tests {
 
     #[test]
     fn pythagorean_triple() {
-        assert_eq!(Point::ORIGIN.distance_to(Point::new(3.0, 4.0)), 5.0);
+        assert_eq!(Point::new(0.0, 0.0).distance_to(Point::new(3.0, 4.0)), 5.0);
     }
 
     #[test]
@@ -220,7 +199,7 @@ mod tests {
         let b = Point::new(2.0, 4.0);
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.midpoint(b), Point::new(1.0, 2.0));
+        assert_eq!(a.lerp(b, 0.5), Point::new(1.0, 2.0));
     }
 
     #[test]
@@ -238,11 +217,5 @@ mod tests {
         let v = Vec2::new(0.5, -2.0);
         assert_eq!((a + v) - v, a);
         assert_eq!((a + v) - a, v);
-    }
-
-    #[test]
-    fn angle_of_axes() {
-        assert_eq!(Vec2::new(1.0, 0.0).angle(), 0.0);
-        assert!((Vec2::new(0.0, 1.0).angle() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 }

@@ -13,62 +13,16 @@ use std::fmt;
 /// ```
 /// use roomsense_geom::{Point, Polygon};
 ///
-/// let l_shape = Polygon::new(vec![
-///     Point::new(0.0, 0.0),
-///     Point::new(4.0, 0.0),
-///     Point::new(4.0, 2.0),
-///     Point::new(2.0, 2.0),
-///     Point::new(2.0, 4.0),
-///     Point::new(0.0, 4.0),
-/// ]).expect("valid polygon");
-/// assert!(l_shape.contains(Point::new(1.0, 3.0)));
-/// assert!(!l_shape.contains(Point::new(3.0, 3.0)));
+/// let room = Polygon::rectangle(Point::new(0.0, 0.0), Point::new(4.0, 2.0));
+/// assert!(room.contains(Point::new(1.0, 1.0)));
+/// assert!(!room.contains(Point::new(3.0, 3.0)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     vertices: Vec<Point>,
 }
 
-/// Error building a [`Polygon`] from a vertex list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildPolygonError {
-    /// Fewer than three vertices were supplied.
-    TooFewVertices,
-    /// The vertex list traces a polygon with (numerically) zero area.
-    ZeroArea,
-}
-
-impl fmt::Display for BuildPolygonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildPolygonError::TooFewVertices => {
-                write!(f, "polygon needs at least three vertices")
-            }
-            BuildPolygonError::ZeroArea => write!(f, "polygon has zero area"),
-        }
-    }
-}
-
-impl std::error::Error for BuildPolygonError {}
-
 impl Polygon {
-    /// Builds a polygon from vertices in either winding order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildPolygonError::TooFewVertices`] for fewer than three
-    /// vertices and [`BuildPolygonError::ZeroArea`] for degenerate outlines.
-    pub fn new(vertices: Vec<Point>) -> Result<Self, BuildPolygonError> {
-        if vertices.len() < 3 {
-            return Err(BuildPolygonError::TooFewVertices);
-        }
-        let poly = Polygon { vertices };
-        if poly.area() <= EPSILON * EPSILON {
-            return Err(BuildPolygonError::ZeroArea);
-        }
-        Ok(poly)
-    }
-
     /// Builds the rectangle with opposite corners `a` and `b` as a polygon.
     pub fn rectangle(a: Point, b: Point) -> Self {
         let r = Rect::new(a, b);
@@ -82,20 +36,10 @@ impl Polygon {
         }
     }
 
-    /// The vertices in order.
-    pub fn vertices(&self) -> &[Point] {
-        &self.vertices
-    }
-
     /// The edges, each connecting consecutive vertices (closing edge last).
-    pub fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
         let n = self.vertices.len();
         (0..n).map(move |i| Segment::new(self.vertices[i], self.vertices[(i + 1) % n]))
-    }
-
-    /// Unsigned area in square metres (shoelace formula).
-    pub fn area(&self) -> f64 {
-        self.signed_area().abs()
     }
 
     fn signed_area(&self) -> f64 {
@@ -161,18 +105,6 @@ impl Polygon {
         }
         Rect::new(min, max)
     }
-
-    /// Number of polygon edges the segment crosses.
-    ///
-    /// The radio model uses this to count walls between two antennas.
-    pub fn crossings(&self, path: &Segment) -> usize {
-        self.edges().filter(|e| e.intersects(path)).count()
-    }
-
-    /// Perimeter length in metres.
-    pub fn perimeter(&self) -> f64 {
-        self.edges().map(|e| e.length()).sum()
-    }
 }
 
 impl fmt::Display for Polygon {
@@ -193,27 +125,16 @@ mod tests {
     use super::*;
 
     fn unit_square() -> Polygon {
-        Polygon::rectangle(Point::ORIGIN, Point::new(1.0, 1.0))
+        Polygon::rectangle(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
+    }
+
+    fn polygon(vertices: Vec<Point>) -> Polygon {
+        Polygon { vertices }
     }
 
     #[test]
-    fn too_few_vertices_rejected() {
-        assert_eq!(
-            Polygon::new(vec![Point::ORIGIN, Point::new(1.0, 0.0)]),
-            Err(BuildPolygonError::TooFewVertices)
-        );
-    }
-
-    #[test]
-    fn zero_area_rejected() {
-        let collinear = vec![Point::ORIGIN, Point::new(1.0, 0.0), Point::new(2.0, 0.0)];
-        assert_eq!(Polygon::new(collinear), Err(BuildPolygonError::ZeroArea));
-    }
-
-    #[test]
-    fn square_area_and_centroid() {
+    fn square_centroid() {
         let p = unit_square();
-        assert!((p.area() - 1.0).abs() < 1e-12);
         let c = p.centroid();
         assert!(c.distance_to(Point::new(0.5, 0.5)) < 1e-12);
     }
@@ -221,11 +142,10 @@ mod tests {
     #[test]
     fn centroid_independent_of_winding() {
         let ccw = unit_square();
-        let mut verts: Vec<Point> = ccw.vertices().to_vec();
+        let mut verts = ccw.vertices.clone();
         verts.reverse();
-        let cw = Polygon::new(verts).expect("valid");
+        let cw = polygon(verts);
         assert!(ccw.centroid().distance_to(cw.centroid()) < 1e-12);
-        assert!((ccw.area() - cw.area()).abs() < 1e-12);
     }
 
     #[test]
@@ -239,51 +159,29 @@ mod tests {
 
     #[test]
     fn l_shape_concavity() {
-        let l = Polygon::new(vec![
+        let l = polygon(vec![
             Point::new(0.0, 0.0),
             Point::new(4.0, 0.0),
             Point::new(4.0, 2.0),
             Point::new(2.0, 2.0),
             Point::new(2.0, 4.0),
             Point::new(0.0, 4.0),
-        ])
-        .expect("valid");
+        ]);
         assert!(l.contains(Point::new(3.0, 1.0)));
         assert!(!l.contains(Point::new(3.0, 3.0))); // in the notch
-        assert!((l.area() - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn crossings_counts_walls() {
-        let p = unit_square();
-        // Path through the square: crosses two edges.
-        let through = Segment::new(Point::new(-1.0, 0.5), Point::new(2.0, 0.5));
-        assert_eq!(p.crossings(&through), 2);
-        // Path entirely inside: no crossings.
-        let inside = Segment::new(Point::new(0.2, 0.5), Point::new(0.8, 0.5));
-        assert_eq!(p.crossings(&inside), 0);
-        // Path from inside out: one crossing.
-        let out = Segment::new(Point::new(0.5, 0.5), Point::new(2.0, 0.5));
-        assert_eq!(p.crossings(&out), 1);
     }
 
     #[test]
     fn bounding_box_contains_all_vertices() {
-        let l = Polygon::new(vec![
+        let l = polygon(vec![
             Point::new(-1.0, 0.0),
             Point::new(2.0, -1.0),
             Point::new(3.0, 4.0),
-        ])
-        .expect("valid");
+        ]);
         let bb = l.bounding_box();
-        for v in l.vertices() {
+        for v in &l.vertices {
             assert!(bb.contains(*v));
         }
-    }
-
-    #[test]
-    fn perimeter_of_square() {
-        assert!((unit_square().perimeter() - 4.0).abs() < 1e-12);
     }
 
     mod properties {
@@ -304,17 +202,15 @@ mod tests {
                 prop_assert!(poly.contains(poly.centroid()));
             }
 
-            /// Area equals width x height for rectangles, and the bounding
-            /// box is the rectangle itself.
+            /// The bounding box of a rectangle is the rectangle itself.
             #[test]
-            fn rectangle_area_and_bbox(
+            fn rectangle_bbox(
                 x in -50.0f64..50.0, y in -50.0f64..50.0,
                 w in 0.5f64..30.0, h in 0.5f64..30.0,
             ) {
                 let poly = Polygon::rectangle(Point::new(x, y), Point::new(x + w, y + h));
-                prop_assert!((poly.area() - w * h).abs() < 1e-6);
                 let bb = poly.bounding_box();
-                prop_assert!((bb.area() - w * h).abs() < 1e-6);
+                prop_assert!((bb.width() - w).abs() < 1e-6 && (bb.height() - h).abs() < 1e-6);
             }
 
             /// Points outside the bounding box are never contained.
@@ -327,20 +223,6 @@ mod tests {
                 if !poly.bounding_box().contains(p) {
                     prop_assert!(!poly.contains(p));
                 }
-            }
-
-            /// A segment fully inside a convex room crosses no walls; a
-            /// segment from deep inside to far outside crosses at least one.
-            #[test]
-            fn crossing_parity(poly in rect_polygon()) {
-                let c = poly.centroid();
-                let inside = Segment::new(
-                    Point::new(c.x - 0.1, c.y),
-                    Point::new(c.x + 0.1, c.y),
-                );
-                prop_assert_eq!(poly.crossings(&inside), 0);
-                let out = Segment::new(c, Point::new(c.x + 1000.0, c.y + 777.0));
-                prop_assert!(poly.crossings(&out) >= 1);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Polylines: waypoint paths walked by occupants.
 
-use crate::{Point, Segment};
+use crate::Point;
 use std::fmt;
 
 /// An open chain of waypoints.
@@ -46,7 +46,7 @@ impl Polyline {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildPolylineError`] when fewer than two waypoints are given.
+    /// Returns `BuildPolylineError` when fewer than two waypoints are given.
     pub fn new(waypoints: Vec<Point>) -> Result<Self, BuildPolylineError> {
         if waypoints.len() < 2 {
             return Err(BuildPolylineError);
@@ -102,18 +102,6 @@ impl Polyline {
         };
         self.waypoints[i].lerp(self.waypoints[i + 1], t)
     }
-
-    /// The legs of the path as segments.
-    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
-        self.waypoints.windows(2).map(|w| Segment::new(w[0], w[1]))
-    }
-
-    /// The path walked in the opposite direction.
-    pub fn reversed(&self) -> Polyline {
-        let mut waypoints = self.waypoints.clone();
-        waypoints.reverse();
-        Polyline::new(waypoints).expect("was valid forwards")
-    }
 }
 
 impl fmt::Display for Polyline {
@@ -142,7 +130,10 @@ mod tests {
 
     #[test]
     fn single_waypoint_rejected() {
-        assert_eq!(Polyline::new(vec![Point::ORIGIN]), Err(BuildPolylineError));
+        assert_eq!(
+            Polyline::new(vec![Point::new(0.0, 0.0)]),
+            Err(BuildPolylineError)
+        );
     }
 
     #[test]
@@ -166,27 +157,10 @@ mod tests {
     }
 
     #[test]
-    fn reversed_mirrors_positions() {
-        let p = l_path();
-        let r = p.reversed();
-        let len = p.length();
-        for d in [0.0, 1.0, 3.5, 7.0] {
-            let fwd = p.point_at_distance(d);
-            let back = r.point_at_distance(len - d);
-            assert!(fwd.distance_to(back) < 1e-9);
-        }
-    }
-
-    #[test]
     fn repeated_waypoints_are_tolerated() {
-        let p =
-            Polyline::new(vec![Point::ORIGIN, Point::ORIGIN, Point::new(2.0, 0.0)]).expect("valid");
+        let origin = Point::new(0.0, 0.0);
+        let p = Polyline::new(vec![origin, origin, Point::new(2.0, 0.0)]).expect("valid");
         assert_eq!(p.length(), 2.0);
         assert_eq!(p.point_at_distance(1.0), Point::new(1.0, 0.0));
-    }
-
-    #[test]
-    fn segments_count() {
-        assert_eq!(l_path().segments().count(), 2);
     }
 }

@@ -41,13 +41,8 @@ impl Segment {
         self.b - self.a
     }
 
-    /// The midpoint of the segment.
-    pub fn midpoint(&self) -> Point {
-        self.a.midpoint(self.b)
-    }
-
     /// The point a fraction `t ∈ [0, 1]` of the way from `a` to `b`.
-    pub fn point_at(&self, t: f64) -> Point {
+    pub(crate) fn point_at(&self, t: f64) -> Point {
         self.a.lerp(self.b, t)
     }
 
@@ -64,7 +59,7 @@ impl Segment {
     ///
     /// Returns `None` for parallel or collinear segments (even overlapping
     /// ones) and for segment pairs that do not reach each other.
-    pub fn intersection(&self, other: &Segment) -> Option<Point> {
+    pub(crate) fn intersection(&self, other: &Segment) -> Option<Point> {
         let r = self.direction();
         let s = other.direction();
         let denom = r.cross(s);
@@ -107,7 +102,7 @@ impl Segment {
     }
 
     /// Shortest distance from the segment to a point, in metres.
-    pub fn distance_to_point(&self, p: Point) -> f64 {
+    pub(crate) fn distance_to_point(&self, p: Point) -> f64 {
         let d = self.direction();
         let len_sq = d.length_sq();
         if len_sq <= f64::EPSILON {
@@ -115,11 +110,6 @@ impl Segment {
         }
         let t = ((p - self.a).dot(d) / len_sq).clamp(0.0, 1.0);
         self.point_at(t).distance_to(p)
-    }
-
-    /// The segment with its endpoints swapped.
-    pub fn reversed(&self) -> Segment {
-        Segment::new(self.b, self.a)
     }
 }
 
@@ -196,12 +186,5 @@ mod tests {
         let s = seg(1.0, 1.0, 1.0, 1.0);
         assert_eq!(s.length(), 0.0);
         assert!((s.distance_to_point(Point::new(4.0, 5.0)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let s = seg(0.0, 0.0, 1.0, 2.0);
-        assert_eq!(s.reversed().a, s.b);
-        assert_eq!(s.reversed().b, s.a);
     }
 }

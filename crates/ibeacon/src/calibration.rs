@@ -88,7 +88,7 @@ impl Calibrator {
     ///
     /// # Errors
     ///
-    /// [`CalibrateTxPowerError::NonFiniteSample`] if `rssi_dbm` is NaN or
+    /// `CalibrateTxPowerError::NonFiniteSample` if `rssi_dbm` is NaN or
     /// infinite; the sample is not recorded.
     pub fn add_sample(&mut self, rssi_dbm: f64) -> Result<(), CalibrateTxPowerError> {
         if !rssi_dbm.is_finite() {
@@ -104,7 +104,7 @@ impl Calibrator {
     }
 
     /// Whether enough samples have been collected.
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         self.samples.len() >= self.min_samples
     }
 
@@ -113,8 +113,8 @@ impl Calibrator {
     ///
     /// # Errors
     ///
-    /// [`CalibrateTxPowerError::NotEnoughSamples`] until
-    /// [`is_ready`](Self::is_ready) is true.
+    /// `CalibrateTxPowerError::NotEnoughSamples` until
+    /// `is_ready` is true.
     pub fn measured_power(&self) -> Result<MeasuredPower, CalibrateTxPowerError> {
         if !self.is_ready() {
             return Err(CalibrateTxPowerError::NotEnoughSamples {

@@ -10,7 +10,7 @@
 //!   ([`RegionMonitor`]), and
 //! * **range** beacons — estimate the distance to each sighted beacon from
 //!   the received signal strength and the measured-power field
-//!   ([`estimate_distance`]).
+//!   ([`estimate_distance_log`]).
 //!
 //! This crate is pure protocol: byte-level encoding/decoding
 //! ([`Packet::encode`] / [`Packet::decode`]), pattern matching
@@ -50,13 +50,9 @@ mod ranging;
 mod region;
 mod uuid;
 
-pub use calibration::{CalibrateTxPowerError, Calibrator};
+pub use calibration::Calibrator;
 pub use monitor::{MonitorEvent, RegionMonitor, RegionMonitorConfig};
-pub use packet::{
-    BeaconIdentity, DecodePacketError, Major, MeasuredPower, Minor, Packet, ADVERTISEMENT_LEN,
-};
-pub use ranging::{
-    estimate_distance, estimate_distance_log, Proximity, RangedBeacon, RangingConfig,
-};
+pub use packet::{BeaconIdentity, Major, MeasuredPower, Minor, Packet};
+pub use ranging::{estimate_distance_log, RangingConfig};
 pub use region::{Region, RegionId};
-pub use uuid::{ParseProximityUuidError, ProximityUuid};
+pub use uuid::ProximityUuid;

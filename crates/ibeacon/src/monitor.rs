@@ -130,22 +130,16 @@ impl RegionMonitor {
     }
 
     /// Stops monitoring a region. Returns whether it was registered.
+    ///
+    /// Kept public: paper behaviour (Fig 3) that only unit tests run.
     pub fn remove_region(&mut self, id: RegionId) -> bool {
         self.order.retain(|r| *r != id);
         self.regions.remove(&id).is_some()
     }
 
-    /// Number of monitored regions.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// True when no regions are monitored.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-
     /// Whether the device is currently inside the given region.
+    ///
+    /// Kept public: paper behaviour (Fig 3) that only unit tests run.
     pub fn is_inside(&self, id: RegionId) -> bool {
         self.regions.get(&id).is_some_and(|s| s.inside)
     }
@@ -293,7 +287,7 @@ mod tests {
         assert!(!m.remove_region(RegionId::new(1)));
         let ev = m.observe(SimTime::from_secs(0), &beacon(1, 1));
         assert!(ev.is_empty());
-        assert!(m.is_empty());
+        assert!(m.regions.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 /// UUID, 2-byte major, 2-byte minor and the measured-power byte. The prefix
 /// is two BLE AD structures: flags (`02 01 06`) and the manufacturer-specific
 /// header (`1A FF 4C 00 02 15` — Apple company ID, beacon type 2, length 21).
-pub const ADVERTISEMENT_LEN: usize = 30;
+pub(crate) const ADVERTISEMENT_LEN: usize = 30;
 
 /// The 9-byte constant iBeacon prefix that identifies the protocol.
 pub(crate) const PREFIX: [u8; 9] = [0x02, 0x01, 0x06, 0x1a, 0xff, 0x4c, 0x00, 0x02, 0x15];
@@ -133,7 +133,7 @@ impl fmt::Display for BeaconIdentity {
 /// let p = Packet::new(ProximityUuid::example(), Major::new(1), Minor::new(2),
 ///                     MeasuredPower::new(-59));
 /// let bytes = p.encode();
-/// assert_eq!(bytes.len(), roomsense_ibeacon::ADVERTISEMENT_LEN);
+/// assert_eq!(bytes.len(), 30);
 /// assert_eq!(Packet::decode(&bytes)?, p);
 /// # Ok(())
 /// # }
@@ -201,11 +201,6 @@ impl Packet {
         self.uuid
     }
 
-    /// The major value.
-    pub const fn major(&self) -> Major {
-        self.major
-    }
-
     /// The minor value.
     pub const fn minor(&self) -> Minor {
         self.minor
@@ -241,8 +236,8 @@ impl Packet {
     ///
     /// # Errors
     ///
-    /// [`DecodePacketError::WrongLength`] if `bytes` is not exactly 30 bytes;
-    /// [`DecodePacketError::NotIBeacon`] if the constant prefix does not
+    /// `DecodePacketError::WrongLength` if `bytes` is not exactly 30 bytes;
+    /// `DecodePacketError::NotIBeacon` if the constant prefix does not
     /// match (for example, a non-Apple manufacturer ID).
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodePacketError> {
         if bytes.len() != ADVERTISEMENT_LEN {
@@ -357,7 +352,7 @@ mod tests {
     #[test]
     fn identity_omits_power() {
         let a = sample();
-        let b = Packet::new(a.uuid(), a.major(), a.minor(), MeasuredPower::new(-70));
+        let b = Packet::new(a.uuid(), a.major, a.minor(), MeasuredPower::new(-70));
         assert_eq!(a.identity(), b.identity());
         assert_ne!(a, b);
     }

@@ -1,63 +1,11 @@
-//! Ranging: RSSI → distance estimation and proximity zoning.
+//! Ranging: RSSI → distance estimation.
 //!
 //! iBeacon ranging (paper Section III) exploits that "the strength of the
 //! signal decreases predictably as we get further": knowing the calibrated
 //! RSSI at one metre (the packet's measured-power field) and the current
 //! RSSI, the receiver estimates its distance from the transmitter.
 
-use crate::{BeaconIdentity, MeasuredPower};
-use std::fmt;
-
-/// Apple-style proximity zones derived from an estimated distance.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_ibeacon::Proximity;
-///
-/// assert_eq!(Proximity::from_distance(0.3), Proximity::Immediate);
-/// assert_eq!(Proximity::from_distance(2.0), Proximity::Near);
-/// assert_eq!(Proximity::from_distance(9.0), Proximity::Far);
-/// assert_eq!(Proximity::from_distance(f64::NAN), Proximity::Unknown);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Proximity {
-    /// Within about half a metre.
-    Immediate,
-    /// Between half a metre and four metres.
-    Near,
-    /// Beyond four metres.
-    Far,
-    /// The distance estimate is invalid (negative RSSI ratio, lost signal…).
-    Unknown,
-}
-
-impl Proximity {
-    /// Classifies a distance estimate in metres into a zone.
-    pub fn from_distance(distance_m: f64) -> Self {
-        if !distance_m.is_finite() || distance_m < 0.0 {
-            Proximity::Unknown
-        } else if distance_m < 0.5 {
-            Proximity::Immediate
-        } else if distance_m <= 4.0 {
-            Proximity::Near
-        } else {
-            Proximity::Far
-        }
-    }
-}
-
-impl fmt::Display for Proximity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Proximity::Immediate => "immediate",
-            Proximity::Near => "near",
-            Proximity::Far => "far",
-            Proximity::Unknown => "unknown",
-        };
-        f.write_str(s)
-    }
-}
+use crate::MeasuredPower;
 
 /// Parameters of the log-distance ranging model.
 ///
@@ -84,37 +32,6 @@ impl Default for RangingConfig {
         RangingConfig {
             path_loss_exponent: 2.2,
         }
-    }
-}
-
-/// Estimates the distance to a transmitter using the empirical power curve
-/// popularised by the Android iBeacon libraries the paper built on.
-///
-/// For `ratio = rssi / measured_power`:
-/// `d = ratio^10` when `ratio < 1`, else `d = 0.89976·ratio^7.7095 + 0.111`.
-///
-/// Returns a negative value (conventionally `-1.0`) when the inputs cannot
-/// produce an estimate (`rssi == 0`, used by real stacks to mean "no
-/// reading").
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_ibeacon::{estimate_distance, MeasuredPower};
-///
-/// // RSSI equal to the 1 m calibration ⇒ about one metre.
-/// let d = estimate_distance(-59.0, MeasuredPower::new(-59));
-/// assert!((d - 1.0).abs() < 0.02);
-/// ```
-pub fn estimate_distance(rssi_dbm: f64, measured_power: MeasuredPower) -> f64 {
-    if rssi_dbm == 0.0 || !rssi_dbm.is_finite() {
-        return -1.0;
-    }
-    let ratio = rssi_dbm / f64::from(measured_power.dbm());
-    if ratio < 1.0 {
-        ratio.powi(10)
-    } else {
-        0.89976 * ratio.powf(7.7095) + 0.111
     }
 }
 
@@ -147,87 +64,30 @@ pub fn estimate_distance_log(
     10f64.powf(exponent)
 }
 
-/// One ranged sighting of a beacon: identity, signal strength and the
-/// distance estimate the stack derived from them.
-///
-/// This is what the paper's ranging service hands to the signal-analysis
-/// layer and, after smoothing, to the server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RangedBeacon {
-    /// Which beacon was sighted.
-    pub identity: BeaconIdentity,
-    /// Received signal strength in dBm (already averaged over the scan
-    /// period's samples by the stack).
-    pub rssi_dbm: f64,
-    /// Estimated distance in metres; negative means "unknown".
-    pub distance_m: f64,
-}
-
-impl RangedBeacon {
-    /// The proximity zone for this sighting.
-    pub fn proximity(&self) -> Proximity {
-        Proximity::from_distance(self.distance_m)
-    }
-}
-
-impl fmt::Display for RangedBeacon {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} rssi={:.1} dBm d={:.2} m ({})",
-            self.identity,
-            self.rssi_dbm,
-            self.distance_m,
-            self.proximity()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Major, Minor, ProximityUuid};
 
     #[test]
     fn equal_rssi_means_one_metre() {
-        let d = estimate_distance(-59.0, MeasuredPower::new(-59));
-        assert!((d - 1.0).abs() < 0.02, "got {d}");
         let d = estimate_distance_log(-59.0, MeasuredPower::new(-59), &RangingConfig::default());
         assert!((d - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stronger_signal_is_closer() {
-        let mp = MeasuredPower::new(-59);
-        assert!(estimate_distance(-50.0, mp) < estimate_distance(-70.0, mp));
-        let cfg = RangingConfig::default();
-        assert!(estimate_distance_log(-50.0, mp, &cfg) < estimate_distance_log(-70.0, mp, &cfg));
     }
 
     #[test]
     fn distance_is_monotonic_in_rssi() {
         let mp = MeasuredPower::new(-59);
         let cfg = RangingConfig::default();
-        let mut last_emp = 0.0;
-        let mut last_log = 0.0;
+        let mut last = 0.0;
         for rssi in (-100..=-30).rev() {
-            let emp = estimate_distance(f64::from(rssi), mp);
-            let log = estimate_distance_log(f64::from(rssi), mp, &cfg);
-            assert!(emp >= last_emp, "empirical not monotonic at {rssi}");
-            assert!(log >= last_log, "log model not monotonic at {rssi}");
-            last_emp = emp;
-            last_log = log;
+            let d = estimate_distance_log(f64::from(rssi), mp, &cfg);
+            assert!(d >= last, "log model not monotonic at {rssi}");
+            last = d;
         }
     }
 
     #[test]
-    fn zero_rssi_means_unknown() {
-        assert_eq!(estimate_distance(0.0, MeasuredPower::new(-59)), -1.0);
-    }
-
-    #[test]
     fn non_finite_rssi_means_unknown() {
-        assert_eq!(estimate_distance(f64::NAN, MeasuredPower::new(-59)), -1.0);
         assert_eq!(
             estimate_distance_log(
                 f64::INFINITY,
@@ -246,29 +106,5 @@ mod tests {
         };
         let d = estimate_distance_log(-84.0, MeasuredPower::new(-59), &cfg);
         assert!((d - 10.0).abs() < 1e-9, "got {d}");
-    }
-
-    #[test]
-    fn proximity_zone_boundaries() {
-        assert_eq!(Proximity::from_distance(0.0), Proximity::Immediate);
-        assert_eq!(Proximity::from_distance(0.49), Proximity::Immediate);
-        assert_eq!(Proximity::from_distance(0.5), Proximity::Near);
-        assert_eq!(Proximity::from_distance(4.0), Proximity::Near);
-        assert_eq!(Proximity::from_distance(4.01), Proximity::Far);
-        assert_eq!(Proximity::from_distance(-1.0), Proximity::Unknown);
-    }
-
-    #[test]
-    fn ranged_beacon_reports_zone() {
-        let rb = RangedBeacon {
-            identity: BeaconIdentity {
-                uuid: ProximityUuid::example(),
-                major: Major::new(1),
-                minor: Minor::new(1),
-            },
-            rssi_dbm: -59.0,
-            distance_m: 1.0,
-        };
-        assert_eq!(rb.proximity(), Proximity::Near);
     }
 }

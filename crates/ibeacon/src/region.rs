@@ -4,14 +4,6 @@ use crate::{BeaconIdentity, Major, Minor, ProximityUuid};
 use std::fmt;
 
 /// An opaque identifier an application assigns to a monitored region.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_ibeacon::RegionId;
-/// let kitchen = RegionId::new(3);
-/// assert_eq!(kitchen.value(), 3);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RegionId(u32);
 
@@ -19,11 +11,6 @@ impl RegionId {
     /// Creates a region identifier.
     pub const fn new(value: u32) -> Self {
         RegionId(value)
-    }
-
-    /// The raw value.
-    pub const fn value(self) -> u32 {
-        self.0
     }
 }
 
@@ -86,21 +73,6 @@ impl Region {
             major: Some(major),
             minor: Some(minor),
         }
-    }
-
-    /// The region's proximity UUID.
-    pub const fn uuid(&self) -> ProximityUuid {
-        self.uuid
-    }
-
-    /// The major constraint, if any.
-    pub const fn major(&self) -> Option<Major> {
-        self.major
-    }
-
-    /// The minor constraint, if any.
-    pub const fn minor(&self) -> Option<Minor> {
-        self.minor
     }
 
     /// Whether a beacon identity falls inside this region.

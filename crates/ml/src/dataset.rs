@@ -66,7 +66,7 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// [`BuildDatasetError::ZeroDimension`] / [`BuildDatasetError::NoLabels`]
+    /// `BuildDatasetError::ZeroDimension` / `BuildDatasetError::NoLabels`
     /// on degenerate shapes.
     pub fn new(dimension: usize, label_names: Vec<String>) -> Result<Self, BuildDatasetError> {
         if dimension == 0 {
@@ -159,7 +159,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if an index is out of bounds.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
+    pub(crate) fn subset(&self, indices: &[usize]) -> Dataset {
         Dataset {
             dimension: self.dimension,
             label_names: self.label_names.clone(),

@@ -6,18 +6,6 @@ use std::fmt;
 ///
 /// The paper uses the Radial Basis Function kernel "as suggested by
 /// RedPin"; the linear kernel is kept for the classifier ablation.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_ml::Kernel;
-///
-/// let rbf = Kernel::Rbf { gamma: 0.5 };
-/// // A point has similarity 1 with itself…
-/// assert!((rbf.compute(&[1.0, 2.0], &[1.0, 2.0]) - 1.0).abs() < 1e-12);
-/// // …and less with anything else.
-/// assert!(rbf.compute(&[1.0, 2.0], &[3.0, 4.0]) < 1.0);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// The dot product `⟨x, y⟩`.
@@ -35,7 +23,7 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if the two vectors have different lengths.
-    pub fn compute(&self, x: &[f64], y: &[f64]) -> f64 {
+    pub(crate) fn compute(&self, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(
             x.len(),
             y.len(),

@@ -52,7 +52,7 @@ impl KnnClassifier {
     ///
     /// # Errors
     ///
-    /// [`FitKnnError`] if `data` is empty or `k` is zero.
+    /// `FitKnnError` if `data` is empty or `k` is zero.
     pub fn fit(data: &Dataset, k: usize) -> Result<Self, FitKnnError> {
         if data.is_empty() || k == 0 {
             return Err(FitKnnError);
@@ -63,11 +63,6 @@ impl KnnClassifier {
             rows: data.rows().to_vec(),
             labels: data.labels().to_vec(),
         })
-    }
-
-    /// The number of neighbours consulted.
-    pub fn k(&self) -> usize {
-        self.k
     }
 }
 

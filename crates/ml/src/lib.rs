@@ -51,15 +51,16 @@ mod scaler;
 mod svm;
 mod trilateration;
 
-pub use dataset::{k_fold, train_test_split, BuildDatasetError, Dataset};
+pub use dataset::{k_fold, train_test_split, Dataset};
 pub use kernel::Kernel;
-pub use knn::{FitKnnError, KnnClassifier};
+pub use knn::KnnClassifier;
 pub use metrics::ConfusionMatrix;
-pub use model_selection::{grid_search, GridPoint, GridSearchResult};
+pub use model_selection::{grid_search, GridSearchResult};
 pub use proximity::ProximityClassifier;
 pub use scaler::StandardScaler;
-pub use svm::{BinarySvm, Gram, SvmClassifier, SvmParams, SvmScratch, TrainSvmError};
-pub use trilateration::{position_features, trilaterate, TrilaterateError, POSITION_FEATURE_WIDTH};
+use svm::Gram;
+pub use svm::{BinarySvm, SvmClassifier, SvmParams, SvmScratch, TrainSvmError};
+pub use trilateration::{position_features, trilaterate, POSITION_FEATURE_WIDTH};
 
 /// A trained multi-class classifier over dense feature vectors.
 ///

@@ -56,11 +56,6 @@ impl ConfusionMatrix {
         cm
     }
 
-    /// Number of classes.
-    pub fn class_count(&self) -> usize {
-        self.classes
-    }
-
     /// Records one `(truth, predicted)` outcome.
     ///
     /// # Panics

@@ -38,7 +38,7 @@ pub struct GridSearchResult {
     /// Every grid point, in evaluation order.
     pub points: Vec<GridPoint>,
     /// The winning parameters.
-    pub best: SvmParams,
+    pub(crate) best: SvmParams,
 }
 
 impl GridSearchResult {

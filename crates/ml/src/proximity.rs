@@ -56,11 +56,6 @@ impl ProximityClassifier {
             missing_sentinel,
         }
     }
-
-    /// The room label each feature's beacon belongs to.
-    pub fn beacon_rooms(&self) -> &[usize] {
-        &self.beacon_rooms
-    }
 }
 
 impl Classifier for ProximityClassifier {

@@ -119,16 +119,6 @@ impl StandardScaler {
         }
         out
     }
-
-    /// The fitted means.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// The fitted standard deviations.
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
 }
 
 impl fmt::Display for StandardScaler {

@@ -67,7 +67,7 @@ impl std::error::Error for TrainSvmError {}
 /// soft-margin penalty `C` — so grid search computes it once per `γ` and
 /// reuses it across every `C` sharing that kernel.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Gram {
+pub(crate) struct Gram {
     n: usize,
     values: Vec<f64>,
 }
@@ -77,7 +77,7 @@ impl Gram {
     ///
     /// Pair problems are small (hundreds of rows) so O(n²) memory is the
     /// right trade.
-    pub fn compute(rows: &[Vec<f64>], kernel: Kernel) -> Self {
+    pub(crate) fn compute(rows: &[Vec<f64>], kernel: Kernel) -> Self {
         let n = rows.len();
         let mut values = vec![0.0f64; n * n];
         for i in 0..n {
@@ -91,13 +91,8 @@ impl Gram {
     }
 
     /// Number of rows the matrix was computed over.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Whether the matrix is empty (zero rows).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     #[inline]
@@ -284,7 +279,7 @@ impl BinarySvm {
     ///
     /// Panics under [`BinarySvm::fit`]'s conditions, or if `gram` was not
     /// computed over `rows.len()` rows.
-    pub fn fit_with_gram(
+    pub(crate) fn fit_with_gram(
         rows: &[Vec<f64>],
         targets: &[f64],
         gram: &Gram,
@@ -388,7 +383,7 @@ const LANE: usize = 4;
 /// over the features computes a lane's sums side by side; each row's sum
 /// still adds its terms in dimension order from the start value
 /// `Iterator::sum` uses, so every kernel value is the identical `f64`
-/// [`Kernel::compute`] returns. A prediction evaluates the kernel once per
+/// `Kernel::compute` returns. A prediction evaluates the kernel once per
 /// unique row, then every machine accumulates `bias + Σ coeff · k` in its
 /// ref order, so votes, margins and the tie-break are bit-for-bit those of
 /// evaluating each [`BinarySvm`] on its own.

@@ -38,8 +38,8 @@ impl std::error::Error for TrilaterateError {}
 ///
 /// # Errors
 ///
-/// [`TrilaterateError::NotEnoughAnchors`] with fewer than three usable
-/// pairs; [`TrilaterateError::DidNotConverge`] when the iteration stalls on
+/// `TrilaterateError::NotEnoughAnchors` with fewer than three usable
+/// pairs; `TrilaterateError::DidNotConverge` when the iteration stalls on
 /// degenerate geometry.
 ///
 /// # Examples

@@ -67,11 +67,6 @@ impl DebouncedRoom {
         }
     }
 
-    /// The current believed room.
-    pub fn believed(&self) -> Option<RoomLabel> {
-        self.believed
-    }
-
     /// Feeds one classification; returns the (possibly updated) belief.
     pub fn observe(&mut self, _at: SimTime, room: RoomLabel) -> Option<RoomLabel> {
         match self.believed {
@@ -187,11 +182,6 @@ impl MovementAnalytics {
             .map(|(room, _)| *room)
     }
 
-    /// Time from first to last sample.
-    pub fn span(&self) -> SimDuration {
-        self.span
-    }
-
     /// Moves per hour — a crude restlessness measure for the
     /// accelerometer-gating policy.
     pub fn moves_per_hour(&self) -> f64 {
@@ -256,7 +246,7 @@ mod tests {
     fn empty_and_single_sample_histories() {
         let empty = MovementAnalytics::from_history(&[]);
         assert_eq!(empty.transition_count(), 0);
-        assert_eq!(empty.span(), SimDuration::ZERO);
+        assert_eq!(empty.span, SimDuration::ZERO);
         assert_eq!(empty.favourite_room(), None);
         let single = MovementAnalytics::from_history(&[(SimTime::from_secs(5), 3)]);
         assert_eq!(single.dwell(3), SimDuration::ZERO);
@@ -290,7 +280,7 @@ mod tests {
         tracker.observe(SimTime::from_secs(6), 1);
         tracker.observe(SimTime::from_secs(8), 1);
         // 1 has only two consecutive confirmations, needs three.
-        assert_eq!(tracker.believed(), Some(0));
+        assert_eq!(tracker.believed, Some(0));
         assert_eq!(tracker.observe(SimTime::from_secs(10), 1), Some(1));
     }
 

@@ -81,7 +81,7 @@ fn fnv_fold_each<const N: usize>(hashes: &mut [u64; N], bytes: &[u8]) {
     }
 }
 
-/// Configuration for one [`ArchiveSink`].
+/// Configuration for one `ArchiveSink`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchiveConfig {
     /// Segment-file name prefix; one sink must own its prefix exclusively.
@@ -104,7 +104,7 @@ impl Default for ArchiveConfig {
 
 impl ArchiveConfig {
     /// The same configuration scoped to one shard's private prefix.
-    pub fn for_shard(&self, shard: usize) -> ArchiveConfig {
+    pub(crate) fn for_shard(&self, shard: usize) -> ArchiveConfig {
         ArchiveConfig {
             prefix: format!("{}shard-{shard:04}/", self.prefix),
             ..self.clone()
@@ -116,11 +116,11 @@ impl ArchiveConfig {
 /// and the running FNV-1a digest over their kind and payload bytes, in
 /// spill order. Embedded into checkpoints so recovery can prove coverage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceMark {
+pub(crate) struct DeviceMark {
     /// Records archived for this device.
-    pub records: u64,
+    pub(crate) records: u64,
     /// Running digest over `kind || payload` of each record, in order.
-    pub digest: u64,
+    pub(crate) digest: u64,
 }
 
 impl DeviceMark {
@@ -173,9 +173,9 @@ pub struct ArchiveStats {
     /// Records appended (reports + assignments).
     pub records: u64,
     /// Report records appended.
-    pub reports: u64,
+    pub(crate) reports: u64,
     /// Assignment records appended.
-    pub assignments: u64,
+    pub(crate) assignments: u64,
     /// Segments sealed with a footer.
     pub segments_sealed: u64,
     /// Bytes appended to segment files (frames + footers).
@@ -186,7 +186,7 @@ pub struct ArchiveStats {
 
 impl ArchiveStats {
     /// Field-wise sum, for merging per-shard sinks.
-    pub fn merged(self, other: ArchiveStats) -> ArchiveStats {
+    pub(crate) fn merged(self, other: ArchiveStats) -> ArchiveStats {
         ArchiveStats {
             records: self.records + other.records,
             reports: self.reports + other.reports,
@@ -204,7 +204,7 @@ pub struct RecoveryReport {
     /// Segment files scanned.
     pub segments: usize,
     /// Valid records recovered across every segment.
-    pub records: u64,
+    pub(crate) records: u64,
     /// Segments truncated at a corrupt record.
     pub truncated_segments: usize,
     /// Bytes discarded by those truncations.
@@ -220,7 +220,7 @@ impl RecoveryReport {
     }
 
     /// Field-wise sum, for merging per-shard recoveries.
-    pub fn merged(self, other: RecoveryReport) -> RecoveryReport {
+    pub(crate) fn merged(self, other: RecoveryReport) -> RecoveryReport {
         RecoveryReport {
             segments: self.segments + other.segments,
             records: self.records + other.records,
@@ -249,7 +249,7 @@ pub struct Coverage {
 impl Coverage {
     /// Field-wise merge for per-shard verdicts: the fleet is covered only
     /// if every shard is.
-    pub fn merged(self, other: Coverage) -> Coverage {
+    pub(crate) fn merged(self, other: Coverage) -> Coverage {
         Coverage {
             covered: self.covered && other.covered,
             missing_records: self.missing_records + other.missing_records,
@@ -339,7 +339,7 @@ impl ActiveSegment {
 /// each under its own `shard-NNNN/` prefix on one [`SharedDisk`]. See the
 /// module docs for the format and recovery invariants.
 #[derive(Debug)]
-pub struct ArchiveSink {
+pub(crate) struct ArchiveSink {
     disk: SharedDisk,
     config: ArchiveConfig,
     sealed: Vec<SegmentMeta>,
@@ -367,7 +367,7 @@ pub struct ArchiveSink {
 impl ArchiveSink {
     /// A fresh sink over an empty prefix. Starts `healed` — there is
     /// nothing to have lost yet.
-    pub fn new(disk: SharedDisk, config: ArchiveConfig) -> Self {
+    pub(crate) fn new(disk: SharedDisk, config: ArchiveConfig) -> Self {
         ArchiveSink {
             disk,
             active_name: segment_name(&config.prefix, 0),
@@ -497,7 +497,7 @@ impl ArchiveSink {
     /// archive never trails the checkpoint it is embedded in). Uses the
     /// last record's report time as the operation time, keeping disk fault
     /// windows deterministic.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if let Some(file) = self.active_file {
             self.disk.fsync_file(file, self.last_at);
         }
@@ -513,7 +513,7 @@ impl ArchiveSink {
     /// checkpoint should decide healing via
     /// [`verify_covers`](Self::verify_covers) instead — a lying fsync
     /// leaves a perfectly clean-looking scan.
-    pub fn recover(disk: SharedDisk, config: ArchiveConfig) -> (Self, RecoveryReport) {
+    pub(crate) fn recover(disk: SharedDisk, config: ArchiveConfig) -> (Self, RecoveryReport) {
         let mut sink = ArchiveSink::new(disk, config);
         let mut report = RecoveryReport::default();
         let names = sink.disk.list(&sink.config.prefix);
@@ -598,7 +598,7 @@ impl ArchiveSink {
     /// **exactly** through `mark.digest`. Extra records beyond the mark
     /// (spilled after the checkpoint) are fine — journal replay
     /// regenerates and dedups them.
-    pub fn verify_covers(&self, marks: &BTreeMap<DeviceId, DeviceMark>) -> Coverage {
+    pub(crate) fn verify_covers(&self, marks: &BTreeMap<DeviceId, DeviceMark>) -> Coverage {
         let mut running: BTreeMap<DeviceId, DeviceMark> = BTreeMap::new();
         let mut at_mark: BTreeMap<DeviceId, u64> = BTreeMap::new();
         // Every decodable record's payload bytes across all segments, in
@@ -647,27 +647,6 @@ impl ArchiveSink {
         coverage
     }
 
-    /// Archived reports with time in `[from, to)`, sorted by
-    /// `(time, device, seq)`. Sealed segments outside the range are
-    /// skipped via their footer bounds without touching the disk.
-    ///
-    /// Takes `&mut self` because reads audit what they decode: corruption
-    /// that landed *after* recovery (ongoing bit rot, a short write under
-    /// the tail) demotes the sink to lossy on the spot; `healed()` flips
-    /// false and [`read_corruptions`](Self::read_corruptions) counts it.
-    pub fn reports_between(&mut self, from: SimTime, to: SimTime) -> Vec<ObservationReport> {
-        let mut rows = Vec::new();
-        self.for_segments_overlapping(from, to, |rec| {
-            if let ArchiveRecord::Report(r) = rec {
-                if r.at >= from && r.at < to {
-                    rows.push(r.clone());
-                }
-            }
-        });
-        rows.sort_by_key(|r| (r.at, r.device, r.seq));
-        rows
-    }
-
     /// The newest archived assignment at or before `at`, per device.
     /// `&mut self` for the same read-audit reason as
     /// [`reports_between`](Self::reports_between).
@@ -676,7 +655,7 @@ impl ArchiveSink {
     /// decoded once per change to its bytes on disk; every corrupt one
     /// still counts once per query, exactly as a rescan would. Only the
     /// active segment is decoded on every call.
-    pub fn last_assignments_at(
+    pub(crate) fn last_assignments_at(
         &mut self,
         at: SimTime,
     ) -> BTreeMap<DeviceId, (SimTime, u64, RoomLabel)> {
@@ -778,6 +757,28 @@ impl ArchiveSink {
         best
     }
 
+    /// Archived reports with time in `[from, to)`, sorted by
+    /// `(time, device, seq)`. Sealed segments outside the range are
+    /// skipped via their footer bounds without touching the disk.
+    ///
+    /// Takes `&mut self` because reads audit what they decode: corruption
+    /// that landed *after* recovery (ongoing bit rot, a short write under
+    /// the tail) demotes the sink to lossy on the spot; `healed()` flips
+    /// false and [`read_corruptions`](Self::read_corruptions) counts it.
+    #[cfg(test)]
+    fn reports_between(&mut self, from: SimTime, to: SimTime) -> Vec<ObservationReport> {
+        let mut rows = Vec::new();
+        self.for_segments_overlapping(from, to, |rec| {
+            if let ArchiveRecord::Report(r) = rec {
+                if r.at >= from && r.at < to {
+                    rows.push(r.clone());
+                }
+            }
+        });
+        rows.sort_by_key(|r| (r.at, r.device, r.seq));
+        rows
+    }
+
     /// Every query read is also an audit. Recovery truncates segments to
     /// their valid prefix, so a healthy file always parses front to back;
     /// a scan that stops short of the file's end means corruption landed
@@ -785,6 +786,7 @@ impl ArchiveSink {
     /// re-spilled records) and some records are unreadable. The sink
     /// demotes itself to lossy immediately — the caller's answer merges
     /// whatever survived and is flagged incomplete, never silently wrong.
+    #[cfg(test)]
     fn for_segments_overlapping(
         &mut self,
         from: SimTime,
@@ -824,7 +826,7 @@ impl ArchiveSink {
 
     /// Per-device archive marks (records + running digest), the coverage
     /// contract a checkpoint embeds.
-    pub fn marks(&self) -> BTreeMap<DeviceId, DeviceMark> {
+    pub(crate) fn marks(&self) -> BTreeMap<DeviceId, DeviceMark> {
         self.devices
             .iter()
             .map(|(device, slot)| (*device, slot.mark))
@@ -832,55 +834,35 @@ impl ArchiveSink {
     }
 
     /// Counters.
-    pub fn stats(&self) -> ArchiveStats {
+    pub(crate) fn stats(&self) -> ArchiveStats {
         self.stats
-    }
-
-    /// Total records archived.
-    pub fn records(&self) -> u64 {
-        self.stats.records
-    }
-
-    /// Segments sealed so far.
-    pub fn segments_sealed(&self) -> u64 {
-        self.stats.segments_sealed
     }
 
     /// True when the archive is known to hold every record it ever
     /// promised — fresh sinks start healed; recovered sinks are healed
     /// after [`verify_covers`](Self::verify_covers) (plus journal replay)
     /// proves nothing is missing.
-    pub fn healed(&self) -> bool {
+    pub(crate) fn healed(&self) -> bool {
         self.healed
     }
 
     /// Marks the archive fully healed (coverage verified and the journal
     /// suffix replayed).
-    pub fn mark_healed(&mut self) {
+    pub(crate) fn mark_healed(&mut self) {
         self.healed = true;
     }
 
     /// Marks the archive lossy: some promised records are gone, so
     /// historical answers below the retention floor must say incomplete.
-    pub fn mark_lossy(&mut self) {
+    pub(crate) fn mark_lossy(&mut self) {
         self.healed = false;
     }
 
     /// How many query-time segment scans have hit corruption that landed
     /// after recovery. Any non-zero value means the sink demoted itself
     /// to lossy mid-flight.
-    pub fn read_corruptions(&self) -> u64 {
+    pub(crate) fn read_corruptions(&self) -> u64 {
         self.read_corruptions
-    }
-
-    /// The sink's segment-name prefix.
-    pub fn prefix(&self) -> &str {
-        &self.config.prefix
-    }
-
-    /// The newest record time the sink has seen.
-    pub fn last_at(&self) -> SimTime {
-        self.last_at
     }
 }
 
@@ -1554,8 +1536,8 @@ mod tests {
             assert!(sink.append_report(&report(7, i, 0)));
             assert!(sink.append_assignment(DeviceId::new(7), SimTime::from_secs(i), i, 3));
         }
-        assert_eq!(sink.records(), 20);
-        assert_eq!(sink.segments_sealed(), 5);
+        assert_eq!(sink.stats().records, 20);
+        assert_eq!(sink.stats().segments_sealed, 5);
         let marks = sink.marks();
         sink.flush();
 
@@ -1579,7 +1561,7 @@ mod tests {
         assert!(sink.append_assignment(DeviceId::new(1), SimTime::from_secs(5), 5, 2));
         assert!(!sink.append_assignment(DeviceId::new(1), SimTime::from_secs(5), 5, 2));
         assert_eq!(sink.stats().respill_suppressed, 2);
-        assert_eq!(sink.records(), 2);
+        assert_eq!(sink.stats().records, 2);
     }
 
     #[test]
@@ -1756,7 +1738,7 @@ mod tests {
         assert_eq!(sink.history_decodes, 2, "no write, no decode");
         assign(&mut sink, 10);
         assign(&mut sink, 11); // fills and seals the third segment
-        assert_eq!(sink.segments_sealed(), 3);
+        assert_eq!(sink.stats().segments_sealed, 3);
         assert_eq!(
             sink.last_assignments_at(at),
             sink.last_assignments_at_full_scan(at)
@@ -1800,7 +1782,7 @@ mod tests {
 
         // Garbage lands beyond the sealed footer — the kind of damage the
         // recovery scan never saw because it happened after recovery.
-        let name = format!("{}seg-{:08}", sink.prefix(), 0);
+        let name = format!("{}seg-{:08}", sink.config.prefix, 0);
         disk.append(&name, SimTime::from_secs(60), &[0xFF, 0xFF]);
         let rows = sink.reports_between(SimTime::ZERO, SimTime::from_secs(100));
         // The surviving prefix is still served...

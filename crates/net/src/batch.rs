@@ -14,7 +14,7 @@ use crate::outbox::{Outbox, Policy};
 use crate::{Delivery, ObservationReport, Transport};
 use rand::Rng;
 use roomsense_sim::{SimDuration, SimTime};
-use roomsense_telemetry::{keys, Histogram, Recorder};
+use roomsense_telemetry::{keys, Recorder};
 use std::fmt;
 
 /// Buffered-report capacity, in full batches (open batch + retry queue).
@@ -109,24 +109,9 @@ impl<T: Transport> BatchingTransport<T> {
         self
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Unwraps the inner transport (and its recorder).
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
     /// The wrapped transport's recorder, which the batcher's counters share.
     pub fn telemetry(&self) -> &Recorder {
         self.inner.telemetry()
-    }
-
-    /// The per-burst report limit.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
     }
 
     /// Reports currently buffered (open batch + retry queue).
@@ -155,18 +140,8 @@ impl<T: Transport> BatchingTransport<T> {
     }
 
     /// Coalesced burst attempts on the wire.
-    pub fn bursts(&self) -> u64 {
+    pub(crate) fn bursts(&self) -> u64 {
         self.outbox.attempts
-    }
-
-    /// Mean reports carried per burst attempt — the mean of the
-    /// `net.batch.size` observations, failed attempts included — or `None`
-    /// before the first burst: the coalescing factor the energy ledger's
-    /// batched arm prices.
-    pub fn mean_batch_size(&self) -> Option<f64> {
-        self.telemetry()
-            .histogram(keys::NET_BATCH_SIZE)
-            .and_then(Histogram::mean)
     }
 
     /// Seals the open batch into the transmit path.
@@ -286,7 +261,7 @@ mod tests {
         assert_eq!(b.telemetry().counter(keys::NET_BATCH_FLUSHES), 1);
         let hist = b.telemetry().histogram(keys::NET_BATCH_SIZE).unwrap();
         assert_eq!(hist.count(), 1);
-        assert_eq!(b.mean_batch_size(), Some(4.0));
+        assert_eq!(hist.mean(), Some(4.0));
     }
 
     #[test]
@@ -334,7 +309,8 @@ mod tests {
         assert_eq!(b.delivered_reports(), 0);
         // Both failed bursts carried the pair: the mean counts what each
         // burst carried, not what got through.
-        assert_eq!(b.mean_batch_size(), Some(2.0));
+        let hist = b.telemetry().histogram(keys::NET_BATCH_SIZE).unwrap();
+        assert_eq!(hist.mean(), Some(2.0));
     }
 
     #[test]

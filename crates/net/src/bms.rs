@@ -41,7 +41,7 @@ use crate::{DeviceId, ObservationReport, RecoveryReport};
 use parking_lot::Mutex;
 use roomsense_sim::{exec, SharedDisk, SimDuration, SimTime};
 use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -78,12 +78,12 @@ pub struct RoomPresence {
     /// Devices whose last classification put them in this room.
     pub occupants: usize,
     /// How many of those devices reported within the freshness TTL.
-    pub fresh: usize,
+    pub(crate) fresh: usize,
 }
 
 impl RoomPresence {
     /// True when the room's count rests entirely on expired evidence.
-    pub fn is_stale(&self) -> bool {
+    pub(crate) fn is_stale(&self) -> bool {
         self.fresh == 0
     }
 }
@@ -92,16 +92,16 @@ impl RoomPresence {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccupancyView {
     /// The instant the view was taken.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Reports older than this (relative to `at`) count as stale.
-    pub ttl: SimDuration,
+    pub(crate) ttl: SimDuration,
     /// Per-room presence. Rooms nobody was ever classified into are absent.
     pub rooms: BTreeMap<RoomLabel, RoomPresence>,
 }
 
 impl OccupancyView {
     /// The plain occupant counts, shaped like [`ShardedBmsServer::occupancy`].
-    pub fn counts(&self) -> BTreeMap<RoomLabel, usize> {
+    pub(crate) fn counts(&self) -> BTreeMap<RoomLabel, usize> {
         self.rooms
             .iter()
             .map(|(room, p)| (*room, p.occupants))
@@ -109,17 +109,12 @@ impl OccupancyView {
     }
 
     /// Rooms whose counts rest entirely on expired evidence.
-    pub fn stale_rooms(&self) -> Vec<RoomLabel> {
+    pub(crate) fn stale_rooms(&self) -> Vec<RoomLabel> {
         self.rooms
             .iter()
             .filter(|(_, p)| p.is_stale())
             .map(|(room, _)| *room)
             .collect()
-    }
-
-    /// True when every room's count has at least one fresh contributor.
-    pub fn is_fully_fresh(&self) -> bool {
-        self.rooms.values().all(|p| !p.is_stale())
     }
 }
 
@@ -218,17 +213,7 @@ pub struct ShardedBmsCheckpoint {
     shards: Vec<ShardSnapshot>,
 }
 
-impl ShardedBmsCheckpoint {
-    /// Shards captured in the snapshot.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Retained reports across every shard at snapshot time.
-    pub fn report_count(&self) -> usize {
-        self.shards.iter().map(|s| s.state.retained_reports()).sum()
-    }
-}
+impl ShardedBmsCheckpoint {}
 
 /// Why [`ShardedBmsServer::restore`] refused a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -619,12 +604,12 @@ impl ShardedBmsServer {
     }
 
     /// The per-room population table at `now` (see the
-    /// [`counting`](crate::counting) module).
+    /// `counting` module).
     ///
     /// Each room's evidence over the window `[now - window, now]` — device
     /// census by last-known room, the subset with in-window reports, report
     /// counts, and the distance-sum — is finalized into a
-    /// [`PopulationEstimate`](crate::PopulationEstimate): estimated
+    /// `PopulationEstimate`: estimated
     /// headcount, confidence interval, and evidence staleness. The evidence
     /// is integer-valued, so the fold is bit-for-bit the same whatever the
     /// shard count. Wrapped in [`Windowed`]: incomplete when retention
@@ -737,38 +722,6 @@ impl ShardedBmsServer {
         rows
     }
 
-    /// [`reports_between`](Self::reports_between) with an explicit
-    /// completeness flag, merged with the archive tier when one is
-    /// attached: archived reports in range are unioned with the live rows
-    /// (deduped by `(device, seq)` — a record replayed after a crash can
-    /// transiently exist on both sides). Exact iff `from` is at or after
-    /// [`historical_floor`](Self::historical_floor).
-    pub fn reports_between_checked(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> Windowed<Vec<ObservationReport>> {
-        let mut value = self.reports_between(from, to);
-        let live: BTreeSet<(DeviceId, u64)> = value.iter().map(|r| (r.device, r.seq)).collect();
-        for shard in &self.shards {
-            if let Some(archived) = shard.read_archive(|sink| sink.reports_between(from, to)) {
-                value.extend(
-                    archived
-                        .into_iter()
-                        .filter(|r| !live.contains(&(r.device, r.seq))),
-                );
-            }
-        }
-        value.sort_by_key(|r| (r.at, r.device, r.seq));
-        // After the reads, which audit segments and may demote a sink.
-        let floor = self.historical_floor();
-        Windowed {
-            value,
-            complete: floor.is_none_or(|f| from >= f),
-            floor,
-        }
-    }
-
     /// All retained reports from one device, in report-time order.
     pub fn reports_for(&self, device: DeviceId) -> Vec<ObservationReport> {
         self.with_record(device, |r| r.log.iter().cloned().collect())
@@ -867,7 +820,7 @@ impl ShardedBmsServer {
     ///
     /// # Errors
     ///
-    /// [`RestoreError::DigestMismatch`] when any shard's snapshot was
+    /// `RestoreError::DigestMismatch` when any shard's snapshot was
     /// corrupted in storage — restoring it would serve silently wrong
     /// state, so one tampered shard refuses the whole restore.
     pub fn restore(
@@ -1016,6 +969,15 @@ mod tests {
     }
 
     /// A single server: one shard.
+    /// Retained reports across every shard of a checkpoint.
+    fn retained(snapshot: &ShardedBmsCheckpoint) -> usize {
+        snapshot
+            .shards
+            .iter()
+            .map(|s| s.state.retained_reports())
+            .sum()
+    }
+
     fn server() -> ShardedBmsServer {
         ShardedBmsServer::new(minor_estimator(), 1)
     }
@@ -1177,13 +1139,6 @@ mod tests {
         let ancient = server.occupancy_at_checked(SimTime::from_secs(100));
         assert!(!ancient.complete);
         assert_eq!(ancient.floor, Some(floor));
-        let old_rows =
-            server.reports_between_checked(SimTime::from_secs(0), SimTime::from_secs(500));
-        assert!(!old_rows.complete);
-        assert!(old_rows.value.is_empty());
-        let fresh_rows = server.reports_between_checked(floor, SimTime::from_secs(1000));
-        assert!(fresh_rows.complete);
-        assert_eq!(fresh_rows.value.len(), server.report_count());
         // The compactor announced itself in telemetry.
         let telemetry = server.telemetry_snapshot();
         assert_eq!(
@@ -1288,7 +1243,7 @@ mod tests {
         assert!(view.rooms[&0].is_stale());
         assert!(!view.rooms[&2].is_stale());
         assert_eq!(view.stale_rooms(), vec![0]);
-        assert!(!view.is_fully_fresh());
+        assert!(!view.stale_rooms().is_empty());
         assert_eq!(
             server.staleness(SimTime::from_secs(100)),
             Some(SimDuration::from_secs(90))
@@ -1305,7 +1260,7 @@ mod tests {
         assert_eq!(presence.occupants, 2);
         assert_eq!(presence.fresh, 1);
         assert!(!presence.is_stale());
-        assert!(view.is_fully_fresh());
+        assert!(view.stale_rooms().is_empty());
     }
 
     #[test]
@@ -1316,12 +1271,12 @@ mod tests {
         server.post_observation(report(3, 3, 4));
         let view = server.occupancy_view(SimTime::from_secs(5), SimDuration::from_secs(60));
         assert_eq!(view.counts(), server.occupancy());
-        assert!(view.is_fully_fresh());
+        assert!(view.stale_rooms().is_empty());
         // An empty server yields an empty, trivially fresh view.
         let empty = self::server();
         let view = empty.occupancy_view(SimTime::from_secs(5), SimDuration::from_secs(60));
         assert!(view.rooms.is_empty());
-        assert!(view.is_fully_fresh());
+        assert!(view.stale_rooms().is_empty());
         assert_eq!(empty.staleness(SimTime::from_secs(5)), None);
     }
 
@@ -1493,7 +1448,7 @@ mod tests {
                 // Snapshot mid-run; everything after it is "lost" in the
                 // crash below.
                 let snapshot = live.checkpoint();
-                assert_eq!(snapshot.report_count(), 10);
+                assert_eq!(retained(&snapshot), 10);
             }
         }
         // Crash after report 14: restore the t<=90 snapshot and replay the
@@ -1537,8 +1492,8 @@ mod tests {
             fleet.ingest(r);
         }
         let snapshot = fleet.checkpoint();
-        assert_eq!(snapshot.shard_count(), 3);
-        assert_eq!(snapshot.report_count(), fleet.report_count());
+        assert_eq!(snapshot.shards.len(), 3);
+        assert_eq!(retained(&snapshot), fleet.report_count());
         let restored =
             ShardedBmsServer::restore(minor_estimator(), snapshot).expect("untampered checkpoint");
         assert_eq!(restored.shard_count(), 3);
@@ -1632,13 +1587,6 @@ mod tests {
             if answer.complete {
                 assert_eq!(answer.value, oracle.occupancy_at(at), "t={t}");
             }
-        }
-        let all = server.reports_between_checked(SimTime::ZERO, SimTime::from_secs(2000));
-        if all.complete {
-            assert_eq!(all.value.len(), 100, "live + archived rows union exactly");
-        } else {
-            assert!(chaotic, "a faithful disk must answer completely");
-            assert!(all.value.len() <= 100, "never invent rows");
         }
         let stats = server.archive_stats().expect("archive attached");
         assert!(stats.records > 0);

@@ -59,12 +59,12 @@ pub struct CountingConfig {
     pub window: SimDuration,
     /// Freshness TTL for the estimate itself: a room whose newest evidence
     /// is older than this is flagged not fresh.
-    pub ttl: SimDuration,
+    pub(crate) ttl: SimDuration,
     /// Probability that a person carries a reporting device, in `(0, 1]`.
     /// The observed device census is scaled by `1 / carry_rate`.
-    pub carry_rate: f64,
+    pub(crate) carry_rate: f64,
     /// Half-width multiplier for the confidence interval (1.96 ≈ 95 %).
-    pub z: f64,
+    pub(crate) z: f64,
 }
 
 impl Default for CountingConfig {
@@ -129,20 +129,8 @@ pub struct PopulationEvidence {
 }
 
 impl PopulationEvidence {
-    /// Folds another shard's contribution into this one.
-    pub fn merge(&mut self, other: &PopulationEvidence) {
-        self.devices += other.devices;
-        self.observed += other.observed;
-        self.reports += other.reports;
-        self.distance_um += other.distance_um;
-        self.newest = match (self.newest, other.newest) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
     /// Accumulates one in-window report's nearest sighting.
-    pub fn add_report(&mut self, nearest_distance_m: f64) {
+    pub(crate) fn add_report(&mut self, nearest_distance_m: f64) {
         self.reports += 1;
         self.distance_um += (nearest_distance_m.max(0.0) * UM_PER_M).round() as u64;
     }
@@ -186,31 +174,26 @@ impl PopulationEvidence {
 pub struct PopulationEstimate {
     /// Devices whose last-known room is this room (presence census —
     /// these linger through outages; `count` does not).
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Devices with in-window evidence, the basis of `count`.
-    pub observed: usize,
+    pub(crate) observed: usize,
     /// In-window reports backing the estimate.
-    pub reports: u64,
+    pub(crate) reports: u64,
     /// Estimated headcount: `observed / carry_rate`.
     pub count: f64,
     /// Lower confidence bound (never below the observed device count).
-    pub ci_low: f64,
+    pub(crate) ci_low: f64,
     /// Upper confidence bound.
-    pub ci_high: f64,
+    pub(crate) ci_high: f64,
     /// Mean nearest-beacon distance over the in-window reports, metres.
-    pub mean_distance_m: f64,
+    pub(crate) mean_distance_m: f64,
     /// Age of the newest evidence for this room.
-    pub staleness: SimDuration,
+    pub(crate) staleness: SimDuration,
     /// Whether the newest evidence is within the configured TTL.
-    pub fresh: bool,
+    pub(crate) fresh: bool,
 }
 
 impl PopulationEstimate {
-    /// The estimate rounded to a whole headcount.
-    pub fn rounded(&self) -> usize {
-        self.count.round() as usize
-    }
-
     /// Whether the true count plausibly lies in the interval, given a
     /// ground-truth value (used by experiment scoring).
     pub fn covers(&self, truth: usize) -> bool {
@@ -223,11 +206,11 @@ impl PopulationEstimate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationView {
     /// The instant the view was taken.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Evidence window the estimates were computed over.
-    pub window: SimDuration,
+    pub(crate) window: SimDuration,
     /// Freshness TTL applied to every room.
-    pub ttl: SimDuration,
+    pub(crate) ttl: SimDuration,
     /// Per-room estimates. Rooms appear iff at least one device's
     /// last-known room is there.
     pub rooms: BTreeMap<RoomLabel, PopulationEstimate>,
@@ -244,17 +227,8 @@ impl PopulationView {
         self.rooms.values().map(|e| e.observed).sum()
     }
 
-    /// Rounded per-room headcounts, for actuation paths that need whole
-    /// people (demand response).
-    pub fn counts(&self) -> BTreeMap<RoomLabel, usize> {
-        self.rooms
-            .iter()
-            .map(|(room, e)| (*room, e.rounded()))
-            .collect()
-    }
-
     /// Rooms whose newest evidence has outlived the TTL.
-    pub fn stale_rooms(&self) -> Vec<RoomLabel> {
+    pub(crate) fn stale_rooms(&self) -> Vec<RoomLabel> {
         self.rooms
             .iter()
             .filter(|(_, e)| !e.fresh)
@@ -278,7 +252,7 @@ impl fmt::Display for PopulationView {
 /// Finalizes a merged per-room evidence table into a [`PopulationView`]
 /// as of `now` — the last step of every population query path, single or
 /// sharded.
-pub fn finalize_population(
+pub(crate) fn finalize_population(
     now: SimTime,
     config: &CountingConfig,
     rooms: &BTreeMap<RoomLabel, PopulationEvidence>,
@@ -312,31 +286,6 @@ pub struct LeveledPopulationView {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_is_commutative_and_associative() {
-        let mut a = PopulationEvidence {
-            devices: 3,
-            observed: 2,
-            reports: 7,
-            distance_um: 4_200_000,
-            newest: Some(SimTime::from_secs(50)),
-        };
-        let b = PopulationEvidence {
-            devices: 1,
-            observed: 1,
-            reports: 2,
-            distance_um: 900_000,
-            newest: Some(SimTime::from_secs(80)),
-        };
-        let mut ba = b;
-        ba.merge(&a);
-        a.merge(&b);
-        assert_eq!(a, ba);
-        assert_eq!(a.newest, Some(SimTime::from_secs(80)));
-        assert_eq!(a.devices, 4);
-        assert_eq!(a.reports, 9);
-    }
 
     #[test]
     fn finalize_scales_by_carry_rate() {

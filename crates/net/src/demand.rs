@@ -14,7 +14,7 @@ use std::fmt;
 
 /// Whether a room's HVAC/lighting is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HvacState {
+pub(crate) enum HvacState {
     /// Conditioning the room.
     On,
     /// Idle.
@@ -64,7 +64,7 @@ pub struct DemandResponseReport {
     /// Estimated person-seconds spent inside conditioned rooms — the
     /// integral of each conditioned room's (estimated) headcount over its
     /// on-time.
-    pub person_seconds: f64,
+    pub(crate) person_seconds: f64,
 }
 
 impl DemandResponseReport {
@@ -96,21 +96,6 @@ impl fmt::Display for DemandResponseReport {
 /// Call [`update`](Self::update) with the server's occupancy table whenever
 /// it changes (or periodically); call [`report`](Self::report) at the end of
 /// the run.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_net::{DemandResponseController, HvacState};
-/// use roomsense_sim::{SimDuration, SimTime};
-/// use std::collections::BTreeMap;
-///
-/// let mut dr = DemandResponseController::new(3, SimDuration::from_secs(300));
-/// let mut occupancy = BTreeMap::new();
-/// occupancy.insert(1usize, 2usize); // two people in room 1
-/// dr.update(SimTime::ZERO, &occupancy);
-/// assert_eq!(dr.state_of(1), HvacState::On);
-/// assert_eq!(dr.state_of(0), HvacState::Off);
-/// ```
 #[derive(Debug, Clone)]
 pub struct DemandResponseController {
     rooms: Vec<RoomPlant>,
@@ -150,15 +135,6 @@ impl DemandResponseController {
         self.rooms.len()
     }
 
-    /// Current plant state of a room.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the room label is out of range.
-    pub fn state_of(&self, room: RoomLabel) -> HvacState {
-        self.rooms[room].state
-    }
-
     /// Applies a new occupancy snapshot at time `now`. All evidence is
     /// assumed fresh; use [`update_view`](Self::update_view) when the source
     /// carries staleness information.
@@ -181,7 +157,7 @@ impl DemandResponseController {
     /// expired evidence is still treated as occupied (switching off the
     /// plant on people who merely lost connectivity is the worse error),
     /// but the conditioning time spent that way is tracked and surfaced as
-    /// [`DemandResponseReport::stale`].
+    /// `DemandResponseReport::stale`.
     ///
     /// # Panics
     ///
@@ -320,8 +296,8 @@ mod tests {
     fn occupied_room_turns_on() {
         let mut dr = DemandResponseController::new(2, SimDuration::from_secs(60));
         dr.update(SimTime::ZERO, &occ(&[0]));
-        assert_eq!(dr.state_of(0), HvacState::On);
-        assert_eq!(dr.state_of(1), HvacState::Off);
+        assert_eq!(dr.rooms[0].state, HvacState::On);
+        assert_eq!(dr.rooms[1].state, HvacState::Off);
     }
 
     #[test]
@@ -329,9 +305,9 @@ mod tests {
         let mut dr = DemandResponseController::new(1, SimDuration::from_secs(60));
         dr.update(SimTime::ZERO, &occ(&[0]));
         dr.update(SimTime::from_secs(30), &occ(&[])); // left briefly
-        assert_eq!(dr.state_of(0), HvacState::On); // still within hold-off
+        assert_eq!(dr.rooms[0].state, HvacState::On); // still within hold-off
         dr.update(SimTime::from_secs(61), &occ(&[]));
-        assert_eq!(dr.state_of(0), HvacState::Off);
+        assert_eq!(dr.rooms[0].state, HvacState::Off);
     }
 
     #[test]
@@ -389,7 +365,7 @@ mod tests {
         dr.update_view(SimTime::ZERO, &view(0, &[(0, 1, 1)]));
         dr.update_view(SimTime::from_secs(100), &view(100, &[(0, 1, 0)]));
         // Fail-safe: the room is still conditioned.
-        assert_eq!(dr.state_of(0), HvacState::On);
+        assert_eq!(dr.rooms[0].state, HvacState::On);
         let report = dr.report(SimTime::from_secs(200));
         assert_eq!(report.actual, SimDuration::from_secs(200));
         // Only the second half ran on expired evidence.
@@ -422,7 +398,7 @@ mod tests {
         // evidence stays off.
         let mut dr = DemandResponseController::new(1, SimDuration::ZERO);
         dr.update_view(SimTime::ZERO, &view(0, &[(0, 0, 0)]));
-        assert_eq!(dr.state_of(0), HvacState::Off);
+        assert_eq!(dr.rooms[0].state, HvacState::Off);
         let report = dr.report(SimTime::from_secs(100));
         assert_eq!(report.stale, SimDuration::ZERO);
     }

@@ -54,21 +54,6 @@ impl<T: Transport> FaultyTransport<T> {
         }
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Unwraps the inner transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    /// The outage schedule.
-    pub fn outages(&self) -> &FaultSchedule {
-        &self.outages
-    }
-
     /// How many sends were refused by an outage window (as opposed to
     /// failing stochastically inside the wrapped transport).
     pub fn outage_refusals(&self) -> u64 {
@@ -212,9 +197,10 @@ mod tests {
     fn refusals_return_refused_not_failed() {
         let mut t = FaultyTransport::new(WifiTransport::default(), outage(0, 10));
         let mut r = rng::for_component(4, "refused-kind");
-        assert!(t
-            .send(SimTime::from_secs(5), &report(), &mut r)
-            .is_refused());
+        assert_eq!(
+            t.send(SimTime::from_secs(5), &report(), &mut r),
+            SendOutcome::Refused
+        );
     }
 
     #[test]
@@ -230,7 +216,7 @@ mod tests {
         );
         let mut r = rng::for_component(5, "retry-refused");
         let outcome = t.send(SimTime::from_secs(50), &report(), &mut r);
-        assert!(outcome.is_refused());
+        assert_eq!(outcome, SendOutcome::Refused);
         assert_eq!(
             t.telemetry().transport_events().len(),
             1,

@@ -26,15 +26,15 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampusView {
     /// The instant the view was taken.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Freshness TTL applied in every building.
-    pub ttl: SimDuration,
+    pub(crate) ttl: SimDuration,
     /// Worst service level across buildings: one saturated building
     /// degrades the campus answer's *label* while every healthy
     /// building's numbers stay exact.
     pub level: ServiceLevel,
     /// Lagging shards summed across buildings.
-    pub lagging_shards: usize,
+    pub(crate) lagging_shards: usize,
     /// Each building's own answer, in registration order.
     pub buildings: Vec<(String, LeveledView)>,
     /// The merged table. Rooms from different buildings never collide:
@@ -47,32 +47,9 @@ impl CampusView {
     pub fn occupants(&self) -> usize {
         self.rooms.values().map(|p| p.occupants).sum()
     }
-
-    /// Occupants whose evidence was within the TTL (and whose building
-    /// was not shedding).
-    pub fn fresh_occupants(&self) -> usize {
-        self.rooms.values().map(|p| p.fresh).sum()
-    }
 }
 
 /// A routing/aggregation tier over named per-building [`IngestTier`]s.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_net::{
-///     CampusFederation, IngestTier, IngestTierConfig, ObservationReport, ShardedBmsServer,
-/// };
-/// use std::sync::Arc;
-///
-/// let mut campus = CampusFederation::new();
-/// let estimator = Arc::new(|_: &ObservationReport| Some(0));
-/// campus.add_building(
-///     "library",
-///     IngestTier::new(ShardedBmsServer::new(estimator, 4), IngestTierConfig::default()),
-/// );
-/// assert_eq!(campus.building_names(), vec!["library"]);
-/// ```
 #[derive(Default)]
 pub struct CampusFederation {
     buildings: Vec<(String, IngestTier)>,
@@ -102,7 +79,7 @@ impl CampusFederation {
     }
 
     /// Registered building names, in registration order.
-    pub fn building_names(&self) -> Vec<&str> {
+    pub(crate) fn building_names(&self) -> Vec<&str> {
         self.buildings.iter().map(|(n, _)| n.as_str()).collect()
     }
 
@@ -115,7 +92,7 @@ impl CampusFederation {
     }
 
     /// Mutable access to one building's tier.
-    pub fn building_mut(&mut self, name: &str) -> Option<&mut IngestTier> {
+    pub(crate) fn building_mut(&mut self, name: &str) -> Option<&mut IngestTier> {
         self.buildings
             .iter_mut()
             .find(|(n, _)| n == name)
@@ -201,7 +178,7 @@ impl CampusFederation {
     /// Per-building state digests in registration order — the federated
     /// form of the sharded==single equivalence proof (each building is
     /// checked against its own oracle).
-    pub fn building_digests(&self) -> Vec<(String, u64)> {
+    pub(crate) fn building_digests(&self) -> Vec<(String, u64)> {
         self.buildings
             .iter()
             .map(|(name, tier)| (name.clone(), tier.state_digest()))

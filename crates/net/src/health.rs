@@ -27,7 +27,7 @@ use std::fmt;
 
 /// The health of one uplink channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LinkState {
+pub(crate) enum LinkState {
     /// The link is delivering normally.
     Up,
     /// The success ratio dipped below the degraded threshold — still usable,
@@ -48,26 +48,26 @@ impl fmt::Display for LinkState {
     }
 }
 
-/// Thresholds and cadences for [`LinkHealth`].
+/// Thresholds and cadences for `LinkHealth`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkHealthConfig {
     /// How many recent send outcomes the rolling window keeps.
-    pub window: usize,
+    pub(crate) window: usize,
     /// Minimum outcomes in the window before any transition is considered
     /// (a single failed first send must not condemn the link).
-    pub min_samples: usize,
+    pub(crate) min_samples: usize,
     /// Success ratio below which an Up link becomes Degraded.
-    pub degraded_below: f64,
+    pub(crate) degraded_below: f64,
     /// Success ratio below which the link is declared Down.
-    pub down_below: f64,
+    pub(crate) down_below: f64,
     /// Success ratio a Degraded link must climb back above to be Up again —
     /// strictly higher than `degraded_below`, which is the hysteresis gap
     /// that stops flapping.
-    pub recover_above: f64,
+    pub(crate) recover_above: f64,
     /// While Down, how often the primary may be probed with real traffic.
-    pub probe_interval: SimDuration,
+    pub(crate) probe_interval: SimDuration,
     /// Consecutive successful probes required to leave Down.
-    pub probes_to_recover: u32,
+    pub(crate) probes_to_recover: u32,
 }
 
 impl Default for LinkHealthConfig {
@@ -105,21 +105,8 @@ impl LinkHealthConfig {
 }
 
 /// Rolling-window link health with hysteresis and probe-based recovery.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_net::{LinkHealth, LinkHealthConfig, LinkState};
-///
-/// let mut health = LinkHealth::new(LinkHealthConfig::default());
-/// assert_eq!(health.state(), LinkState::Up);
-/// for _ in 0..8 {
-///     health.record(false);
-/// }
-/// assert_eq!(health.state(), LinkState::Down);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinkHealth {
+pub(crate) struct LinkHealth {
     config: LinkHealthConfig,
     window: VecDeque<bool>,
     state: LinkState,
@@ -135,7 +122,7 @@ impl LinkHealth {
     ///
     /// Panics if the configuration is inconsistent (zero window, inverted
     /// thresholds, zero probe requirement).
-    pub fn new(config: LinkHealthConfig) -> Self {
+    pub(crate) fn new(config: LinkHealthConfig) -> Self {
         config.validate();
         LinkHealth {
             config,
@@ -148,29 +135,18 @@ impl LinkHealth {
     }
 
     /// The current state.
-    pub fn state(&self) -> LinkState {
+    pub(crate) fn state(&self) -> LinkState {
         self.state
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &LinkHealthConfig {
-        &self.config
     }
 
     /// Success ratio over the rolling window, or `None` before the first
     /// recorded outcome.
-    pub fn success_ratio(&self) -> Option<f64> {
+    pub(crate) fn success_ratio(&self) -> Option<f64> {
         if self.window.is_empty() {
             return None;
         }
         let ok = self.window.iter().filter(|&&s| s).count();
         Some(ok as f64 / self.window.len() as f64)
-    }
-
-    /// How many state transitions happened so far (a flapping link shows a
-    /// high count; hysteresis should keep it low).
-    pub fn transitions(&self) -> u64 {
-        self.transitions
     }
 
     fn set_state(&mut self, state: LinkState) {
@@ -183,7 +159,7 @@ impl LinkHealth {
     /// Records a regular (non-probe) send outcome and updates the state.
     /// While Down, regular traffic does not touch the link, so this is only
     /// meaningful in Up/Degraded.
-    pub fn record(&mut self, success: bool) {
+    pub(crate) fn record(&mut self, success: bool) {
         if self.window.len() == self.config.window {
             self.window.pop_front();
         }
@@ -213,7 +189,7 @@ impl LinkHealth {
     }
 
     /// True when a Down link is due for a recovery probe at time `at`.
-    pub fn probe_due(&self, at: SimTime) -> bool {
+    pub(crate) fn probe_due(&self, at: SimTime) -> bool {
         self.state == LinkState::Down
             && self
                 .last_probe
@@ -225,7 +201,7 @@ impl LinkHealth {
     /// [`probes_to_recover`](LinkHealthConfig::probes_to_recover)
     /// consecutive successes the link returns to Up with a reset (all-green)
     /// window, so it is not instantly re-condemned by stale history.
-    pub fn record_probe(&mut self, at: SimTime, success: bool) {
+    pub(crate) fn record_probe(&mut self, at: SimTime, success: bool) {
         self.last_probe = Some(at);
         if !success {
             self.probe_successes = 0;
@@ -258,7 +234,7 @@ impl fmt::Display for LinkHealth {
 }
 
 /// Prefers a primary transport, fails over to a secondary while the primary
-/// is [`Down`](LinkState::Down), and probes the primary back to health.
+/// is `Down`, and probes the primary back to health.
 ///
 /// Routing per send:
 ///
@@ -276,21 +252,6 @@ impl fmt::Display for LinkHealth {
 /// an explicit energy bill. The
 /// router additionally counts `net.failover.sends` / `net.failover.probes`
 /// and journals a [`TelemetryEvent::Failover`] per secondary send.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_net::{
-///     BtRelayTransport, FailoverTransport, LinkHealthConfig, LinkState, WifiTransport,
-/// };
-///
-/// let transport = FailoverTransport::new(
-///     WifiTransport::default(),
-///     BtRelayTransport::default(),
-///     LinkHealthConfig::default(),
-/// );
-/// assert_eq!(transport.health().state(), LinkState::Up);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverTransport<P, S> {
     primary: P,
@@ -302,7 +263,7 @@ pub struct FailoverTransport<P, S> {
 }
 
 impl<P: Transport, S: Transport> FailoverTransport<P, S> {
-    /// Wires `primary` and `secondary` to a fresh [`LinkHealth`].
+    /// Wires `primary` and `secondary` to a fresh `LinkHealth`.
     pub fn new(primary: P, secondary: S, config: LinkHealthConfig) -> Self {
         FailoverTransport {
             primary,
@@ -312,38 +273,6 @@ impl<P: Transport, S: Transport> FailoverTransport<P, S> {
             failover_sends: 0,
             probes: 0,
         }
-    }
-
-    /// Injects a pre-configured recorder as the router's merged sink.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
-        self
-    }
-
-    /// The primary link's health.
-    pub fn health(&self) -> &LinkHealth {
-        &self.health
-    }
-
-    /// The primary transport.
-    pub fn primary(&self) -> &P {
-        &self.primary
-    }
-
-    /// The secondary transport.
-    pub fn secondary(&self) -> &S {
-        &self.secondary
-    }
-
-    /// Sends routed to the secondary (failover bursts and Down-state
-    /// traffic).
-    pub fn failover_sends(&self) -> u64 {
-        self.failover_sends
-    }
-
-    /// Recovery probes attempted on a Down primary.
-    pub fn probes(&self) -> u64 {
-        self.probes
     }
 
     fn send_secondary<R: Rng + ?Sized>(
@@ -560,20 +489,20 @@ mod tests {
         // Exactly 0.5: NOT below degraded_below, so Up holds.
         assert_eq!(health.success_ratio(), Some(0.5));
         assert_eq!(health.state(), LinkState::Up);
-        assert_eq!(health.transitions(), 0);
+        assert_eq!(health.transitions, 0);
         // One more failure: exactly 0.25 — NOT below down_below, so the
         // link degrades rather than dying.
         health.record(false);
         assert_eq!(health.success_ratio(), Some(0.25));
         assert_eq!(health.state(), LinkState::Degraded);
-        assert_eq!(health.transitions(), 1);
+        assert_eq!(health.transitions, 1);
         // Climb to exactly 0.75: recovery is inclusive, so Up.
         for _ in 0..3 {
             health.record(true);
         }
         assert_eq!(health.success_ratio(), Some(0.75));
         assert_eq!(health.state(), LinkState::Up);
-        assert_eq!(health.transitions(), 2);
+        assert_eq!(health.transitions, 2);
         // Oscillate the ratio between the 0.5 and 0.75 marks: every value
         // sits on or inside the hysteresis band, so the state must not
         // move again.
@@ -581,7 +510,7 @@ mod tests {
             health.record(outcome);
             assert_eq!(health.state(), LinkState::Up, "boundary flap");
         }
-        assert_eq!(health.transitions(), 2);
+        assert_eq!(health.transitions, 2);
     }
 
     #[test]
@@ -606,21 +535,21 @@ mod tests {
         let mut recovered_at = None;
         for i in 0..60u64 {
             let at = SimTime::from_secs(i * 10);
-            let before = t.probes();
+            let before = t.probes;
             assert!(
                 t.send(at, &report(i, at), &mut r).is_delivered(),
                 "report at {at:?} lost during the probe/outage race"
             );
-            let probed = t.probes() > before;
+            let probed = t.probes > before;
             if probed && at < outage_end {
                 in_outage_probes_failed += 1;
                 assert_eq!(
-                    t.health().state(),
+                    t.health.state(),
                     LinkState::Down,
                     "an in-outage probe must not revive the link"
                 );
             }
-            if recovered_at.is_none() && t.health().state() == LinkState::Up && at >= outage_end {
+            if recovered_at.is_none() && t.health.state() == LinkState::Up && at >= outage_end {
                 recovered_at = Some(at);
             }
         }
@@ -639,7 +568,7 @@ mod tests {
             recovered_at <= outage_end + SimDuration::from_secs(60),
             "recovered {recovered_at:?}: recovery must not dawdle once the outage ends"
         );
-        assert_eq!(t.health().state(), LinkState::Up);
+        assert_eq!(t.health.state(), LinkState::Up);
     }
 
     #[test]
@@ -665,17 +594,9 @@ mod tests {
         // During the outage the primary refuses a handful of sends until the
         // window trips Down; after that everything rides the secondary, and
         // probes bring Wi-Fi back once the outage ends.
-        assert_eq!(
-            t.health().state(),
-            LinkState::Up,
-            "failed back after outage"
-        );
-        assert!(
-            t.failover_sends() > 30,
-            "failover sends {}",
-            t.failover_sends()
-        );
-        assert!(t.probes() > 0);
+        assert_eq!(t.health.state(), LinkState::Up, "failed back after outage");
+        assert!(t.failover_sends > 30, "failover sends {}", t.failover_sends);
+        assert!(t.probes > 0);
         // Only the handful of sends while the window was filling were lost
         // (each of those still got a secondary retry, so in fact none are).
         assert_eq!(delivered, 120);
@@ -691,15 +612,15 @@ mod tests {
         // a Failover event.
         assert_eq!(
             t.telemetry().counter(keys::NET_FAILOVER_SENDS),
-            t.failover_sends()
+            t.failover_sends
         );
-        assert_eq!(t.telemetry().counter(keys::NET_FAILOVER_PROBES), t.probes());
+        assert_eq!(t.telemetry().counter(keys::NET_FAILOVER_PROBES), t.probes);
         let failover_events = t
             .telemetry()
             .journal()
             .filter(|e| matches!(e, TelemetryEvent::Failover { .. }))
             .count() as u64;
-        assert_eq!(failover_events, t.failover_sends());
+        assert_eq!(failover_events, t.failover_sends);
     }
 
     #[test]
@@ -712,10 +633,10 @@ mod tests {
             let at = SimTime::from_secs(i * 10);
             assert!(t.send(at, &report(i, at), &mut r).is_delivered());
         }
-        assert_eq!(t.failover_sends(), 0);
-        assert_eq!(t.probes(), 0);
+        assert_eq!(t.failover_sends, 0);
+        assert_eq!(t.probes, 0);
         assert_eq!(t.kind(), TransportKind::Wifi);
-        assert_eq!(t.health().transitions(), 0);
+        assert_eq!(t.health.transitions, 0);
     }
 
     #[test]
@@ -733,7 +654,7 @@ mod tests {
         assert!(t.send_batch(later, &[], &mut r).is_delivered());
         let attempts = t.telemetry().counter(keys::NET_TX_ATTEMPTS);
         assert_eq!(attempts, 1, "no radio, no burst");
-        assert_eq!(t.health().success_ratio(), Some(1.0));
+        assert_eq!(t.health.success_ratio(), Some(1.0));
         assert_eq!(t.telemetry().transport_events().len(), 1);
     }
 
@@ -750,11 +671,11 @@ mod tests {
         let mut r = rng::for_component(25, "retry-forward");
         let at = SimTime::from_secs(1);
         assert!(t.send(at, &report(0, at), &mut r).is_delivered());
-        assert_eq!(t.primary().telemetry().counter(keys::NET_TX_ATTEMPTS), 3);
+        assert_eq!(t.primary.telemetry().counter(keys::NET_TX_ATTEMPTS), 3);
         assert_eq!(t.telemetry().counter(keys::NET_TX_ATTEMPTS), 4);
         assert_eq!(t.telemetry().counter(keys::NET_TX_ATTEMPTS_BT), 3);
         let forwarded = t.telemetry().transport_events();
-        let primary = t.primary().telemetry().transport_events();
+        let primary = t.primary.telemetry().transport_events();
         assert_eq!(&forwarded[..3], &primary[..], "forwarded in record order");
     }
 

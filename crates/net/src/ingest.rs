@@ -194,11 +194,6 @@ impl IngestTier {
         }
     }
 
-    /// The configuration the tier was built with.
-    pub fn config(&self) -> &IngestTierConfig {
-        &self.config
-    }
-
     /// The sharded fleet behind the mailboxes.
     pub fn fleet(&self) -> &ShardedBmsServer {
         &self.fleet
@@ -291,15 +286,6 @@ impl IngestTier {
             .map(Mailbox::peak_depth)
             .max()
             .unwrap_or(0)
-    }
-
-    /// How far behind `now` the oldest queued report is, across shards.
-    pub fn lag(&self, now: SimTime) -> SimDuration {
-        self.mailboxes
-            .iter()
-            .map(|m| m.lag(now))
-            .max()
-            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Reports admitted since construction.

@@ -29,7 +29,7 @@ mod analytics;
 mod archive;
 mod batch;
 mod bms;
-pub mod counting;
+mod counting;
 mod demand;
 mod fault;
 mod federation;
@@ -41,25 +41,22 @@ mod peer;
 mod shard;
 mod transport;
 
-pub use analytics::{DebouncedRoom, MovementAnalytics, RoomTransition};
-pub use archive::{ArchiveConfig, ArchiveSink, ArchiveStats, Coverage, DeviceMark, RecoveryReport};
+pub use analytics::{DebouncedRoom, MovementAnalytics};
+pub use archive::ArchiveConfig;
+use archive::RecoveryReport;
 pub use batch::BatchingTransport;
+use bms::RoomPresence;
 pub use bms::{
-    IngestOutcome, OccupancyEstimator, OccupancyView, RestoreError, RoomLabel, RoomPresence,
-    ServerStats, ShardedBmsCheckpoint, ShardedBmsServer, Windowed,
+    OccupancyEstimator, OccupancyView, RoomLabel, ShardedBmsCheckpoint, ShardedBmsServer, Windowed,
 };
-pub use counting::{
-    finalize_population, CountingConfig, LeveledPopulationView, PopulationEstimate,
-    PopulationEvidence, PopulationView,
-};
-pub use demand::{DemandResponseController, DemandResponseReport, HvacState};
+pub use counting::{CountingConfig, LeveledPopulationView, PopulationEvidence, PopulationView};
+pub use demand::DemandResponseController;
 pub use fault::FaultyTransport;
-pub use federation::{CampusFederation, CampusView};
-pub use health::{FailoverTransport, LinkHealth, LinkHealthConfig, LinkState};
+pub use federation::CampusFederation;
+pub use health::{FailoverTransport, LinkHealthConfig};
 pub use ingest::{Admission, IngestTier, IngestTierConfig, LeveledView, ServiceLevel};
-pub use message::{
-    batched_wire_size_bytes, DeviceId, ObservationReport, SequenceStamper, SightedBeacon,
-};
+use message::batched_wire_size_bytes;
+pub use message::{DeviceId, ObservationReport, SequenceStamper, SightedBeacon};
 pub use peer::{PeerRelayConfig, PeerRelayTransport};
 pub use transport::{
     BtRelayTransport, Delivery, Payload, QueueingTransport, Retrying, SendOutcome, Transport,

@@ -67,7 +67,7 @@ impl ObservationReport {
     /// Serialized size in bytes, for transport air-time modelling: a fixed
     /// header (device id + sequence number + timestamp) plus per-beacon
     /// identity and distance.
-    pub fn wire_size_bytes(&self) -> usize {
+    pub(crate) fn wire_size_bytes(&self) -> usize {
         REPORT_HEADER_BYTES + self.beacons.len() * PER_BEACON_BYTES
     }
 }
@@ -77,7 +77,7 @@ impl ObservationReport {
 /// Smaller than the sum of the individual frames' transport overheads, and
 /// — more importantly for energy — carried by a single burst instead of
 /// `k` separate wakes.
-pub fn batched_wire_size_bytes(reports: &[ObservationReport]) -> usize {
+pub(crate) fn batched_wire_size_bytes(reports: &[ObservationReport]) -> usize {
     BATCH_ENVELOPE_BYTES
         + reports
             .iter()

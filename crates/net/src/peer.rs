@@ -224,33 +224,6 @@ impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
         }
     }
 
-    /// Injects a pre-configured recorder as the mesh's merged sink.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.path.telemetry = recorder;
-        self
-    }
-
-    /// The mesh's merged recorder: both uplinks' bursts, the hops, and the
-    /// `net.peer.*` counters.
-    pub fn telemetry(&self) -> &Recorder {
-        &self.path.telemetry
-    }
-
-    /// The mesh configuration.
-    pub fn config(&self) -> &PeerRelayConfig {
-        &self.path.config
-    }
-
-    /// The device's own uplink.
-    pub fn direct(&self) -> &D {
-        &self.path.direct
-    }
-
-    /// The exit peer's uplink.
-    pub fn exit(&self) -> &X {
-        &self.path.exit
-    }
-
     /// Reports the mesh carried to the exit peer's uplink.
     pub fn relayed(&self) -> u64 {
         self.path.relayed
@@ -259,16 +232,6 @@ impl<D: Transport, X: Transport> PeerRelayTransport<D, X> {
     /// Reports currently parked in the store-and-forward buffer.
     pub fn pending(&self) -> usize {
         self.outbox.pending()
-    }
-
-    /// Reports that have ever parked in the buffer.
-    pub fn parked(&self) -> u64 {
-        self.parked
-    }
-
-    /// Reports evicted from a full buffer.
-    pub fn dropped(&self) -> u64 {
-        self.outbox.dropped
     }
 
     /// Retries every parked report whose backoff has run out over the full
@@ -395,7 +358,7 @@ mod tests {
         }
         assert_eq!(mesh.relayed(), 0);
         assert_eq!(mesh.pending(), 0);
-        assert_eq!(mesh.telemetry().counter(keys::NET_TX_ATTEMPTS_PEER), 0);
+        assert_eq!(mesh.path.telemetry.counter(keys::NET_TX_ATTEMPTS_PEER), 0);
     }
 
     #[test]
@@ -435,16 +398,17 @@ mod tests {
         assert_eq!(mesh.pending(), 0);
         // Each relay walked exactly hops_to_exit perfect hops.
         assert_eq!(
-            mesh.telemetry().counter(keys::NET_TX_ATTEMPTS_PEER),
-            mesh.relayed() * u64::from(mesh.config().hops_to_exit)
+            mesh.path.telemetry.counter(keys::NET_TX_ATTEMPTS_PEER),
+            mesh.relayed() * u64::from(mesh.path.config.hops_to_exit)
         );
         // Counters mirror the accessors; relays journalled mesh failovers.
         assert_eq!(
-            mesh.telemetry().counter(keys::NET_PEER_RELAYED),
+            mesh.path.telemetry.counter(keys::NET_PEER_RELAYED),
             mesh.relayed()
         );
         let mesh_failovers = mesh
-            .telemetry()
+            .path
+            .telemetry
             .journal()
             .filter(|e| {
                 matches!(
@@ -460,7 +424,8 @@ mod tests {
         // Both the direct radios and the mesh hops show up in the merged
         // burst log for the energy model.
         let kinds: std::collections::BTreeSet<String> = mesh
-            .telemetry()
+            .path
+            .telemetry
             .transport_events()
             .iter()
             .map(|e| e.kind.to_string())
@@ -522,22 +487,22 @@ mod tests {
         }
         assert_eq!(mesh.relayed(), 0);
         assert_eq!(mesh.pending(), 0, "backlog must drain after the outage");
-        assert!(mesh.parked() >= 29, "parked {}", mesh.parked());
+        assert!(mesh.parked >= 29, "parked {}", mesh.parked);
         // Every report got through exactly once (in-outage ones late).
         arrived.sort_unstable();
         assert_eq!(arrived, (0..40).collect::<Vec<_>>());
         // The failed mesh walks burned their whole hop budget each time.
         assert!(
-            mesh.telemetry().counter(keys::NET_TX_ATTEMPTS_PEER)
-                >= mesh.parked() * u64::from(mesh.config().max_hops)
+            mesh.path.telemetry.counter(keys::NET_TX_ATTEMPTS_PEER)
+                >= mesh.parked * u64::from(mesh.path.config.max_hops)
         );
         assert_eq!(
-            mesh.telemetry().counter(keys::NET_PEER_QUEUED),
-            mesh.parked()
+            mesh.path.telemetry.counter(keys::NET_PEER_QUEUED),
+            mesh.parked
         );
         // Retrying every parked report on every call burned 2365 bursts
         // here, 1860 of them hops; backoff keeps the outage under half that.
-        let bursts = mesh.telemetry().transport_events().len();
+        let bursts = mesh.path.telemetry.transport_events().len();
         assert!(bursts < 1200, "{bursts} bursts");
     }
 
@@ -561,8 +526,8 @@ mod tests {
             assert!(mesh.offer(at, report(i, at), &mut r).is_empty());
         }
         assert_eq!(mesh.pending(), 4);
-        assert_eq!(mesh.dropped(), 6);
-        assert_eq!(mesh.telemetry().counter(keys::NET_PEER_DROPPED), 6);
+        assert_eq!(mesh.outbox.dropped, 6);
+        assert_eq!(mesh.path.telemetry.counter(keys::NET_PEER_DROPPED), 6);
         // The freshest observations survive.
         assert_eq!(
             mesh.outbox
@@ -589,9 +554,9 @@ mod tests {
         let at = SimTime::from_secs(1);
         assert!(mesh.offer(at, report(0, at), &mut r).is_empty());
         assert_eq!(mesh.pending(), 1, "a shed report parks");
-        assert_eq!(mesh.parked(), 1);
+        assert_eq!(mesh.parked, 1);
         assert_eq!(mesh.relayed(), 0, "a shed report must not hit the mesh");
-        assert_eq!(mesh.telemetry().counter(keys::NET_TX_ATTEMPTS_PEER), 0);
+        assert_eq!(mesh.path.telemetry.counter(keys::NET_TX_ATTEMPTS_PEER), 0);
     }
 
     #[test]
@@ -615,11 +580,14 @@ mod tests {
         let mut r = rng::for_component(46, "peer-forward");
         let at = SimTime::from_secs(1);
         assert_eq!(mesh.offer(at, report(0, at), &mut r).len(), 1);
-        assert_eq!(mesh.direct().telemetry().counter(keys::NET_TX_ATTEMPTS), 2);
-        assert_eq!(mesh.telemetry().counter(keys::NET_TX_ATTEMPTS), 2);
         assert_eq!(
-            mesh.telemetry().transport_events(),
-            mesh.direct().telemetry().transport_events()
+            mesh.path.direct.telemetry().counter(keys::NET_TX_ATTEMPTS),
+            2
+        );
+        assert_eq!(mesh.path.telemetry.counter(keys::NET_TX_ATTEMPTS), 2);
+        assert_eq!(
+            mesh.path.telemetry.transport_events(),
+            mesh.path.direct.telemetry().transport_events()
         );
     }
 

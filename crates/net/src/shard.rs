@@ -554,13 +554,13 @@ mod tests {
         /// sorted-run window must keep printing.
         mod reference {
             #[derive(Debug, Default)]
-            pub struct DedupWindow {
-                pub watermark: Option<u64>,
-                pub seen: std::collections::BTreeSet<u64>,
+            pub(crate) struct DedupWindow {
+                pub(crate) watermark: Option<u64>,
+                pub(crate) seen: std::collections::BTreeSet<u64>,
             }
 
             impl DedupWindow {
-                pub fn check_and_insert(&mut self, seq: u64, capacity: usize) -> bool {
+                pub(crate) fn check_and_insert(&mut self, seq: u64, capacity: usize) -> bool {
                     if let Some(watermark) = self.watermark {
                         if seq <= watermark {
                             return false;

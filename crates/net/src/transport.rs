@@ -16,7 +16,8 @@ use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
 use std::fmt;
 
 pub use crate::outbox::Delivery;
-pub use roomsense_telemetry::{TransportEvent, TransportKind};
+pub use roomsense_telemetry::TransportEvent;
+pub use roomsense_telemetry::TransportKind;
 
 /// The result of one send attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +50,8 @@ impl SendOutcome {
         matches!(self, SendOutcome::Delivered { .. })
     }
 
-    /// True when the link refused the attempt outright (scheduled outage).
-    pub fn is_refused(&self) -> bool {
-        matches!(self, SendOutcome::Refused)
-    }
-
     /// True when the server shed the attempt to protect itself (overload).
-    pub fn is_backpressured(&self) -> bool {
+    pub(crate) fn is_backpressured(&self) -> bool {
         matches!(self, SendOutcome::Backpressured)
     }
 }
@@ -63,13 +59,15 @@ impl SendOutcome {
 /// What one send carries: a single report or a coalesced batch.
 ///
 /// The payload is the one place that knows how a send is sized — one
-/// report by [`ObservationReport::wire_size_bytes`], a batch by
-/// [`batched_wire_size_bytes`] (one shared envelope) — and that an empty
-/// batch is no payload at all: [`Payload::batch`] refuses it, so
+/// report by `ObservationReport::wire_size_bytes`, a batch by
+/// `batched_wire_size_bytes` (one shared envelope) — and that an empty
+/// batch is no payload at all: `Payload::batch` refuses it, so
 /// [`Transport::send_batch`] delivers it on the spot without a burst. A
 /// coalesced batch rides **one** radio burst — the paper's Fig. 10 energy
 /// lever (fewer wakes) applied at the transport layer — and is atomic: it
 /// delivers wholly or not at all.
+///
+/// Kept public: it is the argument of the public [`Transport::transmit`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Payload<'a> {
     reports: &'a [ObservationReport],
@@ -78,7 +76,7 @@ pub struct Payload<'a> {
 
 impl<'a> Payload<'a> {
     /// A single report.
-    pub fn one(report: &'a ObservationReport) -> Self {
+    pub(crate) fn one(report: &'a ObservationReport) -> Self {
         Payload {
             reports: std::slice::from_ref(report),
             coalesced: false,
@@ -86,7 +84,7 @@ impl<'a> Payload<'a> {
     }
 
     /// A coalesced batch, or `None` when `reports` is empty.
-    pub fn batch(reports: &'a [ObservationReport]) -> Option<Self> {
+    pub(crate) fn batch(reports: &'a [ObservationReport]) -> Option<Self> {
         (!reports.is_empty()).then_some(Payload {
             reports,
             coalesced: true,
@@ -94,12 +92,12 @@ impl<'a> Payload<'a> {
     }
 
     /// The reports carried (never empty).
-    pub fn reports(&self) -> &'a [ObservationReport] {
+    pub(crate) fn reports(&self) -> &'a [ObservationReport] {
         self.reports
     }
 
     /// The payload's serialized size on the wire.
-    pub fn wire_size_bytes(&self) -> usize {
+    pub(crate) fn wire_size_bytes(&self) -> usize {
         if self.coalesced {
             batched_wire_size_bytes(self.reports)
         } else {
@@ -275,13 +273,6 @@ impl WifiTransport {
             telemetry: Recorder::new(),
         }
     }
-
-    /// Injects a pre-configured recorder (e.g. a custom journal capacity)
-    /// as the telemetry sink.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
-        self
-    }
 }
 
 impl Default for WifiTransport {
@@ -365,12 +356,6 @@ impl BtRelayTransport {
             telemetry: Recorder::new(),
         }
     }
-
-    /// Injects a pre-configured recorder as the telemetry sink.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
-        self
-    }
 }
 
 impl Default for BtRelayTransport {
@@ -440,15 +425,6 @@ impl fmt::Display for BtRelayTransport {
 /// transport's telemetry), so the energy model automatically prices the
 /// reliability gain. A batch retries as a unit: each attempt is one
 /// coalesced burst.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_net::{BtRelayTransport, Retrying, Transport};
-///
-/// let transport = Retrying::new(BtRelayTransport::default(), 2);
-/// assert_eq!(transport.max_retries(), 2);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Retrying<T> {
     inner: T,
@@ -460,21 +436,6 @@ impl<T: Transport> Retrying<T> {
     /// times.
     pub fn new(inner: T, max_retries: u32) -> Self {
         Retrying { inner, max_retries }
-    }
-
-    /// The retry budget per send.
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Unwraps the inner transport (and its recorder).
-    pub fn into_inner(self) -> T {
-        self.inner
     }
 }
 
@@ -597,16 +558,6 @@ impl<T: Transport> QueueingTransport<T> {
     pub fn with_ack_loss(mut self, ack_loss: f64) -> Self {
         self.outbox.set_ack_loss(ack_loss);
         self
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Unwraps the inner transport (and its recorder).
-    pub fn into_inner(self) -> T {
-        self.inner
     }
 
     /// The wrapped transport's recorder, which the queue's counters share.
@@ -818,23 +769,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn injected_recorder_is_the_sink() {
-        let recorder = Recorder::new().with_journal_capacity(4);
-        let mut wifi =
-            WifiTransport::new(1.0, SimDuration::from_millis(50)).with_recorder(recorder);
-        let mut r = rng::for_component(31, "inject");
-        for i in 0..10 {
-            wifi.send(SimTime::from_secs(i), &report(), &mut r);
-        }
-        // The injected journal capacity applies: only 4 events survive but
-        // the counters keep the full history.
-        assert_eq!(wifi.telemetry().transport_events().len(), 4);
-        assert_eq!(wifi.telemetry().journal_dropped(), 6);
-        assert_eq!(wifi.telemetry().counter(keys::NET_TX_ATTEMPTS), 10);
-        assert_eq!(wifi.delivery_rate(), Some(1.0));
-    }
-
-    #[test]
     fn retrying_lifts_bt_delivery_rate() {
         let mut bare = BtRelayTransport::default();
         let mut retried = Retrying::new(BtRelayTransport::default(), 2);
@@ -965,7 +899,7 @@ pub(crate) mod tests {
     fn queueing_report_rate_is_none_before_traffic() {
         let q = QueueingTransport::new(BtRelayTransport::default(), 8, SimDuration::from_secs(1));
         assert_eq!(q.report_delivery_rate(), None);
-        assert_eq!(q.inner().delivery_rate(), None);
+        assert_eq!(q.inner.delivery_rate(), None);
     }
 
     #[test]
@@ -1177,7 +1111,5 @@ pub(crate) mod tests {
     #[test]
     fn refused_is_not_delivered() {
         assert!(!SendOutcome::Refused.is_delivered());
-        assert!(SendOutcome::Refused.is_refused());
-        assert!(!SendOutcome::Failed.is_refused());
     }
 }

@@ -29,10 +29,10 @@ pub enum AdvChannel {
 
 impl AdvChannel {
     /// All three channels in hop order.
-    pub const ALL: [AdvChannel; 3] = [AdvChannel::Ch37, AdvChannel::Ch38, AdvChannel::Ch39];
+    pub(crate) const ALL: [AdvChannel; 3] = [AdvChannel::Ch37, AdvChannel::Ch38, AdvChannel::Ch39];
 
     /// Small deterministic gain offset relative to mid-band, in dB.
-    pub fn gain_offset_db(self) -> f64 {
+    pub(crate) fn gain_offset_db(self) -> f64 {
         match self {
             AdvChannel::Ch37 => 0.4,
             AdvChannel::Ch38 => 0.0,
@@ -122,7 +122,7 @@ impl Advertiser {
     }
 
     /// Nominal advertisements per second.
-    pub fn rate_hz(&self) -> f64 {
+    pub(crate) fn rate_hz(&self) -> f64 {
         1000.0 / self.interval.as_millis() as f64
     }
 

@@ -56,7 +56,7 @@ impl fmt::Display for TransmitterProfile {
 /// transmitter/receiver geometry: the fading-free mean RSSI and the fading
 /// regime (Rician when line-of-sight, Rayleigh when a wall intervenes).
 ///
-/// Produced by [`Channel::link_budget`] (or [`Channel::link_budget_from`])
+/// Produced by [`Channel::link_budget_from`]
 /// and consumed by [`Channel::sample_rssi_with_budget_on_at`]. Because both
 /// fields are pure functions of the link geometry, a budget may be cached
 /// for as long as the transmitter profile, both positions, and the
@@ -81,14 +81,20 @@ pub struct LinkBudget {
 ///
 /// ```
 /// use roomsense_geom::Point;
-/// use roomsense_radio::{Channel, DeviceRxProfile, Environment, TransmitterProfile};
-/// use roomsense_sim::rng;
+/// use roomsense_radio::{
+///     AdvChannel, Channel, DeviceRxProfile, Environment, Sightlines, TransmitterProfile,
+/// };
+/// use roomsense_sim::{rng, SimTime};
 ///
 /// let channel = Channel::new(Environment::free_space());
+/// let rx = DeviceRxProfile::ideal();
+/// let mut table = Sightlines::default();
+/// table.aim(channel.environment(), Point::new(0.0, 0.0));
+/// let rx_pos = Point::new(1.0, 0.0);
+/// let budget = channel.link_budget_from(&table, &TransmitterProfile::default(), &rx, rx_pos);
 /// let mut r = rng::for_component(7, "doc");
 /// let rssi = channel
-///     .sample_rssi(&TransmitterProfile::default(), Point::new(0.0, 0.0),
-///                  &DeviceRxProfile::ideal(), Point::new(1.0, 0.0), &mut r)
+///     .sample_rssi_with_budget_on_at(SimTime::ZERO, &budget, &rx, rx_pos, AdvChannel::Ch38, &mut r)
 ///     .expect("1 m LOS link never drops for an ideal receiver");
 /// // Within fading range of the calibrated -59 dBm:
 /// assert!(rssi > -75.0 && rssi < -45.0);
@@ -116,41 +122,11 @@ impl Channel {
         &mut self.environment
     }
 
-    /// Samples the RSSI one advertisement produces at the receiver on
-    /// channel 38 at simulation time zero, or `None` when the packet is not
-    /// received (below sensitivity, or the stack dropped it).
-    pub fn sample_rssi<R: Rng + ?Sized>(
-        &self,
-        tx: &TransmitterProfile,
-        tx_pos: Point,
-        rx: &DeviceRxProfile,
-        rx_pos: Point,
-        rng: &mut R,
-    ) -> Option<f64> {
-        let budget = self.link_budget(tx, tx_pos, rx, rx_pos);
-        self.sample_rssi_with_budget_on_at(
-            SimTime::ZERO,
-            &budget,
-            rx,
-            rx_pos,
-            AdvChannel::Ch38,
-            rng,
-        )
-    }
-
-    /// Precomputes the deterministic part of one link at a fixed geometry:
-    /// the mean RSSI and which fading regime the path is in. The budget is a
-    /// pure function of the positions and profiles — no RNG is involved — so
-    /// callers whose geometry is static across a scan cycle can compute it
-    /// once and feed it to
-    /// [`sample_rssi_with_budget_on_at`](Self::sample_rssi_with_budget_on_at)
-    /// per packet. Its `mean_dbm` is the channel's fading-free, noise-free
-    /// RSSI, useful for calibration and analytical expectations in tests.
-    ///
-    /// The walls are tested with the terms of [`Environment::sightlines`]
-    /// built on the fly; [`link_budget_from`](Self::link_budget_from) is
-    /// the same budget from a prebuilt table.
-    pub fn link_budget(
+    /// The deterministic part of one link with every wall's terms built on
+    /// the fly: the test oracle [`link_budget_from`](Self::link_budget_from)
+    /// is held to bit for bit.
+    #[cfg(test)]
+    pub(crate) fn link_budget(
         &self,
         tx: &TransmitterProfile,
         tx_pos: Point,
@@ -160,9 +136,10 @@ impl Channel {
         self.budget(tx, self.environment.sight(tx_pos, rx_pos), rx, rx_pos)
     }
 
-    /// [`link_budget`](Self::link_budget) from the transmitter the table
-    /// was built for, bit for bit, with the walls' transmitter-side terms
-    /// taken from the table instead of recomputed.
+    /// The deterministic part of one link at a fixed geometry: the mean
+    /// RSSI and which fading regime the path is in, a pure function of the
+    /// positions and profiles, with the walls' transmitter-side terms taken
+    /// from a table built for the transmitter.
     ///
     /// `sightlines` must come from this channel's environment.
     pub fn link_budget_from(
@@ -295,7 +272,7 @@ mod tests {
     mod roomsense_radio_test_helpers {
         use super::*;
 
-        pub fn collect_samples(
+        pub(crate) fn collect_samples(
             channel: &Channel,
             rx: &DeviceRxProfile,
             distance: f64,
@@ -306,25 +283,28 @@ mod tests {
             let mut r = rng::for_component(seed, "channel-test");
             (0..n)
                 .filter_map(|_| {
-                    channel.sample_rssi(
+                    sample_rssi_on_at(
+                        channel,
+                        SimTime::ZERO,
                         &tx,
                         Point::new(0.0, 0.0),
                         rx,
                         Point::new(distance, 0.0),
+                        AdvChannel::Ch38,
                         &mut r,
                     )
                 })
                 .collect()
         }
 
-        pub fn mean(xs: &[f64]) -> f64 {
+        pub(crate) fn mean(xs: &[f64]) -> f64 {
             xs.iter().sum::<f64>() / xs.len() as f64
         }
 
         /// One advertisement sampled from scratch: the link budget, then
         /// the per-packet draws.
         #[allow(clippy::too_many_arguments)]
-        pub fn sample_rssi_on_at<R: Rng + ?Sized>(
+        pub(crate) fn sample_rssi_on_at<R: Rng + ?Sized>(
             channel: &Channel,
             at: SimTime,
             tx: &TransmitterProfile,

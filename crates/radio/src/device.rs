@@ -31,13 +31,13 @@ pub struct DeviceRxProfile {
     pub gain_offset_db: f64,
     /// Standard deviation of per-sample measurement noise, in dB (ADC and
     /// AGC quantisation, crystal drift).
-    pub noise_sigma_db: f64,
+    pub(crate) noise_sigma_db: f64,
     /// Probability that the BLE stack silently drops a received sample
     /// ("the adapter sometimes looses some samples due to bugs in the
     /// software stack", paper Section V).
-    pub sample_loss_probability: f64,
+    pub(crate) sample_loss_probability: f64,
     /// Receiver sensitivity: packets below this RSSI are undetectable, dBm.
-    pub sensitivity_dbm: f64,
+    pub(crate) sensitivity_dbm: f64,
 }
 
 impl DeviceRxProfile {

@@ -152,15 +152,10 @@ impl Environment {
         &self.walls
     }
 
-    /// The shadowing field.
-    pub fn shadowing(&self) -> &ShadowingField {
-        &self.shadowing
-    }
-
     /// The walls on the straight path `tx → rx`, found in one scan: how
     /// many it crosses and their summed attenuation in dB (added in wall
     /// order). Each wall's transmitter-side terms are built on the fly; a
-    /// transmitter queried many times should use [`sightlines`](Self::sightlines).
+    /// transmitter queried many times should use a [`Sightlines`] table.
     pub fn obstruction(&self, tx: Point, rx: Point) -> Obstruction {
         self.sight(tx, rx).obstruction
     }
@@ -171,10 +166,9 @@ impl Environment {
         sight(tx, rx, self.walls.iter().map(|w| WallSight::new(w, tx)))
     }
 
-    /// The per-wall terms of every path leaving `tx`, precomputed once so
-    /// that each later query pays only the parts that depend on the
-    /// receiver.
-    pub fn sightlines(&self, tx: Point) -> Sightlines {
+    /// The per-wall terms of every path leaving `tx`, as a fresh table.
+    #[cfg(test)]
+    pub(crate) fn sightlines(&self, tx: Point) -> Sightlines {
         let mut table = Sightlines::default();
         table.aim(self, tx);
         table
@@ -196,9 +190,9 @@ impl Default for Environment {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Sighting {
     /// Length of the path, in metres.
-    pub distance_m: f64,
+    pub(crate) distance_m: f64,
     /// The walls the path crosses.
-    pub obstruction: Obstruction,
+    pub(crate) obstruction: Obstruction,
 }
 
 /// One wall's share of [`Segment::intersects`]`(wall, tx → rx)` that does
@@ -276,8 +270,8 @@ fn sight(tx: Point, rx: Point, walls: impl Iterator<Item = WallSight>) -> Sighti
     }
 }
 
-/// Every wall as seen from one transmitter, from
-/// [`Environment::sightlines`] and read by
+/// Every wall as seen from one transmitter, built by
+/// [`aim`](Self::aim) and read by
 /// [`Channel::link_budget_from`](crate::Channel::link_budget_from): a
 /// query from a receiver position computes the path vector and its length
 /// once, then at most three cross products and two divisions per wall,
@@ -288,7 +282,7 @@ fn sight(tx: Point, rx: Point, walls: impl Iterator<Item = WallSight>) -> Sighti
 /// ```
 /// use roomsense_geom::{Point, Segment};
 /// use roomsense_radio::{
-///     Channel, DeviceRxProfile, Environment, TransmitterProfile, Wall, WallMaterial,
+///     Channel, DeviceRxProfile, Environment, Sightlines, TransmitterProfile, Wall, WallMaterial,
 /// };
 ///
 /// let mut env = Environment::free_space();
@@ -299,13 +293,11 @@ fn sight(tx: Point, rx: Point, walls: impl Iterator<Item = WallSight>) -> Sighti
 /// let channel = Channel::new(env);
 /// let (tx, rx) = (TransmitterProfile::default(), DeviceRxProfile::ideal());
 /// let tx_pos = Point::new(0.0, 0.0);
-/// let table = channel.environment().sightlines(tx_pos);
-/// for rx_pos in [Point::new(4.0, 0.0), Point::new(1.0, 3.0)] {
-///     assert_eq!(
-///         channel.link_budget_from(&table, &tx, &rx, rx_pos),
-///         channel.link_budget(&tx, tx_pos, &rx, rx_pos),
-///     );
-/// }
+/// let mut table = Sightlines::default();
+/// table.aim(channel.environment(), tx_pos);
+/// let behind = channel.link_budget_from(&table, &tx, &rx, Point::new(4.0, 0.0));
+/// let beside = channel.link_budget_from(&table, &tx, &rx, Point::new(0.0, 4.0));
+/// assert!(behind.mean_dbm < beside.mean_dbm); // the brick wall costs signal
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sightlines {

@@ -17,11 +17,11 @@ mod rand_distr_normal {
     use rand::Rng;
 
     /// Distribution marker for a standard normal via Box–Muller.
-    pub struct StandardNormal;
+    pub(crate) struct StandardNormal;
 
     impl StandardNormal {
         /// Draws one N(0, 1) sample.
-        pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
             // Box–Muller; u1 in (0,1] to avoid ln(0).
             let u1: f64 = 1.0 - rng.gen::<f64>();
             let u2: f64 = rng.gen();
@@ -31,25 +31,11 @@ mod rand_distr_normal {
 }
 
 /// Draws one standard normal deviate from `rng`.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     StandardNormal.sample(rng)
 }
 
 /// A Rician fading channel with Rice factor `k` (linear, not dB).
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_radio::fading::RicianFading;
-/// use roomsense_sim::rng;
-///
-/// let mut r = rng::for_component(1, "fading-doc");
-/// let los = RicianFading::new(8.0);       // strong line of sight
-/// let nlos = RicianFading::rayleigh();    // no line of sight
-/// let a = los.sample_db(&mut r);
-/// let b = nlos.sample_db(&mut r);
-/// assert!(a.is_finite() && b.is_finite());
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RicianFading {
     k: f64,
@@ -76,15 +62,10 @@ impl RicianFading {
         RicianFading { k: 0.0 }
     }
 
-    /// The Rice factor.
-    pub fn k(&self) -> f64 {
-        self.k
-    }
-
     /// Draws one fading gain in dB, normalised to zero mean *power*
     /// (`E[gain_linear] = 1`), so fading adds variance without biasing the
     /// path-loss calibration.
-    pub fn sample_db<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample_db<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Complex Gaussian with a deterministic LOS component:
         //   h = sqrt(K/(K+1)) + CN(0, 1/(K+1));  power = |h|^2, E[power] = 1.
         let los = (self.k / (self.k + 1.0)).sqrt();

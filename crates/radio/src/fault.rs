@@ -71,16 +71,6 @@ impl TransmitterFault {
     pub fn degraded(&self) -> &FaultSchedule {
         &self.degraded
     }
-
-    /// How far TX power sags inside a degraded window, in dB.
-    pub fn degradation_db(&self) -> f64 {
-        self.degradation_db
-    }
-
-    /// True when no faults are scheduled at all.
-    pub fn is_healthy(&self) -> bool {
-        self.outages.is_empty() && (self.degraded.is_empty() || self.degradation_db == 0.0)
-    }
 }
 
 impl fmt::Display for TransmitterFault {
@@ -111,7 +101,6 @@ mod tests {
     fn healthy_transmitter_always_transmits_at_full_power() {
         let fault = TransmitterFault::healthy();
         let profile = TransmitterProfile::default();
-        assert!(fault.is_healthy());
         assert!(fault.transmits_at(SimTime::from_secs(123)));
         assert_eq!(fault.profile_at(SimTime::from_secs(123), &profile), profile);
     }

@@ -12,24 +12,6 @@ use roomsense_sim::{SimDuration, SimTime};
 use std::fmt;
 
 /// A duty-cycled 2.4 GHz interference source.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_geom::Point;
-/// use roomsense_radio::Interferer;
-/// use roomsense_sim::{SimDuration, SimTime};
-///
-/// let microwave = Interferer::new(
-///     Point::new(3.0, 1.0), // in the kitchen
-///     5.0,                  // disrupts BLE within 5 m
-///     SimDuration::from_secs(10),
-///     0.5,                  // on half of each 10 s magnetron cycle
-///     0.6,                  // 60% of packets collide while on
-/// );
-/// assert!(microwave.is_active(SimTime::from_secs(2)));
-/// assert!(!microwave.is_active(SimTime::from_secs(7)));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interferer {
     position: Point,
@@ -90,19 +72,14 @@ impl Interferer {
         Interferer::new(position, 4.0, SimDuration::from_millis(20), 0.5, 0.8)
     }
 
-    /// The interferer's position.
-    pub fn position(&self) -> Point {
-        self.position
-    }
-
     /// Whether the burst is on at time `at`.
-    pub fn is_active(&self, at: SimTime) -> bool {
+    pub(crate) fn is_active(&self, at: SimTime) -> bool {
         let phase = at.as_millis() % self.period.as_millis();
         (phase as f64) < self.duty_cycle * self.period.as_millis() as f64
     }
 
     /// The probability a packet received at `rx` at time `at` collides.
-    pub fn collision_probability(&self, at: SimTime, rx: Point) -> f64 {
+    pub(crate) fn collision_probability(&self, at: SimTime, rx: Point) -> f64 {
         if self.is_active(at) && self.position.distance_to(rx) <= self.range_m {
             self.collision_probability
         } else {

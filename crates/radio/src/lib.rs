@@ -5,7 +5,7 @@
 //! replaces that hardware with a parameterised channel model that reproduces
 //! the *statistics* the paper observes:
 //!
-//! * [`pathloss`] — deterministic mean RSSI vs distance (log-distance law).
+//! * `pathloss` — deterministic mean RSSI vs distance (log-distance law).
 //! * [`shadowing`] — spatially correlated log-normal shadowing, so nearby
 //!   positions see similar obstruction loss (furniture, people, humidity).
 //! * [`fading`] — per-packet Rician/Rayleigh multipath fading: the reason
@@ -21,8 +21,10 @@
 //!
 //! ```
 //! use roomsense_geom::Point;
-//! use roomsense_radio::{Channel, DeviceRxProfile, Environment, TransmitterProfile};
-//! use roomsense_sim::rng;
+//! use roomsense_radio::{
+//!     AdvChannel, Channel, DeviceRxProfile, Environment, Sightlines, TransmitterProfile,
+//! };
+//! use roomsense_sim::{rng, SimTime};
 //!
 //! let env = Environment::free_space();
 //! let channel = Channel::new(env);
@@ -30,8 +32,13 @@
 //! let rx = DeviceRxProfile::galaxy_s3_mini();
 //! let mut rand = rng::for_component(42, "doc");
 //!
-//! let rssi = channel.sample_rssi(&tx, Point::new(0.0, 0.0),
-//!                                &rx, Point::new(2.0, 0.0), &mut rand);
+//! let mut table = Sightlines::default();
+//! table.aim(channel.environment(), Point::new(0.0, 0.0));
+//! let rx_pos = Point::new(2.0, 0.0);
+//! let budget = channel.link_budget_from(&table, &tx, &rx, rx_pos);
+//! let rssi = channel.sample_rssi_with_budget_on_at(
+//!     SimTime::ZERO, &budget, &rx, rx_pos, AdvChannel::Ch38, &mut rand,
+//! );
 //! // A 2 m line-of-sight link is comfortably above sensitivity:
 //! assert!(rssi.is_some());
 //! ```
@@ -46,12 +53,12 @@ mod environment;
 pub mod fading;
 mod fault;
 mod interference;
-pub mod pathloss;
+mod pathloss;
 pub mod shadowing;
 
 pub use advertiser::{AdvChannel, Advertiser, Transmission};
 pub use channel::{Channel, LinkBudget, TransmitterProfile};
 pub use device::DeviceRxProfile;
-pub use environment::{Environment, Obstruction, Sightlines, Wall, WallMaterial};
+pub use environment::{Environment, Sightlines, Wall, WallMaterial};
 pub use fault::TransmitterFault;
 pub use interference::Interferer;

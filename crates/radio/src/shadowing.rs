@@ -11,23 +11,6 @@
 use roomsense_geom::Point;
 
 /// A deterministic, spatially correlated shadowing field.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_geom::Point;
-/// use roomsense_radio::shadowing::ShadowingField;
-///
-/// let field = ShadowingField::new(42, 3.0, 2.0);
-/// let a = field.loss_db(Point::new(1.0, 1.0));
-/// let near = field.loss_db(Point::new(1.05, 1.0));
-/// let far = field.loss_db(Point::new(9.0, 7.0));
-/// // Nearby points are strongly correlated…
-/// assert!((a - near).abs() < 1.0);
-/// // …and the field is reproducible.
-/// assert_eq!(a, ShadowingField::new(42, 3.0, 2.0).loss_db(Point::new(1.0, 1.0)));
-/// # let _ = far;
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowingField {
     seed: u64,
@@ -59,7 +42,7 @@ impl ShadowingField {
     }
 
     /// A field that contributes nothing (for free-space tests).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         ShadowingField {
             seed: 0,
             sigma_db: 0.0,
@@ -67,14 +50,9 @@ impl ShadowingField {
         }
     }
 
-    /// The configured standard deviation in dB.
-    pub fn sigma_db(&self) -> f64 {
-        self.sigma_db
-    }
-
     /// Shadowing loss in dB at a receiver position (zero-mean; may be
     /// negative, meaning constructive obstruction geometry).
-    pub fn loss_db(&self, at: Point) -> f64 {
+    pub(crate) fn loss_db(&self, at: Point) -> f64 {
         if self.sigma_db == 0.0 {
             return 0.0;
         }

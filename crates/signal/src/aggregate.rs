@@ -26,7 +26,7 @@ pub enum AggregateMethod {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Cycle end time (when the app receives the batch).
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Which beacon.
     pub identity: BeaconIdentity,
     /// Pooled RSSI in dBm.
@@ -60,7 +60,7 @@ pub struct AggregateScratch {
 
 impl AggregateScratch {
     /// A scratch with no reserved memory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AggregateScratch::default()
     }
 

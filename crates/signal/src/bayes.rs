@@ -121,21 +121,6 @@ impl BayesFilter {
         BayesFilter::new(64, 50.0, seed, LossPolicy::HoldOneCycle)
     }
 
-    /// The construction seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The loss policy.
-    pub fn policy(&self) -> LossPolicy {
-        self.policy
-    }
-
-    /// Number of support points.
-    pub fn bins(&self) -> usize {
-        self.centers.len()
-    }
-
     /// Robust point estimate: the weighted mean of the support points in a
     /// small window around the posterior mode.
     ///

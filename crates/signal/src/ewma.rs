@@ -92,21 +92,6 @@ impl EwmaFilter {
     pub fn paper() -> Self {
         EwmaFilter::new(PAPER_COEFFICIENT, LossPolicy::HoldOneCycle)
     }
-
-    /// The smoothing coefficient.
-    pub fn coefficient(&self) -> f64 {
-        self.coefficient
-    }
-
-    /// The loss policy.
-    pub fn policy(&self) -> LossPolicy {
-        self.policy
-    }
-
-    /// The current estimate without consuming an observation.
-    pub fn current(&self) -> Option<f64> {
-        self.state
-    }
 }
 
 impl DistanceFilter for EwmaFilter {

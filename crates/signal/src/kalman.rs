@@ -12,17 +12,6 @@ use std::fmt;
 /// so the ablation bench can swap them.
 ///
 /// [`EwmaFilter`]: crate::EwmaFilter
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_signal::{DistanceFilter, KalmanFilter};
-///
-/// let mut f = KalmanFilter::new(0.05, 1.0);
-/// f.update(Some(2.0));
-/// let est = f.update(Some(2.4)).expect("tracking");
-/// assert!(est > 2.0 && est < 2.4); // between prior and measurement
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KalmanFilter {
     process_noise: f64,
@@ -39,7 +28,7 @@ impl KalmanFilter {
     /// # Panics
     ///
     /// Panics if either noise is not positive and finite.
-    pub fn new(process_noise: f64, measurement_noise: f64) -> Self {
+    pub(crate) fn new(process_noise: f64, measurement_noise: f64) -> Self {
         assert!(
             process_noise.is_finite() && process_noise > 0.0,
             "process noise must be positive (got {process_noise})"
@@ -71,13 +60,8 @@ impl KalmanFilter {
     }
 
     /// The current estimate.
-    pub fn current(&self) -> Option<f64> {
+    pub(crate) fn current(&self) -> Option<f64> {
         self.state.map(|(x, _)| x)
-    }
-
-    /// The current estimate variance, if tracking.
-    pub fn variance(&self) -> Option<f64> {
-        self.state.map(|(_, p)| p)
     }
 }
 
@@ -163,12 +147,12 @@ mod tests {
     fn variance_shrinks_with_measurements_grows_with_losses() {
         let mut f = KalmanFilter::indoor_default();
         f.update(Some(2.0));
-        let v0 = f.variance().expect("tracking");
+        let v0 = f.state.map(|(_, p)| p).expect("tracking");
         f.update(Some(2.0));
-        let v1 = f.variance().expect("tracking");
+        let v1 = f.state.map(|(_, p)| p).expect("tracking");
         assert!(v1 < v0);
         f.update(None);
-        let v2 = f.variance().expect("held");
+        let v2 = f.state.map(|(_, p)| p).expect("held");
         assert!(v2 > v1);
     }
 

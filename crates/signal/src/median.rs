@@ -47,11 +47,6 @@ impl MedianFilter {
         }
     }
 
-    /// The window length.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Returns the filter with a different loss policy.
     pub fn with_policy(mut self, policy: LossPolicy) -> Self {
         self.policy = policy;

@@ -47,38 +47,6 @@ pub fn rmse_against(values: &[f64], truth: f64) -> Option<f64> {
     Some(sq.sqrt())
 }
 
-/// Settling time of a step response, in cycles.
-///
-/// `series` is the filter output sampled once per cycle, starting at the
-/// cycle in which the true value stepped from `from` to `to`. Settled means
-/// within `tolerance` × |step| of `to` *and staying there* for the rest of
-/// the series. Returns `None` if the series never settles.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_signal::metrics::settling_cycles;
-/// // Steps from 0 toward 10, reaching within 10% at index 3.
-/// let series = [4.0, 7.0, 8.5, 9.2, 9.6, 9.8];
-/// assert_eq!(settling_cycles(&series, 0.0, 10.0, 0.1), Some(3));
-/// ```
-pub fn settling_cycles(series: &[f64], from: f64, to: f64, tolerance: f64) -> Option<usize> {
-    let band = tolerance * (to - from).abs();
-    let settled = |v: f64| (v - to).abs() <= band;
-    // Find the first index from which everything stays inside the band.
-    let mut candidate: Option<usize> = None;
-    for (i, &v) in series.iter().enumerate() {
-        if settled(v) {
-            if candidate.is_none() {
-                candidate = Some(i);
-            }
-        } else {
-            candidate = None;
-        }
-    }
-    candidate
-}
-
 /// The crossover index in a two-beacon dynamic walk: the first cycle at
 /// which the estimated distance to `b` becomes smaller than to `a`
 /// (the moment the system would switch rooms). Series entries are
@@ -115,25 +83,6 @@ mod tests {
     #[test]
     fn rmse_zero_when_exact() {
         assert_eq!(rmse_against(&[3.0, 3.0], 3.0), Some(0.0));
-    }
-
-    #[test]
-    fn settling_requires_staying_in_band() {
-        // Enters the band at 2, leaves at 3, re-enters at 4.
-        let series = [5.0, 8.0, 9.5, 7.0, 9.6, 9.7];
-        assert_eq!(settling_cycles(&series, 0.0, 10.0, 0.1), Some(4));
-    }
-
-    #[test]
-    fn never_settles() {
-        let series = [1.0, 2.0, 3.0];
-        assert_eq!(settling_cycles(&series, 0.0, 10.0, 0.05), None);
-    }
-
-    #[test]
-    fn settles_immediately() {
-        let series = [9.9, 10.0, 10.1];
-        assert_eq!(settling_cycles(&series, 0.0, 10.0, 0.1), Some(0));
     }
 
     #[test]

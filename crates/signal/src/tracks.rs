@@ -29,26 +29,6 @@ impl fmt::Display for TrackSnapshot {
 /// track that missed the cycle — the paper's full Section V pipeline for the
 /// multi-beacon case. The filter type is generic so the ablation arms can
 /// swap Kalman, median, or Bayes smoothing without touching the manager.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
-/// use roomsense_signal::{EwmaFilter, Observation, TrackManager};
-/// use roomsense_sim::SimTime;
-///
-/// let mut tracks = TrackManager::new(EwmaFilter::paper());
-/// let id = BeaconIdentity {
-///     uuid: ProximityUuid::example(), major: Major::new(1), minor: Minor::new(0),
-/// };
-/// let obs = Observation {
-///     at: SimTime::from_secs(2), identity: id,
-///     rssi_dbm: -65.0, distance_m: 2.0, sample_count: 1,
-/// };
-/// let snaps = tracks.update_cycle(SimTime::from_secs(2), &[obs]);
-/// assert_eq!(snaps.len(), 1);
-/// assert_eq!(snaps[0].distance_m, 2.0);
-/// ```
 #[derive(Debug, Clone)]
 pub struct TrackManager<F = EwmaFilter> {
     template: F,
@@ -68,16 +48,6 @@ impl<F: DistanceFilter + Clone> TrackManager<F> {
             tracks: BTreeMap::new(),
             dropped_scratch: Vec::new(),
         }
-    }
-
-    /// Number of live tracks.
-    pub fn len(&self) -> usize {
-        self.tracks.len()
-    }
-
-    /// True when nothing is being tracked.
-    pub fn is_empty(&self) -> bool {
-        self.tracks.is_empty()
     }
 
     /// Feeds one cycle's observations. Tracks absent from `observations`
@@ -145,15 +115,6 @@ impl<F: DistanceFilter + Clone> TrackManager<F> {
         }
         self.dropped_scratch = dropped;
     }
-
-    /// The closest tracked beacon, if any — the proximity decision the
-    /// paper's earlier iOS system used.
-    pub fn closest(&self) -> Option<(BeaconIdentity, f64)> {
-        self.tracks
-            .iter()
-            .filter_map(|(id, f)| f.current().map(|d| (*id, d)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +171,7 @@ mod tests {
         snaps.clear();
         tm.update_cycle_into_recorded(SimTime::from_secs(6), &[], &mut telemetry, &mut snaps);
         assert!(snaps.is_empty());
-        assert!(tm.is_empty());
+        assert!(tm.tracks.is_empty());
         assert_eq!(telemetry.counter(keys::FILTER_DROPS), 1);
         // The journal records the hold before the reset, at cycle ends.
         let journal: Vec<_> = telemetry.journal().collect();
@@ -225,18 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn closest_picks_minimum_distance() {
-        let mut tm = TrackManager::new(EwmaFilter::paper());
-        tm.update_cycle(
-            SimTime::from_secs(2),
-            &[obs(0, 3.0), obs(1, 1.5), obs(2, 7.0)],
-        );
-        let (winner, d) = tm.closest().expect("tracks live");
-        assert_eq!(winner, id(1));
-        assert!((d - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn new_beacon_mid_stream_starts_fresh() {
         let mut tm = TrackManager::new(EwmaFilter::paper());
         tm.update_cycle(SimTime::from_secs(2), &[obs(0, 2.0)]);
@@ -245,12 +194,6 @@ mod tests {
         // The new track passes its first observation through unsmoothed.
         let b1 = snaps.iter().find(|s| s.identity == id(1)).expect("tracked");
         assert_eq!(b1.distance_m, 9.0);
-    }
-
-    #[test]
-    fn empty_manager_has_no_closest() {
-        let tm = TrackManager::new(EwmaFilter::paper());
-        assert!(tm.closest().is_none());
     }
 
     mod properties {
@@ -307,7 +250,7 @@ mod tests {
                 tm.update_cycle(SimTime::from_secs(2), &observations);
                 tm.update_cycle(SimTime::from_secs(4), &[]);
                 tm.update_cycle(SimTime::from_secs(6), &[]);
-                prop_assert!(tm.is_empty());
+                prop_assert!(tm.tracks.is_empty());
             }
         }
     }

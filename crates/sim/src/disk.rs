@@ -68,6 +68,8 @@ impl DiskFaultPlan {
     /// `0` or the empty string, [`none`](Self::none) otherwise. Lets CI run
     /// the whole suite once with background disk chaos without changing any
     /// call site.
+    ///
+    /// Kept public: it is the documented `ROOMSENSE_DISK_FAULTS` chaos hook.
     pub fn from_env(seed: u64, horizon: crate::SimDuration) -> Self {
         match std::env::var("ROOMSENSE_DISK_FAULTS") {
             Ok(v) if !v.is_empty() && v != "0" => Self::chaos(seed, horizon),
@@ -102,11 +104,11 @@ pub struct DiskStats {
     /// Append operations accepted.
     pub appends: u64,
     /// Bytes the callers *asked* to append.
-    pub bytes_offered: u64,
+    pub(crate) bytes_offered: u64,
     /// Bytes actually laid down (differs under short writes).
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
     /// Successful (honest) fsyncs.
-    pub fsyncs: u64,
+    pub(crate) fsyncs: u64,
     /// Fsyncs that lied: claimed success, persisted nothing.
     pub lost_fsyncs: u64,
     /// Appends that silently dropped a suffix.
@@ -116,12 +118,12 @@ pub struct DiskStats {
     /// Files that kept a torn partial suffix through a crash.
     pub torn_tails: u64,
     /// Crashes injected.
-    pub crashes: u64,
+    pub(crate) crashes: u64,
     /// Explicit truncations (recovery chopping corrupt tails).
-    pub truncates: u64,
+    pub(crate) truncates: u64,
 }
 
-/// A handle to one file of a [`SimDisk`], from [`SimDisk::open`]. Appends
+/// A handle to one file of a [`SimDisk`], from `SimDisk::open`. Appends
 /// and fsyncs through it index the disk's file table directly instead of
 /// looking the name up. Files are never removed, so a handle stays valid
 /// for the life of the disk that issued it (and means nothing on another).
@@ -147,20 +149,6 @@ struct SimFile {
 /// The deterministic in-memory disk. Usually handled through a
 /// [`SharedDisk`] so several archive sinks (one per BMS shard) can share
 /// one namespace.
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_sim::{SimDisk, SimTime};
-///
-/// let mut disk = SimDisk::pristine(7);
-/// let wal = disk.open("wal");
-/// disk.append_file(wal, SimTime::from_secs(1), b"hello");
-/// assert_eq!(disk.with_file("wal", |bytes| bytes.len()), Some(5));
-/// disk.crash(SimTime::from_secs(2)); // never fsynced: the bytes are gone
-/// assert_eq!(disk.with_file("wal", |bytes| bytes.len()), Some(0));
-/// assert_eq!(disk.generation("wal"), 2); // the append, then the cut
-/// ```
 #[derive(Debug)]
 pub struct SimDisk {
     seed: u64,
@@ -208,14 +196,14 @@ impl SimDisk {
     }
 
     /// The installed fault plan.
-    pub fn fault_plan(&self) -> &DiskFaultPlan {
+    pub(crate) fn fault_plan(&self) -> &DiskFaultPlan {
         &self.plan
     }
 
     /// The handle of file `name`, created empty on first use (an open file
     /// is listed even before its first write). Looks up by `&str`, so the
     /// owned name is allocated only when the file is new.
-    pub fn open(&mut self, name: &str) -> FileId {
+    pub(crate) fn open(&mut self, name: &str) -> FileId {
         if let Some(&id) = self.names.get(name) {
             return id;
         }
@@ -239,7 +227,7 @@ impl SimDisk {
     /// *claims* it wrote — always `bytes.len()`; a short-write fault
     /// silently persists less, exactly the failure a checksummed record
     /// format exists to catch.
-    pub fn append_file(&mut self, file: FileId, at: SimTime, bytes: &[u8]) -> usize {
+    pub(crate) fn append_file(&mut self, file: FileId, at: SimTime, bytes: &[u8]) -> usize {
         self.stats.appends += 1;
         self.stats.bytes_offered += bytes.len() as u64;
         let short = self.plan.short_write.active_at(at) && !bytes.is_empty();
@@ -266,14 +254,14 @@ impl SimDisk {
     }
 
     /// [`append_file`](Self::append_file) to `name`, opening it first.
-    pub fn append(&mut self, name: &str, at: SimTime, bytes: &[u8]) -> usize {
+    pub(crate) fn append(&mut self, name: &str, at: SimTime, bytes: &[u8]) -> usize {
         let file = self.open(name);
         self.append_file(file, at, bytes)
     }
 
     /// Makes `file`'s bytes durable. Under an fsync-loss window the call
     /// still *looks* successful — the only honest signal is a later crash.
-    pub fn fsync_file(&mut self, file: FileId, at: SimTime) {
+    pub(crate) fn fsync_file(&mut self, file: FileId, at: SimTime) {
         if self.plan.fsync_loss.active_at(at) {
             self.stats.lost_fsyncs += 1;
             return;
@@ -284,36 +272,31 @@ impl SimDisk {
     }
 
     /// [`fsync_file`](Self::fsync_file) of `name`, opening it first.
-    pub fn fsync(&mut self, name: &str, at: SimTime) {
+    pub(crate) fn fsync(&mut self, name: &str, at: SimTime) {
         let file = self.open(name);
         self.fsync_file(file, at)
     }
 
     /// Runs `parse` over the current contents of `name` in place, or
     /// returns `None` if it was never opened.
-    pub fn with_file<R>(&self, name: &str, parse: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    pub(crate) fn with_file<R>(&self, name: &str, parse: impl FnOnce(&[u8]) -> R) -> Option<R> {
         self.file(name).map(|f| parse(&f.data))
     }
 
     /// How many times `name`'s bytes have changed: every append (short
     /// writes and bit rot included), truncation and crash cut bumps it.
     /// A file never written reads 0, like an empty one.
-    pub fn generation(&self, name: &str) -> u64 {
+    pub(crate) fn generation(&self, name: &str) -> u64 {
         self.file(name).map_or(0, |f| f.generation)
     }
 
     /// Current length of `name` in bytes.
-    pub fn len(&self, name: &str) -> Option<usize> {
+    pub(crate) fn len(&self, name: &str) -> Option<usize> {
         self.file(name).map(|f| f.data.len())
     }
 
-    /// True when the disk holds no files at all.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
     /// File names starting with `prefix`, sorted.
-    pub fn list(&self, prefix: &str) -> Vec<String> {
+    pub(crate) fn list(&self, prefix: &str) -> Vec<String> {
         self.names
             .keys()
             .filter(|n| n.starts_with(prefix))
@@ -323,7 +306,7 @@ impl SimDisk {
 
     /// Chops `name` to `len` bytes and makes the remainder durable — the
     /// recovery path uses this to discard a corrupt tail for good.
-    pub fn truncate(&mut self, name: &str, len: usize) {
+    pub(crate) fn truncate(&mut self, name: &str, len: usize) {
         self.stats.truncates += 1;
         let id = self.open(name);
         let file = &mut self.files[id.0];
@@ -335,7 +318,7 @@ impl SimDisk {
     /// Simulates a power loss at `at`: every file loses its un-fsynced
     /// suffix. Under an active torn-write window a seeded *partial* prefix
     /// of that suffix survives instead — a torn tail that can end mid-record.
-    pub fn crash(&mut self, at: SimTime) {
+    pub(crate) fn crash(&mut self, at: SimTime) {
         self.stats.crashes += 1;
         let torn = self.plan.torn_write.active_at(at);
         for file in &mut self.files {
@@ -356,7 +339,7 @@ impl SimDisk {
     }
 
     /// Operation counters.
-    pub fn stats(&self) -> DiskStats {
+    pub(crate) fn stats(&self) -> DiskStats {
         self.stats
     }
 }
@@ -379,43 +362,49 @@ impl SharedDisk {
         SharedDisk(Arc::new(Mutex::new(disk)))
     }
 
-    /// See [`SimDisk::open`].
+    /// The handle of file `name`, created empty on first use (an open file
+    /// is listed even before its first write). Looks up by `&str`, so the
+    /// owned name is allocated only when the file is new.
     pub fn open(&self, name: &str) -> FileId {
         self.0.lock().open(name)
     }
 
-    /// See [`SimDisk::append_file`].
+    /// Appends `bytes` to `file`. Returns the number of bytes the disk
+    /// *claims* it wrote — always `bytes.len()`; a short-write fault
+    /// silently persists less, exactly the failure a checksummed record
+    /// format exists to catch.
     pub fn append_file(&self, file: FileId, at: SimTime, bytes: &[u8]) -> usize {
         self.0.lock().append_file(file, at, bytes)
     }
 
-    /// See [`SimDisk::append`].
+    /// [`append_file`](Self::append_file) to `name`, opening it first.
     pub fn append(&self, name: &str, at: SimTime, bytes: &[u8]) -> usize {
         self.0.lock().append(name, at, bytes)
     }
 
-    /// See [`SimDisk::fsync_file`].
+    /// Makes `file`'s bytes durable. Under an fsync-loss window the call
+    /// still *looks* successful — the only honest signal is a later crash.
     pub fn fsync_file(&self, file: FileId, at: SimTime) {
         self.0.lock().fsync_file(file, at)
     }
 
-    /// See [`SimDisk::fsync`].
+    /// [`fsync_file`](Self::fsync_file) of `name`, opening it first.
     pub fn fsync(&self, name: &str, at: SimTime) {
         self.0.lock().fsync(name, at)
     }
 
-    /// See [`SimDisk::with_file`]; holds the disk lock while `parse` runs.
+    /// Runs `parse` over the current contents of `name` in place, or
+    /// returns `None` if it was never opened.
+    ///
+    /// Holds the disk lock while `parse` runs.
     pub fn with_file<R>(&self, name: &str, parse: impl FnOnce(&[u8]) -> R) -> Option<R> {
         self.0.lock().with_file(name, parse)
     }
 
-    /// See [`SimDisk::generation`].
-    pub fn generation(&self, name: &str) -> u64 {
-        self.0.lock().generation(name)
-    }
-
-    /// [`SimDisk::generation`] of each of `names`, in order, under one
-    /// lock.
+    /// How many times each of `names` has had its bytes changed, in order,
+    /// under one lock: every append (short writes and bit rot included),
+    /// truncation and crash cut bumps a file's count, and a file never
+    /// written reads 0.
     pub fn generations<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> Vec<u64> {
         let disk = self.0.lock();
         names
@@ -424,32 +413,35 @@ impl SharedDisk {
             .collect()
     }
 
-    /// See [`SimDisk::len`].
+    /// Current length of `name` in bytes.
     pub fn len(&self, name: &str) -> Option<usize> {
         self.0.lock().len(name)
     }
 
-    /// See [`SimDisk::list`].
+    /// File names starting with `prefix`, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
         self.0.lock().list(prefix)
     }
 
-    /// See [`SimDisk::truncate`].
+    /// Chops `name` to `len` bytes and makes the remainder durable — the
+    /// recovery path uses this to discard a corrupt tail for good.
     pub fn truncate(&self, name: &str, len: usize) {
         self.0.lock().truncate(name, len)
     }
 
-    /// See [`SimDisk::crash`].
+    /// Simulates a power loss at `at`: every file loses its un-fsynced
+    /// suffix. Under an active torn-write window a seeded *partial* prefix
+    /// of that suffix survives instead — a torn tail that can end mid-record.
     pub fn crash(&self, at: SimTime) {
         self.0.lock().crash(at)
     }
 
-    /// See [`SimDisk::stats`].
+    /// Operation counters.
     pub fn stats(&self) -> DiskStats {
         self.0.lock().stats()
     }
 
-    /// A clone of the installed fault plan (see [`SimDisk::fault_plan`]).
+    /// A clone of the installed fault plan.
     pub fn fault_plan(&self) -> DiskFaultPlan {
         self.0.lock().fault_plan().clone()
     }
@@ -626,7 +618,6 @@ mod tests {
         assert_eq!(disk.generation("seg"), 6);
         let shared = SharedDisk::new(disk);
         assert_eq!(shared.generations(["seg", "other"]), vec![6, 0]);
-        assert_eq!(shared.generation("other"), 0, "reading creates no file");
         assert!(shared.list("other").is_empty());
     }
 

@@ -37,7 +37,7 @@ impl FaultWindow {
     }
 
     /// How long the fault lasts.
-    pub fn length(&self) -> SimDuration {
+    pub(crate) fn length(&self) -> SimDuration {
         self.until.saturating_since(self.from)
     }
 }

@@ -26,7 +26,6 @@
 //! let mut inbox = Mailbox::new(1);
 //! assert!(inbox.offer(SimTime::ZERO + SimDuration::from_millis(10), "first"));
 //! assert!(!inbox.offer(SimTime::from_millis(20), "second"), "full: backpressure");
-//! assert_eq!(inbox.lag(SimTime::from_millis(25)), SimDuration::from_millis(15));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,7 +38,7 @@ mod mailbox;
 pub mod rng;
 mod time;
 
-pub use disk::{DiskFaultPlan, DiskStats, FileId, SharedDisk, SimDisk};
+pub use disk::{DiskFaultPlan, FileId, SharedDisk, SimDisk};
 pub use fault::{FaultSchedule, FaultWindow};
 pub use mailbox::Mailbox;
 pub use time::{SimDuration, SimTime};

@@ -4,8 +4,8 @@
 //! where overload becomes *visible* (depth, lag) and *survivable* (a full
 //! queue refuses work instead of eating memory). [`Mailbox`] is that queue
 //! in deterministic form: a bounded FIFO of `(SimTime, event)` pairs that
-//! counts what it accepted, what it refused, how deep it ever got, and how
-//! far behind virtual time its oldest resident is. Refusal is the
+//! counts what it accepted, what it refused and how deep it ever got.
+//! Refusal is the
 //! *backpressure signal* — the caller decides whether to shed, queue, or
 //! back off, but nothing is ever dropped silently inside the mailbox.
 //!
@@ -20,10 +20,9 @@
 //! assert!(!inbox.offer(SimTime::from_secs(3), "c"), "full: backpressure");
 //! let drained = inbox.drain(8);
 //! assert_eq!(drained.len(), 2);
-//! assert_eq!(inbox.rejected(), 1);
 //! ```
 
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 use std::collections::VecDeque;
 
 /// A bounded FIFO of timestamped events with admission/rejection counters.
@@ -82,43 +81,15 @@ impl<E> Mailbox<E> {
         self.queue.len()
     }
 
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The deepest the queue ever got — always `<= capacity()`, which is
     /// the bounded-memory claim in checkable form.
     pub fn peak_depth(&self) -> usize {
         self.peak_depth
     }
 
-    /// Events accepted over the mailbox's lifetime.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Offers refused because the mailbox was full.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Timestamp of the oldest queued event, if any.
-    pub fn oldest(&self) -> Option<SimTime> {
-        self.queue.front().map(|(at, _)| *at)
-    }
-
-    /// How far behind `now` the oldest queued event is — the *lag* an
-    /// admission controller watches. Zero when the mailbox is empty.
-    pub fn lag(&self, now: SimTime) -> SimDuration {
-        self.oldest()
-            .map(|at| now.saturating_since(at))
-            .unwrap_or(SimDuration::ZERO)
     }
 }
 
@@ -134,8 +105,8 @@ mod tests {
         }
         assert_eq!(m.depth(), 3);
         assert_eq!(m.peak_depth(), 3);
-        assert_eq!(m.accepted(), 3);
-        assert_eq!(m.rejected(), 2);
+        assert_eq!(m.accepted, 3);
+        assert_eq!(m.rejected, 2);
         let events: Vec<u32> = m.drain(10).into_iter().map(|(_, e)| e).collect();
         assert_eq!(events, vec![0, 1, 2]);
         assert!(m.is_empty());
@@ -156,22 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn lag_tracks_the_oldest_event() {
-        let mut m: Mailbox<()> = Mailbox::new(4);
-        let now = SimTime::from_secs(100);
-        assert_eq!(m.lag(now), SimDuration::ZERO);
-        m.offer(SimTime::from_secs(40), ());
-        m.offer(SimTime::from_secs(90), ());
-        assert_eq!(m.lag(now), SimDuration::from_secs(60));
-        m.drain(1);
-        assert_eq!(m.lag(now), SimDuration::from_secs(10));
-        // A future-stamped event never yields negative lag.
-        m.drain(1);
-        m.offer(SimTime::from_secs(200), ());
-        assert_eq!(m.lag(now), SimDuration::ZERO);
-    }
-
-    #[test]
     fn peak_depth_survives_draining() {
         let mut m: Mailbox<u8> = Mailbox::new(10);
         for i in 0..7u8 {
@@ -179,7 +134,7 @@ mod tests {
         }
         m.drain(7);
         assert_eq!(m.peak_depth(), 7);
-        assert!(m.peak_depth() <= m.capacity());
+        assert!(m.peak_depth() <= m.capacity);
     }
 
     #[test]

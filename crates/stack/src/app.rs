@@ -78,11 +78,11 @@ impl fmt::Display for AppEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// When the event was handled.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The event.
     pub event: AppEvent,
     /// State before.
-    pub from: AppState,
+    pub(crate) from: AppState,
     /// State after (equal to `from` when the event was ignored).
     pub to: AppState,
 }
@@ -145,12 +145,16 @@ impl App {
     }
 
     /// The regions the app currently believes it is inside.
+    ///
+    /// Kept public: paper behaviour (Fig 3) that only unit tests run.
     pub fn regions_inside(&self) -> impl Iterator<Item = RegionId> + '_ {
         self.state.inside.iter().copied()
     }
 
     /// Whether the ranging service is running (and so observations flow to
     /// the server and the radio burns scan energy).
+    ///
+    /// Kept public: paper behaviour (Fig 3) that only unit tests run.
     pub fn is_ranging(&self) -> bool {
         self.state.current() == AppState::Ranging
     }

@@ -63,7 +63,7 @@ impl RadioScratch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleSpan {
     /// Cycle start (inclusive).
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Cycle end (exclusive).
     pub end: SimTime,
     /// First index of this cycle's samples in the flat batch buffer.
@@ -273,7 +273,7 @@ pub fn simulate_receptions_into<R, F>(
 /// let receptions = simulate_receptions(
 ///     &channel, &[placed], &DeviceRxProfile::ideal(),
 ///     |_| Point::new(2.0, 0.0), SimTime::ZERO, SimTime::from_secs(10), &mut r);
-/// let cycles = run_scan(&receptions, &AndroidScanner::reliable(),
+/// let cycles = run_scan(&receptions, &AndroidScanner::new(0.0),
 ///                       ScanConfig::default(), SimTime::ZERO, SimTime::from_secs(10), &mut r);
 /// // 10 s at a 2 s period = 5 cycles, one sample each (Section V's example).
 /// assert_eq!(cycles.len(), 5);
@@ -419,7 +419,7 @@ mod tests {
         );
         let android = run_scan(
             &receptions,
-            &AndroidScanner::reliable(),
+            &AndroidScanner::new(0.0),
             ScanConfig::default(),
             SimTime::ZERO,
             SimTime::from_secs(10),
@@ -459,7 +459,7 @@ mod tests {
         );
         let cycles = run_scan(
             &receptions,
-            &AndroidScanner::reliable(),
+            &AndroidScanner::new(0.0),
             ScanConfig::default(),
             SimTime::ZERO,
             SimTime::from_secs(4),
@@ -496,7 +496,7 @@ mod tests {
         );
         let cycles = run_scan(
             &receptions,
-            &AndroidScanner::reliable(),
+            &AndroidScanner::new(0.0),
             ScanConfig {
                 scan_period: SimDuration::from_secs(10),
             },

@@ -31,7 +31,7 @@ use std::fmt;
 ///     SimTime::from_secs(20),
 /// )]);
 /// let scanner = FaultyScanner::new(
-///     AndroidScanner::reliable(),
+///     AndroidScanner::new(0.0),
 ///     stalls,
 ///     FaultSchedule::none(),
 ///     0.7,
@@ -64,21 +64,6 @@ impl<M: ScannerModel> FaultyScanner<M> {
             storms,
             storm_loss,
         }
-    }
-
-    /// The wrapped scanner model.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// The scheduled adapter-stall windows.
-    pub fn stalls(&self) -> &FaultSchedule {
-        &self.stalls
-    }
-
-    /// The scheduled restart-storm windows.
-    pub fn storms(&self) -> &FaultSchedule {
-        &self.storms
     }
 
     /// True when no window is scheduled: the wrapper then drops nothing,

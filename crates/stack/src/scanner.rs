@@ -117,22 +117,6 @@ fn restart_window(cycle_start: SimTime, at: SimTime, restart_interval: SimDurati
 ///
 /// The radio takes one for a scanner that keeps only the first reception
 /// per advertiser per window (see [`ScannerModel::first_per_window`]).
-///
-/// # Examples
-///
-/// ```
-/// use roomsense_sim::{SimDuration, SimTime};
-/// use roomsense_stack::{RestartWindows, ScanConfig};
-///
-/// let windows = RestartWindows::new(
-///     ScanConfig { scan_period: SimDuration::from_secs(5) },
-///     SimDuration::from_secs(2),
-/// );
-/// let end = |ms| windows.window_end(SimTime::ZERO, SimTime::from_millis(ms)).as_millis();
-/// assert_eq!(end(1_999), 2_000);
-/// assert_eq!(end(4_500), 5_000); // the cycle end cuts the third window
-/// assert_eq!(end(5_000), 7_000); // the next cycle starts its own windows
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartWindows {
     scan_period: SimDuration,
@@ -161,7 +145,7 @@ impl RestartWindows {
     /// The end (exclusive) of the cell holding `at`, for a scan started at
     /// `from` (`at >= from`): every time in `[at, end)` falls in the same
     /// scan cycle and restart window as `at`.
-    pub fn window_end(&self, from: SimTime, at: SimTime) -> SimTime {
+    pub(crate) fn window_end(&self, from: SimTime, at: SimTime) -> SimTime {
         let period = self.scan_period.as_millis();
         let cycle_start = from
             + SimDuration::from_millis(at.saturating_since(from).as_millis() / period * period);
@@ -264,12 +248,6 @@ impl AndroidScanner {
         );
         self.restart_interval = restart_interval;
         self
-    }
-
-    /// A bug-free Android stack (still one-sample-per-advertiser per
-    /// restart window, but no stalls) — the structural limit alone.
-    pub fn reliable() -> Self {
-        AndroidScanner::new(0.0)
     }
 
     /// The per-restart-window stall probability.
@@ -532,7 +510,7 @@ mod tests {
 
     #[test]
     fn android_keeps_one_sample_per_advertiser() {
-        let scanner = AndroidScanner::reliable();
+        let scanner = AndroidScanner::new(0.0);
         let mut r = rng::for_component(1, "scan");
         let receptions = vec![
             reception(0, 0, -60.0),
@@ -594,7 +572,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "restart interval")]
     fn zero_restart_interval_panics() {
-        let _ = AndroidScanner::reliable().with_restart_interval(SimDuration::ZERO);
+        let _ = AndroidScanner::new(0.0).with_restart_interval(SimDuration::ZERO);
     }
 
     #[test]
@@ -625,7 +603,7 @@ mod tests {
 
         let mut clean = Recorder::default();
         let delivered = filter_recorded(
-            &AndroidScanner::reliable(),
+            &AndroidScanner::new(0.0),
             &receptions,
             &mut rng::for_component(6, "clean"),
             &mut clean,
@@ -703,7 +681,7 @@ mod tests {
         // 4.x stack keeps 1 sample (single restart window), L keeps all.
         let mut r = rng::for_component(9, "android-l-vs-4x");
         let receptions: Vec<Reception> = (0..30).map(|i| reception(i * 33, 0, -60.0)).collect();
-        let old = filter(&AndroidScanner::reliable(), &receptions, &mut r);
+        let old = filter(&AndroidScanner::new(0.0), &receptions, &mut r);
         let new = filter(&AndroidLScanner::low_latency(), &receptions, &mut r);
         assert_eq!(old.len(), 1);
         assert_eq!(new.len(), 30);

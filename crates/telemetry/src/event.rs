@@ -117,7 +117,7 @@ impl TelemetryEvent {
     ///
     /// Hand-formatted so the output is deterministic and dependency-free;
     /// floats print with Rust's shortest-round-trip formatting.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         match self {
             TelemetryEvent::ScanStall { at, window } => format!(
                 "{{\"event\":\"scan_stall\",\"at_ms\":{},\"window\":{window}}}",

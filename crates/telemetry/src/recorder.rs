@@ -26,7 +26,7 @@ pub mod keys {
     /// Transport send attempts (radio bursts), all channels.
     pub const NET_TX_ATTEMPTS: MetricKey = MetricKey("net.tx.attempts");
     /// Send attempts carried by Wi-Fi.
-    pub const NET_TX_ATTEMPTS_WIFI: MetricKey = MetricKey("net.tx.attempts.wifi");
+    pub(crate) const NET_TX_ATTEMPTS_WIFI: MetricKey = MetricKey("net.tx.attempts.wifi");
     /// Send attempts carried by the Bluetooth relay.
     pub const NET_TX_ATTEMPTS_BT: MetricKey = MetricKey("net.tx.attempts.bt_relay");
     /// Send attempts carried as phone-to-phone peer-mesh hops.
@@ -226,11 +226,6 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// The mean observed value, or `None` before any observation.
     pub fn mean(&self) -> Option<f64> {
         if self.count == 0 {
@@ -323,6 +318,8 @@ impl Recorder {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    ///
+    /// Kept public: the one knob that bounds a recorder's journal memory.
     pub fn with_journal_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "journal capacity must be non-zero");
         self.journal.capacity = capacity;
