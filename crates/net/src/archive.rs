@@ -24,11 +24,10 @@
 //!   [`ObservationReport`](crate::ObservationReport) byte-for-byte;
 //! * **assignment** (`1`): device, seq, report time, room label — the
 //!   classification history `occupancy_at` reconstructs the past from;
-//! * **footer** (`2`): record count, time bounds, segment digest, and a
-//!   downsampled per-room occupancy summary. A segment ending in a valid
-//!   footer is **sealed** and fsynced; the footer's time bounds let range
-//!   queries skip whole segments. The summary is written and parsed as
-//!   part of the format, but no query reads it.
+//! * **footer** (`2`): record count, time bounds and segment digest. A
+//!   segment ending in a valid footer is **sealed** and fsynced; recovery
+//!   checks the count and digest against the records it scanned, and the
+//!   time bounds let range queries skip whole segments.
 //!
 //! # Recovery invariants
 //!
@@ -308,7 +307,6 @@ struct ActiveSegment {
     digest: u64,
     min_at: Option<SimTime>,
     max_at: Option<SimTime>,
-    summary: BTreeMap<u64, u64>,
 }
 
 impl ActiveSegment {
@@ -413,14 +411,14 @@ impl ArchiveSink {
             if self.admit(&mut slot.reports, report.seq) {
                 begin_frame(&mut self.frame, KIND_REPORT);
                 write_report(&mut self.frame, report);
-                self.commit_frame(&mut slot.mark, report.at, None);
+                self.commit_frame(&mut slot.mark, report.at, KIND_REPORT);
             }
         }
         for &(at, seq, room) in assignments {
             if self.admit(&mut slot.assignments, seq) {
                 begin_frame(&mut self.frame, KIND_ASSIGNMENT);
                 write_assignment(&mut self.frame, device, at, seq, room);
-                self.commit_frame(&mut slot.mark, at, Some(room));
+                self.commit_frame(&mut slot.mark, at, KIND_ASSIGNMENT);
             }
         }
         self.devices = devices;
@@ -441,20 +439,18 @@ impl ArchiveSink {
         fresh
     }
 
-    /// Finishes the frame in the buffer (a `room` marks an assignment),
-    /// folds it into the device `mark` and the segment digest, and appends
-    /// it to the active segment, sealing the segment when it is full.
-    fn commit_frame(&mut self, mark: &mut DeviceMark, at: SimTime, room: Option<RoomLabel>) {
+    /// Finishes the `kind` frame in the buffer, folds it into the device
+    /// `mark` and the segment digest, and appends it to the active segment,
+    /// sealing the segment when it is full.
+    fn commit_frame(&mut self, mark: &mut DeviceMark, at: SimTime, kind: u8) {
         [mark.digest, self.active.digest] =
             finish_frame(&mut self.frame, [mark.digest, self.active.digest]);
         mark.records += 1;
         self.active.count(at);
-        match room {
-            Some(room) => {
-                *self.active.summary.entry(room as u64).or_insert(0) += 1;
-                self.stats.assignments += 1;
-            }
-            None => self.stats.reports += 1,
+        if kind == KIND_ASSIGNMENT {
+            self.stats.assignments += 1;
+        } else {
+            self.stats.reports += 1;
         }
         let file = *self
             .active_file
@@ -473,13 +469,7 @@ impl ArchiveSink {
     fn seal(&mut self, at: SimTime) {
         let min_at = self.active.min_at.expect("non-empty segment");
         let max_at = self.active.max_at.expect("non-empty segment");
-        let footer = encode_footer(
-            self.active.records,
-            min_at,
-            max_at,
-            self.active.digest,
-            &self.active.summary,
-        );
+        let footer = encode_footer(self.active.records, min_at, max_at, self.active.digest);
         let frame = frame_record(KIND_FOOTER, &footer);
         let file = self.active_file.take().expect("a written segment is open");
         self.disk.append_file(file, at, &frame);
@@ -560,7 +550,6 @@ impl ArchiveSink {
                         scan.segment.min_at.expect("non-empty"),
                         at,
                         scan.segment.digest,
-                        &scan.segment.summary,
                     );
                     let frame = frame_record(KIND_FOOTER, &footer);
                     sink.disk.append(&name, at, &frame);
@@ -896,7 +885,6 @@ struct FooterInfo {
     min_at: SimTime,
     max_at: SimTime,
     digest: u64,
-    summary: BTreeMap<u64, u64>,
 }
 
 /// Everything a front-to-back scan of one segment file learns.
@@ -993,7 +981,6 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
                     break;
                 };
                 scan.segment.observe(KIND_ASSIGNMENT, payload, at);
-                *scan.segment.summary.entry(room as u64).or_insert(0) += 1;
                 scan.records.push(ArchiveRecord::Assignment {
                     device,
                     at,
@@ -1192,23 +1179,12 @@ fn decode_assignment(payload: &[u8]) -> Option<(DeviceId, SimTime, u64, RoomLabe
     Some((device, at, seq, room))
 }
 
-fn encode_footer(
-    records: u32,
-    min_at: SimTime,
-    max_at: SimTime,
-    digest: u64,
-    summary: &BTreeMap<u64, u64>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 8 + 8 + 8 + 2 + summary.len() * 16);
+fn encode_footer(records: u32, min_at: SimTime, max_at: SimTime, digest: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 8 + 8 + 8);
     out.extend_from_slice(&records.to_le_bytes());
     out.extend_from_slice(&min_at.as_millis().to_le_bytes());
     out.extend_from_slice(&max_at.as_millis().to_le_bytes());
     out.extend_from_slice(&digest.to_le_bytes());
-    out.extend_from_slice(&(summary.len() as u16).to_le_bytes());
-    for (room, count) in summary {
-        out.extend_from_slice(&room.to_le_bytes());
-        out.extend_from_slice(&count.to_le_bytes());
-    }
     out
 }
 
@@ -1221,13 +1197,6 @@ fn decode_footer(payload: &[u8]) -> Option<FooterInfo> {
     let min_at = SimTime::from_millis(r.u64()?);
     let max_at = SimTime::from_millis(r.u64()?);
     let digest = r.u64()?;
-    let rooms = r.u16()? as usize;
-    let mut summary = BTreeMap::new();
-    for _ in 0..rooms {
-        let room = r.u64()?;
-        let count = r.u64()?;
-        summary.insert(room, count);
-    }
     if !r.done() {
         return None;
     }
@@ -1236,7 +1205,6 @@ fn decode_footer(payload: &[u8]) -> Option<FooterInfo> {
         min_at,
         max_at,
         digest,
-        summary,
     })
 }
 
@@ -1406,7 +1374,6 @@ mod tests {
                 report.device,
                 report.at,
                 &encode_report(report),
-                None,
             );
             true
         }
@@ -1422,7 +1389,7 @@ mod tests {
                 return false;
             }
             let payload = encode_assignment(device, at, seq, room);
-            self.commit(KIND_ASSIGNMENT, device, at, &payload, Some(room));
+            self.commit(KIND_ASSIGNMENT, device, at, &payload);
             true
         }
 
@@ -1449,22 +1416,13 @@ mod tests {
             mark.records += 1;
         }
 
-        fn commit(
-            &mut self,
-            kind: u8,
-            device: DeviceId,
-            at: SimTime,
-            payload: &[u8],
-            room: Option<RoomLabel>,
-        ) {
+        fn commit(&mut self, kind: u8, device: DeviceId, at: SimTime, payload: &[u8]) {
             self.fold_mark(kind, device, payload);
             self.active.observe(kind, payload, at);
-            match room {
-                Some(room) => {
-                    *self.active.summary.entry(room as u64).or_insert(0) += 1;
-                    self.stats.assignments += 1;
-                }
-                None => self.stats.reports += 1,
+            if kind == KIND_ASSIGNMENT {
+                self.stats.assignments += 1;
+            } else {
+                self.stats.reports += 1;
             }
             let frame = frame_record(kind, payload);
             let name = segment_name(&self.config.prefix, self.active_index);
@@ -1478,7 +1436,6 @@ mod tests {
                     self.active.min_at.expect("non-empty segment"),
                     self.active.max_at.expect("non-empty segment"),
                     self.active.digest,
-                    &self.active.summary,
                 );
                 let frame = frame_record(KIND_FOOTER, &footer);
                 self.disk.append(&name, at, &frame);
