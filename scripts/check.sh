@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: release build, every example run end to end with its
+# Full pre-merge gate: rustfmt check, release build, every example run end to end with its
 # output diffed against examples_output.txt, every test, a warning-free
 # clippy pass, and a warning-free doc build over the whole workspace. The
 # build environment has no crate registry, so everything runs --offline
@@ -19,6 +19,12 @@
 # benchmark package runs its self-tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Formatting first: it is the cheapest step, and the workspace is kept
+# rustfmt-clean so every later diff is measured on formatted code.
+# (perfbench is its own package, not a workspace member, so --all does not
+# reach it.)
+cargo fmt --all -- --check
 
 cargo build --release --offline --workspace
 # Every example end to end in release (each runs in well under a second);
@@ -133,4 +139,4 @@ echo "perfbench history_reads traced run passed its reference-answer, oracle-dig
 cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
-echo "check.sh: build + examples (examples_output.txt at threads=1 and default) + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 12 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
+echo "check.sh: fmt + build + examples (examples_output.txt at threads=1 and default) + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 12 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"

@@ -176,3 +176,60 @@ fn workspace_dependency_names_match_member_package_names() {
         );
     }
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("unreadable {dir:?}: {e}")) {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn library_sources_never_silence_the_dead_code_lints() {
+    // Each crate exports only what another crate, a test, an example or the
+    // benchmark names, so rustc's dead_code and unused lints see every
+    // unused item under the clippy -D warnings gate. One attribute would
+    // switch that off quietly; this scans the library sources (text only,
+    // nothing is built) so it cannot come back.
+    let root = workspace_root();
+    let mut sources = Vec::new();
+    for family in ["crates", "shims"] {
+        for entry in fs::read_dir(root.join(family)).expect("readable members directory") {
+            let src = entry.expect("readable dir entry").path().join("src");
+            if src.is_dir() {
+                rust_sources(&src, &mut sources);
+            }
+        }
+    }
+    assert!(
+        sources.len() >= 50,
+        "expected the full library source set, found only {} files",
+        sources.len()
+    );
+    let forbidden = [
+        "allow(dead_code",
+        "allow(unused",
+        "expect(dead_code",
+        "expect(unused",
+    ];
+    for path in &sources {
+        let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("unreadable {path:?}: {e}"));
+        for (line_no, line) in text.lines().enumerate() {
+            let compact: String = line.chars().filter(|c| !c.is_whitespace()).collect();
+            for pattern in forbidden {
+                assert!(
+                    !compact.contains(pattern),
+                    "{}:{} silences a lint the workspace keeps armed: {}",
+                    path.display(),
+                    line_no + 1,
+                    line.trim()
+                );
+            }
+        }
+    }
+}
