@@ -7,11 +7,10 @@ use std::fmt;
 
 /// A static metric name. Keys are dot-separated (`net.tx.attempts`); the
 /// Prometheus exporter rewrites dots to underscores and prefixes
-/// `roomsense_`. Well-known keys live in [`keys`]; downstream crates may mint
-/// their own as long as the name is a `'static` literal (the recorder never
-/// allocates for key storage).
+/// `roomsense_`. Every key is a `'static` literal in [`keys`], so the
+/// recorder never allocates for key storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricKey(pub &'static str);
+pub struct MetricKey(&'static str);
 
 impl fmt::Display for MetricKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
