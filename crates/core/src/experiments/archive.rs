@@ -124,7 +124,7 @@ impl ArchiveFingerprint {
 impl ExperimentCtx {
     /// The crash-safe tiered-retention gate (the `repro archive` arm): one
     /// synthetic fleet streamed into a sharded, retention-compacting BMS whose
-    /// evicted reports spill to per-shard segment logs on a fault-injected
+    /// evicted room assignments spill to per-shard segment logs on a fault-injected
     /// [`SimDisk`](roomsense_sim::SimDisk), crashed mid-run and recovered from
     /// checkpoint + segment scan + journal replay, once per disk-fault mode:
     ///

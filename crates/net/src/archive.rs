@@ -1,12 +1,14 @@
 //! The durable archive tier below retention compaction.
 //!
 //! [`ShardedBmsServer::with_retention`](crate::ShardedBmsServer::with_retention)
-//! bounds live memory by dropping each device's oldest reports — and with it
-//! the ability to answer `occupancy_at` below the low watermark. An
-//! [`ArchiveSink`] turns that drop into a **spill**: every compacted report
-//! and assignment is appended to a checksummed segment log on a
-//! [`SharedDisk`], so historical queries answer *exactly* from cold storage
-//! while the hot path keeps its `retention_cap` memory bound.
+//! bounds live memory by dropping each device's oldest reports and
+//! classifications — and with them the ability to answer `occupancy_at`
+//! below the low watermark. An [`ArchiveSink`] turns the classification
+//! drop into a **spill**: every compacted room assignment is appended to a
+//! checksummed segment log on a [`SharedDisk`], so historical occupancy
+//! answers *exactly* from cold storage while the hot path keeps its
+//! `retention_cap` memory bound. Compacted reports are not archived:
+//! nothing below the retention floor reads them.
 //!
 //! # On-disk format
 //!
@@ -19,15 +21,14 @@
 //!
 //! where `crc` is FNV-1a over `kind || len || payload`. Payload kinds:
 //!
-//! * **report** (`0`): device, seq, report time, and every sighted beacon
-//!   (uuid, major, minor, distance bits) — enough to reconstruct the
-//!   [`ObservationReport`](crate::ObservationReport) byte-for-byte;
 //! * **assignment** (`1`): device, seq, report time, room label — the
 //!   classification history `occupancy_at` reconstructs the past from;
 //! * **footer** (`2`): record count, time bounds and segment digest. A
 //!   segment ending in a valid footer is **sealed** and fsynced; recovery
-//!   checks the count and digest against the records it scanned, and the
-//!   time bounds let range queries skip whole segments.
+//!   checks the count and digest against the records it scanned.
+//!
+//! Any other kind, the retired report kind `0` included, is corruption
+//! even under a valid CRC.
 //!
 //! # Recovery invariants
 //!
@@ -45,8 +46,7 @@
 //! anything else is reported as loss, never silently absorbed.
 
 use crate::shard::DedupWindow;
-use crate::{DeviceId, ObservationReport, RoomLabel, SightedBeacon};
-use roomsense_ibeacon::{BeaconIdentity, Major, Minor, ProximityUuid};
+use crate::{DeviceId, RoomLabel};
 use roomsense_sim::{FileId, SharedDisk, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -55,7 +55,6 @@ use std::ops::Range;
 const RECORD_MAGIC: u8 = 0xA7;
 /// Magic, kind and the `u32` payload length.
 const FRAME_HEADER: usize = 1 + 1 + 4;
-const KIND_REPORT: u8 = 0;
 const KIND_ASSIGNMENT: u8 = 1;
 const KIND_FOOTER: u8 = 2;
 
@@ -87,7 +86,7 @@ pub struct ArchiveConfig {
     pub prefix: String,
     /// Records per segment before it is sealed and fsynced.
     pub segment_records: u32,
-    /// Capacity of each per-`(kind, device)` re-spill dedup window.
+    /// Capacity of each device's re-spill dedup window.
     pub dedup_capacity: usize,
 }
 
@@ -123,21 +122,21 @@ pub(crate) struct DeviceMark {
 }
 
 impl DeviceMark {
-    /// Folds one more record, its frame `kind` and `payload` bytes.
-    fn fold(&mut self, kind: u8, payload: &[u8]) {
-        fnv_fold(&mut self.digest, &[kind]);
+    /// Folds one more assignment record's `payload` bytes (behind its kind
+    /// byte).
+    fn fold(&mut self, payload: &[u8]) {
+        fnv_fold(&mut self.digest, &[KIND_ASSIGNMENT]);
         fnv_fold(&mut self.digest, payload);
         self.records += 1;
     }
 }
 
-/// One device's archive slot: its mark and a re-spill dedup window per
-/// record kind, so a spill looks the device up once.
+/// One device's archive slot: its mark and its re-spill dedup window, so a
+/// spill looks the device up once.
 #[derive(Debug)]
 struct DeviceArchive {
     mark: DeviceMark,
-    reports: DedupWindow,
-    assignments: DedupWindow,
+    dedup: DedupWindow,
 }
 
 impl Default for DeviceArchive {
@@ -147,8 +146,7 @@ impl Default for DeviceArchive {
                 records: 0,
                 digest: FNV_OFFSET,
             },
-            reports: DedupWindow::default(),
-            assignments: DedupWindow::default(),
+            dedup: DedupWindow::default(),
         }
     }
 }
@@ -169,12 +167,8 @@ pub(crate) struct SpillOutcome {
 /// Counters for one [`ArchiveSink`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArchiveStats {
-    /// Records appended (reports + assignments).
-    pub records: u64,
-    /// Report records appended.
-    pub(crate) reports: u64,
     /// Assignment records appended.
-    pub(crate) assignments: u64,
+    pub records: u64,
     /// Segments sealed with a footer.
     pub segments_sealed: u64,
     /// Bytes appended to segment files (frames + footers).
@@ -188,8 +182,6 @@ impl ArchiveStats {
     pub(crate) fn merged(self, other: ArchiveStats) -> ArchiveStats {
         ArchiveStats {
             records: self.records + other.records,
-            reports: self.reports + other.reports,
-            assignments: self.assignments + other.assignments,
             segments_sealed: self.segments_sealed + other.segments_sealed,
             bytes_appended: self.bytes_appended + other.bytes_appended,
             respill_suppressed: self.respill_suppressed + other.respill_suppressed,
@@ -257,38 +249,18 @@ impl Coverage {
     }
 }
 
-/// Cached metadata of one sealed segment, kept in memory so range queries
-/// can skip segments without touching the disk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One sealed segment, and whether the history index holds its decode.
+#[derive(Debug)]
 struct SegmentMeta {
     name: String,
-    records: u32,
-    min_at: SimTime,
-    max_at: SimTime,
-    digest: u64,
     /// The decode behind the assignment index, `None` until a history
     /// query first needs this segment.
     memo: Option<SegmentMemo>,
 }
 
-impl SegmentMeta {
-    /// The metadata of non-empty `segment`, just sealed as file `name`; no
-    /// history query has decoded it yet.
-    fn sealed(name: String, segment: ActiveSegment) -> Self {
-        SegmentMeta {
-            name,
-            records: segment.records,
-            min_at: segment.min_at.expect("non-empty segment"),
-            max_at: segment.max_at.expect("non-empty segment"),
-            digest: segment.digest,
-            memo: None,
-        }
-    }
-}
-
 /// What one decode of a sealed segment learned: valid while the file's
 /// disk generation still reads `generation`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct SegmentMemo {
     generation: u64,
     /// The scan stopped short of the file's end.
@@ -301,7 +273,7 @@ struct SegmentMemo {
 type AssignmentHistory = Vec<(SimTime, u64, RoomLabel)>;
 
 /// Accumulator for the segment currently being appended to.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 struct ActiveSegment {
     records: u32,
     digest: u64,
@@ -317,8 +289,9 @@ impl ActiveSegment {
         }
     }
 
-    fn observe(&mut self, kind: u8, payload: &[u8], at: SimTime) {
-        fnv_fold(&mut self.digest, &[kind]);
+    /// Folds one assignment record's `payload` (behind its kind byte).
+    fn observe(&mut self, payload: &[u8], at: SimTime) {
+        fnv_fold(&mut self.digest, &[KIND_ASSIGNMENT]);
         fnv_fold(&mut self.digest, payload);
         self.count(at);
     }
@@ -331,7 +304,7 @@ impl ActiveSegment {
     }
 }
 
-/// An append-only, checksummed segment log for compacted BMS records.
+/// An append-only, checksummed segment log of compacted room assignments.
 ///
 /// One sink per shard of a [`ShardedBmsServer`](crate::ShardedBmsServer),
 /// each under its own `shard-NNNN/` prefix on one [`SharedDisk`]. See the
@@ -385,20 +358,18 @@ impl ArchiveSink {
         }
     }
 
-    /// Appends one compaction pass's spill of `device`: its `reports`,
-    /// then its `assignments` `(at, seq, room)`, each in order. A record
-    /// the device's dedup window has already seen (a journal-replay
-    /// re-spill) is suppressed. The device's slot is looked up once for
-    /// the whole spill.
+    /// Appends one compaction pass's spill of `device`: its `assignments`
+    /// `(at, seq, room)`, in order. An assignment the device's dedup window
+    /// has already seen (a journal-replay re-spill) is suppressed. The
+    /// device's slot is looked up once for the whole spill.
     pub(crate) fn append_spill(
         &mut self,
         device: DeviceId,
-        reports: &[ObservationReport],
         assignments: &[(SimTime, u64, RoomLabel)],
     ) -> SpillOutcome {
         // An empty spill must not create a slot: every slot's device has
         // at least one archived record, so `marks` lists exactly those.
-        if reports.is_empty() && assignments.is_empty() {
+        if assignments.is_empty() {
             return SpillOutcome::default();
         }
         let before = self.stats;
@@ -406,19 +377,13 @@ impl ArchiveSink {
         // segment writer (the rest of `self`) can be borrowed side by side.
         let mut devices = std::mem::take(&mut self.devices);
         let slot = devices.entry(device).or_default();
-        for report in reports {
-            debug_assert_eq!(report.device, device, "a spill holds one device");
-            if self.admit(&mut slot.reports, report.seq) {
-                begin_frame(&mut self.frame, KIND_REPORT);
-                write_report(&mut self.frame, report);
-                self.commit_frame(&mut slot.mark, report.at, KIND_REPORT);
-            }
-        }
         for &(at, seq, room) in assignments {
-            if self.admit(&mut slot.assignments, seq) {
+            if slot.dedup.check_and_insert(seq, self.config.dedup_capacity) {
                 begin_frame(&mut self.frame, KIND_ASSIGNMENT);
                 write_assignment(&mut self.frame, device, at, seq, room);
-                self.commit_frame(&mut slot.mark, at, KIND_ASSIGNMENT);
+                self.commit_frame(&mut slot.mark, at);
+            } else {
+                self.stats.respill_suppressed += 1;
             }
         }
         self.devices = devices;
@@ -430,28 +395,14 @@ impl ArchiveSink {
         }
     }
 
-    /// The re-spill dedup verdict for one record: true when it is new.
-    fn admit(&mut self, window: &mut DedupWindow, seq: u64) -> bool {
-        let fresh = window.check_and_insert(seq, self.config.dedup_capacity);
-        if !fresh {
-            self.stats.respill_suppressed += 1;
-        }
-        fresh
-    }
-
-    /// Finishes the `kind` frame in the buffer, folds it into the device
-    /// `mark` and the segment digest, and appends it to the active segment,
+    /// Finishes the frame in the buffer, folds it into the device `mark`
+    /// and the segment digest, and appends it to the active segment,
     /// sealing the segment when it is full.
-    fn commit_frame(&mut self, mark: &mut DeviceMark, at: SimTime, kind: u8) {
+    fn commit_frame(&mut self, mark: &mut DeviceMark, at: SimTime) {
         [mark.digest, self.active.digest] =
             finish_frame(&mut self.frame, [mark.digest, self.active.digest]);
         mark.records += 1;
         self.active.count(at);
-        if kind == KIND_ASSIGNMENT {
-            self.stats.assignments += 1;
-        } else {
-            self.stats.reports += 1;
-        }
         let file = *self
             .active_file
             .get_or_insert_with(|| self.disk.open(&self.active_name));
@@ -476,9 +427,9 @@ impl ArchiveSink {
         self.disk.fsync_file(file, at);
         self.stats.bytes_appended += frame.len() as u64;
         self.stats.segments_sealed += 1;
-        let segment = std::mem::replace(&mut self.active, ActiveSegment::fresh());
+        self.active = ActiveSegment::fresh();
         let name = std::mem::take(&mut self.active_name);
-        self.sealed.push(SegmentMeta::sealed(name, segment));
+        self.sealed.push(SegmentMeta { name, memo: None });
         self.active_index += 1;
         self.active_name = segment_name(&self.config.prefix, self.active_index);
     }
@@ -520,8 +471,10 @@ impl ArchiveSink {
             let scan = disk
                 .with_file(&name, |data| {
                     let scan = scan_segment(data);
-                    for (kind, device, seq, payload) in scan.frames(data) {
-                        sink.replay_mark(kind, device, seq, payload);
+                    for (device, seq, payload) in scan.frames(data) {
+                        let slot = sink.devices.entry(device).or_default();
+                        slot.dedup.check_and_insert(seq, sink.config.dedup_capacity);
+                        slot.mark.fold(payload);
                     }
                     scan
                 })
@@ -556,7 +509,7 @@ impl ArchiveSink {
                     sink.disk.fsync(&name, at);
                     sink.stats.segments_sealed += 1;
                 }
-                sink.sealed.push(SegmentMeta::sealed(name, scan.segment));
+                sink.sealed.push(SegmentMeta { name, memo: None });
             }
         }
         sink.active_index = last_index.map_or(0, |i| i + 1);
@@ -565,20 +518,6 @@ impl ArchiveSink {
         sink.stats.records = report.records;
         sink.healed = report.clean();
         (sink, report)
-    }
-
-    fn replay_mark(&mut self, kind: u8, device: DeviceId, seq: u64, payload: &[u8]) {
-        let slot = self.devices.entry(device).or_default();
-        let window = match kind {
-            KIND_REPORT => &mut slot.reports,
-            _ => &mut slot.assignments,
-        };
-        window.check_and_insert(seq, self.config.dedup_capacity);
-        slot.mark.fold(kind, payload);
-        match kind {
-            KIND_REPORT => self.stats.reports += 1,
-            _ => self.stats.assignments += 1,
-        }
     }
 
     /// Checks that the surviving records still cover a checkpoint's
@@ -597,12 +536,12 @@ impl ArchiveSink {
             let name = segment_name(&self.config.prefix, index);
             let scanned = self.disk.with_file(&name, |data| {
                 let scan = scan_segment(data);
-                for (kind, device, _, payload) in scan.frames(data) {
+                for (device, _, payload) in scan.frames(data) {
                     let entry = running.entry(device).or_insert(DeviceMark {
                         records: 0,
                         digest: FNV_OFFSET,
                     });
-                    entry.fold(kind, payload);
+                    entry.fold(payload);
                     if marks
                         .get(&device)
                         .is_some_and(|mark| entry.records == mark.records)
@@ -637,8 +576,8 @@ impl ArchiveSink {
     }
 
     /// The newest archived assignment at or before `at`, per device.
-    /// `&mut self` for the same read-audit reason as
-    /// [`reports_between`](Self::reports_between).
+    /// Takes `&mut self` because every read is also an audit (see
+    /// `audit`).
     ///
     /// Sealed segments are answered from a per-device history index, each
     /// decoded once per change to its bytes on disk; every corrupt one
@@ -701,19 +640,10 @@ impl ArchiveSink {
                         .with_file(&meta.name, scan_segment)
                         .unwrap_or_else(|| scan_segment(&[]));
                     self.history_decodes += 1;
-                    for rec in &scan.records {
-                        if let ArchiveRecord::Assignment {
-                            device,
-                            at,
-                            seq,
-                            room,
-                        } = rec
-                        {
-                            let history = self.history.entry(*device).or_default();
-                            let key = (*at, *seq);
-                            let position = history.partition_point(|(t, s, _)| (*t, *s) <= key);
-                            history.insert(position, (*at, *seq, *room));
-                        }
+                    for &(device, at, seq, room) in &scan.records {
+                        let history = self.history.entry(device).or_default();
+                        let position = history.partition_point(|(t, s, _)| (*t, *s) <= (at, seq));
+                        history.insert(position, (at, seq, room));
                     }
                     // The generation was read before the decode, so a change
                     // racing it can only make the memo look stale, never
@@ -740,72 +670,33 @@ impl ArchiveSink {
         at: SimTime,
     ) -> BTreeMap<DeviceId, (SimTime, u64, RoomLabel)> {
         let mut best: BTreeMap<DeviceId, (SimTime, u64, RoomLabel)> = BTreeMap::new();
-        self.for_segments_overlapping(SimTime::ZERO, SimTime::from_millis(u64::MAX), |rec| {
-            fold_assignment(&mut best, rec, at);
-        });
-        best
-    }
-
-    /// Archived reports with time in `[from, to)`, sorted by
-    /// `(time, device, seq)`. Sealed segments outside the range are
-    /// skipped via their footer bounds without touching the disk.
-    ///
-    /// Takes `&mut self` because reads audit what they decode: corruption
-    /// that landed *after* recovery (ongoing bit rot, a short write under
-    /// the tail) demotes the sink to lossy on the spot; `healed()` flips
-    /// false and [`read_corruptions`](Self::read_corruptions) counts it.
-    #[cfg(test)]
-    fn reports_between(&mut self, from: SimTime, to: SimTime) -> Vec<ObservationReport> {
-        let mut rows = Vec::new();
-        self.for_segments_overlapping(from, to, |rec| {
-            if let ArchiveRecord::Report(r) = rec {
-                if r.at >= from && r.at < to {
-                    rows.push(r.clone());
-                }
-            }
-        });
-        rows.sort_by_key(|r| (r.at, r.device, r.seq));
-        rows
-    }
-
-    /// Every query read is also an audit. Recovery truncates segments to
-    /// their valid prefix, so a healthy file always parses front to back;
-    /// a scan that stops short of the file's end means corruption landed
-    /// *after* recovery (ongoing bit rot, a short write under freshly
-    /// re-spilled records) and some records are unreadable. The sink
-    /// demotes itself to lossy immediately — the caller's answer merges
-    /// whatever survived and is flagged incomplete, never silently wrong.
-    #[cfg(test)]
-    fn for_segments_overlapping(
-        &mut self,
-        from: SimTime,
-        to: SimTime,
-        mut visit: impl FnMut(&ArchiveRecord),
-    ) {
         let mut corrupt_reads = 0u64;
-        let overlap_active = match (self.active.min_at, self.active.max_at) {
-            (Some(min), Some(max)) => !(max < from || min >= to),
-            _ => false,
-        };
-        let overlapping = self
+        let active = (self.active.records > 0).then_some(self.active_name.as_str());
+        for name in self
             .sealed
             .iter()
-            .filter(|meta| !(meta.max_at < from || meta.min_at >= to))
             .map(|meta| meta.name.as_str())
-            .chain(overlap_active.then_some(self.active_name.as_str()));
-        for name in overlapping {
+            .chain(active)
+        {
             if let Some(scan) = self.disk.with_file(name, scan_segment) {
                 corrupt_reads += u64::from(scan.corrupt());
                 for rec in &scan.records {
-                    visit(rec);
+                    fold_assignment(&mut best, rec, at);
                 }
             }
         }
         self.audit(corrupt_reads);
+        best
     }
 
-    /// Records what one query's reads found corrupt: any corruption
-    /// demotes the sink to lossy.
+    /// Records what one query's reads found corrupt. Every query read is
+    /// also an audit: recovery truncates segments to their valid prefix,
+    /// so a healthy file always parses front to back, and a scan that
+    /// stops short of the file's end means corruption landed *after*
+    /// recovery (ongoing bit rot, a short write under freshly re-spilled
+    /// records) and some records are unreadable. Any corruption demotes
+    /// the sink to lossy on the spot, so the caller's answer merges
+    /// whatever survived and is flagged incomplete, never silently wrong.
     fn audit(&mut self, corrupt_reads: u64) {
         if corrupt_reads > 0 {
             self.healed = false;
@@ -867,23 +758,13 @@ impl fmt::Display for ArchiveSink {
     }
 }
 
-/// One decoded archive record.
-#[derive(Debug, Clone, PartialEq)]
-enum ArchiveRecord {
-    Report(ObservationReport),
-    Assignment {
-        device: DeviceId,
-        at: SimTime,
-        seq: u64,
-        room: RoomLabel,
-    },
-}
+/// One decoded assignment record: `(device, at, seq, room)`.
+type ArchiveRecord = (DeviceId, SimTime, u64, RoomLabel);
 
-#[derive(Debug, Clone, PartialEq)]
+/// What recovery checks of a footer: the record count and segment digest
+/// (its time bounds are read past).
 struct FooterInfo {
     records: u32,
-    min_at: SimTime,
-    max_at: SimTime,
     digest: u64,
 }
 
@@ -908,49 +789,38 @@ impl SegmentScan {
         self.valid_len < self.len
     }
 
-    /// Each record's frame kind, device and sequence number, with its
-    /// payload bytes as they stand in `data`, the buffer this scan parsed.
+    /// Each record's device and sequence number, with its payload bytes as
+    /// they stand in `data`, the buffer this scan parsed.
     fn frames<'a>(
         &'a self,
         data: &'a [u8],
-    ) -> impl Iterator<Item = (u8, DeviceId, u64, &'a [u8])> + 'a {
-        self.records.iter().zip(&self.payloads).map(|(rec, span)| {
-            let (kind, device, seq) = match rec {
-                ArchiveRecord::Report(r) => (KIND_REPORT, r.device, r.seq),
-                ArchiveRecord::Assignment { device, seq, .. } => (KIND_ASSIGNMENT, *device, *seq),
-            };
-            (kind, device, seq, &data[span.clone()])
-        })
+    ) -> impl Iterator<Item = (DeviceId, u64, &'a [u8])> + 'a {
+        self.records
+            .iter()
+            .zip(&self.payloads)
+            .map(|(&(device, _, seq, _), span)| (device, seq, &data[span.clone()]))
     }
 }
 
-/// Folds `rec`, if it is an assignment at or before `at`, into the newest
-/// assignment per device. Compared with `>=`, so of two equal `(at, seq)`
-/// keys the one folded later wins.
+/// Folds `rec`, if it is at or before `at`, into the newest assignment per
+/// device. Compared with `>=`, so of two equal `(at, seq)` keys the one
+/// folded later wins.
 fn fold_assignment(
     best: &mut BTreeMap<DeviceId, (SimTime, u64, RoomLabel)>,
-    rec: &ArchiveRecord,
+    &(device, t, seq, room): &ArchiveRecord,
     at: SimTime,
 ) {
-    if let ArchiveRecord::Assignment {
-        device,
-        at: t,
-        seq,
-        room,
-    } = rec
-    {
-        if *t <= at {
-            let entry = best.entry(*device).or_insert((*t, *seq, *room));
-            if (*t, *seq) >= (entry.0, entry.1) {
-                *entry = (*t, *seq, *room);
-            }
+    if t <= at {
+        let entry = best.entry(device).or_insert((t, seq, room));
+        if (t, seq) >= (entry.0, entry.1) {
+            *entry = (t, seq, room);
         }
     }
 }
 
-/// Parses one segment buffer, stopping at the first record the CRC (or the
-/// framing) rejects. A footer ends the segment: bytes after it are treated
-/// as corruption.
+/// Parses one segment buffer, stopping at the first record the CRC, the
+/// framing or its kind byte rejects. A footer ends the segment: bytes after
+/// it are treated as corruption.
 fn scan_segment(data: &[u8]) -> SegmentScan {
     let mut scan = SegmentScan {
         records: Vec::new(),
@@ -967,26 +837,12 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
         };
         let span = pos + FRAME_HEADER..pos + FRAME_HEADER + payload.len();
         match kind {
-            KIND_REPORT => {
-                let Some(report) = decode_report(payload) else {
-                    break;
-                };
-                let at = report.at;
-                scan.segment.observe(KIND_REPORT, payload, at);
-                scan.records.push(ArchiveRecord::Report(report));
-                scan.payloads.push(span);
-            }
             KIND_ASSIGNMENT => {
-                let Some((device, at, seq, room)) = decode_assignment(payload) else {
+                let Some(record) = decode_assignment(payload) else {
                     break;
                 };
-                scan.segment.observe(KIND_ASSIGNMENT, payload, at);
-                scan.records.push(ArchiveRecord::Assignment {
-                    device,
-                    at,
-                    seq,
-                    room,
-                });
+                scan.segment.observe(payload, record.1);
+                scan.records.push(record);
                 scan.payloads.push(span);
             }
             KIND_FOOTER => {
@@ -1078,20 +934,6 @@ fn finish_frame(frame: &mut Vec<u8>, digests: [u64; 2]) -> [u64; 2] {
     [first, second]
 }
 
-/// Appends a report's payload bytes to `out`.
-fn write_report(out: &mut Vec<u8>, report: &ObservationReport) {
-    out.extend_from_slice(&report.device.value().to_le_bytes());
-    out.extend_from_slice(&report.seq.to_le_bytes());
-    out.extend_from_slice(&report.at.as_millis().to_le_bytes());
-    out.extend_from_slice(&(report.beacons.len() as u16).to_le_bytes());
-    for beacon in &report.beacons {
-        out.extend_from_slice(beacon.identity.uuid.as_bytes());
-        out.extend_from_slice(&beacon.identity.major.value().to_le_bytes());
-        out.extend_from_slice(&beacon.identity.minor.value().to_le_bytes());
-        out.extend_from_slice(&beacon.distance_m.to_bits().to_le_bytes());
-    }
-}
-
 struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -1108,10 +950,6 @@ impl<'a> Reader<'a> {
         Some(out)
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
     fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
@@ -1123,37 +961,6 @@ impl<'a> Reader<'a> {
     fn done(&self) -> bool {
         self.pos == self.data.len()
     }
-}
-
-fn decode_report(payload: &[u8]) -> Option<ObservationReport> {
-    let mut r = Reader {
-        data: payload,
-        pos: 0,
-    };
-    let device = DeviceId::new(r.u32()?);
-    let seq = r.u64()?;
-    let at = SimTime::from_millis(r.u64()?);
-    let count = r.u16()? as usize;
-    let mut beacons = Vec::with_capacity(count);
-    for _ in 0..count {
-        let uuid = ProximityUuid::from_bytes(r.take(16)?.try_into().ok()?);
-        let major = Major::new(r.u16()?);
-        let minor = Minor::new(r.u16()?);
-        let distance_m = f64::from_bits(r.u64()?);
-        beacons.push(SightedBeacon {
-            identity: BeaconIdentity { uuid, major, minor },
-            distance_m,
-        });
-    }
-    if !r.done() {
-        return None;
-    }
-    Some(ObservationReport {
-        device,
-        seq,
-        at,
-        beacons,
-    })
 }
 
 /// Appends an assignment's payload bytes to `out`.
@@ -1194,18 +1001,12 @@ fn decode_footer(payload: &[u8]) -> Option<FooterInfo> {
         pos: 0,
     };
     let records = r.u32()?;
-    let min_at = SimTime::from_millis(r.u64()?);
-    let max_at = SimTime::from_millis(r.u64()?);
+    r.take(8 + 8)?;
     let digest = r.u64()?;
     if !r.done() {
         return None;
     }
-    Some(FooterInfo {
-        records,
-        min_at,
-        max_at,
-        digest,
-    })
+    Some(FooterInfo { records, digest })
 }
 
 fn segment_name(prefix: &str, index: u64) -> String {
@@ -1224,32 +1025,21 @@ mod tests {
     use super::*;
     use roomsense_sim::{DiskFaultPlan, FaultSchedule, FaultWindow, SimDisk, SimDuration};
 
-    fn report(device: u32, at_secs: u64, minor: u16) -> ObservationReport {
-        ObservationReport {
-            device: DeviceId::new(device),
-            seq: at_secs,
-            at: SimTime::from_secs(at_secs),
-            beacons: vec![SightedBeacon {
-                identity: BeaconIdentity {
-                    uuid: ProximityUuid::example(),
-                    major: Major::new(1),
-                    minor: Minor::new(minor),
-                },
-                distance_m: 1.5,
-            }],
-        }
-    }
-
-    fn encode_report(report: &ObservationReport) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 8 + 8 + 2 + report.beacons.len() * 36);
-        write_report(&mut out, report);
-        out
-    }
-
     fn encode_assignment(device: DeviceId, at: SimTime, seq: u64, room: RoomLabel) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + 8 + 8 + 8);
         write_assignment(&mut out, device, at, seq, room);
         out
+    }
+
+    /// A frame of the retired report kind `0` under a valid CRC: device,
+    /// seq, report time and an empty beacon list, laid out as that codec
+    /// wrote them.
+    fn retired_report_frame(device: u32, at_secs: u64) -> Vec<u8> {
+        let mut payload = device.to_le_bytes().to_vec();
+        payload.extend_from_slice(&at_secs.to_le_bytes());
+        payload.extend_from_slice(&SimTime::from_secs(at_secs).as_millis().to_le_bytes());
+        payload.extend_from_slice(&0u16.to_le_bytes());
+        frame_record(0, &payload)
     }
 
     fn small_config() -> ArchiveConfig {
@@ -1268,12 +1058,6 @@ mod tests {
 
     /// One-record spills, for tests that append a record at a time.
     impl ArchiveSink {
-        fn append_report(&mut self, report: &ObservationReport) -> bool {
-            self.append_spill(report.device, std::slice::from_ref(report), &[])
-                .appended
-                == 1
-        }
-
         fn append_assignment(
             &mut self,
             device: DeviceId,
@@ -1281,21 +1065,29 @@ mod tests {
             seq: u64,
             room: RoomLabel,
         ) -> bool {
-            self.append_spill(device, &[], &[(at, seq, room)]).appended == 1
+            self.append_spill(device, &[(at, seq, room)]).appended == 1
+        }
+
+        /// Appends `device`'s assignment at second `at_secs`, with that
+        /// second as its seq and a room derived from it.
+        fn append_at(&mut self, device: u32, at_secs: u64) -> bool {
+            let room = (at_secs % 4) as RoomLabel;
+            let at = SimTime::from_secs(at_secs);
+            self.append_assignment(DeviceId::new(device), at, at_secs, room)
         }
     }
 
     /// The per-record append body [`ArchiveSink::append_spill`] replaced,
-    /// kept as its oracle: every record looks up its own `(kind, device)`
-    /// dedup window and its device's mark, encodes through the two-step
-    /// [`frame_record`], and appends to its segment by name.
+    /// kept as its oracle: every record looks up its own device's dedup
+    /// window and mark, encodes through the two-step [`frame_record`], and
+    /// appends to its segment by name.
     struct OracleSink {
         disk: SharedDisk,
         config: ArchiveConfig,
         active_index: u64,
         active: ActiveSegment,
         marks: BTreeMap<DeviceId, DeviceMark>,
-        dedup: BTreeMap<(u8, DeviceId), DedupWindow>,
+        dedup: BTreeMap<DeviceId, DedupWindow>,
         last_at: SimTime,
         stats: ArchiveStats,
     }
@@ -1331,51 +1123,18 @@ mod tests {
             oracle.last_at = repaired.last_at;
             oracle.stats.segments_sealed = repaired.stats.segments_sealed;
             for scan in &scans {
-                for rec in &scan.records {
-                    let (kind, device, seq, payload) = match rec {
-                        ArchiveRecord::Report(r) => {
-                            (KIND_REPORT, r.device, r.seq, encode_report(r))
-                        }
-                        ArchiveRecord::Assignment {
-                            device,
-                            at,
-                            seq,
-                            room,
-                        } => (
-                            KIND_ASSIGNMENT,
-                            *device,
-                            *seq,
-                            encode_assignment(*device, *at, *seq, *room),
-                        ),
-                    };
+                for &(device, at, seq, room) in &scan.records {
                     let capacity = oracle.config.dedup_capacity;
                     oracle
                         .dedup
-                        .entry((kind, device))
+                        .entry(device)
                         .or_default()
                         .check_and_insert(seq, capacity);
-                    oracle.fold_mark(kind, device, &payload);
+                    oracle.fold_mark(device, &encode_assignment(device, at, seq, room));
                     oracle.stats.records += 1;
-                    match kind {
-                        KIND_REPORT => oracle.stats.reports += 1,
-                        _ => oracle.stats.assignments += 1,
-                    }
                 }
             }
             oracle
-        }
-
-        fn append_report(&mut self, report: &ObservationReport) -> bool {
-            if !self.admit(KIND_REPORT, report.device, report.seq) {
-                return false;
-            }
-            self.commit(
-                KIND_REPORT,
-                report.device,
-                report.at,
-                &encode_report(report),
-            );
-            true
         }
 
         fn append_assignment(
@@ -1385,46 +1144,20 @@ mod tests {
             seq: u64,
             room: RoomLabel,
         ) -> bool {
-            if !self.admit(KIND_ASSIGNMENT, device, seq) {
-                return false;
-            }
-            let payload = encode_assignment(device, at, seq, room);
-            self.commit(KIND_ASSIGNMENT, device, at, &payload);
-            true
-        }
-
-        fn admit(&mut self, kind: u8, device: DeviceId, seq: u64) -> bool {
             let capacity = self.config.dedup_capacity;
             let fresh = self
                 .dedup
-                .entry((kind, device))
+                .entry(device)
                 .or_default()
                 .check_and_insert(seq, capacity);
             if !fresh {
                 self.stats.respill_suppressed += 1;
+                return false;
             }
-            fresh
-        }
-
-        fn fold_mark(&mut self, kind: u8, device: DeviceId, payload: &[u8]) {
-            let mark = self.marks.entry(device).or_insert(DeviceMark {
-                records: 0,
-                digest: FNV_OFFSET,
-            });
-            fnv_fold(&mut mark.digest, &[kind]);
-            fnv_fold(&mut mark.digest, payload);
-            mark.records += 1;
-        }
-
-        fn commit(&mut self, kind: u8, device: DeviceId, at: SimTime, payload: &[u8]) {
-            self.fold_mark(kind, device, payload);
-            self.active.observe(kind, payload, at);
-            if kind == KIND_ASSIGNMENT {
-                self.stats.assignments += 1;
-            } else {
-                self.stats.reports += 1;
-            }
-            let frame = frame_record(kind, payload);
+            let payload = encode_assignment(device, at, seq, room);
+            self.fold_mark(device, &payload);
+            self.active.observe(&payload, at);
+            let frame = frame_record(KIND_ASSIGNMENT, &payload);
             let name = segment_name(&self.config.prefix, self.active_index);
             self.disk.append(&name, at, &frame);
             self.stats.bytes_appended += frame.len() as u64;
@@ -1445,6 +1178,17 @@ mod tests {
                 self.active = ActiveSegment::fresh();
                 self.active_index += 1;
             }
+            true
+        }
+
+        fn fold_mark(&mut self, device: DeviceId, payload: &[u8]) {
+            let mark = self.marks.entry(device).or_insert(DeviceMark {
+                records: 0,
+                digest: FNV_OFFSET,
+            });
+            fnv_fold(&mut mark.digest, &[KIND_ASSIGNMENT]);
+            fnv_fold(&mut mark.digest, payload);
+            mark.records += 1;
         }
 
         fn flush(&mut self) {
@@ -1456,20 +1200,9 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_through_the_wire_format() {
-        let r = report(42, 77, 3);
-        let decoded = decode_report(&encode_report(&r)).expect("decodes");
-        assert_eq!(decoded, r);
-        let empty = ObservationReport {
-            beacons: vec![],
-            ..report(1, 1, 0)
-        };
-        assert_eq!(decode_report(&encode_report(&empty)), Some(empty));
-    }
-
-    #[test]
     fn corrupt_frames_are_rejected() {
-        let frame = frame_record(KIND_REPORT, &encode_report(&report(1, 1, 0)));
+        let payload = encode_assignment(DeviceId::new(1), SimTime::from_secs(1), 1, 0);
+        let frame = frame_record(KIND_ASSIGNMENT, &payload);
         assert!(parse_frame(&frame, 0).is_some());
         for i in 0..frame.len() {
             let mut bad = frame.clone();
@@ -1489,9 +1222,8 @@ mod tests {
     fn spill_seal_and_recover_round_trips() {
         let disk = SharedDisk::new(SimDisk::pristine(1));
         let mut sink = ArchiveSink::new(disk.clone(), small_config());
-        for i in 0..10u64 {
-            assert!(sink.append_report(&report(7, i, 0)));
-            assert!(sink.append_assignment(DeviceId::new(7), SimTime::from_secs(i), i, 3));
+        for i in 0..20u64 {
+            assert!(sink.append_at(7, i));
         }
         assert_eq!(sink.stats().records, 20);
         assert_eq!(sink.stats().segments_sealed, 5);
@@ -1503,20 +1235,28 @@ mod tests {
         assert_eq!(rep.records, 20);
         assert_eq!(recovered.marks(), marks);
         assert!(recovered.verify_covers(&marks).covered);
-        let rows = recovered.reports_between(SimTime::ZERO, SimTime::from_secs(100));
-        assert_eq!(rows.len(), 10);
-        assert_eq!(rows[0], report(7, 0, 0));
+        for t in [0u64, 9, 100] {
+            let at = SimTime::from_secs(t);
+            assert_eq!(
+                recovered.last_assignments_at(at),
+                sink.last_assignments_at(at),
+                "t={t}"
+            );
+        }
+        let newest = recovered.last_assignments_at(SimTime::from_secs(100));
+        assert_eq!(newest[&DeviceId::new(7)], (SimTime::from_secs(19), 19, 3));
+        assert!(recovered.healed());
     }
 
     #[test]
     fn respill_is_suppressed_by_seq_dedup() {
         let disk = SharedDisk::new(SimDisk::pristine(2));
         let mut sink = ArchiveSink::new(disk, small_config());
-        assert!(sink.append_report(&report(1, 5, 0)));
-        assert!(!sink.append_report(&report(1, 5, 0)));
-        // Same seq, different kind: not a duplicate.
-        assert!(sink.append_assignment(DeviceId::new(1), SimTime::from_secs(5), 5, 2));
-        assert!(!sink.append_assignment(DeviceId::new(1), SimTime::from_secs(5), 5, 2));
+        assert!(sink.append_at(1, 5));
+        assert!(!sink.append_at(1, 5));
+        // Same seq, another device: not a duplicate.
+        assert!(sink.append_at(2, 5));
+        assert!(!sink.append_at(2, 5));
         assert_eq!(sink.stats().respill_suppressed, 2);
         assert_eq!(sink.stats().records, 2);
     }
@@ -1526,7 +1266,7 @@ mod tests {
         let disk = SharedDisk::new(SimDisk::pristine(3));
         let mut sink = ArchiveSink::new(disk.clone(), small_config());
         for i in 0..9u64 {
-            sink.append_report(&report(1, i, 0)); // seals at 4 and 8
+            sink.append_at(1, i); // seals at 4 and 8
         }
         // Segment 2 holds one volatile record; crash drops it cleanly.
         disk.crash(SimTime::from_secs(10));
@@ -1546,9 +1286,10 @@ mod tests {
             // Plant a sealed segment then a hand-torn active segment.
             let mut sink = ArchiveSink::new(disk.clone(), small_config());
             for i in 0..4u64 {
-                sink.append_report(&report(1, i, 0));
+                sink.append_at(1, i);
             }
-            let frame = frame_record(KIND_REPORT, &encode_report(&report(1, 9, 0)));
+            let payload = encode_assignment(DeviceId::new(1), SimTime::from_secs(9), 9, 0);
+            let frame = frame_record(KIND_ASSIGNMENT, &payload);
             disk.append(
                 "bms/seg-00000001",
                 SimTime::from_secs(9),
@@ -1574,7 +1315,7 @@ mod tests {
         let disk = SharedDisk::new(SimDisk::new(5).with_fault_plan(plan));
         let mut sink = ArchiveSink::new(disk.clone(), small_config());
         for i in 0..4u64 {
-            sink.append_report(&report(1, i, 0)); // sealed + fsynced pre-rot
+            sink.append_at(1, i); // sealed + fsynced pre-rot
         }
         let marks = sink.marks();
         // A later append lands in the rot window and flips a durable byte
@@ -1605,27 +1346,26 @@ mod tests {
         let disk = SharedDisk::new(SimDisk::pristine(6));
         let mut sink = ArchiveSink::new(disk.clone(), small_config());
         for i in 0..6u64 {
-            sink.append_report(&report(1, i, 0));
+            sink.append_at(1, i);
         }
         sink.flush();
         let (mut recovered, _) = ArchiveSink::recover(disk.clone(), small_config());
         // Re-spills of the archived records are suppressed...
         for i in 0..6u64 {
-            assert!(!recovered.append_report(&report(1, i, 0)));
+            assert!(!recovered.append_at(1, i));
         }
         // ...while genuinely new records append and seal normally.
         for i in 6..12u64 {
-            assert!(recovered.append_report(&report(1, i, 0)));
+            assert!(recovered.append_at(1, i));
         }
         recovered.flush();
         let (mut again, rep) = ArchiveSink::recover(disk, small_config());
         assert!(rep.clean());
         assert_eq!(rep.records, 12);
+        assert_eq!(again.marks()[&DeviceId::new(1)].records, 12);
         assert_eq!(
-            again
-                .reports_between(SimTime::ZERO, SimTime::from_secs(100))
-                .len(),
-            12
+            again.last_assignments_at(SimTime::from_secs(100))[&DeviceId::new(1)],
+            (SimTime::from_secs(11), 11, 3)
         );
     }
 
@@ -1640,12 +1380,12 @@ mod tests {
         let mut shard0 = ArchiveSink::new(disk_sharded.clone(), base.for_shard(0));
         let mut shard1 = ArchiveSink::new(disk_sharded, base.for_shard(1));
         for i in 0..40u64 {
-            let r = report((i % 4) as u32, i, (i % 3) as u16);
-            single.append_report(&r);
-            if r.device.value().is_multiple_of(2) {
-                shard0.append_report(&r);
+            let device = (i % 4) as u32;
+            single.append_at(device, i);
+            if device.is_multiple_of(2) {
+                shard0.append_at(device, i);
             } else {
-                shard1.append_report(&r);
+                shard1.append_at(device, i);
             }
         }
         let mut merged = shard0.marks();
@@ -1712,7 +1452,7 @@ mod tests {
         let disk = SharedDisk::new(SimDisk::new(10).with_fault_plan(plan));
         let mut sink = ArchiveSink::new(disk.clone(), small_config());
         for i in 0..4u64 {
-            sink.append_report(&report(1, i, 0)); // seal fsync silently lost
+            sink.append_at(1, i); // seal fsync silently lost
         }
         let marks = sink.marks();
         disk.crash(SimTime::from_secs(50));
@@ -1731,75 +1471,138 @@ mod tests {
         let disk = SharedDisk::new(SimDisk::pristine(11));
         let mut sink = ArchiveSink::new(disk.clone(), small_config());
         for i in 0..4u64 {
-            sink.append_report(&report(1, i, 0)); // one sealed segment
+            sink.append_at(1, i); // one sealed segment
         }
         assert!(sink.healed());
-        assert_eq!(sink.last_assignments_at(SimTime::from_secs(99)).len(), 0);
+        let before = sink.last_assignments_at(SimTime::from_secs(99));
+        assert_eq!(before.len(), 1);
         assert!(sink.healed(), "a clean read must not demote");
 
         // Garbage lands beyond the sealed footer — the kind of damage the
         // recovery scan never saw because it happened after recovery.
         let name = format!("{}seg-{:08}", sink.config.prefix, 0);
         disk.append(&name, SimTime::from_secs(60), &[0xFF, 0xFF]);
-        let rows = sink.reports_between(SimTime::ZERO, SimTime::from_secs(100));
         // The surviving prefix is still served...
-        assert_eq!(rows.len(), 4);
+        assert_eq!(sink.last_assignments_at(SimTime::from_secs(99)), before);
         // ...but the sink has demoted itself and says so.
         assert!(!sink.healed());
         assert_eq!(sink.read_corruptions(), 1);
+    }
+
+    #[test]
+    fn a_retired_report_frame_in_a_sealed_segment_is_truncated_by_recovery() {
+        // A sealed segment holding a report frame between two assignments,
+        // under a footer whose count and digest match all three records:
+        // every CRC is valid, yet the report kind is retired, so recovery
+        // keeps only the first assignment and says it truncated.
+        let disk = SharedDisk::new(SimDisk::pristine(13));
+        let name = "bms/seg-00000000";
+        let frames = [
+            frame_record(
+                KIND_ASSIGNMENT,
+                &encode_assignment(DeviceId::new(1), SimTime::from_secs(1), 1, 2),
+            ),
+            retired_report_frame(1, 2),
+            frame_record(
+                KIND_ASSIGNMENT,
+                &encode_assignment(DeviceId::new(1), SimTime::from_secs(3), 3, 2),
+            ),
+        ];
+        let mut digest = FNV_OFFSET;
+        for frame in &frames {
+            fnv_fold(&mut digest, &frame[1..2]);
+            fnv_fold(&mut digest, &frame[FRAME_HEADER..frame.len() - 8]);
+        }
+        let footer = encode_footer(3, SimTime::from_secs(1), SimTime::from_secs(3), digest);
+        let mut bytes = frames.concat();
+        bytes.extend(frame_record(KIND_FOOTER, &footer));
+        disk.append(name, SimTime::from_secs(3), &bytes);
+        disk.fsync(name, SimTime::from_secs(3));
+
+        let (recovered, rep) = ArchiveSink::recover(disk, small_config());
+        assert_eq!(rep.records, 1);
+        assert_eq!(rep.truncated_segments, 1);
+        assert_eq!(rep.truncated_bytes, (bytes.len() - frames[0].len()) as u64);
+        assert!(!recovered.healed());
+        assert_eq!(recovered.marks()[&DeviceId::new(1)].records, 1);
+    }
+
+    #[test]
+    fn a_retired_report_frame_read_after_recovery_demotes_the_sink() {
+        let disk = SharedDisk::new(SimDisk::pristine(14));
+        let mut sink = ArchiveSink::new(disk.clone(), small_config());
+        sink.append_at(1, 1);
+        sink.flush();
+        let (mut recovered, rep) = ArchiveSink::recover(disk.clone(), small_config());
+        assert!(rep.clean() && recovered.healed());
+        recovered.append_at(1, 2); // the active segment after recovery
+        let before = recovered.last_assignments_at(SimTime::from_secs(99));
+        assert!(recovered.healed(), "a clean read must not demote");
+
+        let active = recovered.active_name.clone();
+        disk.append(&active, SimTime::from_secs(3), &retired_report_frame(1, 3));
+        assert_eq!(
+            recovered.last_assignments_at(SimTime::from_secs(99)),
+            before
+        );
+        assert!(!recovered.healed());
+        assert_eq!(recovered.read_corruptions(), 1);
+    }
+
+    #[test]
+    fn spills_archive_exactly_the_compacted_assignments() {
+        use crate::{ObservationReport, ShardedBmsServer};
+        use std::sync::Arc;
+        let disk = SharedDisk::new(SimDisk::pristine(15));
+        let server = ShardedBmsServer::new(
+            Arc::new(|r: &ObservationReport| Some(r.seq as RoomLabel % 3)),
+            2,
+        )
+        .with_retention(SimDuration::from_secs(60))
+        .with_archives(disk.clone(), small_config());
+        let devices = 5u32;
+        for seq in 0..200u64 {
+            server.ingest(ObservationReport {
+                device: DeviceId::new(seq as u32 % devices),
+                seq,
+                at: SimTime::from_secs(seq * 7),
+                beacons: vec![],
+            });
+        }
+        // Every report is classified, so each compacted history entry is
+        // one assignment the archive is owed.
+        let retained: usize = (0..devices)
+            .map(|device| server.assignment_history(DeviceId::new(device)).len())
+            .sum();
+        let compacted = server.stats().reports_stored - retained as u64;
+        assert!(compacted > 0, "compaction ran");
+        let stats = server.archive_stats().expect("archives attached");
+        assert_eq!(stats.records, compacted);
+
+        let mut assignments = 0u64;
+        for name in disk.list("") {
+            let data = disk.with_file(&name, <[u8]>::to_vec).expect("listed");
+            let mut pos = 0;
+            while let Some((kind, _, next)) = parse_frame(&data, pos) {
+                assert!(
+                    kind == KIND_ASSIGNMENT || kind == KIND_FOOTER,
+                    "kind {kind} in {name}"
+                );
+                assignments += u64::from(kind == KIND_ASSIGNMENT);
+                pos = next;
+            }
+            assert_eq!(pos, data.len(), "{name} parses to its end");
+        }
+        assert_eq!(assignments, stats.records);
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
-        type BeaconParts = ([u8; 16], u16, u16, u64);
-
-        fn arbitrary_report(
-            device: u32,
-            seq: u64,
-            at_ms: u64,
-            beacons: &[BeaconParts],
-        ) -> ObservationReport {
-            ObservationReport {
-                device: DeviceId::new(device),
-                seq,
-                at: SimTime::from_millis(at_ms),
-                beacons: beacons
-                    .iter()
-                    .map(|&(uuid, major, minor, bits)| SightedBeacon {
-                        identity: BeaconIdentity {
-                            uuid: ProximityUuid::from_bytes(uuid),
-                            major: Major::new(major),
-                            minor: Minor::new(minor),
-                        },
-                        distance_m: f64::from_bits(bits),
-                    })
-                    .collect(),
-            }
-        }
-
-        fn beacons() -> impl Strategy<Value = Vec<BeaconParts>> {
-            prop::collection::vec(
-                (
-                    prop::array::uniform16(any::<u8>()),
-                    any::<u16>(),
-                    any::<u16>(),
-                    any::<u64>(),
-                ),
-                0..9,
-            )
-        }
-
-        /// The valid frame of one report (`room == None`) or assignment.
-        fn oracle_frame(report: &ObservationReport, room: Option<RoomLabel>) -> Vec<u8> {
-            match room {
-                None => frame_record(KIND_REPORT, &encode_report(report)),
-                Some(room) => frame_record(
-                    KIND_ASSIGNMENT,
-                    &encode_assignment(report.device, report.at, report.seq, room),
-                ),
-            }
+        /// The valid frame of one assignment.
+        fn oracle_frame(device: DeviceId, at: SimTime, seq: u64, room: RoomLabel) -> Vec<u8> {
+            frame_record(KIND_ASSIGNMENT, &encode_assignment(device, at, seq, room))
         }
 
         proptest! {
@@ -1811,37 +1614,29 @@ mod tests {
                 device in any::<u32>(),
                 seq in any::<u64>(),
                 at_ms in any::<u64>(),
-                beacons in beacons(),
                 room in any::<usize>(),
                 digests in (any::<u64>(), any::<u64>()),
                 stale in prop::collection::vec(any::<u8>(), 0..40),
             ) {
-                let report = arbitrary_report(device, seq, at_ms, &beacons);
+                let (device, at) = (DeviceId::new(device), SimTime::from_millis(at_ms));
                 let mut frame = stale;
-                for kind in [KIND_REPORT, KIND_ASSIGNMENT] {
-                    begin_frame(&mut frame, kind);
-                    let payload = if kind == KIND_REPORT {
-                        write_report(&mut frame, &report);
-                        encode_report(&report)
-                    } else {
-                        write_assignment(&mut frame, report.device, report.at, seq, room);
-                        encode_assignment(report.device, report.at, seq, room)
-                    };
-                    let fused = finish_frame(&mut frame, [digests.0, digests.1]);
-                    prop_assert_eq!(&frame, &frame_record(kind, &payload));
+                begin_frame(&mut frame, KIND_ASSIGNMENT);
+                write_assignment(&mut frame, device, at, seq, room);
+                let payload = encode_assignment(device, at, seq, room);
+                let fused = finish_frame(&mut frame, [digests.0, digests.1]);
+                prop_assert_eq!(&frame, &oracle_frame(device, at, seq, room));
 
-                    let mut separate = [digests.0, digests.1];
-                    for digest in &mut separate {
-                        fnv_fold(digest, &[kind]);
-                        fnv_fold(digest, &payload);
-                    }
-                    prop_assert_eq!(fused, separate);
-                    let mut crc = FNV_OFFSET;
-                    fnv_fold(&mut crc, &[kind]);
-                    fnv_fold(&mut crc, &(payload.len() as u32).to_le_bytes());
-                    fnv_fold(&mut crc, &payload);
-                    prop_assert_eq!(&frame[frame.len() - 8..], &crc.to_le_bytes()[..]);
+                let mut separate = [digests.0, digests.1];
+                for digest in &mut separate {
+                    fnv_fold(digest, &[KIND_ASSIGNMENT]);
+                    fnv_fold(digest, &payload);
                 }
+                prop_assert_eq!(fused, separate);
+                let mut crc = FNV_OFFSET;
+                fnv_fold(&mut crc, &[KIND_ASSIGNMENT]);
+                fnv_fold(&mut crc, &(payload.len() as u32).to_le_bytes());
+                fnv_fold(&mut crc, &payload);
+                prop_assert_eq!(&frame[frame.len() - 8..], &crc.to_le_bytes()[..]);
             }
 
             /// A sink's segment files hold exactly the oracle frames in
@@ -1850,10 +1645,7 @@ mod tests {
             #[test]
             fn sink_appends_the_oracle_bytes_and_marks(
                 segment_records in 1u32..6,
-                stream in prop::collection::vec(
-                    (0u32..4, prop::option::of(0usize..5), beacons()),
-                    0..40,
-                ),
+                stream in prop::collection::vec((0u32..4, 0usize..5), 0..40),
             ) {
                 let config = ArchiveConfig {
                     segment_records,
@@ -1863,18 +1655,13 @@ mod tests {
                 let mut sink = ArchiveSink::new(disk.clone(), config.clone());
                 let mut expected = Vec::new();
                 let mut marks: BTreeMap<DeviceId, DeviceMark> = BTreeMap::new();
-                for (i, (device, room, beacons)) in stream.iter().enumerate() {
-                    let report = arbitrary_report(*device, i as u64, 1000 * i as u64, beacons);
-                    let appended = match room {
-                        None => sink.append_report(&report),
-                        Some(room) => {
-                            sink.append_assignment(report.device, report.at, report.seq, *room)
-                        }
-                    };
-                    prop_assert!(appended);
-                    let frame = oracle_frame(&report, *room);
+                for (i, &(device, room)) in stream.iter().enumerate() {
+                    let (device, seq) = (DeviceId::new(device), i as u64);
+                    let at = SimTime::from_millis(1000 * seq);
+                    prop_assert!(sink.append_assignment(device, at, seq, room));
+                    let frame = oracle_frame(device, at, seq, room);
                     let payload = parse_frame(&frame, 0).expect("oracle frame parses").1;
-                    let mark = marks.entry(report.device).or_insert(DeviceMark {
+                    let mark = marks.entry(device).or_insert(DeviceMark {
                         records: 0,
                         digest: FNV_OFFSET,
                     });
@@ -1901,7 +1688,9 @@ mod tests {
             }
 
             /// No decoder panics on arbitrary bytes, and a scan never claims
-            /// more valid bytes than it was given.
+            /// more valid bytes than it was given. A validly framed record
+            /// of any kind but assignment and footer, the retired report
+            /// kind `0` included, is corrupt: the scan keeps nothing of it.
             #[test]
             fn decoders_are_total_on_arbitrary_bytes(
                 data in prop::collection::vec(any::<u8>(), 0..160),
@@ -1913,7 +1702,6 @@ mod tests {
                     }
                 }
                 prop_assert!(scan_segment(&data).valid_len <= data.len());
-                let _ = decode_report(&data);
                 let _ = decode_assignment(&data);
                 let _ = decode_footer(&data);
                 // The same bytes behind a valid frame reach every decoder
@@ -1921,6 +1709,10 @@ mod tests {
                 let framed = frame_record(kind, &data);
                 let scan = scan_segment(&framed);
                 prop_assert!(scan.valid_len <= framed.len());
+                if kind != KIND_ASSIGNMENT && kind != KIND_FOOTER {
+                    prop_assert_eq!(scan.valid_len, 0);
+                    prop_assert!(scan.corrupt() && scan.records.is_empty());
+                }
             }
 
             /// The indexed history query answers, counts corruption and
@@ -1996,7 +1788,7 @@ mod tests {
                                 sink.append_assignment(device, coarse, seq, room);
                             }
                             8..=10 => {
-                                sink.append_report(&arbitrary_report(device.value(), seq, at_ms, &[]));
+                                sink.append_assignment(device, at, seq, room);
                             }
                             11 => sink.flush(),
                             12 => disk.crash(at),
@@ -2011,8 +1803,7 @@ mod tests {
                                 disk.truncate(name, len * usize::from(byte) / 256);
                             }
                             16 => {
-                                let payload = encode_assignment(device, coarse, seq, room);
-                                let frame = frame_record(KIND_ASSIGNMENT, &payload);
+                                let frame = oracle_frame(device, coarse, seq, room);
                                 disk.append(&sink.active_name, at, &frame);
                             }
                             _ => {}
@@ -2039,8 +1830,7 @@ mod tests {
                         0u8..10,
                         0u32..5,
                         0u64..20_000,
-                        prop::collection::vec((0u64..24, 0u64..20_000), 0..5),
-                        prop::collection::vec((0u64..24, 0u64..20_000, 0usize..4), 0..5),
+                        prop::collection::vec((0u64..24, 0u64..20_000, 0usize..4), 0..9),
                     ),
                     1..40,
                 ),
@@ -2060,20 +1850,16 @@ mod tests {
                 let mut sink = ArchiveSink::new(disk.clone(), config.clone());
                 let mut oracle = OracleSink::new(oracle_disk.clone(), config.clone());
                 let mut last_spill = None;
-                for (op, device, at_ms, reports, assignments) in ops {
+                for (op, device, at_ms, assignments) in ops {
                     let device = DeviceId::new(device);
                     let at = SimTime::from_millis(at_ms);
                     let spill = match op {
                         0..=5 => {
-                            let reports: Vec<ObservationReport> = reports
-                                .iter()
-                                .map(|&(seq, at_ms)| arbitrary_report(device.value(), seq, at_ms, &[]))
-                                .collect();
                             let assignments: Vec<(SimTime, u64, RoomLabel)> = assignments
                                 .iter()
                                 .map(|&(seq, at_ms, room)| (SimTime::from_millis(at_ms), seq, room))
                                 .collect();
-                            Some((device, reports, assignments))
+                            Some((device, assignments))
                         }
                         6 => last_spill.clone(),
                         7 => {
@@ -2089,16 +1875,13 @@ mod tests {
                             None
                         }
                     };
-                    if let Some((device, reports, assignments)) = &spill {
-                        let outcome = sink.append_spill(*device, reports, assignments);
+                    if let Some((device, assignments)) = &spill {
+                        let outcome = sink.append_spill(*device, assignments);
                         let before = oracle.stats;
-                        let mut verdicts: Vec<bool> =
-                            reports.iter().map(|r| oracle.append_report(r)).collect();
-                        verdicts.extend(
-                            assignments
-                                .iter()
-                                .map(|&(at, seq, room)| oracle.append_assignment(*device, at, seq, room)),
-                        );
+                        let verdicts: Vec<bool> = assignments
+                            .iter()
+                            .map(|&(at, seq, room)| oracle.append_assignment(*device, at, seq, room))
+                            .collect();
                         let appended = verdicts.iter().filter(|&&fresh| fresh).count() as u64;
                         prop_assert_eq!(outcome, SpillOutcome {
                             appended,
@@ -2121,19 +1904,17 @@ mod tests {
                 }
             }
 
-            /// Any single-byte flip or truncation of a valid report or
-            /// assignment frame is rejected.
+            /// Any single-byte flip or truncation of a valid assignment
+            /// frame is rejected.
             #[test]
             fn damaged_frames_are_rejected(
-                beacons in beacons(),
-                room in prop::option::of(any::<usize>()),
+                room in any::<usize>(),
                 at_ms in any::<u64>(),
                 at_byte in any::<usize>(),
                 mask in 1u8..=255,
                 cut in any::<usize>(),
             ) {
-                let report = arbitrary_report(7, 9, at_ms, &beacons);
-                let frame = oracle_frame(&report, room);
+                let frame = oracle_frame(DeviceId::new(7), SimTime::from_millis(at_ms), 9, room);
                 prop_assert!(parse_frame(&frame, 0).is_some());
                 let mut flipped = frame.clone();
                 flipped[at_byte % frame.len()] ^= mask;

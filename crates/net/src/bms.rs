@@ -213,8 +213,6 @@ pub struct ShardedBmsCheckpoint {
     shards: Vec<ShardSnapshot>,
 }
 
-impl ShardedBmsCheckpoint {}
-
 /// Why [`ShardedBmsServer::restore`] refused a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreError {
@@ -324,11 +322,15 @@ impl ShardedBmsServer {
 
     /// Attaches one durable archive per shard, namespaced under the config
     /// prefix as `shard-NNNN/` on the shared disk: from now on retention
-    /// compaction *spills* instead of dropping, and historical queries
-    /// below the retention floor answer exactly from the archive (see
-    /// [`historical_floor`](Self::historical_floor)). Device sets are
-    /// disjoint across shards, so the union of per-shard archive marks is
-    /// the same whatever the shard count.
+    /// compaction *spills* the classification history it drops instead of
+    /// losing it, and historical occupancy below the retention floor
+    /// answers exactly from the archive (see
+    /// [`historical_floor`](Self::historical_floor)). Compacted reports are
+    /// not archived: [`reports_between`](Self::reports_between) and
+    /// [`reports_for`](Self::reports_for) answer the retained window only,
+    /// even when the archives are healed. Device sets are disjoint across
+    /// shards, so the union of per-shard archive marks is the same whatever
+    /// the shard count.
     pub fn with_archives(mut self, disk: SharedDisk, config: ArchiveConfig) -> Self {
         for (i, shard) in self.shards.iter_mut().enumerate() {
             shard.archive = Some(Mutex::new(ArchiveSink::new(
@@ -586,11 +588,14 @@ impl ShardedBmsServer {
         }
     }
 
-    /// The oldest instant historical queries answer **exactly**: `None`
+    /// The oldest instant historical occupancy answers **exactly**: `None`
     /// when every shard can answer exactly at any instant (retention is
-    /// unbounded, or healed archives hold everything compaction spilled),
-    /// otherwise the latest retention floor among shards whose history is
-    /// bounded — below it answers are flagged incomplete.
+    /// unbounded, or healed archives hold the whole classification history
+    /// compaction spilled), otherwise the latest retention floor among
+    /// shards whose history is bounded — below it answers are flagged
+    /// incomplete. Report queries ([`reports_between`](Self::reports_between),
+    /// [`reports_for`](Self::reports_for)) never read the archive, so this
+    /// floor says nothing about them.
     pub fn historical_floor(&self) -> Option<SimTime> {
         self.shards.iter().filter_map(Shard::historical_floor).max()
     }

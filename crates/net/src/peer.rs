@@ -5,18 +5,19 @@
 //! *same building infrastructure*: an AP reboot or a relay-beacon power cut
 //! can take the pair down together. The phones themselves are a third
 //! network. [`PeerRelayTransport`] exploits it: when the device's own uplink
-//! fails, the report hops phone-to-phone over BLE (each hop a priced radio
-//! burst) until it reaches a peer whose uplink still works, and exits to the
+//! fails, the report hops phone-to-phone over BLE (each hop a recorded
+//! radio burst) until it reaches a peer whose uplink still works, and exits to the
 //! BMS from there. Hops are bounded, and reports that cannot get out at all
 //! park in a bounded store-and-forward buffer, draining once any path
 //! returns.
 //!
-//! Everything rides the existing machinery: hops are
+//! Hops are recorded with the existing machinery:
 //! [`TransportEvent`](roomsense_telemetry::TransportEvent)s of kind
-//! [`TransportKind::PeerMesh`] (the energy model prices them as BLE
-//! connections), relays journal a
-//! [`TelemetryEvent::Failover`] with the mesh kind, and the mesh mirrors its
-//! own `net.peer.*` counters next to the failover router's.
+//! [`TransportKind::PeerMesh`], a [`TelemetryEvent::Failover`] with the
+//! mesh kind per relay, and the mesh's own `net.peer.*` counters. All of
+//! it lands in the mesh's private recorder, which only this module's unit
+//! tests read: no caller prices the hops through the energy model or
+//! merges the counters into a fleet snapshot.
 
 use crate::outbox::{Outbox, Policy};
 use crate::transport::forward;
@@ -81,7 +82,7 @@ impl PeerRelayConfig {
 ///   [`FailoverTransport`](crate::FailoverTransport) stack) is tried first;
 ///   `Backpressured` does not walk the mesh — the server is shedding, and
 ///   flooding the mesh into the same server only deepens the overload.
-/// * on a direct failure the report hops the mesh: each hop is a priced
+/// * on a direct failure the report hops the mesh: each hop is a recorded
 ///   [`TransportKind::PeerMesh`] burst with its own success coin; after
 ///   [`hops_to_exit`](PeerRelayConfig::hops_to_exit) clean hops (within the
 ///   [`max_hops`](PeerRelayConfig::max_hops) budget) the report exits over
@@ -96,7 +97,7 @@ impl PeerRelayConfig {
 ///   report a few failed walks, not one per call.
 ///
 /// Every burst of either uplink is forwarded into the mesh's own recorder,
-/// next to the hops.
+/// next to the hops; only this module's unit tests read that recorder.
 ///
 /// # Examples
 ///
@@ -422,7 +423,7 @@ mod tests {
             .count() as u64;
         assert_eq!(mesh_failovers, mesh.relayed());
         // Both the direct radios and the mesh hops show up in the merged
-        // burst log for the energy model.
+        // burst log.
         let kinds: std::collections::BTreeSet<String> = mesh
             .path
             .telemetry

@@ -4,10 +4,11 @@
 //! A shard does only what needs no other shard: it ingests (dedup,
 //! last-writer-wins classification, the log insert), compacts each
 //! device's history against that device's own newest report, and spills
-//! what compaction drops into its archive. Every query is one fold over
-//! the shards in [`ShardedBmsServer`](crate::ShardedBmsServer). Because
-//! every per-device invariant depends only on that device's stream, the
-//! fold gives the same answer whatever the shard count.
+//! the classifications compaction drops into its archive. Every query is
+//! one fold over the shards in
+//! [`ShardedBmsServer`](crate::ShardedBmsServer). Because every
+//! per-device invariant depends only on that device's stream, the fold
+//! gives the same answer whatever the shard count.
 
 use crate::archive::{ArchiveSink, DeviceMark};
 use crate::bms::{IngestOutcome, OccupancyEstimator, RoomLabel, ServerStats};
@@ -15,6 +16,7 @@ use crate::{DeviceId, ObservationReport};
 use parking_lot::Mutex;
 use roomsense_sim::{SimDuration, SimTime};
 use roomsense_telemetry::{keys, Recorder, TelemetryEvent};
+use std::collections::vec_deque::Drain;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -160,8 +162,9 @@ impl<T: Chronological> Retained<T> {
     }
 
     /// Drops entries strictly older than `cutoff`, raises the floor, and
-    /// returns the dropped entries (oldest first) so the caller can spill
-    /// them into an archive instead of losing them.
+    /// hands back the dropped entries (oldest first), so the caller can
+    /// spill them into an archive instead of losing them. They leave the
+    /// buffer even if the caller only counts them.
     ///
     /// With `carry_last`, the newest pre-cutoff entry survives — an
     /// assignment history needs it so "last room at or before `t`" stays
@@ -171,7 +174,7 @@ impl<T: Chronological> Retained<T> {
     /// an extra pre-cutoff entry past it would keep a record the archive is
     /// owed, putting the same record on both sides of the live/archived
     /// boundary later.
-    fn compact(&mut self, cutoff: SimTime, carry_last: bool) -> Vec<T> {
+    fn compact(&mut self, cutoff: SimTime, carry_last: bool) -> Drain<'_, T> {
         let first_kept = self.entries.partition_point(|e| e.chrono_at() < cutoff);
         let carry_needed = carry_last
             && self
@@ -183,13 +186,11 @@ impl<T: Chronological> Retained<T> {
         } else {
             first_kept
         };
-        if drop_to == 0 {
-            return Vec::new();
+        if drop_to > 0 {
+            self.compacted += drop_to as u64;
+            self.floor = Some(self.floor.map_or(cutoff, |f| f.max(cutoff)));
         }
-        let dropped: Vec<T> = self.entries.drain(..drop_to).collect();
-        self.compacted += dropped.len() as u64;
-        self.floor = Some(self.floor.map_or(cutoff, |f| f.max(cutoff)));
-        dropped
+        self.entries.drain(..drop_to)
     }
 
     /// The entries whose time falls in the half-open window `[from, to)`.
@@ -251,8 +252,10 @@ impl DeviceRecord {
 
     /// Retention compaction of log and history against the device's newest
     /// report; the cutoff depends only on this device's stream, so it is
-    /// identical however the fleet is sharded.
-    fn compact(&mut self, window: SimDuration) -> (SimTime, Spill) {
+    /// identical however the fleet is sharded. Returns the cutoff, how many
+    /// entries log and history dropped together, and the dropped
+    /// assignments for the archive; the dropped reports are gone.
+    fn compact(&mut self, window: SimDuration) -> (SimTime, u64, Spill) {
         let newest = self
             .log
             .entries
@@ -261,15 +264,13 @@ impl DeviceRecord {
             .at
             .as_millis();
         let cutoff = SimTime::from_millis(newest.saturating_sub(window.as_millis()));
-        let spill = Spill {
-            reports: self.log.compact(cutoff, false),
-            assignments: self
-                .history
-                .as_mut()
-                .map(|history| history.compact(cutoff, true))
-                .unwrap_or_default(),
-        };
-        (cutoff, spill)
+        let reports = self.log.compact(cutoff, false).count();
+        let spill: Spill = self
+            .history
+            .as_mut()
+            .map(|history| history.compact(cutoff, true).collect())
+            .unwrap_or_default();
+        (cutoff, (reports + spill.len()) as u64, spill)
     }
 
     /// The record in the text every state digest hashes: the `Debug` form
@@ -309,8 +310,8 @@ impl ServerState {
     /// Applies one report: the dedup check when `dedup_capacity` is given,
     /// then — only for a report that passed it — the classification by
     /// `estimator`, the log insert and the retention compaction. Returns
-    /// `None` for a duplicate, else the room and what compaction handed off
-    /// for archival.
+    /// `None` for a duplicate, else the room and the assignments compaction
+    /// handed off for archival.
     fn apply(
         &mut self,
         report: ObservationReport,
@@ -343,8 +344,7 @@ impl ServerState {
         let Some(window) = retention else {
             return Some((room, Spill::default()));
         };
-        let (cutoff, spill) = record.compact(window);
-        let dropped = (spill.reports.len() + spill.assignments.len()) as u64;
+        let (cutoff, dropped, spill) = record.compact(window);
         if dropped > 0 {
             // Either compaction that dropped an entry set its floor to at
             // least `cutoff`; floors only rise.
@@ -379,13 +379,9 @@ impl ServerState {
     }
 }
 
-/// Entries one compaction pass handed off for archival, all belonging to a
-/// single device.
-#[derive(Debug, Default)]
-struct Spill {
-    reports: Vec<ObservationReport>,
-    assignments: Vec<(SimTime, u64, RoomLabel)>,
-}
+/// The assignments `(at, seq, room)` one compaction pass handed off for
+/// archival, all belonging to a single device.
+type Spill = Vec<(SimTime, u64, RoomLabel)>;
 
 /// One shard: its state behind one lock and the durable tier retention
 /// compaction spills into. Lock order is always `state` before `archive`;
@@ -424,14 +420,12 @@ impl Shard {
         }
     }
 
-    /// Appends one compaction pass's evicted entries to the archive (when
-    /// one is attached), crediting the telemetry counters. Expects the
-    /// state lock held — the archive lock nests inside it.
+    /// Appends one compaction pass's evicted assignments to the archive
+    /// (when one is attached), crediting the telemetry counters. Expects
+    /// the state lock held — the archive lock nests inside it.
     fn spill_to_archive(&self, state: &mut ServerState, device: DeviceId, spill: Spill) {
         let Some(archive) = &self.archive else { return };
-        let outcome = archive
-            .lock()
-            .append_spill(device, &spill.reports, &spill.assignments);
+        let outcome = archive.lock().append_spill(device, &spill);
         if outcome.appended > 0 {
             state
                 .telemetry
@@ -469,9 +463,10 @@ impl Shard {
         Some(value)
     }
 
-    /// The oldest instant this shard's history answers exactly: `None`
-    /// when a healed archive holds everything compaction spilled (or
-    /// nothing was ever compacted), else the retention floor.
+    /// The oldest instant this shard's classification history answers
+    /// exactly: `None` when a healed archive holds every assignment
+    /// compaction spilled (or nothing was ever compacted), else the
+    /// retention floor.
     pub(crate) fn historical_floor(&self) -> Option<SimTime> {
         let floor = self.state.lock().floor;
         match self.archive.as_ref().map(|a| a.lock().healed()) {
@@ -501,7 +496,9 @@ mod tests {
         for t in [10u64, 20, 30, 40] {
             log.insert((SimTime::from_secs(t), t, 0usize));
         }
-        let dropped = log.compact(SimTime::from_secs(30), false);
+        let dropped = log
+            .compact(SimTime::from_secs(30), false)
+            .collect::<Vec<_>>();
         let dropped_ts: Vec<u64> = dropped.iter().map(|e| e.0.as_millis()).collect();
         assert_eq!(dropped_ts, vec![10_000, 20_000], "strictly-older only");
         assert_eq!(
@@ -517,7 +514,9 @@ mod tests {
         for t in [10u64, 20, 30, 40] {
             anchored.insert((SimTime::from_secs(t), t, 0usize));
         }
-        let dropped = anchored.compact(SimTime::from_secs(30), true);
+        let dropped = anchored
+            .compact(SimTime::from_secs(30), true)
+            .collect::<Vec<_>>();
         assert_eq!(dropped.len(), 2, "anchor at cutoff carries the window");
         assert_eq!(
             anchored.entries.front().map(|e| e.0),
@@ -531,13 +530,17 @@ mod tests {
         for t in [10u64, 20, 40] {
             sparse.insert((SimTime::from_secs(t), t, 0usize));
         }
-        let dropped = sparse.compact(SimTime::from_secs(30), true);
+        let dropped = sparse
+            .compact(SimTime::from_secs(30), true)
+            .collect::<Vec<_>>();
         assert_eq!(dropped.iter().map(|e| e.1).collect::<Vec<_>>(), vec![10]);
         assert_eq!(
             sparse.entries.front().map(|e| e.0),
             Some(SimTime::from_secs(20))
         );
-        let dropped = sparse.compact(SimTime::from_secs(40), true);
+        let dropped = sparse
+            .compact(SimTime::from_secs(40), true)
+            .collect::<Vec<_>>();
         assert_eq!(
             dropped.iter().map(|e| e.1).collect::<Vec<_>>(),
             vec![20],

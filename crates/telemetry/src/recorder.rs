@@ -88,7 +88,7 @@ pub mod keys {
     pub const BMS_RETENTION_COMPACTED: MetricKey = MetricKey("bms.retention.compacted");
     /// Peak resident report count observed during a run (gauge).
     pub const BMS_REPORTS_RETAINED_PEAK: MetricKey = MetricKey("bms.reports.retained_peak");
-    /// Records (reports + assignments) spilled into the durable archive.
+    /// Assignment records spilled into the durable archive.
     pub const BMS_ARCHIVE_RECORDS: MetricKey = MetricKey("bms.archive.records");
     /// Archive segments sealed with a verified footer.
     pub const BMS_ARCHIVE_SEGMENTS_SEALED: MetricKey = MetricKey("bms.archive.segments_sealed");

@@ -140,3 +140,7 @@ cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo "perfbench self-tests passed"
 
 echo "check.sh: fmt + build + examples (examples_output.txt at threads=1 and default) + tests (threads=1, default, disk-chaos) + clippy + doc + repro_output.txt at threads=1 and default (all figures, all 12 system arms) + perfbench office_e2e/surge_ingest/history_reads gates and self-tests green"
+
+# The Rust line count every simplicity change quotes, measured one way.
+# Reported only; it gates nothing.
+echo "rust lines: $(find crates src tests examples shims -name '*.rs' | xargs cat | wc -l)"
